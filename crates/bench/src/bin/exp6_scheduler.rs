@@ -81,7 +81,7 @@ fn run(policy_name: &str, min_tuples: usize, min_interval: Option<Duration>) -> 
             "q",
             "select s2.v, s2.ts from [select * from s] as s2 where s2.v < 500",
             &cat,
-            datacell::factory::FactoryOutput::BasketCarryTs(Arc::clone(&out)),
+            datacell::factory::FactoryOutput::Basket(Arc::clone(&out)),
         )
         .unwrap();
         f.set_min_tuples(min_tuples);

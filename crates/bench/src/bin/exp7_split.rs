@@ -73,7 +73,7 @@ fn build(split_heavy: bool) -> Rig {
         "light",
         LIGHT_SQL,
         &cat,
-        FactoryOutput::BasketCarryTs(Arc::clone(&light_out)),
+        FactoryOutput::Basket(Arc::clone(&light_out)),
     )
     .unwrap();
     light.set_shared("s", input.register_reader(true)).unwrap();

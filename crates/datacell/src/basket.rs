@@ -7,15 +7,28 @@
 //! factory, receptor or emitter at a time updates a given basket"
 //! (§2.3) — here a [`parking_lot::Mutex`] held for the whole factory step.
 //!
-//! **One consumption discipline.** Every consumer — a shared-strategy
-//! factory, a §3.2 split head, an emitter feeding a subscription, a window
-//! evaluator — registers a *reader* and holds an oid cursor into the
-//! stream. A tuple is physically removed only once every registered
-//! reader's watermark has passed it: "a tuple remains in its basket until
-//! all relevant factories have seen it" (§2.5). The only positional escape
-//! hatch is [`Basket::consume_positions`], which implements the paper's
-//! basket-expression side effect (a predicate window may delete a
-//! *subset*, §2.6) for exclusively-owned baskets.
+//! **One append splice.** Four entry points — [`Basket::append_rows`] /
+//! [`Basket::append_chunk`] and their non-waiting `try_` twins — feed one
+//! private admit → fill → WAL → spill loop. Rows are validated, coerced
+//! and transposed into columns *before* the basket lock is taken; the lock
+//! covers the splice only. A chunk carries its arrival times **by shape**:
+//! `user_width` columns are stamped with the current engine time,
+//! `user_width + 1` columns ending in a timestamp column carry that column
+//! through as `ts` (factory outputs preserving end-to-end latency), and
+//! any other shape is a wiring error.
+//!
+//! **Two consumption disciplines.** Every shared consumer — a
+//! shared-strategy factory, a §3.2 split head, an emitter feeding a
+//! subscription, a window evaluator — registers a *reader* and holds an
+//! oid cursor into the stream. A tuple is physically removed only once
+//! every registered reader's watermark has passed it: "a tuple remains in
+//! its basket until all relevant factories have seen it" (§2.5).
+//! Exclusively-owned baskets instead take the paper's basket-expression
+//! side effect (a predicate window may delete a *subset*, §2.6):
+//! [`Basket::snapshot_exclusive`] + [`Basket::consume_exclusive`] for a
+//! factory step that must survive concurrent sheds, and the plain
+//! [`Basket::consume_positions`] for positions computed against the basket
+//! as it is right now.
 //!
 //! Readers come in two flavours:
 //!
@@ -267,6 +280,28 @@ impl SpillState {
     fn head_oid(&self) -> Option<u64> {
         self.segments.front().map(|s| s.base_oid)
     }
+
+    /// The cached decode of `meta`, if it is the warm segment. The cache
+    /// holds an `Arc`, so a hit is a refcount bump, not a deep copy.
+    fn cached(&self, meta: &SegmentMeta) -> Option<Arc<Chunk>> {
+        self.cache
+            .as_ref()
+            .filter(|(b, _)| *b == meta.base_oid)
+            .map(|(_, c)| Arc::clone(c))
+    }
+
+    /// Release a segment already unlinked from `segments`: its rows leave
+    /// the on-disk count, a cached decode of it is invalidated and the
+    /// file is deleted.
+    fn drop_segment(&mut self, meta: &SegmentMeta, basket: &str) {
+        self.rows -= meta.rows;
+        if self.cached(meta).is_some() {
+            self.cache = None;
+        }
+        if let Err(e) = self.store.delete_segment(meta) {
+            eprintln!("basket {basket}: deleting segment: {e}");
+        }
+    }
 }
 
 /// A head snapshot awaiting its disk seal, produced under the basket lock
@@ -339,6 +374,13 @@ impl Inner {
         self.base_oid + self.mem_len() as u64
     }
 
+    /// Next oid reader `r` will see, clamped to the oldest live row (an
+    /// unknown reader reads from the head).
+    fn cursor_of(&self, r: ReaderId) -> u64 {
+        let head = self.head_oid();
+        self.readers.get(&r).map_or(head, |rs| rs.cursor.max(head))
+    }
+
     /// Drop the `n` oldest *in-memory* tuples (shed), skipping readers
     /// past them and clipping in-flight claims. (`ShedOldest` and `Spill`
     /// are mutually exclusive policies, so the shed head is always the
@@ -381,6 +423,19 @@ impl Inner {
                 .collect(),
         }
     }
+}
+
+/// Append rows `[from, to)` of each `src` column onto the matching `dst`
+/// column; a whole-column range skips the intermediate slice copy.
+fn append_range(dst: &mut [Column], src: &[Column], from: usize, to: usize) -> Result<()> {
+    for (d, s) in dst.iter_mut().zip(src) {
+        if from == 0 && to == s.len() {
+            d.append_column(s)?;
+        } else {
+            d.append_column(&s.slice(from, to)?)?;
+        }
+    }
+    Ok(())
 }
 
 /// How much of a pending batch the basket admits right now.
@@ -801,9 +856,10 @@ impl Basket {
         if threshold == 0 || wal.bytes_written() < threshold {
             return;
         }
-        let Some(chunk) = self.logical_contents(inner) else {
+        let (chunk, complete) = self.stitch(inner, usize::MAX);
+        if !complete {
             return;
-        };
+        }
         let appended = inner.stats.appended - chunk.len() as u64;
         let base = inner.head_oid();
         match wal.checkpoint(appended, inner.stats.consumed, base, &chunk) {
@@ -821,57 +877,62 @@ impl Basket {
         }
     }
 
-    /// Decode the full logical contents (on-disk head then memory tail)
-    /// into one chunk, under the lock — the checkpoint image. `None` if a
-    /// segment read fails (counted; never serves a partial image).
-    fn logical_contents(&self, inner: &mut Inner) -> Option<Chunk> {
-        let has_segments = inner.spill.as_ref().is_some_and(|s| !s.segments.is_empty());
-        if !has_segments {
-            return Some(inner.mem_slice(&self.schema, 0, inner.mem_len()));
+    /// Decode spilled segment `meta` with the lock held — the one
+    /// under-lock segment reader. A cache hit costs a refcount bump; a miss
+    /// reads the file and leaves the caller to decide whether the decode
+    /// is worth installing. A failed read is counted and yields `None`:
+    /// callers withhold the affected rows (they stay pending) rather than
+    /// serve a corrupt or reordered stream.
+    fn segment(&self, inner: &mut Inner, meta: &SegmentMeta) -> Option<Arc<Chunk>> {
+        let spill = inner.spill.as_ref()?;
+        if let Some(hit) = spill.cached(meta) {
+            return Some(hit);
         }
-        let mut columns: Vec<Column> = self
-            .schema
-            .columns
-            .iter()
-            .map(|c| Column::empty(c.ty))
-            .collect();
-        let (store, segments) = {
-            let spill = inner.spill.as_ref().expect("checked above");
-            let segs: Vec<SegmentMeta> = spill.segments.iter().cloned().collect();
-            (spill.store.clone(), segs)
-        };
-        for meta in &segments {
-            let cached = inner
-                .spill
-                .as_ref()
-                .and_then(|s| s.cache.as_ref())
-                .filter(|(b, c)| *b == meta.base_oid && c.len() == meta.rows as usize)
-                .map(|(_, c)| Arc::clone(c));
-            let seg = match cached {
-                Some(c) => c,
-                None => match store.read_segment(meta, &self.schema) {
-                    Ok(c) => Arc::new(c),
-                    Err(e) => {
-                        inner.stats.storage_errors += 1;
-                        eprintln!(
-                            "basket {}: checkpoint segment decode failed: {e}",
-                            self.name
-                        );
-                        return None;
-                    }
-                },
-            };
-            for (acc, col) in columns.iter_mut().zip(&seg.columns) {
-                acc.append_column(col).expect("segment matches schema");
+        match spill.store.read_segment(meta, &self.schema) {
+            Ok(c) => Some(Arc::new(c)),
+            Err(e) => {
+                inner.stats.storage_errors += 1;
+                eprintln!("basket {}: segment read failed: {e}", self.name);
+                None
             }
         }
-        for (acc, col) in columns.iter_mut().zip(&inner.columns) {
-            acc.append_column(col).expect("same schema");
+    }
+
+    /// Copy up to `budget` tuples of the logical head — spilled segments in
+    /// oid order, then the memory tail — into one chunk, under the lock and
+    /// without changing residency. A segment the budget ends inside stays
+    /// warm in the one-segment cache. Returns `false` alongside the chunk
+    /// when a segment decode failed: the chunk then ends at the last good
+    /// segment, so position `p` is still the `p`-th logical tuple.
+    fn stitch(&self, inner: &mut Inner, budget: usize) -> (Chunk, bool) {
+        let segments: Vec<SegmentMeta> = inner
+            .spill
+            .as_ref()
+            .map(|s| s.segments.iter().cloned().collect())
+            .unwrap_or_default();
+        if segments.is_empty() {
+            let take = inner.mem_len().min(budget);
+            return (inner.mem_slice(&self.schema, 0, take), true);
         }
-        Some(Chunk {
-            schema: self.schema.clone(),
-            columns,
-        })
+        let mut out = Chunk::empty(self.schema.clone());
+        let mut remaining = budget;
+        for meta in &segments {
+            if remaining == 0 {
+                break;
+            }
+            let Some(seg) = self.segment(inner, meta) else {
+                return (out, false);
+            };
+            let take = (meta.rows as usize).min(remaining);
+            append_range(&mut out.columns, &seg.columns, 0, take).expect("segment matches schema");
+            remaining -= take;
+            if take < meta.rows as usize {
+                inner.spill.as_mut().expect("has segments").cache = Some((meta.base_oid, seg));
+            }
+        }
+        let take = inner.mem_len().min(remaining);
+        append_range(&mut out.columns, &inner.columns, 0, take).expect("same schema");
+        (out, true)
     }
 
     /// Snapshot the over-budget memory head for sealing, **under** the
@@ -983,48 +1044,20 @@ impl Basket {
     /// decode failure nothing changes — the counted error withholds the
     /// affected rows rather than serving a corrupt or reordered stream.
     fn unspill_all(&self, inner: &mut Inner) {
-        let Some(spill) = inner.spill.as_ref() else {
+        let Some(head) = inner.spill.as_ref().and_then(SpillState::head_oid) else {
             return;
         };
-        if spill.segments.is_empty() {
+        let (chunk, complete) = self.stitch(inner, usize::MAX);
+        if !complete {
             return;
         }
-        let store = spill.store.clone();
-        let segments: Vec<SegmentMeta> = spill.segments.iter().cloned().collect();
-        let mut columns: Vec<Column> = self
-            .schema
-            .columns
-            .iter()
-            .map(|c| Column::empty(c.ty))
-            .collect();
-        for meta in &segments {
-            let chunk = match store.read_segment(meta, &self.schema) {
-                Ok(c) => c,
-                Err(e) => {
-                    inner.stats.storage_errors += 1;
-                    eprintln!("basket {}: unspill failed: {e}", self.name);
-                    return;
-                }
-            };
-            for (acc, col) in columns.iter_mut().zip(&chunk.columns) {
-                acc.append_column(col).expect("segment matches schema");
-            }
-        }
-        for (acc, col) in columns.iter_mut().zip(&inner.columns) {
-            acc.append_column(col).expect("same schema");
-        }
-        inner.columns = columns;
-        inner.base_oid = segments[0].base_oid;
+        inner.columns = chunk.columns;
+        inner.base_oid = head;
         inner.epoch += 1;
-        for meta in &segments {
-            if let Err(e) = store.delete_segment(meta) {
-                eprintln!("basket {}: deleting unspilled segment: {e}", self.name);
-            }
+        let spill = inner.spill.as_mut().expect("has segments");
+        while let Some(meta) = spill.segments.pop_front() {
+            spill.drop_segment(&meta, &self.name);
         }
-        let spill = inner.spill.as_mut().expect("checked above");
-        spill.segments.clear();
-        spill.rows = 0;
-        spill.cache = None;
     }
 
     /// Wait for the basket to change, releasing the inner lock first.
@@ -1040,134 +1073,33 @@ impl Basket {
 
     /// Append rows of user values (arity = user width); each row is stamped
     /// with the current engine time. Values are coerced to the column
-    /// types (the same rules as SQL `INSERT`). On a bounded basket the
-    /// [`OverflowPolicy`] applies.
+    /// types (the same rules as SQL `INSERT`) — once, while the rows are
+    /// transposed into columns *before* the basket lock is taken, so a bad
+    /// row fails before anything is appended and producers never contend
+    /// on validation. On a bounded basket the [`OverflowPolicy`] applies.
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_rows_inner(rows, true, true)
+        self.splice(&self.transpose(rows)?, rows.len(), true)
     }
 
     /// Non-waiting [`Basket::append_rows`]: a full `Block`-policy basket
     /// returns [`DataCellError::Backpressure`] (all-or-nothing) instead of
     /// blocking the caller — for scheduler-driven producers that defer and
-    /// retry rather than stall the scheduling thread.
+    /// retry rather than stall the scheduling thread, and for writers
+    /// whose own overflow policy is non-blocking (`Reject`/`ShedOldest`),
+    /// so a racing producer can never strand them in the engine's wait
+    /// loop.
     pub fn try_append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_rows_inner(rows, true, false)
+        self.splice(&self.transpose(rows)?, rows.len(), false)
     }
 
-    /// Append rows whose values are already coerced to the column types —
-    /// the [`StreamWriter`](crate::client::StreamWriter) fast path, which
-    /// validates on `append` and must not pay a second coercion (and
-    /// string-clone) pass per tuple on flush. Arity and type tags are
-    /// still pre-checked, so a bad row fails *before* anything is pushed.
-    pub fn append_rows_prevalidated(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_rows_inner(rows, false, true)
-    }
-
-    /// Non-waiting [`Basket::append_rows_prevalidated`]: a full
-    /// `Block`-policy basket returns [`DataCellError::Backpressure`]
-    /// (all-or-nothing) instead of parking the caller — for writers whose
-    /// own overflow policy is non-blocking (`Reject`/`ShedOldest`), so a
-    /// racing producer can never strand them in the engine's wait loop.
-    pub fn try_append_rows_prevalidated(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_rows_inner(rows, false, false)
-    }
-
-    fn append_rows_inner(&self, rows: &[Vec<Value>], coerce: bool, blocking: bool) -> Result<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let user_width = self.schema.len() - 1;
-        // Pre-check every row completely before mutating any column:
-        // a failure mid-append would leave the columns with unequal
-        // lengths (a torn write visible to every later reader).
-        for row in rows {
-            if row.len() != user_width {
-                return Err(DataCellError::Wiring(format!(
-                    "basket {}: row arity {} != {}",
-                    self.name,
-                    row.len(),
-                    user_width
-                )));
-            }
-            for (v, cd) in row.iter().zip(self.schema.columns.iter().take(user_width)) {
-                if !v.can_coerce_to(cd.ty) {
-                    return Err(DataCellError::Wiring(format!(
-                        "basket {}: cannot coerce {v:?} to {}",
-                        self.name, cd.ty
-                    )));
-                }
-            }
-        }
-        let mut offset = 0;
-        let mut counted = false;
-        loop {
-            let mut inner = self.inner.lock();
-            let (shed, take) =
-                match self.admit(&mut inner, rows.len() - offset, blocking, &mut counted)? {
-                    Admission::Take { shed, take } => (shed, take),
-                    Admission::Wait => {
-                        self.wait_for_space(inner);
-                        continue;
-                    }
-                };
-            offset += shed;
-            let ts = now_micros();
-            for row in &rows[offset..offset + take] {
-                for (v, (c, cd)) in row.iter().zip(
-                    inner
-                        .columns
-                        .iter_mut()
-                        .zip(self.schema.columns.iter())
-                        .take(user_width),
-                ) {
-                    if v.is_nil() {
-                        c.push_nil();
-                    } else if coerce {
-                        let coerced = v.coerce_to(cd.ty).ok_or_else(|| {
-                            DataCellError::Wiring(format!(
-                                "basket: cannot coerce {v:?} to {}",
-                                cd.ty
-                            ))
-                        })?;
-                        c.push(&coerced)?;
-                    } else {
-                        c.push(v)?;
-                    }
-                }
-                inner
-                    .columns
-                    .last_mut()
-                    .expect("ts column")
-                    .push(&Value::Timestamp(ts))?;
-            }
-            inner.stats.appended += take as u64;
-            let synced = self.log_rows_or_roll_back(&mut inner, take)?;
-            self.maybe_checkpoint_wal(&mut inner);
-            let spill = self.spill_job(&mut inner);
-            offset += take;
-            let done = offset == rows.len();
-            drop(inner);
-            self.notify();
-            if let Some(job) = spill {
-                self.finish_spill(job);
-            }
-            self.await_durable(synced)?;
-            if done {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Append a chunk of user columns (no `ts`); stamps arrival time.
+    /// Append a chunk of user columns. Arrival times follow the chunk's
+    /// shape: `user_width` columns are stamped now; one extra trailing
+    /// timestamp column is carried through as `ts` (factory outputs
+    /// propagating the original arrival time so emitters can measure true
+    /// end-to-end latency).
     pub fn append_chunk(&self, chunk: &Chunk) -> Result<()> {
-        self.append_chunk_impl(chunk, None, true)
-    }
-
-    /// Append a chunk whose **last column is a timestamp column** to carry
-    /// through (factory outputs propagating the original arrival time so
-    /// emitters can measure true end-to-end latency).
-    pub fn append_chunk_carry_ts(&self, chunk: &Chunk) -> Result<()> {
-        self.append_chunk_impl(chunk, Some(chunk.schema.len() - 1), true)
+        self.check_chunk(chunk)?;
+        self.splice(&chunk.columns, chunk.len(), true)
     }
 
     /// Non-waiting [`Basket::append_chunk`]: a full `Block`-policy basket
@@ -1177,95 +1109,121 @@ impl Basket {
     /// never wedges, and since factories deliver before consuming, the
     /// deferred step retries losslessly.
     pub fn try_append_chunk(&self, chunk: &Chunk) -> Result<()> {
-        self.append_chunk_impl(chunk, None, false)
+        self.check_chunk(chunk)?;
+        self.splice(&chunk.columns, chunk.len(), false)
     }
 
-    /// Non-waiting [`Basket::append_chunk_carry_ts`]; see
-    /// [`Basket::try_append_chunk`].
-    pub fn try_append_chunk_carry_ts(&self, chunk: &Chunk) -> Result<()> {
-        self.append_chunk_impl(chunk, Some(chunk.schema.len() - 1), false)
-    }
-
-    fn append_chunk_impl(
-        &self,
-        chunk: &Chunk,
-        ts_from: Option<usize>,
-        blocking: bool,
-    ) -> Result<()> {
-        if chunk.is_empty() {
+    /// The carry-by-shape rule, for a batch described by `schema`: it is
+    /// either exactly the user columns (arrival time gets stamped) or the
+    /// user columns plus one trailing [`DataType::Timestamp`] column to
+    /// carry through as `ts`; any other shape is a wiring error.
+    pub(crate) fn check_shape(&self, schema: &Schema) -> Result<()> {
+        let user_width = self.user_width();
+        let carries =
+            schema.len() == user_width + 1 && schema.columns[user_width].ty == DataType::Timestamp;
+        if schema.len() == user_width || carries {
             return Ok(());
         }
-        let user_width = self.schema.len() - 1;
-        let data_width = match ts_from {
-            None => chunk.schema.len(),
-            Some(_) => chunk.schema.len() - 1,
-        };
-        if data_width != user_width {
-            return Err(DataCellError::Wiring(format!(
-                "basket {}: chunk width {} != user width {}",
-                self.name, data_width, user_width
-            )));
-        }
-        if let Some(idx) = ts_from {
-            if chunk.columns[idx].data_type() != DataType::Timestamp {
+        Err(DataCellError::Wiring(format!(
+            "basket {}: width {} is neither the user width {user_width} nor that plus a \
+             trailing timestamp column to carry",
+            self.name,
+            schema.len()
+        )))
+    }
+
+    /// Check a chunk's shape and every column type before the splice: a
+    /// mismatch discovered mid-fill would leave the columns with unequal
+    /// lengths (a torn write visible to every later reader).
+    fn check_chunk(&self, chunk: &Chunk) -> Result<()> {
+        self.check_shape(&chunk.schema)?;
+        for (col, cd) in chunk.columns.iter().zip(&self.schema.columns) {
+            if col.data_type() != cd.ty {
                 return Err(DataCellError::Wiring(format!(
-                    "basket {}: carry-ts column has type {}, expected timestamp",
+                    "basket {}: column {} is {}, chunk carries {}",
                     self.name,
-                    chunk.columns[idx].data_type()
+                    cd.name,
+                    cd.ty,
+                    col.data_type()
                 )));
             }
         }
-        let total = chunk.len();
+        Ok(())
+    }
+
+    /// Validate, coerce and transpose `rows` into one column per user
+    /// attribute. Runs without the basket lock and builds private columns,
+    /// so a bad row fails the whole batch with nothing appended.
+    fn transpose(&self, rows: &[Vec<Value>]) -> Result<Vec<Column>> {
+        let user = &self.schema.columns[..self.user_width()];
+        let mut columns: Vec<Column> = user
+            .iter()
+            .map(|cd| Column::with_capacity(cd.ty, rows.len()))
+            .collect();
+        for row in rows {
+            if row.len() != user.len() {
+                return Err(DataCellError::Wiring(format!(
+                    "basket {}: row arity {} != {}",
+                    self.name,
+                    row.len(),
+                    user.len()
+                )));
+            }
+            for (v, (c, cd)) in row.iter().zip(columns.iter_mut().zip(user)) {
+                c.push(v).map_err(|_| {
+                    DataCellError::Wiring(format!(
+                        "basket {}: cannot coerce {v:?} to {}",
+                        self.name, cd.ty
+                    ))
+                })?;
+            }
+        }
+        Ok(columns)
+    }
+
+    /// The one append loop: splice `total` rows of ready-made columns onto
+    /// the tail — the user columns, plus the `ts` column when it is carried
+    /// (otherwise the rows are stamped here). Each pass admits what the
+    /// capacity/overflow configuration allows, fills the columns, logs to
+    /// the WAL (rolling the rows back out if that fails), checkpoints and
+    /// snapshots an over-budget head — all under the lock, which is then
+    /// dropped for the notification, the spill seal and the durability
+    /// wait. Stamping happens under the lock so `ts` is monotone in oid
+    /// order across concurrent appenders. `wait` selects blocking
+    /// admission (see [`Basket::admit`]).
+    fn splice(&self, cols: &[Column], total: usize, wait: bool) -> Result<()> {
         let mut offset = 0;
         let mut counted = false;
-        loop {
+        while offset < total {
             let mut inner = self.inner.lock();
-            let (shed, take) =
-                match self.admit(&mut inner, total - offset, blocking, &mut counted)? {
-                    Admission::Take { shed, take } => (shed, take),
-                    Admission::Wait => {
-                        self.wait_for_space(inner);
-                        continue;
-                    }
-                };
+            let (shed, take) = match self.admit(&mut inner, total - offset, wait, &mut counted)? {
+                Admission::Take { shed, take } => (shed, take),
+                Admission::Wait => {
+                    self.wait_for_space(inner);
+                    continue;
+                }
+            };
             offset += shed;
-            for i in 0..user_width {
-                let slice = chunk.columns[i].slice(offset, offset + take)?;
-                inner.columns[i].append_column(&slice)?;
-            }
-            match ts_from {
-                None => {
-                    let ts = now_micros();
-                    let last = inner.columns.last_mut().expect("ts column");
-                    for _ in 0..take {
-                        last.push(&Value::Timestamp(ts))?;
-                    }
-                }
-                Some(idx) => {
-                    let slice = chunk.columns[idx].slice(offset, offset + take)?;
-                    inner
-                        .columns
-                        .last_mut()
-                        .expect("ts column")
-                        .append_column(&slice)?;
-                }
+            append_range(&mut inner.columns, cols, offset, offset + take)?;
+            if cols.len() < inner.columns.len() {
+                let Some(Column::Timestamp(ts)) = inner.columns.last_mut() else {
+                    unreachable!("the last column is `ts`");
+                };
+                ts.resize(ts.len() + take, now_micros());
             }
             inner.stats.appended += take as u64;
             let synced = self.log_rows_or_roll_back(&mut inner, take)?;
             self.maybe_checkpoint_wal(&mut inner);
             let spill = self.spill_job(&mut inner);
             offset += take;
-            let done = offset == total;
             drop(inner);
             self.notify();
             if let Some(job) = spill {
                 self.finish_spill(job);
             }
             self.await_durable(synced)?;
-            if done {
-                return Ok(());
-            }
         }
+        Ok(())
     }
 
     // ------------------------------ reads ------------------------------
@@ -1317,10 +1275,7 @@ impl Basket {
     pub fn snapshot(&self) -> Chunk {
         let mut inner = self.inner.lock();
         self.unspill_all(&mut inner);
-        Chunk {
-            schema: self.schema.clone(),
-            columns: inner.columns.clone(),
-        }
+        inner.mem_slice(&self.schema, 0, inner.mem_len())
     }
 
     /// In-memory heap footprint in bytes (diagnostics / load shedding);
@@ -1343,92 +1298,32 @@ impl Basket {
     ///
     /// Positions index the basket *as it is right now*: if tuples may have
     /// been shed or trimmed since the snapshot the positions were computed
-    /// against, use [`Basket::snapshot_anchored`] +
-    /// [`Basket::consume_anchored`] instead — positional consumption after
+    /// against, use [`Basket::snapshot_exclusive`] +
+    /// [`Basket::consume_exclusive`] instead — positional consumption after
     /// a concurrent head-drop would delete shifted, newer tuples.
     pub fn consume_positions(&self, positions: &Candidates) -> Result<usize> {
-        let removed;
-        {
+        let removed = {
             let mut inner = self.inner.lock();
             // Positions were computed against the full logical contents
             // (snapshots stitch disk + memory), so materialize the same
             // view before deleting by position.
             self.unspill_all(&mut inner);
-            removed = Self::consume_in(&mut inner, positions)?;
-            if removed == 0 {
-                return Ok(0);
-            }
+            Self::consume_in(&mut inner, positions, 0, Vec::new())?
+        };
+        if removed > 0 {
+            self.notify();
         }
-        self.notify();
-        Ok(removed)
-    }
-
-    /// Snapshot the full resident contents together with the oid of the
-    /// first row — the anchor that makes a later
-    /// [`Basket::consume_anchored`] immune to concurrent head-drops
-    /// (`ShedOldest` evictions, trims) between snapshot and consumption.
-    pub fn snapshot_anchored(&self) -> (Chunk, u64) {
-        let mut inner = self.inner.lock();
-        // Exclusive consumers need positional access to the whole logical
-        // content, so the spilled head is re-materialized first.
-        self.unspill_all(&mut inner);
-        (
-            Chunk {
-                schema: self.schema.clone(),
-                columns: inner.columns.clone(),
-            },
-            inner.base_oid,
-        )
-    }
-
-    /// Delete the tuples at `positions` *relative to a snapshot whose first
-    /// row had oid `base`* (from [`Basket::snapshot_anchored`]). Positions
-    /// whose tuples were shed or trimmed after the snapshot are skipped —
-    /// they are already gone — instead of silently deleting the newer
-    /// tuples that shifted into their places. This is the at-most-once
-    /// guard for exclusive factories over `ShedOldest` inputs: a shed
-    /// *during* the factory step can no longer make post-step consumption
-    /// eat tuples the step never processed.
-    pub fn consume_anchored(&self, base: u64, positions: &Candidates) -> Result<usize> {
-        let removed;
-        {
-            let mut inner = self.inner.lock();
-            // A spill may have raced in since the anchored snapshot; the
-            // positional delete needs the whole logical content in memory.
-            self.unspill_all(&mut inner);
-            // base_oid only grows, and the snapshot's base was read under
-            // this same lock, so shift = how many snapshot rows left the
-            // head since then.
-            let shift = (inner.base_oid.saturating_sub(base)) as usize;
-            let len = inner.mem_len();
-            let translated: Vec<usize> = positions
-                .to_positions()
-                .into_iter()
-                .filter_map(|p| p.checked_sub(shift))
-                .filter(|&p| p < len)
-                .collect();
-            if translated.is_empty() {
-                return Ok(0);
-            }
-            let cands = Candidates::from_sorted_unchecked(translated);
-            removed = Self::consume_in(&mut inner, &cands)?;
-            if removed == 0 {
-                return Ok(0);
-            }
-        }
-        self.notify();
         Ok(removed)
     }
 
     /// Snapshot up to `budget` tuples of the logical head for exclusive
     /// consumption **without** re-materializing the spilled backlog into
-    /// the basket. [`Basket::snapshot_anchored`] unspills everything
-    /// first, so one exclusive step over a deep backlog silently broke the
-    /// `Spill { mem_rows }` memory ceiling; here spilled segments are
-    /// decoded straight into the returned chunk one at a time (transient
-    /// copies — basket residency never changes), resident rows fill the
-    /// remainder of the budget, and the boundary segment stays warm in the
-    /// one-segment cache for the matching [`Basket::consume_exclusive`].
+    /// the basket (which would break the `Spill { mem_rows }` memory
+    /// ceiling): spilled segments are decoded straight into the returned
+    /// chunk one at a time (transient copies — basket residency never
+    /// changes), resident rows fill the remainder of the budget, and the
+    /// boundary segment stays warm in the one-segment cache for the
+    /// matching [`Basket::consume_exclusive`].
     ///
     /// Position `p` of the returned chunk is the `p`-th logical tuple of
     /// the basket; the [`ExclusiveAnchor`] records the layout epoch so
@@ -1437,102 +1332,10 @@ impl Basket {
     /// (the unread rows stay pending, never skipped or served corrupt).
     pub fn snapshot_exclusive(&self, budget: usize) -> (Chunk, ExclusiveAnchor) {
         let mut inner = self.inner.lock();
-        let anchor_base = inner.head_oid();
-        let epoch = inner.epoch;
-        let spilled = inner.spill.as_ref().is_some_and(|s| !s.segments.is_empty());
-        if !spilled {
-            // Pure-memory fast path: the historical clone, budget-capped.
-            let take = inner.mem_len().min(budget);
-            let columns: Vec<Column> = inner
-                .columns
-                .iter()
-                .map(|c| c.slice(0, take).expect("slice within bounds"))
-                .collect();
-            let chunk = Chunk {
-                schema: self.schema.clone(),
-                columns,
-            };
-            return (
-                chunk,
-                ExclusiveAnchor {
-                    base: anchor_base,
-                    epoch,
-                    rows: take,
-                },
-            );
-        }
-        let mut columns: Vec<Column> = self
-            .schema
-            .columns
-            .iter()
-            .map(|c| Column::empty(c.ty))
-            .collect();
-        let mut remaining = budget;
-        let mut truncated = false;
-        let spill = inner.spill.as_ref().expect("checked above");
-        let store = spill.store.clone();
-        let segments: Vec<SegmentMeta> = spill.segments.iter().cloned().collect();
-        let mut cache_install: Option<(u64, Arc<Chunk>)> = None;
-        for meta in &segments {
-            if remaining == 0 {
-                break;
-            }
-            let cached = inner
-                .spill
-                .as_ref()
-                .and_then(|s| s.cache.as_ref())
-                .filter(|(b, _)| *b == meta.base_oid)
-                .map(|(_, c)| Arc::clone(c));
-            let seg = match cached {
-                Some(c) => c,
-                None => match store.read_segment(meta, &self.schema) {
-                    Ok(c) => Arc::new(c),
-                    Err(e) => {
-                        inner.stats.storage_errors += 1;
-                        eprintln!(
-                            "basket {}: exclusive snapshot decode failed: {e}",
-                            self.name
-                        );
-                        truncated = true;
-                        break;
-                    }
-                },
-            };
-            let take = (meta.rows as usize).min(remaining);
-            for (acc, col) in columns.iter_mut().zip(&seg.columns) {
-                let part = col.slice(0, take).expect("slice within segment");
-                acc.append_column(&part).expect("segment matches schema");
-            }
-            remaining -= take;
-            if take < meta.rows as usize {
-                // Budget boundary inside this segment: keep it warm for
-                // the decode-free partial consume that follows.
-                cache_install = Some((meta.base_oid, seg));
-            }
-        }
-        if remaining > 0 && !truncated {
-            let take = inner.mem_len().min(remaining);
-            for (acc, col) in columns.iter_mut().zip(&inner.columns) {
-                let part = col.slice(0, take).expect("slice within bounds");
-                acc.append_column(&part).expect("same schema");
-            }
-        }
-        if let (Some(entry), Some(spill)) = (cache_install, inner.spill.as_mut()) {
-            spill.cache = Some(entry);
-        }
-        let chunk = Chunk {
-            schema: self.schema.clone(),
-            columns,
-        };
+        let (base, epoch) = (inner.head_oid(), inner.epoch);
+        let (chunk, _) = self.stitch(&mut inner, budget);
         let rows = chunk.len();
-        (
-            chunk,
-            ExclusiveAnchor {
-                base: anchor_base,
-                epoch,
-                rows,
-            },
-        )
+        (chunk, ExclusiveAnchor { base, epoch, rows })
     }
 
     /// Delete the tuples at `positions` *relative to a
@@ -1545,7 +1348,8 @@ impl Basket {
     /// the ordinal mapping — appends and spill seals preserve the logical
     /// prefix and keep the epoch, while head mutations (shed, trim,
     /// clear, a competing consume) bump it, in which case this falls back
-    /// to the shift-corrected [`Basket::consume_anchored`] path.
+    /// to the shift-corrected anchored path: positions whose tuples left the
+    /// head since the snapshot are skipped, never re-aimed at newer tuples.
     ///
     /// A failed decode or re-seal keeps the affected segment intact
     /// (counted; the rows are re-delivered rather than lost — the same
@@ -1555,196 +1359,170 @@ impl Basket {
         anchor: &ExclusiveAnchor,
         positions: &Candidates,
     ) -> Result<usize> {
-        let removed_total;
-        {
+        let removed = {
             let mut inner = self.inner.lock();
             if inner.epoch != anchor.epoch {
-                drop(inner);
-                return self.consume_anchored(anchor.base, positions);
+                self.consume_anchored(&mut inner, anchor.base, positions)?
+            } else {
+                let limit = anchor.rows.min(inner.total_len());
+                let gone: Vec<usize> = positions
+                    .to_positions()
+                    .into_iter()
+                    .filter(|&p| p < limit)
+                    .collect();
+                let (disk_gone, mem_offset) = self.consume_spilled(&mut inner, &gone);
+                // Ordinals past the disk part map 1:1 onto memory positions.
+                let mem_gone = gone
+                    .iter()
+                    .filter_map(|&p| p.checked_sub(mem_offset))
+                    .collect();
+                let mem_gone = Candidates::from_sorted_unchecked(mem_gone);
+                Self::consume_in(&mut inner, &mem_gone, mem_offset, disk_gone)?
             }
-            let limit = anchor.rows.min(inner.total_len());
-            let gone: Vec<usize> = positions
-                .to_positions()
-                .into_iter()
-                .filter(|&p| p < limit)
-                .collect();
-            if gone.is_empty() {
-                return Ok(0);
-            }
-            let mut removed = 0usize;
-            // Ordinals actually removed — the WAL record is written from
-            // these, so a decode/re-seal failure that keeps rows resident
-            // also keeps them in the replayed state.
-            let mut walled: Vec<usize> = Vec::with_capacity(gone.len());
-            let mut storage_errs = 0u64;
-            let mut idx = 0usize; // cursor into `gone`
-            let mut offset = 0usize; // logical ordinal of the current segment's first row
-            let schema = self.schema.clone();
-            if let Some(spill) = inner.spill.as_mut() {
-                let store = spill.store.clone();
-                let segments: Vec<SegmentMeta> = spill.segments.drain(..).collect();
-                let mut kept: VecDeque<SegmentMeta> = VecDeque::with_capacity(segments.len());
-                for meta in segments {
-                    let rows = meta.rows as usize;
-                    let seg_end = offset + rows;
-                    let mut seg_gone: Vec<usize> = Vec::new();
-                    while idx < gone.len() && gone[idx] < seg_end {
-                        seg_gone.push(gone[idx] - offset);
-                        idx += 1;
-                    }
-                    if seg_gone.is_empty() {
-                        kept.push_back(meta);
-                    } else if seg_gone.len() == rows {
-                        // Fully consumed: the file goes, no decode needed.
-                        if spill
-                            .cache
-                            .as_ref()
-                            .is_some_and(|(b, _)| *b == meta.base_oid)
-                        {
-                            spill.cache = None;
-                        }
-                        if let Err(e) = store.delete_segment(&meta) {
-                            eprintln!("basket {}: deleting consumed segment: {e}", self.name);
-                        }
-                        spill.rows -= rows as u64;
-                        removed += rows;
-                        walled.extend(offset..seg_end);
-                    } else {
-                        // Partial: decode, retain survivors, re-seal in
-                        // place at the same base.
-                        let cached = spill
-                            .cache
-                            .as_ref()
-                            .filter(|(b, _)| *b == meta.base_oid)
-                            .map(|(_, c)| Arc::clone(c));
-                        let full = match cached {
-                            Some(c) => c,
-                            None => match store.read_segment(&meta, &schema) {
-                                Ok(c) => Arc::new(c),
-                                Err(e) => {
-                                    storage_errs += 1;
-                                    eprintln!(
-                                        "basket {}: consume decode failed, keeping segment: {e}",
-                                        self.name
-                                    );
-                                    kept.push_back(meta);
-                                    offset = seg_end;
-                                    continue;
-                                }
-                            },
-                        };
-                        let keep = Candidates::from_sorted_unchecked(seg_gone.clone())
-                            .complement(rows)
-                            .to_positions();
-                        let mut cols = full.columns.clone();
-                        for c in &mut cols {
-                            c.retain_positions(&keep)?;
-                        }
-                        let survivors = Chunk {
-                            schema: schema.clone(),
-                            columns: cols,
-                        };
-                        match store.replace_segment(&meta, &survivors) {
-                            Ok(new_meta) => {
-                                spill.rows -= seg_gone.len() as u64;
-                                removed += seg_gone.len();
-                                walled.extend(seg_gone.iter().map(|&p| offset + p));
-                                spill.cache = Some((new_meta.base_oid, Arc::new(survivors)));
-                                kept.push_back(new_meta);
-                            }
-                            Err(e) => {
-                                storage_errs += 1;
-                                eprintln!(
-                                    "basket {}: re-seal failed, keeping segment: {e}",
-                                    self.name
-                                );
-                                kept.push_back(meta);
-                            }
-                        }
-                    }
-                    offset = seg_end;
-                }
-                spill.segments = kept;
-            }
-            inner.stats.storage_errors += storage_errs;
-            // Resident suffix: ordinals past the disk part map 1:1 onto
-            // memory positions.
-            let mem_len = inner.mem_len();
-            let mem_gone: Vec<usize> = gone[idx..]
-                .iter()
-                .map(|&p| p - offset)
-                .filter(|&p| p < mem_len)
-                .collect();
-            if !mem_gone.is_empty() {
-                let keep = Candidates::from_sorted_unchecked(mem_gone.clone())
-                    .complement(mem_len)
-                    .to_positions();
-                let r = mem_len - keep.len();
-                for c in &mut inner.columns {
-                    c.retain_positions(&keep)?;
-                }
-                walled.extend(mem_gone.iter().map(|&p| offset + p));
-                inner.base_oid += r as u64;
-                removed += r;
-            }
-            if removed == 0 {
-                return Ok(0);
-            }
-            if let Some(wal) = inner.wal.clone() {
-                // Ordinals relative to the pre-consume logical content —
-                // exactly the view a WAL replay holds at this record.
-                if let Err(e) = wal.append_consume(&walled) {
-                    inner.stats.storage_errors += 1;
-                    eprintln!("wal consume record failed: {e}");
-                }
-            }
-            inner.epoch += 1;
-            let end = inner.end_oid();
-            for rs in inner.readers.values_mut() {
-                rs.cursor = rs.cursor.min(end);
-                rs.inflight.retain(|&(s, _)| s < end);
-                for r in &mut rs.inflight {
-                    r.1 = r.1.min(end);
-                }
-            }
-            inner.stats.consumed += removed as u64;
-            removed_total = removed;
+        };
+        if removed > 0 {
+            self.notify();
         }
-        self.notify();
-        Ok(removed_total)
+        Ok(removed)
     }
 
-    /// Shared body of the positional-consumption paths; called with the
-    /// inner lock held (callers have unspilled first), `positions`
-    /// relative to the current residents.
-    fn consume_in(inner: &mut Inner, positions: &Candidates) -> Result<usize> {
+    /// The on-disk half of [`Basket::consume_exclusive`]: walk the spilled
+    /// segments against the sorted logical ordinals `gone`, deleting or
+    /// re-sealing as described there. Returns the ordinals actually
+    /// removed from disk (a decode/re-seal failure keeps its rows, so they
+    /// must also stay out of the WAL record) and the logical ordinal of
+    /// the first in-memory row.
+    fn consume_spilled(&self, inner: &mut Inner, gone: &[usize]) -> (Vec<usize>, usize) {
+        let segments: Vec<SegmentMeta> = match inner.spill.as_mut() {
+            Some(spill) => spill.segments.drain(..).collect(),
+            None => return (Vec::new(), 0),
+        };
+        let mut kept: VecDeque<SegmentMeta> = VecDeque::with_capacity(segments.len());
+        let mut removed: Vec<usize> = Vec::new();
+        let mut idx = 0usize; // cursor into `gone`
+        let mut offset = 0usize; // logical ordinal of the current segment's first row
+        for meta in segments {
+            let rows = meta.rows as usize;
+            let n = gone[idx..].partition_point(|&p| p < offset + rows);
+            let seg_gone = &gone[idx..idx + n];
+            idx += n;
+            if n == 0 {
+                kept.push_back(meta);
+            } else if n == rows {
+                // Fully consumed: the file goes, no decode needed.
+                let spill = inner.spill.as_mut().expect("segments drained from it");
+                spill.drop_segment(&meta, &self.name);
+                removed.extend_from_slice(seg_gone);
+            } else if let Some(full) = self.segment(inner, &meta) {
+                // Partial: retain survivors, re-seal in place at the same
+                // base.
+                let keep = Candidates::from_sorted_unchecked(
+                    seg_gone.iter().map(|&p| p - offset).collect(),
+                )
+                .complement(rows)
+                .to_positions();
+                let survivors = Chunk {
+                    schema: self.schema.clone(),
+                    columns: full
+                        .columns
+                        .iter()
+                        .map(|c| c.take(&keep).expect("survivors lie within the segment"))
+                        .collect(),
+                };
+                let spill = inner.spill.as_mut().expect("segments drained from it");
+                match spill.store.replace_segment(&meta, &survivors) {
+                    Ok(new_meta) => {
+                        spill.rows -= n as u64;
+                        removed.extend_from_slice(seg_gone);
+                        spill.cache = Some((new_meta.base_oid, Arc::new(survivors)));
+                        kept.push_back(new_meta);
+                    }
+                    Err(e) => {
+                        inner.stats.storage_errors += 1;
+                        eprintln!("basket {}: re-seal failed, keeping segment: {e}", self.name);
+                        kept.push_back(meta);
+                    }
+                }
+            } else {
+                kept.push_back(meta);
+            }
+            offset += rows;
+        }
+        inner
+            .spill
+            .as_mut()
+            .expect("segments drained from it")
+            .segments = kept;
+        (removed, offset)
+    }
+
+    /// Epoch-mismatch fallback of [`Basket::consume_exclusive`]: delete the
+    /// tuples at `positions` relative to a snapshot whose first row had oid
+    /// `base`. Positions whose tuples were shed or trimmed after the
+    /// snapshot are skipped — they are already gone — instead of silently
+    /// deleting the newer tuples that shifted into their places. This is
+    /// the at-most-once guard for exclusive factories over `ShedOldest`
+    /// inputs: a shed *during* the factory step cannot make post-step
+    /// consumption eat tuples the step never processed.
+    fn consume_anchored(
+        &self,
+        inner: &mut Inner,
+        base: u64,
+        positions: &Candidates,
+    ) -> Result<usize> {
+        // The positional delete needs the whole logical content in memory.
+        self.unspill_all(inner);
+        // base_oid only grows, so shift = how many snapshot rows left the
+        // head since the snapshot.
+        let shift = (inner.base_oid.saturating_sub(base)) as usize;
+        let translated: Vec<usize> = positions
+            .to_positions()
+            .into_iter()
+            .filter_map(|p| p.checked_sub(shift))
+            .collect();
+        let translated = Candidates::from_sorted_unchecked(translated);
+        Self::consume_in(inner, &translated, 0, Vec::new())
+    }
+
+    /// The one positional delete, called with the inner lock held: remove
+    /// the in-memory rows at `mem_gone` (out-of-range positions are
+    /// ignored) and settle the books for them *and* for the logical
+    /// ordinals the caller already removed from the spilled head, which
+    /// `gone` arrives holding (empty for the callers that unspilled
+    /// first). `mem_offset` is the logical ordinal of the first in-memory
+    /// row before the call, so the single WAL record carries ordinals
+    /// relative to the pre-consume logical content — exactly the view a
+    /// replay holds at this record.
+    fn consume_in(
+        inner: &mut Inner,
+        mem_gone: &Candidates,
+        mem_offset: usize,
+        mut gone: Vec<usize>,
+    ) -> Result<usize> {
         let len = inner.mem_len();
-        let keep = positions.complement(len).to_positions();
-        let removed = len - keep.len();
-        if removed == 0 {
+        let keep = mem_gone.complement(len).to_positions();
+        gone.extend(mem_gone.iter().filter(|&p| p < len).map(|p| mem_offset + p));
+        if gone.is_empty() {
             return Ok(0);
         }
         if let Some(wal) = inner.wal.clone() {
             // Exact replay order is guaranteed by the held lock. Trim and
             // consume records are not fsynced: losing the tail of them only
             // re-delivers (at-least-once), never loses or corrupts.
-            let gone: Vec<usize> = positions
-                .to_positions()
-                .into_iter()
-                .filter(|&p| p < len)
-                .collect();
             if let Err(e) = wal.append_consume(&gone) {
                 inner.stats.storage_errors += 1;
                 eprintln!("wal consume record failed: {e}");
             }
         }
-        for c in &mut inner.columns {
-            c.retain_positions(&keep)?;
+        if keep.len() < len {
+            for c in &mut inner.columns {
+                c.retain_positions(&keep)?;
+            }
         }
         // Deleting arbitrary positions invalidates oid-density; readers
         // and exclusive consumption are not meant to be mixed on one
         // basket, but keep cursors sane by clamping to the new end.
-        inner.base_oid += removed as u64;
+        inner.base_oid += (len - keep.len()) as u64;
         inner.epoch += 1;
         let end = inner.end_oid();
         for rs in inner.readers.values_mut() {
@@ -1754,8 +1532,8 @@ impl Basket {
                 r.1 = r.1.min(end);
             }
         }
-        inner.stats.consumed += removed as u64;
-        Ok(removed)
+        inner.stats.consumed += gone.len() as u64;
+        Ok(gone.len())
     }
 
     /// Remove every resident tuple (`basket.empty` of Algorithm 1),
@@ -1767,14 +1545,8 @@ impl Basket {
             removed = inner.total_len();
             let end = inner.end_oid();
             if let Some(spill) = inner.spill.as_mut() {
-                let store = spill.store.clone();
-                let metas: Vec<SegmentMeta> = spill.segments.drain(..).collect();
-                spill.rows = 0;
-                spill.cache = None;
-                for meta in &metas {
-                    if let Err(e) = store.delete_segment(meta) {
-                        eprintln!("basket clear: deleting segment: {e}");
-                    }
+                while let Some(meta) = spill.segments.pop_front() {
+                    spill.drop_segment(&meta, &self.name);
                 }
             }
             for c in &mut inner.columns {
@@ -1836,12 +1608,13 @@ impl Basket {
         self.inner.lock().readers.len()
     }
 
-    /// Snapshot the tuples reader `r` has not yet seen, along with the end
-    /// oid to pass to [`Basket::commit_reader`] after processing. The
-    /// cursor does not move: this is the snapshot/commit flavour for
-    /// transitions fired at most once concurrently.
-    pub fn snapshot_for_reader(&self, r: ReaderId) -> (Chunk, u64) {
-        let (chunk, _, end) = self.slice_resolving_segments(r, usize::MAX, false);
+    /// Snapshot up to `max` of the tuples reader `r` has not yet seen,
+    /// along with the end oid to pass to [`Basket::commit_reader`] after
+    /// processing (it lies past exactly the tuples returned). The cursor
+    /// does not move: this is the snapshot/commit flavour for transitions
+    /// fired at most once concurrently.
+    pub fn snapshot_for_reader(&self, r: ReaderId, max: usize) -> (Chunk, u64) {
+        let (chunk, _, end) = self.slice_resolving_segments(r, max, false);
         (chunk, end)
     }
 
@@ -1951,13 +1724,7 @@ impl Basket {
                     eprintln!("basket {}: segment read failed: {e}", self.name);
                     // Served as "nothing yet": the rows stay pending
                     // rather than being skipped or served corrupt.
-                    let head = inner.head_oid();
-                    let cursor = inner
-                        .readers
-                        .get(&r)
-                        .map(|rs| rs.cursor)
-                        .unwrap_or(head)
-                        .max(head);
+                    let cursor = inner.cursor_of(r);
                     return (Chunk::empty(self.schema.clone()), cursor, cursor);
                 }
             }
@@ -1983,29 +1750,15 @@ impl Basket {
         decode_inline: bool,
     ) -> CursorSlice {
         let base = inner.base_oid;
-        let head = inner.head_oid();
-        let cursor = inner
-            .readers
-            .get(&r)
-            .map(|rs| rs.cursor)
-            .unwrap_or(head)
-            .max(head);
+        let cursor = inner.cursor_of(r);
         if cursor < base {
             return self.slice_from_disk(inner, cursor, max, decode_inline);
         }
         let len = inner.mem_len();
-        let from = (cursor.saturating_sub(base) as usize).min(len);
+        let from = ((cursor - base) as usize).min(len);
         let to = from.saturating_add(max).min(len);
-        let columns = inner
-            .columns
-            .iter()
-            .map(|c| c.slice(from, to).expect("slice within bounds"))
-            .collect();
         CursorSlice::Ready(
-            Chunk {
-                schema: self.schema.clone(),
-                columns,
-            },
+            inner.mem_slice(&self.schema, from, to),
             base + from as u64,
             base + to as u64,
         )
@@ -2020,10 +1773,9 @@ impl Basket {
         max: usize,
         decode_inline: bool,
     ) -> CursorSlice {
-        let empty =
-            |schema: &Schema| CursorSlice::Ready(Chunk::empty(schema.clone()), cursor, cursor);
+        let empty = || CursorSlice::Ready(Chunk::empty(self.schema.clone()), cursor, cursor);
         let Some(spill) = inner.spill.as_ref() else {
-            return empty(&self.schema);
+            return empty();
         };
         let Some(meta) = spill
             .segments
@@ -2031,33 +1783,19 @@ impl Basket {
             .find(|s| s.base_oid <= cursor && cursor < s.end_oid())
             .cloned()
         else {
-            return empty(&self.schema);
+            return empty();
         };
-        let store = spill.store.clone();
-        // The cache holds an `Arc`, so a hit is a refcount bump, not a
-        // deep copy of the whole segment per claim.
-        let cached = spill
-            .cache
-            .as_ref()
-            .filter(|(b, _)| *b == meta.base_oid)
-            .map(|(_, c)| Arc::clone(c));
-        let chunk = match cached {
+        let chunk = match spill.cached(&meta) {
             Some(c) => c,
-            None if !decode_inline => return CursorSlice::NeedSegment(meta, store),
-            None => match store.read_segment(&meta, &self.schema) {
-                Ok(c) => {
-                    let c = Arc::new(c);
-                    if let Some(spill) = inner.spill.as_mut() {
-                        spill.cache = Some((meta.base_oid, Arc::clone(&c)));
-                    }
-                    c
-                }
-                Err(e) => {
-                    inner.stats.storage_errors += 1;
-                    eprintln!("basket {}: segment read failed: {e}", self.name);
-                    return empty(&self.schema);
-                }
-            },
+            None if !decode_inline => return CursorSlice::NeedSegment(meta, spill.store.clone()),
+            None => {
+                let Some(c) = self.segment(inner, &meta) else {
+                    return empty();
+                };
+                inner.spill.as_mut().expect("segment found in it").cache =
+                    Some((meta.base_oid, Arc::clone(&c)));
+                c
+            }
         };
         let from = (cursor - meta.base_oid) as usize;
         let to = from.saturating_add(max).min(meta.rows as usize);
@@ -2097,25 +1835,14 @@ impl Basket {
             // Fully-consumed on-disk head first.
             let mut disk_dropped = 0u64;
             if let Some(spill) = inner.spill.as_mut() {
-                let store = spill.store.clone();
                 while spill
                     .segments
                     .front()
                     .is_some_and(|s| s.end_oid() <= watermark)
                 {
                     let meta = spill.segments.pop_front().expect("front checked");
-                    spill.rows -= meta.rows;
-                    if spill
-                        .cache
-                        .as_ref()
-                        .is_some_and(|(b, _)| *b == meta.base_oid)
-                    {
-                        spill.cache = None;
-                    }
-                    if let Err(e) = store.delete_segment(&meta) {
-                        eprintln!("basket {}: deleting trimmed segment: {e}", self.name);
-                    }
                     disk_dropped += meta.rows;
+                    spill.drop_segment(&meta, &self.name);
                 }
             }
             let drop_n = watermark.saturating_sub(inner.base_oid) as usize;
@@ -2220,13 +1947,22 @@ mod tests {
             vec![Value::Int(1), Value::Float(1.0)],
             vec![Value::Int(2), Value::Str("not a float".into())],
         ];
-        // Both paths must reject the batch before touching any column.
+        // Both paths must reject the batch before touching any column: a
+        // bad value in the second row, a mistyped second chunk column.
         assert!(b.append_rows(&rows).is_err());
-        assert!(b.append_rows_prevalidated(&rows).is_err());
+        let mistyped = Chunk {
+            schema: Schema::new(vec![
+                ("x".into(), DataType::Int),
+                ("y".into(), DataType::Float),
+            ]),
+            columns: vec![Column::from_ints(vec![1]), Column::from_ints(vec![2])],
+        };
+        let err = b.append_chunk(&mistyped).unwrap_err();
+        assert!(matches!(err, DataCellError::Wiring(_)), "{err}");
         assert_eq!(b.len(), 0);
         assert_eq!(b.stats().appended, 0);
         // The basket still works and rows stay rectangular.
-        b.append_rows_prevalidated(&[vec![Value::Int(1), Value::Float(1.0)]])
+        b.append_rows(&[vec![Value::Int(1), Value::Float(1.0)]])
             .unwrap();
         assert_eq!(b.snapshot().row(0).unwrap().len(), 3);
     }
@@ -2268,7 +2004,7 @@ mod tests {
         b.append_rows(&[vec![Value::Int(2), Value::Float(0.0)]])
             .unwrap();
 
-        let (c1, end1) = b.snapshot_for_reader(r1);
+        let (c1, end1) = b.snapshot_for_reader(r1, usize::MAX);
         assert_eq!(c1.len(), 2);
         b.commit_reader(r1, end1);
         // r2 has not read: nothing trimmed yet (§2.5).
@@ -2276,7 +2012,7 @@ mod tests {
         assert_eq!(b.pending_for(r1), 0);
         assert_eq!(b.pending_for(r2), 2);
 
-        let (c2, end2) = b.snapshot_for_reader(r2);
+        let (c2, end2) = b.snapshot_for_reader(r2, usize::MAX);
         assert_eq!(c2.len(), 2);
         b.commit_reader(r2, end2);
         // All readers have seen the tuples: basket trimmed.
@@ -2294,7 +2030,7 @@ mod tests {
         b.append_rows(&[vec![Value::Int(2), Value::Float(0.0)]])
             .unwrap();
         assert_eq!(b.pending_for(r), 1);
-        let (c, _) = b.snapshot_for_reader(r);
+        let (c, _) = b.snapshot_for_reader(r, usize::MAX);
         assert_eq!(c.columns[0].as_ints().unwrap(), &[2]);
     }
 
@@ -2305,7 +2041,7 @@ mod tests {
         let r2 = b.register_reader(true);
         b.append_rows(&[vec![Value::Int(1), Value::Float(0.0)]])
             .unwrap();
-        let (_, end) = b.snapshot_for_reader(r1);
+        let (_, end) = b.snapshot_for_reader(r1, usize::MAX);
         b.commit_reader(r1, end);
         assert_eq!(b.len(), 1);
         assert_eq!(b.reader_count(), 2);
@@ -2392,7 +2128,7 @@ mod tests {
         assert_eq!(ints(&b), vec![2, 3, 4]);
         assert_eq!(b.stats().shed, 2);
         // The reader skipped the shed tuples; it still sees the survivors.
-        let (c, end) = b.snapshot_for_reader(r);
+        let (c, end) = b.snapshot_for_reader(r, usize::MAX);
         assert_eq!(c.columns[0].as_ints().unwrap(), &[2, 3, 4]);
         b.commit_reader(r, end);
         assert!(b.is_empty());
@@ -2418,14 +2154,14 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(!writer.is_finished(), "writer must be blocked at capacity");
-        let (c, end) = b.snapshot_for_reader(r);
+        let (c, end) = b.snapshot_for_reader(r, usize::MAX);
         assert_eq!(c.len(), 2);
         b.commit_reader(r, end);
         writer.join().unwrap();
         assert_eq!(b.pending_for(r), 2, "blocked batch landed after trim");
         assert!(b.stats().overflow_events >= 1);
         let total: Vec<i64> = {
-            let (c, end) = b.snapshot_for_reader(r);
+            let (c, end) = b.snapshot_for_reader(r, usize::MAX);
             b.commit_reader(r, end);
             c.columns[0].as_ints().unwrap().to_vec()
         };
@@ -2468,14 +2204,14 @@ mod tests {
         assert!(matches!(err, DataCellError::Backpressure { .. }), "{err}");
         assert_eq!(b.len(), 1, "nothing appended");
         // Consumer drains: the retry lands (empty basket admits the batch).
-        let (_, end) = b.snapshot_for_reader(r);
+        let (_, end) = b.snapshot_for_reader(r, usize::MAX);
         b.commit_reader(r, end);
         b.try_append_chunk(&chunk).unwrap();
         assert_eq!(b.pending_for(r), 2);
     }
 
     #[test]
-    fn try_append_prevalidated_defers_instead_of_blocking() {
+    fn try_append_rows_defers_instead_of_blocking() {
         // A non-blocking writer (Reject/ShedOldest policy) that loses the
         // room-check race against another producer must get Backpressure
         // back from a full Block basket, never park in the wait loop.
@@ -2483,7 +2219,7 @@ mod tests {
         let _r = b.register_reader(true); // holds the tuple resident
         b.append_rows(&[vec![Value::Int(1)]]).unwrap();
         let err = b
-            .try_append_rows_prevalidated(&[vec![Value::Int(2)], vec![Value::Int(3)]])
+            .try_append_rows(&[vec![Value::Int(2)], vec![Value::Int(3)]])
             .unwrap_err();
         assert!(matches!(err, DataCellError::Backpressure { .. }), "{err}");
         assert_eq!(ints(&b), vec![1], "all-or-nothing: nothing appended");
@@ -2515,7 +2251,7 @@ mod tests {
     }
 
     #[test]
-    fn append_chunk_carry_ts_preserves_times() {
+    fn append_chunk_carries_ts_by_shape() {
         let b = basket();
         // Build a chunk shaped like a factory output: x, y, ts.
         let chunk = Chunk::new(
@@ -2531,9 +2267,26 @@ mod tests {
             ],
         )
         .unwrap();
-        b.append_chunk_carry_ts(&chunk).unwrap();
+        b.append_chunk(&chunk).unwrap();
         let snap = b.snapshot();
         assert_eq!(snap.columns[2].as_timestamps().unwrap(), &[12345]);
+        // An extra trailing column that is not a timestamp is no carry.
+        let wide = Chunk::new(
+            Schema::new(vec![
+                ("x".into(), DataType::Int),
+                ("y".into(), DataType::Float),
+                ("z".into(), DataType::Int),
+            ]),
+            vec![
+                Column::from_ints(vec![7]),
+                Column::from_floats(vec![1.0]),
+                Column::from_ints(vec![12345]),
+            ],
+        )
+        .unwrap();
+        let err = b.append_chunk(&wide).unwrap_err();
+        assert!(matches!(err, DataCellError::Wiring(_)), "{err}");
+        assert_eq!(b.len(), 1, "nothing appended");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! [`Subscription`] and [`QueryHandle`].
 //!
 //! The paper's periphery exchanges *textual* tuples (§2.1), and the
-//! original session API mirrored that literally: raw `String` lines out of
-//! `subscribe_text`, hand-wired receptors in. This module is the typed
-//! surface above the same Figure-1 pipeline:
+//! original session API mirrored that literally: raw `String` lines out,
+//! hand-wired receptors in. This module is the typed surface above the
+//! same Figure-1 pipeline:
 //!
 //! ```text
 //! DataCell::builder() ──▶ DataCell
@@ -432,9 +432,9 @@ impl<T: FromValue> FromValue for Option<T> {
 }
 
 /// Deserialization of a delivered result row (`ts` already stripped);
-/// implemented for `Vec<Value>` (raw), `String` (the textual wire format —
-/// the compat mode for old `subscribe_text` users), and tuples of
-/// [`FromValue`] types up to arity 8.
+/// implemented for `Vec<Value>` (raw), `String` (the textual wire format,
+/// rendered by [`text::render_row`]), and tuples of [`FromValue`] types up
+/// to arity 8.
 pub trait FromRow: Sized {
     /// Decode one row.
     fn from_row(row: Vec<Value>) -> Result<Self>;
@@ -582,8 +582,8 @@ impl StreamWriter {
     /// appending); do **not** re-append the same row.
     pub fn append(&mut self, row: impl IntoRow) -> Result<()> {
         let row = row.into_row();
-        let validated = self.validate(row)?;
-        self.buf.push(validated);
+        self.validate(&row)?;
+        self.buf.push(row);
         if self.buf.len() >= self.batch_size {
             self.flush()?;
         }
@@ -609,7 +609,10 @@ impl StreamWriter {
         }
     }
 
-    fn validate(&mut self, row: Vec<Value>) -> Result<Vec<Value>> {
+    /// Reject a row the basket could not take (arity, or a value with no
+    /// lossless coercion to its column type). The coercion itself happens
+    /// once, when the flushed batch is transposed into the basket.
+    fn validate(&mut self, row: &[Value]) -> Result<()> {
         if row.len() != self.user_schema.len() {
             self.stats.rejected += 1;
             return Err(DataCellError::Decode(format!(
@@ -619,24 +622,16 @@ impl StreamWriter {
                 self.user_schema.len()
             )));
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (v, cd) in row.into_iter().zip(&self.user_schema.columns) {
-            if v.is_nil() {
-                out.push(Value::Nil);
-                continue;
-            }
-            match v.coerce_to(cd.ty) {
-                Some(coerced) => out.push(coerced),
-                None => {
-                    self.stats.rejected += 1;
-                    return Err(DataCellError::Decode(format!(
-                        "column {}: cannot coerce {v} to {}",
-                        cd.name, cd.ty
-                    )));
-                }
+        for (v, cd) in row.iter().zip(&self.user_schema.columns) {
+            if !v.can_coerce_to(cd.ty) {
+                self.stats.rejected += 1;
+                return Err(DataCellError::Decode(format!(
+                    "column {}: cannot coerce {v} to {}",
+                    cd.name, cd.ty
+                )));
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The smaller of the writer's soft cap and the basket's own capacity
@@ -711,8 +706,7 @@ impl StreamWriter {
                 }
             }
             let n = room.min(total - offset);
-            // Rows were validated/coerced on append; skip re-coercion. A
-            // concurrent producer may still win the race to the last slot:
+            // A concurrent producer may still win the race to the last slot:
             // a Block-policy *writer* then waits inside the append, while
             // a non-blocking writer (Reject/ShedOldest) uses the
             // non-waiting path so the race surfaces as Backpressure and is
@@ -720,11 +714,9 @@ impl StreamWriter {
             // inside the engine (the wire receptor's stop-aware retry
             // depends on flush returning).
             let append = if self.overflow == OverflowPolicy::Block {
-                self.basket
-                    .append_rows_prevalidated(&self.buf[offset..offset + n])
+                self.basket.append_rows(&self.buf[offset..offset + n])
             } else {
-                self.basket
-                    .try_append_rows_prevalidated(&self.buf[offset..offset + n])
+                self.basket.try_append_rows(&self.buf[offset..offset + n])
             };
             match append {
                 Ok(()) => offset += n,

@@ -17,8 +17,9 @@
 //!   share one [`ReaderId`]; each claimed range goes to exactly one of
 //!   them.
 //!
-//! The textual sink reproduces the paper's flat tuple-exchange format; the
-//! latency sink powers the evaluation harness.
+//! The row sink feeds typed [`Subscription`](crate::client::Subscription)s
+//! (`Subscription<String>` reproduces the paper's flat tuple-exchange
+//! format); the latency sink powers the evaluation harness.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,13 +30,11 @@ use std::time::Duration;
 use crossbeam::channel::{SendTimeoutError, Sender};
 use datacell_bat::types::Value;
 use datacell_engine::Chunk;
-use parking_lot::Mutex;
 
 use crate::basket::{Basket, ReaderId};
 use crate::clock::now_micros;
 use crate::error::{DataCellError, Result};
 use crate::metrics::{LatencyHistogram, SessionMetrics};
-use crate::text::render_row;
 
 /// Where an emitter delivers result batches.
 pub trait Sink: Send {
@@ -106,41 +105,6 @@ impl AckLedger {
     /// Total rows the subscriber has drained so far.
     pub fn acked(&self) -> u64 {
         self.acked.load(Ordering::Acquire)
-    }
-}
-
-/// Renders each tuple as a comma-separated text line into a channel — the
-/// paper's textual interface towards clients.
-pub struct TextSink {
-    tx: Sender<String>,
-    /// Include the trailing `ts` column in the rendering?
-    pub include_ts: bool,
-}
-
-impl TextSink {
-    /// Deliver lines into `tx`, omitting the `ts` column.
-    pub fn new(tx: Sender<String>) -> Self {
-        TextSink {
-            tx,
-            include_ts: false,
-        }
-    }
-}
-
-impl Sink for TextSink {
-    fn deliver(&mut self, chunk: &Chunk) -> Result<()> {
-        let width = if self.include_ts {
-            chunk.schema.len()
-        } else {
-            chunk.schema.len().saturating_sub(1)
-        };
-        for i in 0..chunk.len() {
-            let row = chunk.row(i)?;
-            self.tx
-                .send(render_row(&row[..width]))
-                .map_err(|_| DataCellError::Disconnected)?;
-        }
-        Ok(())
     }
 }
 
@@ -254,47 +218,6 @@ impl Sink for RowSink {
 
     fn bind_cancel(&mut self, cancel: Arc<AtomicBool>) {
         self.cancel = Some(cancel);
-    }
-}
-
-/// Collects delivered rows in memory (tests, examples).
-#[derive(Clone, Default)]
-pub struct CollectSink {
-    rows: Arc<Mutex<Vec<Vec<Value>>>>,
-}
-
-impl CollectSink {
-    /// New empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rows delivered so far (without the trailing `ts` column).
-    pub fn rows(&self) -> Vec<Vec<Value>> {
-        self.rows.lock().clone()
-    }
-
-    /// Number of rows delivered.
-    pub fn len(&self) -> usize {
-        self.rows.lock().len()
-    }
-
-    /// True iff nothing delivered yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Sink for CollectSink {
-    fn deliver(&mut self, chunk: &Chunk) -> Result<()> {
-        let width = chunk.schema.len().saturating_sub(1);
-        let mut rows = self.rows.lock();
-        for i in 0..chunk.len() {
-            let mut row = chunk.row(i)?;
-            row.truncate(width);
-            rows.push(row);
-        }
-        Ok(())
     }
 }
 
@@ -597,9 +520,43 @@ mod tests {
     use crossbeam::channel::unbounded;
     use datacell_bat::types::DataType;
     use datacell_sql::Schema;
+    use parking_lot::Mutex;
 
     fn basket() -> Arc<Basket> {
         Arc::new(Basket::new("out", Schema::new(vec![("x".into(), DataType::Int)])).unwrap())
+    }
+
+    /// Collects delivered rows (without the trailing `ts` column) in memory.
+    #[derive(Clone, Default)]
+    struct CollectSink {
+        rows: Arc<Mutex<Vec<Vec<Value>>>>,
+    }
+
+    impl CollectSink {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn rows(&self) -> Vec<Vec<Value>> {
+            self.rows.lock().clone()
+        }
+
+        fn len(&self) -> usize {
+            self.rows.lock().len()
+        }
+    }
+
+    impl Sink for CollectSink {
+        fn deliver(&mut self, chunk: &Chunk) -> Result<()> {
+            let width = chunk.schema.len().saturating_sub(1);
+            let mut rows = self.rows.lock();
+            for i in 0..chunk.len() {
+                let mut row = chunk.row(i)?;
+                row.truncate(width);
+                rows.push(row);
+            }
+            Ok(())
+        }
     }
 
     fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
@@ -628,20 +585,6 @@ mod tests {
         let rows = sink.rows();
         assert_eq!(rows[0], vec![Value::Int(0)]);
         assert_eq!(rows[49], vec![Value::Int(49)]);
-    }
-
-    #[test]
-    fn text_sink_renders_lines() {
-        let b = basket();
-        let (tx, rx) = unbounded();
-        let e = Emitter::spawn("e", Arc::clone(&b), TextSink::new(tx)).unwrap();
-        b.append_rows(&[vec![Value::Int(7)], vec![Value::Nil]])
-            .unwrap();
-        let line1 = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        let line2 = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(line1, "7");
-        assert_eq!(line2, "nil");
-        e.stop();
     }
 
     #[test]

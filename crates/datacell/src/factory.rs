@@ -73,12 +73,11 @@ pub struct FactoryInput {
 /// Where a factory's result tuples go.
 #[derive(Clone)]
 pub enum FactoryOutput {
-    /// Append to a basket, stamping a fresh arrival timestamp.
-    Basket(Arc<Basket>),
-    /// Append to a basket, carrying the plan's last output column (which
-    /// must be a timestamp) through as the arrival time — used to preserve
+    /// Append to a basket. A plan as wide as the basket's user columns gets
+    /// a fresh arrival timestamp; a plan with one extra trailing timestamp
+    /// column has it carried through as the arrival time — preserving
     /// end-to-end latency accounting across a factory chain.
-    BasketCarryTs(Arc<Basket>),
+    Basket(Arc<Basket>),
     /// Discard results (pure side-effect factories, e.g. the terminal stage
     /// of a cascade chain, or benchmarks measuring pure query cost).
     Discard,
@@ -88,7 +87,6 @@ impl std::fmt::Debug for FactoryOutput {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FactoryOutput::Basket(b) => write!(f, "Basket({})", b.name()),
-            FactoryOutput::BasketCarryTs(b) => write!(f, "BasketCarryTs({})", b.name()),
             FactoryOutput::Discard => write!(f, "Discard"),
         }
     }
@@ -221,44 +219,10 @@ impl Factory {
             require_data: true,
             stats: FactoryStats::default(),
         };
-        factory.validate_output()?;
-        Ok(factory)
-    }
-
-    fn validate_output(&self) -> Result<()> {
-        match &self.output {
-            FactoryOutput::Basket(b) => {
-                if b.user_width() != self.out_schema.len() {
-                    return Err(DataCellError::Wiring(format!(
-                        "factory {}: output width {} != basket {} user width {}",
-                        self.name,
-                        self.out_schema.len(),
-                        b.name(),
-                        b.user_width()
-                    )));
-                }
-            }
-            FactoryOutput::BasketCarryTs(b) => {
-                if self.out_schema.is_empty() || b.user_width() != self.out_schema.len() - 1 {
-                    return Err(DataCellError::Wiring(format!(
-                        "factory {}: carry-ts output needs plan width {} = basket user \
-                         width + 1",
-                        self.name,
-                        self.out_schema.len()
-                    )));
-                }
-                if self.out_schema.columns.last().map(|c| c.ty)
-                    != Some(datacell_bat::DataType::Timestamp)
-                {
-                    return Err(DataCellError::Wiring(format!(
-                        "factory {}: carry-ts output requires a trailing timestamp column",
-                        self.name
-                    )));
-                }
-            }
-            FactoryOutput::Discard => {}
+        if let FactoryOutput::Basket(b) = &factory.output {
+            b.check_shape(&factory.out_schema)?;
         }
-        Ok(())
+        Ok(factory)
     }
 
     /// Factory name.
@@ -374,7 +338,7 @@ impl Factory {
 
     /// Fire once: snapshot → execute → consume → emit (Algorithm 1 body).
     pub fn step(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
-        self.step_impl(tables, None)
+        self.step_limited(tables, usize::MAX)
     }
 
     /// Fire once, processing at most `max_tuples` tuples *per data input*
@@ -386,13 +350,10 @@ impl Factory {
     /// clamped up to [`Factory::min_tuples`] so a firing never undercuts
     /// the configured batch threshold.
     pub fn step_limited(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
-        self.step_impl(tables, Some(max_tuples.max(self.min_tuples)))
-    }
-
-    fn step_impl(&self, tables: Option<&Catalog>, limit: Option<usize>) -> Result<StepOutcome> {
+        let budget = max_tuples.max(self.min_tuples);
         let started = Instant::now();
 
-        // 1. Snapshot inputs, truncated to the service budget when given.
+        // 1. Snapshot inputs, at most `budget` tuples each.
         let mut snapshots: HashMap<String, Chunk> = HashMap::new();
         let mut shared_ends: HashMap<String, u64> = HashMap::new();
         // Exclusive snapshots are anchored to the basket's layout epoch: a
@@ -408,26 +369,14 @@ impl Factory {
             let name = input.basket.name().to_string();
             let chunk = match input.mode {
                 InputMode::Exclusive => {
-                    let (chunk, anchor) =
-                        input.basket.snapshot_exclusive(limit.unwrap_or(usize::MAX));
+                    let (chunk, anchor) = input.basket.snapshot_exclusive(budget);
                     exclusive_anchors.insert(name.clone(), anchor);
                     chunk
                 }
                 InputMode::Shared(r) => {
-                    let (chunk, end) = input.basket.snapshot_for_reader(r);
-                    match limit {
-                        Some(max) if chunk.len() > max => {
-                            // Serve only the prefix: the reader cursor must
-                            // commit past exactly the tuples snapshotted.
-                            let dropped = (chunk.len() - max) as u64;
-                            shared_ends.insert(name.clone(), end - dropped);
-                            chunk.head(max)?
-                        }
-                        _ => {
-                            shared_ends.insert(name.clone(), end);
-                            chunk
-                        }
-                    }
+                    let (chunk, end) = input.basket.snapshot_for_reader(r, budget);
+                    shared_ends.insert(name.clone(), end);
+                    chunk
                 }
             };
             tuples_in += chunk.len();
@@ -448,10 +397,8 @@ impl Factory {
         // non-waiting append keeps the scheduler thread from wedging on a
         // `Block` output whose consumer runs on this same thread.
         let produced = outcome.chunk.len();
-        match &self.output {
-            FactoryOutput::Basket(b) => b.try_append_chunk(&outcome.chunk)?,
-            FactoryOutput::BasketCarryTs(b) => b.try_append_chunk_carry_ts(&outcome.chunk)?,
-            FactoryOutput::Discard => {}
+        if let FactoryOutput::Basket(b) = &self.output {
+            b.try_append_chunk(&outcome.chunk)?;
         }
 
         // 4. Consumption (§2.6 side effect). Appends that slipped in since
@@ -756,6 +703,15 @@ mod tests {
         f.step_limited(Some(&cat.tables), 2).unwrap();
         assert_eq!(input.pending_for(r), 0);
         assert!(input.is_empty(), "sole reader passed: trimmed");
+        // Deep backlog: the snapshot itself is budget-sized, and the cursor
+        // commits past exactly the tuples served.
+        let backlog: Vec<(i64, i64)> = (0..10_000).map(|i| (i, 0)).collect();
+        push(&input, &backlog);
+        let out = f.step_limited(Some(&cat.tables), 10).unwrap();
+        assert_eq!((out.tuples_in, out.consumed), (10, 10));
+        assert_eq!(input.pending_for(r), 9_990);
+        let (next, _) = input.snapshot_for_reader(r, 1);
+        assert_eq!(next.columns[0].as_ints().unwrap(), &[10]);
     }
 
     #[test]
@@ -817,7 +773,7 @@ mod tests {
             "q",
             "select s.a, s.ts from [select * from r] as s",
             &cat,
-            FactoryOutput::BasketCarryTs(Arc::clone(&output)),
+            FactoryOutput::Basket(Arc::clone(&output)),
         )
         .unwrap();
         push(&input, &[(1, 0)]);

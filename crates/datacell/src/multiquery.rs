@@ -117,7 +117,7 @@ pub fn split(
         head_plan,
         head_schema,
         catalog,
-        FactoryOutput::BasketCarryTs(Arc::clone(&intermediate)),
+        FactoryOutput::Basket(Arc::clone(&intermediate)),
     )?;
 
     // Tail plan: the original plan with the consuming scan retargeted to

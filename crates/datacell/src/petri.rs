@@ -100,13 +100,10 @@ impl PetriNet {
             self.add_place(&b);
             self.outputs.push((name.clone(), b));
         }
-        match factory.output() {
-            FactoryOutput::Basket(b) | FactoryOutput::BasketCarryTs(b) => {
-                let b = b.name().to_string();
-                self.add_place(&b);
-                self.outputs.push((name, b));
-            }
-            FactoryOutput::Discard => {}
+        if let FactoryOutput::Basket(b) = factory.output() {
+            let b = b.name().to_string();
+            self.add_place(&b);
+            self.outputs.push((name, b));
         }
     }
 

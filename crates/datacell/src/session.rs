@@ -35,7 +35,7 @@ use crate::client::{
     DataCellBuilder, FromRow, OverflowPolicy, QueryHandle, StreamWriter, Subscription,
     SubscriptionMode,
 };
-use crate::emitter::{CollectSink, Emitter, RowSink, Sink, TextSink};
+use crate::emitter::{Emitter, RowSink, Sink};
 use crate::error::{DataCellError, Result};
 use crate::events::{EngineEvent, EventKind, EventRing};
 use crate::factory::{Factory, FactoryOutput};
@@ -420,7 +420,7 @@ impl DataCell {
                     let optimized = datacell_sql::optimizer::optimize(bound);
                     datacell_sql::physical::plan(optimized)?
                 };
-                let (output, carry_ts) = self.create_query_output(&out_name, &out_schema)?;
+                let output = self.create_query_output(&out_name, &out_schema)?;
                 // Windowed scans route to the WindowJoin evaluator instead
                 // of a plain factory: the stream layer shapes the per-source
                 // window snapshots, the unchanged plan (and its join
@@ -434,11 +434,7 @@ impl DataCell {
                             &name,
                             plan,
                             &cat,
-                            if carry_ts {
-                                FactoryOutput::BasketCarryTs(Arc::clone(&output))
-                            } else {
-                                FactoryOutput::Basket(Arc::clone(&output))
-                            },
+                            FactoryOutput::Basket(Arc::clone(&output)),
                         )?
                     };
                     let wj = Arc::new(wj);
@@ -463,11 +459,7 @@ impl DataCell {
                         plan,
                         out_schema,
                         &cat,
-                        if carry_ts {
-                            FactoryOutput::BasketCarryTs(Arc::clone(&output))
-                        } else {
-                            FactoryOutput::Basket(Arc::clone(&output))
-                        },
+                        FactoryOutput::Basket(Arc::clone(&output)),
                     )?
                 };
                 let handle = self
@@ -1229,7 +1221,7 @@ impl DataCell {
                         head_plan,
                         head_schema,
                         &cat,
-                        FactoryOutput::BasketCarryTs(Arc::clone(&mid)),
+                        FactoryOutput::Basket(Arc::clone(&mid)),
                     )
                 })();
                 let mut head = match built {
@@ -1323,7 +1315,7 @@ impl DataCell {
         let (tail_plan, out_schema) =
             datacell_sql::physical::plan(datacell_sql::optimizer::optimize(tail_logical))?;
         let out_name = format!("{name}_out");
-        let (output, carry_ts) = self.create_query_output(&out_name, &out_schema)?;
+        let output = self.create_query_output(&out_name, &out_schema)?;
         let built = (|| {
             let mut tail = {
                 let cat = self.catalog.read();
@@ -1332,11 +1324,7 @@ impl DataCell {
                     tail_plan,
                     out_schema,
                     &cat,
-                    if carry_ts {
-                        FactoryOutput::BasketCarryTs(Arc::clone(&output))
-                    } else {
-                        FactoryOutput::Basket(Arc::clone(&output))
-                    },
+                    FactoryOutput::Basket(Arc::clone(&output)),
                 )?
             };
             let mid_reader = mid.register_reader(true);
@@ -1423,14 +1411,10 @@ impl DataCell {
     }
 
     /// Create (or adopt, after `recover()`) a continuous query's output
-    /// basket. Returns the basket and whether the factory should carry
-    /// the arrival timestamp through (the query projects `ts` of type
-    /// Timestamp as its last column).
-    fn create_query_output(
-        &self,
-        out_name: &str,
-        out_schema: &Schema,
-    ) -> Result<(Arc<Basket>, bool)> {
+    /// basket. A query projecting `ts` of type Timestamp as its last column
+    /// gets a basket one column narrower, so the factory's appends carry
+    /// that arrival timestamp through by shape.
+    fn create_query_output(&self, out_name: &str, out_schema: &Schema) -> Result<Arc<Basket>> {
         let carry_ts = out_schema
             .columns
             .last()
@@ -1465,7 +1449,7 @@ impl DataCell {
                 b
             }
         };
-        Ok((output, carry_ts))
+        Ok(output)
     }
 
     /// Session-wide metrics snapshot. Scheduler counters — including the
@@ -1849,43 +1833,6 @@ impl DataCell {
             .push((name.to_string(), basket.to_string()));
         self.emitters.lock().push((None, emitter));
         Ok(())
-    }
-
-    /// Subscribe to a continuous query's results as text lines.
-    #[deprecated(since = "0.1.0", note = "use `subscribe::<String>` instead")]
-    pub fn subscribe_text(&self, query: &str) -> Result<crossbeam::channel::Receiver<String>> {
-        let out = self.query_output(query)?;
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let seq = self.emitter_seq.fetch_add(1, Ordering::Relaxed);
-        let name = format!("emit-text-{query}#{seq}");
-        let emitter = Emitter::spawn(name.clone(), Arc::clone(&out), TextSink::new(tx))?;
-        self.emitter_wiring
-            .lock()
-            .push((name, out.name().to_string()));
-        self.emitters
-            .lock()
-            .push((Some(query.to_string()), emitter));
-        Ok(rx)
-    }
-
-    /// Subscribe to a continuous query's results into a collector.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `subscribe::<Vec<Value>>` and `collect_n`/`drain` instead"
-    )]
-    pub fn subscribe_collect(&self, query: &str) -> Result<CollectSink> {
-        let out = self.query_output(query)?;
-        let sink = CollectSink::new();
-        let seq = self.emitter_seq.fetch_add(1, Ordering::Relaxed);
-        let name = format!("emit-collect-{query}#{seq}");
-        let emitter = Emitter::spawn(name.clone(), Arc::clone(&out), sink.clone())?;
-        self.emitter_wiring
-            .lock()
-            .push((name, out.name().to_string()));
-        self.emitters
-            .lock()
-            .push((Some(query.to_string()), emitter));
-        Ok(sink)
     }
 
     /// Start the scheduler thread.

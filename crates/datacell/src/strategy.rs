@@ -213,7 +213,7 @@ fn deploy_separate(
             &q.name,
             &sql,
             catalog,
-            FactoryOutput::BasketCarryTs(Arc::clone(&output)),
+            FactoryOutput::Basket(Arc::clone(&output)),
         )?;
         scheduler.add_factory(factory);
         ingest.push(input);
@@ -249,7 +249,7 @@ fn deploy_shared(
             &q.name,
             &sql,
             catalog,
-            FactoryOutput::BasketCarryTs(Arc::clone(&output)),
+            FactoryOutput::Basket(Arc::clone(&output)),
         )?;
         // Shared discipline: register a reader; tuples are removed only
         // once every query has seen them (§2.5).
@@ -317,7 +317,7 @@ fn deploy_cascading(
             &q.name,
             &sql,
             catalog,
-            FactoryOutput::BasketCarryTs(Arc::clone(&output)),
+            FactoryOutput::Basket(Arc::clone(&output)),
         )?;
         // Wait for the previous stage's token; emit ours afterwards.
         let prev = if i == 0 { n - 1 } else { i - 1 };

@@ -179,7 +179,7 @@ impl ReEvalWindow {
     /// for symmetry `flush` also evaluates their trailing partial window.
     /// Follows the step discipline: deliver first, commit only on success.
     pub fn flush(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
-        let (incoming, end) = self.input.snapshot_for_reader(self.reader);
+        let (incoming, end) = self.input.snapshot_for_reader(self.reader, usize::MAX);
         let tuples_in = incoming.len();
         let mut state = self.state.lock();
         let mut buffer = if state.buffer.schema.is_empty() {
@@ -253,12 +253,8 @@ impl ReEvalWindow {
             }
         }
 
-        if let Some(chunk) = &out {
-            match &self.output {
-                FactoryOutput::Basket(b) => b.try_append_chunk(chunk)?,
-                FactoryOutput::BasketCarryTs(b) => b.try_append_chunk_carry_ts(chunk)?,
-                FactoryOutput::Discard => {}
-            }
+        if let (Some(chunk), FactoryOutput::Basket(b)) = (&out, &self.output) {
+            b.try_append_chunk(chunk)?;
         }
         state.buffer = buffer;
         state.window_start = window_start;
@@ -289,7 +285,7 @@ impl Transition for ReEvalWindow {
         // non-waiting append. Only on success do the working state and the
         // reader cursor commit — a full bounded output (Backpressure)
         // therefore defers the whole step losslessly.
-        let (incoming, end) = self.input.snapshot_for_reader(self.reader);
+        let (incoming, end) = self.input.snapshot_for_reader(self.reader, usize::MAX);
         let tuples_in = incoming.len();
         let mut state = self.state.lock();
         let mut buffer = if state.buffer.schema.is_empty() {
@@ -372,12 +368,8 @@ impl Transition for ReEvalWindow {
         }
 
         // Deliver every window's results in one batch; only then commit.
-        if let Some(chunk) = &out {
-            match &self.output {
-                FactoryOutput::Basket(b) => b.try_append_chunk(chunk)?,
-                FactoryOutput::BasketCarryTs(b) => b.try_append_chunk_carry_ts(chunk)?,
-                FactoryOutput::Discard => {}
-            }
+        if let (Some(chunk), FactoryOutput::Basket(b)) = (&out, &self.output) {
+            b.try_append_chunk(chunk)?;
         }
         state.buffer = buffer;
         state.window_start = window_start;
@@ -529,7 +521,7 @@ impl Transition for BasicWindowAgg {
         // summaries and deliver all completed windows in one non-waiting
         // append — only on success do the state and cursor commit, so a
         // full bounded output defers the step losslessly.
-        let (incoming, end) = self.input.snapshot_for_reader(self.reader);
+        let (incoming, end) = self.input.snapshot_for_reader(self.reader, usize::MAX);
         let tuples_in = incoming.len();
         if tuples_in == 0 {
             return Ok(StepOutcome::default());
@@ -725,13 +717,13 @@ mod tests {
             .unwrap()
         };
         input
-            .append_chunk_carry_ts(&mk(&[(1, 0), (2, 500), (3, 999), (4, 1200)]))
+            .append_chunk(&mk(&[(1, 0), (2, 500), (3, 999), (4, 1200)]))
             .unwrap();
         w.step(None).unwrap();
         // Window [0, 1000) is complete (tuple at 1200 arrived): 1+2+3.
         assert_eq!(out_values(&out), vec![6]);
         // Tuple at 1200 is buffered for the next window.
-        input.append_chunk_carry_ts(&mk(&[(5, 2100)])).unwrap();
+        input.append_chunk(&mk(&[(5, 2100)])).unwrap();
         w.step(None).unwrap();
         assert_eq!(out_values(&out), vec![6, 4]);
     }
@@ -920,7 +912,7 @@ mod tests {
         // online trigger is sound only because a later tuple on the same
         // stream bounds its timestamps).
         input
-            .append_chunk_carry_ts(&mk(&[(1, 0), (2, 400), (3, 900)]))
+            .append_chunk(&mk(&[(1, 0), (2, 400), (3, 900)]))
             .unwrap();
         w.step(None).unwrap();
         assert_eq!(w.windows_evaluated(), 0, "window must not close online");
@@ -933,9 +925,7 @@ mod tests {
         w.flush(None).unwrap();
         assert_eq!(out_values(&out), vec![6]);
         // The stream may resume afterwards; later windows keep working.
-        input
-            .append_chunk_carry_ts(&mk(&[(7, 1500), (8, 2600)]))
-            .unwrap();
+        input.append_chunk(&mk(&[(7, 1500), (8, 2600)])).unwrap();
         w.step(None).unwrap();
         assert_eq!(out_values(&out), vec![6, 7]);
     }

@@ -327,7 +327,7 @@ impl WindowJoin {
         let snaps: Vec<(Chunk, u64)> = self
             .sides
             .iter()
-            .map(|s| s.basket.snapshot_for_reader(s.reader))
+            .map(|s| s.basket.snapshot_for_reader(s.reader, usize::MAX))
             .collect();
         let tuples_in: usize = snaps.iter().map(|(c, _)| c.len()).sum();
 
@@ -449,12 +449,8 @@ impl WindowJoin {
 
         // Deliver the whole step's results in one non-waiting append; a
         // Backpressure error here leaves state and cursors untouched.
-        if let Some(chunk) = &out {
-            match &self.output {
-                FactoryOutput::Basket(b) => b.try_append_chunk(chunk)?,
-                FactoryOutput::BasketCarryTs(b) => b.try_append_chunk_carry_ts(chunk)?,
-                FactoryOutput::Discard => {}
-            }
+        if let (Some(chunk), FactoryOutput::Basket(b)) = (&out, &self.output) {
+            b.try_append_chunk(chunk)?;
         }
         state.sides = work;
         state.next_eval = k;
@@ -653,23 +649,20 @@ mod tests {
         );
         let wj = WindowJoin::from_plan("wj", plan, &cat, FactoryOutput::Basket(Arc::clone(&out)))
             .unwrap();
-        left.append_chunk_carry_ts(&stamp(&[(1, 10, 0), (2, 20, 900)]))
+        left.append_chunk(&stamp(&[(1, 10, 0), (2, 20, 900)]))
             .unwrap();
         right
-            .append_chunk_carry_ts(&stamp(&[(2, 200, 100), (3, 300, 950)]))
+            .append_chunk(&stamp(&[(2, 200, 100), (3, 300, 950)]))
             .unwrap();
         // Neither side has passed t0+1000 yet.
         wj.step(None).unwrap();
         assert_eq!(wj.windows_evaluated(), 0);
         // Left passes the window end; right has not — still incomplete.
-        left.append_chunk_carry_ts(&stamp(&[(9, 90, 1500)]))
-            .unwrap();
+        left.append_chunk(&stamp(&[(9, 90, 1500)])).unwrap();
         wj.step(None).unwrap();
         assert_eq!(wj.windows_evaluated(), 0);
         // Right passes it too: window [0, 1000) joins {1,2}×{2,3}.
-        right
-            .append_chunk_carry_ts(&stamp(&[(9, 900, 1100)]))
-            .unwrap();
+        right.append_chunk(&stamp(&[(9, 900, 1100)])).unwrap();
         wj.step(None).unwrap();
         assert_eq!(wj.windows_evaluated(), 1);
         assert_eq!(out_rows(&out), vec![(2, 20, 200)]);
@@ -686,11 +679,9 @@ mod tests {
         );
         let wj = WindowJoin::from_plan("wj", plan, &cat, FactoryOutput::Basket(Arc::clone(&out)))
             .unwrap();
-        left.append_chunk_carry_ts(&stamp(&[(1, 10, 0), (2, 20, 500)]))
+        left.append_chunk(&stamp(&[(1, 10, 0), (2, 20, 500)]))
             .unwrap();
-        right
-            .append_chunk_carry_ts(&stamp(&[(2, 200, 100)]))
-            .unwrap();
+        right.append_chunk(&stamp(&[(2, 200, 100)])).unwrap();
         // Online: the window [0, 1000) can never close — both streams went
         // quiescent before any tuple at/after 1000 arrived.
         wj.step(None).unwrap();
@@ -746,7 +737,7 @@ mod tests {
         );
         let wj = WindowJoin::from_plan("wj", plan, &cat, FactoryOutput::Basket(Arc::clone(&out)))
             .unwrap();
-        left.append_chunk_carry_ts(&stamp(&[(1, 10, 0), (2, 20, 2500)]))
+        left.append_chunk(&stamp(&[(1, 10, 0), (2, 20, 2500)]))
             .unwrap();
         wj.step(None).unwrap();
         assert_eq!(wj.windows_evaluated(), 0);

@@ -324,7 +324,7 @@ impl Transition for LrCore {
         // Snapshot now, commit at the end of the step: an emit failure
         // leaves the cursor in place so the batch is retried (at-least-
         // once) instead of silently dropping the unprocessed remainder.
-        let (chunk, end) = self.input.snapshot_for_reader(self.reader);
+        let (chunk, end) = self.input.snapshot_for_reader(self.reader, usize::MAX);
         let n = chunk.len();
         if n == 0 {
             return Ok(StepOutcome::default());

@@ -13,10 +13,17 @@
 //!   `overflow_events`) are **monotone** under any op interleaving.
 
 use std::collections::VecDeque;
+use std::sync::{Arc, Barrier};
 
 use datacell::basket::{Basket, OverflowPolicy, ReaderId};
+use datacell::DataCellError;
+use datacell_bat::column::Column;
 use datacell_bat::types::{DataType, Value};
+use datacell_engine::Chunk;
 use datacell_sql::Schema;
+use datacell_storage::testutil::TempDir;
+use datacell_storage::wal::{read_wal, WAL_FILE};
+use datacell_storage::{SegmentStore, WalRecord};
 use proptest::prelude::*;
 
 fn int_basket() -> Basket {
@@ -25,6 +32,95 @@ fn int_basket() -> Basket {
 
 fn values_of(chunk: &datacell_engine::Chunk) -> Vec<i64> {
     chunk.columns[0].as_ints().unwrap().to_vec()
+}
+
+fn typed_schema() -> Schema {
+    Schema::new(vec![
+        ("i".into(), DataType::Int),
+        ("f".into(), DataType::Float),
+        ("s".into(), DataType::Str),
+    ])
+}
+
+/// A typed row derived from one drawn integer (the shim has no tuple
+/// strategies): nils in every column, ints that must coerce into the float
+/// column, a small string dictionary.
+fn typed_row(v: i64) -> Vec<Value> {
+    vec![
+        if v % 7 == 0 {
+            Value::Nil
+        } else {
+            Value::Int(v)
+        },
+        if v % 3 == 0 {
+            Value::Int(v)
+        } else {
+            Value::Float(v as f64 / 2.0)
+        },
+        if v % 5 == 0 {
+            Value::Nil
+        } else {
+            Value::Str(format!("s{}", v % 11))
+        },
+    ]
+}
+
+/// `rows` transposed into a chunk of user columns (values coerced).
+fn transposed(rows: &[Vec<Value>]) -> Chunk {
+    let schema = typed_schema();
+    let mut columns: Vec<Column> = schema.columns.iter().map(|c| Column::empty(c.ty)).collect();
+    for row in rows {
+        for (c, v) in columns.iter_mut().zip(row) {
+            c.push(v).unwrap();
+        }
+    }
+    Chunk::new(schema, columns).unwrap()
+}
+
+/// A persistent basket over its own store: every append is WAL-logged.
+fn persistent_basket(dir: &TempDir, name: &str, cap: usize, policy: OverflowPolicy) -> Basket {
+    let capacity = (!matches!(policy, OverflowPolicy::Spill { .. })).then_some(cap);
+    let b = Basket::bounded(name, typed_schema(), capacity, policy).unwrap();
+    let store = SegmentStore::open(dir.path())
+        .unwrap()
+        .basket(name)
+        .unwrap();
+    let wal = Arc::new(store.open_wal().unwrap());
+    b.attach_storage(store, Some(wal));
+    // Small enough that longer runs also cross a live checkpoint.
+    b.set_wal_checkpoint_bytes(1024);
+    b
+}
+
+/// User-column rows of a full-width chunk (the trailing `ts` stripped).
+fn user_rows(chunk: &Chunk) -> Vec<Vec<Value>> {
+    let mut rows = chunk.rows().unwrap();
+    for row in &mut rows {
+        row.pop();
+    }
+    rows
+}
+
+/// Fold a basket's WAL into the user rows it replays to. Appends log only
+/// rows, head trims (sheds) and checkpoint baselines.
+fn replayed_rows(dir: &TempDir, name: &str, full_schema: &Schema) -> Vec<Vec<Value>> {
+    let replay = read_wal(&dir.path().join(name).join(WAL_FILE), full_schema).unwrap();
+    assert_eq!(replay.torn_bytes, 0);
+    let mut rows: VecDeque<Vec<Value>> = VecDeque::new();
+    let mut base = 0u64;
+    for record in replay.records {
+        match record {
+            WalRecord::Baseline { base_oid, .. } => base = base_oid,
+            WalRecord::Rows(chunk) => rows.extend(user_rows(&chunk)),
+            WalRecord::TrimTo(oid) => {
+                let drop = (oid.saturating_sub(base) as usize).min(rows.len());
+                rows.drain(..drop);
+                base += drop as u64;
+            }
+            WalRecord::Consume(_) => panic!("appends never log a consume"),
+        }
+    }
+    rows.into()
 }
 
 /// One randomized action against the basket under test.
@@ -154,7 +250,7 @@ proptest! {
                 Op::AuxSnapshotCommit(r) => {
                     let aux = &mut auxes[r];
                     if aux.live && aux.inflight.is_empty() {
-                        let (_chunk, end) = b.snapshot_for_reader(aux.id);
+                        let (_chunk, end) = b.snapshot_for_reader(aux.id, usize::MAX);
                         b.commit_reader(aux.id, end);
                     }
                 }
@@ -231,7 +327,7 @@ proptest! {
             prop_assert!(b.len() <= cap, "ShedOldest bound is strict");
             match i % 4 {
                 0 => {
-                    let (_, end) = b.snapshot_for_reader(reader);
+                    let (_, end) = b.snapshot_for_reader(reader, usize::MAX);
                     b.commit_reader(reader, end);
                 }
                 1 => {
@@ -253,13 +349,110 @@ proptest! {
             prev = stats;
         }
     }
+
+    // The row and chunk append paths are one splice: for arbitrary typed
+    // rows, batch splits, capacity and every overflow policy, appending
+    // via `append_rows` and via `append_chunk` of the transposed rows
+    // leaves identical contents (modulo `ts`), identical stats, and WALs
+    // that replay to those same contents.
+    #[test]
+    fn row_and_chunk_appends_are_one_splice(
+        values in prop::collection::vec(0i64..1000, 1..60),
+        splits in prop::collection::vec(1usize..9, 1..8),
+        cap in 1usize..12,
+    ) {
+        let rows: Vec<Vec<Value>> = values.iter().map(|&v| typed_row(v)).collect();
+        for policy in [
+            OverflowPolicy::Block,
+            OverflowPolicy::Reject,
+            OverflowPolicy::ShedOldest,
+            OverflowPolicy::Spill { mem_rows: cap },
+        ] {
+            let dir = TempDir::new("append-differential");
+            let by_rows = persistent_basket(&dir, "rows", cap, policy);
+            let by_chunk = persistent_basket(&dir, "chunk", cap, policy);
+            // `Block` goes through the non-waiting entry points: nobody
+            // consumes here, so a full basket must surface as
+            // `Backpressure`, not park the test.
+            let wait = policy != OverflowPolicy::Block;
+            let mut offset = 0;
+            for n in splits.iter().cycle() {
+                if offset == rows.len() {
+                    break;
+                }
+                let batch = &rows[offset..(offset + n).min(rows.len())];
+                offset += batch.len();
+                let chunk = transposed(batch);
+                let (r, c) = if wait {
+                    (by_rows.append_rows(batch), by_chunk.append_chunk(&chunk))
+                } else {
+                    (by_rows.try_append_rows(batch), by_chunk.try_append_chunk(&chunk))
+                };
+                match (r, c) {
+                    (Ok(()), Ok(())) => {}
+                    (
+                        Err(DataCellError::Backpressure { .. }),
+                        Err(DataCellError::Backpressure { .. }),
+                    ) => {
+                        // Full-or-nothing on both; make room and go on.
+                        prop_assert_eq!(by_rows.clear(), by_chunk.clear());
+                    }
+                    (r, c) => prop_assert!(false, "outcomes differ: {r:?} vs {c:?}"),
+                }
+                prop_assert_eq!(by_rows.stats(), by_chunk.stats());
+                prop_assert_eq!(by_rows.resident_len(), by_chunk.resident_len());
+            }
+            let live = by_rows.snapshot();
+            prop_assert_eq!(user_rows(&live), user_rows(&by_chunk.snapshot()));
+            let ts = live.columns.last().unwrap().as_timestamps().unwrap();
+            prop_assert!(ts.windows(2).all(|w| w[0] <= w[1]), "ts monotone in oid order");
+            let replayed = replayed_rows(&dir, "rows", by_rows.schema());
+            prop_assert_eq!(&replayed, &replayed_rows(&dir, "chunk", by_chunk.schema()));
+            prop_assert_eq!(replayed, user_rows(&live));
+        }
+    }
+}
+
+/// Stamping happens under the basket lock, after admission: concurrent
+/// `append_rows` callers leave a `ts` column that is non-decreasing in oid
+/// order, however their validation/transposition work interleaves.
+#[test]
+fn concurrent_row_appends_keep_ts_monotone() {
+    const PER_THREAD: i64 = 2_000;
+    let b = Arc::new(int_basket());
+    let start = Arc::new(Barrier::new(2));
+    let writers: Vec<_> = (0..2)
+        .map(|t| {
+            let (b, start) = (Arc::clone(&b), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..PER_THREAD {
+                    let rows: Vec<Vec<Value>> =
+                        (0..1 + i % 4).map(|_| vec![Value::Int(t)]).collect();
+                    b.append_rows(&rows).unwrap();
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+    let snap = b.snapshot();
+    let ts = snap.columns[1].as_timestamps().unwrap();
+    assert_eq!(ts.len() as u64, b.stats().appended);
+    assert!(ts.windows(2).all(|w| w[0] <= w[1]), "ts regressed");
+    for t in 0..2 {
+        let n = values_of(&snap).iter().filter(|&&v| v == t).count() as i64;
+        assert_eq!(n, (0..PER_THREAD).map(|i| 1 + i % 4).sum::<i64>());
+    }
 }
 
 /// The PR-3 "exclusive consumption vs concurrent shed" corner, fixed by
 /// oid-anchored consumption: a `ShedOldest` basket that sheds *while* an
 /// exclusive factory is mid-step (after its snapshot, before its
 /// consumption) must not let the post-step delete eat newer tuples that
-/// shifted into the processed positions.
+/// shifted into the processed positions. The shed bumps the layout epoch,
+/// so `consume_exclusive` takes its shift-corrected anchored fallback.
 #[test]
 fn exclusive_consumption_is_oid_anchored_under_mid_step_shed() {
     let b = Basket::bounded(
@@ -273,7 +466,7 @@ fn exclusive_consumption_is_oid_anchored_under_mid_step_shed() {
     b.append_rows(&rows).unwrap();
 
     // The factory step starts: snapshot anchored at the current head oid.
-    let (snap, base) = b.snapshot_anchored();
+    let (snap, anchor) = b.snapshot_exclusive(usize::MAX);
     assert_eq!(values_of(&snap), vec![0, 1, 2, 3]);
 
     // Mid-step, a receptor appends past capacity: tuples 0 and 1 shed.
@@ -287,8 +480,8 @@ fn exclusive_consumption_is_oid_anchored_under_mid_step_shed() {
     // *current* positions {0,1,2} = tuples 2, 3, 4 — eating tuple 4, which
     // the step never saw, and keeping tuple 3's fate wrong both ways.
     let removed = b
-        .consume_anchored(
-            base,
+        .consume_exclusive(
+            &anchor,
             &datacell_bat::candidates::Candidates::from_positions(vec![0, 1, 2]).unwrap(),
         )
         .unwrap();
@@ -301,14 +494,14 @@ fn exclusive_consumption_is_oid_anchored_under_mid_step_shed() {
 
     // The drain-inputs path (terminal cascade stages) anchors the same
     // way: draining the old snapshot deletes only its survivors.
-    let (snap2, base2) = b.snapshot_anchored();
+    let (snap2, anchor2) = b.snapshot_exclusive(usize::MAX);
     assert_eq!(values_of(&snap2), vec![3, 4, 5]);
     b.append_rows(&[vec![Value::Int(6)], vec![Value::Int(7)]])
         .unwrap(); // 3 + 2 > capacity 4: sheds tuple 3
     assert_eq!(values_of(&b.snapshot()), vec![4, 5, 6, 7]);
     let removed = b
-        .consume_anchored(
-            base2,
+        .consume_exclusive(
+            &anchor2,
             &datacell_bat::candidates::Candidates::all(snap2.len()),
         )
         .unwrap();

@@ -233,12 +233,14 @@ fn explain_analyze_row_counts_match_a_real_subscriber() {
 
     // Refill and run the query body one-shot under EXPLAIN ANALYZE: the
     // root operator must report exactly the subscriber's differential
-    // count for the same input.
+    // count for the same input. Pause first: a live factory would drain
+    // the refill before the one-shot run could see it. (The wait only
+    // covers a last firing still consuming its own, earlier snapshot.)
+    cell.pause_query("q").unwrap();
     for i in 0..40i64 {
         w.append((i,)).unwrap();
     }
     w.flush().unwrap();
-    cell.pause_query("q").unwrap(); // keep the factory off our snapshot
     assert!(
         wait_until(Duration::from_secs(5), || cell.basket("b").unwrap().len()
             == 40),

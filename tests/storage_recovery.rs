@@ -133,15 +133,14 @@ fn spilled_claims_survive_rewind_and_commit_exactly_once() {
 
 #[test]
 fn exclusive_snapshot_stitches_spilled_head_back() {
-    // Exclusive consumers (factories) see the whole logical content: the
-    // spilled head is re-materialized for their anchored snapshots.
+    // A full snapshot sees the whole logical content: the spilled head is
+    // re-materialized for it.
     let dir = TempDir::new("spill-exclusive");
     let (basket, store) = spill_basket(&dir, 10);
     push_ints(&basket, 0..100);
     assert!(basket.resident_len() <= 10);
-    let (chunk, base) = basket.snapshot_anchored();
+    let chunk = basket.snapshot();
     assert_eq!(ints_of(&chunk), (0..100).collect::<Vec<i64>>());
-    assert_eq!(base, 0);
     assert_eq!(basket.resident_len(), 100, "unspilled into memory");
     assert_eq!(store.metrics_snapshot().bytes_on_disk, 0, "files deleted");
 }

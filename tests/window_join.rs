@@ -116,11 +116,11 @@ fn time_windowed_join_and_flush_at_horizon() {
     };
     cell.basket("s1")
         .unwrap()
-        .append_chunk_carry_ts(&mk("a", &[(1, 10, 0), (2, 20, 500), (3, 30, 1500)]))
+        .append_chunk(&mk("a", &[(1, 10, 0), (2, 20, 500), (3, 30, 1500)]))
         .unwrap();
     cell.basket("s2")
         .unwrap()
-        .append_chunk_carry_ts(&mk("b", &[(1, 100, 100), (2, 200, 600), (3, 300, 1600)]))
+        .append_chunk(&mk("b", &[(1, 100, 100), (2, 200, 600), (3, 300, 1600)]))
         .unwrap();
     cell.run_until_quiescent(10_000);
     // Window [0, 1000) closed on both sides (each horizon passed 1000);
