@@ -13,8 +13,7 @@
 //! Bool/str columns (and the float-sum-free timestamp `AVG`) keep the
 //! [`Accumulator`] path.
 
-use crate::bat::Bat;
-use crate::candidates::{CandView, Candidates};
+use crate::candidates::{contiguous_run, CandView, Candidates};
 use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::group::Grouping;
@@ -349,10 +348,10 @@ fn float_scalar(func: AggFunc, v: &[f64], sel: &CandView<'_>) -> Result<Value> {
     })
 }
 
-/// Aggregate `bat` (restricted to `cand`) to a single value.
-pub fn scalar_agg(func: AggFunc, bat: &Bat, cand: Option<&Candidates>) -> Result<Value> {
-    let sel = Candidates::resolve(cand, bat.len())?;
-    match bat.tail() {
+/// Aggregate `col` (restricted to `cand`) to a single value.
+pub fn scalar_agg(func: AggFunc, col: &Column, cand: Option<&Candidates>) -> Result<Value> {
+    let sel = Candidates::resolve(cand, col.len())?;
+    match col {
         Column::Int(v) => int_scalar(func, v, &sel, DataType::Int),
         // Timestamp AVG historically never fed the float sum (Value::as_float
         // rejects timestamps), so it keeps the Accumulator path verbatim.
@@ -365,34 +364,39 @@ pub fn scalar_agg(func: AggFunc, bat: &Bat, cand: Option<&Candidates>) -> Result
             match sel {
                 CandView::Dense(r) => {
                     for p in r {
-                        acc.update(&bat.get(p)?);
+                        acc.update(&col.get(p)?);
                     }
                 }
                 CandView::Positions(ps) => {
                     for &p in ps {
-                        acc.update(&bat.get(p)?);
+                        acc.update(&col.get(p)?);
                     }
                 }
             }
-            acc.finish(func, bat.data_type())
+            acc.finish(func, col.data_type())
         }
     }
 }
 
-fn int_grouped(func: AggFunc, v: &[i64], g: &Grouping, ty: DataType) -> Result<Column> {
-    let n = g.n_groups;
-    let rows = || g.rows.iter().enumerate().map(|(i, &p)| (g.ids[i], v[p]));
+fn int_grouped(
+    func: AggFunc,
+    ids: &[usize],
+    vals: impl Iterator<Item = i64>,
+    n: usize,
+    ty: DataType,
+) -> Result<Column> {
+    let rows = ids.iter().copied().zip(vals);
     Ok(match func {
         AggFunc::Count { star: true } => {
             let mut cnt = vec![0i64; n];
-            for (gid, _) in rows() {
+            for (gid, _) in rows {
                 cnt[gid] += 1;
             }
             Column::Int(cnt)
         }
         AggFunc::Count { star: false } => {
             let mut cnt = vec![0i64; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 cnt[gid] += !is_nil_int(x) as i64;
             }
             Column::Int(cnt)
@@ -400,7 +404,7 @@ fn int_grouped(func: AggFunc, v: &[i64], g: &Grouping, ty: DataType) -> Result<C
         AggFunc::Sum => {
             let mut sum = vec![0i64; n];
             let mut any = vec![false; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 if !is_nil_int(x) {
                     sum[gid] = sum[gid].checked_add(x).ok_or(BatError::Overflow("sum"))?;
                     any[gid] = true;
@@ -416,7 +420,7 @@ fn int_grouped(func: AggFunc, v: &[i64], g: &Grouping, ty: DataType) -> Result<C
         AggFunc::Min => {
             let mut m = vec![i64::MAX; n];
             let mut cnt = vec![0u64; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 let k = if is_nil_int(x) { i64::MAX } else { x };
                 m[gid] = m[gid].min(k);
                 cnt[gid] += !is_nil_int(x) as u64;
@@ -435,7 +439,7 @@ fn int_grouped(func: AggFunc, v: &[i64], g: &Grouping, ty: DataType) -> Result<C
         AggFunc::Max => {
             let mut m = vec![NIL_INT; n];
             let mut cnt = vec![0u64; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 m[gid] = m[gid].max(x);
                 cnt[gid] += !is_nil_int(x) as u64;
             }
@@ -453,7 +457,7 @@ fn int_grouped(func: AggFunc, v: &[i64], g: &Grouping, ty: DataType) -> Result<C
         AggFunc::Avg => {
             let mut sum = vec![0f64; n];
             let mut cnt = vec![0u64; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 if !is_nil_int(x) {
                     sum[gid] += x as f64;
                     cnt[gid] += 1;
@@ -469,20 +473,24 @@ fn int_grouped(func: AggFunc, v: &[i64], g: &Grouping, ty: DataType) -> Result<C
     })
 }
 
-fn float_grouped(func: AggFunc, v: &[f64], g: &Grouping) -> Result<Column> {
-    let n = g.n_groups;
-    let rows = || g.rows.iter().enumerate().map(|(i, &p)| (g.ids[i], v[p]));
+fn float_grouped(
+    func: AggFunc,
+    ids: &[usize],
+    vals: impl Iterator<Item = f64>,
+    n: usize,
+) -> Result<Column> {
+    let rows = ids.iter().copied().zip(vals);
     Ok(match func {
         AggFunc::Count { star: true } => {
             let mut cnt = vec![0i64; n];
-            for (gid, _) in rows() {
+            for (gid, _) in rows {
                 cnt[gid] += 1;
             }
             Column::Int(cnt)
         }
         AggFunc::Count { star: false } => {
             let mut cnt = vec![0i64; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 cnt[gid] += !x.is_nan() as i64;
             }
             Column::Int(cnt)
@@ -490,7 +498,7 @@ fn float_grouped(func: AggFunc, v: &[f64], g: &Grouping) -> Result<Column> {
         AggFunc::Sum => {
             let mut sum = vec![0f64; n];
             let mut any = vec![false; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 if !x.is_nan() {
                     sum[gid] += x;
                     any[gid] = true;
@@ -506,7 +514,7 @@ fn float_grouped(func: AggFunc, v: &[f64], g: &Grouping) -> Result<Column> {
         AggFunc::Min => {
             let mut mk = vec![i64::MAX; n];
             let mut cnt = vec![0u64; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 let nn = !x.is_nan();
                 let k = if nn { total_key(x) } else { i64::MAX };
                 mk[gid] = mk[gid].min(k);
@@ -528,7 +536,7 @@ fn float_grouped(func: AggFunc, v: &[f64], g: &Grouping) -> Result<Column> {
         AggFunc::Max => {
             let mut mk = vec![i64::MIN; n];
             let mut cnt = vec![0u64; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 let nn = !x.is_nan();
                 let k = if nn { total_key(x) } else { i64::MIN };
                 mk[gid] = mk[gid].max(k);
@@ -550,7 +558,7 @@ fn float_grouped(func: AggFunc, v: &[f64], g: &Grouping) -> Result<Column> {
         AggFunc::Avg => {
             let mut sum = vec![0f64; n];
             let mut cnt = vec![0u64; n];
-            for (gid, x) in rows() {
+            for (gid, x) in rows {
                 if !x.is_nan() {
                     sum[gid] += x;
                     cnt[gid] += 1;
@@ -567,32 +575,50 @@ fn float_grouped(func: AggFunc, v: &[f64], g: &Grouping) -> Result<Column> {
 }
 
 /// Grouped aggregation: one output value per group of `grouping`, in group
-/// id order. The `bat` must cover the positions in `grouping.rows`.
-pub fn grouped_agg(func: AggFunc, bat: &Bat, grouping: &Grouping) -> Result<Column> {
-    if let Some(&bad) = grouping.rows.iter().find(|&&p| p >= bat.len()) {
+/// id order. The `col` must cover the positions in `grouping.rows`.
+pub fn grouped_agg(func: AggFunc, col: &Column, grouping: &Grouping) -> Result<Column> {
+    let Grouping { ids, rows, .. } = grouping;
+    // A contiguous run of rows (an unfiltered or dense-candidate grouping)
+    // is folded as a sub-slice; anything else gathers through `rows`.
+    let run = contiguous_run(rows);
+    let bad = match &run {
+        Some(r) => (r.end > col.len()).then(|| r.start.max(col.len())),
+        None => rows.iter().copied().find(|&p| p >= col.len()),
+    };
+    if let Some(pos) = bad {
         return Err(BatError::PositionOutOfRange {
-            pos: bad,
-            len: bat.len(),
+            pos,
+            len: col.len(),
         });
     }
-    match bat.tail() {
-        Column::Int(v) => int_grouped(func, v, grouping, DataType::Int),
-        Column::Timestamp(v) if func != AggFunc::Avg => {
-            int_grouped(func, v, grouping, DataType::Timestamp)
+    let n = grouping.n_groups;
+    match col {
+        // Timestamp AVG keeps the Accumulator path, like `scalar_agg`.
+        Column::Int(v) | Column::Timestamp(v)
+            if !(func == AggFunc::Avg && col.data_type() == DataType::Timestamp) =>
+        {
+            let ty = col.data_type();
+            match run {
+                Some(r) => int_grouped(func, ids, v[r].iter().copied(), n, ty),
+                None => int_grouped(func, ids, rows.iter().map(|&p| v[p]), n, ty),
+            }
         }
-        Column::Float(v) => float_grouped(func, v, grouping),
+        Column::Float(v) => match run {
+            Some(r) => float_grouped(func, ids, v[r].iter().copied(), n),
+            None => float_grouped(func, ids, rows.iter().map(|&p| v[p]), n),
+        },
         _ => {
-            let mut accs = vec![Accumulator::new(); grouping.n_groups];
-            for (i, &p) in grouping.rows.iter().enumerate() {
-                accs[grouping.ids[i]].update(&bat.get(p)?);
+            let mut accs = vec![Accumulator::new(); n];
+            for (&gid, &p) in ids.iter().zip(rows) {
+                accs[gid].update(&col.get(p)?);
             }
-            let out_ty = func.output_type(bat.data_type());
-            let mut col = Column::with_capacity(out_ty, grouping.n_groups);
+            let out_ty = func.output_type(col.data_type());
+            let mut out = Column::with_capacity(out_ty, n);
             for acc in &accs {
-                let v = acc.finish(func, bat.data_type())?;
-                col.push(&v)?;
+                let v = acc.finish(func, col.data_type())?;
+                out.push(&v)?;
             }
-            Ok(col)
+            Ok(out)
         }
     }
 }
@@ -600,6 +626,7 @@ pub fn grouped_agg(func: AggFunc, bat: &Bat, grouping: &Grouping) -> Result<Colu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bat::Bat;
     use crate::group::group_by;
 
     #[test]

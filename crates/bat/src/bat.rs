@@ -26,6 +26,18 @@ pub struct Bat {
     tsorted: bool,
 }
 
+/// A BAT lends its tail wherever a kernel asks for a [`Column`]: the
+/// kernels take `&Column`, so a caller holding only a borrowed column (the
+/// plan interpreter, over a basket snapshot) drives them without wrapping
+/// a copy in a `Bat`, and `&Bat` arguments coerce.
+impl std::ops::Deref for Bat {
+    type Target = Column;
+
+    fn deref(&self) -> &Column {
+        &self.tail
+    }
+}
+
 impl Bat {
     /// Wrap a column as a BAT with head sequence starting at 0.
     pub fn new(tail: Column) -> Self {

@@ -274,6 +274,28 @@ impl Candidates {
         }
     }
 
+    /// The sub-list picked by `ordinals`, which number *this list's*
+    /// candidates (`0` = its first) rather than column positions — how a
+    /// result computed over the gathered rows of a candidate list maps back
+    /// to positions in the column.
+    pub fn pick(&self, ordinals: &Candidates) -> Result<Candidates> {
+        ordinals.check_bounds(self.len())?;
+        Ok(match (self, ordinals) {
+            (Candidates::Dense(r), Candidates::Dense(o)) => {
+                Candidates::Dense(r.start + o.start..r.start + o.end)
+            }
+            (Candidates::Dense(r), Candidates::Positions(o)) => {
+                Candidates::Positions(o.iter().map(|&i| r.start + i).collect())
+            }
+            (Candidates::Positions(p), Candidates::Dense(o)) => {
+                Candidates::Positions(p[o.clone()].to_vec())
+            }
+            (Candidates::Positions(p), Candidates::Positions(o)) => {
+                Candidates::Positions(o.iter().map(|&i| p[i]).collect())
+            }
+        })
+    }
+
     /// First `n` qualifying positions (LIMIT pushdown).
     pub fn first_n(&self, n: usize) -> Candidates {
         match self {
@@ -281,6 +303,17 @@ impl Candidates {
             Candidates::Positions(p) => Candidates::Positions(p[..n.min(p.len())].to_vec()),
         }
     }
+}
+
+/// The range `rows` spells out when it is one contiguous ascending run, so
+/// a kernel handed explicit positions can still read its values as a
+/// sub-slice instead of gathering.
+pub(crate) fn contiguous_run(rows: &[usize]) -> Option<Range<usize>> {
+    let &start = rows.first()?;
+    rows.iter()
+        .enumerate()
+        .all(|(i, &p)| p == start + i)
+        .then(|| start..start + rows.len())
 }
 
 /// Borrowed kernel-facing view of a candidate list (see
@@ -428,6 +461,26 @@ mod tests {
     fn complement_of_positions() {
         let a = Candidates::from_positions(vec![1, 3]).unwrap();
         assert_eq!(a.complement(5).to_positions(), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn pick_maps_ordinals_back_to_positions() {
+        let dense = Candidates::Dense(10..20);
+        assert_eq!(
+            dense.pick(&Candidates::Dense(2..5)).unwrap(),
+            Candidates::Dense(12..15)
+        );
+        let sub = Candidates::from_positions(vec![0, 9]).unwrap();
+        assert_eq!(dense.pick(&sub).unwrap().to_positions(), vec![10, 19]);
+        let p = Candidates::from_positions(vec![3, 5, 8, 13]).unwrap();
+        assert_eq!(
+            p.pick(&Candidates::Dense(1..3)).unwrap().to_positions(),
+            vec![5, 8]
+        );
+        let sub = Candidates::from_positions(vec![0, 3]).unwrap();
+        assert_eq!(p.pick(&sub).unwrap().to_positions(), vec![3, 13]);
+        assert!(p.pick(&Candidates::Dense(0..5)).is_err());
+        assert!(p.pick(&Candidates::none()).unwrap().is_empty());
     }
 
     #[test]

@@ -7,13 +7,21 @@
 //!
 //! Unlike comparisons, GROUP BY treats nil as a regular key: all nil rows
 //! form one group (SQL semantics).
+//!
+//! Every column type is dispatched once, outside the row loop, to an `i64`
+//! key (ints and timestamps as they are, bools, string dictionary codes,
+//! floats by canonical bits). One pass takes the key range; when it is
+//! small next to the input the key *is* the table index (no hashing, no
+//! probing), otherwise — in practice always for floats — an
+//! open-addressing table over the raw 64-bit key takes over. Either way
+//! group ids are numbered by first appearance in candidate order, so the
+//! result does not depend on which table was used (`docs/kernels.md`,
+//! "Group-by").
 
-use std::collections::HashMap;
-
-use crate::bat::Bat;
-use crate::candidates::Candidates;
+use crate::candidates::{contiguous_run, CandView, Candidates};
+use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::types::{is_nil_float, is_nil_int, NIL_STR_CODE};
+use crate::types::{NIL_INT, NIL_STR_CODE};
 
 /// Result of grouping `n` rows: a dense group id per row plus one
 /// representative row position per group.
@@ -42,88 +50,87 @@ impl Grouping {
     }
 }
 
-/// Hashable per-row key; `Nil` groups all nulls together.
-#[derive(Hash, PartialEq, Eq, Clone, Copy)]
-enum GKey {
-    Nil,
-    Int(i64),
-    Bits(u64),
-    Bool(bool),
-    // Dictionary code is a stable identity *within one column's heap*,
-    // which is the only scope a grouping key needs.
-    StrCode(u32),
-}
+/// Free-slot marker of both tables. Group ids are stored as `u32`, which
+/// is why a grouping holds fewer than `u32::MAX` rows.
+const EMPTY: u32 = u32::MAX;
 
-fn gkey(bat: &Bat, p: usize) -> GKey {
-    match bat.tail() {
-        crate::column::Column::Int(v) | crate::column::Column::Timestamp(v) => {
-            if is_nil_int(v[p]) {
-                GKey::Nil
-            } else {
-                GKey::Int(v[p])
-            }
-        }
-        crate::column::Column::Float(v) => {
-            if is_nil_float(v[p]) {
-                GKey::Nil
-            } else if v[p] == 0.0 {
-                GKey::Bits(0.0f64.to_bits())
-            } else {
-                GKey::Bits(v[p].to_bits())
-            }
-        }
-        crate::column::Column::Bool(v) => match v[p] {
-            0 => GKey::Bool(false),
-            1 => GKey::Bool(true),
-            _ => GKey::Nil,
-        },
-        crate::column::Column::Str { codes, .. } => {
-            if codes[p] == NIL_STR_CODE {
-                GKey::Nil
-            } else {
-                GKey::StrCode(codes[p])
-            }
-        }
-    }
-}
+/// Direct addressing is chosen while the table needs at most this many
+/// `u32` slots per input row, i.e. while zeroing it costs no more than
+/// reading the keys did. A small firing over a wide key domain therefore
+/// hashes instead of clearing a table sized for the domain.
+const DIRECT_SLOTS_PER_ROW: usize = 2;
 
-/// Group the rows of `bat` (restricted to `cand` if given), optionally
+/// Upper bound on the hash table's *initial* slot count; it doubles on
+/// demand, so its size follows the number of groups, not of rows.
+const HASH_INITIAL_SLOTS: usize = 1024;
+
+/// Group the rows of `col` (restricted to `cand` if given), optionally
 /// refining a previous grouping over the *same* row set.
-pub fn group_by(bat: &Bat, prev: Option<&Grouping>, cand: Option<&Candidates>) -> Result<Grouping> {
-    let rows: Vec<usize> = match (prev, cand) {
-        (Some(g), _) => g.rows.clone(),
-        (None, Some(c)) => c.to_positions(),
-        (None, None) => (0..bat.len()).collect(),
-    };
-    if let Some(&bad) = rows.iter().find(|&&p| p >= bat.len()) {
-        return Err(BatError::PositionOutOfRange {
-            pos: bad,
-            len: bat.len(),
-        });
-    }
-    if let Some(g) = prev {
-        if g.ids.len() != rows.len() {
-            return Err(BatError::Misaligned {
-                op: "group_by",
-                left: g.ids.len(),
-                right: rows.len(),
-            });
+pub fn group_by(
+    col: &Column,
+    prev: Option<&Grouping>,
+    cand: Option<&Candidates>,
+) -> Result<Grouping> {
+    let (rows, run): (Vec<usize>, _) = match prev {
+        Some(g) => {
+            if let Some(&bad) = g.rows.iter().find(|&&p| p >= col.len()) {
+                return Err(BatError::PositionOutOfRange {
+                    pos: bad,
+                    len: col.len(),
+                });
+            }
+            if g.ids.len() != g.rows.len() {
+                return Err(BatError::Misaligned {
+                    op: "group_by",
+                    left: g.ids.len(),
+                    right: g.rows.len(),
+                });
+            }
+            (g.rows.clone(), contiguous_run(&g.rows))
         }
+        None => match Candidates::resolve(cand, col.len())? {
+            // An empty range may lie past the column; it has no run to slice.
+            CandView::Dense(r) => (r.clone().collect(), Some(r).filter(|r| !r.is_empty())),
+            CandView::Positions(p) => (p.to_vec(), None),
+        },
+    };
+    // Groups of the refined grouping, taken from its ids rather than its
+    // `n_groups` field so a hand-built `Grouping` cannot index out of the
+    // direct table.
+    let prev_groups = prev.map_or(1, |g| g.ids.iter().max().map_or(0, |&m| m + 1));
+    if rows.len() >= EMPTY as usize || prev_groups >= EMPTY as usize {
+        return Err(BatError::Invalid(format!(
+            "group_by: {} rows exceed the u32 group-id space",
+            rows.len()
+        )));
     }
-
-    let mut map: HashMap<(usize, GKey), usize> = HashMap::with_capacity(rows.len());
-    let mut ids = Vec::with_capacity(rows.len());
-    let mut representatives = Vec::new();
-    for (i, &p) in rows.iter().enumerate() {
-        let prev_id = prev.map_or(0, |g| g.ids[i]);
-        let key = (prev_id, gkey(bat, p));
-        let next = map.len();
-        let id = *map.entry(key).or_insert_with(|| {
-            representatives.push(p);
-            next
-        });
-        ids.push(id);
-    }
+    // Every column type groups by an `i64` key with nil as `NIL_INT`; the
+    // type is resolved here, once, into the key function the loops below
+    // are compiled for.
+    let shape = Shape {
+        rows: &rows,
+        run,
+        prev: prev.map(|g| g.ids.as_slice()),
+        prev_groups,
+    };
+    let (ids, representatives) = match col {
+        Column::Int(v) | Column::Timestamp(v) => shape.group(v, |x| x),
+        Column::Float(v) => shape.group(v, float_key),
+        Column::Bool(v) => shape.group(v, |b| match b {
+            0 => 0,
+            1 => 1,
+            _ => NIL_INT,
+        }),
+        // A dictionary code is a stable identity *within one column's
+        // heap*, which is the only scope a grouping key needs.
+        Column::Str { codes, .. } => shape.group(codes, |c| {
+            if c == NIL_STR_CODE {
+                NIL_INT
+            } else {
+                i64::from(c)
+            }
+        }),
+    };
     Ok(Grouping {
         n_groups: representatives.len(),
         ids,
@@ -132,9 +139,187 @@ pub fn group_by(bat: &Bat, prev: Option<&Grouping>, cand: Option<&Candidates>) -
     })
 }
 
+/// Float keys by canonical bits: `-0.0` and `0.0` are one key and every NaN
+/// (nil) is [`NIL_INT`] — the bits of `-0.0`, which canonical zero never
+/// yields.
+#[inline]
+fn float_key(x: f64) -> i64 {
+    if x.is_nan() {
+        NIL_INT
+    } else if x == 0.0 {
+        0
+    } else {
+        x.to_bits() as i64
+    }
+}
+
+/// Which rows are grouped and what they refine — everything about a
+/// `group_by` call but the key column.
+struct Shape<'a> {
+    /// Positions grouped, in candidate order.
+    rows: &'a [usize],
+    /// `rows` as a range when they are one contiguous run.
+    run: Option<std::ops::Range<usize>>,
+    /// Group id per row of the grouping being refined.
+    prev: Option<&'a [usize]>,
+    /// How many groups `prev` has (1 without one).
+    prev_groups: usize,
+}
+
+impl Shape<'_> {
+    /// Group by `key` of `vals`: a contiguous run of rows reads the keys as
+    /// a sub-slice, anything else gathers.
+    fn group<T: Copy>(
+        &self,
+        vals: &[T],
+        key: impl Fn(T) -> i64 + Copy,
+    ) -> (Vec<usize>, Vec<usize>) {
+        match &self.run {
+            Some(r) => self.by_range(vals[r.clone()].iter().map(move |&v| key(v))),
+            None => self.by_range(self.rows.iter().map(move |&p| key(vals[p]))),
+        }
+    }
+
+    /// Group id of row `i` (by ordinal) in the grouping being refined.
+    #[inline]
+    fn prev_of(&self, i: usize) -> usize {
+        self.prev.map_or(0, |ids| ids[i])
+    }
+
+    /// Group `keys` (one per row, nil = [`NIL_INT`]). One pass measures the
+    /// key range and picks the table: direct-addressed when `(range + nil
+    /// slot) x prev_groups` is small next to the input, hashed otherwise
+    /// (including a range too wide for `i64`, which is what float bit
+    /// patterns usually are).
+    fn by_range(&self, keys: impl Iterator<Item = i64> + Clone) -> (Vec<usize>, Vec<usize>) {
+        let rows = self.rows;
+        let (mut min, mut max, mut any_nil) = (i64::MAX, i64::MIN, false);
+        for k in keys.clone() {
+            let nil = k == NIL_INT;
+            any_nil |= nil;
+            // Nil is `i64::MIN`: it can never win the max, and is remapped
+            // so it cannot win the min either.
+            min = min.min(if nil { i64::MAX } else { k });
+            max = max.max(k);
+        }
+        let values = if min > max {
+            Some(0)
+        } else {
+            max.checked_sub(min)
+                .and_then(|span| usize::try_from(span).ok())
+                .and_then(|span| span.checked_add(1))
+        };
+        // One slot past the values is the nil group's.
+        let direct = values
+            .and_then(|v| v.checked_add(usize::from(any_nil)))
+            .and_then(|slots| Some((slots, slots.checked_mul(self.prev_groups)?)))
+            .filter(|&(_, total)| total <= rows.len().saturating_mul(DIRECT_SLOTS_PER_ROW));
+        let Some((slots, total)) = direct else {
+            return self.hashed(keys);
+        };
+        let mut table = vec![EMPTY; total];
+        // No more groups than slots, nor than rows.
+        let mut reps = Vec::with_capacity(total.min(rows.len()));
+        let mut ids = vec![0usize; rows.len()];
+        for (i, (k, id)) in keys.zip(&mut ids).enumerate() {
+            let slot = if k == NIL_INT {
+                slots - 1
+            } else {
+                k.wrapping_sub(min) as usize
+            };
+            let entry = &mut table[self.prev_of(i) * slots + slot];
+            if *entry == EMPTY {
+                *entry = reps.len() as u32;
+                reps.push(rows[i]);
+            }
+            *id = *entry as usize;
+        }
+        (ids, reps)
+    }
+
+    /// Group by `(prev group, key)` through an open-addressing table kept
+    /// at most a quarter full (short probe sequences are what keep the
+    /// loop's branches predictable); it starts sized for the input (capped
+    /// at [`HASH_INITIAL_SLOTS`]) and doubles as groups appear.
+    fn hashed(&self, keys: impl Iterator<Item = i64>) -> (Vec<usize>, Vec<usize>) {
+        let rows = self.rows;
+        let slots = (rows.len() * 4)
+            .next_power_of_two()
+            .clamp(16, HASH_INITIAL_SLOTS);
+        let mut table = vec![FREE; slots];
+        let mut shift = 64 - slots.trailing_zeros();
+        let mut reps: Vec<usize> = Vec::new();
+        let mut ids = vec![0usize; rows.len()];
+        for (i, (key, id)) in keys.zip(&mut ids).enumerate() {
+            let prev = self.prev_of(i) as u32;
+            let mut s = probe(&table, shift, key, prev);
+            if table[s].id == EMPTY {
+                if (reps.len() + 1) * 4 > table.len() {
+                    let mut grown = vec![FREE; table.len() * 2];
+                    shift -= 1;
+                    for e in table.iter().filter(|e| e.id != EMPTY) {
+                        let at = probe(&grown, shift, e.key, e.prev);
+                        grown[at] = *e;
+                    }
+                    table = grown;
+                    s = probe(&table, shift, key, prev);
+                }
+                table[s] = Slot {
+                    key,
+                    prev,
+                    id: reps.len() as u32,
+                };
+                reps.push(rows[i]);
+            }
+            *id = table[s].id as usize;
+        }
+        (ids, reps)
+    }
+}
+
+/// One open-addressing slot: the `(prev group, key)` pair it stands for and
+/// the group id it was given (`EMPTY` while free).
+#[derive(Clone, Copy)]
+struct Slot {
+    key: i64,
+    prev: u32,
+    id: u32,
+}
+
+const FREE: Slot = Slot {
+    key: 0,
+    prev: 0,
+    id: EMPTY,
+};
+
+/// Multiplicative hash of a `(prev group, key)` pair; the caller keeps the
+/// top `64 - shift` bits. One Fibonacci multiplication alone is ideal for
+/// some key strides and clusters badly for others; folding the high half
+/// back in and multiplying again evens that out, and in a linear-probing
+/// loop an even spread matters more than the multiply it costs (every
+/// extra probe is a mispredicted branch).
+#[inline]
+fn hash(key: i64, prev: u32) -> u64 {
+    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+    let h = (key as u64 ^ u64::from(prev).wrapping_mul(0xD6E8_FEB8_6659_FD93)).wrapping_mul(PHI);
+    (h ^ (h >> 32)).wrapping_mul(PHI)
+}
+
+/// First free slot or the slot holding `(prev, key)`, by linear probing.
+#[inline]
+fn probe(table: &[Slot], shift: u32, key: i64, prev: u32) -> usize {
+    let mask = table.len() - 1;
+    let mut s = (hash(key, prev) >> shift) as usize;
+    while table[s].id != EMPTY && (table[s].key != key || table[s].prev != prev) {
+        s = (s + 1) & mask;
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bat::Bat;
     use crate::column::Column;
     use crate::types::NIL_INT;
 

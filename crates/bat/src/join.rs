@@ -97,7 +97,7 @@ fn str_key<'a>(codes: &[u32], heap: &'a StrHeap, p: usize) -> Option<&'a str> {
     }
 }
 
-fn join_types(l: &Bat, r: &Bat, op: &'static str) -> Result<bool> {
+fn join_types(l: &Column, r: &Column, op: &'static str) -> Result<bool> {
     let unified = l
         .data_type()
         .unify(r.data_type())
@@ -150,13 +150,13 @@ fn probe_pairs<K: Hash + Eq>(
 /// ordered (ascending `lp`, then right build order). `lcand`/`rcand`
 /// restrict each side.
 pub fn hash_join(
-    left: &Bat,
-    right: &Bat,
+    left: &Column,
+    right: &Column,
     lcand: Option<&Candidates>,
     rcand: Option<&Candidates>,
 ) -> Result<(Vec<usize>, Vec<usize>)> {
     let as_float = join_types(left, right, "hash_join")?;
-    match (left.tail(), right.tail()) {
+    match (left, right) {
         (
             Column::Str {
                 codes: lc,
@@ -189,14 +189,14 @@ pub fn hash_join(
             probe_pairs(&table, lv.len(), lcand, |p| bool_key(lv[p]))
         }
         _ if as_float => {
-            let lk = f64_keys(left.tail());
-            let rk = f64_keys(right.tail());
+            let lk = f64_keys(left);
+            let rk = f64_keys(right);
             let table = build_table(rk.len(), rcand, |p| fkey(rk[p]))?;
             probe_pairs(&table, lk.len(), lcand, |p| fkey(lk[p]))
         }
         _ => {
-            let lv = left.tail().as_i64s()?;
-            let rv = right.tail().as_i64s()?;
+            let lv = left.as_i64s()?;
+            let rv = right.as_i64s()?;
             let table = build_table(rv.len(), rcand, |p| int_key(rv[p]))?;
             probe_pairs(&table, lv.len(), lcand, |p| int_key(lv[p]))
         }

@@ -23,11 +23,11 @@
 //! * bools: the domain is `{0, 1}`, so the predicate collapses to two
 //!   precomputed bits.
 
-use crate::bat::Bat;
 use crate::candidates::{CandView, Candidates};
+use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::heap::StrHeap;
-use crate::types::{total_key, DataType, Value, NIL_INT};
+use crate::types::{total_key, DataType, Value, NIL_INT, NIL_STR_CODE};
 
 /// Comparison operators for [`theta_select`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +92,7 @@ impl CmpOp {
 /// * `anti` inverts the predicate (nil still never qualifies).
 /// * `cand` restricts the scan to a prior candidate list.
 pub fn select_range(
-    bat: &Bat,
+    col: &Column,
     lo: Option<&Value>,
     hi: Option<&Value>,
     li: bool,
@@ -100,21 +100,21 @@ pub fn select_range(
     anti: bool,
     cand: Option<&Candidates>,
 ) -> Result<Candidates> {
-    match bat.data_type() {
+    match col.data_type() {
         DataType::Int | DataType::Timestamp => {
-            let vals = bat.tail().as_i64s()?;
+            let vals = col.as_i64s()?;
             let lo = bound_int(lo, "select lo")?;
             let hi = bound_int(hi, "select hi")?;
             select_i64(vals, int_window(lo, hi, li, hi_incl), anti, cand)
         }
         DataType::Float => {
-            let vals = bat.tail().as_floats()?;
+            let vals = col.as_floats()?;
             let lo = bound_float(lo, "select lo")?;
             let hi = bound_float(hi, "select hi")?;
             select_f64(vals, lo, hi, li, hi_incl, anti, cand)
         }
         DataType::Str => {
-            let (codes, heap) = bat.tail().as_strs()?;
+            let (codes, heap) = col.as_strs()?;
             let lo = bound_str(lo, "select lo")?;
             let hi = bound_str(hi, "select hi")?;
             let qual = qual_table(heap, |s| {
@@ -125,7 +125,7 @@ pub fn select_range(
             select_codes(codes, &qual, cand)
         }
         DataType::Bool => {
-            let vals = bat.tail().as_bools()?;
+            let vals = col.as_bools()?;
             let want = |v: Option<&Value>| -> Result<Option<i8>> {
                 match v {
                     None => Ok(None),
@@ -152,7 +152,7 @@ pub fn select_range(
 
 /// Theta selection: positions where `tail[p] op value`.
 pub fn theta_select(
-    bat: &Bat,
+    col: &Column,
     op: CmpOp,
     value: &Value,
     cand: Option<&Candidates>,
@@ -161,9 +161,9 @@ pub fn theta_select(
         // Comparisons with NULL are never true.
         return Ok(Candidates::none());
     }
-    match bat.data_type() {
+    match col.data_type() {
         DataType::Int | DataType::Timestamp => {
-            let vals = bat.tail().as_i64s()?;
+            let vals = col.as_i64s()?;
             let rhs = value.as_int().ok_or(BatError::TypeMismatch {
                 op: "theta_select",
                 expected: "int",
@@ -181,7 +181,7 @@ pub fn theta_select(
             select_i64(vals, win, anti, cand)
         }
         DataType::Float => {
-            let vals = bat.tail().as_floats()?;
+            let vals = col.as_floats()?;
             let rhs = value.as_float().ok_or(BatError::TypeMismatch {
                 op: "theta_select",
                 expected: "float",
@@ -201,7 +201,7 @@ pub fn theta_select(
             }
         }
         DataType::Str => {
-            let (codes, heap) = bat.tail().as_strs()?;
+            let (codes, heap) = col.as_strs()?;
             let rhs = value.as_str().ok_or(BatError::TypeMismatch {
                 op: "theta_select",
                 expected: "str",
@@ -219,7 +219,7 @@ pub fn theta_select(
             select_codes(codes, &qual, cand)
         }
         DataType::Bool => {
-            let vals = bat.tail().as_bools()?;
+            let vals = col.as_bools()?;
             let rhs = i8::from(value.as_bool().ok_or(BatError::TypeMismatch {
                 op: "theta_select",
                 expected: "bool",
@@ -227,6 +227,18 @@ pub fn theta_select(
             })?);
             select_bool(vals, op.eval(0i8.cmp(&rhs)), op.eval(1i8.cmp(&rhs)), cand)
         }
+    }
+}
+
+/// Nil selection: positions holding the nil sentinel (`nil == true`, SQL
+/// `IS NULL`) or a value (`IS NOT NULL`). The one select where nil
+/// qualifies.
+pub fn select_nil(col: &Column, nil: bool, cand: Option<&Candidates>) -> Result<Candidates> {
+    match col {
+        Column::Int(v) | Column::Timestamp(v) => scan_with(v, cand, move |x| (x == NIL_INT) == nil),
+        Column::Float(v) => scan_with(v, cand, move |x| x.is_nan() == nil),
+        Column::Bool(v) => scan_with(v, cand, move |x| ((x != 0) & (x != 1)) == nil),
+        Column::Str { codes, .. } => scan_with(codes, cand, move |c| (c == NIL_STR_CODE) == nil),
     }
 }
 
@@ -409,6 +421,7 @@ fn bound_str<'a>(v: Option<&'a Value>, op: &str) -> Result<Option<&'a str>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bat::Bat;
     use crate::types::NIL_INT;
 
     fn ints(v: Vec<i64>) -> Bat {

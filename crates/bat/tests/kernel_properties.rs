@@ -17,7 +17,8 @@ use proptest::prelude::*;
 
 mod reference;
 use reference::{
-    ref_arith, ref_compare, ref_grouped_agg, ref_scalar_agg, ref_select_range, ref_theta, values_eq,
+    ref_arith, ref_compare, ref_group_by, ref_grouped_agg, ref_scalar_agg, ref_select_range,
+    ref_theta, values_eq,
 };
 
 const ALL_OPS: [CmpOp; 6] = [
@@ -609,4 +610,162 @@ proptest! {
             .collect();
         prop_assert_eq!(semi.union(&anti).to_positions(), sel);
     }
+}
+
+/// `group_by` against the row-at-a-time reference: ids, `n_groups`,
+/// `representatives` and `rows` (or the error) must be identical, for the
+/// column alone and — when a second column is given — for its refinement
+/// of that grouping.
+fn assert_group_by_matches(first: &Bat, second: Option<&Bat>, cand: Option<&Candidates>) {
+    let got = group_by(first, None, cand);
+    let want = ref_group_by(first, None, cand);
+    assert_eq!(got, want, "group_by({first:?}, cand {cand:?})");
+    if let (Ok(g), Some(second)) = (got, second) {
+        assert_eq!(
+            group_by(second, Some(&g), None),
+            ref_group_by(second, Some(&g), None),
+            "refining {g:?} by {second:?}"
+        );
+    }
+}
+
+/// Keys around the edges the typed kernel dispatches on: a small domain,
+/// nil, negatives, and values whose span overflows `i64`.
+fn edge_ints() -> impl Strategy<Value = Vec<i64>> {
+    prop::collection::vec(
+        prop_oneof![
+            12 => (-5i64..15).prop_map(|v| v),
+            2 => Just(NIL_INT),
+            1 => Just(i64::MAX),
+            1 => Just(i64::MIN + 1),
+            2 => (-1_000_000i64..1_000_000).prop_map(|v| v * 1_000_003),
+        ],
+        0..60,
+    )
+}
+
+proptest! {
+    #[test]
+    fn group_by_matches_reference_int_and_timestamp(
+        keys in edge_ints(),
+        more in small_ints(),
+        shape in 0u8..4,
+        a in 0usize..64,
+        b in 0usize..64,
+        raw in raw_positions(),
+    ) {
+        let cand = make_cand(shape, a, b, &raw, keys.len());
+        let second = Bat::from_ints((0..keys.len()).map(|i| more.get(i).copied().unwrap_or(7)).collect());
+        assert_group_by_matches(&Bat::from_ints(keys.clone()), Some(&second), cand.as_ref());
+        let ts = Bat::new(Column::from_timestamps(keys));
+        assert_group_by_matches(&ts, Some(&second), cand.as_ref());
+        // The refinement can also be the wide-domain column.
+        assert_group_by_matches(&second, Some(&ts), cand.as_ref());
+    }
+
+    #[test]
+    fn group_by_matches_reference_float(
+        keys in float_vals(),
+        more in small_ints(),
+        shape in 0u8..4,
+        a in 0usize..64,
+        b in 0usize..64,
+        raw in raw_positions(),
+    ) {
+        let cand = make_cand(shape, a, b, &raw, keys.len());
+        let second = Bat::from_ints((0..keys.len()).map(|i| more.get(i).copied().unwrap_or(7)).collect());
+        let floats = Bat::from_floats(keys);
+        assert_group_by_matches(&floats, Some(&second), cand.as_ref());
+        assert_group_by_matches(&second, Some(&floats), cand.as_ref());
+    }
+
+    #[test]
+    fn group_by_matches_reference_str_and_bool(
+        idx in prop::collection::vec(0usize..6, 0..50),
+        bits in prop::collection::vec(0u8..3, 0..50),
+        shape in 0u8..4,
+        a in 0usize..64,
+        b in 0usize..64,
+        raw in raw_positions(),
+    ) {
+        let n = idx.len().min(bits.len());
+        let (strs, bools) = (str_bat(&idx[..n]), bool_bat(&bits[..n]));
+        let cand = make_cand(shape, a, b, &raw, n);
+        assert_group_by_matches(&strs, Some(&bools), cand.as_ref());
+        assert_group_by_matches(&bools, Some(&strs), cand.as_ref());
+    }
+
+    #[test]
+    fn group_by_out_of_range_candidates_name_the_first_offender(
+        keys in small_ints(),
+        start in 0usize..80,
+        len in 0usize..20,
+        raw in raw_positions(),
+    ) {
+        let bat = Bat::from_ints(keys);
+        let dense = Candidates::Dense(start..start + len);
+        assert_group_by_matches(&bat, None, Some(&dense));
+        let positions = Candidates::from_positions(raw).unwrap();
+        assert_group_by_matches(&bat, None, Some(&positions));
+    }
+}
+
+/// The span at which `group_by` leaves direct addressing is an internal
+/// constant; these sweep keys `{0, span}` over a fixed row count so some
+/// span lands exactly on it and the next one past it, whatever it is.
+#[test]
+fn group_by_is_the_same_on_both_sides_of_the_direct_address_limit() {
+    let rows = 16usize;
+    for span in 0..(8 * rows as i64) {
+        for nil in [false, true] {
+            let mut keys: Vec<i64> = (0..rows as i64)
+                .map(|i| if i % 3 == 0 { span } else { i % 2 })
+                .collect();
+            if nil {
+                keys[5] = NIL_INT;
+            }
+            let bat = Bat::from_ints(keys);
+            let second = Bat::from_ints((0..rows as i64).map(|i| i % 4).collect());
+            assert_group_by_matches(&bat, Some(&second), None);
+            // Refinement multiplies the table by the groups refined.
+            assert_group_by_matches(&second, Some(&bat), None);
+        }
+    }
+}
+
+#[test]
+fn group_by_edge_cases_match_reference() {
+    let cases: Vec<Vec<i64>> = vec![
+        vec![],
+        vec![42],
+        vec![NIL_INT],
+        vec![NIL_INT; 9],
+        vec![-3, -1, -3, -2, -1, NIL_INT, -3],
+        // The span `MAX - (MIN + 1)` overflows `i64`.
+        vec![i64::MAX, i64::MIN + 1, i64::MAX, 0, i64::MIN + 1],
+        vec![i64::MAX, NIL_INT, i64::MIN + 1, NIL_INT],
+        vec![i64::MAX, i64::MAX - 1, i64::MAX],
+        vec![i64::MIN + 1, i64::MIN + 2, i64::MIN + 1, NIL_INT],
+    ];
+    for keys in cases {
+        let n = keys.len();
+        let bat = Bat::from_ints(keys);
+        let second = Bat::from_ints((0..n as i64).map(|i| i % 2).collect());
+        assert_group_by_matches(&bat, Some(&second), None);
+        assert_group_by_matches(&second, Some(&bat), None);
+        if n > 1 {
+            let cand = Candidates::from_positions(vec![0, n - 1]).unwrap();
+            assert_group_by_matches(&bat, Some(&second), Some(&cand));
+            assert_group_by_matches(&bat, None, Some(&Candidates::Dense(1..n)));
+        }
+    }
+    // A dictionary far larger than the candidate set: 500 distinct strings,
+    // three candidate rows.
+    let words: Vec<String> = (0..500).map(|i| format!("w{i}")).collect();
+    let mut col = Column::from_strs(&words);
+    col.push_nil();
+    let strs = Bat::new(col);
+    let cand = Candidates::from_positions(vec![3, 499, 500]).unwrap();
+    assert_group_by_matches(&strs, None, Some(&cand));
+    assert_group_by_matches(&strs, None, None);
 }

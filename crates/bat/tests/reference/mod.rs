@@ -237,3 +237,67 @@ pub fn ref_grouped_agg(func: AggFunc, bat: &Bat, g: &Grouping) -> Result<Vec<Val
         .map(|acc| acc.finish(func, bat.data_type()))
         .collect()
 }
+
+/// GROUP BY key identity: nil is one key, floats compare by value (so
+/// `-0.0` and `0.0` are one key, unlike [`values_eq`]), anything else by
+/// equality.
+fn same_key(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (x, y) if x.is_nil() || y.is_nil() => x.is_nil() && y.is_nil(),
+        (Value::Float(x), Value::Float(y)) => x == y,
+        _ => values_eq(a, b),
+    }
+}
+
+/// Row-wise `group_by`: one linear search through the `(prev id, key)`
+/// pairs seen so far per row, so ids are numbered by first appearance and a
+/// group's representative is its first member by construction.
+pub fn ref_group_by(
+    bat: &Bat,
+    prev: Option<&Grouping>,
+    cand: Option<&Candidates>,
+) -> Result<Grouping> {
+    let rows = match prev {
+        Some(g) => g.rows.clone(),
+        None => positions_of(cand, bat.len()),
+    };
+    if let Some(&pos) = rows.iter().find(|&&p| p >= bat.len()) {
+        return Err(BatError::PositionOutOfRange {
+            pos,
+            len: bat.len(),
+        });
+    }
+    if let Some(g) = prev {
+        if g.ids.len() != rows.len() {
+            return Err(BatError::Misaligned {
+                op: "group_by",
+                left: g.ids.len(),
+                right: rows.len(),
+            });
+        }
+    }
+    let mut seen: Vec<(usize, Value)> = Vec::new();
+    let mut ids = Vec::new();
+    let mut representatives = Vec::new();
+    for (i, &p) in rows.iter().enumerate() {
+        let key = (prev.map_or(0, |g| g.ids[i]), bat.get(p)?);
+        let id = match seen
+            .iter()
+            .position(|(g, v)| *g == key.0 && same_key(v, &key.1))
+        {
+            Some(id) => id,
+            None => {
+                seen.push(key);
+                representatives.push(p);
+                seen.len() - 1
+            }
+        };
+        ids.push(id);
+    }
+    Ok(Grouping {
+        n_groups: seen.len(),
+        ids,
+        representatives,
+        rows,
+    })
+}

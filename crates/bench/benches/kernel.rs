@@ -5,8 +5,9 @@
 //! - the original `kernel/*` groups keep their historical names so runs stay
 //!   comparable release-to-release (element throughput);
 //! - the `matrix/*` groups sweep type × operator × selectivity × candidate
-//!   shape and report GB/s of tail data scanned (see docs/kernels.md for how
-//!   to read them).
+//!   shape and report GB/s of tail data scanned — `matrix/group`, key
+//!   cardinality × candidate shape, rows per second (see docs/kernels.md for
+//!   how to read them).
 //!
 //! `cargo bench --bench kernel -- --test` runs every closure exactly once
 //! (no timing windows) as a CI smoke test.
@@ -273,6 +274,48 @@ fn bench_matrix_aggregate(c: &mut Criterion) {
     g.finish();
 }
 
+/// Key cardinality × candidate shape. Cardinality decides the table
+/// (`dense` domains are direct-addressed, `sparse` ones — the same number of
+/// distinct keys spread over a wide range — hash), the shape decides
+/// whether keys are read as a slice or gathered.
+fn bench_matrix_group(c: &mut Criterion) {
+    let half = every_other(N);
+    let mut g = c.benchmark_group("matrix/group");
+    g.throughput(Throughput::Elements(N as u64));
+    for groups in [16i64, 256, 4096, 65_536] {
+        let dense = Bat::from_ints(ints(N, groups, 51));
+        let sparse = Bat::from_ints(ints(N, groups, 52).iter().map(|k| k * 1_000_003).collect());
+        for (keys, domain) in [(&dense, "dense"), (&sparse, "sparse")] {
+            for (cand, shape) in [(None, "all"), (Some(&half), "pos50")] {
+                g.bench_function(format!("i64/{groups}/{domain}/{shape}"), |b| {
+                    b.iter(|| group_by(keys, None, cand).unwrap())
+                });
+            }
+        }
+    }
+    let first = Bat::from_ints(ints(N, 256, 53));
+    let second = Bat::from_ints(ints(N, 16, 54));
+    let grouping = group_by(&first, None, None).unwrap();
+    g.bench_function("i64/256x16/refine", |b| {
+        b.iter(|| group_by(&second, Some(&grouping), None).unwrap())
+    });
+    let pool: Vec<String> = (0..1000).map(|i| format!("key{i:04}")).collect();
+    let idx = ints(N, 1000, 55);
+    let strs = Bat::from_strs(
+        &idx.iter()
+            .map(|&i| pool[i as usize].as_str())
+            .collect::<Vec<_>>(),
+    );
+    g.bench_function("str/1000/all", |b| {
+        b.iter(|| group_by(&strs, None, None).unwrap())
+    });
+    let floats = Bat::from_floats(floats(N, 256, 56));
+    g.bench_function("f64/256/all", |b| {
+        b.iter(|| group_by(&floats, None, None).unwrap())
+    });
+    g.finish();
+}
+
 fn bench_matrix_join(c: &mut Criterion) {
     let l = Bat::from_ints(ints(N, 50_000, 41));
     let r = Bat::from_ints(ints(10_000, 50_000, 42));
@@ -313,6 +356,7 @@ criterion_group!(
     bench_matrix_select,
     bench_matrix_calc,
     bench_matrix_aggregate,
+    bench_matrix_group,
     bench_matrix_join
 );
 criterion_main!(benches);

@@ -5,8 +5,9 @@
 //! shipped in `datacell-bat`, and an in-binary scalar comparator that boxes
 //! one [`Value`] per row (the pre-vectorization implementation shape, and
 //! the same oracle the differential proptest tier checks against). The
-//! table reports GB/s of tail data scanned and the speedup of the
-//! vectorized loop; results are cross-checked for agreement before timing.
+//! table reports GB/s of tail data scanned, input Mtuples/s and the speedup
+//! of the vectorized loop; results are cross-checked for agreement before
+//! timing (a mismatch aborts the run, which is what CI's smoke run checks).
 //!
 //! Usage: `exp13_kernels [rows]` (default 1,000,000).
 //!
@@ -18,6 +19,7 @@ use std::time::Instant;
 
 use datacell_bat::aggregate::{scalar_agg, Accumulator, AggFunc};
 use datacell_bat::calc::{arith, ArithOp, Operand};
+use datacell_bat::group::group_by;
 use datacell_bat::join::hash_join;
 use datacell_bat::select::{select_range, theta_select, CmpOp};
 use datacell_bat::types::Value;
@@ -48,8 +50,33 @@ fn time(mut f: impl FnMut()) -> f64 {
 struct Row {
     name: &'static str,
     bytes: u64,
+    /// Input rows per iteration (for the Mtuples/s column).
+    tuples: u64,
     vec_ns: f64,
     scalar_ns: f64,
+}
+
+/// Row-at-a-time `group_by`: one boxed [`Value`] per row into a std
+/// `HashMap` keyed by `(refined group, key)` — the implementation shape the
+/// typed kernel replaced. Returns `(ids, representatives)`.
+fn scalar_group<K: std::hash::Hash + Eq>(
+    bat: &Bat,
+    prev: Option<&[usize]>,
+    key: impl Fn(Value) -> K,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut map: std::collections::HashMap<(usize, K), usize> = std::collections::HashMap::new();
+    let mut reps = Vec::new();
+    let ids = (0..bat.len())
+        .map(|p| {
+            let k = (prev.map_or(0, |g| g[p]), key(bat.get(p).unwrap()));
+            let next = map.len();
+            *map.entry(k).or_insert_with(|| {
+                reps.push(p);
+                next
+            })
+        })
+        .collect();
+    (ids, reps)
 }
 
 fn main() {
@@ -97,6 +124,7 @@ fn main() {
     results.push(Row {
         name: "select/range_i64_50%",
         bytes: 8 * rows as u64,
+        tuples: rows as u64,
         vec_ns: time(|| {
             black_box(vec_sel());
         }),
@@ -126,6 +154,7 @@ fn main() {
     results.push(Row {
         name: "select/range_f64_50%",
         bytes: 8 * rows as u64,
+        tuples: rows as u64,
         vec_ns: time(|| {
             black_box(vec_fsel());
         }),
@@ -150,6 +179,7 @@ fn main() {
     results.push(Row {
         name: "select/theta_eq_i64",
         bytes: 8 * rows as u64,
+        tuples: rows as u64,
         vec_ns: time(|| {
             black_box(vec_theta());
         }),
@@ -172,6 +202,7 @@ fn main() {
         results.push(Row {
             name,
             bytes: 8 * rows as u64,
+            tuples: rows as u64,
             vec_ns: time(|| {
                 black_box(vec_sum());
             }),
@@ -197,6 +228,7 @@ fn main() {
     results.push(Row {
         name: "calc/add_i64_col_col",
         bytes: 16 * rows as u64,
+        tuples: rows as u64,
         vec_ns: time(|| {
             black_box(vec_add());
         }),
@@ -231,6 +263,7 @@ fn main() {
     results.push(Row {
         name: "join/hash_i64",
         bytes: 8 * (rows / 5 + 10_000) as u64,
+        tuples: (rows / 5 + 10_000) as u64,
         vec_ns: time(|| {
             black_box(vec_join());
         }),
@@ -282,6 +315,7 @@ fn main() {
     results.push(Row {
         name: "join/hash_str",
         bytes: 4 * (rows / 50 + 2_000) as u64,
+        tuples: (rows / 50 + 2_000) as u64,
         vec_ns: time(|| {
             black_box(vec_sjoin());
         }),
@@ -290,21 +324,98 @@ fn main() {
         }),
     });
 
-    let table = TablePrinter::new(&["kernel", "ns/iter", "GB/s", "scalar ns/iter", "speedup"]);
+    // --- group_by: direct-addressed, hashed, dictionary codes, refinement --
+    let int_key = |v: Value| v.as_int();
+    let str_key = |v: Value| v.as_str().map(str::to_string);
+    let dense_keys = Bat::from_ints(ints(rows, 256, 8));
+    let sparse_keys = Bat::from_ints(ints(rows, 256, 9).iter().map(|k| k * 1_000_003).collect());
+    let sidx = ints(rows, 2000, 10);
+    let str_keys = Bat::from_strs(
+        &sidx
+            .iter()
+            .map(|&i| pool[i as usize].as_str())
+            .collect::<Vec<_>>(),
+    );
+    for (name, bat, width) in [
+        ("group/i64_dense_256", &dense_keys, 8),
+        ("group/i64_sparse_256", &sparse_keys, 8),
+    ] {
+        let g = group_by(bat, None, None).unwrap();
+        assert_eq!((g.ids, g.representatives), scalar_group(bat, None, int_key));
+        results.push(Row {
+            name,
+            bytes: width * rows as u64,
+            tuples: rows as u64,
+            vec_ns: time(|| {
+                black_box(group_by(bat, None, None).unwrap());
+            }),
+            scalar_ns: time(|| {
+                black_box(scalar_group(bat, None, int_key));
+            }),
+        });
+    }
+    let g = group_by(&str_keys, None, None).unwrap();
+    assert_eq!(
+        (g.ids, g.representatives),
+        scalar_group(&str_keys, None, str_key)
+    );
+    results.push(Row {
+        name: "group/str_dict_2000",
+        bytes: 4 * rows as u64,
+        tuples: rows as u64,
+        vec_ns: time(|| {
+            black_box(group_by(&str_keys, None, None).unwrap());
+        }),
+        scalar_ns: time(|| {
+            black_box(scalar_group(&str_keys, None, str_key));
+        }),
+    });
+    // Two-column grouping: 256 keys refined by 16.
+    let second = Bat::from_ints(ints(rows, 16, 11));
+    let first = group_by(&dense_keys, None, None).unwrap();
+    let refined = group_by(&second, Some(&first), None).unwrap();
+    assert_eq!(
+        (refined.ids, refined.representatives),
+        scalar_group(&second, Some(&first.ids), int_key)
+    );
+    results.push(Row {
+        name: "group/refine_256x16",
+        bytes: 16 * rows as u64,
+        tuples: rows as u64,
+        vec_ns: time(|| {
+            let first = group_by(&dense_keys, None, None).unwrap();
+            black_box(group_by(&second, Some(&first), None).unwrap());
+        }),
+        scalar_ns: time(|| {
+            let (first, _) = scalar_group(&dense_keys, None, int_key);
+            black_box(scalar_group(&second, Some(&first), int_key));
+        }),
+    });
+
+    let table = TablePrinter::new(&[
+        "kernel",
+        "ns/iter",
+        "GB/s",
+        "Mtuples/s",
+        "scalar ns/iter",
+        "speedup",
+    ]);
     let mut json = Vec::new();
     for r in &results {
         let gbps = r.bytes as f64 / r.vec_ns;
+        let mtuples = r.tuples as f64 * 1e3 / r.vec_ns;
         let speedup = r.scalar_ns / r.vec_ns;
         table.row(&[
             r.name.to_string(),
             format!("{:.0}", r.vec_ns),
             format!("{gbps:.2}"),
+            format!("{mtuples:.1}"),
             format!("{:.0}", r.scalar_ns),
             format!("{speedup:.1}x"),
         ]);
         json.push(format!(
             "{{\"name\":\"{}\",\"ns_per_iter\":{:.0},\"gbps\":{gbps:.3},\
-             \"scalar_ns_per_iter\":{:.0},\"speedup\":{speedup:.2}}}",
+             \"mtuples_s\":{mtuples:.2},\"scalar_ns_per_iter\":{:.0},\"speedup\":{speedup:.2}}}",
             r.name, r.vec_ns, r.scalar_ns
         ));
     }

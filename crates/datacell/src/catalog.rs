@@ -5,6 +5,7 @@
 //! stored table (Linear Road joins position reports with the accounts
 //! table), exactly the reuse the paper argues for.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -95,18 +96,20 @@ impl SchemaProvider for StreamCatalog {
 }
 
 /// The data source a factory step executes against: pre-taken basket
-/// snapshots, falling back to stored tables.
+/// snapshots, falling back to stored tables. Both are lent to the
+/// interpreter, never copied.
 pub struct StepSource<'a> {
-    /// Snapshots of the factory's input baskets, by name.
-    pub snapshots: &'a HashMap<String, Chunk>,
+    /// Snapshots of the step's input baskets as `(basket name, snapshot)`
+    /// — one or two entries, so a scan resolves by a linear match.
+    pub snapshots: &'a [(&'a str, &'a Chunk)],
     /// Stored tables for joins against relational state.
     pub tables: Option<&'a Catalog>,
 }
 
 impl datacell_engine::DataSource for StepSource<'_> {
-    fn scan(&self, table: &str) -> datacell_bat::error::Result<Chunk> {
-        if let Some(c) = self.snapshots.get(table) {
-            return Ok(c.clone());
+    fn scan(&self, table: &str) -> datacell_bat::error::Result<Cow<'_, Chunk>> {
+        if let Some((_, c)) = self.snapshots.iter().find(|(name, _)| *name == table) {
+            return Ok(Cow::Borrowed(c));
         }
         match self.tables {
             Some(t) => t.scan(table),
@@ -148,13 +151,9 @@ mod tests {
     #[test]
     fn step_source_prefers_snapshots() {
         use datacell_engine::DataSource;
-        let mut snaps = HashMap::new();
-        snaps.insert(
-            "b".to_string(),
-            Chunk::empty(Schema::new(vec![("x".into(), DataType::Int)])),
-        );
+        let snap = Chunk::empty(Schema::new(vec![("x".into(), DataType::Int)]));
         let src = StepSource {
-            snapshots: &snaps,
+            snapshots: &[("b", &snap)],
             tables: None,
         };
         assert!(src.scan("b").is_ok());

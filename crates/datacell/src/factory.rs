@@ -35,7 +35,7 @@
 //! consumers of one basket are serialized even under the parallel worker
 //! pool (cascades additionally serialize via control tokens).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,6 +59,14 @@ pub enum InputMode {
     /// Shared-baskets discipline: read from this reader's cursor; tuples
     /// are removed only when every reader has passed them.
     Shared(ReaderId),
+}
+
+/// What one firing holds of an input between snapshot and consumption.
+enum Cursor {
+    /// Layout anchor of an exclusive snapshot.
+    Exclusive(ExclusiveAnchor),
+    /// The shared reader and the oid its snapshot ended at.
+    Shared(ReaderId, u64),
 }
 
 /// One data input of a factory.
@@ -353,9 +361,9 @@ impl Factory {
         let budget = max_tuples.max(self.min_tuples);
         let started = Instant::now();
 
-        // 1. Snapshot inputs, at most `budget` tuples each.
-        let mut snapshots: HashMap<String, Chunk> = HashMap::new();
-        let mut shared_ends: HashMap<String, u64> = HashMap::new();
+        // 1. Snapshot inputs, at most `budget` tuples each. `snapshots` and
+        // `cursors` stay aligned with `self.inputs`.
+        //
         // Exclusive snapshots are anchored to the basket's layout epoch: a
         // concurrent `ShedOldest` eviction between snapshot and
         // consumption shifts positions, and consuming by stale positions
@@ -363,29 +371,33 @@ impl Factory {
         // (at-most-once under shedding). The snapshot is budgeted and
         // segment-aware: a spilled backlog is served from disk in
         // budget-sized bites instead of being re-materialized whole.
-        let mut exclusive_anchors: HashMap<String, ExclusiveAnchor> = HashMap::new();
-        let mut tuples_in = 0usize;
+        let mut snapshots: Vec<Chunk> = Vec::with_capacity(self.inputs.len());
+        let mut cursors: Vec<Cursor> = Vec::with_capacity(self.inputs.len());
         for input in &self.inputs {
-            let name = input.basket.name().to_string();
-            let chunk = match input.mode {
+            let (chunk, cursor) = match input.mode {
                 InputMode::Exclusive => {
                     let (chunk, anchor) = input.basket.snapshot_exclusive(budget);
-                    exclusive_anchors.insert(name.clone(), anchor);
-                    chunk
+                    (chunk, Cursor::Exclusive(anchor))
                 }
                 InputMode::Shared(r) => {
                     let (chunk, end) = input.basket.snapshot_for_reader(r, budget);
-                    shared_ends.insert(name.clone(), end);
-                    chunk
+                    (chunk, Cursor::Shared(r, end))
                 }
             };
-            tuples_in += chunk.len();
-            snapshots.insert(name, chunk);
+            snapshots.push(chunk);
+            cursors.push(cursor);
         }
+        let tuples_in: usize = snapshots.iter().map(Chunk::len).sum();
 
-        // 2. Execute the plan over the snapshots.
+        // 2. Execute the plan over the snapshots, which it reads in place.
+        let lent: Vec<(&str, &Chunk)> = self
+            .inputs
+            .iter()
+            .zip(&snapshots)
+            .map(|(input, chunk)| (input.basket.name(), chunk))
+            .collect();
         let src = StepSource {
-            snapshots: &snapshots,
+            snapshots: &lent,
             tables,
         };
         let outcome = execute(&self.plan, &src)?;
@@ -404,36 +416,29 @@ impl Factory {
         // 4. Consumption (§2.6 side effect). Appends that slipped in since
         // the snapshot sit past the snapshot positions and are untouched.
         let mut consumed = 0usize;
-        // Merge candidates per basket (a self-join of one basket reports it
-        // twice).
-        let mut merged: HashMap<&str, Candidates> = HashMap::new();
-        for (name, cands) in &outcome.consumed {
-            merged
-                .entry(name.as_str())
-                .and_modify(|c| *c = c.union(cands))
-                .or_insert_with(|| cands.clone());
-        }
-        for input in &self.inputs {
-            let name = input.basket.name();
-            match input.mode {
-                InputMode::Exclusive => {
-                    let Some(anchor) = exclusive_anchors.get(name) else {
-                        continue;
-                    };
-                    if self.drain_inputs {
-                        let n = snapshots.get(name).map_or(0, Chunk::len);
-                        consumed += input
-                            .basket
-                            .consume_exclusive(anchor, &Candidates::all(n))?;
-                    } else if let Some(cands) = merged.get(name) {
-                        consumed += input.basket.consume_exclusive(anchor, cands)?;
+        for ((input, snapshot), cursor) in self.inputs.iter().zip(&snapshots).zip(&cursors) {
+            match cursor {
+                Cursor::Exclusive(anchor) if self.drain_inputs => {
+                    consumed += input
+                        .basket
+                        .consume_exclusive(anchor, &Candidates::all(snapshot.len()))?;
+                }
+                Cursor::Exclusive(anchor) => {
+                    // A self-join of one basket reports it once per scan.
+                    let mut reports = outcome
+                        .consumed
+                        .iter()
+                        .filter(|(name, _)| name == input.basket.name())
+                        .map(|(_, cands)| cands);
+                    if let Some(first) = reports.next() {
+                        let merged =
+                            reports.fold(Cow::Borrowed(first), |m, c| Cow::Owned(m.union(c)));
+                        consumed += input.basket.consume_exclusive(anchor, &merged)?;
                     }
                 }
-                InputMode::Shared(r) => {
-                    if let Some(&end) = shared_ends.get(name) {
-                        input.basket.commit_reader(r, end);
-                        consumed += snapshots.get(name).map_or(0, Chunk::len);
-                    }
+                Cursor::Shared(r, end) => {
+                    input.basket.commit_reader(*r, *end);
+                    consumed += snapshot.len();
                 }
             }
         }

@@ -14,6 +14,7 @@
 //!   once — registration via `CREATE CONTINUOUS QUERY` is what makes it
 //!   continual.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,9 +64,9 @@ pub enum CellResult {
 struct CatalogSource<'a>(&'a StreamCatalog);
 
 impl DataSource for CatalogSource<'_> {
-    fn scan(&self, table: &str) -> datacell_bat::error::Result<Chunk> {
+    fn scan(&self, table: &str) -> datacell_bat::error::Result<Cow<'_, Chunk>> {
         if let Ok(b) = self.0.basket(table) {
-            return Ok(b.snapshot());
+            return Ok(Cow::Owned(b.snapshot()));
         }
         self.0.tables.scan(table)
     }
@@ -493,7 +494,7 @@ impl DataCell {
                 }
                 drop(cat);
                 let mut cat = self.catalog.write();
-                let schema = cat.tables.table(&table)?.schema.clone();
+                let schema = cat.tables.table(&table)?.schema().clone();
                 let bound = bind_insert_rows(&rows, columns.as_deref(), &schema)
                     .map_err(DataCellError::Sql)?;
                 let t = cat.tables.table_mut(&table)?;
@@ -526,12 +527,13 @@ impl DataCell {
                 let bound = bind_query(&q, &*cat)?;
                 let optimized = datacell_sql::optimizer::optimize(bound);
                 let (plan, _) = datacell_sql::physical::plan(optimized)?;
-                let outcome = execute(&plan, &CatalogSource(&cat)).map_err(sql_err)?;
+                let src = CatalogSource(&cat);
+                let outcome = execute(&plan, &src).map_err(sql_err)?;
                 // One-shot consumption of basket expressions (§2.6).
                 for (basket, cands) in &outcome.consumed {
                     cat.basket(basket)?.consume_positions(cands)?;
                 }
-                Ok(CellResult::Rows(outcome.chunk))
+                Ok(CellResult::Rows(outcome.chunk.into_owned()))
             }
             Statement::Drop { kind, name } => match kind {
                 DropKind::Table => {
@@ -612,8 +614,8 @@ impl DataCell {
                 let bound = bind_query(&q, &*cat)?;
                 let optimized = datacell_sql::optimizer::optimize(bound);
                 let (plan, _) = datacell_sql::physical::plan(optimized)?;
-                let (outcome, stats) =
-                    execute_traced(&plan, &CatalogSource(&cat)).map_err(sql_err)?;
+                let src = CatalogSource(&cat);
+                let (outcome, stats) = execute_traced(&plan, &src).map_err(sql_err)?;
                 for (basket, cands) in &outcome.consumed {
                     cat.basket(basket)?.consume_positions(cands)?;
                 }

@@ -153,13 +153,11 @@ impl ReEvalWindow {
     /// result rows (delivery happens once per step, after every window of
     /// the step has evaluated).
     fn evaluate_window(&self, window: &Chunk, tables: Option<&Catalog>) -> Result<Chunk> {
-        let mut snapshots = std::collections::HashMap::new();
-        snapshots.insert(self.input.name().to_string(), window.clone());
         let src = StepSource {
-            snapshots: &snapshots,
+            snapshots: &[(self.input.name(), window)],
             tables,
         };
-        Ok(execute(&self.plan, &src)?.chunk)
+        Ok(execute(&self.plan, &src)?.chunk.into_owned())
     }
 
     /// Declare the input stream quiescent and close the remaining

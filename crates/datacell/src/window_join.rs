@@ -39,7 +39,6 @@
 //! the step in one non-waiting append, and only then commit state and
 //! cursors — a full bounded output defers the whole step losslessly.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -408,22 +407,28 @@ impl WindowJoin {
                     break;
                 }
             }
-            let mut snapshots = HashMap::new();
-            let mut any_tuples = false;
-            for (s, st) in self.sides.iter().zip(&work) {
-                let chunk = Self::window_chunk(s, st, anchor, k)?;
-                any_tuples |= !chunk.is_empty();
-                snapshots.insert(s.basket.name().to_string(), chunk);
-            }
+            let windows = self
+                .sides
+                .iter()
+                .zip(&work)
+                .map(|(s, st)| Self::window_chunk(s, st, anchor, k))
+                .collect::<Result<Vec<Chunk>>>()?;
+            let any_tuples = windows.iter().any(|w| !w.is_empty());
             // Flush mode sweeps window indices toward the horizons; skip
             // the plan for windows every source left empty (a ts gap) —
             // they cannot contribute join rows.
             if any_tuples || !closing {
+                let lent: Vec<(&str, &Chunk)> = self
+                    .sides
+                    .iter()
+                    .zip(&windows)
+                    .map(|(s, w)| (s.basket.name(), w))
+                    .collect();
                 let src = StepSource {
-                    snapshots: &snapshots,
+                    snapshots: &lent,
                     tables,
                 };
-                let result = execute(&self.plan, &src)?.chunk;
+                let result = execute(&self.plan, &src)?.chunk.into_owned();
                 produced += result.len();
                 windows_run += 1;
                 match &mut out {

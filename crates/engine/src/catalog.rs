@@ -1,5 +1,6 @@
 //! The catalog: named tables, and the [`SchemaProvider`] the binder uses.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use datacell_bat::error::{BatError, Result};
@@ -72,7 +73,7 @@ impl Catalog {
 
 impl SchemaProvider for Catalog {
     fn get_schema(&self, name: &str) -> Option<Schema> {
-        self.tables.get(name).map(|t| t.schema.clone())
+        self.tables.get(name).map(|t| t.schema().clone())
     }
 
     fn is_basket(&self, _name: &str) -> bool {
@@ -81,8 +82,8 @@ impl SchemaProvider for Catalog {
 }
 
 impl DataSource for Catalog {
-    fn scan(&self, table: &str) -> Result<Chunk> {
-        Ok(self.table(table)?.snapshot())
+    fn scan(&self, table: &str) -> Result<Cow<'_, Chunk>> {
+        Ok(Cow::Borrowed(self.table(table)?.chunk()))
     }
 }
 

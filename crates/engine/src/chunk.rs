@@ -75,18 +75,11 @@ impl Chunk {
 
     /// Gather the rows selected by `cands` into a new chunk.
     pub fn gather(&self, cands: &Candidates) -> Result<Chunk> {
-        let columns = match cands {
-            Candidates::Dense(r) => self
-                .columns
-                .iter()
-                .map(|c| c.slice(r.start, r.end.min(c.len())))
-                .collect::<Result<Vec<_>>>()?,
-            Candidates::Positions(p) => self
-                .columns
-                .iter()
-                .map(|c| c.take(p))
-                .collect::<Result<Vec<_>>>()?,
-        };
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| gather_column(c, cands))
+            .collect::<Result<Vec<_>>>()?;
         Ok(Chunk {
             schema: self.schema.clone(),
             columns,
@@ -167,6 +160,15 @@ impl Chunk {
             out.push('\n');
         }
         out
+    }
+}
+
+/// The rows of `col` selected by `cands`, as a new column: a slice copy
+/// for a dense range, a positional gather otherwise.
+pub(crate) fn gather_column(col: &Column, cands: &Candidates) -> Result<Column> {
+    match cands {
+        Candidates::Dense(r) => col.slice(r.start, r.end.min(col.len())),
+        Candidates::Positions(p) => col.take(p),
     }
 }
 

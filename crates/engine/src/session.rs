@@ -98,7 +98,7 @@ impl Session {
                     .catalog
                     .table(&table)
                     .map_err(SqlError::Kernel)?
-                    .schema
+                    .schema()
                     .clone();
                 let bound = bind_insert_rows(&rows, columns.as_deref(), &schema)?;
                 let t = self.catalog.table_mut(&table).map_err(SqlError::Kernel)?;
@@ -113,7 +113,7 @@ impl Session {
                     .catalog
                     .table(&table)
                     .map_err(SqlError::Kernel)?
-                    .snapshot();
+                    .chunk();
                 let cands = match predicate {
                     None => datacell_bat::Candidates::all(snapshot.len()),
                     Some(ast_pred) => {
@@ -142,7 +142,7 @@ impl Session {
                             }
                         });
                         match pred {
-                            Some(p) => eval_predicate(&p, &snapshot)?,
+                            Some(p) => eval_predicate(&p, snapshot)?,
                             None => datacell_bat::Candidates::all(snapshot.len()),
                         }
                     }
@@ -156,7 +156,7 @@ impl Session {
                 let optimized = datacell_sql::optimizer::optimize(bound);
                 let (plan, _) = datacell_sql::physical::plan(optimized)?;
                 let outcome = execute(&plan, &self.catalog)?;
-                Ok(StatementResult::Rows(outcome.chunk))
+                Ok(StatementResult::Rows(outcome.chunk.into_owned()))
             }
             Statement::Drop { kind, name } => match kind {
                 DropKind::Table => {

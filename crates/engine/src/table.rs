@@ -14,25 +14,27 @@ use crate::chunk::Chunk;
 pub struct Table {
     /// Table name.
     pub name: String,
-    /// Schema.
-    pub schema: Schema,
-    columns: Vec<Column>,
+    /// Schema and columns, kept as one chunk so a scan can lend them.
+    data: Chunk,
 }
 
 impl Table {
     /// Create an empty table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        let columns = schema.columns.iter().map(|c| Column::empty(c.ty)).collect();
         Table {
             name: name.into(),
-            schema,
-            columns,
+            data: Chunk::empty(schema),
         }
+    }
+
+    /// Schema.
+    pub fn schema(&self) -> &Schema {
+        &self.data.schema
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.columns.first().map_or(0, Column::len)
+        self.data.len()
     }
 
     /// True iff the table has no rows.
@@ -43,16 +45,16 @@ impl Table {
     /// Append one row (values must match the schema arity; types are
     /// coerced when lossless).
     pub fn append_row(&mut self, row: &[Value]) -> Result<()> {
-        if row.len() != self.schema.len() {
+        if row.len() != self.schema().len() {
             return Err(BatError::Misaligned {
                 op: "append_row",
                 left: row.len(),
-                right: self.schema.len(),
+                right: self.schema().len(),
             });
         }
         // Validate all values first so a failed append cannot leave columns
         // with ragged lengths.
-        for (v, cd) in row.iter().zip(&self.schema.columns) {
+        for (v, cd) in row.iter().zip(&self.data.schema.columns) {
             if !v.is_nil() && v.coerce_to(cd.ty).is_none() {
                 return Err(BatError::TypeMismatch {
                     op: "append_row",
@@ -61,7 +63,7 @@ impl Table {
                 });
             }
         }
-        for (v, c) in row.iter().zip(&mut self.columns) {
+        for (v, c) in row.iter().zip(&mut self.data.columns) {
             c.push(v)?;
         }
         Ok(())
@@ -69,14 +71,14 @@ impl Table {
 
     /// Append all rows of a chunk (schema types must match positionally).
     pub fn append_chunk(&mut self, chunk: &Chunk) -> Result<()> {
-        if chunk.schema.len() != self.schema.len() {
+        if chunk.schema.len() != self.schema().len() {
             return Err(BatError::Misaligned {
                 op: "append_chunk",
                 left: chunk.schema.len(),
-                right: self.schema.len(),
+                right: self.schema().len(),
             });
         }
-        for (a, b) in self.columns.iter_mut().zip(&chunk.columns) {
+        for (a, b) in self.data.columns.iter_mut().zip(&chunk.columns) {
             a.append_column(b)?;
         }
         Ok(())
@@ -84,15 +86,17 @@ impl Table {
 
     /// Snapshot the current contents as a chunk.
     pub fn snapshot(&self) -> Chunk {
-        Chunk {
-            schema: self.schema.clone(),
-            columns: self.columns.clone(),
-        }
+        self.data.clone()
+    }
+
+    /// Borrow the current contents (what a scan lends the interpreter).
+    pub fn chunk(&self) -> &Chunk {
+        &self.data
     }
 
     /// Borrow the stored columns.
     pub fn columns(&self) -> &[Column] {
-        &self.columns
+        &self.data.columns
     }
 
     /// Delete the rows at `positions` (ascending), returning how many were
@@ -100,7 +104,7 @@ impl Table {
     pub fn delete_positions(&mut self, positions: &Candidates) -> Result<usize> {
         let keep = positions.complement(self.len());
         let keep_pos = keep.to_positions();
-        for c in &mut self.columns {
+        for c in &mut self.data.columns {
             c.retain_positions(&keep_pos)?;
         }
         Ok(positions.len())
@@ -108,14 +112,14 @@ impl Table {
 
     /// Remove all rows.
     pub fn clear(&mut self) {
-        for c in &mut self.columns {
+        for c in &mut self.data.columns {
             c.clear();
         }
     }
 
     /// Total heap footprint in bytes.
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(Column::byte_size).sum()
+        self.data.columns.iter().map(Column::byte_size).sum()
     }
 }
 

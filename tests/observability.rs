@@ -261,6 +261,64 @@ fn explain_analyze_row_counts_match_a_real_subscriber() {
 }
 
 #[test]
+fn explain_analyze_counts_selected_rows_not_borrowed_ones() {
+    // The interpreter passes a borrowed chunk plus a candidate list between
+    // operators and copies rows late; `rows_out` must still be what each
+    // operator *selected*: 1 000 rows in, half of them pass, ten groups.
+    let cell = DataCell::builder().auto_start(true).build();
+    let values: Vec<String> = (0..1000).map(|i| format!("({}, {i})", i % 10)).collect();
+    let analyzed_line = |p: &str, op: &str| -> String {
+        p.lines()
+            .find(|l| l.contains(op))
+            .unwrap_or_else(|| panic!("no {op} in {p}"))
+            .to_string()
+    };
+
+    // Stored table: the predicate is fused into the scan.
+    cell.execute("create table t (k int, v int)").unwrap();
+    cell.execute(&format!("insert into t values {}", values.join(", ")))
+        .unwrap();
+    let p = plan(
+        cell.execute("explain analyze select k, count(*) from t where v < 500 group by k")
+            .unwrap(),
+    );
+    let scan = analyzed_line(&p, "ScanTable");
+    assert!(scan.contains("rows_out=500"), "scan selects half: {p}");
+    let agg = analyzed_line(&p, "HashAggregate");
+    assert!(
+        agg.contains("rows_in=500") && agg.contains("rows_out=10"),
+        "aggregate reads the selected rows and emits the groups: {p}"
+    );
+
+    // Basket expression: the predicate sits in a Filter above a full scan.
+    // No continuous query reads `b`, so nothing races the one-shot run.
+    cell.execute("create basket b (k int, v int)").unwrap();
+    cell.execute(&format!("insert into b values {}", values.join(", ")))
+        .unwrap();
+    let p = plan(
+        cell.execute(
+            "explain analyze select s.k, count(*) from [select * from b] as s \
+             where s.v < 500 group by s.k",
+        )
+        .unwrap(),
+    );
+    let scan = analyzed_line(&p, "ScanTable");
+    assert!(scan.contains("rows_out=1000"), "scan selects all: {p}");
+    let filter = analyzed_line(&p, "Filter");
+    assert!(
+        filter.contains("rows_in=1000") && filter.contains("rows_out=500"),
+        "filter narrows the candidates: {p}"
+    );
+    let agg = analyzed_line(&p, "HashAggregate");
+    assert!(
+        agg.contains("rows_in=500") && agg.contains("rows_out=10"),
+        "{p}"
+    );
+    assert_eq!(cell.basket("b").unwrap().len(), 0, "one-shot run consumed");
+    cell.stop();
+}
+
+#[test]
 fn counters_stay_monotone_across_lifecycle_and_parallel_load() {
     for workers in [1usize, 4] {
         let cell = DataCell::builder()
