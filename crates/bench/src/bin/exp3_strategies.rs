@@ -1,84 +1,79 @@
 //! `fig:exp3_strategies` — scaling the number of standing queries under the
-//! three basket strategies (§2.5).
+//! three basket strategies (§2.5), each wired in SQL
+//! ([`datacell_bench::strategy`]).
 //!
-//! N range-selection queries with adjacent disjoint ranges covering the
-//! whole domain run over the same stream; we sweep N and report total
-//! processing time per strategy.
+//! N range-selection queries with adjacent disjoint ranges run over the
+//! same stream; we sweep N and report total processing time per strategy.
+//! Where N does not divide the domain, the cascade's complement query takes
+//! the uncovered tail.
 //!
-//! Expected shape: separate degrades fastest (the N-fold ingest copy),
-//! shared stays near-flat in ingest cost but every factory still scans
-//! every tuple; cascading wins as N grows because earlier queries prune the
-//! basket for later ones (each tuple is examined ~once).
+//! Expected shape: separate degrades fastest (the N-fold ingest copy);
+//! shared ingests once, but each range is a shared head plus a tail, so it
+//! pays two firings and an intermediate per query; cascading wins as N
+//! grows because earlier queries prune the basket for later ones.
+//!
+//! Optional first argument: tuple count (CI smoke runs pass a small one).
 
 use std::time::Instant;
 
-use datacell::catalog::StreamCatalog;
-use datacell::scheduler::Scheduler;
-use datacell::strategy::{deploy, RangeQuery, Strategy};
-use datacell_bat::DataType;
+use datacell_bench::strategy::{deploy, Wiring};
 use datacell_bench::{banner, f, int_stream, TablePrinter};
-use datacell_sql::Schema;
-use parking_lot::RwLock;
-use std::sync::Arc;
 
-const TOTAL: usize = 100_000;
 const BATCH: usize = 1_000;
+const DOMAIN: i64 = 1_000;
 
-fn queries(n: usize, domain: i64) -> Vec<RangeQuery> {
-    let width = domain / n as i64;
-    (0..n)
-        .map(|i| {
-            RangeQuery::new(
-                format!("q{i}"),
-                "v",
-                i as i64 * width,
-                (i as i64 + 1) * width - 1,
-            )
-        })
+fn ranges(n: usize) -> Vec<(i64, i64)> {
+    let width = DOMAIN / n as i64;
+    (0..n as i64)
+        .map(|i| (i * width, (i + 1) * width - 1))
         .collect()
 }
 
-fn run(strategy: Strategy, n: usize) -> (f64, usize) {
-    let domain = 1_000i64;
-    let catalog = Arc::new(RwLock::new(StreamCatalog::new()));
-    let scheduler = Scheduler::new(Arc::clone(&catalog));
-    let deployment = {
-        let mut cat = catalog.write();
-        deploy(
-            &mut cat,
-            &scheduler,
-            strategy,
-            "s",
-            Schema::new(vec![("v".into(), DataType::Int)]),
-            &queries(n, domain),
-        )
-        .unwrap()
-    };
-    let data = int_stream(TOTAL, domain, 11);
+/// Seconds to process `total` tuples, and every query's sorted answer.
+fn run(wiring: Wiring, n: usize, total: usize) -> (f64, Vec<Vec<i64>>) {
+    let d = deploy(wiring, &ranges(n), 0..=DOMAIN - 1).unwrap();
+    let data = int_stream(total, DOMAIN, 11);
     let started = Instant::now();
     for chunk in data.chunks(BATCH) {
-        deployment.ingest_rows(chunk).unwrap();
-        scheduler.run_until_quiescent(10_000);
+        d.ingest(chunk).unwrap();
+        d.cell.run_until_quiescent(10_000);
     }
     let elapsed = started.elapsed().as_secs_f64();
-    (elapsed, deployment.total_output())
+    assert!(
+        d.inputs.iter().all(|b| b.is_empty()),
+        "{wiring:?}: source drained"
+    );
+    let answers = d
+        .queries
+        .iter()
+        .map(|q| {
+            let mut v = d.output(q);
+            v.sort_unstable();
+            v
+        })
+        .collect();
+    (elapsed, answers)
 }
 
 fn main() {
+    let total: usize = std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(100_000);
     banner(
         "fig:exp3_strategies",
         &format!(
-            "N disjoint range queries over one {TOTAL}-tuple stream (batch {BATCH}); \
+            "N disjoint range queries over one {total}-tuple stream (batch {BATCH}); \
              total processing time per strategy"
         ),
-        "separate grows fastest with N (copy cost); shared flatter; cascading \
-         cheapest at high N (disjoint pruning)",
+        "separate grows fastest with N (copy cost); cascading cheapest at high N \
+         (disjoint pruning)",
     );
     let table = TablePrinter::new(&["queries", "separate (s)", "shared (s)", "cascading (s)"]);
     for n in [1usize, 2, 4, 8, 16, 32, 64] {
-        let (sep, out_sep) = run(Strategy::SeparateBaskets, n);
-        let (sha, out_sha) = run(Strategy::SharedBaskets, n);
-        let (cas, out_cas) = run(Strategy::CascadingBaskets, n);
+        let (sep, out_sep) = run(Wiring::Separate, n, total);
+        let (sha, out_sha) = run(Wiring::Shared, n, total);
+        let (cas, out_cas) = run(Wiring::Cascading, n, total);
         assert_eq!(out_sep, out_sha, "strategies must agree");
         assert_eq!(out_sha, out_cas, "strategies must agree");
         table.row(&[n.to_string(), f(sep), f(sha), f(cas)]);

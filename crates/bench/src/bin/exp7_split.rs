@@ -5,13 +5,17 @@
 //! fire at most every 25 ms, emulating an expensive plan). Under the
 //! shared-baskets discipline a tuple is released only after *both* readers
 //! pass it, so the shared basket balloons to the heavy query's pace.
-//! Splitting q2 into a cheap head (selection → private intermediate basket)
-//! plus the heavy tail lets the shared basket drain at selection speed; the
-//! backlog moves into q2's private intermediate basket where it delays
-//! nobody else.
+//! Splitting q2 into a cheap head (a `select *` of the shared basket into a
+//! private `heavy_mid` basket) plus the heavy tail (the aggregation over
+//! `heavy_mid`, time-sliced) lets the shared basket drain at selection
+//! speed; the backlog moves into `heavy_mid` where it delays nobody else.
+//! Head and tail are two ordinary continuous queries, as the paper writes
+//! them.
 //!
 //! Expected shape: peak shared-basket size drops by orders of magnitude
 //! with splitting; the light query's answers are identical.
+//!
+//! Optional first argument: tuple count (CI smoke runs pass a small one).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,15 +23,12 @@ use std::time::{Duration, Instant};
 use datacell::basket::Basket;
 use datacell::catalog::StreamCatalog;
 use datacell::factory::{Factory, FactoryOutput};
-use datacell::multiquery::split;
 use datacell::scheduler::{SchedulePolicy, Scheduler};
-use datacell_bat::types::Value;
 use datacell_bat::DataType;
 use datacell_bench::{banner, f, kv_stream, TablePrinter};
 use datacell_sql::Schema;
 use parking_lot::RwLock;
 
-const TOTAL: usize = 200_000;
 const FEED_BATCH: usize = 2_000;
 const HEAVY_SLICE: Duration = Duration::from_millis(25);
 
@@ -35,31 +36,33 @@ const HEAVY_SQL: &str = "select s2.k, count(*) as n, sum(s2.v) as sv \
                          from [select * from s] as s2 group by s2.k order by n desc";
 const LIGHT_SQL: &str = "select s2.v, s2.ts from [select * from s] as s2 \
                          where s2.v between 0 and 99";
+/// §3.2 split of `HEAVY_SQL`: the head forwards whole tuples (arrival
+/// times included) into `heavy_mid`; the tail is the heavy plan over it.
+const HEAD_SQL: &str = "select s2.k, s2.v, s2.ts from [select * from s] as s2";
+const TAIL_SQL: &str = "select m.k, count(*) as n, sum(m.v) as sv \
+                        from [select * from heavy_mid] as m group by m.k order by n desc";
 
 struct Rig {
     scheduler: Scheduler,
     input: Arc<Basket>,
     light_out: Arc<Basket>,
-    #[allow(dead_code)]
-    catalog: Arc<RwLock<StreamCatalog>>,
+}
+
+fn kv() -> Schema {
+    Schema::new(vec![
+        ("k".into(), DataType::Int),
+        ("v".into(), DataType::Int),
+    ])
 }
 
 fn build(split_heavy: bool) -> Rig {
     let mut cat = StreamCatalog::new();
-    let input = cat
-        .create_basket(
-            "s",
-            Schema::new(vec![
-                ("k".into(), DataType::Int),
-                ("v".into(), DataType::Int),
-            ]),
-        )
-        .unwrap();
+    let input = cat.create_basket("s", kv()).unwrap();
     let light_out = cat
         .create_basket("light_out", Schema::new(vec![("v".into(), DataType::Int)]))
         .unwrap();
-    let heavy_out = cat
-        .create_basket(
+    let heavy_out = FactoryOutput::Basket(
+        cat.create_basket(
             "heavy_out",
             Schema::new(vec![
                 ("k".into(), DataType::Int),
@@ -67,64 +70,54 @@ fn build(split_heavy: bool) -> Rig {
                 ("sv".into(), DataType::Int),
             ]),
         )
-        .unwrap();
-
-    let mut light = Factory::compile(
-        "light",
+        .unwrap(),
+    );
+    // Every query reading `s` does so through its own reader cursor.
+    let shared = |sql: &str, name: &str, output: FactoryOutput, cat: &StreamCatalog| {
+        let mut f = Factory::compile(name, sql, cat, output).unwrap();
+        f.set_shared("s", input.register_reader(true)).unwrap();
+        f
+    };
+    let light = shared(
         LIGHT_SQL,
-        &cat,
+        "light",
         FactoryOutput::Basket(Arc::clone(&light_out)),
-    )
-    .unwrap();
-    light.set_shared("s", input.register_reader(true)).unwrap();
-
-    let catalog = Arc::new(RwLock::new(cat));
-    let scheduler = Scheduler::new(Arc::clone(&catalog));
-    scheduler.add_factory(light);
-
+        &cat,
+    );
     let slow = SchedulePolicy {
         priority: 0,
         min_interval: Some(HEAVY_SLICE),
         ..SchedulePolicy::default()
     };
+    let mut factories = vec![(light, SchedulePolicy::default())];
     if split_heavy {
-        let mut cat = catalog.write();
-        let mut sq = split(
-            &mut cat,
-            "heavy",
-            HEAVY_SQL,
-            FactoryOutput::Basket(heavy_out),
-        )
-        .unwrap();
-        sq.head
-            .set_shared("s", input.register_reader(true))
-            .unwrap();
-        drop(cat);
         // The cheap head runs eagerly; only the heavy *tail* is slow — the
         // whole point of the split.
-        scheduler.add_factory(sq.head);
-        scheduler.add_factory_with_policy(sq.tail, slow);
+        let mid = FactoryOutput::Basket(cat.create_basket("heavy_mid", kv()).unwrap());
+        factories.push((
+            shared(HEAD_SQL, "heavy_head", mid, &cat),
+            SchedulePolicy::default(),
+        ));
+        let tail = Factory::compile("heavy_tail", TAIL_SQL, &cat, heavy_out).unwrap();
+        factories.push((tail, slow));
     } else {
-        let cat = catalog.read();
-        let mut heavy =
-            Factory::compile("heavy", HEAVY_SQL, &cat, FactoryOutput::Basket(heavy_out)).unwrap();
-        heavy.set_shared("s", input.register_reader(true)).unwrap();
-        drop(cat);
-        scheduler.add_factory_with_policy(heavy, slow);
+        factories.push((shared(HEAVY_SQL, "heavy", heavy_out, &cat), slow));
+    }
+    let scheduler = Scheduler::new(Arc::new(RwLock::new(cat)));
+    for (f, policy) in factories {
+        scheduler.add_factory_with_policy(f, policy);
     }
     Rig {
         scheduler,
         input,
         light_out,
-        catalog,
     }
 }
 
-fn run(split_heavy: bool) -> (f64, usize, usize) {
+fn run(split_heavy: bool, total: usize) -> (f64, usize, usize) {
     let rig = build(split_heavy);
     rig.scheduler.start();
-    let data = kv_stream(TOTAL, 50_000, 1_000, 23);
-    let rows: Vec<Vec<Value>> = data;
+    let rows = kv_stream(total, 50_000, 1_000, 23);
     let started = Instant::now();
     let mut peak = 0usize;
     for chunk in rows.chunks(FEED_BATCH) {
@@ -145,11 +138,15 @@ fn run(split_heavy: bool) -> (f64, usize, usize) {
 }
 
 fn main() {
+    let total: usize = std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(200_000);
     banner(
         "fig:exp7_split",
         &format!(
             "light selection + slow heavy group-by (time-sliced {HEAVY_SLICE:?}) share one \
-             basket; {TOTAL} tuples; monolithic vs split heavy plan"
+             basket; {total} tuples; monolithic vs split heavy plan"
         ),
         "splitting shrinks the peak shared-basket backlog by orders of magnitude; \
          light answers unchanged",
@@ -160,14 +157,14 @@ fn main() {
         "peak shared basket",
         "light results",
     ]);
-    let (wall_m, peak_m, light_m) = run(false);
+    let (wall_m, peak_m, light_m) = run(false, total);
     table.row(&[
         "monolithic".into(),
         f(wall_m),
         peak_m.to_string(),
         light_m.to_string(),
     ]);
-    let (wall_s, peak_s, light_s) = run(true);
+    let (wall_s, peak_s, light_s) = run(true, total);
     table.row(&[
         "split".into(),
         f(wall_s),

@@ -11,7 +11,10 @@
 //! ```
 //!
 //! Shared here: deterministic workload generators and the fixed-width table
-//! printer every binary uses, so outputs are uniform and diffable.
+//! printer every binary uses, so outputs are uniform and diffable, and the
+//! §2.5 strategies as SQL wirings ([`strategy`]).
+
+pub mod strategy;
 
 use datacell_bat::types::Value;
 use rand::rngs::StdRng;

@@ -17,9 +17,10 @@
 //! through as `ts` (factory outputs preserving end-to-end latency), and
 //! any other shape is a wiring error.
 //!
-//! **Two consumption disciplines.** Every shared consumer — a
-//! shared-strategy factory, a §3.2 split head, an emitter feeding a
-//! subscription, a window evaluator — registers a *reader* and holds an
+//! **Two consumption disciplines.** Every shared consumer — a plan-share
+//! head (the §2.5 shared strategy and the §3.2 split head), a tail on its
+//! intermediate, an emitter feeding a subscription, a window evaluator —
+//! registers a *reader* and holds an
 //! oid cursor into the stream. A tuple is physically removed only once
 //! every registered reader's watermark has passed it: "a tuple remains in
 //! its basket until all relevant factories have seen it" (§2.5).

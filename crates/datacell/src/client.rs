@@ -943,6 +943,16 @@ impl<T: FromRow> Subscription<T> {
     }
 }
 
+impl<T> Drop for Subscription<T> {
+    /// Close the shared-pool ledger, so the emitter settles whatever this
+    /// subscription never drained even when it has no push left to fail.
+    fn drop(&mut self) {
+        if let Some(l) = &self.ledger {
+            l.close();
+        }
+    }
+}
+
 /// Iterator over a [`Subscription`] with an idle timeout.
 pub struct SubscriptionIter<'a, T> {
     sub: &'a Subscription<T>,

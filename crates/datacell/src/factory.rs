@@ -1,10 +1,11 @@
 //! Factories: compiled continuous queries with state saved between calls
 //! (§2.3, Algorithm 1).
 //!
-//! A factory owns the physical plan of one continuous query (or one part of
-//! a split plan, §3.2), references to its input baskets (data inputs, each
-//! exclusive or shared), optional *control* baskets that regulate firing
-//! (the auxiliary token places of §2.4), and an optional output basket.
+//! A factory owns the physical plan of one continuous query (or the head or
+//! tail of a split plan, §3.2), references to its input baskets (data
+//! inputs, each exclusive or shared), optional *control* baskets that
+//! regulate firing (the auxiliary token places of §2.4), and an optional
+//! output basket.
 //!
 //! One `step()` is one loop iteration of Algorithm 1:
 //!
@@ -33,7 +34,7 @@
 //! [`Factory::conflict_basket_names`] keys for the duration of every
 //! firing, so a factory runs at most once concurrently and exclusive
 //! consumers of one basket are serialized even under the parallel worker
-//! pool (cascades additionally serialize via control tokens).
+//! pool — which is all a §2.5 cascade of disjoint predicate windows needs.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,11 +54,12 @@ use crate::error::{DataCellError, Result};
 /// How a factory reads one of its input baskets.
 #[derive(Debug, Clone, Copy)]
 pub enum InputMode {
-    /// Separate-baskets discipline: the basket expression's qualifying
-    /// tuples are deleted right after the step.
+    /// The basket expression's qualifying tuples are deleted right after
+    /// the step: the whole basket for a plain `[select * from b]`, only
+    /// the predicate window otherwise (§2.6).
     Exclusive,
-    /// Shared-baskets discipline: read from this reader's cursor; tuples
-    /// are removed only when every reader has passed them.
+    /// Read from this reader's cursor; tuples are removed only when every
+    /// reader has passed them (§2.5). Plan sharing reads this way.
     Shared(ReaderId),
 }
 
@@ -86,8 +88,8 @@ pub enum FactoryOutput {
     /// column has it carried through as the arrival time — preserving
     /// end-to-end latency accounting across a factory chain.
     Basket(Arc<Basket>),
-    /// Discard results (pure side-effect factories, e.g. the terminal stage
-    /// of a cascade chain, or benchmarks measuring pure query cost).
+    /// Discard results (pure side-effect factories, or benchmarks
+    /// measuring pure query cost).
     Discard,
 }
 
@@ -150,15 +152,6 @@ pub struct Factory {
     /// tuples (§2.4: "the system may explicitly require a basket to have a
     /// minimum of n tuples before the relevant factory may run").
     min_tuples: usize,
-    /// After the step, delete the *entire* input snapshot from exclusive
-    /// inputs, not just the qualifying tuples. Terminal stages of cascade
-    /// chains use this to drop tuples no later query wants.
-    drain_inputs: bool,
-    /// When false, data inputs need not be non-empty to fire — the factory
-    /// fires on control tokens alone, processing whatever is resident
-    /// (possibly nothing). Cascade stages after the first use this so an
-    /// empty leftover basket cannot wedge the token chain.
-    require_data: bool,
     stats: FactoryStats,
 }
 
@@ -178,7 +171,7 @@ impl Factory {
     ///
     /// `sql` must be a SELECT containing at least one basket expression;
     /// the consumed baskets become the factory's data inputs (exclusive by
-    /// default — strategies switch them to shared).
+    /// default; [`Factory::set_shared`] switches one to a reader cursor).
     pub fn compile(
         name: impl Into<String>,
         sql: &str,
@@ -223,8 +216,6 @@ impl Factory {
             control_out: Vec::new(),
             output,
             min_tuples: 1,
-            drain_inputs: false,
-            require_data: true,
             stats: FactoryStats::default(),
         };
         if let FactoryOutput::Basket(b) = &factory.output {
@@ -297,18 +288,6 @@ impl Factory {
         self.min_tuples
     }
 
-    /// Mark this factory as a cascade terminal: after each step it deletes
-    /// its whole input snapshot (leftover tuples no query wants).
-    pub fn set_drain_inputs(&mut self, drain: bool) {
-        self.drain_inputs = drain;
-    }
-
-    /// Allow firing with empty data inputs (cascade stages gated purely by
-    /// control tokens).
-    pub fn set_require_data(&mut self, require: bool) {
-        self.require_data = require;
-    }
-
     /// Switch input basket `name` to the shared discipline using reader `r`.
     pub fn set_shared(&mut self, basket: &str, r: ReaderId) -> Result<()> {
         for input in &mut self.inputs {
@@ -336,12 +315,10 @@ impl Factory {
     /// Petri-net firing condition (§2.4): every data input holds at least
     /// `min_tuples` pending tuples and every control input holds a token.
     pub fn ready(&self) -> bool {
-        let data_ready = !self.require_data
-            || self.inputs.iter().all(|i| match i.mode {
-                InputMode::Exclusive => i.basket.len() >= self.min_tuples,
-                InputMode::Shared(r) => i.basket.pending_for(r) >= self.min_tuples,
-            });
-        data_ready && self.control_in.iter().all(|c| !c.is_empty())
+        self.inputs.iter().all(|i| match i.mode {
+            InputMode::Exclusive => i.basket.len() >= self.min_tuples,
+            InputMode::Shared(r) => i.basket.pending_for(r) >= self.min_tuples,
+        }) && self.control_in.iter().all(|c| !c.is_empty())
     }
 
     /// Fire once: snapshot → execute → consume → emit (Algorithm 1 body).
@@ -418,11 +395,6 @@ impl Factory {
         let mut consumed = 0usize;
         for ((input, snapshot), cursor) in self.inputs.iter().zip(&snapshots).zip(&cursors) {
             match cursor {
-                Cursor::Exclusive(anchor) if self.drain_inputs => {
-                    consumed += input
-                        .basket
-                        .consume_exclusive(anchor, &Candidates::all(snapshot.len()))?;
-                }
                 Cursor::Exclusive(anchor) => {
                     // A self-join of one basket reports it once per scan.
                     let mut reports = outcome
@@ -646,22 +618,6 @@ mod tests {
         // ...and they stay resident because reader 2 hasn't.
         assert_eq!(input.len(), 2);
         assert_eq!(input.pending_for(r2), 2);
-    }
-
-    #[test]
-    fn drain_inputs_clears_snapshot() {
-        let (cat, input, _) = setup();
-        let mut f = Factory::compile(
-            "q",
-            "select s.a from [select * from r where r.a > 100] as s",
-            &cat,
-            FactoryOutput::Discard,
-        )
-        .unwrap();
-        f.set_drain_inputs(true);
-        push(&input, &[(1, 0), (2, 0)]);
-        f.step(Some(&cat.tables)).unwrap();
-        assert!(input.is_empty());
     }
 
     #[test]

@@ -23,13 +23,14 @@
 //! * [`scheduler::Scheduler`] (§2.4) — the Petri-net engine: baskets are
 //!   token places, receptors/factories/emitters are transitions, and a
 //!   transition fires when all of its inputs hold tuples.
-//! * [`strategy`] (§2.5) — separate / shared / cascading basket wiring for
-//!   multi-query workloads.
 //! * [`window`] (§3.1) — windowed processing *above* the kernel: full
 //!   re-evaluation and the incremental basic-window method, both built from
 //!   ordinary relational operators plus scheduling.
-//! * [`multiquery`] (§3.2) — plan splitting so a fast query never waits for
-//!   a slow one on a shared basket.
+//! * multi-query wiring (§2.5 strategies, §3.2 plan split) is plain SQL:
+//!   separate baskets, predicate windows (partial deletes, §2.6) and plan
+//!   sharing (`SET PLAN SHARING ON`, which cuts every shareable query into
+//!   a shared head and a private tail) compose each topology — see
+//!   `docs/mqo.md`.
 //! * [`window_join`] — cross-stream windowed joins with per-source window
 //!   specs (`FROM s1 [RANGE 10s SLIDE 5s], s2 [RANGE 5s] WHERE ...`),
 //!   evaluated by the unchanged relational join kernels.
@@ -52,13 +53,11 @@ pub mod error;
 pub mod events;
 pub mod factory;
 pub mod metrics;
-pub mod multiquery;
 pub mod petri;
 pub(crate) mod planshare;
 pub mod receptor;
 pub mod scheduler;
 pub mod session;
-pub mod strategy;
 pub mod text;
 pub mod window;
 pub mod window_join;

@@ -9,7 +9,8 @@
 //! and synthetic generators for benchmarks.
 //!
 //! A receptor can fan one stream out to *several* baskets — that is exactly
-//! the copy the separate-baskets strategy pays for (§2.5).
+//! the copy the separate-baskets strategy pays for (§2.5): one private
+//! basket, and one consuming query, per consumer.
 //!
 //! **Backpressure.** Target baskets may be bounded
 //! ([`OverflowPolicy`](crate::basket::OverflowPolicy)): a `Block` basket

@@ -23,8 +23,11 @@ use std::sync::Arc;
 use datacell_bat::candidates::Candidates;
 use datacell_bat::column::Column;
 use datacell_bat::types::{DataType, Value};
+use datacell_engine::eval::eval_predicate;
 use datacell_engine::{execute, execute_traced, Chunk, DataSource};
 use datacell_sql::ast::{BasketOptions, DropKind, OverflowSpec, QueryLifecycle, Statement};
+use datacell_sql::expr::ScalarExpr;
+use datacell_sql::logical::LogicalPlan;
 use datacell_sql::resolve::{bind_insert_rows, bind_query};
 use datacell_sql::{parser, Schema, SqlError};
 use datacell_storage::{wal, BasketManifest, SegmentStore, WalRecord};
@@ -504,22 +507,51 @@ impl DataCell {
                 Ok(CellResult::Affected(bound.len()))
             }
             Statement::Delete { table, predicate } => {
-                if predicate.is_some() {
-                    return Err(DataCellError::Runtime(
-                        "DELETE with predicate on stream objects is not supported; \
-                         use a consuming basket expression instead"
-                            .into(),
-                    ));
-                }
                 let cat = self.catalog.read();
                 if let Ok(basket) = cat.basket(&table) {
+                    if predicate.is_some() {
+                        return Err(DataCellError::Runtime(
+                            "DELETE with predicate on stream objects is not supported; \
+                             use a consuming basket expression instead"
+                                .into(),
+                        ));
+                    }
                     return Ok(CellResult::Affected(basket.clear()));
                 }
                 drop(cat);
                 let mut cat = self.catalog.write();
-                let t = cat.tables.table_mut(&table)?;
-                let n = t.len();
-                t.clear();
+                let cands = match predicate {
+                    None => Candidates::all(cat.tables.table(&table)?.len()),
+                    Some(pred) => {
+                        // Bind as `select * from t where pred`: bind-time
+                        // pushdown fuses the predicate into the scan, and
+                        // conjuncts it cannot place (constants) stay in a
+                        // filter over the same full-width schema.
+                        let Statement::Select(mut q) =
+                            parser::parse(&format!("select * from {table}"))?
+                        else {
+                            unreachable!("a SELECT parses as a SELECT")
+                        };
+                        q.where_clause = Some(pred);
+                        let mut conjuncts = Vec::new();
+                        bind_query(&q, &*cat)?.walk(&mut |p| match p {
+                            LogicalPlan::Scan {
+                                predicate: Some(e), ..
+                            }
+                            | LogicalPlan::Filter { predicate: e, .. } => conjuncts.push(e.clone()),
+                            _ => {}
+                        });
+                        let t = cat.tables.table(&table)?;
+                        match conjuncts
+                            .into_iter()
+                            .reduce(|a, b| ScalarExpr::And(Box::new(a), Box::new(b)))
+                        {
+                            Some(e) => eval_predicate(&e, t.chunk())?,
+                            None => Candidates::all(t.len()),
+                        }
+                    }
+                };
+                let n = cat.tables.table_mut(&table)?.delete_positions(&cands)?;
                 Ok(CellResult::Affected(n))
             }
             Statement::Select(q) => {
@@ -1308,12 +1340,12 @@ impl DataCell {
     fn build_shared_tail(
         &self,
         name: &str,
-        logical: datacell_sql::logical::LogicalPlan,
+        logical: LogicalPlan,
         source: &str,
         mid: &Arc<Basket>,
         mid_name: &str,
     ) -> Result<(Arc<Basket>, String, ReaderId)> {
-        let tail_logical = crate::multiquery::retarget(logical, source, mid_name);
+        let tail_logical = datacell_sql::optimizer::retarget(logical, source, mid_name);
         let (tail_plan, out_schema) =
             datacell_sql::physical::plan(datacell_sql::optimizer::optimize(tail_logical))?;
         let out_name = format!("{name}_out");
@@ -2333,6 +2365,75 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(cell.basket("b").unwrap().is_empty());
+    }
+
+    #[test]
+    fn ddl_dml_query_roundtrip() {
+        let cell = DataCell::new();
+        cell.execute("create table t (a int, b varchar(10))")
+            .unwrap();
+        let r = cell
+            .execute("insert into t values (1, 'x'), (2, 'y'), (3, 'x')")
+            .unwrap();
+        assert!(matches!(r, CellResult::Affected(3)));
+        let rows = cell
+            .query("select a from t where b = 'x' order by a")
+            .unwrap();
+        assert_eq!(rows.columns[0].as_ints().unwrap(), &[1, 3]);
+    }
+
+    #[test]
+    fn delete_with_predicate() {
+        let cell = DataCell::new();
+        cell.execute("create table t (a int)").unwrap();
+        cell.execute("insert into t values (1), (2), (3), (4)")
+            .unwrap();
+        let r = cell.execute("delete from t where a % 2 = 0").unwrap();
+        assert!(matches!(r, CellResult::Affected(2)));
+        let rows = cell.query("select a from t order by a").unwrap();
+        assert_eq!(rows.columns[0].as_ints().unwrap(), &[1, 3]);
+        // A conjunct pushdown cannot place in the scan still counts.
+        let r = cell.execute("delete from t where a > 0 and 1 = 2").unwrap();
+        assert!(matches!(r, CellResult::Affected(0)));
+        // Unconditional delete.
+        let r = cell.execute("delete from t").unwrap();
+        assert!(matches!(r, CellResult::Affected(2)));
+        // Baskets take deletes through basket expressions instead.
+        cell.execute("create basket b (x int)").unwrap();
+        cell.execute("insert into b values (1)").unwrap();
+        let err = cell.execute("delete from b where x = 1").unwrap_err();
+        assert!(err.to_string().contains("basket expression"), "{err}");
+        assert_eq!(cell.basket("b").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn insert_type_mismatch_fails() {
+        let cell = DataCell::new();
+        cell.execute("create table t (a int)").unwrap();
+        assert!(cell.execute("insert into t values ('nope')").is_err());
+    }
+
+    #[test]
+    fn script_execution() {
+        let cell = DataCell::new();
+        let results = cell
+            .execute_script("create table t (a int); insert into t values (5); select a from t")
+            .unwrap();
+        assert_eq!(results.len(), 3);
+        match &results[2] {
+            CellResult::Rows(c) => assert_eq!(c.len(), 1),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn explain_renders() {
+        let cell = DataCell::new();
+        cell.execute("create table t (a int)").unwrap();
+        match cell.execute("explain select a from t where a > 3").unwrap() {
+            CellResult::Plan(text) => assert!(text.contains("ScanTable"), "{text}"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

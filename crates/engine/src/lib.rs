@@ -13,19 +13,18 @@
 //! * [`chunk::Chunk`] — the unit of data flow between operators;
 //! * [`eval`] — vectorized scalar-expression evaluation;
 //! * [`exec`] — the plan interpreter, including consuming basket scans that
-//!   report which positions a basket expression removed;
-//! * [`session::Session`] — a convenience REPL-style API (`CREATE TABLE`,
-//!   `INSERT`, `SELECT`, `EXPLAIN`) used by examples and tests.
+//!   report which positions a basket expression removed.
+//!
+//! Statements reach this crate through one session, `datacell::DataCell`,
+//! which runs one-time SQL over tables and baskets alike.
 
 pub mod catalog;
 pub mod chunk;
 pub mod eval;
 pub mod exec;
-pub mod session;
 pub mod table;
 
 pub use crate::catalog::Catalog;
 pub use crate::chunk::Chunk;
 pub use crate::exec::{execute, execute_traced, DataSource, ExecOutcome};
-pub use crate::session::Session;
 pub use crate::table::Table;

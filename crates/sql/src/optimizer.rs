@@ -61,6 +61,41 @@ pub fn shared_prefix(plan: &LogicalPlan) -> Option<LogicalPlan> {
     }
 }
 
+/// The complement of [`shared_prefix`]: rewrite every consuming scan of
+/// `from` into a predicate-free consuming scan of `to`, leaving the rest of
+/// the plan — projections, schemas, non-consuming scans — as it is. With
+/// `to` an intermediate basket that carries the prefix's survivors (same
+/// user columns + `ts`), the result is the query's *tail* (§3.2): its
+/// predicate window was already applied by the head.
+pub fn retarget(mut plan: LogicalPlan, from: &str, to: &str) -> LogicalPlan {
+    fn visit(p: &mut LogicalPlan, from: &str, to: &str) {
+        match p {
+            LogicalPlan::Scan {
+                table,
+                consume: true,
+                predicate,
+                ..
+            } if table == from => {
+                *table = to.to_string();
+                *predicate = None;
+            }
+            LogicalPlan::Scan { .. } | LogicalPlan::ConstRow { .. } => {}
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Distinct { input } => visit(input, from, to),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::Cross { left, right } => {
+                visit(left, from, to);
+                visit(right, from, to);
+            }
+        }
+    }
+    visit(&mut plan, from, to);
+    plan
+}
+
 // ---------------- rule 1: constant folding ----------------
 
 /// Fold constant sub-expressions bottom-up. Expressions that error at fold
@@ -621,6 +656,89 @@ mod tests {
         assert!(shared_prefix(&windowed).is_none());
         let window_join = bound("select r.a from r [range 10s], r2 [range 5s] where r.a = r2.a");
         assert!(shared_prefix(&window_join).is_none());
+    }
+
+    fn scans(plan: &LogicalPlan) -> Vec<LogicalPlan> {
+        let mut out = Vec::new();
+        plan.walk(&mut |p| {
+            if matches!(p, LogicalPlan::Scan { .. }) {
+                out.push(p.clone());
+            }
+        });
+        out
+    }
+
+    #[test]
+    fn retarget_rewrites_only_the_consuming_scan() {
+        // The basket `r` is read twice: consumed through a predicate
+        // window, and inspected as a plain table (§2.6) on the join side.
+        let p = StaticProvider::new().with_basket(
+            "r",
+            Schema::new(vec![
+                ("a".into(), DataType::Int),
+                ("b".into(), DataType::Int),
+            ]),
+        );
+        let q = match parse(
+            "select s.a, t.b from [select * from r where r.b < 20] as s \
+             join r t on s.a = t.a where t.b > 5",
+        )
+        .unwrap()
+        {
+            crate::ast::Statement::Select(q) => q,
+            other => panic!("expected SELECT, got {other:?}"),
+        };
+        let before = optimize(bind_query(&q, &p).unwrap());
+        let after = retarget(before.clone(), "r", "mid");
+        assert_eq!(after.schema(), before.schema());
+
+        let (old, new) = (scans(&before), scans(&after));
+        assert_eq!(old.len(), 2, "{}", before.display());
+        let mut rewritten = 0;
+        for (o, n) in old.iter().zip(&new) {
+            match (o, n) {
+                (
+                    LogicalPlan::Scan {
+                        table,
+                        consume: true,
+                        predicate: Some(_),
+                        schema,
+                        projection,
+                        window,
+                    },
+                    LogicalPlan::Scan {
+                        table: new_table,
+                        consume: true,
+                        predicate: None,
+                        schema: new_schema,
+                        projection: new_projection,
+                        window: new_window,
+                    },
+                ) => {
+                    assert_eq!((table.as_str(), new_table.as_str()), ("r", "mid"));
+                    assert_eq!(schema, new_schema);
+                    assert_eq!(projection, new_projection);
+                    assert!(projection.is_some(), "pruning narrowed the scan");
+                    assert_eq!(window, new_window);
+                    rewritten += 1;
+                }
+                (o, n) => {
+                    assert!(matches!(
+                        o,
+                        LogicalPlan::Scan {
+                            consume: false,
+                            predicate: Some(_),
+                            ..
+                        }
+                    ));
+                    assert_eq!(o, n, "a non-consuming scan of r is untouched");
+                }
+            }
+        }
+        assert_eq!(rewritten, 1);
+
+        // A basket the plan does not consume: nothing changes.
+        assert_eq!(retarget(before.clone(), "other", "mid"), before);
     }
 
     #[test]

@@ -492,8 +492,8 @@ fn exclusive_consumption_is_oid_anchored_under_mid_step_shed() {
         "unprocessed tuple 3 and newer arrivals 4, 5 stay resident"
     );
 
-    // The drain-inputs path (terminal cascade stages) anchors the same
-    // way: draining the old snapshot deletes only its survivors.
+    // Consuming a whole old snapshot (a plain `[select * from b]`) anchors
+    // the same way: it deletes only the snapshot's survivors.
     let (snap2, anchor2) = b.snapshot_exclusive(usize::MAX);
     assert_eq!(values_of(&snap2), vec![3, 4, 5]);
     b.append_rows(&[vec![Value::Int(6)], vec![Value::Int(7)]])

@@ -6,54 +6,44 @@ use std::sync::Arc;
 
 use datacell::catalog::StreamCatalog;
 use datacell::factory::FactoryOutput;
-use datacell::scheduler::{Scheduler, Transition};
-use datacell::strategy::{deploy, RangeQuery, Strategy};
+use datacell::scheduler::Transition;
 use datacell::window::{BasicWindowAgg, ReEvalWindow, WindowSpec};
 use datacell_bat::aggregate::AggFunc;
 use datacell_bat::types::{DataType, Value};
+use datacell_bench::strategy::{deploy, Wiring, COMPLEMENT};
 use datacell_sql::Schema;
-use parking_lot::RwLock;
 use proptest::prelude::*;
 
-fn run_strategy(
-    strategy: Strategy,
+const DOMAIN: i64 = 300;
+
+/// Every range query's sorted answer, plus the complement's (empty unless
+/// the cascade registered one), after feeding `data` in `batch`es.
+fn run_wiring(
+    wiring: Wiring,
     data: &[i64],
     ranges: &[(i64, i64)],
     batch: usize,
-) -> Vec<Vec<i64>> {
-    let catalog = Arc::new(RwLock::new(StreamCatalog::new()));
-    let scheduler = Scheduler::new(Arc::clone(&catalog));
-    let queries: Vec<RangeQuery> = ranges
-        .iter()
-        .enumerate()
-        .map(|(i, &(lo, hi))| RangeQuery::new(format!("q{i}"), "v", lo, hi))
-        .collect();
-    let deployment = {
-        let mut cat = catalog.write();
-        deploy(
-            &mut cat,
-            &scheduler,
-            strategy,
-            "s",
-            Schema::new(vec![("v".into(), DataType::Int)]),
-            &queries,
-        )
-        .unwrap()
-    };
+) -> (Vec<Vec<i64>>, Vec<i64>) {
+    let d = deploy(wiring, ranges, 0..=DOMAIN - 1).unwrap();
     let rows: Vec<Vec<Value>> = data.iter().map(|&v| vec![Value::Int(v)]).collect();
     for chunk in rows.chunks(batch.max(1)) {
-        deployment.ingest_rows(chunk).unwrap();
-        scheduler.run_until_quiescent(100_000);
+        d.ingest(chunk).unwrap();
+        d.cell.run_until_quiescent(100_000);
     }
-    deployment
-        .outputs
-        .iter()
-        .map(|(_, b)| {
-            let mut vals = b.snapshot().columns[0].as_ints().unwrap().to_vec();
-            vals.sort_unstable();
-            vals
-        })
-        .collect()
+    // Whatever the wiring, quiescence means every source was consumed.
+    for b in &d.inputs {
+        assert!(b.is_empty(), "{wiring:?}: {} holds {}", b.name(), b.len());
+    }
+    let sorted = |mut v: Vec<i64>| {
+        v.sort_unstable();
+        v
+    };
+    let answers = d.queries.iter().map(|q| sorted(d.output(q))).collect();
+    let rest = match d.cell.query_output(COMPLEMENT) {
+        Ok(_) => sorted(d.output(COMPLEMENT)),
+        Err(_) => Vec::new(),
+    };
+    (answers, rest)
 }
 
 proptest! {
@@ -61,21 +51,29 @@ proptest! {
 
     #[test]
     fn strategies_agree_on_random_workloads(
-        data in prop::collection::vec(0i64..300, 1..400),
+        data in prop::collection::vec(0i64..DOMAIN, 1..400),
         batch in 1usize..64,
         n_queries in 1usize..6,
+        start in -40i64..40,
+        shrink in -40i64..40,
     ) {
-        // Disjoint adjacent ranges so cascading is applicable.
-        let width = 300 / n_queries as i64;
+        // Disjoint adjacent ranges over [start, DOMAIN - shrink). Negative
+        // draws clamp to 0, so about a quarter of the cases cover the whole
+        // domain; the rest leave an edge uncovered, and the cascade then
+        // registers its complement query.
+        let (start, shrink) = (start.max(0), shrink.max(0));
+        let width = (DOMAIN - start - shrink) / n_queries as i64;
         let ranges: Vec<(i64, i64)> = (0..n_queries as i64)
-            .map(|i| (i * width, (i + 1) * width - 1))
+            .map(|i| (start + i * width, start + (i + 1) * width - 1))
             .collect();
-        let sep = run_strategy(Strategy::SeparateBaskets, &data, &ranges, batch);
-        let sha = run_strategy(Strategy::SharedBaskets, &data, &ranges, batch);
-        let cas = run_strategy(Strategy::CascadingBaskets, &data, &ranges, batch);
+        let (sep, _) = run_wiring(Wiring::Separate, &data, &ranges, batch);
+        let (sha, _) = run_wiring(Wiring::Shared, &data, &ranges, batch);
+        let (cas, rest) = run_wiring(Wiring::Cascading, &data, &ranges, batch);
         prop_assert_eq!(&sep, &sha);
         prop_assert_eq!(&sha, &cas);
-        // Oracle: every qualifying value appears in the right output.
+        // Oracle: every qualifying value appears in the right output, and
+        // the complement took exactly what no range covers.
+        let covered = |v: &i64| ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(v));
         for (qi, &(lo, hi)) in ranges.iter().enumerate() {
             let mut want: Vec<i64> = data
                 .iter()
@@ -85,6 +83,9 @@ proptest! {
             want.sort_unstable();
             prop_assert_eq!(&sep[qi], &want);
         }
+        let mut want_rest: Vec<i64> = data.iter().copied().filter(|v| !covered(v)).collect();
+        want_rest.sort_unstable();
+        prop_assert_eq!(&rest, &want_rest);
     }
 
     #[test]

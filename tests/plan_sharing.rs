@@ -212,6 +212,94 @@ fn multi_basket_plans_fall_through_to_private_path() {
     assert_eq!(ints(&c, "j", 0), vec![2], "join still runs privately");
 }
 
+// ---------------- the §3.2 split, as plan sharing wires it ----------------
+
+const HEAVY: &str = "create continuous query heavy as \
+                     select s2.a, count(*) as n from [select * from s where s.b > 10] as s2 \
+                     group by s2.a order by s2.a";
+
+#[test]
+fn split_preserves_semantics() {
+    // Head (the predicate window) → mqo1_mid → tail (the aggregate) gives
+    // the unsplit query's answer. What differs is the source: unsplit, the
+    // window deletes only its qualifying tuples and (2, 5) stays behind
+    // (§2.6); split, the head reads through a cursor and passes it.
+    for sharing in [false, true] {
+        let c = cell(sharing);
+        c.execute("create basket s (a int, b int)").unwrap();
+        c.execute(HEAVY).unwrap();
+        c.execute("insert into s values (1, 20), (1, 30), (2, 5), (2, 40), (3, 15)")
+            .unwrap();
+        c.run_until_quiescent(100);
+        assert_eq!(ints(&c, "heavy", 0), vec![1, 2, 3], "sharing={sharing}");
+        assert_eq!(ints(&c, "heavy", 1), vec![2, 1, 1], "sharing={sharing}");
+        let left = c.basket("s").unwrap().len();
+        assert_eq!(left, usize::from(!sharing), "sharing={sharing}");
+    }
+}
+
+#[test]
+fn split_rejects_multi_basket_plans() {
+    // A join consuming two baskets has no single source to split off:
+    // registration builds no head and no intermediate, only the query's
+    // own factory.
+    let c = cell(true);
+    c.execute("create basket s (a int)").unwrap();
+    c.execute("create basket s2 (a int)").unwrap();
+    c.execute(
+        "create continuous query j as \
+         select x.a from [select s.a from s join s2 on s.a = s2.a] as x",
+    )
+    .unwrap();
+    assert!(c.basket("mqo1_mid").is_err(), "no intermediate basket");
+    let names: Vec<String> = c.metrics().per_query.into_iter().map(|q| q.name).collect();
+    assert_eq!(names, vec!["j".to_string()], "no head factory");
+}
+
+#[test]
+fn head_releases_shared_basket_early() {
+    let c = cell(true);
+    c.execute("create basket s (a int, b int)").unwrap();
+    c.execute(HEAVY).unwrap();
+    let source = c.basket("s").unwrap();
+    // Another (slow) reader holds the shared basket, and the heavy tail is
+    // paused: only the head can fire.
+    let slow = source.register_reader(true);
+    c.pause_query("heavy").unwrap();
+    c.execute("insert into s values (1, 20)").unwrap();
+    c.run_until_quiescent(100);
+    // The head passed the tuple into the intermediate; the source keeps it
+    // for the slow reader alone.
+    assert_eq!(c.basket("mqo1_mid").unwrap().len(), 1);
+    assert_eq!(source.pending_for(slow), 1);
+    source.unregister_reader(slow);
+    assert!(source.is_empty(), "no other reader holds it");
+}
+
+#[test]
+fn split_pipeline_drains_under_budgeted_drr_firings() {
+    // A split head/tail chain must stay correct when the DRR policy
+    // slices its firings: the head's cursor commits only the served
+    // prefix, the tail fires off the intermediate, and repeated budgeted
+    // rounds drain the same answer one bulk firing produces.
+    let c = cell(true);
+    c.scheduler()
+        .set_fairness(datacell::Fairness::DeficitRoundRobin { quantum: 200 });
+    c.execute("create basket s (a int, b int)").unwrap();
+    c.execute(
+        "create continuous query heavy as \
+         select s2.a, count(*) as n from [select * from s] as s2 group by s2.a",
+    )
+    .unwrap();
+    let rows: Vec<String> = (0..500).map(|i| format!("({}, {i})", i % 5)).collect();
+    c.execute(&format!("insert into s values {}", rows.join(", ")))
+        .unwrap();
+    c.run_until_quiescent(10_000);
+    let counts: i64 = ints(&c, "heavy", 1).iter().sum();
+    assert_eq!(counts, 500, "no tuple lost or duplicated across slices");
+    assert!(c.basket("s").unwrap().is_empty(), "source trimmed");
+}
+
 #[test]
 fn paused_subscriber_catches_up_without_loss() {
     let c = cell(true);
