@@ -280,6 +280,17 @@ impl Column {
         }
     }
 
+    /// Keep only the first `len` rows (no-op when the column is shorter),
+    /// keeping type and dictionary.
+    pub fn truncate(&mut self, len: usize) {
+        match self {
+            Column::Int(v) | Column::Timestamp(v) => v.truncate(len),
+            Column::Float(v) => v.truncate(len),
+            Column::Bool(v) => v.truncate(len),
+            Column::Str { codes, .. } => codes.truncate(len),
+        }
+    }
+
     /// Drop the first `n` rows in place (basket consumption).
     pub fn drop_head(&mut self, n: usize) {
         match self {

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the DataCell streaming layer: basket
 //! traffic, factory steps at varying batch sizes (the statistical backing
-//! for `exp1_batch`), and window evaluation (backing `exp5_windows`).
+//! for `exp1_batch`), window evaluation (backing `exp5_windows`), and the
+//! wire text format in columns against the row-at-a-time adapters.
 
 use std::sync::Arc;
 
@@ -8,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use datacell::catalog::StreamCatalog;
 use datacell::factory::{Factory, FactoryOutput};
 use datacell::scheduler::Transition;
+use datacell::text::{parse_tuple, render_chunk_into, render_row, ChunkBuilder};
 use datacell::window::{BasicWindowAgg, ReEvalWindow, WindowSpec};
 use datacell_baseline::{Query, Selection, TupleEngine};
 use datacell_bat::aggregate::AggFunc;
@@ -171,8 +173,74 @@ fn bench_sql_compile(c: &mut Criterion) {
     let _ = Value::Int(0);
 }
 
+/// `k,v,sent_us` int lines like the wire workloads send, filling 64 KiB.
+fn wire_lines() -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 << 10);
+    let mut i: i64 = 0;
+    while buf.len() < (64 << 10) - 40 {
+        buf.extend_from_slice(
+            format!("{},{},{}\n", i % 1024, (i * 7919) % 1000, 1_700_000_000 + i).as_bytes(),
+        );
+        i += 1;
+    }
+    buf
+}
+
+fn bench_text(c: &mut Criterion) {
+    let schema = Schema::new(vec![
+        ("k".into(), DataType::Int),
+        ("v".into(), DataType::Int),
+        ("sent_us".into(), DataType::Int),
+    ]);
+    let buf = wire_lines();
+    let lines: Vec<&[u8]> = buf
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
+        .collect();
+    let mut g = c.benchmark_group("streaming/text");
+    g.throughput(Throughput::Elements(lines.len() as u64));
+    g.bench_function("decode_64k_into_chunk", |b| {
+        b.iter(|| {
+            let mut builder = ChunkBuilder::new(schema.clone());
+            for line in &lines {
+                builder.decode_line(line).unwrap();
+            }
+            builder
+        })
+    });
+    g.bench_function("decode_64k_parse_tuple_per_line", |b| {
+        b.iter(|| {
+            lines
+                .iter()
+                .map(|l| parse_tuple(std::str::from_utf8(l).unwrap(), &schema).unwrap())
+                .collect::<Vec<_>>()
+        })
+    });
+
+    let mut builder = ChunkBuilder::new(schema.clone());
+    for line in &lines[..1024] {
+        builder.decode_line(line).unwrap();
+    }
+    let chunk = builder.chunk();
+    let rows = chunk.rows().unwrap();
+    g.throughput(Throughput::Elements(rows.len() as u64));
+    g.bench_function("render_1024_row_chunk", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            out.clear();
+            render_chunk_into(chunk, 3, &mut out);
+            out.len()
+        })
+    });
+    g.bench_function("render_1024_rows_render_row", |b| {
+        b.iter(|| rows.iter().map(|r| render_row(r)).collect::<Vec<_>>())
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_text,
     bench_basket,
     bench_factory_batches,
     bench_baseline_per_tuple,

@@ -71,7 +71,14 @@ pub enum SubscriptionMode {
     /// rows a dying subscriber drained concurrently with its settlement
     /// may be redelivered): never loss, never reordering within a claim.
     /// Consumers that cannot tolerate duplicates under such races should
-    /// deduplicate on a key or use [`SubscriptionMode::Broadcast`].
+    /// deduplicate on a key or use [`SubscriptionMode::Broadcast`]. A
+    /// sink attached with [`DataCell::subscribe_sink`](crate::DataCell::subscribe_sink)
+    /// (the network subscriber) has no channel: its claim commits once its
+    /// delivery returns `Ok`, which a socket sink does only for rows
+    /// written to a peer that has not hung up; a delivery failing partway
+    /// commits the prefix it reports
+    /// ([`PartialDelivery`](crate::emitter::PartialDelivery)) and rewinds
+    /// the rest.
     ///
     /// [`AckLedger`]: crate::emitter::AckLedger
     Shared,
@@ -218,12 +225,14 @@ impl DataCellBuilder {
         self
     }
 
-    /// Bound every emitter → subscriber channel at `rows` queued tuples
-    /// (default: unbounded, the historical behavior). With a bound, a slow
-    /// client backpressures its emitter: the emitter stops committing
-    /// claims, the query's output basket fills, and — with bounded baskets
-    /// — the stall propagates all the way to the producers instead of the
-    /// channel growing without limit.
+    /// Bound every emitter → [`Subscription`] channel at `rows` queued
+    /// tuples (default: unbounded, the historical behavior). With a bound,
+    /// a slow client backpressures its emitter: the emitter stops
+    /// committing claims, the query's output basket fills, and — with
+    /// bounded baskets — the stall propagates all the way to the producers
+    /// instead of the channel growing without limit. Network subscribers
+    /// have no channel: their emitter writes to the socket itself, so the
+    /// socket buffer is their bound.
     pub fn subscription_channel_capacity(mut self, rows: usize) -> Self {
         self.subscription_channel = Some(rows.max(1));
         self
@@ -507,17 +516,21 @@ pub struct WriterStatsSnapshot {
 /// the replacement for hand-wiring a `ChannelSource` receptor.
 ///
 /// Rows are validated against the basket's user schema on [`append`]
-/// (coercion rules identical to SQL `INSERT`), buffered up to the batch
-/// size, and appended in bulk on [`flush`] — preserving the paper's
-/// batch-processing advantage on the ingest path. A writer is independent
-/// of the session's lifetime and may be moved to a producer thread.
+/// (coercion rules identical to SQL `INSERT`) and textual tuples decoded
+/// on [`append_text`] / [`append_bytes`] — either way straight into typed
+/// column builders ([`text::ChunkBuilder`]) — buffered up to the batch
+/// size, and appended in bulk as one chunk on [`flush`], preserving the
+/// paper's batch-processing advantage on the ingest path. A writer is
+/// independent of the session's lifetime and may be moved to a producer
+/// thread.
 ///
 /// [`append`]: StreamWriter::append
+/// [`append_text`]: StreamWriter::append_text
+/// [`append_bytes`]: StreamWriter::append_bytes
 /// [`flush`]: StreamWriter::flush
 pub struct StreamWriter {
     basket: Arc<Basket>,
-    user_schema: Schema,
-    buf: Vec<Vec<Value>>,
+    buf: text::ChunkBuilder,
     batch_size: usize,
     capacity: Option<usize>,
     overflow: OverflowPolicy,
@@ -538,8 +551,7 @@ impl StreamWriter {
         };
         StreamWriter {
             basket,
-            user_schema,
-            buf: Vec::new(),
+            buf: text::ChunkBuilder::new(user_schema),
             batch_size: batch_size.max(1),
             capacity,
             overflow,
@@ -555,7 +567,7 @@ impl StreamWriter {
 
     /// The user schema rows are validated against (no `ts` column).
     pub fn schema(&self) -> &Schema {
-        &self.user_schema
+        self.buf.schema()
     }
 
     /// Rows buffered but not yet flushed.
@@ -582,54 +594,34 @@ impl StreamWriter {
     /// appending); do **not** re-append the same row.
     pub fn append(&mut self, row: impl IntoRow) -> Result<()> {
         let row = row.into_row();
-        self.validate(&row)?;
-        self.buf.push(row);
-        if self.buf.len() >= self.batch_size {
-            self.flush()?;
-        }
-        Ok(())
+        let pushed = self.buf.push_row(&row);
+        self.buffered(pushed)
     }
 
     /// Parse and buffer one textual tuple (the paper's wire format, with
     /// quoting rules per [`crate::text`]); malformed lines are counted in
-    /// [`WriterStatsSnapshot::rejected`].
+    /// [`WriterStatsSnapshot::rejected`]. Errors as for
+    /// [`append`](StreamWriter::append).
     pub fn append_text(&mut self, line: &str) -> Result<()> {
-        match text::parse_tuple(line, &self.user_schema) {
-            Ok(row) => {
-                self.buf.push(row);
-                if self.buf.len() >= self.batch_size {
-                    self.flush()?;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.stats.rejected += 1;
-                Err(e)
-            }
-        }
+        self.append_bytes(line.as_bytes())
     }
 
-    /// Reject a row the basket could not take (arity, or a value with no
-    /// lossless coercion to its column type). The coercion itself happens
-    /// once, when the flushed batch is transposed into the basket.
-    fn validate(&mut self, row: &[Value]) -> Result<()> {
-        if row.len() != self.user_schema.len() {
+    /// [`append_text`](StreamWriter::append_text) on raw bytes (one line
+    /// without its terminator), as they arrive from a socket: bytes that
+    /// are not UTF-8 decode as U+FFFD.
+    pub fn append_bytes(&mut self, line: &[u8]) -> Result<()> {
+        let decoded = self.buf.decode_line(line);
+        self.buffered(decoded)
+    }
+
+    /// Count a rejected row, or auto-flush a full buffer.
+    fn buffered(&mut self, added: Result<()>) -> Result<()> {
+        if let Err(e) = added {
             self.stats.rejected += 1;
-            return Err(DataCellError::Decode(format!(
-                "row arity {} != schema {} arity {}",
-                row.len(),
-                self.user_schema.render(),
-                self.user_schema.len()
-            )));
+            return Err(e);
         }
-        for (v, cd) in row.iter().zip(&self.user_schema.columns) {
-            if !v.can_coerce_to(cd.ty) {
-                self.stats.rejected += 1;
-                return Err(DataCellError::Decode(format!(
-                    "column {}: cannot coerce {v} to {}",
-                    cd.name, cd.ty
-                )));
-            }
+        if self.buf.len() >= self.batch_size {
+            self.flush()?;
         }
         Ok(())
     }
@@ -644,6 +636,36 @@ impl StreamWriter {
         }
     }
 
+    /// Room left under [`effective_capacity`], and the resident count it
+    /// was computed from.
+    ///
+    /// [`effective_capacity`]: StreamWriter::effective_capacity
+    fn room(&self) -> (usize, usize) {
+        match self.effective_capacity() {
+            None => (usize::MAX, 0),
+            Some(capacity) => {
+                let resident = self.basket.len();
+                (capacity.saturating_sub(resident), resident)
+            }
+        }
+    }
+
+    /// Wait until the target basket changes (a reader released space, the
+    /// engine spilled or shed) or `timeout` elapses; returns at once when
+    /// there is room already. For producers that retry a
+    /// [`flush`](StreamWriter::flush) refused with
+    /// [`DataCellError::Backpressure`] and must stay responsive to their
+    /// own stop conditions between slices.
+    pub fn wait_for_room(&self, timeout: Duration) {
+        let signal = self.basket.signal();
+        // Read the version before checking the room: a release racing the
+        // check bumps it, so the wait cannot miss it.
+        let seen = signal.version();
+        if self.room().0 == 0 {
+            signal.wait_past(seen, timeout);
+        }
+    }
+
     /// Append every buffered row to the basket in bulk, applying the
     /// capacity/overflow policy — the writer's own soft cap *and* the
     /// basket's engine-level capacity, whichever is tighter. A buffer
@@ -653,59 +675,53 @@ impl StreamWriter {
     /// [`DataCellError::Backpressure`] the rows already appended are
     /// removed from the buffer, the rest stay for retry.
     pub fn flush(&mut self) -> Result<usize> {
-        if self.buf.is_empty() {
-            return Ok(0);
-        }
-        let total = self.buf.len();
-        let mut offset = 0;
+        let mut flushed = 0;
         let mut waited = false;
-        while offset < total {
-            let (room, resident) = match self.effective_capacity() {
-                None => (total - offset, 0),
-                Some(capacity) => {
-                    let resident = self.basket.len();
-                    (capacity.saturating_sub(resident), resident)
-                }
-            };
+        while !self.buf.is_empty() {
+            let (room, resident) = self.room();
             if room == 0 {
                 if !waited {
                     self.stats.backpressure_waits += 1;
                     waited = true;
                 }
                 match self.overflow {
-                    // A Spill basket reports no capacity (`room` is never
-                    // 0 through `effective_capacity` unless the writer set
-                    // its own soft cap); treat a soft-cap hit like Block:
-                    // wait for the engine to spill/trim.
                     OverflowPolicy::Reject => {
-                        self.buf.drain(..offset);
-                        self.record_flush(offset);
+                        self.record_flush(flushed);
                         return Err(DataCellError::Backpressure {
                             basket: self.basket.name().to_string(),
                             resident,
                             capacity: self.effective_capacity().unwrap_or(0),
                         });
                     }
+                    // A Spill basket reports no capacity (`room` is never
+                    // 0 through `effective_capacity` unless the writer set
+                    // its own soft cap); treat a soft-cap hit like Block:
+                    // wait for the engine to spill/trim.
                     OverflowPolicy::Block | OverflowPolicy::Spill { .. } => {
-                        let signal = self.basket.signal();
-                        let seen = signal.version();
                         // Re-check after any basket change (or 1ms, so a
                         // stopped pipeline cannot wedge the writer forever
                         // without it noticing stop conditions upstream).
-                        signal.wait_past(seen, Duration::from_millis(1));
+                        self.wait_for_room(Duration::from_millis(1));
                         continue;
                     }
                     OverflowPolicy::ShedOldest => {
                         // Make room at the head of the stream; the basket
                         // counts the shed tuples in its stats.
-                        let need = (total - offset)
-                            .min(self.effective_capacity().unwrap_or(total - offset));
+                        let pending = self.buf.len();
+                        let need = pending.min(self.effective_capacity().unwrap_or(pending));
                         self.basket.shed_oldest(need.max(1));
                         continue;
                     }
                 }
             }
-            let n = room.min(total - offset);
+            let n = room.min(self.buf.len());
+            let part;
+            let chunk = if n == self.buf.len() {
+                self.buf.chunk()
+            } else {
+                part = self.buf.chunk().head(n)?;
+                &part
+            };
             // A concurrent producer may still win the race to the last slot:
             // a Block-policy *writer* then waits inside the append, while
             // a non-blocking writer (Reject/ShedOldest) uses the
@@ -714,29 +730,33 @@ impl StreamWriter {
             // inside the engine (the wire receptor's stop-aware retry
             // depends on flush returning).
             let append = if self.overflow == OverflowPolicy::Block {
-                self.basket.append_rows(&self.buf[offset..offset + n])
+                self.basket.append_chunk(chunk)
             } else {
-                self.basket.try_append_rows(&self.buf[offset..offset + n])
+                self.basket.try_append_chunk(chunk)
             };
             match append {
-                Ok(()) => offset += n,
+                Ok(()) => {
+                    if n == self.buf.len() {
+                        self.buf.clear();
+                    } else {
+                        self.buf.drop_head(n);
+                    }
+                    flushed += n;
+                }
                 Err(DataCellError::Backpressure { .. })
                     if self.overflow != OverflowPolicy::Reject =>
                 {
                     continue;
                 }
                 Err(e) => {
-                    self.buf.drain(..offset);
-                    self.record_flush(offset);
+                    self.record_flush(flushed);
                     return Err(e);
                 }
             }
         }
-        self.buf.clear();
-        self.record_flush(total);
-        Ok(total)
+        self.record_flush(flushed);
+        Ok(flushed)
     }
-
     fn record_flush(&mut self, n: usize) {
         if n == 0 {
             return;
@@ -766,8 +786,8 @@ impl Drop for StreamWriter {
 /// A typed stream of continuous-query results.
 ///
 /// Each delivered tuple (minus the implicit `ts` column) is decoded into
-/// `T` via [`FromRow`]. `Subscription<String>` reproduces the old textual
-/// interface; `Subscription<Vec<Value>>` gives raw rows.
+/// `T` via [`FromRow`]. `Subscription<String>` renders rows in the textual
+/// wire format; `Subscription<Vec<Value>>` gives raw rows.
 ///
 /// Subscriptions are **broadcast by default**: each registers its own
 /// reader on the query's output basket, so several subscriptions each see
@@ -849,58 +869,6 @@ impl<T: FromRow> Subscription<T> {
             }
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(DataCellError::Disconnected),
-        }
-    }
-
-    /// [`try_next`](Subscription::try_next) without the drain
-    /// acknowledgement: the popped row is **not** recorded against the
-    /// shared-pool ledger. For bridges that forward rows onward (e.g. the
-    /// network emitter writing to a socket) and must count a row as
-    /// drained only once that onward delivery succeeds — call
-    /// [`ack_rows`](Subscription::ack_rows) afterwards, or the row is
-    /// treated as lost and redelivered to the pool at this subscription's
-    /// settlement. Identical to `try_next` on broadcast subscriptions.
-    pub fn try_next_unacked(&self) -> Result<Option<T>> {
-        match self.rx.try_recv() {
-            Ok(row) => T::from_row(row).map(Some),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(DataCellError::Disconnected),
-        }
-    }
-
-    /// [`next_timeout`](Subscription::next_timeout) without the drain
-    /// acknowledgement; see
-    /// [`try_next_unacked`](Subscription::try_next_unacked).
-    pub fn next_timeout_unacked(&self, timeout: Duration) -> Result<Option<T>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(row) => T::from_row(row).map(Some),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(DataCellError::Disconnected),
-        }
-    }
-
-    /// True when receives are drain-acknowledged against a shared-pool
-    /// ledger (the subscription was opened with
-    /// [`SubscriptionMode::Shared`]) — i.e. when a bridge using the
-    /// `_unacked` variants must follow up with
-    /// [`ack_rows`](Subscription::ack_rows). Lets such a bridge skip
-    /// per-burst delivery confirmation work on broadcast subscriptions,
-    /// where acks are no-ops.
-    pub fn needs_ack(&self) -> bool {
-        self.ledger.is_some()
-    }
-
-    /// Acknowledge `n` rows previously received through the `_unacked`
-    /// variants, marking them drained on the shared-pool ledger. No-op on
-    /// broadcast subscriptions. Acknowledge only rows whose onward
-    /// delivery actually succeeded: anything popped but never acked is
-    /// returned to the pool when this subscription settles.
-    pub fn ack_rows(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if let Some(l) = &self.ledger {
-            l.ack_n(n);
         }
     }
 

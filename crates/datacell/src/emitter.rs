@@ -17,9 +17,10 @@
 //!   share one [`ReaderId`]; each claimed range goes to exactly one of
 //!   them.
 //!
-//! The row sink feeds typed [`Subscription`](crate::client::Subscription)s
-//! (`Subscription<String>` reproduces the paper's flat tuple-exchange
-//! format); the latency sink powers the evaluation harness.
+//! The row sink feeds typed [`Subscription`](crate::client::Subscription)s;
+//! the network transport plugs its own socket sink in through
+//! [`DataCell::subscribe_sink`](crate::DataCell::subscribe_sink); the
+//! latency sink powers the evaluation harness.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,8 +39,19 @@ use crate::metrics::{LatencyHistogram, SessionMetrics};
 
 /// Where an emitter delivers result batches.
 pub trait Sink: Send {
+    /// Called once on the emitter thread, after its reader is registered
+    /// and before the first delivery — a sink that must announce itself
+    /// (a protocol reply) does so here, so nothing it delivers can
+    /// overtake the announcement. An error ends the emitter. Default:
+    /// nothing to do.
+    fn open(&mut self) -> Result<()> {
+        Ok(())
+    }
+
     /// Deliver one drained batch (includes the basket's `ts` column last).
-    fn deliver(&mut self, chunk: &Chunk) -> Result<()>;
+    /// A delivery that fails partway reports how many leading rows did
+    /// reach the subscriber (see [`PartialDelivery`]).
+    fn deliver(&mut self, chunk: &Chunk) -> std::result::Result<(), PartialDelivery>;
 
     /// Hand the sink its emitter's stop flag, so a delivery that can stall
     /// (a bounded subscription channel with a slow client) aborts cleanly
@@ -49,6 +61,87 @@ pub trait Sink: Send {
     fn bind_cancel(&mut self, cancel: Arc<AtomicBool>) {
         let _ = cancel;
     }
+
+    /// Hand the sink the delivery accounts of the subscription it serves
+    /// (see [`DeliveryMeter`]); the sink records what it delivered, by its
+    /// own definition of delivered. Default: ignored (sinks outside a
+    /// subscription account nothing).
+    fn bind_meter(&mut self, meter: DeliveryMeter) {
+        let _ = meter;
+    }
+}
+
+/// A failed delivery: the first `delivered` rows of the chunk reached the
+/// subscriber, the rest did not. A competing-consumer emitter commits that
+/// prefix and rewinds only the rest, so a surviving member re-receives
+/// just the rows the failing sink could not vouch for.
+#[derive(Debug)]
+pub struct PartialDelivery {
+    /// Leading rows of the chunk that were delivered.
+    pub delivered: usize,
+    /// Why the rest were not.
+    pub error: DataCellError,
+}
+
+impl From<DataCellError> for PartialDelivery {
+    /// A failure before any row was delivered.
+    fn from(error: DataCellError) -> Self {
+        PartialDelivery {
+            delivered: 0,
+            error,
+        }
+    }
+}
+
+/// The accounts a subscription's deliveries feed: its query's end-to-end
+/// latency histogram (always recorded — the arrival `ts` rides on every
+/// tuple anyway) and, when session metrics are on, the session's delivered
+/// counter and latency histogram.
+#[derive(Debug, Clone, Default)]
+pub struct DeliveryMeter {
+    query: Option<Arc<LatencyHistogram>>,
+    session: Option<Arc<SessionMetrics>>,
+}
+
+impl DeliveryMeter {
+    pub(crate) fn new(query: Arc<LatencyHistogram>, session: Option<Arc<SessionMetrics>>) -> Self {
+        DeliveryMeter {
+            query: Some(query),
+            session,
+        }
+    }
+
+    /// Count `n` rows as delivered.
+    pub fn delivered(&self, n: u64) {
+        if let Some(m) = &self.session {
+            m.delivered.add(n);
+        }
+    }
+
+    /// Record the latency of rows with arrival stamps `ts` delivered at
+    /// `now` (engine-clock µs).
+    pub fn latency(&self, ts: &[i64], now: i64) {
+        if let Some(h) = &self.query {
+            h.record_many(ts, now);
+        }
+        if let Some(m) = &self.session {
+            m.latency.record_many(ts, now);
+        }
+    }
+
+    /// Account the first `rows` rows of a delivered chunk (its `ts`
+    /// column last): their count, and their latency as of now.
+    pub fn record(&self, chunk: &Chunk, rows: usize) {
+        self.delivered(rows as u64);
+        if let Some(ts) = ts_column(chunk) {
+            self.latency(&ts[..rows], now_micros());
+        }
+    }
+}
+
+/// The arrival stamps of a delivered chunk: its trailing `ts` column.
+fn ts_column(chunk: &Chunk) -> Option<&[i64]> {
+    chunk.columns.last()?.as_timestamps().ok()
 }
 
 /// Per-subscription delivery ledger closing the shared-pool loss window.
@@ -97,13 +190,6 @@ impl AckLedger {
         self.acked.fetch_add(1, Ordering::Release);
     }
 
-    /// Record `n` rows drained at once — for bridges that pop a burst
-    /// unacknowledged and confirm it only after onward delivery succeeds
-    /// (see [`Subscription::ack_rows`](crate::client::Subscription::ack_rows)).
-    pub fn ack_n(&self, n: u64) {
-        self.acked.fetch_add(n, Ordering::Release);
-    }
-
     /// Total rows pushed into the channel so far.
     pub fn pushed(&self) -> u64 {
         self.pushed.load(Ordering::Acquire)
@@ -127,8 +213,8 @@ impl AckLedger {
 
 /// Delivers each tuple as a `Vec<Value>` row into a channel — the transport
 /// behind [`Subscription`](crate::client::Subscription). The trailing `ts`
-/// column is stripped before delivery; when session metrics are attached it
-/// is first used to record per-tuple delivery latency.
+/// column is stripped before delivery, after feeding the latency accounts
+/// of the bound [`DeliveryMeter`].
 ///
 /// On a **bounded** channel
 /// ([`DataCellBuilder::subscription_channel_capacity`](crate::client::DataCellBuilder::subscription_channel_capacity))
@@ -138,24 +224,19 @@ impl AckLedger {
 /// (claim rewound, nothing lost) when the emitter is stopped.
 pub struct RowSink {
     tx: Sender<Vec<Value>>,
-    metrics: Option<Arc<SessionMetrics>>,
     cancel: Option<Arc<AtomicBool>>,
     ledger: Option<Arc<AckLedger>>,
-    /// Per-query end-to-end latency attribution: recorded for every
-    /// delivered tuple regardless of the session-metrics toggle (the
-    /// arrival `ts` rides on the tuple anyway).
-    query_latency: Option<Arc<LatencyHistogram>>,
+    meter: DeliveryMeter,
 }
 
 impl RowSink {
-    /// Deliver rows into `tx`, optionally recording into `metrics`.
-    pub fn new(tx: Sender<Vec<Value>>, metrics: Option<Arc<SessionMetrics>>) -> Self {
+    /// Deliver rows into `tx`.
+    pub fn new(tx: Sender<Vec<Value>>) -> Self {
         RowSink {
             tx,
-            metrics,
             cancel: None,
             ledger: None,
-            query_latency: None,
+            meter: DeliveryMeter::default(),
         }
     }
 
@@ -164,15 +245,6 @@ impl RowSink {
     /// exactly-once shared failover.
     pub fn with_ledger(mut self, ledger: Arc<AckLedger>) -> Self {
         self.ledger = Some(ledger);
-        self
-    }
-
-    /// Record each delivered tuple's end-to-end latency (basket entry →
-    /// delivery) into the query's own histogram — the per-query
-    /// attribution behind
-    /// [`MetricsSnapshot::per_query_latency`](crate::metrics::MetricsSnapshot::per_query_latency).
-    pub fn with_query_latency(mut self, hist: Arc<LatencyHistogram>) -> Self {
-        self.query_latency = Some(hist);
         self
     }
 
@@ -205,36 +277,48 @@ impl RowSink {
             }
         }
     }
+
+    /// Push rows of `chunk` in order; returns how many were pushed and
+    /// whether the whole chunk went.
+    fn push_all(&self, chunk: &Chunk) -> (usize, Result<()>) {
+        let width = chunk.schema.len().saturating_sub(1);
+        for i in 0..chunk.len() {
+            let pushed = chunk
+                .row(i)
+                .map_err(DataCellError::from)
+                .and_then(|mut row| {
+                    row.truncate(width);
+                    self.push(row)
+                });
+            if let Err(e) = pushed {
+                return (i, Err(e));
+            }
+            // Count only rows that actually reached the subscriber.
+            self.meter.delivered(1);
+        }
+        (chunk.len(), Ok(()))
+    }
 }
 
 impl Sink for RowSink {
-    fn deliver(&mut self, chunk: &Chunk) -> Result<()> {
-        let width = chunk.schema.len().saturating_sub(1);
+    fn deliver(&mut self, chunk: &Chunk) -> std::result::Result<(), PartialDelivery> {
         let now = now_micros();
-        for i in 0..chunk.len() {
-            let mut row = chunk.row(i)?;
-            let ts = row.get(width).and_then(Value::as_int);
-            row.truncate(width);
-            self.push(row)?;
-            if let Some(t) = ts {
-                let lat = (now - t).max(0) as u64;
-                if let Some(h) = &self.query_latency {
-                    h.record(lat);
-                }
-                if let Some(m) = &self.metrics {
-                    m.latency.record(lat);
-                }
-            }
-            // Count only rows that actually reached the subscriber.
-            if let Some(m) = &self.metrics {
-                m.delivered.add(1);
-            }
+        let (pushed, result) = self.push_all(chunk);
+        if let Some(ts) = ts_column(chunk) {
+            self.meter.latency(&ts[..pushed], now);
         }
-        Ok(())
+        result.map_err(|error| PartialDelivery {
+            delivered: pushed,
+            error,
+        })
     }
 
     fn bind_cancel(&mut self, cancel: Arc<AtomicBool>) {
         self.cancel = Some(cancel);
+    }
+
+    fn bind_meter(&mut self, meter: DeliveryMeter) {
+        self.meter = meter;
     }
 }
 
@@ -254,13 +338,11 @@ impl LatencySink {
 }
 
 impl Sink for LatencySink {
-    fn deliver(&mut self, chunk: &Chunk) -> Result<()> {
-        let ts_col = chunk.schema.len() - 1;
-        let now = now_micros();
-        let ts = chunk.columns[ts_col].as_timestamps()?;
-        for &t in ts {
-            self.histogram.record((now - t).max(0) as u64);
-        }
+    fn deliver(&mut self, chunk: &Chunk) -> std::result::Result<(), PartialDelivery> {
+        let ts = chunk.columns[chunk.schema.len() - 1]
+            .as_timestamps()
+            .map_err(DataCellError::from)?;
+        self.histogram.record_many(ts, now_micros());
         Ok(())
     }
 }
@@ -278,16 +360,26 @@ impl TeeSink {
 }
 
 impl Sink for TeeSink {
-    fn deliver(&mut self, chunk: &Chunk) -> Result<()> {
+    fn deliver(&mut self, chunk: &Chunk) -> std::result::Result<(), PartialDelivery> {
         for s in &mut self.sinks {
             s.deliver(chunk)?;
         }
         Ok(())
     }
 
+    fn open(&mut self) -> Result<()> {
+        self.sinks.iter_mut().try_for_each(|s| s.open())
+    }
+
     fn bind_cancel(&mut self, cancel: Arc<AtomicBool>) {
         for s in &mut self.sinks {
             s.bind_cancel(Arc::clone(&cancel));
+        }
+    }
+
+    fn bind_meter(&mut self, meter: DeliveryMeter) {
+        for s in &mut self.sinks {
+            s.bind_meter(meter.clone());
         }
     }
 }
@@ -305,8 +397,32 @@ pub struct EmitterStats {
 pub struct Emitter {
     name: String,
     stop: Arc<AtomicBool>,
+    exited: Arc<AtomicBool>,
     stats: Arc<EmitterStats>,
     handle: Option<JoinHandle<()>>,
+}
+
+/// Stops an emitter someone else owns (the session keeps every
+/// subscription's emitter) from another thread — e.g. the connection
+/// thread of a network subscriber that saw its peer hang up.
+#[derive(Debug, Clone)]
+pub struct EmitterControl {
+    stop: Arc<AtomicBool>,
+    exited: Arc<AtomicBool>,
+}
+
+impl EmitterControl {
+    /// Ask the emitter to stop; it rewinds an undelivered claim and
+    /// releases its reader on the way out. Does not wait.
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
+    /// True once the emitter thread has exited: stopped, its query
+    /// dropped, or its sink failed.
+    pub fn is_finished(&self) -> bool {
+        self.exited.load(Ordering::Acquire)
+    }
 }
 
 impl Emitter {
@@ -387,8 +503,10 @@ impl Emitter {
         on_exit: Option<Box<dyn FnOnce() + Send>>,
     ) -> Result<Emitter> {
         let stop = Arc::new(AtomicBool::new(false));
+        let exited = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(EmitterStats::default());
         let thread_stop = Arc::clone(&stop);
+        let thread_exited = Arc::clone(&exited);
         let thread_stats = Arc::clone(&stats);
         let thread_name = name.clone();
         sink.bind_cancel(Arc::clone(&stop));
@@ -401,6 +519,10 @@ impl Emitter {
         let handle = std::thread::Builder::new()
             .name(format!("emitter-{name}"))
             .spawn(move || {
+                if let Err(e) = sink.open() {
+                    report(&thread_name, &e);
+                    thread_stop.store(true, Ordering::Relaxed);
+                }
                 let signal = basket.signal();
                 let mut seen = signal.version();
                 // Delivered-but-uncommitted claims, oldest first:
@@ -453,15 +575,12 @@ impl Emitter {
                             thread_stats.batches.fetch_add(1, Ordering::Relaxed);
                         }
                         // The sink is gone (subscriber hung up) or broken.
-                        // Rewind the claim so the range stays in place —
-                        // original order and timestamps intact — for a
-                        // competing emitter on the same reader; a
-                        // disconnect is a clean shutdown, not a fault
-                        // worth logging.
-                        Err(e) => {
-                            if !matches!(e, DataCellError::Disconnected) {
-                                eprintln!("emitter {thread_name}: {e}");
-                            }
+                        // Rewind the undelivered part of the claim so it
+                        // stays in place — original order and timestamps
+                        // intact — for a competing emitter on the same
+                        // reader.
+                        Err(PartialDelivery { delivered, error }) => {
+                            report(&thread_name, &error);
                             if acked_mode {
                                 // The failing delivery may have pushed a
                                 // prefix of the chunk; settle it below by
@@ -469,7 +588,10 @@ impl Emitter {
                                 let p1 = ledger.as_ref().expect("acked_mode").pushed();
                                 outstanding.push_back((start, end, p0, p1));
                             } else {
-                                basket.rewind_claim(reader, start, end);
+                                settle(&basket, reader, start, delivered as u64, end);
+                                thread_stats
+                                    .tuples
+                                    .fetch_add(delivered as u64, Ordering::Relaxed);
                             }
                             break;
                         }
@@ -490,13 +612,7 @@ impl Emitter {
                         // a prefix (possibly none), so `acked >= p1` alone
                         // would wrongly cover rows that never left the
                         // basket. Commit exactly the proven-drained prefix.
-                        let drained = acked.saturating_sub(p0).min(p1 - p0);
-                        let mid = s + drained.min(e - s);
-                        if mid >= e {
-                            basket.commit_claim(reader, s, e);
-                        } else {
-                            basket.rewind_claim(reader, mid, e);
-                        }
+                        settle(&basket, reader, s, acked.saturating_sub(p0).min(p1 - p0), e);
                     }
                 }
                 if owns_reader {
@@ -505,11 +621,13 @@ impl Emitter {
                 if let Some(release) = on_exit {
                     release();
                 }
+                thread_exited.store(true, Ordering::Release);
             })
             .map_err(|e| DataCellError::Runtime(format!("spawn emitter: {e}")))?;
         Ok(Emitter {
             name,
             stop,
+            exited,
             stats,
             handle: Some(handle),
         })
@@ -518,6 +636,19 @@ impl Emitter {
     /// Emitter name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// A handle that stops this emitter from another thread.
+    pub fn control(&self) -> EmitterControl {
+        EmitterControl {
+            stop: Arc::clone(&self.stop),
+            exited: Arc::clone(&self.exited),
+        }
+    }
+
+    /// True once the emitter thread has exited.
+    pub fn is_finished(&self) -> bool {
+        self.exited.load(Ordering::Acquire)
     }
 
     /// Tuples delivered so far.
@@ -531,6 +662,27 @@ impl Emitter {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+/// Settle a claim `[start, end)` of which the first `done` rows were
+/// delivered: commit those, give the rest back to the reader.
+fn settle(basket: &Basket, reader: ReaderId, start: u64, done: u64, end: u64) {
+    let mid = start + done.min(end - start);
+    if mid >= end {
+        basket.commit_claim(reader, start, end);
+    } else {
+        // Drops the whole in-flight range and steps the cursor back to
+        // `mid`: `[start, mid)` stays consumed.
+        basket.rewind_claim(reader, mid, end);
+    }
+}
+
+/// A sink that is gone (its subscriber hung up) is a clean shutdown, not a
+/// fault worth logging.
+fn report(emitter: &str, e: &DataCellError) {
+    if !matches!(e, DataCellError::Disconnected) {
+        eprintln!("emitter {emitter}: {e}");
     }
 }
 
@@ -576,11 +728,11 @@ mod tests {
     }
 
     impl Sink for CollectSink {
-        fn deliver(&mut self, chunk: &Chunk) -> Result<()> {
+        fn deliver(&mut self, chunk: &Chunk) -> std::result::Result<(), PartialDelivery> {
             let width = chunk.schema.len().saturating_sub(1);
             let mut rows = self.rows.lock();
             for i in 0..chunk.len() {
-                let mut row = chunk.row(i)?;
+                let mut row = chunk.row(i).map_err(DataCellError::from)?;
                 row.truncate(width);
                 rows.push(row);
             }
@@ -686,8 +838,7 @@ mod tests {
         let reader = b.register_reader(true);
         let (tx, rx) = unbounded::<Vec<Value>>();
         drop(rx); // dead subscriber
-        let dead =
-            Emitter::spawn_shared("dead", Arc::clone(&b), reader, RowSink::new(tx, None)).unwrap();
+        let dead = Emitter::spawn_shared("dead", Arc::clone(&b), reader, RowSink::new(tx)).unwrap();
         let sink = CollectSink::new();
         let live = Emitter::spawn_shared("live", Arc::clone(&b), reader, sink.clone()).unwrap();
         for i in 0..50 {
@@ -719,7 +870,7 @@ mod tests {
         let reader = b.register_reader(true);
         let (tx, rx) = crossbeam::channel::bounded::<Vec<Value>>(4);
         let dying =
-            Emitter::spawn_shared("dying", Arc::clone(&b), reader, RowSink::new(tx, None)).unwrap();
+            Emitter::spawn_shared("dying", Arc::clone(&b), reader, RowSink::new(tx)).unwrap();
         for i in 0..4 {
             b.append_rows(&[vec![Value::Int(i)]]).unwrap();
         }
@@ -753,7 +904,7 @@ mod tests {
         let reader = b.register_reader(true);
         let ledger = AckLedger::new();
         let (tx, rx) = crossbeam::channel::bounded::<Vec<Value>>(4);
-        let sink = RowSink::new(tx, None).with_ledger(Arc::clone(&ledger));
+        let sink = RowSink::new(tx).with_ledger(Arc::clone(&ledger));
         let dying =
             Emitter::spawn_shared_acked("dying", Arc::clone(&b), reader, sink, Arc::clone(&ledger))
                 .unwrap();
@@ -798,7 +949,7 @@ mod tests {
         let reader = b.register_reader(true);
         let ledger = AckLedger::new();
         let (tx, rx) = unbounded::<Vec<Value>>();
-        let sink = RowSink::new(tx, None).with_ledger(Arc::clone(&ledger));
+        let sink = RowSink::new(tx).with_ledger(Arc::clone(&ledger));
         let dying =
             Emitter::spawn_shared_acked("dying", Arc::clone(&b), reader, sink, Arc::clone(&ledger))
                 .unwrap();
@@ -837,7 +988,7 @@ mod tests {
         let reader = b.register_reader(true);
         let ledger = AckLedger::new();
         let (tx, rx) = unbounded::<Vec<Value>>();
-        let sink = RowSink::new(tx, None).with_ledger(Arc::clone(&ledger));
+        let sink = RowSink::new(tx).with_ledger(Arc::clone(&ledger));
         let e = Emitter::spawn_shared_acked("e", Arc::clone(&b), reader, sink, Arc::clone(&ledger))
             .unwrap();
         for i in 0..30 {

@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use datacell_bat::types::NIL_INT;
 use parking_lot::Mutex;
 
 /// A log-scaled latency histogram (microseconds) with exact totals.
@@ -36,13 +37,48 @@ impl LatencyHistogram {
         }
     }
 
+    fn bucket(micros: u64) -> usize {
+        (64 - micros.max(1).leading_zeros() as usize - 1).min(39)
+    }
+
     /// Record one latency observation in microseconds.
     pub fn record(&self, micros: u64) {
-        let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(39);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket(micros)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(micros, Ordering::Relaxed);
         self.max.fetch_max(micros, Ordering::Relaxed);
+    }
+
+    /// Record the latency `now - t` (clamped at 0) of every non-nil
+    /// arrival stamp `t` in `ts` — the same result as one [`record`] per
+    /// stamp, with one atomic update per touched bucket and per total
+    /// instead of four per stamp.
+    ///
+    /// [`record`]: LatencyHistogram::record
+    pub fn record_many(&self, ts: &[i64], now: i64) {
+        let mut buckets = [0u64; 40];
+        let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
+        for &t in ts {
+            if t == NIL_INT {
+                continue;
+            }
+            let micros = now.saturating_sub(t).max(0) as u64;
+            buckets[Self::bucket(micros)] += 1;
+            count += 1;
+            sum = sum.wrapping_add(micros);
+            max = max.max(micros);
+        }
+        if count == 0 {
+            return;
+        }
+        for (b, n) in self.buckets.iter().zip(buckets) {
+            if n > 0 {
+                b.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        self.max.fetch_max(max, Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -424,6 +460,35 @@ mod tests {
         assert_eq!(snap.sum_micros, 1000);
         assert_eq!(snap.quantile_micros(0.99), 10);
         assert!((snap.mean_micros() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_many_equals_one_record_per_stamp() {
+        let now = 1_000_000;
+        // Past stamps, a future one (`now < ts`, clamped to 0), one on
+        // `now`, nils (skipped) and a far-past outlier.
+        let ts = [
+            now - 1,
+            now - 3,
+            now - 900,
+            now + 25,
+            now,
+            NIL_INT,
+            now - 70_000,
+            NIL_INT,
+            now - 3,
+        ];
+        let bulk = LatencyHistogram::new();
+        bulk.record_many(&ts, now);
+        let single = LatencyHistogram::new();
+        for &t in ts.iter().filter(|&&t| t != NIL_INT) {
+            single.record((now - t).max(0) as u64);
+        }
+        assert_eq!(bulk.snapshot(), single.snapshot());
+        assert_eq!(bulk.count(), 7);
+        bulk.record_many(&[NIL_INT], now);
+        bulk.record_many(&[], now);
+        assert_eq!(bulk.snapshot(), single.snapshot(), "nothing recorded");
     }
 
     #[test]

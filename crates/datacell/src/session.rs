@@ -39,7 +39,7 @@ use crate::client::{
     DataCellBuilder, FromRow, OverflowPolicy, QueryHandle, StreamWriter, Subscription,
     SubscriptionMode,
 };
-use crate::emitter::{Emitter, RowSink, Sink};
+use crate::emitter::{DeliveryMeter, Emitter, EmitterControl, RowSink, Sink};
 use crate::error::{DataCellError, Result};
 use crate::events::{EngineEvent, EventKind, EventRing};
 use crate::factory::{Factory, FactoryOutput};
@@ -849,50 +849,68 @@ impl DataCell {
         query: &str,
         mode: SubscriptionMode,
     ) -> Result<Subscription<T>> {
-        self.subscribe_channel(query, mode, self.config.subscription_channel)
-    }
-
-    /// Subscribe with an explicit per-subscription channel bound,
-    /// overriding the session default: at most `capacity` undelivered rows
-    /// queue between the emitter and this subscriber; past that the
-    /// emitter stalls (backpressure) instead of the queue growing. The
-    /// network transport uses this so a slow TCP client can never grow an
-    /// unbounded in-process queue.
-    pub fn subscribe_bounded<T: FromRow>(
-        &self,
-        query: &str,
-        mode: SubscriptionMode,
-        capacity: usize,
-    ) -> Result<Subscription<T>> {
-        self.subscribe_channel(query, mode, Some(capacity.max(1)))
-    }
-
-    /// The session-default emitter → subscriber channel bound
-    /// ([`DataCellBuilder::subscription_channel_capacity`]); `None` =
-    /// unbounded.
-    pub fn subscription_channel_capacity(&self) -> Option<usize> {
-        self.config.subscription_channel
-    }
-
-    fn subscribe_channel<T: FromRow>(
-        &self,
-        query: &str,
-        mode: SubscriptionMode,
-        channel: Option<usize>,
-    ) -> Result<Subscription<T>> {
-        let out = self.query_output(query)?;
         // A channel bound turns a slow client into end-to-end
         // backpressure (the emitter stalls instead of the queue growing);
         // the default unbounded channel keeps the historical behavior.
-        let (tx, rx) = match channel {
+        let (tx, rx) = match self.config.subscription_channel {
             Some(cap) => crossbeam::channel::bounded(cap),
             None => crossbeam::channel::unbounded(),
         };
+        // Shared pools commit drain-acknowledged (exactly-once failover):
+        // the ledger pairs this sink's pushes with the subscription's
+        // drains so the pool cursor only passes consumed rows. Broadcast
+        // readers die with their subscriber — nothing to hand back.
+        let ledger = match mode {
+            SubscriptionMode::Shared => Some(crate::emitter::AckLedger::new()),
+            SubscriptionMode::Broadcast => None,
+        };
+        let mut sink = RowSink::new(tx);
+        if let Some(l) = &ledger {
+            sink = sink.with_ledger(Arc::clone(l));
+        }
+        self.attach_subscriber(query, mode, sink, ledger.clone())?;
+        Ok(match ledger {
+            Some(l) => Subscription::new_acked(query.to_string(), rx, l),
+            None => Subscription::new(query.to_string(), rx),
+        })
+    }
+
+    /// Deliver a continuous query's results into a caller-supplied
+    /// [`Sink`] — how a transport (the `datacell-net` socket subscriber)
+    /// subscribes without a channel in between. The sink runs on an
+    /// engine-side emitter thread with the same fan-out `mode` as
+    /// [`DataCell::subscribe_with`]; under [`SubscriptionMode::Shared`] a
+    /// claim commits once `deliver` returns `Ok`, so the sink must return
+    /// `Ok` only for rows that reached their consumer, and a failed
+    /// delivery commits just the prefix its
+    /// [`PartialDelivery`](crate::emitter::PartialDelivery) vouches for.
+    /// The returned control stops the emitter (rewinding an undelivered
+    /// claim); dropping the query or stopping the session stops it too.
+    pub fn subscribe_sink(
+        &self,
+        query: &str,
+        mode: SubscriptionMode,
+        sink: impl Sink + 'static,
+    ) -> Result<EmitterControl> {
+        self.attach_subscriber(query, mode, sink, None)
+    }
+
+    /// Spawn the emitter of one subscription of `query` delivering into
+    /// `sink` — the one place subscriptions are wired: delivery accounts,
+    /// and under [`SubscriptionMode::Shared`] the query's one refcounted
+    /// competing-consumer reader (`ledger`: commit only drained rows).
+    fn attach_subscriber(
+        &self,
+        query: &str,
+        mode: SubscriptionMode,
+        mut sink: impl Sink + 'static,
+        ledger: Option<Arc<crate::emitter::AckLedger>>,
+    ) -> Result<EmitterControl> {
+        let out = self.query_output(query)?;
         // The `#seq` suffix is globally unique, so emitter names can never
         // collide across queries (e.g. a query literally named "q-1").
         let seq = self.emitter_seq.fetch_add(1, Ordering::Relaxed);
         let name = format!("emit-{query}#{seq}");
-        let mut sink = RowSink::new(tx, self.config.metrics.clone());
         // Per-query latency attribution: every subscription of a query
         // feeds the query's one histogram, recorded independently of the
         // session-metrics toggle.
@@ -902,18 +920,7 @@ impl DataCell {
                 .entry(query.to_string())
                 .or_default(),
         );
-        sink = sink.with_query_latency(hist);
-        // Shared pools commit drain-acknowledged (exactly-once failover):
-        // the ledger pairs this sink's pushes with the subscription's
-        // drains so the pool cursor only passes consumed rows. Broadcast
-        // readers die with their subscriber — nothing to hand back.
-        let ledger = match mode {
-            SubscriptionMode::Shared => Some(crate::emitter::AckLedger::new()),
-            SubscriptionMode::Broadcast => None,
-        };
-        if let Some(l) = &ledger {
-            sink = sink.with_ledger(Arc::clone(l));
-        }
+        sink.bind_meter(DeliveryMeter::new(hist, self.config.metrics.clone()));
         let emitter = match mode {
             SubscriptionMode::Broadcast => Emitter::spawn(name.clone(), Arc::clone(&out), sink)?,
             SubscriptionMode::Shared => {
@@ -964,7 +971,7 @@ impl DataCell {
                     Arc::clone(&out),
                     reader,
                     sink,
-                    ledger.clone(),
+                    ledger,
                     move || {
                         if refs.fetch_sub(1, AtomicOrdering::AcqRel) == 1 {
                             release_basket.unregister_reader(reader);
@@ -973,16 +980,24 @@ impl DataCell {
                 )?
             }
         };
-        self.emitter_wiring
-            .lock()
-            .push((name, out.name().to_string()));
-        self.emitters
-            .lock()
-            .push((Some(query.to_string()), emitter));
-        Ok(match ledger {
-            Some(l) => Subscription::new_acked(query.to_string(), rx, l),
-            None => Subscription::new(query.to_string(), rx),
-        })
+        let control = emitter.control();
+        let mut emitters = self.emitters.lock();
+        // Subscribers come and go (a connection per network subscriber):
+        // forget the emitters that have already exited.
+        let mut gone = Vec::new();
+        for (tag, e) in std::mem::take(&mut *emitters) {
+            if e.is_finished() {
+                gone.push(e.name().to_string());
+            } else {
+                emitters.push((tag, e));
+            }
+        }
+        emitters.push((Some(query.to_string()), emitter));
+        drop(emitters);
+        let mut wiring = self.emitter_wiring.lock();
+        wiring.retain(|(n, _)| !gone.contains(n));
+        wiring.push((name, out.name().to_string()));
+        Ok(control)
     }
 
     /// Register a continuous query from its SELECT text and return its

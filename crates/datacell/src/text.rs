@@ -2,10 +2,20 @@
 //!
 //! "Receptors and emitters use a textual interface for exchanging flat
 //! relational tuples": one tuple per line, comma-separated fields. This
-//! module is the single definition of that wire format, shared by
-//! [`crate::receptor`] (parsing, via [`parse_tuple`]) and
-//! [`crate::emitter`] (rendering, via [`render_row`]) so the two stay
-//! round-trip consistent:
+//! module is the single definition of that wire format, in both
+//! directions and in columns:
+//!
+//! * **decode** — [`ChunkBuilder::decode_line`] appends one line, given as
+//!   bytes, straight into typed column builders (the
+//!   [`StreamWriter`](crate::StreamWriter) buffer, and through it the
+//!   network receptor); [`parse_tuple`] is the same decoder aimed at a
+//!   value row;
+//! * **render** — [`ChunkRenderer`] / [`render_chunk_into`] write result
+//!   rows straight from column slices into a byte buffer (the network
+//!   subscriber, `EXEC … rows`); [`render_row`] is the same field writers
+//!   applied to a value row.
+//!
+//! The rules, which round-trip:
 //!
 //! * fields may be double-quoted; inside quotes, commas are literal and
 //!   `""` is an escaped quote — so strings containing the delimiter
@@ -18,9 +28,16 @@
 //! * whitespace around unquoted fields (including trailing whitespace at
 //!   end of line) is ignored; whitespace inside quotes is preserved;
 //! * the unquoted tokens `nil` and `null` (any case) denote SQL NULL; the
-//!   *quoted* string `"nil"` stays a string.
+//!   *quoted* string `"nil"` stays a string;
+//! * bytes that are not UTF-8 decode as U+FFFD replacement characters.
 
-use datacell_bat::types::{DataType, Value};
+use std::io::Write as _;
+use std::sync::Arc;
+
+use datacell_bat::column::Column;
+use datacell_bat::heap::StrHeap;
+use datacell_bat::types::{DataType, Value, NIL_INT};
+use datacell_engine::Chunk;
 use datacell_sql::Schema;
 
 use crate::error::{DataCellError, Result};
@@ -39,6 +56,8 @@ pub struct Field {
 ///
 /// Never fails: an unterminated quote runs to end of line (lenient, like
 /// most CSV readers); the caller's type checks catch genuinely bad input.
+/// This is the general splitter; the decoder takes a shortcut only for
+/// lines on which it provably agrees with it (ASCII, no quote).
 pub fn split_fields(line: &str) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut chars = line.chars().peekable();
@@ -106,69 +125,467 @@ pub fn split_fields(line: &str) -> Vec<Field> {
     fields
 }
 
-/// Parse one textual tuple against a user schema (see module docs for the
-/// format rules).
-pub fn parse_tuple(line: &str, schema: &Schema) -> Result<Vec<Value>> {
-    let fields = split_fields(line);
-    if fields.len() != schema.len() {
-        return Err(DataCellError::Decode(format!(
-            "tuple has {} fields, schema {} wants {}",
-            fields.len(),
-            schema.render(),
-            schema.len()
-        )));
-    }
-    fields
-        .iter()
-        .zip(&schema.columns)
-        .map(|(field, cd)| {
-            let raw = field.text.as_str();
-            if !field.quoted
-                && (raw.eq_ignore_ascii_case("nil") || raw.eq_ignore_ascii_case("null"))
-            {
-                return Ok(Value::Nil);
+// ------------------------------------------------------------------ decode
+
+/// One field's value, typed by its column.
+enum Parsed<'a> {
+    Nil,
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    Str(&'a str),
+    Timestamp(i64),
+}
+
+/// Where the decoder puts a line's fields: column builders or a value row.
+trait Target {
+    fn put(&mut self, col: usize, v: Parsed<'_>);
+}
+
+impl Target for [Column] {
+    fn put(&mut self, col: usize, v: Parsed<'_>) {
+        match (&mut self[col], v) {
+            (c, Parsed::Nil) => c.push_nil(),
+            (Column::Int(c), Parsed::Int(x)) | (Column::Timestamp(c), Parsed::Timestamp(x)) => {
+                c.push(x)
             }
-            let v = match cd.ty {
-                DataType::Int => Value::Int(raw.parse().map_err(|_| bad_field(raw, cd.ty))?),
-                DataType::Float => Value::Float(raw.parse().map_err(|_| bad_field(raw, cd.ty))?),
-                DataType::Bool => match raw.to_ascii_lowercase().as_str() {
-                    "true" | "t" | "1" => Value::Bool(true),
-                    "false" | "f" | "0" => Value::Bool(false),
-                    _ => return Err(bad_field(raw, cd.ty)),
-                },
-                DataType::Str => Value::Str(raw.to_string()),
-                DataType::Timestamp => {
-                    Value::Timestamp(raw.parse().map_err(|_| bad_field(raw, cd.ty))?)
-                }
-            };
-            Ok(v)
-        })
-        .collect()
-}
-
-fn bad_field(raw: &str, ty: DataType) -> DataCellError {
-    DataCellError::Decode(format!("cannot parse {raw:?} as {ty}"))
-}
-
-/// Render one value as a wire field, quoting strings that would otherwise
-/// be ambiguous (embedded comma/quote/newline/backslash, outer
-/// whitespace, or a bare `nil`). Line terminators are backslash-escaped
-/// inside the quotes, so a rendered row is always a single line whatever
-/// the string contains.
-pub fn render_field(v: &Value) -> String {
-    match v {
-        Value::Str(s) if needs_quoting(s) => {
-            let escaped = s
-                .replace('\\', "\\\\")
-                .replace('"', "\"\"")
-                .replace('\n', "\\n")
-                .replace('\r', "\\r");
-            format!("\"{escaped}\"")
+            (Column::Float(c), Parsed::Float(x)) => c.push(x),
+            (Column::Bool(c), Parsed::Bool(b)) => c.push(i8::from(b)),
+            (Column::Str { codes, heap }, Parsed::Str(s)) => {
+                codes.push(Arc::make_mut(heap).intern(s));
+            }
+            _ => unreachable!("fields are parsed as their column's type"),
         }
-        other => other.to_string(),
     }
 }
 
+impl Target for Vec<Value> {
+    fn put(&mut self, _col: usize, v: Parsed<'_>) {
+        self.push(match v {
+            Parsed::Nil => Value::Nil,
+            Parsed::Int(x) => Value::Int(x),
+            Parsed::Float(x) => Value::Float(x),
+            Parsed::Bool(b) => Value::Bool(b),
+            Parsed::Str(s) => Value::Str(s.to_string()),
+            Parsed::Timestamp(x) => Value::Timestamp(x),
+        });
+    }
+}
+
+/// Decode one line (without its terminator) against `schema` into `out`.
+/// On error `out` may hold a prefix of the row; the caller rolls it back.
+fn decode<T: Target + ?Sized>(line: &[u8], schema: &Schema, out: &mut T) -> Result<()> {
+    if !line.is_ascii() || line.contains(&b'"') {
+        // Quotes, escapes and Unicode whitespace: the general splitter.
+        let text = String::from_utf8_lossy(line);
+        let fields = split_fields(&text);
+        if fields.len() != schema.len() {
+            return Err(arity_error(fields.len(), schema));
+        }
+        for (i, (f, cd)) in fields.iter().zip(&schema.columns).enumerate() {
+            out.put(i, parse_field(f.text.as_bytes(), f.quoted, cd.ty)?);
+        }
+        return Ok(());
+    }
+    // ASCII without quotes: every field is the trimmed span between two
+    // commas, exactly what `split_fields` would return. A wrong field
+    // count is the error that wins, as in the general path.
+    let arity = || {
+        let fields = line.iter().filter(|&&b| b == b',').count() + 1;
+        (fields != schema.len()).then(|| arity_error(fields, schema))
+    };
+    let mut fields = line.split(|&b| b == b',');
+    for (i, cd) in schema.columns.iter().enumerate() {
+        let raw = fields
+            .next()
+            .ok_or_else(|| arity().expect("too few fields"))?;
+        match parse_field(trim_whitespace(raw), false, cd.ty) {
+            Ok(v) => out.put(i, v),
+            Err(e) => return Err(arity().unwrap_or(e)),
+        }
+    }
+    match fields.next() {
+        Some(_) => Err(arity().expect("too many fields")),
+        None => Ok(()),
+    }
+}
+
+/// Trim the ASCII characters `char::is_whitespace` accepts (which, unlike
+/// `u8::is_ascii_whitespace`, include the vertical tab).
+fn trim_whitespace(mut b: &[u8]) -> &[u8] {
+    let ws = |c: &u8| matches!(c, b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r');
+    while b.first().is_some_and(ws) {
+        b = &b[1..];
+    }
+    while b.last().is_some_and(ws) {
+        b = &b[..b.len() - 1];
+    }
+    b
+}
+
+/// Parse one field (`raw` is UTF-8: a `str`'s bytes, or ASCII) as `ty`.
+/// Numbers and booleans are parsed from the bytes; only strings, floats
+/// and errors look at the text.
+fn parse_field(raw: &[u8], quoted: bool, ty: DataType) -> Result<Parsed<'_>> {
+    let text = || std::str::from_utf8(raw).expect("fields are UTF-8");
+    if !quoted && (raw.eq_ignore_ascii_case(b"nil") || raw.eq_ignore_ascii_case(b"null")) {
+        return Ok(Parsed::Nil);
+    }
+    let parsed = match ty {
+        DataType::Int => parse_i64(raw).map(Parsed::Int),
+        DataType::Timestamp => parse_i64(raw).map(Parsed::Timestamp),
+        DataType::Float => text().parse().ok().map(Parsed::Float),
+        DataType::Bool => parse_bool(raw).map(Parsed::Bool),
+        DataType::Str => Some(Parsed::Str(text())),
+    };
+    parsed.ok_or_else(|| DataCellError::Decode(format!("cannot parse {:?} as {ty}", text())))
+}
+
+/// `str::parse::<i64>` on UTF-8 bytes, with a loop for the common case:
+/// an optional sign and up to 18 digits cannot overflow; anything longer
+/// (or empty) takes the standard parser, so the accepted language is
+/// exactly its.
+fn parse_i64(raw: &[u8]) -> Option<i64> {
+    let (neg, digits) = match raw {
+        [b'-', rest @ ..] => (true, rest),
+        [b'+', rest @ ..] => (false, rest),
+        all => (false, all),
+    };
+    if digits.is_empty() || digits.len() > 18 {
+        return std::str::from_utf8(raw).ok()?.parse().ok();
+    }
+    let mut v: i64 = 0;
+    for &d in digits {
+        let d = d.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v * 10 + i64::from(d);
+    }
+    Some(if neg { -v } else { v })
+}
+
+fn parse_bool(raw: &[u8]) -> Option<bool> {
+    let is = |w: &[u8]| raw.eq_ignore_ascii_case(w);
+    if is(b"true") || is(b"t") || is(b"1") {
+        Some(true)
+    } else if is(b"false") || is(b"f") || is(b"0") {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+fn arity_error(fields: usize, schema: &Schema) -> DataCellError {
+    DataCellError::Decode(format!(
+        "tuple has {fields} fields, schema {} wants {}",
+        schema.render(),
+        schema.len()
+    ))
+}
+
+/// Parse one textual tuple against a user schema (see module docs for the
+/// format rules) into a value row — the decoder of [`ChunkBuilder`] aimed
+/// at a `Vec<Value>`.
+pub fn parse_tuple(line: &str, schema: &Schema) -> Result<Vec<Value>> {
+    let mut row = Vec::with_capacity(schema.len());
+    decode(line.as_bytes(), schema, &mut row).map(|()| row)
+}
+
+/// Typed column builders for rows of one schema: lines decode straight
+/// into them ([`ChunkBuilder::decode_line`]), value rows coerce into them
+/// ([`ChunkBuilder::push_row`]), and the result is a ready [`Chunk`] for
+/// [`Basket::append_chunk`](crate::Basket::append_chunk). A rejected row
+/// leaves the builders exactly as they were.
+#[derive(Debug, Clone)]
+pub struct ChunkBuilder {
+    chunk: Chunk,
+}
+
+impl ChunkBuilder {
+    /// Empty builders for `schema`.
+    pub fn new(schema: Schema) -> Self {
+        ChunkBuilder {
+            chunk: Chunk::empty(schema),
+        }
+    }
+
+    /// The schema rows are decoded and validated against.
+    pub fn schema(&self) -> &Schema {
+        &self.chunk.schema
+    }
+
+    /// Rows built so far.
+    pub fn len(&self) -> usize {
+        self.chunk.len()
+    }
+
+    /// True iff no rows are built.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The rows built so far, as a chunk of the builder's schema.
+    pub fn chunk(&self) -> &Chunk {
+        &self.chunk
+    }
+
+    /// Decode one textual tuple (a line without its `\n`) and append it;
+    /// malformed input is a [`DataCellError::Decode`] and appends nothing.
+    pub fn decode_line(&mut self, line: &[u8]) -> Result<()> {
+        let start = self.len();
+        let decoded = decode(line, &self.chunk.schema, self.chunk.columns.as_mut_slice());
+        if decoded.is_err() {
+            self.truncate(start);
+        }
+        decoded
+    }
+
+    /// Append one value row, coercing each value to its column type (the
+    /// rules of SQL `INSERT`); a row of the wrong arity or with a value
+    /// that has no lossless coercion is a [`DataCellError::Decode`] and
+    /// appends nothing.
+    pub fn push_row(&mut self, row: &[Value]) -> Result<()> {
+        let schema = &self.chunk.schema;
+        if row.len() != schema.len() {
+            return Err(DataCellError::Decode(format!(
+                "row arity {} != schema {} arity {}",
+                row.len(),
+                schema.render(),
+                schema.len()
+            )));
+        }
+        if let Some((v, cd)) = row
+            .iter()
+            .zip(&schema.columns)
+            .find(|(v, cd)| !v.can_coerce_to(cd.ty))
+        {
+            return Err(DataCellError::Decode(format!(
+                "column {}: cannot coerce {v} to {}",
+                cd.name, cd.ty
+            )));
+        }
+        for (c, v) in self.chunk.columns.iter_mut().zip(row) {
+            c.push(v).expect("coercion checked above");
+        }
+        Ok(())
+    }
+
+    /// Drop the first `n` rows (they were appended elsewhere).
+    pub fn drop_head(&mut self, n: usize) {
+        for c in &mut self.chunk.columns {
+            c.drop_head(n);
+        }
+    }
+
+    /// Drop every row; string columns start a new dictionary.
+    pub fn clear(&mut self) {
+        for c in &mut self.chunk.columns {
+            match c {
+                Column::Str { .. } => *c = Column::empty(DataType::Str),
+                c => c.clear(),
+            }
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        for c in &mut self.chunk.columns {
+            c.truncate(len);
+        }
+    }
+}
+
+// ------------------------------------------------------------------ render
+
+/// One column as the renderer reads it.
+enum RenderCol<'a> {
+    /// Integers and timestamps (both `i64`, rendered the same way).
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Bool(&'a [i8]),
+    Str {
+        codes: &'a [u32],
+        heap: &'a StrHeap,
+    },
+}
+
+/// Renders a chunk's rows as wire lines (each ending in `\n`) straight
+/// from its column slices, byte-identical to [`render_row`] on the same
+/// values.
+pub struct ChunkRenderer<'a> {
+    cols: Vec<RenderCol<'a>>,
+    rows: usize,
+}
+
+impl<'a> ChunkRenderer<'a> {
+    /// Render the first `width` columns of `chunk` (a basket chunk's user
+    /// columns, leaving out its trailing `ts`).
+    pub fn new(chunk: &'a Chunk, width: usize) -> Self {
+        let rows = chunk.len();
+        let cols = chunk
+            .columns
+            .iter()
+            .take(width)
+            .map(|c| match c {
+                Column::Int(v) | Column::Timestamp(v) => RenderCol::Int(v),
+                Column::Float(v) => RenderCol::Float(v),
+                Column::Bool(v) => RenderCol::Bool(v),
+                Column::Str { codes, heap } => RenderCol::Str { codes, heap },
+            })
+            .collect();
+        ChunkRenderer { cols, rows }
+    }
+
+    /// Rows in the chunk.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True iff the chunk has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Append rows from `from` on to `out` until the chunk ends or the
+    /// next row would take `out` past `limit` bytes (the first row is
+    /// always appended); returns the first row not rendered.
+    pub fn render_until(&self, from: usize, limit: usize, out: &mut Vec<u8>) -> usize {
+        let mut row = from;
+        while row < self.rows && (row == from || out.len() < limit) {
+            let mark = out.len();
+            self.render_row(row, out);
+            if out.len() > limit && row > from {
+                out.truncate(mark);
+                break;
+            }
+            row += 1;
+        }
+        row
+    }
+
+    fn render_row(&self, i: usize, out: &mut Vec<u8>) {
+        for (j, col) in self.cols.iter().enumerate() {
+            if j > 0 {
+                out.push(b',');
+            }
+            match col {
+                RenderCol::Int(v) => write_int(out, v[i]),
+                RenderCol::Float(v) => write_float(out, v[i]),
+                RenderCol::Bool(v) => write_bool(out, v[i]),
+                RenderCol::Str { codes, heap } => match heap.get(codes[i]) {
+                    None => out.extend_from_slice(b"nil"),
+                    Some(s) => write_str(out, s, needs_quoting(s)),
+                },
+            }
+        }
+        out.push(b'\n');
+    }
+}
+
+/// Append every row of `chunk`'s first `width` columns to `out` as wire
+/// lines, each ending in `\n`.
+pub fn render_chunk_into(chunk: &Chunk, width: usize, out: &mut Vec<u8>) {
+    ChunkRenderer::new(chunk, width).render_until(0, usize::MAX, out);
+}
+
+/// Render a row as one wire line (no terminator) — the field writers of
+/// [`ChunkRenderer`] applied to values; parses back to the same values.
+pub fn render_row(row: &[Value]) -> String {
+    let mut out = Vec::with_capacity(row.len() * 8);
+    for (j, v) in row.iter().enumerate() {
+        if j > 0 {
+            out.push(b',');
+        }
+        match v {
+            Value::Nil => out.extend_from_slice(b"nil"),
+            Value::Int(x) | Value::Timestamp(x) => write_int(&mut out, *x),
+            Value::Float(x) => write_float(&mut out, *x),
+            Value::Bool(b) => write_bool(&mut out, i8::from(*b)),
+            Value::Str(s) => write_str(&mut out, s, needs_quoting(s)),
+        }
+    }
+    String::from_utf8(out).expect("rendered fields are UTF-8")
+}
+
+/// `"00" "01" … "99"`: two decimal digits per lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+fn write_int(out: &mut Vec<u8>, v: i64) {
+    if v == NIL_INT {
+        out.extend_from_slice(b"nil");
+        return;
+    }
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = v.unsigned_abs();
+    while n >= 100 {
+        let d = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if n >= 10 {
+        let d = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    if v < 0 {
+        out.push(b'-');
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+fn write_float(out: &mut Vec<u8>, v: f64) {
+    if v.is_nan() {
+        out.extend_from_slice(b"nil");
+    } else {
+        write!(out, "{v}").expect("writing to a Vec cannot fail");
+    }
+}
+
+fn write_bool(out: &mut Vec<u8>, v: i8) {
+    out.extend_from_slice(match v {
+        0 => b"false".as_slice(),
+        1 => b"true",
+        _ => b"nil",
+    });
+}
+
+/// Write a string field, quoted and escaped when `quoted`: backslash,
+/// quote and the two line terminators are the only bytes that change.
+fn write_str(out: &mut Vec<u8>, s: &str, quoted: bool) {
+    if !quoted {
+        out.extend_from_slice(s.as_bytes());
+        return;
+    }
+    out.push(b'"');
+    for &b in s.as_bytes() {
+        match b {
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'"' => out.extend_from_slice(b"\"\""),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            _ => out.push(b),
+        }
+    }
+    out.push(b'"');
+}
+
+/// Strings that would otherwise be ambiguous are quoted: an embedded
+/// comma/quote/newline/backslash, outer whitespace, empty, or a bare
+/// `nil`/`null`.
 fn needs_quoting(s: &str) -> bool {
     s.is_empty()
         || s.contains(',')
@@ -179,11 +596,6 @@ fn needs_quoting(s: &str) -> bool {
         || s != s.trim()
         || s.eq_ignore_ascii_case("nil")
         || s.eq_ignore_ascii_case("null")
-}
-
-/// Render a row as one wire line; parses back to the same values.
-pub fn render_row(row: &[Value]) -> String {
-    row.iter().map(render_field).collect::<Vec<_>>().join(",")
 }
 
 #[cfg(test)]
@@ -302,5 +714,87 @@ mod tests {
         let s = schema(&[DataType::Str]);
         let row = parse_tuple(r#""open ended"#, &s).unwrap();
         assert_eq!(row[0], Value::Str("open ended".into()));
+    }
+
+    #[test]
+    fn rejected_line_leaves_builders_untouched() {
+        let s = schema(&[DataType::Int, DataType::Str, DataType::Float]);
+        let mut b = ChunkBuilder::new(s);
+        b.decode_line(b"1, a, 1.5").unwrap();
+        // Fails on the last field, after two fields were appended.
+        assert!(b.decode_line(b"2, b, x").is_err());
+        // Fails in the general (quoted) path, too.
+        assert!(b.decode_line(br#"3, "c", x"#).is_err());
+        assert!(b.decode_line(b"4, d").is_err());
+        assert_eq!(b.len(), 1);
+        assert!(b.chunk().columns.iter().all(|c| c.len() == 1));
+        b.decode_line(b"5, \"e,f\", nil").unwrap();
+        assert_eq!(
+            b.chunk().rows().unwrap(),
+            vec![
+                vec![Value::Int(1), Value::Str("a".into()), Value::Float(1.5)],
+                vec![Value::Int(5), Value::Str("e,f".into()), Value::Nil],
+            ]
+        );
+    }
+
+    #[test]
+    fn push_row_coerces_or_rejects_whole_rows() {
+        let mut b = ChunkBuilder::new(schema(&[DataType::Float, DataType::Timestamp]));
+        b.push_row(&[Value::Int(2), Value::Int(7)]).unwrap();
+        assert!(b.push_row(&[Value::Int(1)]).is_err());
+        assert!(b
+            .push_row(&[Value::Float(1.0), Value::Str("x".into())])
+            .is_err());
+        assert_eq!(
+            b.chunk().rows().unwrap(),
+            vec![vec![Value::Float(2.0), Value::Timestamp(7)]]
+        );
+        b.clear();
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    fn chunk_rendering_matches_row_rendering_and_splits_on_limit() {
+        let s = schema(&[
+            DataType::Int,
+            DataType::Str,
+            DataType::Bool,
+            DataType::Float,
+        ]);
+        let mut b = ChunkBuilder::new(s);
+        for line in [
+            "-9223372036854775807, plain, t, 2.5",
+            "0, \"a,b\", f, -0.0",
+            "nil, nil, nil, nil",
+            "42, \" padded \", true, inf",
+            "7, plain, 0, 1e300",
+        ] {
+            b.decode_line(line.as_bytes()).unwrap();
+        }
+        let chunk = b.chunk();
+        let mut want = String::new();
+        for row in chunk.rows().unwrap() {
+            want.push_str(&render_row(&row));
+            want.push('\n');
+        }
+        let mut out = Vec::new();
+        render_chunk_into(chunk, 4, &mut out);
+        assert_eq!(String::from_utf8(out).unwrap(), want);
+
+        // Pieces under a tiny limit: one row each, concatenating to the
+        // same text.
+        let r = ChunkRenderer::new(chunk, 4);
+        let (mut from, mut pieces, mut all) = (0, 0, Vec::new());
+        while from < r.len() {
+            let mut piece = Vec::new();
+            let next = r.render_until(from, 8, &mut piece);
+            assert_eq!(next, from + 1);
+            all.extend(piece);
+            from = next;
+            pieces += 1;
+        }
+        assert_eq!(pieces, 5);
+        assert_eq!(String::from_utf8(all).unwrap(), want);
     }
 }

@@ -7,22 +7,27 @@
 //! into the engine and subscribe to continuous-query results out of it.
 //!
 //! ```text
-//!   tcp client ──▶ NetReceptor ──▶ Basket ──▶ Factory ──▶ Basket ──▶ NetEmitter ──▶ tcp client
-//!                  (STREAM b)                                         (SUBSCRIBE q)
+//!   socket read buffer ──decode──▶ column builders ──▶ Basket ──▶ Factory ──▶ Basket
+//!   (NetReceptor, STREAM b)        (StreamWriter)                               │
+//!                                                                                ▼ claim
+//!   socket ◀──write── byte buffer ◀──render── column slices ◀── emitter thread (NetSink, SUBSCRIBE q)
 //! ```
 //!
+//! The edge is columnar from socket to socket: no per-tuple row, string or
+//! channel send between a [`NetReceptor`]'s socket read and a
+//! [`NetSink`]'s socket write.
+//!
 //! * framing is exactly [`datacell::text`]: one tuple per line,
-//!   comma-separated, CSV-style quoting — the parser is the network trust
+//!   comma-separated, CSV-style quoting — the decoder is the network trust
 //!   boundary (malformed bytes produce `ERR` replies, never panics);
-//! * a [`NetReceptor`] appends into the engine's bounded baskets through
-//!   the session's [`OverflowPolicy`](datacell::OverflowPolicy), so a full
-//!   pipeline stalls the socket (TCP backpressure) or sheds, it never
-//!   buffers unboundedly;
-//! * a [`NetEmitter`] bridges a [`Subscription`](datacell::Subscription)
-//!   onto the socket: a slow TCP client fills its kernel buffer, the
-//!   bridge stops pulling, the subscription channel fills — network
-//!   subscribers are **always bounded** (the session's configured
-//!   capacity, else a 1024-row transport default) — and the engine-side
+//! * a [`NetReceptor`] decodes lines in place from its read buffer into
+//!   the column builders of a batched writer and appends into the
+//!   engine's bounded baskets through the session's
+//!   [`OverflowPolicy`](datacell::OverflowPolicy), so a full pipeline
+//!   stalls the socket (TCP backpressure) or sheds, it never buffers
+//!   unboundedly;
+//! * a [`NetSink`] is the subscription's engine-side emitter writing to
+//!   the socket itself: a slow TCP client fills its kernel buffer and the
 //!   emitter stalls holding its claim, so the slowness backpressures the
 //!   pipeline instead of growing a queue.
 //!
@@ -61,7 +66,7 @@ pub mod protocol;
 pub mod receptor;
 pub mod server;
 
-pub use emitter::NetEmitter;
+pub use emitter::NetSink;
 pub use http::HttpServer;
 pub use protocol::{Handshake, StreamCommand, PROTOCOL_VERSION};
 pub use receptor::NetReceptor;

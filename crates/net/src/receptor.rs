@@ -1,10 +1,12 @@
 //! [`NetReceptor`]: one `STREAM` connection's ingest pump.
 //!
-//! The network-facing twin of [`datacell::receptor`]: it reads
-//! newline-delimited tuple lines off a socket, validates them against the
-//! basket's user schema via [`datacell::text::parse_tuple`] (through a
-//! batched [`StreamWriter`]), and appends into the engine under the
-//! basket's [`OverflowPolicy`](datacell::OverflowPolicy). The parser is
+//! The network-facing twin of [`datacell::receptor`]: it decodes
+//! newline-delimited tuple lines in place from its socket read buffer,
+//! straight into the typed column builders of a batched [`StreamWriter`]
+//! ([`StreamWriter::append_bytes`], the [`datacell::text`] decoder), and
+//! appends into the engine under the basket's
+//! [`OverflowPolicy`](datacell::OverflowPolicy). Only a line that
+//! straddles the edge of the read buffer is ever copied. The decoder is
 //! the trust boundary: any malformed line produces an `ERR decode` reply
 //! and a counter tick — never a panic, never a dropped connection.
 //!
@@ -28,72 +30,124 @@ use crate::server::ConnStats;
 /// Hard cap on one frame: a client that streams bytes without a newline
 /// must not grow server memory without bound (the line buffer is the one
 /// allocation the protocol makes on behalf of the peer — everything past
-/// it is bounded by baskets and channels).
-pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
+/// it is bounded by baskets and socket buffers).
+const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// How one blocking read iteration ended.
-pub(crate) enum ReadStep {
-    /// A complete line is in the buffer.
-    Line,
-    /// The peer closed the stream (a final unterminated line may remain).
-    Eof,
+/// A connection's socket read buffer. Lines are decoded in place from it,
+/// so only a line that straddles its edge is copied (into the carry
+/// buffer, where the frame cap is enforced).
+const READ_BUFFER_BYTES: usize = 64 << 10;
+
+// A line inside the read buffer is never checked against the cap.
+const _: () = assert!(READ_BUFFER_BYTES < MAX_LINE_BYTES);
+
+/// Longest a full basket makes the receptor wait before it re-checks the
+/// stop flag.
+const BACKPRESSURE_SLICE: Duration = Duration::from_millis(1);
+
+/// True for the errors a read with a timeout returns when nothing arrived.
+pub(crate) fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock
+            | std::io::ErrorKind::TimedOut
+            | std::io::ErrorKind::Interrupted
+    )
+}
+
+/// How one [`LineReader::next_line`] ended.
+pub(crate) enum ReadStep<'a> {
+    /// A complete line, without its terminator.
+    Line(&'a [u8]),
+    /// The peer closed the stream; the final unterminated line, possibly
+    /// empty.
+    Eof(&'a [u8]),
     /// Timed out or interrupted; poll the stop flag and keep reading.
     Again,
-    /// The line exceeded [`MAX_LINE_BYTES`] (framing is lost: reply and
+    /// The frame exceeded [`MAX_LINE_BYTES`] (framing is lost: reply and
     /// close).
     TooLong,
     /// Unrecoverable socket error.
     Broken,
 }
 
-/// Read one `\n`-terminated line into `buf`, tolerating read timeouts
-/// (partial lines accumulate across calls) and enforcing the
-/// [`MAX_LINE_BYTES`] frame cap *per chunk* — `BufRead::read_line` would
-/// block inside one call while an endless unterminated line grows, so the
-/// accumulation is done here on bounded `fill_buf` slices. Bytes are
-/// collected raw and converted lossily at the frame boundary, so invalid
-/// UTF-8 degrades into a decode error instead of a dropped connection.
-/// Shared by the receptor loop and the server's handshake reader.
-pub(crate) fn read_line_step(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> ReadStep {
-    loop {
-        let (taken, done) = match reader.fill_buf() {
-            Ok([]) => return ReadStep::Eof,
-            Ok(bytes) => match bytes.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    buf.extend_from_slice(&bytes[..=i]);
-                    (i + 1, true)
-                }
-                None => {
-                    buf.extend_from_slice(bytes);
-                    (bytes.len(), false)
-                }
-            },
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                return ReadStep::Again
+/// The one line framer of a connection, shared by the handshake and the
+/// receptor. A line ends at `\n`; `\r` before it (CRLF framing) is not
+/// data. A line that sits wholly in the socket read buffer is handed out
+/// in place and consumed at the next call; only a line that straddles the
+/// buffer's edge is copied, into the carry buffer, where the
+/// [`MAX_LINE_BYTES`] frame cap (terminator included) is enforced on
+/// bounded `fill_buf` slices — an endless unterminated line cannot grow
+/// server memory, and a read timeout never loses a partial line. Bytes
+/// stay raw: invalid UTF-8 becomes a decode error downstream, not a
+/// dropped connection.
+pub(crate) struct LineReader {
+    reader: BufReader<TcpStream>,
+    /// The head of a line straddling the buffer's edge, or the last line
+    /// handed out from it (cleared at the next call).
+    carry: Vec<u8>,
+    /// Buffer bytes the last line handed out in place still occupies.
+    held: usize,
+}
+
+impl LineReader {
+    pub(crate) fn new(stream: TcpStream) -> Self {
+        LineReader {
+            reader: BufReader::with_capacity(READ_BUFFER_BYTES, stream),
+            carry: Vec::new(),
+            held: 0,
+        }
+    }
+
+    /// The next line; the line handed out by the previous call is
+    /// released first.
+    pub(crate) fn next_line(&mut self) -> ReadStep<'_> {
+        self.reader.consume(std::mem::take(&mut self.held));
+        if self.carry.last() == Some(&b'\n') {
+            self.carry.clear();
+        }
+        loop {
+            let (len, newline) = match self.reader.fill_buf() {
+                Ok([]) => return ReadStep::Eof(strip_cr(&self.carry)),
+                Ok(buf) => (buf.len(), buf.iter().position(|&b| b == b'\n')),
+                Err(e) if timed_out(&e) => return ReadStep::Again,
+                Err(_) => return ReadStep::Broken,
+            };
+            let take = newline.map_or(len, |i| i + 1);
+            if let (Some(i), true) = (newline, self.carry.is_empty()) {
+                self.held = take;
+                return ReadStep::Line(strip_cr(&self.reader.buffer()[..i]));
             }
-            Err(_) => return ReadStep::Broken,
-        };
-        reader.consume(taken);
-        if buf.len() > MAX_LINE_BYTES {
-            return ReadStep::TooLong;
+            self.carry.extend_from_slice(&self.reader.buffer()[..take]);
+            self.reader.consume(take);
+            if self.carry.len() > MAX_LINE_BYTES {
+                return ReadStep::TooLong;
+            }
+            if newline.is_some() {
+                return ReadStep::Line(strip_cr(&self.carry[..self.carry.len() - 1]));
+            }
         }
-        if done {
-            return ReadStep::Line;
-        }
+    }
+
+    /// True when the next [`next_line`](LineReader::next_line) must read
+    /// the socket: every buffered byte has been handed out.
+    pub(crate) fn drained(&self) -> bool {
+        self.reader.buffer().len() == self.held
+    }
+
+    /// The buffered socket reader, with any unread input (the line framing
+    /// is abandoned).
+    pub(crate) fn into_inner(mut self) -> BufReader<TcpStream> {
+        self.reader.consume(self.held);
+        self.reader
     }
 }
 
-/// Take the accumulated frame out of `buf` as text (lossy UTF-8).
-pub(crate) fn take_line(buf: &mut Vec<u8>) -> String {
-    let line = String::from_utf8_lossy(buf).into_owned();
-    buf.clear();
+/// Drop the `\r`s ending a line.
+fn strip_cr(mut line: &[u8]) -> &[u8] {
+    while let [rest @ .., b'\r'] = line {
+        line = rest;
+    }
     line
 }
 
@@ -101,59 +155,73 @@ pub(crate) fn take_line(buf: &mut Vec<u8>) -> String {
 /// by the [`NetServer`](crate::NetServer) after a successful `STREAM`
 /// handshake and run on the connection's thread.
 pub struct NetReceptor {
-    reader: BufReader<TcpStream>,
+    lines: LineReader,
+    ingest: Ingest,
+}
+
+/// Everything of the receptor but its line reader, so a line borrowed
+/// from the read buffer is handled in place.
+struct Ingest {
     replies: TcpStream,
     writer: StreamWriter,
     stats: Arc<ConnStats>,
     stop: Arc<AtomicBool>,
+    /// Lines accepted and rejected since the connection's counters were
+    /// last updated (once per read, and before every reply that reports
+    /// counts).
+    accepted: u64,
+    rejected: u64,
+}
+
+/// What one line is.
+enum LineKind {
+    Blank,
+    Command(StreamCommand),
+    Tuple,
 }
 
 impl NetReceptor {
     pub(crate) fn new(
-        reader: BufReader<TcpStream>,
+        lines: LineReader,
         replies: TcpStream,
         writer: StreamWriter,
         stats: Arc<ConnStats>,
         stop: Arc<AtomicBool>,
     ) -> Self {
         NetReceptor {
-            reader,
-            replies,
-            writer,
-            stats,
-            stop,
+            lines,
+            ingest: Ingest {
+                replies,
+                writer,
+                stats,
+                stop,
+                accepted: 0,
+                rejected: 0,
+            },
         }
     }
 
     /// Pump lines until the client disconnects, sends `QUIT`, or the
     /// server stops. Whatever was accepted is flushed before returning.
     pub fn run(mut self) {
-        let mut line = Vec::new();
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            match read_line_step(&mut self.reader, &mut line) {
-                ReadStep::Line => {
-                    let l = take_line(&mut line);
-                    if self.handle_line(l.trim_end_matches(['\r', '\n'])) {
+        while !self.ingest.stop.load(Ordering::Relaxed) {
+            match self.lines.next_line() {
+                ReadStep::Line(line) => {
+                    if self.ingest.line(line) {
                         return;
                     }
                 }
-                ReadStep::Eof => {
+                ReadStep::Eof(last) => {
                     // A final line without a trailing newline is still a
                     // tuple (pipes often end this way).
-                    let l = take_line(&mut line);
-                    let l = l.trim();
-                    if !l.is_empty() {
-                        self.handle_line(l);
-                    }
+                    self.ingest.line(last);
+                    self.ingest.publish();
                     break;
                 }
                 ReadStep::Again => continue,
                 ReadStep::TooLong => {
                     // Framing is lost past the cap: report and hang up.
-                    self.reply(&protocol::err_line(
+                    self.ingest.reply(&protocol::err_line(
                         "decode",
                         "line exceeds the 1 MiB frame limit",
                     ));
@@ -161,43 +229,47 @@ impl NetReceptor {
                 }
                 ReadStep::Broken => break,
             }
+            // Counters move once per socket read, not once per line.
+            if self.lines.drained() {
+                self.ingest.publish();
+            }
         }
         // Disconnect: land whatever the writer still buffers.
-        self.flush_blocking();
+        self.ingest.flush_blocking();
     }
+}
 
-    /// Process one complete line; returns true when the connection should
-    /// close (`QUIT`). Blank lines are ignored (trailing newlines from
-    /// piped files, interactive `nc` use); an empty single-string tuple is
-    /// sent quoted (`""`).
-    fn handle_line(&mut self, l: &str) -> bool {
-        if l.trim().is_empty() {
-            return false;
-        }
-        match protocol::parse_stream_command(l) {
-            Some(StreamCommand::Sync) => {
+impl Ingest {
+    /// Process one line (without its terminator); returns true when the
+    /// connection should close (`QUIT`). Blank lines are ignored (trailing
+    /// newlines from piped files, interactive `nc` use); an empty
+    /// single-string tuple is sent quoted (`""`).
+    fn line(&mut self, line: &[u8]) -> bool {
+        match classify(line) {
+            LineKind::Blank => {}
+            LineKind::Command(StreamCommand::Sync) => {
                 self.flush_blocking();
+                self.publish();
                 let s = self.writer.stats();
                 self.reply(&format!("OK SYNC {} {}", s.appended, s.rejected));
             }
-            Some(StreamCommand::Quit) => {
+            LineKind::Command(StreamCommand::Quit) => {
                 self.flush_blocking();
+                self.publish();
                 self.reply("OK BYE");
                 return true;
             }
-            None => match self.writer.append_text(l) {
-                Ok(()) => {
-                    self.stats.tuples.fetch_add(1, Ordering::Relaxed);
-                }
+            LineKind::Tuple => match self.writer.append_bytes(line) {
+                Ok(()) => self.accepted += 1,
                 Err(DataCellError::Backpressure { .. }) => {
                     // The line was accepted and buffered; the auto-flush
                     // hit a full basket. Apply the backpressure here and
                     // now: stop reading the socket until the flush lands.
-                    self.stats.tuples.fetch_add(1, Ordering::Relaxed);
+                    self.accepted += 1;
                     self.flush_blocking();
                 }
                 Err(DataCellError::Decode(msg)) => {
-                    self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                    self.rejected += 1;
                     self.reply(&protocol::err_line("decode", &msg));
                 }
                 Err(e) => {
@@ -208,12 +280,28 @@ impl NetReceptor {
         false
     }
 
+    /// Add the lines counted since the last update to the connection's
+    /// counters.
+    fn publish(&mut self) {
+        if self.accepted > 0 {
+            self.stats
+                .tuples
+                .fetch_add(std::mem::take(&mut self.accepted), Ordering::Relaxed);
+        }
+        if self.rejected > 0 {
+            self.stats
+                .rejected
+                .fetch_add(std::mem::take(&mut self.rejected), Ordering::Relaxed);
+        }
+    }
+
     /// Retry [`StreamWriter::flush`] until it lands, waiting out
-    /// backpressure in stop-aware slices. Lossless for `Block`/`Reject`
-    /// baskets while the engine runs; `ShedOldest` baskets shed inside
-    /// the engine and return immediately. On server stop the retry gives
-    /// up (rows that cannot land in a stalled, stopping pipeline are
-    /// dropped — the shutdown is never held hostage).
+    /// backpressure on the basket's change signal in stop-aware slices.
+    /// Lossless for `Block`/`Reject` baskets while the engine runs;
+    /// `ShedOldest` baskets shed inside the engine and return immediately.
+    /// On server stop the retry gives up (rows that cannot land in a
+    /// stalled, stopping pipeline are dropped — the shutdown is never held
+    /// hostage).
     fn flush_blocking(&mut self) {
         loop {
             match self.writer.flush() {
@@ -222,7 +310,7 @@ impl NetReceptor {
                     if self.stop.load(Ordering::Relaxed) {
                         return;
                     }
-                    std::thread::sleep(Duration::from_millis(1));
+                    self.writer.wait_for_room(BACKPRESSURE_SLICE);
                 }
                 Err(e) => {
                     self.reply(&protocol::err_line("internal", &e.to_string()));
@@ -235,6 +323,21 @@ impl NetReceptor {
     /// Best-effort single-line reply; a failed write means the client is
     /// gone and the read loop will notice.
     fn reply(&mut self, line: &str) {
-        let _ = writeln!(self.replies, "{line}");
+        let _ = self.replies.write_all(format!("{line}\n").as_bytes());
+    }
+}
+
+/// Blank, an in-stream command, or a tuple — decided on the text (lossy
+/// UTF-8, borrowed when the line is valid), so whitespace means what it
+/// means to the tuple decoder.
+fn classify(line: &[u8]) -> LineKind {
+    let text = String::from_utf8_lossy(line);
+    let t = text.trim();
+    if t.is_empty() {
+        LineKind::Blank
+    } else if let Some(c) = protocol::parse_stream_command(t) {
+        LineKind::Command(c)
+    } else {
+        LineKind::Tuple
     }
 }

@@ -1,16 +1,16 @@
 //! [`NetServer`]: the TCP listener tying receptors and emitters to a
 //! [`DataCell`] session.
 //!
-//! One accept loop, one thread per connection. Each connection is greeted
-//! with `OK datacell 1`, sends a handshake line
+//! One blocking accept loop, one thread per connection. Each connection is
+//! greeted with `OK datacell 1`, sends a handshake line
 //! ([`crate::protocol::Handshake`]), and becomes either a [`NetReceptor`]
-//! (`STREAM`) or a [`NetEmitter`] (`SUBSCRIBE`). The server registers
-//! itself as the session's [`NetMetricsSource`], so [`DataCell::metrics`]
-//! reports accepted/active connections and per-connection tuple counters
-//! alongside the engine's own accounts.
+//! (`STREAM`) or the read side of a [`NetSink`] (`SUBSCRIBE`). The server
+//! registers itself as the session's [`NetMetricsSource`], so
+//! [`DataCell::metrics`] reports accepted/active connections and
+//! per-connection tuple counters alongside the engine's own accounts.
 
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -20,24 +20,18 @@ use datacell::error::{DataCellError, Result};
 use datacell::metrics::{
     NetConnectionKind, NetConnectionMetrics, NetMetricsSnapshot, NetMetricsSource,
 };
-use datacell::{CellResult, DataCell, EventKind, OverflowPolicy, SubscriptionMode, Value};
+use datacell::{CellResult, DataCell, EventKind, OverflowPolicy, SubscriptionMode};
 use datacell_sql::ColumnDef;
 use parking_lot::Mutex;
 
-use crate::emitter::NetEmitter;
+use crate::emitter::NetSink;
 use crate::protocol::{self, Handshake};
-use crate::receptor::{read_line_step, take_line, NetReceptor, ReadStep};
+use crate::receptor::{timed_out, LineReader, NetReceptor, ReadStep};
 
 /// Rows a network ingest connection buffers before a bulk append — the
 /// batch-processing advantage of the paper's ingest path, applied to the
 /// socket.
 const INGEST_BATCH: usize = 512;
-
-/// Emitter → subscriber channel bound used for network subscribers when
-/// the session itself is unbounded. A TCP client that stops reading must
-/// stall its emitter, not grow an in-process queue without limit — a
-/// remote peer never gets the unbounded default.
-const SUBSCRIBER_CHANNEL: usize = 1024;
 
 /// How long blocking reads wait before re-checking the stop flag.
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -55,7 +49,7 @@ pub(crate) struct ConnStats {
 }
 
 impl ConnStats {
-    fn new(id: u64, peer: String) -> Self {
+    pub(crate) fn new(id: u64, peer: String) -> Self {
         ConnStats {
             id,
             peer,
@@ -187,9 +181,6 @@ impl NetServer {
     pub fn bind(cell: Arc<DataCell>, addr: &str) -> Result<NetServer> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| DataCellError::Runtime(format!("net: bind {addr}: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| DataCellError::Runtime(format!("net: set_nonblocking: {e}")))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| DataCellError::Runtime(format!("net: local_addr: {e}")))?;
@@ -240,9 +231,15 @@ impl NetServer {
     }
 
     fn stop_impl(&self) {
-        self.state.stop.store(true, Ordering::Relaxed);
+        self.state.stop.store(true, Ordering::Release);
         if let Some(h) = self.accept_handle.lock().take() {
-            let _ = h.join();
+            // The accept loop blocks in `accept`: wake it with a connection
+            // of our own. Should even that fail, leave the thread detached
+            // rather than hang in `join` — it exits on the next connection.
+            let wake = wake_addr(self.state.local_addr);
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = h.join();
+            }
         }
         let conns: Vec<Conn> = self.state.conns.lock().drain(..).collect();
         for c in &conns {
@@ -265,14 +262,29 @@ impl Drop for NetServer {
     }
 }
 
-/// Accept until stopped; each connection gets its own thread.
+/// The address [`NetServer::stop`] connects to: the bound one, with a
+/// wildcard IP replaced by loopback.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
+
+/// Accept until stopped; each connection gets its own thread. `accept`
+/// blocks, so a connection is taken up the moment it arrives;
+/// [`NetServer::stop`] wakes the loop with a connection of its own.
 fn accept_loop(state: Arc<ServerState>, listener: TcpListener) {
-    while !state.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if state.stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, peer)) => spawn_conn(&state, stream, peer),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // E.g. out of file descriptors: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -330,9 +342,7 @@ fn spawn_conn(state: &Arc<ServerState>, stream: TcpStream, peer: SocketAddr) {
 /// hand the socket to a receptor or emitter until it closes.
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream, stats: Arc<ConnStats>) {
     let _ = stream.set_nodelay(true);
-    // Accepted sockets must not inherit the listener's non-blocking mode;
-    // bounded read timeouts keep the thread stop-responsive instead.
-    let _ = stream.set_nonblocking(false);
+    // Bounded read timeouts keep the thread stop-responsive.
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut replies = match stream.try_clone() {
         Ok(s) => s,
@@ -341,8 +351,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream, stats: Arc<Con
     if writeln!(replies, "{}", protocol::GREETING).is_err() {
         return;
     }
-    let mut reader = BufReader::new(stream);
-    let mut line = Vec::new();
+    let mut lines = LineReader::new(stream);
     // With no configured token every connection starts authenticated;
     // with one, only PING/QUIT/HELLO are allowed until HELLO succeeds.
     let mut authed = state.cell.auth_token().is_none();
@@ -350,75 +359,9 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream, stats: Arc<Con
         if state.stop.load(Ordering::Relaxed) {
             return;
         }
-        let step = read_line_step(&mut reader, &mut line);
-        let at_eof = matches!(step, ReadStep::Eof);
-        match step {
-            ReadStep::Line | ReadStep::Eof => {
-                let l = take_line(&mut line);
-                let l = l.trim();
-                if l.is_empty() {
-                    if at_eof {
-                        return;
-                    }
-                    continue; // blank line between handshakes: ignore
-                }
-                match protocol::parse_handshake(l) {
-                    Ok(Handshake::Ping) => {
-                        if writeln!(replies, "OK PONG").is_err() || at_eof {
-                            return;
-                        }
-                    }
-                    Ok(Handshake::Quit) => {
-                        let _ = writeln!(replies, "OK BYE");
-                        return;
-                    }
-                    Ok(Handshake::Hello { token }) => {
-                        match state.cell.auth_token() {
-                            Some(expected) if expected != token => {
-                                let _ = writeln!(
-                                    replies,
-                                    "{}",
-                                    protocol::err_line("auth", "bad token")
-                                );
-                                return;
-                            }
-                            _ => authed = true,
-                        }
-                        if writeln!(replies, "OK HELLO").is_err() || at_eof {
-                            return;
-                        }
-                    }
-                    Ok(Handshake::Stream { .. })
-                    | Ok(Handshake::Subscribe { .. })
-                    | Ok(Handshake::Exec { .. })
-                        if !authed =>
-                    {
-                        let _ = writeln!(
-                            replies,
-                            "{}",
-                            protocol::err_line("auth", "authentication required: HELLO <token>")
-                        );
-                        return;
-                    }
-                    Ok(Handshake::Stream { basket }) => {
-                        serve_stream(state, reader, replies, stats, &basket);
-                        return;
-                    }
-                    Ok(Handshake::Subscribe { query, mode }) => {
-                        serve_subscribe(state, replies, stats, &query, mode);
-                        return;
-                    }
-                    Ok(Handshake::Exec { sql }) => {
-                        if exec_reply(&mut replies, state.cell.execute(&sql)).is_err() || at_eof {
-                            return;
-                        }
-                    }
-                    Err(msg) => {
-                        let _ = writeln!(replies, "{}", protocol::err_line("proto", &msg));
-                        return;
-                    }
-                }
-            }
+        let (line, at_eof) = match lines.next_line() {
+            ReadStep::Line(l) => (String::from_utf8_lossy(l).trim().to_string(), false),
+            ReadStep::Eof(l) => (String::from_utf8_lossy(l).trim().to_string(), true),
             ReadStep::Again => continue,
             ReadStep::TooLong => {
                 let _ = writeln!(
@@ -429,6 +372,64 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream, stats: Arc<Con
                 return;
             }
             ReadStep::Broken => return,
+        };
+        if line.is_empty() {
+            if at_eof {
+                return;
+            }
+            continue; // blank line between handshakes: ignore
+        }
+        match protocol::parse_handshake(&line) {
+            Ok(Handshake::Ping) => {
+                if writeln!(replies, "OK PONG").is_err() || at_eof {
+                    return;
+                }
+            }
+            Ok(Handshake::Quit) => {
+                let _ = writeln!(replies, "OK BYE");
+                return;
+            }
+            Ok(Handshake::Hello { token }) => {
+                match state.cell.auth_token() {
+                    Some(expected) if expected != token => {
+                        let _ = writeln!(replies, "{}", protocol::err_line("auth", "bad token"));
+                        return;
+                    }
+                    _ => authed = true,
+                }
+                if writeln!(replies, "OK HELLO").is_err() || at_eof {
+                    return;
+                }
+            }
+            Ok(Handshake::Stream { .. })
+            | Ok(Handshake::Subscribe { .. })
+            | Ok(Handshake::Exec { .. })
+                if !authed =>
+            {
+                let _ = writeln!(
+                    replies,
+                    "{}",
+                    protocol::err_line("auth", "authentication required: HELLO <token>")
+                );
+                return;
+            }
+            Ok(Handshake::Stream { basket }) => {
+                serve_stream(state, lines, replies, stats, &basket);
+                return;
+            }
+            Ok(Handshake::Subscribe { query, mode }) => {
+                serve_subscribe(state, lines, replies, stats, &query, mode);
+                return;
+            }
+            Ok(Handshake::Exec { sql }) => {
+                if exec_reply(&mut replies, state.cell.execute(&sql)).is_err() || at_eof {
+                    return;
+                }
+            }
+            Err(msg) => {
+                let _ = writeln!(replies, "{}", protocol::err_line("proto", &msg));
+                return;
+            }
         }
     }
 }
@@ -436,7 +437,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream, stats: Arc<Con
 /// Set up a [`NetReceptor`] for `STREAM <basket>` and pump it.
 fn serve_stream(
     state: &Arc<ServerState>,
-    reader: BufReader<TcpStream>,
+    lines: LineReader,
     mut replies: TcpStream,
     stats: Arc<ConnStats>,
     basket: &str,
@@ -478,49 +479,61 @@ fn serve_stream(
     }
     *stats.desc.lock() = (NetConnectionKind::Ingest, basket.to_string());
     let stop = Arc::clone(&state.stop);
-    NetReceptor::new(reader, replies, writer, stats, stop).run();
+    NetReceptor::new(lines, replies, writer, stats, stop).run();
 }
 
-/// Set up a [`NetEmitter`] for `SUBSCRIBE <query>` and pump it.
+/// Attach a [`NetSink`] for `SUBSCRIBE <query>` to the query's output,
+/// then watch the read side until the subscriber goes: the engine-side
+/// emitter does all the writing. Client input is ignored per protocol;
+/// EOF means the client hung up, so its emitter is stopped at once — an
+/// idle subscriber's reader is released without waiting for a delivery
+/// to fail.
 fn serve_subscribe(
     state: &Arc<ServerState>,
+    lines: LineReader,
     mut replies: TcpStream,
     stats: Arc<ConnStats>,
     query: &str,
     mode: SubscriptionMode,
 ) {
-    // Network subscribers always get a bounded channel: the session's
-    // configured bound when one is set, else a transport default — an
-    // unbounded queue driven by a remote peer would be a memory hole.
-    let capacity = state
-        .cell
-        .subscription_channel_capacity()
-        .unwrap_or(SUBSCRIBER_CHANNEL);
-    let sub = match state
-        .cell
-        .subscribe_bounded::<String>(query, mode, capacity)
-    {
-        Ok(sub) => sub,
-        Err(e) => {
-            let _ = writeln!(
-                replies,
-                "{}",
-                protocol::err_line("unknown-query", &e.to_string())
-            );
-            return;
-        }
+    let unknown = |replies: &mut TcpStream, e: &DataCellError| {
+        let _ = writeln!(
+            replies,
+            "{}",
+            protocol::err_line("unknown-query", &e.to_string())
+        );
     };
-    let schema = state
-        .cell
-        .query_output(query)
-        .map(|out| render_cols(&out.schema().columns[..out.user_width()]))
-        .unwrap_or_default();
-    if writeln!(replies, "OK SUBSCRIBE {query} {schema}").is_err() {
+    let out = match state.cell.query_output(query) {
+        Ok(out) => out,
+        Err(e) => return unknown(&mut replies, &e),
+    };
+    let width = out.user_width();
+    let greeting = format!(
+        "OK SUBSCRIBE {query} {}\n",
+        render_cols(&out.schema().columns[..width])
+    );
+    let Ok(sink) = replies
+        .try_clone()
+        .and_then(|s| NetSink::new(s, width, mode, greeting, Arc::clone(&stats)))
+    else {
         return;
-    }
+    };
+    let control = match state.cell.subscribe_sink(query, mode, sink) {
+        Ok(control) => control,
+        Err(e) => return unknown(&mut replies, &e),
+    };
     *stats.desc.lock() = (NetConnectionKind::Subscribe, query.to_string());
-    let stop = Arc::clone(&state.stop);
-    NetEmitter::new(sub, replies, stats, stop).run();
+    let mut reader = lines.into_inner();
+    let mut scratch = [0u8; 512];
+    while !state.stop.load(Ordering::Relaxed) && !control.is_finished() {
+        match reader.read(&mut scratch) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if timed_out(&e) => {}
+            Err(_) => break,
+        }
+    }
+    control.stop();
 }
 
 /// Render an `EXEC` outcome onto the socket. The first line tells the
@@ -549,16 +562,9 @@ fn exec_reply(replies: &mut TcpStream, result: Result<CellResult>) -> std::io::R
         }
         Ok(CellResult::Rows(chunk)) => {
             let schema = render_cols(&chunk.schema.columns);
-            writeln!(replies, "OK EXEC rows {} {schema}", chunk.len())?;
-            for i in 0..chunk.len() {
-                let row: Vec<Value> = chunk
-                    .columns
-                    .iter()
-                    .map(|c| c.get(i).unwrap_or(Value::Nil))
-                    .collect();
-                writeln!(replies, "{}", datacell::text::render_row(&row))?;
-            }
-            Ok(())
+            let mut out = format!("OK EXEC rows {} {schema}\n", chunk.len()).into_bytes();
+            datacell::text::render_chunk_into(&chunk, chunk.schema.len(), &mut out);
+            replies.write_all(&out)
         }
         Err(e) => writeln!(replies, "{}", protocol::err_line("sql", &e.to_string())),
     }

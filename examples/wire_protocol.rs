@@ -1,7 +1,9 @@
 //! Wire protocol: the TCP front door, exercised by a plain-socket client.
 //!
 //! ```text
-//! tcp ─▶ NetReceptor ─▶ Basket trades ─▶ Factory(big) ─▶ Basket ─▶ NetEmitter ─▶ tcp
+//! tcp ─▶ NetReceptor ─decode─▶ columns ─▶ Basket trades ─▶ Factory(big) ─▶ Basket
+//!                                                                           │ claim
+//! tcp ◀─write─ bytes ◀─render─ column slices ◀─ emitter thread (NetSink) ◀──┘
 //! ```
 //!
 //! The engine listens on a loopback port; a "client" thread speaks the

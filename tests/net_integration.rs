@@ -285,8 +285,8 @@ fn multi_client_broadcast_and_shared_fanout() {
 
 #[test]
 fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
-    // Bounded output (Reject) + bounded subscription channel: a subscriber
-    // that stops reading stalls its emitter; the factory defers instead of
+    // Bounded output (Reject): a subscriber that stops reading fills its
+    // socket and stalls its emitter; the factory defers instead of
     // growing memory; the fast subscriber still gets everything — and when
     // the slow client dies abruptly, its reader deregisters and the
     // pipeline drains completely.
@@ -332,7 +332,7 @@ fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
         );
     });
 
-    // Drain the fast subscriber from a thread so its channel never stalls.
+    // Drain the fast subscriber from a thread so its socket never stalls.
     let fast_handle = std::thread::spawn(move || fast.collect_ints(N, Duration::from_secs(60)));
 
     // The stall must become observable: deferred factory steps and a
@@ -350,9 +350,10 @@ fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
         "engine memory stays bounded while stalled (output resident: {out_len})"
     );
 
-    // Kill the slow client abruptly: its emitter's write fails, the
-    // subscription drops, the claim rewinds, the reader deregisters, and
-    // the stream drains to the fast subscriber — every tuple, in order.
+    // Kill the slow client abruptly: its emitter's write fails (or its
+    // connection thread sees the hang-up and stops it), the claim rewinds,
+    // the reader deregisters, and the stream drains to the fast
+    // subscriber — every tuple, in order.
     drop(slow);
     let got = fast_handle.join().unwrap();
     assert_eq!(got, (0..N as i64).collect::<Vec<i64>>());
@@ -364,9 +365,9 @@ fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
 
 #[test]
 fn shed_policy_keeps_ingest_flowing_under_slow_subscriber() {
-    // Deliberately no subscription_channel_capacity: network subscribers
-    // must be bounded by the transport's own default — an unbounded
-    // in-process queue fed by a remote peer would be a memory hole.
+    // No subscription_channel_capacity: a network subscriber has no
+    // channel — its emitter writes to the socket, whose buffer is the only
+    // queue between the engine and a remote peer.
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
         .basket_capacity(256)
@@ -443,9 +444,11 @@ fn shed_policy_keeps_ingest_flowing_under_slow_subscriber() {
 
 #[test]
 fn abrupt_shared_disconnect_rewinds_without_loss() {
-    // Channel capacity 1 keeps at most one committed-but-undrained row per
-    // emitter, so a shared claim racing toward a dead client blocks
-    // mid-chunk, fails, and rewinds whole — the survivor re-claims it all.
+    // A shared claim delivered toward a dead client fails (the write, or
+    // the read-side probe after it). Its rows fit in one written piece, so
+    // it rewinds whole — the survivor re-claims it all. (A claim of several
+    // pieces keeps those delivered before the failing one: the unit tests
+    // of `datacell-net`'s socket sink cover that.)
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
         .subscription_channel_capacity(1)
@@ -620,7 +623,7 @@ fn blank_lines_are_ignored_and_frames_are_capped() {
 fn idle_subscriber_disconnect_is_reaped() {
     // A subscriber that hangs up while no results are flowing must not
     // leak its emitter thread, basket reader, or registry entry: the
-    // emitter's read-side liveness probe notices the EOF.
+    // connection thread, blocked on the read side, notices the EOF.
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
         .auto_start(true)
@@ -638,8 +641,9 @@ fn idle_subscriber_disconnect_is_reaped() {
     assert!(readers_with_sub >= 1);
 
     // Hang up with the stream idle: nothing is ever written to this
-    // socket, so only the liveness probe can notice. The connection
-    // thread, registry entry, and Subscription are released promptly.
+    // socket, so no failed write can notice. The connection thread sees
+    // the EOF, and the connection and its registry entry are released
+    // promptly.
     drop(sub);
     assert!(
         wait_until(Duration::from_secs(10), || {
@@ -647,9 +651,14 @@ fn idle_subscriber_disconnect_is_reaped() {
         }),
         "idle disconnected subscriber reaped"
     );
-    // The engine-side emitter parks until the next delivery; the first
-    // tuple through the query makes it observe the closed channel, rewind,
-    // and deregister its reader — the leak window is one quiet period.
+    // On that EOF the connection thread stopped the subscription's
+    // emitter, so its reader is gone without any further delivery.
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            cell.query_output("q").unwrap().reader_count() < readers_with_sub
+        }),
+        "its basket reader deregistered without a further insert"
+    );
     cell.execute("insert into b values (1)").unwrap();
     assert!(
         wait_until(Duration::from_secs(10), || {
@@ -688,4 +697,212 @@ fn server_start_respects_builder_configuration() {
     assert!(NetServer::bind(cell, "not-an-address").is_err());
 
     server.stop();
+}
+
+/// Send `bytes` in writes of at most `piece` bytes.
+fn send_in_pieces(stream: &mut TcpStream, bytes: &[u8], piece: usize) {
+    for part in bytes.chunks(piece) {
+        stream.write_all(part).expect("send piece");
+    }
+}
+
+/// One mixed ingest script: valid lines (quoted, escaped, non-ASCII, not
+/// UTF-8 at all, an empty string), malformed lines, blank and CRLF lines,
+/// and `SYNC`s — long enough that 65 537-byte writes straddle the
+/// receptor's 64 KiB read buffer several times.
+struct Script {
+    bytes: Vec<u8>,
+    syncs: usize,
+    accepted: usize,
+    rejected: usize,
+}
+
+fn mixed_input() -> Script {
+    let mut s = Script {
+        bytes: Vec::new(),
+        syncs: 0,
+        accepted: 0,
+        rejected: 0,
+    };
+    for i in 0..6000 {
+        let b = &mut s.bytes;
+        match i % 11 {
+            0 => {
+                b.extend_from_slice(format!("oops{i}, malformed\n").as_bytes());
+                s.rejected += 1;
+            }
+            1 => b.extend_from_slice(b"\n"),
+            2 => b.extend_from_slice(b"   \r\n"),
+            3 => {
+                b.extend_from_slice(format!("{i}, \"quoted, {i} \"\"x\"\"\\n\"\r\n").as_bytes());
+                s.accepted += 1;
+            }
+            4 => {
+                b.extend_from_slice(format!("  {i} ,\t é→ {i}  \n").as_bytes());
+                s.accepted += 1;
+            }
+            5 => {
+                b.extend_from_slice(format!("{i}, bad").as_bytes());
+                b.extend_from_slice(b"\xff\xc3 utf8\n");
+                s.accepted += 1;
+            }
+            6 => {
+                b.extend_from_slice(format!("{i}, NIL\n").as_bytes());
+                s.accepted += 1;
+            }
+            7 => {
+                b.extend_from_slice(format!("{i},\n").as_bytes());
+                s.accepted += 1;
+            }
+            _ => {
+                b.extend_from_slice(format!("{i}, plain-{i:06}-{}\n", "p".repeat(32)).as_bytes());
+                s.accepted += 1;
+            }
+        }
+        if i % 500 == 499 {
+            s.bytes.extend_from_slice(b"SYNC\n");
+            s.syncs += 1;
+        }
+    }
+    s.bytes.extend_from_slice(b"SYNC\n");
+    s.syncs += 1;
+    s
+}
+
+/// Stream `input` in writes of `piece` bytes through a fresh server; return
+/// the replies the ingest connection got (up to its last `OK SYNC`) and the
+/// result lines a subscriber received.
+fn ingest_in_pieces(input: &[u8], syncs: usize, piece: usize) -> (Vec<String>, Vec<String>) {
+    let cell = DataCell::builder()
+        .listen("127.0.0.1:0")
+        .auto_start(true)
+        .build();
+    cell.execute("create basket b (x int, s varchar(64))")
+        .unwrap();
+    cell.execute("create continuous query q as select t.x, t.s from [select * from b] as t")
+        .unwrap();
+    let (cell, server, addr) = serve(cell);
+    let mut sub = Client::connect(addr);
+    sub.send("SUBSCRIBE q");
+    assert_eq!(
+        sub.read_line().as_deref(),
+        Some("OK SUBSCRIBE q x:int,s:str")
+    );
+
+    let mut ingest = Client::connect(addr);
+    ingest.send("STREAM b");
+    assert!(ingest.read_line().unwrap().starts_with("OK STREAM b"));
+    let mut stream = ingest.stream.try_clone().unwrap();
+    let bytes = input.to_vec();
+    let writer = std::thread::spawn(move || send_in_pieces(&mut stream, &bytes, piece));
+
+    let mut replies = Vec::new();
+    let mut seen_syncs = 0;
+    while seen_syncs < syncs {
+        let line = ingest.read_line().expect("reply");
+        seen_syncs += usize::from(line.starts_with("OK SYNC"));
+        replies.push(line);
+    }
+    writer.join().unwrap();
+    let accepted: usize = replies
+        .last()
+        .and_then(|l| l.split_whitespace().nth(2))
+        .and_then(|n| n.parse().ok())
+        .expect("final OK SYNC");
+    let mut results = Vec::with_capacity(accepted);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while results.len() < accepted && Instant::now() < deadline {
+        if let Some(l) = sub.try_read_line() {
+            results.push(l);
+        }
+    }
+    server.stop();
+    cell.stop();
+    (replies, results)
+}
+
+#[test]
+fn split_writes_decode_identically() {
+    // Where the client's writes (and so the server's reads) cut the byte
+    // stream must not matter: byte-at-a-time, 7-byte and 65 537-byte
+    // writes give the same replies, in the same order, the same SYNC
+    // counts, and the same results.
+    let script = mixed_input();
+    assert!(
+        script.bytes.len() > 2 * 65_537,
+        "input straddles the read buffer"
+    );
+    let (replies, results) = ingest_in_pieces(&script.bytes, script.syncs, 65_537);
+    let errors = replies
+        .iter()
+        .filter(|l| l.starts_with("ERR decode"))
+        .count();
+    assert_eq!(errors, script.rejected, "one ERR per malformed line");
+    assert_eq!(
+        replies.last().unwrap(),
+        &format!("OK SYNC {} {}", script.accepted, script.rejected),
+        "blank lines are neither accepted nor rejected"
+    );
+    assert_eq!(results.len(), script.accepted);
+    for want in [
+        "3,\"quoted, 3 \"\"x\"\"\\n\"",
+        "4,é→ 4",
+        "5,bad\u{fffd}\u{fffd} utf8",
+        "6,nil",
+        "7,\"\"",
+        "8,plain-000008-pppppppppppppppppppppppppppppppp",
+    ] {
+        assert!(
+            results.iter().any(|r| r == want),
+            "{want:?} in {:?}",
+            &results[..8]
+        );
+    }
+    for piece in [7, 1] {
+        let (r, out) = ingest_in_pieces(&script.bytes, script.syncs, piece);
+        assert_eq!(r, replies, "replies with {piece}-byte writes");
+        assert_eq!(out, results, "results with {piece}-byte writes");
+    }
+}
+
+#[test]
+fn frame_cap_is_exact_for_lines_straddling_the_read_buffer() {
+    // The 1 MiB cap counts the whole frame, its `\n` included, across the
+    // receptor's read-buffer edges: a frame of exactly 1 MiB is a tuple,
+    // one byte more loses the framing and the connection.
+    const MAX_FRAME: usize = 1 << 20;
+    let cell = DataCell::builder()
+        .listen("127.0.0.1:0")
+        .auto_start(true)
+        .build();
+    cell.execute("create basket b (x int)").unwrap();
+    let (cell, server, addr) = serve(cell);
+
+    let mut c = Client::connect(addr);
+    c.send("STREAM b");
+    assert!(c.read_line().unwrap().starts_with("OK STREAM b"));
+    // Start mid-buffer, so the long frame straddles a buffer edge.
+    let mut frame = b"1\n".to_vec();
+    frame.extend(std::iter::repeat_n(b' ', MAX_FRAME - 2));
+    frame.extend_from_slice(b"7\n");
+    assert_eq!(frame.len() - 2, MAX_FRAME);
+    c.stream.write_all(&frame).unwrap();
+    c.send("SYNC");
+    assert_eq!(c.read_line().as_deref(), Some("OK SYNC 2 0"));
+
+    let mut over = vec![b' '; MAX_FRAME - 1];
+    over.extend_from_slice(b"8\n");
+    let _ = c.stream.write_all(&over);
+    assert!(
+        wait_until(Duration::from_secs(10), || c.server_closed()),
+        "an oversized frame hangs up"
+    );
+    assert_eq!(
+        cell.basket("b").unwrap().len(),
+        2,
+        "the oversized frame never landed"
+    );
+
+    server.stop();
+    cell.stop();
 }

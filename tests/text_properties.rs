@@ -1,12 +1,19 @@
 //! Property/fuzz tier for the `datacell::text` wire framing.
 //!
-//! With the TCP transport, [`datacell::text::parse_tuple`] became the
-//! network trust boundary: whatever bytes a remote client sends must come
-//! back as a value row or a [`DataCellError::Decode`] — never a panic,
-//! never a non-decode error class. And whatever the engine renders with
-//! [`datacell::text::render_row`] must parse back to exactly the same
-//! values (`render ∘ parse = id`), or subscribers would silently see
-//! different data than the engine produced.
+//! With the TCP transport, the text decoder became the network trust
+//! boundary: whatever bytes a remote client sends must come back as a row
+//! or a [`DataCellError::Decode`] — never a panic, never a non-decode
+//! error class. And whatever the engine renders must parse back to exactly
+//! the same values (`render ∘ parse = id`), or subscribers would silently
+//! see different data than the engine produced.
+//!
+//! The decoder and renderer work on columns (bytes straight into column
+//! builders, column slices straight into a byte buffer). The properties
+//! are differential: [`reference`] keeps the row-at-a-time
+//! implementation the columnar code replaced — `split_fields`,
+//! `parse_tuple`, `render_row`, bodies unchanged — and both directions
+//! must agree with it byte for byte, on rows, on rejected lines and on
+//! error messages.
 //!
 //! The framing is line-based, yet **every** string value is
 //! wire-representable: rendering backslash-escapes `\n`/`\r` (and `\\`)
@@ -15,10 +22,180 @@
 //! `docs/protocol.md`).
 
 use datacell::error::DataCellError;
-use datacell::text::{parse_tuple, render_row, split_fields};
+use datacell::text::{parse_tuple, render_chunk_into, render_row, split_fields, ChunkBuilder};
 use datacell_bat::types::{DataType, Value};
 use datacell_sql::Schema;
 use proptest::prelude::*;
+
+/// The row-at-a-time wire format, as it was before the decoder and the
+/// renderer went columnar: the oracle of every property below.
+mod reference {
+    use datacell_bat::types::{DataType, Value};
+    use datacell_sql::Schema;
+
+    /// One raw field split out of a line.
+    pub struct Field {
+        pub text: String,
+        pub quoted: bool,
+    }
+
+    pub fn split_fields(line: &str) -> Vec<Field> {
+        let mut fields = Vec::new();
+        let mut chars = line.chars().peekable();
+        loop {
+            while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
+                chars.next();
+            }
+            let mut text = String::new();
+            let mut quoted = false;
+            if chars.peek() == Some(&'"') {
+                quoted = true;
+                chars.next();
+                loop {
+                    match chars.next() {
+                        Some('"') => {
+                            if chars.peek() == Some(&'"') {
+                                text.push('"');
+                                chars.next();
+                            } else {
+                                break;
+                            }
+                        }
+                        Some('\\') => match chars.peek() {
+                            Some('n') => {
+                                text.push('\n');
+                                chars.next();
+                            }
+                            Some('r') => {
+                                text.push('\r');
+                                chars.next();
+                            }
+                            Some('\\') => {
+                                text.push('\\');
+                                chars.next();
+                            }
+                            _ => text.push('\\'),
+                        },
+                        Some(c) => text.push(c),
+                        None => break,
+                    }
+                }
+                while matches!(chars.peek(), Some(c) if *c != ',') {
+                    chars.next();
+                }
+            } else {
+                while matches!(chars.peek(), Some(c) if *c != ',') {
+                    text.push(chars.next().expect("peeked"));
+                }
+                text.truncate(text.trim_end().len());
+            }
+            fields.push(Field { text, quoted });
+            match chars.next() {
+                Some(',') => continue,
+                _ => break,
+            }
+        }
+        fields
+    }
+
+    pub fn parse_tuple(line: &str, schema: &Schema) -> Result<Vec<Value>, String> {
+        let fields = split_fields(line);
+        if fields.len() != schema.len() {
+            return Err(format!(
+                "tuple has {} fields, schema {} wants {}",
+                fields.len(),
+                schema.render(),
+                schema.len()
+            ));
+        }
+        fields
+            .iter()
+            .zip(&schema.columns)
+            .map(|(field, cd)| {
+                let raw = field.text.as_str();
+                if !field.quoted
+                    && (raw.eq_ignore_ascii_case("nil") || raw.eq_ignore_ascii_case("null"))
+                {
+                    return Ok(Value::Nil);
+                }
+                let v = match cd.ty {
+                    DataType::Int => Value::Int(raw.parse().map_err(|_| bad_field(raw, cd.ty))?),
+                    DataType::Float => {
+                        Value::Float(raw.parse().map_err(|_| bad_field(raw, cd.ty))?)
+                    }
+                    DataType::Bool => match raw.to_ascii_lowercase().as_str() {
+                        "true" | "t" | "1" => Value::Bool(true),
+                        "false" | "f" | "0" => Value::Bool(false),
+                        _ => return Err(bad_field(raw, cd.ty)),
+                    },
+                    DataType::Str => Value::Str(raw.to_string()),
+                    DataType::Timestamp => {
+                        Value::Timestamp(raw.parse().map_err(|_| bad_field(raw, cd.ty))?)
+                    }
+                };
+                Ok(v)
+            })
+            .collect()
+    }
+
+    fn bad_field(raw: &str, ty: DataType) -> String {
+        format!("cannot parse {raw:?} as {ty}")
+    }
+
+    pub fn render_field(v: &Value) -> String {
+        match v {
+            Value::Str(s) if needs_quoting(s) => {
+                let escaped = s
+                    .replace('\\', "\\\\")
+                    .replace('"', "\"\"")
+                    .replace('\n', "\\n")
+                    .replace('\r', "\\r");
+                format!("\"{escaped}\"")
+            }
+            other => other.to_string(),
+        }
+    }
+
+    fn needs_quoting(s: &str) -> bool {
+        s.is_empty()
+            || s.contains(',')
+            || s.contains('"')
+            || s.contains('\\')
+            || s.contains('\n')
+            || s.contains('\r')
+            || s != s.trim()
+            || s.eq_ignore_ascii_case("nil")
+            || s.eq_ignore_ascii_case("null")
+    }
+
+    pub fn render_row(row: &[Value]) -> String {
+        row.iter().map(render_field).collect::<Vec<_>>().join(",")
+    }
+}
+
+/// Compare a decode against the reference: the same values (floats by
+/// bit pattern, via `Debug`) or the same decode error message.
+fn assert_same_decode(
+    got: &Result<Vec<Value>, DataCellError>,
+    want: &Result<Vec<Value>, String>,
+    line: &str,
+) {
+    match (got, want) {
+        (Ok(g), Ok(w)) => assert_eq!(format!("{g:?}"), format!("{w:?}"), "line {line:?}"),
+        (Err(DataCellError::Decode(g)), Err(w)) => assert_eq!(g, w, "line {line:?}"),
+        _ => panic!("line {line:?}: decoder {got:?}, reference {want:?}"),
+    }
+}
+
+/// A value as a column stores it: the in-band nil sentinels read back as
+/// nil (`i64::MIN`, NaN).
+fn stored(v: &Value) -> Value {
+    if v.is_nil() {
+        Value::Nil
+    } else {
+        v.clone()
+    }
+}
 
 /// Characters a round-trippable string value may contain: quoting and
 /// delimiter edge cases, whitespace, `nil` fragments, unicode, controls —
@@ -27,6 +204,7 @@ use proptest::prelude::*;
 const VALUE_PALETTE: &[char] = &[
     'a', 'b', 'z', 'A', 'Z', '0', '9', ' ', '\t', ',', '"', '\'', 'n', 'i', 'l', 'N', 'U', 'L',
     '.', '-', '+', 'e', 'é', '→', '\u{1}', '\\', '/', ';', ':', '[', ']', '(', ')', '\n', '\r',
+    '\u{b}', '\u{3000}', '\u{a0}',
 ];
 
 /// The full hostile palette for the never-panic property: adds the line
@@ -35,6 +213,73 @@ const FUZZ_PALETTE: &[char] = &[
     'a', '1', ' ', '\t', ',', '"', '\'', 'n', 'i', 'l', '.', '-', '+', 'e', '\n', '\r', '\u{0}',
     '\u{7f}', 'é', '→',
 ];
+
+/// Byte atoms hostile input is assembled from: numbers at and past the
+/// `i64` edges, float spellings (`-0.0`, `inf`, `NaN`), `nil`/`NULL` in
+/// any case, booleans, every ASCII whitespace (vertical tab included),
+/// Unicode whitespace (U+3000, NBSP, NEL) and a BOM around them, quotes
+/// and escapes, controls, and bytes that are not UTF-8 at all.
+const BYTE_ATOMS: &[&[u8]] = &[
+    b"0",
+    b"7",
+    b"42",
+    b"-",
+    b"+",
+    b".",
+    b"e",
+    b"5",
+    b"9223372036854775807",
+    b"-9223372036854775808",
+    b"9223372036854775808",
+    b"123456789012345678",
+    b"-0.0",
+    b"1e308",
+    b"2.5",
+    b"inf",
+    b"-inf",
+    b"NaN",
+    b"infinity",
+    b"nil",
+    b"NIL",
+    b"Null",
+    b"null",
+    b"true",
+    b"F",
+    b"t",
+    b"1",
+    b"a",
+    b"xyz",
+    b"SYNC",
+    b" ",
+    b" ",
+    b"\t",
+    b"\x0b",
+    b"\x0c",
+    b"\r",
+    b"\0",
+    b"\x7f",
+    b",",
+    b",",
+    b"\"",
+    b"\"\"",
+    b"\\",
+    b"\\n",
+    b"\\r",
+    b"\\\\",
+    b"'",
+    b"\xc3\xa9",
+    b"\xe2\x86\x92",
+    b"\xe3\x80\x80",
+    b"\xc2\xa0",
+    b"\xc2\x85",
+    b"\xef\xbb\xbf",
+    b"\xff",
+    b"\xc3",
+    b"\x80",
+];
+
+/// Line terminators between generated lines: LF, CRLF, and blank lines.
+const TERMINATORS: &[&[u8]] = &[b"\n", b"\n", b"\r\n", b"\n\n", b"\n \r\n", b"\r\r\n"];
 
 fn string_from(palette: &'static [char], max: usize) -> impl Strategy<Value = String> {
     prop::collection::vec(
@@ -81,11 +326,12 @@ impl ColVal {
 }
 
 fn type_of_tag(t: usize) -> DataType {
-    match t % 4 {
+    match t % 5 {
         0 => DataType::Int,
         1 => DataType::Float,
         2 => DataType::Bool,
-        _ => DataType::Str,
+        3 => DataType::Str,
+        _ => DataType::Timestamp,
     }
 }
 
@@ -98,6 +344,29 @@ fn colval_strategy() -> BoxedStrategy<ColVal> {
         1 => (0i64..4).prop_map(|t| ColVal::NilOf(t as usize)),
     ]
     .boxed()
+}
+
+/// A value of any type for the renderer, edges included: `i64::MAX`, the
+/// least non-nil `i64`, `-0.0`, infinities, subnormals, huge floats,
+/// strings that must be quoted, and nil of every type.
+fn edge_value(ty: DataType, pick: i64, s: String) -> Value {
+    match (ty, pick % 8) {
+        (_, 0) => Value::Nil,
+        (DataType::Int, 1) => Value::Int(i64::MAX),
+        (DataType::Int, 2) => Value::Int(i64::MIN + 1),
+        (DataType::Int, _) => Value::Int(pick * 7919 - 40_000),
+        (DataType::Timestamp, 1) => Value::Timestamp(i64::MAX),
+        (DataType::Timestamp, _) => Value::Timestamp(pick * 1_000_003),
+        (DataType::Float, 1) => Value::Float(-0.0),
+        (DataType::Float, 2) => Value::Float(f64::INFINITY),
+        (DataType::Float, 3) => Value::Float(f64::NEG_INFINITY),
+        (DataType::Float, 4) => Value::Float(5e-324),
+        (DataType::Float, 5) => Value::Float(1.5e300),
+        (DataType::Float, _) => Value::Float(pick as f64 / 64.0 - 7.0),
+        (DataType::Bool, p) => Value::Bool(p % 2 == 1),
+        (DataType::Str, 1) => Value::Str("NuLl".into()),
+        (DataType::Str, _) => Value::Str(s),
+    }
 }
 
 fn schema_of(cols: &[ColVal]) -> Schema {
@@ -118,13 +387,29 @@ fn schema_of_tags(tags: &[usize]) -> Schema {
     )
 }
 
+/// Split a byte buffer into lines the way the receptor frames them: at
+/// `\n`, trailing `\r`s dropped, an unterminated tail kept.
+fn frames(buf: &[u8]) -> Vec<&[u8]> {
+    let mut lines: Vec<&[u8]> = buf.split(|&b| b == b'\n').collect();
+    if lines.last().is_some_and(|l| l.is_empty()) {
+        lines.pop();
+    }
+    for l in &mut lines {
+        while let [rest @ .., b'\r'] = *l {
+            *l = rest;
+        }
+    }
+    lines
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     // render_row ∘ parse_tuple is the identity on arbitrary value rows —
     // including CSV-quoting edge cases: embedded commas and quotes,
     // leading/trailing whitespace, empty strings, the literal words
-    // `nil`/`NULL`, unicode, and control characters.
+    // `nil`/`NULL`, unicode, and control characters — and both agree
+    // with the reference implementation.
     #[test]
     fn render_parse_roundtrip_arbitrary_rows(
         cols in prop::collection::vec(colval_strategy(), 1..7)
@@ -132,42 +417,40 @@ proptest! {
         let schema = schema_of(&cols);
         let row: Vec<Value> = cols.iter().map(ColVal::value).collect();
         let line = render_row(&row);
+        prop_assert_eq!(&line, &reference::render_row(&row));
         prop_assert!(
             !line.contains('\n') && !line.contains('\r'),
             "rendered frame must stay a single line: {line:?}"
         );
         let back = parse_tuple(&line, &schema).expect("rendered row must parse");
+        assert_same_decode(&Ok(back.clone()), &reference::parse_tuple(&line, &schema), &line);
         prop_assert_eq!(back, row, "line was {:?}", line);
     }
 
     // The trust boundary: arbitrary hostile input (quotes, delimiters,
-    // newlines, NUL, unicode) against an arbitrary schema either parses
-    // to a row of the right arity or fails with a Decode error. Nothing
-    // panics, nothing escalates to a different error class.
+    // newlines, NUL, unicode) against an arbitrary schema decodes exactly
+    // as the reference does — a row of the right arity or the same Decode
+    // error. Nothing panics, nothing escalates to a different error class.
     #[test]
     fn arbitrary_bytes_never_panic(
         input in string_from(FUZZ_PALETTE, 64),
-        tags in prop::collection::vec(0usize..4, 1..6),
+        tags in prop::collection::vec(0usize..5, 1..6),
     ) {
         let fields = split_fields(&input);
         prop_assert!(!fields.is_empty(), "a line always has at least one field");
+        prop_assert_eq!(fields.len(), reference::split_fields(&input).len());
         let schema = schema_of_tags(&tags);
-        match parse_tuple(&input, &schema) {
-            Ok(row) => prop_assert_eq!(row.len(), schema.len()),
-            Err(DataCellError::Decode(msg)) => {
-                prop_assert!(!msg.is_empty(), "decode errors explain themselves")
-            }
-            Err(other) => prop_assert!(
-                false,
-                "malformed input must surface as Decode, got {other:?}"
-            ),
+        let got = parse_tuple(&input, &schema);
+        assert_same_decode(&got, &reference::parse_tuple(&input, &schema), &input);
+        if let Ok(row) = got {
+            prop_assert_eq!(row.len(), schema.len());
         }
     }
 
     // Truncating or corrupting a well-formed frame at any point must
-    // degrade into a parse error (or a reinterpreted row), never a panic:
-    // the receptor feeds the parser whatever arrives before a connection
-    // breaks mid-line.
+    // degrade into the reference's parse error (or its reinterpreted row),
+    // never a panic: the receptor feeds the decoder whatever arrives
+    // before a connection breaks mid-line.
     #[test]
     fn mutated_frames_never_panic(
         cols in prop::collection::vec(colval_strategy(), 1..6),
@@ -180,7 +463,11 @@ proptest! {
         let line = render_row(&row);
         // Truncate at an arbitrary char boundary (a torn frame).
         let torn: String = line.chars().take(cut).collect();
-        let _ = parse_tuple(&torn, &schema);
+        assert_same_decode(
+            &parse_tuple(&torn, &schema),
+            &reference::parse_tuple(&torn, &schema),
+            &torn,
+        );
         // Inject one hostile character at an arbitrary position.
         let mut chars: Vec<char> = line.chars().collect();
         let pos = at.min(chars.len());
@@ -189,17 +476,137 @@ proptest! {
         // The corrupted line may contain an injected newline; the
         // receptor would frame-split there — parse both halves.
         for frame in corrupted.split(['\n', '\r']) {
-            match parse_tuple(frame, &schema) {
+            let got = parse_tuple(frame, &schema);
+            assert_same_decode(&got, &reference::parse_tuple(frame, &schema), frame);
+            match got {
                 Ok(row) => prop_assert_eq!(row.len(), schema.len()),
                 Err(DataCellError::Decode(_)) => {}
                 Err(other) => prop_assert!(false, "unexpected error class {other:?}"),
             }
         }
     }
+
+    // The columnar decoder on a whole buffer of hostile bytes — invalid
+    // UTF-8, CRLF, blank lines, quotes and escapes, Unicode whitespace
+    // around numbers, `nil`/`NULL` in any case, `i64::MIN`, `-0.0`,
+    // `inf`, `NaN` — framed as the receptor frames it: the same rows and
+    // the same rejected lines (with the same messages) as the reference
+    // applied line by line to the lossy text, and a rejected line leaves
+    // the builders untouched.
+    #[test]
+    fn decoded_buffers_match_reference_line_by_line(
+        tags in prop::collection::vec(0usize..5, 1..5),
+        lines in prop::collection::vec(
+            prop::collection::vec(
+                prop::collection::vec(0usize..BYTE_ATOMS.len(), 0..4),
+                1..6,
+            ),
+            1..12,
+        ),
+        terms in prop::collection::vec(0usize..TERMINATORS.len(), 12..13),
+        fits in prop::collection::vec(0usize..4, 12..13),
+        unterminated in 0usize..2,
+    ) {
+        let schema = schema_of_tags(&tags);
+        let mut buf = Vec::new();
+        for (n, mut fields) in lines.iter().cloned().enumerate() {
+            // Most lines get the schema's arity, so typed parsing is
+            // exercised and not only the arity check.
+            if fits[n] > 0 {
+                fields.resize(schema.len(), vec![0]);
+            }
+            for (i, atoms) in fields.iter().enumerate() {
+                if i > 0 {
+                    buf.push(b',');
+                }
+                for &a in atoms {
+                    buf.extend_from_slice(BYTE_ATOMS[a]);
+                }
+            }
+            if n + 1 < lines.len() || unterminated == 0 {
+                buf.extend_from_slice(TERMINATORS[terms[n]]);
+            }
+        }
+
+        let mut builder = ChunkBuilder::new(schema.clone());
+        let (mut want_rows, mut got_rejected, mut want_rejected) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, line) in frames(&buf).into_iter().enumerate() {
+            let text = String::from_utf8_lossy(line);
+            let before = builder.len();
+            let got = builder.decode_line(line);
+            let want = reference::parse_tuple(&text, &schema);
+            match (&got, &want) {
+                (Ok(()), Ok(row)) => want_rows.push(row.iter().map(stored).collect::<Vec<_>>()),
+                (Err(DataCellError::Decode(g)), Err(w)) => {
+                    prop_assert_eq!(g, w, "line {:?}", text);
+                    prop_assert_eq!(builder.len(), before, "rejected line appended rows");
+                    prop_assert!(builder.chunk().columns.iter().all(|c| c.len() == before));
+                }
+                _ => {}
+            }
+            if got.is_err() {
+                got_rejected.push(i);
+            }
+            if want.is_err() {
+                want_rejected.push(i);
+            }
+        }
+        prop_assert_eq!(got_rejected, want_rejected, "buffer {:?}", String::from_utf8_lossy(&buf));
+        let got_rows = builder.chunk().rows().unwrap();
+        prop_assert_eq!(format!("{got_rows:?}"), format!("{want_rows:?}"));
+    }
+
+    // The columnar renderer is byte-identical to the reference row
+    // renderer for every type, edge values and nil included — whole
+    // chunks, and chunks rendered in size-limited pieces.
+    #[test]
+    fn rendered_chunks_match_reference_rows(
+        tags in prop::collection::vec(0usize..5, 1..6),
+        picks in prop::collection::vec(prop::collection::vec(0i64..64, 5..6), 0..24),
+        strings in prop::collection::vec(string_from(VALUE_PALETTE, 10), 5..6),
+        limit in 1usize..200,
+    ) {
+        let schema = schema_of_tags(&tags);
+        let rows: Vec<Vec<Value>> = picks
+            .iter()
+            .enumerate()
+            .map(|(r, row)| {
+                row.iter()
+                    .zip(&schema.columns)
+                    .enumerate()
+                    .map(|(c, (&pick, cd))| edge_value(cd.ty, pick, strings[(r + c) % 5].clone()))
+                    .collect()
+            })
+            .collect();
+        let mut builder = ChunkBuilder::new(schema.clone());
+        let mut want = String::new();
+        for row in &rows {
+            prop_assert_eq!(render_row(row), reference::render_row(row));
+            builder.push_row(row).unwrap();
+            want.push_str(&reference::render_row(&row.iter().map(stored).collect::<Vec<_>>()));
+            want.push('\n');
+        }
+        let chunk = builder.chunk();
+        let mut got = Vec::new();
+        render_chunk_into(chunk, schema.len(), &mut got);
+        prop_assert_eq!(String::from_utf8(got).unwrap(), want.clone());
+
+        let pieces = datacell::text::ChunkRenderer::new(chunk, schema.len());
+        let (mut from, mut all) = (0, Vec::new());
+        while from < pieces.len() {
+            let mut piece = Vec::new();
+            let next = pieces.render_until(from, limit, &mut piece);
+            prop_assert!(next > from, "every piece makes progress");
+            prop_assert!(piece.len() <= limit || next == from + 1, "pieces respect the limit");
+            all.extend(piece);
+            from = next;
+        }
+        prop_assert_eq!(String::from_utf8(all).unwrap(), want);
+    }
 }
 
 /// Deterministic corpus of historically nasty frames: every one must
-/// produce a row or a Decode error against every schema shape, without
+/// decode as the reference decodes it against every schema shape, without
 /// panicking. (The proptest shim does not shrink, so keep the classic
 /// corner cases pinned explicitly.)
 #[test]
@@ -222,10 +629,15 @@ fn hostile_corpus_is_handled() {
         "1,2,3,4,5,6,7,8,9,10",
         "9223372036854775807",
         "-9223372036854775808",
+        "9223372036854775808",
+        "+12, -0, +",
         "1e308, -1e308, 1e-308",
         "inf, -inf",
+        "NaN, -0.0",
         "\u{0}\u{1}\u{7f}",
         "\u{feff}1",
+        "\u{3000}12\u{a0}, \u{85}3",
+        "\u{b}7\u{c}",
         "émile, →, ok",
         "true, false, t, f, 1, 0",
     ];
@@ -247,11 +659,18 @@ fn hostile_corpus_is_handled() {
             ("a".into(), DataType::Timestamp),
             ("b".into(), DataType::Str),
         ]),
+        Schema::new(vec![
+            ("a".into(), DataType::Int),
+            ("b".into(), DataType::Int),
+            ("c".into(), DataType::Int),
+        ]),
     ];
     for line in corpus {
         assert!(!split_fields(line).is_empty());
         for schema in &schemas {
-            match parse_tuple(line, schema) {
+            let got = parse_tuple(line, schema);
+            assert_same_decode(&got, &reference::parse_tuple(line, schema), line);
+            match got {
                 Ok(row) => assert_eq!(row.len(), schema.len(), "line {line:?}"),
                 Err(DataCellError::Decode(_)) => {}
                 Err(other) => panic!("line {line:?}: unexpected error class {other:?}"),
