@@ -50,9 +50,10 @@ impl Grouping {
     }
 }
 
-/// Free-slot marker of both tables. Group ids are stored as `u32`, which
-/// is why a grouping holds fewer than `u32::MAX` rows.
-const EMPTY: u32 = u32::MAX;
+/// Free-slot marker of both tables (and end of chain of the join's chained
+/// table). Group ids are stored as `u32`, which is why a grouping holds
+/// fewer than `u32::MAX` rows.
+pub(crate) const EMPTY: u32 = u32::MAX;
 
 /// Direct addressing is chosen while the table needs at most this many
 /// `u32` slots per input row, i.e. while zeroing it costs no more than
@@ -141,9 +142,9 @@ pub fn group_by(
 
 /// Float keys by canonical bits: `-0.0` and `0.0` are one key and every NaN
 /// (nil) is [`NIL_INT`] — the bits of `-0.0`, which canonical zero never
-/// yields.
+/// yields. The join kernels key floats the same way.
 #[inline]
-fn float_key(x: f64) -> i64 {
+pub(crate) fn float_key(x: f64) -> i64 {
     if x.is_nan() {
         NIL_INT
     } else if x == 0.0 {
@@ -297,9 +298,10 @@ const FREE: Slot = Slot {
 /// some key strides and clusters badly for others; folding the high half
 /// back in and multiplying again evens that out, and in a linear-probing
 /// loop an even spread matters more than the multiply it costs (every
-/// extra probe is a mispredicted branch).
+/// extra probe is a mispredicted branch). The join's chained table hashes
+/// with it too (`prev` = 0), so the engine has one hash.
 #[inline]
-fn hash(key: i64, prev: u32) -> u64 {
+pub(crate) fn hash(key: i64, prev: u32) -> u64 {
     const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
     let h = (key as u64 ^ u64::from(prev).wrapping_mul(0xD6E8_FEB8_6659_FD93)).wrapping_mul(PHI);
     (h ^ (h >> 32)).wrapping_mul(PHI)

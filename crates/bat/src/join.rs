@@ -6,23 +6,29 @@
 //! alignment the paper describes in §2.
 //!
 //! Type dispatch happens once per join, not once per row: each kernel
-//! resolves both tails to a typed key representation up front (i64 slices,
-//! canonical f64 bits, string-dictionary codes, bool bytes) and then runs a
-//! monomorphized build/probe loop over primitive keys. String probes
-//! translate the left dictionary against the build table once — one string
-//! hash per distinct value — and scan integer codes after that.
+//! resolves both tails to an `i64` key per row (ints and timestamps as they
+//! are, floats by canonical bits, bools as 0/1, strings as codes of the
+//! build side's dictionary, nil as [`NIL_INT`]) and then runs one
+//! monomorphized build/probe loop. String probes translate the left
+//! dictionary into right-side codes once — one string hash per distinct
+//! value — and compare integer codes after that.
+//!
+//! [`hash_join`] builds MonetDB's BAT hash shape over the right input: a
+//! power-of-two array of `u32` chain heads and one `u32` link per build row,
+//! hashed with the group-by kernel's hash. Nothing is allocated per key.
 //!
 //! Nil keys never match (SQL equi-join semantics).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::Hash;
 
 use crate::bat::Bat;
 use crate::candidates::{CandView, Candidates};
 use crate::column::Column;
 use crate::error::{BatError, Result};
+use crate::group::{float_key, hash, EMPTY};
 use crate::heap::StrHeap;
-use crate::types::{is_nil_int, DataType, NIL_STR_CODE};
+use crate::types::{is_nil_int, DataType, NIL_INT, NIL_STR_CODE};
 
 /// Positional projection (`leftfetchjoin`): gather `bat` tuples at
 /// `positions`, producing a dense-headed result aligned with the positions
@@ -31,60 +37,49 @@ pub fn fetch_join(positions: &[usize], bat: &Bat) -> Result<Bat> {
     Ok(Bat::new(bat.tail().take(positions)?))
 }
 
-#[inline]
-fn canon_bits(f: f64) -> u64 {
-    // Normalize -0.0 == 0.0 for hashing; NaN keys are filtered out as nil.
-    if f == 0.0 {
-        0.0f64.to_bits()
-    } else {
-        f.to_bits()
-    }
-}
-
-/// Nil sentinel in the canonical-float-bits key domain. `u64::MAX` decodes
-/// to a NaN payload, which no canonical non-nil key can produce.
-const NIL_FKEY: u64 = u64::MAX;
-
-/// Materialize a numeric tail as canonical f64-bit keys (nil → [`NIL_FKEY`]),
-/// widening int/timestamp values so mixed-type joins compare in one domain.
-fn f64_keys(col: &Column) -> Vec<u64> {
+/// A numeric tail as float keys ([`float_key`]: `-0.0` is `0.0`, NaN and
+/// nil are [`NIL_INT`]), widening int/timestamp values so mixed-type joins
+/// compare in one domain.
+fn float_keys(col: &Column) -> Vec<i64> {
     match col {
         Column::Int(v) | Column::Timestamp(v) => v
             .iter()
             .map(|&x| {
                 if is_nil_int(x) {
-                    NIL_FKEY
+                    NIL_INT
                 } else {
-                    canon_bits(x as f64)
+                    float_key(x as f64)
                 }
             })
             .collect(),
-        Column::Float(v) => v
-            .iter()
-            .map(|&x| if x.is_nan() { NIL_FKEY } else { canon_bits(x) })
-            .collect(),
+        Column::Float(v) => v.iter().map(|&x| float_key(x)).collect(),
         // join_types only unifies numeric inputs to Float.
         _ => unreachable!("float-keyed join over non-numeric column"),
     }
 }
 
 #[inline]
-fn int_key(v: i64) -> Option<i64> {
-    (!is_nil_int(v)).then_some(v)
-}
-
-#[inline]
-fn fkey(k: u64) -> Option<u64> {
-    (k != NIL_FKEY).then_some(k)
-}
-
-#[inline]
-fn bool_key(v: i8) -> Option<bool> {
+fn bool_key(v: i8) -> i64 {
     match v {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
+        0 => 0,
+        1 => 1,
+        _ => NIL_INT,
     }
+}
+
+#[inline]
+fn code_key(c: u32) -> i64 {
+    if c == NIL_STR_CODE {
+        NIL_INT
+    } else {
+        i64::from(c)
+    }
+}
+
+/// `Some(key)` unless it is the nil key.
+#[inline]
+fn non_nil(k: i64) -> Option<i64> {
+    (k != NIL_INT).then_some(k)
 }
 
 #[inline]
@@ -109,46 +104,12 @@ fn join_types(l: &Column, r: &Column, op: &'static str) -> Result<bool> {
     Ok(unified == DataType::Float)
 }
 
-/// Build the hash table over the right side: key → build-order positions.
-fn build_table<K: Hash + Eq>(
-    right_len: usize,
-    rcand: Option<&Candidates>,
-    get: impl Fn(usize) -> Option<K>,
-) -> Result<HashMap<K, Vec<usize>>> {
-    let rsel = Candidates::resolve(rcand, right_len)?;
-    let mut table: HashMap<K, Vec<usize>> = HashMap::new();
-    rsel.for_each_pos(|rp| {
-        if let Some(k) = get(rp) {
-            table.entry(k).or_default().push(rp);
-        }
-    });
-    Ok(table)
-}
-
-/// Probe the table with the left side, emitting left-major pairs.
-fn probe_pairs<K: Hash + Eq>(
-    table: &HashMap<K, Vec<usize>>,
-    left_len: usize,
-    lcand: Option<&Candidates>,
-    get: impl Fn(usize) -> Option<K>,
-) -> Result<(Vec<usize>, Vec<usize>)> {
-    let lsel = Candidates::resolve(lcand, left_len)?;
-    let mut lpos = Vec::new();
-    let mut rpos = Vec::new();
-    lsel.for_each_pos(|lp| {
-        if let Some(matches) = get(lp).and_then(|k| table.get(&k)) {
-            lpos.extend(std::iter::repeat_n(lp, matches.len()));
-            rpos.extend_from_slice(matches);
-        }
-    });
-    Ok((lpos, rpos))
-}
-
 /// Equi hash join: all pairs `(lp, rp)` with `left[lp] == right[rp]`.
 ///
 /// Builds on the right input, probes with the left; output is left-major
-/// ordered (ascending `lp`, then right build order). `lcand`/`rcand`
-/// restrict each side.
+/// ordered (ascending `lp`, then right build order, i.e. ascending `rp`).
+/// `lcand`/`rcand` restrict each side. Mixed int/float keys compare as
+/// floats, where `-0.0` equals `0.0`.
 pub fn hash_join(
     left: &Column,
     right: &Column,
@@ -156,6 +117,8 @@ pub fn hash_join(
     rcand: Option<&Candidates>,
 ) -> Result<(Vec<usize>, Vec<usize>)> {
     let as_float = join_types(left, right, "hash_join")?;
+    let lsel = Candidates::resolve(lcand, left.len())?;
+    let rsel = Candidates::resolve(rcand, right.len())?;
     match (left, right) {
         (
             Column::Str {
@@ -167,40 +130,94 @@ pub fn hash_join(
                 heap: rh,
             },
         ) => {
-            let table = build_table(rc.len(), rcand, |p| str_key(rc, rh, p))?;
             // Translate the left dictionary once: one string hash per
-            // distinct left value, then the probe is an integer-code gather.
-            let lookup: Vec<Option<&Vec<usize>>> = (0..lh.len() as u32)
-                .map(|c| lh.get(c).and_then(|s| table.get(s)))
+            // distinct left value, then the probe compares right codes.
+            let to_right: Vec<i64> = (0..lh.len() as u32)
+                .map(|c| {
+                    lh.get(c)
+                        .and_then(|s| rh.code_of(s))
+                        .map_or(NIL_INT, i64::from)
+                })
                 .collect();
-            let lsel = Candidates::resolve(lcand, lc.len())?;
-            let mut lpos = Vec::new();
-            let mut rpos = Vec::new();
-            lsel.for_each_pos(|lp| {
-                if let Some(Some(matches)) = lookup.get(lc[lp] as usize) {
-                    lpos.extend(std::iter::repeat_n(lp, matches.len()));
-                    rpos.extend_from_slice(matches);
-                }
-            });
-            Ok((lpos, rpos))
+            chained_join(
+                &lsel,
+                &rsel,
+                |p| to_right.get(lc[p] as usize).copied().unwrap_or(NIL_INT),
+                |p| code_key(rc[p]),
+            )
         }
         (Column::Bool(lv), Column::Bool(rv)) => {
-            let table = build_table(rv.len(), rcand, |p| bool_key(rv[p]))?;
-            probe_pairs(&table, lv.len(), lcand, |p| bool_key(lv[p]))
+            chained_join(&lsel, &rsel, |p| bool_key(lv[p]), |p| bool_key(rv[p]))
         }
         _ if as_float => {
-            let lk = f64_keys(left);
-            let rk = f64_keys(right);
-            let table = build_table(rk.len(), rcand, |p| fkey(rk[p]))?;
-            probe_pairs(&table, lk.len(), lcand, |p| fkey(lk[p]))
+            let (lk, rk) = (float_keys(left), float_keys(right));
+            chained_join(&lsel, &rsel, |p| lk[p], |p| rk[p])
         }
         _ => {
-            let lv = left.as_i64s()?;
-            let rv = right.as_i64s()?;
-            let table = build_table(rv.len(), rcand, |p| int_key(rv[p]))?;
-            probe_pairs(&table, lv.len(), lcand, |p| int_key(lv[p]))
+            let (lv, rv) = (left.as_i64s()?, right.as_i64s()?);
+            chained_join(&lsel, &rsel, |p| lv[p], |p| rv[p])
         }
     }
+}
+
+/// The hash join proper over `i64` keys ([`NIL_INT`] = nil). The build
+/// keeps the right side's non-nil rows in candidate order and threads them
+/// into chains, inserting in reverse so every chain lists its rows in build
+/// order; the probe walks the left candidates and, per key, its one chain,
+/// comparing keys (distinct keys may share a bucket).
+fn chained_join(
+    lsel: &CandView<'_>,
+    rsel: &CandView<'_>,
+    lkey: impl Fn(usize) -> i64,
+    rkey: impl Fn(usize) -> i64,
+) -> Result<(Vec<usize>, Vec<usize>)> {
+    let mut bkeys = Vec::with_capacity(rsel.len());
+    let mut bpos = Vec::with_capacity(rsel.len());
+    rsel.for_each_pos(|rp| {
+        let k = rkey(rp);
+        if k != NIL_INT {
+            bkeys.push(k);
+            bpos.push(rp);
+        }
+    });
+    if bkeys.is_empty() {
+        return Ok((Vec::new(), Vec::new()));
+    }
+    if bkeys.len() >= EMPTY as usize {
+        return Err(BatError::Invalid(format!(
+            "hash_join: {} build rows exceed the u32 chain space",
+            bkeys.len()
+        )));
+    }
+    // About two buckets per build row keeps chains of distinct keys short.
+    let buckets = (bkeys.len() * 2).next_power_of_two().max(16);
+    let shift = 64 - buckets.trailing_zeros();
+    let bucket = |k: i64| (hash(k, 0) >> shift) as usize;
+    let mut heads = vec![EMPTY; buckets];
+    let mut links = vec![EMPTY; bkeys.len()];
+    for (j, &k) in bkeys.iter().enumerate().rev() {
+        let head = &mut heads[bucket(k)];
+        links[j] = *head;
+        *head = j as u32;
+    }
+    let mut lpos = Vec::with_capacity(lsel.len());
+    let mut rpos = Vec::with_capacity(lsel.len());
+    lsel.for_each_pos(|lp| {
+        let k = lkey(lp);
+        if k == NIL_INT {
+            return;
+        }
+        let mut j = heads[bucket(k)];
+        while j != EMPTY {
+            let at = j as usize;
+            if bkeys[at] == k {
+                lpos.push(lp);
+                rpos.push(bpos[at]);
+            }
+            j = links[at];
+        }
+    });
+    Ok((lpos, rpos))
 }
 
 /// Merge join over two tails both flagged sorted; falls back to
@@ -317,25 +334,24 @@ fn membership_join(
             })
         }
         (Column::Bool(lv), Column::Bool(rv)) => {
-            let set = build_set(rv.len(), |p| bool_key(rv[p]));
+            let set = build_set(rv.len(), |p| non_nil(bool_key(rv[p])));
             filter_positions(lv.len(), lcand, |p| {
-                bool_key(lv[p]).is_some_and(|k| set.contains(&k) == keep_matched)
+                non_nil(bool_key(lv[p])).is_some_and(|k| set.contains(&k) == keep_matched)
             })
         }
         _ if as_float => {
-            let lk = f64_keys(left.tail());
-            let rk = f64_keys(right.tail());
-            let set = build_set(rk.len(), |p| fkey(rk[p]));
+            let (lk, rk) = (float_keys(left.tail()), float_keys(right.tail()));
+            let set = build_set(rk.len(), |p| non_nil(rk[p]));
             filter_positions(lk.len(), lcand, |p| {
-                fkey(lk[p]).is_some_and(|k| set.contains(&k) == keep_matched)
+                non_nil(lk[p]).is_some_and(|k| set.contains(&k) == keep_matched)
             })
         }
         _ => {
             let lv = left.tail().as_i64s()?;
             let rv = right.tail().as_i64s()?;
-            let set = build_set(rv.len(), |p| int_key(rv[p]));
+            let set = build_set(rv.len(), |p| non_nil(rv[p]));
             filter_positions(lv.len(), lcand, |p| {
-                int_key(lv[p]).is_some_and(|k| set.contains(&k) == keep_matched)
+                non_nil(lv[p]).is_some_and(|k| set.contains(&k) == keep_matched)
             })
         }
     }

@@ -181,7 +181,9 @@ proptest! {
         let lb = Bat::from_ints(l.clone());
         let rb = Bat::from_ints(r.clone());
         let (lp, rp) = hash_join(&lb, &rb, None, None).unwrap();
-        let mut got: Vec<(usize, usize)> = lp.into_iter().zip(rp).collect();
+        let got: Vec<(usize, usize)> = lp.into_iter().zip(rp).collect();
+        // The nested loop's own order is the contract: left-major, then
+        // right ascending.
         let mut want = Vec::new();
         for (i, &x) in l.iter().enumerate() {
             if x == NIL_INT { continue; }
@@ -189,8 +191,58 @@ proptest! {
                 if y != NIL_INT && x == y { want.push((i, j)); }
             }
         }
-        got.sort_unstable();
-        want.sort_unstable();
+        prop_assert_eq!(got, want);
+    }
+
+    // Every key type, both sides restricted by candidates: the pairs and
+    // their order are the nested loop's over the candidate rows, with nil
+    // never matching and `-0.0` matching `0.0`. String sides are built
+    // separately, so their dictionaries code the same string differently.
+    #[test]
+    fn hash_join_is_the_nested_loop_on_every_key_type(
+        kind in 0u8..5,
+        l in prop::collection::vec(0usize..12, 0..50),
+        r in prop::collection::vec(0usize..12, 0..50),
+        lshape in 0u8..4,
+        la in 0usize..64,
+        lb_ in 0usize..64,
+        lraw in raw_positions(),
+        rshape in 0u8..4,
+        ra in 0usize..64,
+        rb_ in 0usize..64,
+        rraw in raw_positions(),
+    ) {
+        const INTS: [i64; 6] = [-2, 0, 1, 3, 7, NIL_INT];
+        const FLOATS: [f64; 6] = [-0.0, 0.0, 1.0, 2.5, f64::NAN, 7.0];
+        let ints = |v: &[usize]| Bat::from_ints(v.iter().map(|&c| INTS[c % 6]).collect());
+        let floats = |v: &[usize]| Bat::from_floats(v.iter().map(|&c| FLOATS[c % 6]).collect());
+        let strs = |v: &[usize]| str_bat(&v.iter().map(|&c| c % 6).collect::<Vec<_>>());
+        let bools = |v: &[usize]| bool_bat(&v.iter().map(|&c| (c % 3) as u8).collect::<Vec<_>>());
+        let (lbat, rbat) = match kind {
+            0 => (ints(&l), ints(&r)),
+            1 => (floats(&l), floats(&r)),
+            2 => (strs(&l), strs(&r)),
+            3 => (bools(&l), bools(&r)),
+            _ => (ints(&l), floats(&r)),
+        };
+        let lcand = make_cand(lshape, la, lb_, &lraw, lbat.len());
+        let rcand = make_cand(rshape, ra, rb_, &rraw, rbat.len());
+        let (lp, rp) = hash_join(&lbat, &rbat, lcand.as_ref(), rcand.as_ref()).unwrap();
+        let got: Vec<(usize, usize)> = lp.into_iter().zip(rp).collect();
+        let equal = |a: &Value, b: &Value| match (a, b) {
+            (Value::Nil, _) | (_, Value::Nil) => false,
+            (Value::Float(x), Value::Float(y)) => x == y,
+            (Value::Int(x), Value::Float(y)) => *x as f64 == *y,
+            (a, b) => a == b,
+        };
+        let mut want = Vec::new();
+        for i in reference::positions_of(lcand.as_ref(), lbat.len()) {
+            for j in reference::positions_of(rcand.as_ref(), rbat.len()) {
+                if equal(&lbat.get(i).unwrap(), &rbat.get(j).unwrap()) {
+                    want.push((i, j));
+                }
+            }
+        }
         prop_assert_eq!(got, want);
     }
 

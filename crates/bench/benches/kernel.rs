@@ -75,17 +75,42 @@ fn bench_select(c: &mut Criterion) {
     g.finish();
 }
 
+/// `n` keys over `0..domain`, `hot_pct` % of them the hot key 0.
+fn skewed_ints(n: usize, domain: i64, hot_pct: u32, seed: u64) -> Vec<i64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            if hot_pct > 0 && rng.gen_range(0..100) < hot_pct {
+                0
+            } else {
+                rng.gen_range(0..domain)
+            }
+        })
+        .collect()
+}
+
 fn bench_join(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel/join");
-    for (ln, rn) in [(10_000usize, 10_000usize), (100_000, 10_000)] {
-        let l = Bat::from_ints(ints(ln, 50_000, 2));
-        let r = Bat::from_ints(ints(rn, 50_000, 3));
+    let cases = [
+        (10_000usize, 10_000usize, 50_000i64, 0u32),
+        (100_000, 10_000, 50_000, 0),
+        // One pairing of a `[rows 128]` window join: 1 024 keys, 10 % on
+        // one hot key (the `window_join` benchmark workload's shape).
+        (128, 128, 1_024, 10),
+        (65_536, 65_536, 65_536, 0),
+    ];
+    for (ln, rn, domain, hot_pct) in cases {
+        let l = Bat::from_ints(skewed_ints(ln, domain, hot_pct, 2));
+        let r = Bat::from_ints(skewed_ints(rn, domain, hot_pct, 3));
+        let name = if hot_pct > 0 {
+            format!("{ln}x{rn}/hot{hot_pct}%")
+        } else {
+            format!("{ln}x{rn}")
+        };
         g.throughput(Throughput::Elements((ln + rn) as u64));
-        g.bench_with_input(
-            BenchmarkId::new("hash", format!("{ln}x{rn}")),
-            &(),
-            |b, ()| b.iter(|| hash_join(&l, &r, None, None).unwrap()),
-        );
+        g.bench_with_input(BenchmarkId::new("hash", name), &(), |b, ()| {
+            b.iter(|| hash_join(&l, &r, None, None).unwrap())
+        });
     }
     g.finish();
 }

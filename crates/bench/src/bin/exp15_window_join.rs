@@ -3,8 +3,10 @@
 //!
 //! Two streams feed one continuous query with per-source count windows
 //! (`FROM s1 [ROWS w], s2 [ROWS w] WHERE s1.k = s2.k`): evaluation k
-//! hash-joins window k of each side via the unchanged monomorphized join
-//! kernels, then evicts behind the joint watermark. The matrix sweeps
+//! hash-joins window k of each side via the unchanged `bat` join kernel,
+//! then evicts behind the joint watermark. The binary first checks through
+//! `EXPLAIN` that the query really plans a `HashJoin` and exits non-zero
+//! when it does not. The matrix sweeps
 //! window size (per-evaluation state and probe cost) against key skew
 //! (join fan-out): a hot key makes output quadratic in its window share,
 //! so skewed large windows are the stress corner for eviction and
@@ -13,9 +15,10 @@
 //! machine-readable summary line (`BENCH_window_join.json: {...}`).
 
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use datacell::DataCell;
+use datacell::{CellResult, DataCell};
 use datacell_bat::types::Value;
 use datacell_bench::{banner, f, TablePrinter};
 
@@ -68,15 +71,38 @@ fn expected_matches(k1: &[i64], k2: &[i64], w: usize) -> u64 {
     total
 }
 
-fn run(k1: &[i64], k2: &[i64], window: usize) -> Outcome {
-    let cell = DataCell::builder().auto_start(true).build();
-    cell.execute("create basket s1 (k int, a int)").unwrap();
-    cell.execute("create basket s2 (k int, b int)").unwrap();
-    cell.execute(&format!(
-        "create continuous query j as \
-         select s1.k as k, s1.a as a, s2.b as b \
+/// The windowed join every cell of the matrix runs.
+fn join_sql(window: usize) -> String {
+    format!(
+        "select s1.k as k, s1.a as a, s2.b as b \
          from s1 [rows {window}], s2 [rows {window}] \
          where s1.k = s2.k"
+    )
+}
+
+fn cell_with_baskets(auto_start: bool) -> DataCell {
+    let cell = DataCell::builder().auto_start(auto_start).build();
+    cell.execute("create basket s1 (k int, a int)").unwrap();
+    cell.execute("create basket s2 (k int, b int)").unwrap();
+    cell
+}
+
+/// The plan the join query compiles to.
+fn explain(window: usize) -> String {
+    match cell_with_baskets(false)
+        .execute(&format!("explain {}", join_sql(window)))
+        .unwrap()
+    {
+        CellResult::Plan(plan) => plan,
+        other => panic!("EXPLAIN returned {other:?}"),
+    }
+}
+
+fn run(k1: &[i64], k2: &[i64], window: usize) -> Outcome {
+    let cell = cell_with_baskets(true);
+    cell.execute(&format!(
+        "create continuous query j as {}",
+        join_sql(window)
     ))
     .unwrap();
     let expected = expected_matches(k1, k2, window);
@@ -122,11 +148,16 @@ fn run(k1: &[i64], k2: &[i64], window: usize) -> Outcome {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let total: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(100_000);
+    let plan = explain(128);
+    if !plan.contains("HashJoin") {
+        eprintln!("exp15: the windowed join does not plan a HashJoin:\n{plan}");
+        return ExitCode::FAILURE;
+    }
     banner(
         "fig:exp15_window_join",
         &format!(
@@ -170,4 +201,5 @@ fn main() {
          \"rows_per_side\":{total},\"results\":[{}]}}",
         json_rows.join(",")
     );
+    ExitCode::SUCCESS
 }

@@ -118,6 +118,26 @@ pub enum OverflowPolicy {
     },
 }
 
+/// A refusing bounded basket's occupancy ([`Basket::append_room`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AppendRoom {
+    /// Tuples resident in memory.
+    pub resident: usize,
+    /// The configured capacity.
+    pub capacity: usize,
+}
+
+impl AppendRoom {
+    /// Whether one non-waiting append of `taken + rows` tuples is admitted
+    /// — `taken` of them already promised to it — by the [`OverflowPolicy`]
+    /// rules: it fits under the capacity, or the basket is empty and
+    /// `rows` is the append's first part, which it then takes whole.
+    pub fn admits(&self, taken: usize, rows: usize) -> bool {
+        taken + rows <= self.capacity.saturating_sub(self.resident)
+            || (taken == 0 && self.resident == 0)
+    }
+}
+
 /// Whether a basket's contents survive a restart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
@@ -662,10 +682,21 @@ impl Basket {
         self.inner.lock().policy
     }
 
-    /// Remaining room before the capacity is hit (`None` = unbounded).
-    pub fn free_capacity(&self) -> Option<usize> {
+    /// Occupancy as a non-waiting append ([`Basket::try_append_chunk`])
+    /// sees it: `None` when no batch is ever refused for its size (no
+    /// capacity, or a `ShedOldest`/`Spill` policy).
+    pub fn append_room(&self) -> Option<AppendRoom> {
         let inner = self.inner.lock();
-        inner.capacity.map(|c| c.saturating_sub(inner.mem_len()))
+        if matches!(
+            inner.policy,
+            OverflowPolicy::ShedOldest | OverflowPolicy::Spill { .. }
+        ) {
+            return None;
+        }
+        Some(AppendRoom {
+            resident: inner.mem_len(),
+            capacity: inner.capacity?,
+        })
     }
 
     /// Drop up to `n` oldest resident tuples (load shedding), returning the
@@ -2231,14 +2262,24 @@ mod tests {
         let b = bounded(1, OverflowPolicy::Reject);
         b.append_rows(&[vec![Value::Int(1)]]).unwrap();
         assert!(b.append_rows(&[vec![Value::Int(2)]]).is_err());
-        assert_eq!(b.free_capacity(), Some(0));
+        let room = b.append_room().unwrap();
+        assert_eq!((room.resident, room.capacity), (1, 1));
+        assert!(!room.admits(0, 1));
         b.set_capacity(Some(4), OverflowPolicy::Reject);
         assert_eq!(b.capacity(), Some(4));
         b.append_rows(&[vec![Value::Int(2)]]).unwrap();
-        assert_eq!(b.free_capacity(), Some(2));
+        let room = b.append_room().unwrap();
+        assert!(room.admits(0, 2) && room.admits(1, 1) && !room.admits(0, 3));
         b.set_capacity(None, OverflowPolicy::Block);
-        assert_eq!(b.free_capacity(), None);
+        assert_eq!(b.append_room(), None);
         assert_eq!(b.overflow_policy(), OverflowPolicy::Block);
+        // Shedding never refuses; an empty basket takes one batch whole.
+        b.set_capacity(Some(1), OverflowPolicy::ShedOldest);
+        assert_eq!(b.append_room(), None);
+        b.set_capacity(Some(1), OverflowPolicy::Block);
+        b.clear();
+        let room = b.append_room().unwrap();
+        assert!(room.admits(0, 5) && !room.admits(1, 1));
     }
 
     #[test]

@@ -1059,15 +1059,7 @@ impl DataCell {
     /// below the flushed horizon is dropped; the caller owns that
     /// soundness trade (see `docs/windows.md`).
     pub fn flush_query(&self, name: &str) -> Result<()> {
-        let wj = self
-            .window_joins
-            .lock()
-            .iter()
-            .find(|w| w.name() == name)
-            .cloned()
-            .ok_or_else(|| {
-                DataCellError::Catalog(format!("unknown windowed continuous query {name}"))
-            })?;
+        let wj = self.window_join(name)?;
         // Snapshot only the stored tables the plan scans, then release the
         // catalog lock before draining: a flush evaluates every remaining
         // window through the full plan, and holding the session-wide read
@@ -1093,6 +1085,19 @@ impl DataCell {
             }
         }
         wj.flush(Some(&tables)).map(|_| ())
+    }
+
+    /// The transition running a windowed continuous query (its counters,
+    /// buffers and explicit [`WindowJoin::flush`]).
+    pub fn window_join(&self, name: &str) -> Result<Arc<WindowJoin>> {
+        self.window_joins
+            .lock()
+            .iter()
+            .find(|w| w.name() == name)
+            .cloned()
+            .ok_or_else(|| {
+                DataCellError::Catalog(format!("unknown windowed continuous query {name}"))
+            })
     }
 
     /// True iff the named continuous query is paused.

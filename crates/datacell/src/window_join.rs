@@ -5,8 +5,9 @@
 //! transition that buffers each input stream in ordinary columns behind a
 //! registered reader cursor, pairs up the per-source windows in lockstep,
 //! and evaluates each pairing by handing the window chunks to the
-//! *unchanged* compiled plan — the same monomorphized hash-join kernels the
-//! one-shot path uses.
+//! *unchanged* compiled plan — an equality between two windowed sources
+//! plans as a hash join, so every pairing runs on the `bat` join kernel
+//! the one-shot path uses.
 //!
 //! Pairing semantics: evaluation `k` joins window `k` of every source,
 //! where window `k` of a source with spec `(size, slide)` is
@@ -22,7 +23,7 @@
 //! closure — arrival order bounds a source's own timestamps, never its
 //! partner's, so closing a window on a partner's horizon would be
 //! unsound). After evaluating, each source evicts below the start of its
-//! own window `k+1` — the watermark is the minimum across sources only in
+//! own next window — the watermark is the minimum across sources only in
 //! the sense that nothing is evicted until the joint evaluation passed it.
 //!
 //! A quiescent source therefore stalls the join (its last window never
@@ -34,12 +35,19 @@
 //! arriving after a flushed window is silently dropped, which is exactly
 //! the soundness gap the explicit call makes the caller own.
 //!
-//! The step discipline mirrors [`crate::window::ReEvalWindow`]: snapshot
-//! all readers without committing, work on copies, deliver every result of
-//! the step in one non-waiting append, and only then commit state and
-//! cursors — a full bounded output defers the whole step losslessly.
+//! **Each window is evaluated once.** A step moves a source's pending
+//! tuples into its private buffer (committing the reader cursor) only while
+//! that source's next window is still open, so a buffer never holds more
+//! than one ingest plus one window, and a full buffer leaves the rest in
+//! the input basket, where backpressure reaches the producer. The step then
+//! evaluates complete windows in order while their results fit the
+//! output's free room, delivers that prefix in one non-waiting append and
+//! evicts once. The first window that does not fit is evaluated but its
+//! result is *held*, to be delivered first by a later step; the join is not
+//! [`Transition::ready`] while a bounded output has no room for it, so a
+//! full output costs no work and nothing is ever computed twice.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use datacell_bat::candidates::Candidates;
@@ -47,7 +55,7 @@ use datacell_engine::{execute, Catalog, Chunk};
 use datacell_sql::physical::PhysicalPlan;
 use parking_lot::Mutex;
 
-use crate::basket::{Basket, ReaderId, Signal};
+use crate::basket::{AppendRoom, Basket, ReaderId, Signal};
 use crate::catalog::StepSource;
 use crate::error::{DataCellError, Result};
 use crate::factory::{FactoryOutput, StepOutcome};
@@ -83,6 +91,22 @@ struct JoinState {
     /// Common `t0` for time windows: min first-ts across time-windowed
     /// sides, settled once every time side has seen a tuple.
     anchor: Option<i64>,
+    /// Results of evaluated windows the output had no room for, in window
+    /// order; delivered, whole, before anything else.
+    held: Option<Chunk>,
+}
+
+/// What the last step left for [`Transition::ready`] to read without
+/// taking the state lock. The flags publish no other data (a step re-reads
+/// everything under the lock), so they are `Relaxed`; the scheduler's
+/// signal mutex orders a step's stores before the pass it wakes.
+struct Readiness {
+    /// Per side: its next window is still open, so the side takes input.
+    open: Vec<AtomicBool>,
+    /// The next window is complete on every side.
+    window: AtomicBool,
+    /// Rows of held results (0 = none).
+    held: AtomicUsize,
 }
 
 /// Cross-stream windowed join transition (see module docs).
@@ -92,6 +116,7 @@ pub struct WindowJoin {
     output: FactoryOutput,
     sides: Vec<Side>,
     state: Mutex<JoinState>,
+    readiness: Readiness,
     windows_evaluated: AtomicU64,
     detached: AtomicBool,
 }
@@ -174,6 +199,11 @@ impl WindowJoin {
                 spec,
             });
         }
+        let readiness = Readiness {
+            open: sides.iter().map(|_| AtomicBool::new(true)).collect(),
+            window: AtomicBool::new(false),
+            held: AtomicUsize::new(0),
+        };
         Ok(WindowJoin {
             name: name.into(),
             plan,
@@ -183,15 +213,29 @@ impl WindowJoin {
                 sides: states,
                 next_eval: 0,
                 anchor: None,
+                held: None,
             }),
+            readiness,
             windows_evaluated: AtomicU64::new(0),
             detached: AtomicBool::new(false),
         })
     }
 
-    /// Number of joint window evaluations so far.
+    /// Number of plan executions so far — one per evaluated window,
+    /// whether its result was delivered or is still held.
     pub fn windows_evaluated(&self) -> u64 {
         self.windows_evaluated.load(Ordering::Relaxed)
+    }
+
+    /// Tuples buffered per input side, in [`WindowJoin::input_names`]
+    /// order.
+    pub fn buffered(&self) -> Vec<usize> {
+        self.state
+            .lock()
+            .sides
+            .iter()
+            .map(|st| st.buffer.len())
+            .collect()
     }
 
     /// Stored tables the compiled plan scans; the caller supplies their
@@ -223,9 +267,10 @@ impl WindowJoin {
     /// Declare the inputs quiescent and close every remaining window at
     /// each source's horizon, draining the buffers (see module docs for the
     /// soundness contract). Pending uncommitted tuples are ingested first,
-    /// so a flush is a normal step with completeness waived.
+    /// so a flush is a normal step with completeness waived. Results the
+    /// output has no room for are held and delivered by later steps.
     pub fn flush(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
-        self.step_inner(tables, true)
+        self.step_inner(tables, usize::MAX, true)
     }
 
     /// Is window `k` complete on side `i` given its buffered state?
@@ -240,6 +285,25 @@ impl WindowJoin {
                 _ => false,
             },
         }
+    }
+
+    /// Does side `i` buffer any tuple at or after the start of window `k`?
+    /// (A time side without an anchor has never buffered one.)
+    fn reaches(side: &Side, st: &SideState, anchor: Option<i64>, k: u64) -> Result<bool> {
+        Ok(match side.spec {
+            WindowSpec::Count { slide, .. } => st.arrived > st.evicted.max(k * slide as u64),
+            WindowSpec::Time { slide_micros, .. } => match anchor {
+                Some(t0) => {
+                    let start = t0 + k as i64 * slide_micros;
+                    let ts_idx = st.buffer.schema.len() - 1;
+                    st.buffer.columns[ts_idx]
+                        .as_timestamps()?
+                        .iter()
+                        .any(|&t| t >= start)
+                }
+                None => false,
+            },
+        })
     }
 
     /// Gather side `i`'s window `k` out of its buffer.
@@ -279,15 +343,17 @@ impl WindowJoin {
         }
     }
 
-    /// Evict side `i` below the start of window `k + 1`.
+    /// Evict side `i` below the start of window `k`: one slice of the
+    /// buffer per step, however many windows the step evaluated.
     fn evict(side: &Side, st: &mut SideState, anchor: Option<i64>, k: u64) -> Result<()> {
         match side.spec {
             WindowSpec::Count { slide, .. } => {
-                let target = (k + 1) * slide as u64;
+                let target = k * slide as u64;
                 if target > st.evicted {
                     let drop = ((target - st.evicted) as usize).min(st.buffer.len());
-                    let len = st.buffer.len();
-                    st.buffer = st.buffer.gather(&Candidates::Dense(drop..len))?;
+                    for c in &mut st.buffer.columns {
+                        c.drop_head(drop);
+                    }
                     st.evicted += drop as u64;
                     // A partial flush window may drain the buffer short of
                     // the target; account the skipped positions anyway so
@@ -297,180 +363,273 @@ impl WindowJoin {
             }
             WindowSpec::Time { slide_micros, .. } => {
                 let Some(t0) = anchor else { return Ok(()) };
-                let new_start = t0 + (k + 1) as i64 * slide_micros;
+                let start = t0 + k as i64 * slide_micros;
                 let ts_idx = st.buffer.schema.len() - 1;
-                let ts = st.buffer.columns[ts_idx].as_timestamps()?.to_vec();
-                let keep: Vec<usize> = ts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &t)| t >= new_start)
-                    .map(|(i, _)| i)
-                    .collect();
-                let kept = keep.len();
+                let ts = st.buffer.columns[ts_idx].as_timestamps()?;
+                let keep: Vec<usize> = (0..ts.len()).filter(|&i| ts[i] >= start).collect();
+                st.evicted += (ts.len() - keep.len()) as u64;
                 st.buffer = st.buffer.gather(&Candidates::from_sorted_unchecked(keep))?;
-                st.evicted += (ts.len() - kept) as u64;
             }
         }
         Ok(())
     }
 
-    fn step_inner(&self, tables: Option<&Catalog>, closing: bool) -> Result<StepOutcome> {
-        // Snapshot every reader without committing; evaluate on working
-        // copies; deliver once; only then commit state and cursors. The
-        // whole snapshot→ingest→commit sequence runs under the state lock:
-        // flush arrives from the session thread outside the scheduler's
-        // conflict-key serialization, and a racing snapshot would ingest
-        // the same uncommitted rows on both callers, double-counting
-        // `arrived` and duplicating buffered tuples.
-        let mut state = self.state.lock();
-        let snaps: Vec<(Chunk, u64)> = self
+    /// Move up to `budget` of side `i`'s pending tuples into its buffer
+    /// and commit its reader cursor past them. Returns how many moved.
+    fn ingest(side: &Side, st: &mut SideState, budget: usize) -> Result<usize> {
+        let (incoming, end) = side.basket.snapshot_for_reader(side.reader, budget);
+        let n = incoming.len();
+        if n > 0 {
+            let ts = incoming.columns[incoming.schema.len() - 1].as_timestamps()?;
+            let last = *ts.last().expect("non-empty");
+            st.horizon = Some(st.horizon.map_or(last, |h| h.max(last)));
+            st.first_ts.get_or_insert(ts[0]);
+            st.arrived += n as u64;
+            if st.buffer.is_empty() {
+                st.buffer = incoming;
+            } else {
+                st.buffer.append(&incoming)?;
+            }
+        }
+        side.basket.commit_reader(side.reader, end);
+        Ok(n)
+    }
+
+    /// The output's occupancy (`None`: it never refuses a batch).
+    fn output_room(&self) -> Option<AppendRoom> {
+        match &self.output {
+            FactoryOutput::Basket(b) => b.append_room(),
+            FactoryOutput::Discard => None,
+        }
+    }
+
+    /// Store what [`Transition::ready`] reads.
+    fn publish(&self, state: &JoinState) {
+        let k = state.next_eval;
+        let mut all = true;
+        for ((side, st), open) in self
             .sides
             .iter()
-            .map(|s| s.basket.snapshot_for_reader(s.reader, usize::MAX))
-            .collect();
-        let tuples_in: usize = snaps.iter().map(|(c, _)| c.len()).sum();
+            .zip(&state.sides)
+            .zip(&self.readiness.open)
+        {
+            let complete = Self::complete(side, st, state.anchor, k);
+            open.store(!complete, Ordering::Relaxed);
+            all &= complete;
+        }
+        self.readiness.window.store(all, Ordering::Relaxed);
+        self.readiness
+            .held
+            .store(state.held.as_ref().map_or(0, Chunk::len), Ordering::Relaxed);
+    }
 
-        let JoinState {
-            sides: ref prior,
-            next_eval,
-            anchor,
-        } = *state;
+    /// One step: ingest the sides whose next window is open (at most
+    /// `budget` tuples each), evaluate complete windows in order, deliver
+    /// the prefix whose results fit the output and hold the first one that
+    /// does not, evict once. `closing` (flush) ingests everything, waives
+    /// completeness and evaluates every remaining window, holding whatever
+    /// does not fit. The state lock is held throughout: flush arrives from
+    /// the session thread outside the scheduler's conflict-key
+    /// serialization, and two racing ingests would buffer the same tuples
+    /// twice.
+    fn step_inner(
+        &self,
+        tables: Option<&Catalog>,
+        budget: usize,
+        closing: bool,
+    ) -> Result<StepOutcome> {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let room = self.output_room();
+        let admits = |taken: usize, rows: usize| room.is_none_or(|r| r.admits(taken, rows));
 
-        // Working copies + ingestion.
-        let mut work: Vec<SideState> = Vec::with_capacity(self.sides.len());
-        for (st, (incoming, _)) in prior.iter().zip(&snaps) {
-            let mut buffer = st.buffer.clone();
-            let mut horizon = st.horizon;
-            let mut first_ts = st.first_ts;
-            let mut arrived = st.arrived;
-            if !incoming.is_empty() {
-                buffer.append(incoming)?;
-                arrived += incoming.len() as u64;
-                let ts_idx = incoming.schema.len() - 1;
-                let ts = incoming.columns[ts_idx].as_timestamps()?;
-                let last = *ts.last().expect("non-empty");
-                horizon = Some(horizon.map_or(last, |h| h.max(last)));
-                if first_ts.is_none() {
-                    first_ts = Some(ts[0]);
-                }
-            }
-            work.push(SideState {
-                buffer,
-                arrived,
-                evicted: st.evicted,
-                horizon,
-                first_ts,
+        // Held results go out first and whole; until they fit, nothing
+        // else is evaluated (a flush still closes every window behind
+        // them).
+        let held_rows = state.held.as_ref().map_or(0, Chunk::len);
+        let held_fits = admits(0, held_rows);
+        if !held_fits && !closing {
+            // Only a refusing output basket leaves results held.
+            let (Some(r), FactoryOutput::Basket(b)) = (room, &self.output) else {
+                unreachable!("held rows that do not fit imply a bounded output basket");
+            };
+            return Err(DataCellError::Backpressure {
+                basket: b.name().to_string(),
+                resident: r.resident,
+                capacity: r.capacity,
             });
         }
+        let mut blocked = !held_fits;
+        let mut taken = if held_fits { held_rows } else { 0 };
 
-        // Settle the time anchor once every time-windowed side has data.
-        // Flush declares the inputs quiescent, so an empty time side can no
-        // longer contribute an earlier first-ts: anchor on whichever time
-        // sides do have data, or the sides that did buffer tuples could
-        // never drain (their windows would stay unanchored forever).
-        let mut anchor = anchor;
-        if anchor.is_none() {
-            let time_firsts: Vec<Option<i64>> = self
-                .sides
-                .iter()
-                .zip(&work)
-                .filter(|(s, _)| matches!(s.spec, WindowSpec::Time { .. }))
-                .map(|(_, st)| st.first_ts)
-                .collect();
-            let settled = if closing {
-                time_firsts.iter().any(|f| f.is_some())
-            } else {
-                !time_firsts.is_empty() && time_firsts.iter().all(|f| f.is_some())
-            };
-            if settled {
-                anchor = time_firsts.into_iter().flatten().min();
+        let mut tuples_in = 0;
+        for (side, st) in self.sides.iter().zip(state.sides.iter_mut()) {
+            if closing || !Self::complete(side, st, state.anchor, state.next_eval) {
+                tuples_in += Self::ingest(side, st, budget)?;
             }
         }
 
-        let mut k = next_eval;
-        let mut windows_run = 0u64;
-        let mut produced = 0;
-        let mut out: Option<Chunk> = None;
+        self.settle_anchor(state, closing);
+        let anchor = state.anchor;
+
+        // Evaluate windows: `fresh` is delivered now, behind the held
+        // results; `late` joins the held results. A failing window stops
+        // the loop, and the windows before it are still committed.
+        let schema = self.plan.schema();
+        let mut fresh = Chunk::empty(schema.clone());
+        let mut late = Chunk::empty(schema.clone());
+        let mut failure = None;
+        let mut k = state.next_eval;
         loop {
             let all_complete = self
                 .sides
                 .iter()
-                .zip(&work)
+                .zip(&state.sides)
                 .all(|(s, st)| Self::complete(s, st, anchor, k));
             if !all_complete {
                 if !closing {
                     break;
                 }
                 // Flush mode: keep closing windows at the horizons until
-                // every buffer has drained.
-                if work.iter().all(|st| st.buffer.is_empty()) {
+                // no buffered tuple reaches window k.
+                let mut reached = false;
+                for (s, st) in self.sides.iter().zip(&state.sides) {
+                    reached |= Self::reaches(s, st, anchor, k)?;
+                }
+                if !reached {
                     break;
                 }
+            }
+            if blocked && !closing {
+                break;
             }
             let windows = self
                 .sides
                 .iter()
-                .zip(&work)
+                .zip(&state.sides)
                 .map(|(s, st)| Self::window_chunk(s, st, anchor, k))
                 .collect::<Result<Vec<Chunk>>>()?;
-            let any_tuples = windows.iter().any(|w| !w.is_empty());
             // Flush mode sweeps window indices toward the horizons; skip
             // the plan for windows every source left empty (a ts gap) —
             // they cannot contribute join rows.
-            if any_tuples || !closing {
-                let lent: Vec<(&str, &Chunk)> = self
-                    .sides
-                    .iter()
-                    .zip(&windows)
-                    .map(|(s, w)| (s.basket.name(), w))
-                    .collect();
-                let src = StepSource {
-                    snapshots: &lent,
-                    tables,
-                };
-                let result = execute(&self.plan, &src)?.chunk.into_owned();
-                produced += result.len();
-                windows_run += 1;
-                match &mut out {
-                    None => out = Some(result),
-                    Some(o) => o.append(&result)?,
+            if closing && windows.iter().all(Chunk::is_empty) {
+                k += 1;
+                continue;
+            }
+            let lent: Vec<(&str, &Chunk)> = self
+                .sides
+                .iter()
+                .zip(&windows)
+                .map(|(s, w)| (s.basket.name(), w))
+                .collect();
+            let src = StepSource {
+                snapshots: &lent,
+                tables,
+            };
+            let result = match execute(&self.plan, &src) {
+                Ok(outcome) => outcome.chunk,
+                Err(e) => {
+                    failure = Some(DataCellError::from(e));
+                    break;
                 }
-            }
-            let before: usize = work.iter().map(|st| st.buffer.len()).sum();
-            for (s, st) in self.sides.iter().zip(work.iter_mut()) {
-                Self::evict(s, st, anchor, k)?;
-            }
-            let after: usize = work.iter().map(|st| st.buffer.len()).sum();
-            // Backstop against a non-terminating flush: with no anchor a
-            // time side can never gather or evict, so a sweep that also
-            // moved nothing elsewhere will never drain by advancing k.
-            // (An anchored gap sweep legitimately passes empty windows —
-            // that case is excluded by `anchor.is_none()`.)
-            if closing && !all_complete && !any_tuples && after == before && anchor.is_none() {
-                break;
+            };
+            self.windows_evaluated.fetch_add(1, Ordering::Relaxed);
+            if !blocked && (result.is_empty() || admits(taken, result.len())) {
+                taken += result.len();
+                fresh.append(&result)?;
+            } else {
+                blocked = true;
+                late.append(&result)?;
             }
             k += 1;
         }
 
-        // Deliver the whole step's results in one non-waiting append; a
-        // Backpressure error here leaves state and cursors untouched.
-        if let (Some(chunk), FactoryOutput::Basket(b)) = (&out, &self.output) {
-            b.try_append_chunk(chunk)?;
+        if k > state.next_eval {
+            for (s, st) in self.sides.iter().zip(state.sides.iter_mut()) {
+                Self::evict(s, st, anchor, k)?;
+            }
+            state.next_eval = k;
         }
-        state.sides = work;
-        state.next_eval = k;
-        state.anchor = anchor;
-        for (side, (_, end)) in self.sides.iter().zip(&snaps) {
-            side.basket.commit_reader(side.reader, *end);
+        let delivered = self.deliver(state, held_fits, fresh, late);
+        self.publish(state);
+        let produced = delivered?;
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(StepOutcome {
+                tuples_in,
+                consumed: tuples_in,
+                produced,
+            }),
         }
-        drop(state);
-        self.windows_evaluated
-            .fetch_add(windows_run, Ordering::Relaxed);
-        Ok(StepOutcome {
-            tuples_in,
-            consumed: tuples_in,
-            produced,
-        })
+    }
+
+    /// Settle the time anchor once every time-windowed side has data.
+    /// Flush declares the inputs quiescent, so an empty time side can no
+    /// longer contribute an earlier first-ts: anchor on whichever time
+    /// sides do have data, or the sides that did buffer tuples could never
+    /// drain (their windows would stay unanchored forever).
+    fn settle_anchor(&self, state: &mut JoinState, closing: bool) {
+        if state.anchor.is_some() {
+            return;
+        }
+        let time_firsts: Vec<Option<i64>> = self
+            .sides
+            .iter()
+            .zip(&state.sides)
+            .filter(|(s, _)| matches!(s.spec, WindowSpec::Time { .. }))
+            .map(|(_, st)| st.first_ts)
+            .collect();
+        let settled = if closing {
+            time_firsts.iter().any(|f| f.is_some())
+        } else {
+            !time_firsts.is_empty() && time_firsts.iter().all(|f| f.is_some())
+        };
+        if settled {
+            state.anchor = time_firsts.into_iter().flatten().min();
+        }
+    }
+
+    /// Append the held results (when `held_fits`) and then `fresh` to the
+    /// output in one non-waiting append, and add `late` to the held
+    /// results. Returns the rows delivered.
+    fn deliver(
+        &self,
+        state: &mut JoinState,
+        held_fits: bool,
+        fresh: Chunk,
+        late: Chunk,
+    ) -> Result<usize> {
+        let mut deliver = match state.held.take() {
+            Some(mut held) if held_fits => {
+                held.append(&fresh)?;
+                held
+            }
+            other => {
+                state.held = other;
+                fresh
+            }
+        };
+        if !late.is_empty() {
+            state.held = Some(match state.held.take() {
+                Some(mut held) => {
+                    held.append(&late)?;
+                    held
+                }
+                None => late,
+            });
+        }
+        if let (false, FactoryOutput::Basket(b)) = (deliver.is_empty(), &self.output) {
+            // Another producer on the output can race the room check:
+            // then everything goes back in front of the held results.
+            if let Err(e) = b.try_append_chunk(&deliver) {
+                if let Some(held) = state.held.take() {
+                    deliver.append(&held)?;
+                }
+                state.held = Some(deliver);
+                return Err(e);
+            }
+        }
+        Ok(deliver.len())
     }
 }
 
@@ -485,19 +644,44 @@ impl Transition for WindowJoin {
         &self.name
     }
 
+    /// Not while a bounded output has no room for the next result (held
+    /// results: all of them); otherwise when a complete window is buffered
+    /// or a side whose next window is open has pending input.
     fn ready(&self) -> bool {
-        self.sides
-            .iter()
-            .any(|s| s.basket.pending_for(s.reader) > 0)
+        let room = self.output_room();
+        if room.is_some_and(|r| !r.admits(0, 1)) {
+            return false;
+        }
+        let held = self.readiness.held.load(Ordering::Relaxed);
+        if held > 0 {
+            return room.is_none_or(|r| r.admits(0, held));
+        }
+        self.readiness.window.load(Ordering::Relaxed)
+            || self
+                .sides
+                .iter()
+                .zip(&self.readiness.open)
+                .any(|(s, open)| open.load(Ordering::Relaxed) && s.basket.pending_for(s.reader) > 0)
     }
 
     fn step(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
-        self.step_inner(tables, false)
+        self.step_inner(tables, usize::MAX, false)
     }
 
+    /// Ingest at most `max_tuples` tuples per side: the join's firings are
+    /// budgeted like any factory's.
+    fn step_budgeted(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
+        self.step_inner(tables, max_tuples.max(1), false)
+    }
+
+    /// The input baskets wake the scheduler with new tuples, the output
+    /// basket with freed room.
     fn subscribe(&self, signal: Arc<Signal>) {
         for side in &self.sides {
             side.basket.set_parent_signal(Arc::clone(&signal));
+        }
+        if let FactoryOutput::Basket(b) = &self.output {
+            b.set_parent_signal(signal);
         }
     }
 
@@ -825,6 +1009,10 @@ mod tests {
         assert_eq!(rows, expect);
     }
 
+    /// A window whose result does not fit is evaluated once and held: the
+    /// join is not ready while the output has no room, a forced step
+    /// defers, and the held rows go out — without re-evaluation — once
+    /// downstream drains.
     #[test]
     fn bounded_output_defers_join_step_losslessly() {
         use crate::basket::OverflowPolicy;
@@ -836,19 +1024,58 @@ mod tests {
         );
         let wj = WindowJoin::from_plan("wj", plan, &cat, FactoryOutput::Basket(Arc::clone(&out)))
             .unwrap();
-        // A resident row + cap 1 leaves no room for the step's output.
+        // A resident row + cap 1 leaves no room for the window's two rows.
         out.append_rows(&[vec![Value::Int(0), Value::Int(0), Value::Int(0)]])
             .unwrap();
         out.set_capacity(Some(1), OverflowPolicy::Reject);
         push(&left, &[(1, 10), (2, 20)]);
         push(&right, &[(1, 100), (2, 200)]);
-        assert!(wj.step(None).is_err(), "full output defers the step");
-        assert!(wj.ready(), "input cursors did not move");
-        assert_eq!(wj.windows_evaluated(), 0);
-        // Downstream drains: the retry reproduces the window exactly once.
+        assert!(!wj.ready(), "a full output makes the join wait");
+        let step = wj.step(None).unwrap();
+        assert_eq!((step.tuples_in, step.produced), (4, 0));
+        assert_eq!(wj.windows_evaluated(), 1);
+        assert_eq!(wj.buffered(), vec![0, 0], "the window is committed");
+        assert!(!wj.ready(), "held rows wait for room");
+        assert!(wj.step(None).is_err(), "a forced step defers");
         out.clear();
+        assert!(wj.ready());
         wj.step(None).unwrap();
         assert_eq!(out_rows(&out), vec![(1, 10, 100), (2, 20, 200)]);
+        assert_eq!(wj.windows_evaluated(), 1, "delivered, not re-evaluated");
+        assert!(!wj.ready());
+    }
+
+    /// A step delivers the prefix of windows whose results fit the free
+    /// room and holds the first that does not; the rest stay buffered.
+    #[test]
+    fn prefix_delivery_evaluates_each_window_once() {
+        use crate::basket::OverflowPolicy;
+        let (cat, left, right, out) = setup();
+        let plan = compile(
+            &cat,
+            "select s1.k as k, s1.a as a, s2.b as b \
+             from s1 [rows 1] , s2 [rows 1] where s1.k = s2.k",
+        );
+        let wj = WindowJoin::from_plan("wj", plan, &cat, FactoryOutput::Basket(Arc::clone(&out)))
+            .unwrap();
+        out.set_capacity(Some(3), OverflowPolicy::Block);
+        let rows: Vec<(i64, i64)> = (0..6).map(|i| (i, i)).collect();
+        push(&left, &rows);
+        push(&right, &rows);
+        let step = wj.step(None).unwrap();
+        assert_eq!(step.produced, 3);
+        assert_eq!(wj.windows_evaluated(), 4, "three delivered, one held");
+        assert_eq!(wj.buffered(), vec![2, 2]);
+        assert!(!wj.ready());
+        out.clear();
+        assert!(wj.ready());
+        assert_eq!(
+            wj.step(None).unwrap().tuples_in,
+            0,
+            "buffered windows first"
+        );
+        assert_eq!(out_rows(&out), vec![(3, 3, 3), (4, 4, 4), (5, 5, 5)]);
+        assert_eq!(wj.windows_evaluated(), 6);
         assert!(!wj.ready());
     }
 }

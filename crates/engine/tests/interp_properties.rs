@@ -14,6 +14,11 @@
 //!   appearance, then folding each group row by row — same rows, same
 //!   order, same error.
 //!
+//! * a comma join through SQL — which the planner turns into hash joins
+//!   wherever an `=` between two inputs is one the join kernel computes
+//!   exactly — must return the rows, in the order, of filtering the
+//!   nested-loop cross product with the same `WHERE`.
+//!
 //! Data and predicates are drawn to sit on the kernels' edges: nils in
 //! every type, `NaN`, `-0.0` beside `0.0`, `i64` extremes, empty inputs,
 //! literals of the other numeric type, reversed `BETWEEN` bounds, and one
@@ -29,7 +34,7 @@ use datacell_engine::eval::{eval, eval_predicate};
 use datacell_engine::{execute, Catalog, Chunk};
 use datacell_sql::expr::ScalarExpr;
 use datacell_sql::physical::{PhysAgg, PhysicalPlan};
-use datacell_sql::{Schema, SqlError};
+use datacell_sql::{compile_query, Schema, SqlError};
 use proptest::prelude::*;
 
 // Columns of the test relation, by position.
@@ -460,5 +465,186 @@ proptest! {
             }
             (got, want) => prop_assert!(false, "{:?} but expected {:?}", got.map(|o| o.chunk), want),
         }
+    }
+}
+
+// ---------------- comma joins ----------------
+
+const TABLES: [&str; 3] = ["a", "b", "c"];
+const COLUMNS: [&str; 7] = ["i", "f", "s", "b", "t", "x", "y"];
+
+impl Draws<'_> {
+    /// One `WHERE` conjunct over `tables` comma-joined tables, `col(t, c)`
+    /// naming column `c` of table `t`: equalities between two tables on
+    /// every column type (the planner's case — or, for floats and int =
+    /// float, its exclusion), other comparisons across tables, single-table
+    /// terms, an `OR` across tables, and with three tables an equality
+    /// spanning all three.
+    fn join_conjunct(&mut self, tables: usize, col: &dyn Fn(usize, usize) -> String) -> String {
+        let t1 = self.next(tables);
+        let t2 = (t1 + 1 + self.next(tables - 1)) % tables;
+        let c = self.next(COLUMNS.len());
+        match self.next(9) {
+            0..=2 => format!("{} = {}", col(t1, c), col(t2, c)),
+            3 => format!("{} = {}", col(t1, [I, X][self.next(2)]), col(t2, F)),
+            4 => format!("{} = {}", col(t1, X), col(t2, Y)),
+            5 => {
+                let c = [I, F, S, T, X][self.next(5)];
+                let op = ["<", "<=", "<>", ">"][self.next(4)];
+                format!("{} {op} {}", col(t1, c), col(t2, c))
+            }
+            6 => match self.next(3) {
+                0 => format!("{} > 0", col(t1, X)),
+                1 => format!("{} = 'kiwi'", col(t1, S)),
+                _ => format!("{} < 1", col(t1, F)),
+            },
+            7 => format!("({} = {} or {} < 1)", col(t1, c), col(t2, c), col(t2, Y)),
+            _ if tables == 3 => {
+                let t3 = 3 - t1 - t2;
+                format!("{} + {} = {}", col(t1, X), col(t2, Y), col(t3, X))
+            }
+            _ => format!("{} + 1 = {}", col(t1, X), col(t2, Y)),
+        }
+    }
+}
+
+/// A catalog holding one generated relation per table name.
+fn join_catalog(relations: &[Vec<u32>]) -> Catalog {
+    let mut catalog = Catalog::new();
+    for (name, codes) in TABLES.iter().zip(relations) {
+        catalog.create_table(name, schema()).unwrap();
+        catalog
+            .table_mut(name)
+            .unwrap()
+            .append_chunk(&relation(codes))
+            .unwrap();
+    }
+    catalog
+}
+
+/// The cross product of `tables` relations as one table `x`, built by
+/// nested loops (first table outermost), with column `c` of table `t`
+/// named `t_c`.
+fn cross_product(catalog: &Catalog, tables: usize) -> Catalog {
+    let chunks: Vec<Chunk> = TABLES[..tables]
+        .iter()
+        .map(|t| catalog.table(t).unwrap().snapshot())
+        .collect();
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new()];
+    for chunk in &chunks {
+        rows = rows
+            .into_iter()
+            .flat_map(|prefix| {
+                (0..chunk.len()).map(move |i| {
+                    let mut row = prefix.clone();
+                    row.push(i);
+                    row
+                })
+            })
+            .collect();
+    }
+    let mut columns = Vec::new();
+    let mut names = Vec::new();
+    for (t, chunk) in chunks.iter().enumerate() {
+        let at: Vec<usize> = rows.iter().map(|r| r[t]).collect();
+        for (c, column) in chunk.columns.iter().enumerate() {
+            columns.push(column.take(&at).unwrap());
+            names.push((format!("{}_{}", TABLES[t], COLUMNS[c]), TYPES[c]));
+        }
+    }
+    let flat = Chunk::new(Schema::new(names), columns).unwrap();
+    let mut out = Catalog::new();
+    out.create_table("x", flat.schema.clone()).unwrap();
+    out.table_mut("x").unwrap().append_chunk(&flat).unwrap();
+    out
+}
+
+fn run_sql(sql: &str, catalog: &Catalog) -> Vec<Vec<Value>> {
+    let (plan, _) = compile_query(sql, catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    execute(&plan, catalog).unwrap().chunk.rows().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn comma_joins_equal_the_filtered_nested_loop(
+        a in prop::collection::vec(0u32..100_000, 0..10),
+        b in prop::collection::vec(0u32..100_000, 0..10),
+        c in prop::collection::vec(0u32..100_000, 0..10),
+        three in 0u8..2,
+        conjuncts in 0usize..5,
+        draws in prop::collection::vec(0u32..1_000_000, 0..40),
+        picks in prop::collection::vec(0usize..21, 0..4),
+    ) {
+        let tables = 2 + usize::from(three);
+        let catalog = join_catalog(&[a, b, c]);
+        // The same draws render the query twice: over the joined tables,
+        // and over the flattened cross product. No picks selects `*`.
+        let render = |col: &dyn Fn(usize, usize) -> String| {
+            let items: Vec<String> = picks.iter().map(|&p| col(p / 7 % tables, p % 7)).collect();
+            let mut d = Draws(draws.iter());
+            let wher: Vec<String> = (0..conjuncts).map(|_| d.join_conjunct(tables, col)).collect();
+            let items = if items.is_empty() { "*".to_string() } else { items.join(", ") };
+            let wher = if wher.is_empty() { String::new() } else { format!(" where {}", wher.join(" and ")) };
+            (items, wher)
+        };
+        let (items, wher) = render(&|t, c| format!("{}.{}", TABLES[t], COLUMNS[c]));
+        let join_sql = format!("select {items} from {}{wher}", TABLES[..tables].join(", "));
+        let got = run_sql(&join_sql, &catalog);
+        let (items, wher) = render(&|t, c| format!("{}_{}", TABLES[t], COLUMNS[c]));
+        let want = run_sql(&format!("select {items} from x{wher}"), &cross_product(&catalog, tables));
+        prop_assert_eq!(got.len(), want.len(), "row count of {}", join_sql);
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert!(
+                g.len() == w.len() && g.iter().zip(w).all(|(x, y)| same_value(x, y)),
+                "{:?} != {:?} for {}", g, w, join_sql
+            );
+        }
+    }
+}
+
+/// Regression: column pruning used to drop every column of a comma-joined
+/// table the query reads nothing from, and a relation without columns has
+/// no rows — so the whole cross product came back empty.
+#[test]
+fn an_unread_comma_joined_table_still_multiplies_the_rows() {
+    let catalog = join_catalog(&[vec![1, 2], vec![3, 4, 5], vec![]]);
+    assert_eq!(run_sql("select a.y from a, b", &catalog).len(), 6);
+    assert_eq!(
+        run_sql("select count(*) from a, b", &catalog)[0][0],
+        Value::Int(6)
+    );
+}
+
+/// `EXPLAIN` pins for the planner's comma-join rule: same-typed int and
+/// string keys plan hash joins, each on the narrowest cross product that
+/// relates its tables; float and int = float keys stay a filtered nested
+/// loop, because the join kernel matches `-0.0` with `0.0` and `=` does not.
+#[test]
+fn comma_join_equalities_plan_hash_joins_except_on_floats() {
+    let catalog = join_catalog(&[vec![], vec![], vec![]]);
+    let explain = |sql: &str| compile_query(sql, &catalog).unwrap().0.display();
+    for sql in [
+        "select * from a, b where a.i = b.i",
+        "select * from a, b where b.s = a.s and a.x < b.y",
+    ] {
+        let plan = explain(sql);
+        assert!(plan.contains("HashJoin (1 keys)"), "{sql}:\n{plan}");
+        assert!(!plan.contains("NestedLoop"), "{sql}:\n{plan}");
+    }
+    let three = explain("select * from a, b, c where c.t = b.t and b.i = a.i");
+    assert_eq!(three.matches("HashJoin (1 keys)").count(), 2, "{three}");
+    assert!(!three.contains("NestedLoop"), "{three}");
+    for sql in [
+        "select * from a, b where a.f = b.f",
+        "select * from a, b where a.i = b.f",
+    ] {
+        let plan = explain(sql);
+        assert!(!plan.contains("HashJoin"), "{sql}:\n{plan}");
+        assert!(
+            plan.contains("NestedLoop") && plan.contains("Filter"),
+            "{sql}:\n{plan}"
+        );
     }
 }

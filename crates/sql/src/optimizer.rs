@@ -454,6 +454,13 @@ fn prune_to(plan: LogicalPlan, required: &[usize]) -> LogicalPlan {
                     rneeds.push(c - lwidth);
                 }
             }
+            // A side the query reads no column of still multiplies the
+            // rows: keep one column of it, or it would have no row count.
+            for (needs, width) in [(&mut lneeds, lwidth), (&mut rneeds, right.schema().len())] {
+                if needs.is_empty() && width > 0 {
+                    needs.push(0);
+                }
+            }
             lneeds.sort_unstable();
             rneeds.sort_unstable();
             let crossed = LogicalPlan::Cross {

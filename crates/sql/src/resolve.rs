@@ -1112,7 +1112,19 @@ pub fn conjoin(mut preds: Vec<ScalarExpr>) -> Option<ScalarExpr> {
 
 /// Push a bound predicate down into the plan: conjuncts that reference only
 /// one leaf scan's columns are fused into that scan (where they also define
-/// basket-consumption for consuming scans); the rest become a Filter node.
+/// basket-consumption for consuming scans); an `=` between the two inputs
+/// of a cross product, over keys of one non-float type (where the
+/// hash-join kernel's equality is exactly the engine's `=`), turns that
+/// [`LogicalPlan::Cross`] into a [`LogicalPlan::Join`] keyed on it; the
+/// rest become a Filter node.
+///
+/// Keys go to the narrowest cross product covering both of their sides
+/// (the plan is rebuilt innermost-first), so a three-way comma join puts
+/// each key on the pair it relates. Rows keep the nested loop's order —
+/// left-major, then right ascending — which is also [`hash_join`]'s, and
+/// consumption is unchanged because only scans report consumed rows.
+///
+/// [`hash_join`]: datacell_bat::join::hash_join
 pub fn push_predicate(plan: LogicalPlan, pred: ScalarExpr) -> Result<LogicalPlan> {
     // Collect leaf column ranges (left-deep order).
     let mut leaves: Vec<(usize, usize)> = Vec::new(); // (start, len)
@@ -1148,8 +1160,17 @@ pub fn push_predicate(plan: LogicalPlan, pred: ScalarExpr) -> Result<LogicalPlan
         }
     }
 
-    // Apply per-leaf predicates.
-    fn apply(plan: LogicalPlan, next: &mut usize, per_leaf: &mut [Vec<ScalarExpr>]) -> LogicalPlan {
+    /// What `apply` threads through the plan: the next leaf's ordinal, the
+    /// per-leaf predicates, and the conjuncts no leaf took.
+    struct Pushdown {
+        next: usize,
+        per_leaf: Vec<Vec<ScalarExpr>>,
+        residual: Vec<ScalarExpr>,
+    }
+
+    // Apply per-leaf predicates and join keys; `start` is the first flat
+    // column of `plan`.
+    fn apply(plan: LogicalPlan, start: usize, st: &mut Pushdown) -> LogicalPlan {
         match plan {
             LogicalPlan::Join {
                 left,
@@ -1158,8 +1179,9 @@ pub fn push_predicate(plan: LogicalPlan, pred: ScalarExpr) -> Result<LogicalPlan
                 right_keys,
                 residual,
             } => {
-                let l = apply(*left, next, per_leaf);
-                let r = apply(*right, next, per_leaf);
+                let left_width = left.schema().len();
+                let l = apply(*left, start, st);
+                let r = apply(*right, start + left_width, st);
                 LogicalPlan::Join {
                     left: Box::new(l),
                     right: Box::new(r),
@@ -1169,17 +1191,40 @@ pub fn push_predicate(plan: LogicalPlan, pred: ScalarExpr) -> Result<LogicalPlan
                 }
             }
             LogicalPlan::Cross { left, right } => {
-                let l = apply(*left, next, per_leaf);
-                let r = apply(*right, next, per_leaf);
-                LogicalPlan::Cross {
-                    left: Box::new(l),
-                    right: Box::new(r),
+                let (left_width, right_width) = (left.schema().len(), right.schema().len());
+                let l = apply(*left, start, st);
+                let r = apply(*right, start + left_width, st);
+                let mid = start + left_width;
+                let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+                st.residual.retain(|conj| {
+                    match equi_key(conj, start..mid, mid..mid + right_width) {
+                        Some((lk, rk)) if hash_key_types(&lk, &rk) => {
+                            left_keys.push(lk);
+                            right_keys.push(rk);
+                            false
+                        }
+                        _ => true,
+                    }
+                });
+                if left_keys.is_empty() {
+                    LogicalPlan::Cross {
+                        left: Box::new(l),
+                        right: Box::new(r),
+                    }
+                } else {
+                    LogicalPlan::Join {
+                        left: Box::new(l),
+                        right: Box::new(r),
+                        left_keys,
+                        right_keys,
+                        residual: None,
+                    }
                 }
             }
             other => {
-                let i = *next;
-                *next += 1;
-                let preds = std::mem::take(&mut per_leaf[i]);
+                let i = st.next;
+                st.next += 1;
+                let preds = std::mem::take(&mut st.per_leaf[i]);
                 if preds.is_empty() {
                     return other;
                 }
@@ -1216,15 +1261,63 @@ pub fn push_predicate(plan: LogicalPlan, pred: ScalarExpr) -> Result<LogicalPlan
             }
         }
     }
-    let mut next = 0;
-    let mut plan = apply(plan, &mut next, &mut per_leaf);
-    if let Some(res) = conjoin(residual) {
+    let mut st = Pushdown {
+        next: 0,
+        per_leaf,
+        residual,
+    };
+    let mut plan = apply(plan, 0, &mut st);
+    if let Some(res) = conjoin(st.residual) {
         plan = LogicalPlan::Filter {
             input: Box::new(plan),
             predicate: res,
         };
     }
     Ok(plan)
+}
+
+/// `conj` as a join key pair for a join whose left input holds the flat
+/// columns `left` and whose right input holds `right`: an `=` with one side
+/// over left columns only and the other over right columns only, each
+/// remapped to its own input. `JOIN … ON` and comma joins both extract keys
+/// here.
+fn equi_key(
+    conj: &ScalarExpr,
+    left: std::ops::Range<usize>,
+    right: std::ops::Range<usize>,
+) -> Option<(ScalarExpr, ScalarExpr)> {
+    let ScalarExpr::Cmp {
+        op: CmpOp::Eq,
+        left: a,
+        right: b,
+    } = conj
+    else {
+        return None;
+    };
+    let within = |e: &ScalarExpr, cols: &std::ops::Range<usize>| {
+        let refs = e.referenced_columns();
+        !refs.is_empty() && refs.iter().all(|c| cols.contains(c))
+    };
+    let (l, r) = if within(a, &left) && within(b, &right) {
+        (a, b)
+    } else if within(b, &left) && within(a, &right) {
+        (b, a)
+    } else {
+        return None;
+    };
+    Some((
+        l.remap_columns(&|c| c - left.start),
+        r.remap_columns(&|c| c - right.start),
+    ))
+}
+
+/// Whether the hash-join kernel's key equality *is* the engine's `=` for
+/// these keys: both of one type, and not float — the kernel matches `-0.0`
+/// with `0.0` while `=` follows `total_cmp`, and a mixed int/float pair
+/// would be compared as floats. Nil keys never match on either side.
+fn hash_key_types(left: &ScalarExpr, right: &ScalarExpr) -> bool {
+    let ty = left.data_type();
+    ty == right.data_type() && ty != DataType::Float
 }
 
 /// Turn `left × right + ON predicate` into a hash join where possible:
@@ -1236,34 +1329,18 @@ fn build_equi_join(
     left_width: usize,
     on: ScalarExpr,
 ) -> Result<LogicalPlan> {
+    let right_cols = left_width..left_width + right.schema().len();
     let mut left_keys = Vec::new();
     let mut right_keys = Vec::new();
     let mut residual = Vec::new();
     for conj in split_conjuncts(&on) {
-        if let ScalarExpr::Cmp {
-            op: CmpOp::Eq,
-            left: l,
-            right: r,
-        } = &conj
-        {
-            let lcols = l.referenced_columns();
-            let rcols = r.referenced_columns();
-            let l_is_left = !lcols.is_empty() && lcols.iter().all(|&c| c < left_width);
-            let l_is_right = !lcols.is_empty() && lcols.iter().all(|&c| c >= left_width);
-            let r_is_left = !rcols.is_empty() && rcols.iter().all(|&c| c < left_width);
-            let r_is_right = !rcols.is_empty() && rcols.iter().all(|&c| c >= left_width);
-            if l_is_left && r_is_right {
-                left_keys.push((**l).clone());
-                right_keys.push(r.remap_columns(&|c| c - left_width));
-                continue;
+        match equi_key(&conj, 0..left_width, right_cols.clone()) {
+            Some((lk, rk)) => {
+                left_keys.push(lk);
+                right_keys.push(rk);
             }
-            if l_is_right && r_is_left {
-                left_keys.push((**r).clone());
-                right_keys.push(l.remap_columns(&|c| c - left_width));
-                continue;
-            }
+            None => residual.push(conj),
         }
-        residual.push(conj);
     }
     if left_keys.is_empty() {
         // No equi keys: cross join + filter.

@@ -268,12 +268,16 @@ fn spill_backed_inputs_compose() {
 }
 
 /// DRR budgeted firings: under DeficitRoundRobin the join is stepped in
-/// budgeted slices next to a co-tenant query; output is still complete
-/// and both transitions make progress.
+/// budgeted slices next to a co-tenant query; output is still complete,
+/// both transitions make progress, and the join's budget caps what one
+/// firing ingests per side. The first firing's budget is exactly
+/// `quantum` tuples (one round's credit at the bootstrap cost of 1 µs a
+/// tuple), so 150 tuples per side take at least two firings.
 #[test]
 fn drr_budgeted_firings_compose() {
+    const QUANTUM: u64 = 100;
     let cell = DataCell::builder()
-        .fairness(Fairness::DeficitRoundRobin { quantum: 100 })
+        .fairness(Fairness::DeficitRoundRobin { quantum: QUANTUM })
         .metrics(true)
         .build();
     cell.execute("create basket s1 (k int, a int)").unwrap();
@@ -284,8 +288,8 @@ fn drr_budgeted_firings_compose() {
         "create continuous query q as select s.x from [select * from other] as s where s.x >= 0",
     )
     .unwrap();
-    let left: Vec<(i64, i64)> = (0..90).map(|i| (i % 7, i)).collect();
-    let right: Vec<(i64, i64)> = (0..90).map(|i| (i % 7, 500 + i)).collect();
+    let left: Vec<(i64, i64)> = (0..150).map(|i| (i % 7, i)).collect();
+    let right: Vec<(i64, i64)> = (0..150).map(|i| (i % 7, 500 + i)).collect();
     insert(&cell, "s1", &left);
     insert(&cell, "s2", &right);
     let others: Vec<(i64, i64)> = (0..50).map(|i| (i, i)).collect();
@@ -296,6 +300,25 @@ fn drr_budgeted_firings_compose() {
         .join(", ");
     cell.execute(&format!("insert into other values {values}"))
         .unwrap();
+    // One pass fires the join at most once, and the join is the only
+    // reader of its inputs: what a pass takes out of an input basket is
+    // what one firing ingested on that side.
+    let inputs = [cell.basket("s1").unwrap(), cell.basket("s2").unwrap()];
+    for _ in 0..100_000 {
+        let before: Vec<usize> = inputs.iter().map(|b| b.len()).collect();
+        if before.iter().all(|&n| n == 0) {
+            break;
+        }
+        cell.run_until_quiescent(1);
+        for (b, was) in inputs.iter().zip(before) {
+            let took = was - b.len();
+            assert!(
+                took as u64 <= QUANTUM,
+                "one firing ingested {took} tuples of {}",
+                b.name()
+            );
+        }
+    }
     cell.run_until_quiescent(100_000);
     assert_eq!(
         out_rows(&cell, "j"),
@@ -310,6 +333,10 @@ fn drr_budgeted_firings_compose() {
     assert!(
         firings.iter().all(|(_, f)| *f > 0),
         "both co-tenants fired under DRR: {firings:?}"
+    );
+    assert!(
+        firings.iter().any(|(name, f)| name == "j" && *f > 1),
+        "the join's input took several budgeted firings: {firings:?}"
     );
 }
 
@@ -370,18 +397,37 @@ fn reference_join(
     out
 }
 
+/// Windows the reference evaluates for arrival sequences of `n1` and `n2`
+/// tuples.
+fn window_count(
+    n1: usize,
+    n2: usize,
+    (size1, slide1): (usize, usize),
+    (size2, slide2): (usize, usize),
+) -> u64 {
+    (0..)
+        .take_while(|k| n1 >= k * slide1 + size1 && n2 >= k * slide2 + size2)
+        .count() as u64
+}
+
 /// Drive one generated scenario: per-side sequences with unique payloads,
-/// per-side count specs, and an arbitrary interleaving of per-side batch
-/// splits with scheduler drives in between. The output must be
-/// bit-identical to the reference join of the two arrival sequences —
-/// interleaving and batching must not leak into window contents, and
-/// eviction must never drop an in-window tuple.
+/// per-side count specs, an output capacity (`None` = unbounded, else a
+/// `Block` bound), and an arbitrary interleaving of per-side batch splits
+/// with scheduler drives in between, each drive optionally followed by a
+/// drain of the output. The delivered rows must be bit-identical to the
+/// reference join of the two arrival sequences — interleaving, batching
+/// and a full output must not leak into window contents, and eviction
+/// must never drop an in-window tuple; every window must be evaluated
+/// exactly once however often the output filled up; and no drive may
+/// leave a side buffering more than one window plus what it ingested.
 fn differential_case(
     keys1: &[i64],
     keys2: &[i64],
     spec1: (usize, usize),
     spec2: (usize, usize),
     schedule: &[(bool, usize)],
+    capacity: Option<usize>,
+    drains: u32,
 ) {
     let cell = DataCell::new();
     cell.execute("create basket s1 (k int, a int)").unwrap();
@@ -394,6 +440,35 @@ fn differential_case(
         spec1.0, spec1.1, spec2.0, spec2.1
     ))
     .unwrap();
+    let join = cell.window_join("j").unwrap();
+    let output = cell.query_output("j").unwrap();
+    output.set_capacity(capacity, OverflowPolicy::Block);
+    let reader = output.register_reader(true);
+    let mut delivered: Vec<(i64, i64, i64)> = Vec::new();
+    let mut drain = || {
+        let (chunk, start, end) = output.claim_for_reader(reader, usize::MAX);
+        output.commit_claim(reader, start, end);
+        let col = |c: usize| chunk.columns[c].as_ints().unwrap().to_vec();
+        let (k, a, b) = (col(0), col(1), col(2));
+        delivered.extend((0..chunk.len()).map(|i| (k[i], a[i], b[i])));
+        chunk.len()
+    };
+    let inputs = [cell.basket("s1").unwrap(), cell.basket("s2").unwrap()];
+    let sizes = [spec1.0, spec2.0];
+    let drive = || {
+        // The join is its inputs' only reader: what they still hold is
+        // what it has not ingested.
+        let pending: Vec<usize> = inputs.iter().map(|b| b.len()).collect();
+        let before = join.buffered();
+        cell.run_until_quiescent(10_000);
+        for (side, after) in join.buffered().into_iter().enumerate() {
+            let bound = before[side].max(sizes[side] - 1 + pending[side]);
+            assert!(
+                after <= bound,
+                "side {side} buffers {after} > {bound} (specs {spec1:?}/{spec2:?}, capacity {capacity:?})"
+            );
+        }
+    };
     // Unique payloads (left: 0.., right: 10_000..) make (a, b) a total
     // order inside every evaluation, so outputs compare exactly.
     let s1: Vec<(i64, i64)> = keys1
@@ -407,7 +482,7 @@ fn differential_case(
         .map(|(i, &k)| (k, 10_000 + i as i64))
         .collect();
     let (mut fed1, mut fed2) = (0usize, 0usize);
-    for &(left, len) in schedule {
+    for (step, &(left, len)) in schedule.iter().enumerate() {
         if left {
             let hi = (fed1 + len.max(1)).min(s1.len());
             if hi > fed1 {
@@ -421,7 +496,10 @@ fn differential_case(
                 fed2 = hi;
             }
         }
-        cell.run_until_quiescent(10_000);
+        drive();
+        if drains & (1 << step) != 0 {
+            drain();
+        }
     }
     if fed1 < s1.len() {
         insert(&cell, "s1", &s1[fed1..]);
@@ -429,16 +507,28 @@ fn differential_case(
     if fed2 < s2.len() {
         insert(&cell, "s2", &s2[fed2..]);
     }
-    cell.run_until_quiescent(100_000);
+    // A drive that adds nothing to a drained output had room throughout,
+    // so the join is done.
+    loop {
+        drive();
+        if drain() == 0 {
+            break;
+        }
+    }
     assert_eq!(
-        out_rows(&cell, "j"),
+        delivered,
         reference_join(&s1, &s2, spec1, spec2),
-        "specs {spec1:?}/{spec2:?} diverged from the reference join"
+        "specs {spec1:?}/{spec2:?}, capacity {capacity:?}: diverged from the reference join"
+    );
+    assert_eq!(
+        join.windows_evaluated(),
+        window_count(s1.len(), s2.len(), spec1, spec2),
+        "specs {spec1:?}/{spec2:?}, capacity {capacity:?}: a window was evaluated twice"
     );
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn interleavings_match_reference_join(
@@ -452,6 +542,8 @@ proptest! {
             (0usize..16).prop_map(|v| (v % 2 == 0, v / 2 + 1)),
             0..16,
         ),
+        capacity in 0usize..8,
+        drains in 0u32..(1 << 16),
     ) {
         differential_case(
             &keys1,
@@ -459,6 +551,8 @@ proptest! {
             (size1, slide1.min(size1)),
             (size2, slide2.min(size2)),
             &schedule,
+            (capacity > 0).then_some(capacity),
+            drains,
         );
     }
 }
