@@ -2,9 +2,8 @@
 //! under `Spill` vs `Block` vs `ShedOldest`.
 //!
 //! The pipeline is the full typed path (writer → bounded basket →
-//! scheduler-driven factory → bounded output basket → bounded
-//! subscription), with a subscriber that sleeps per row so the backlog
-//! *must* land somewhere:
+//! scheduler-driven factory → bounded output basket → subscription), with
+//! a subscriber that sleeps per row so the backlog *must* land somewhere:
 //!
 //! * `Block` — lossless, memory-bounded, but the producer is dragged down
 //!   to the consumer's pace (ingest throughput collapses);
@@ -49,18 +48,17 @@ struct Outcome {
 
 fn run(total: u64, policy: OverflowPolicy) -> Outcome {
     let dir = TempDir::new("exp11-spill");
+    // The slow subscriber holds its reader's watermark on the output
+    // basket, so the basket's bound (a capacity, or the spill budget)
+    // is what backpressures the engine; a `Spill` basket ignores the
+    // capacity.
     let mut builder = DataCell::builder()
         .overflow_policy(policy)
         .writer_batch_size(1024)
-        // Bound the emitter → subscriber channel so the slow client
-        // backpressures the engine instead of an unbounded queue hiding
-        // the backlog.
-        .subscription_channel_capacity(1024)
+        .basket_capacity(MEM_ROWS)
         .auto_start(true);
     if let OverflowPolicy::Spill { .. } = policy {
         builder = builder.data_dir(dir.path());
-    } else {
-        builder = builder.basket_capacity(MEM_ROWS);
     }
     let cell = Arc::new(builder.build());
     cell.execute("create basket s (v int)").unwrap();
@@ -173,7 +171,7 @@ fn main() {
     banner(
         "fig:exp11_spill",
         "sustained ingest with a slow consumer: Spill vs Block vs ShedOldest (writer → \
-         basket → factory → basket → bounded subscription, consumer sleeping per row)",
+         basket → factory → basket → subscription, consumer sleeping per row)",
         "Spill keeps ShedOldest-class ingest throughput and a bounded resident-memory \
          ceiling with ZERO tuples shed; Block is lossless but collapses ingest to the \
          consumer's pace; ShedOldest is fast but lossy",

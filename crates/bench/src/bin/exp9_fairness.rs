@@ -110,7 +110,7 @@ fn run(fairness: Fairness, seconds: u64) -> Vec<QueryRate> {
         .into_iter()
         .map(|sub| {
             std::thread::spawn(move || {
-                // Drain until the channel closes; Ok(None) is just a quiet
+                // Drain until the subscription closes; Ok(None) is just a quiet
                 // window (e.g. the pre-start burst phase), not the end.
                 while sub.next_timeout(Duration::from_millis(250)).is_ok() {}
             })

@@ -19,11 +19,10 @@
 //!
 //! **Two consumption disciplines.** Every shared consumer — a plan-share
 //! head (the §2.5 shared strategy and the §3.2 split head), a tail on its
-//! intermediate, an emitter feeding a subscription, a window evaluator —
-//! registers a *reader* and holds an
-//! oid cursor into the stream. A tuple is physically removed only once
-//! every registered reader's watermark has passed it: "a tuple remains in
-//! its basket until all relevant factories have seen it" (§2.5).
+//! intermediate, a subscription, a window evaluator — registers a *reader*
+//! and holds an oid cursor into the stream. A tuple is physically removed
+//! only once every registered reader's watermark has passed it: "a tuple
+//! remains in its basket until all relevant factories have seen it" (§2.5).
 //! Exclusively-owned baskets instead take the paper's basket-expression
 //! side effect (a predicate window may delete a *subset*, §2.6):
 //! [`Basket::snapshot_exclusive`] + [`Basket::consume_exclusive`] for a
@@ -37,11 +36,12 @@
 //!   [`Basket::commit_reader`]) — for transitions the scheduler fires at
 //!   most once concurrently (factories, windows);
 //! * **claim/commit/rewind** ([`Basket::claim_for_reader`] +
-//!   [`Basket::commit_claim`] / [`Basket::rewind_claim`]) — for emitter
-//!   threads: a claim atomically hands a range to one consumer (competing
-//!   emitters sharing a [`ReaderId`] never double-deliver), while the trim
-//!   watermark is held at the oldest *unacknowledged* claim so a failed
-//!   delivery can rewind and be re-claimed instead of being lost.
+//!   [`Basket::commit_claim`] / [`Basket::rewind_claim`]) — for
+//!   subscribers: a claim atomically hands a range to one consumer
+//!   (competing subscribers sharing a [`ReaderId`] never double-deliver),
+//!   while the trim watermark is held at the oldest *unacknowledged* claim
+//!   so a failed delivery can rewind and be re-claimed instead of being
+//!   lost.
 //!
 //! **Bounded capacity.** A basket may carry a tuple capacity with an
 //! [`OverflowPolicy`]; *every* append path (receptors, factories, writers)
@@ -50,7 +50,7 @@
 //! `StreamWriter::flush` observes the same limit from the client side.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -218,6 +218,40 @@ impl Signal {
 /// Identifier of a registered reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReaderId(u32);
+
+/// A reader registered on a basket for as long as the lease lives:
+/// dropping it deregisters the reader, releasing its hold on the trim
+/// watermark. Subscribers share one through an `Arc` when they share the
+/// reader (a competing-consumer pool).
+#[derive(Debug)]
+pub(crate) struct ReaderLease {
+    basket: Arc<Basket>,
+    id: ReaderId,
+}
+
+impl ReaderLease {
+    /// Register a reader on `basket` (see [`Basket::register_reader`]).
+    pub(crate) fn register(basket: Arc<Basket>, from_start: bool) -> Self {
+        let id = basket.register_reader(from_start);
+        ReaderLease { basket, id }
+    }
+
+    /// The basket read.
+    pub(crate) fn basket(&self) -> &Arc<Basket> {
+        &self.basket
+    }
+
+    /// The registered reader.
+    pub(crate) fn id(&self) -> ReaderId {
+        self.id
+    }
+}
+
+impl Drop for ReaderLease {
+    fn drop(&mut self) {
+        self.basket.unregister_reader(self.id);
+    }
+}
 
 /// Per-reader cursor state. `cursor` is the next oid the reader will see;
 /// `inflight` holds claimed-but-unacknowledged ranges. The reader's
@@ -483,6 +517,9 @@ pub struct Basket {
     /// Optional engine-event ring (the session's): overflow decisions,
     /// sheds, spill seals and WAL checkpoints are traced into it.
     events: Mutex<Option<Arc<EventRing>>>,
+    /// Set once the basket's producer is gone for good ([`Basket::close`]):
+    /// its query was dropped or its session stopped.
+    closed: AtomicBool,
 }
 
 impl Basket {
@@ -530,7 +567,21 @@ impl Basket {
             parent_signal: Mutex::new(None),
             wal_checkpoint_bytes: AtomicU64::new(DEFAULT_WAL_CHECKPOINT_BYTES),
             events: Mutex::new(None),
+            closed: AtomicBool::new(false),
         })
+    }
+
+    /// Mark the basket closed and wake its waiters: readers that see
+    /// [`Basket::is_closed`] stop claiming (a subscription then reports
+    /// [`DataCellError::Disconnected`]). Resident tuples stay readable.
+    pub(crate) fn close(&self) {
+        self.closed.store(true, AtomicOrdering::Release);
+        self.notify();
+    }
+
+    /// True once [`Basket::close`] has been called.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed.load(AtomicOrdering::Acquire)
     }
 
     /// Set the live WAL checkpoint threshold: once the log file exceeds
@@ -1689,6 +1740,9 @@ impl Basket {
     /// the range is re-claimed (by this consumer or a competing one on the
     /// same reader). With claims committed out of order this is
     /// at-least-once — ranges claimed after `start` may be re-delivered.
+    /// A `start` inside a claim gives back only its tail: the head below
+    /// `start` counts as consumed and is trimmed once every reader is past
+    /// it.
     pub fn rewind_claim(&self, r: ReaderId, start: u64, end: u64) {
         {
             let mut inner = self.inner.lock();
@@ -1700,6 +1754,7 @@ impl Basket {
                 rs.cursor = rs.cursor.min(start).max(base);
             }
         }
+        self.trim();
         // The rewound range is pending again: wake consumers to re-claim.
         self.notify();
     }

@@ -26,11 +26,13 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use datacell_bat::types::Value;
+use datacell_engine::Chunk;
 use datacell_sql::Schema;
+use parking_lot::Mutex;
 
 use crate::basket::Basket;
+use crate::emitter::{settle, DeliveryMeter, Subscriber};
 use crate::error::{DataCellError, Result};
 use crate::metrics::SessionMetrics;
 use crate::scheduler::{Fairness, SchedulePolicy};
@@ -55,32 +57,25 @@ pub enum SubscriptionMode {
     /// work-sharing pool).
     ///
     /// **Delivery guarantee: exactly-once failover, ordered within a
-    /// claim; at-least-once under racing failures.** Each emitter
+    /// claim; at-least-once under racing failures.** Each member
     /// atomically claims the next unread range, so no two pool members
     /// deliver the same tuple concurrently, and the tuples inside one
-    /// claim always arrive in stream order. Commits are
-    /// **drain-acknowledged** (per-range [`AckLedger`] tracking): a
-    /// claimed range is committed past the pool cursor only once this
-    /// subscription has actually received its rows, not merely once they
-    /// were pushed into its channel. A subscriber that dies mid-drain
-    /// therefore loses nothing — the drained prefix of its claims stays
-    /// committed, the undrained suffix is rewound to the pool and a
-    /// surviving member redelivers it exactly once. Duplicates remain
-    /// possible only when a failure races still-in-flight drains (the
-    /// rewind can re-open a later range a sibling already delivered, and
-    /// rows a dying subscriber drained concurrently with its settlement
-    /// may be redelivered): never loss, never reordering within a claim.
-    /// Consumers that cannot tolerate duplicates under such races should
+    /// claim always arrive in stream order. A [`Subscription`] commits a
+    /// claim past the pool cursor only once it has handed out the claim's
+    /// last row; dropped mid-claim, it commits the rows it handed out and
+    /// rewinds the rest to the pool, where a surviving member delivers
+    /// them exactly once. Duplicates remain possible only when a rewind
+    /// races a sibling's later claim (the rewind re-opens a range the
+    /// sibling may already have delivered): never loss, never reordering
+    /// within a claim. Consumers that cannot tolerate that should
     /// deduplicate on a key or use [`SubscriptionMode::Broadcast`]. A
     /// sink attached with [`DataCell::subscribe_sink`](crate::DataCell::subscribe_sink)
-    /// (the network subscriber) has no channel: its claim commits once its
-    /// delivery returns `Ok`, which a socket sink does only for rows
-    /// written to a peer that has not hung up; a delivery failing partway
-    /// commits the prefix it reports
+    /// (the network subscriber) commits a claim once its delivery returns
+    /// `Ok`, which a socket sink does only for rows written to a peer
+    /// that has not hung up; a delivery failing partway commits the
+    /// prefix it reports
     /// ([`PartialDelivery`](crate::emitter::PartialDelivery)) and rewinds
     /// the rest.
-    ///
-    /// [`AckLedger`]: crate::emitter::AckLedger
     Shared,
 }
 
@@ -105,7 +100,6 @@ pub struct DataCellBuilder {
     pub(crate) writer_batch: usize,
     pub(crate) basket_capacity: Option<usize>,
     pub(crate) overflow: OverflowPolicy,
-    pub(crate) subscription_channel: Option<usize>,
     pub(crate) metrics: bool,
     pub(crate) workers: usize,
     pub(crate) auto_start: bool,
@@ -125,7 +119,6 @@ impl Default for DataCellBuilder {
             writer_batch: 256,
             basket_capacity: None,
             overflow: OverflowPolicy::Block,
-            subscription_channel: None,
             metrics: false,
             workers: default_workers(),
             auto_start: false,
@@ -211,7 +204,9 @@ impl DataCellBuilder {
     /// lives in the engine: receptors, factories and writers all respect
     /// it under the configured [`OverflowPolicy`], so backpressure
     /// propagates end-to-end. Writers additionally use it as their
-    /// flush-time soft cap.
+    /// flush-time soft cap. A [`Subscription`] that stops polling holds
+    /// its reader's watermark, so the capacity of its query's output
+    /// basket is also what bounds a slow subscriber.
     pub fn basket_capacity(mut self, tuples: usize) -> Self {
         self.basket_capacity = Some(tuples.max(1));
         self
@@ -222,19 +217,6 @@ impl DataCellBuilder {
     /// oldest resident tuples.
     pub fn overflow_policy(mut self, policy: OverflowPolicy) -> Self {
         self.overflow = policy;
-        self
-    }
-
-    /// Bound every emitter → [`Subscription`] channel at `rows` queued
-    /// tuples (default: unbounded, the historical behavior). With a bound,
-    /// a slow client backpressures its emitter: the emitter stops
-    /// committing claims, the query's output basket fills, and — with
-    /// bounded baskets — the stall propagates all the way to the producers
-    /// instead of the channel growing without limit. Network subscribers
-    /// have no channel: their emitter writes to the socket itself, so the
-    /// socket buffer is their bound.
-    pub fn subscription_channel_capacity(mut self, rows: usize) -> Self {
-        self.subscription_channel = Some(rows.max(1));
         self
     }
 
@@ -789,50 +771,65 @@ impl Drop for StreamWriter {
 /// `T` via [`FromRow`]. `Subscription<String>` renders rows in the textual
 /// wire format; `Subscription<Vec<Value>>` gives raw rows.
 ///
+/// A subscription is a **reader on its query's output basket** and plays
+/// the emitter itself (§2.1): when it runs out of rows, a poll claims
+/// everything unread as one chunk, and rows are decoded out of that chunk
+/// on the polling thread. There is no engine-side thread and no queue
+/// outside the basket, so a subscriber that stops polling holds its
+/// reader's watermark and the output basket's capacity and
+/// [`OverflowPolicy`] bound it.
+///
 /// Subscriptions are **broadcast by default**: each registers its own
-/// reader on the query's output basket, so several subscriptions each see
-/// the full result stream, and a tuple is released only once every
-/// subscriber has received it. Competing-consumer delivery (each tuple to
-/// exactly one subscriber) is available via
+/// reader, commits each claim as it takes it, and so several subscriptions
+/// each see the full result stream, while a tuple is released only once
+/// every subscriber has claimed it. Competing-consumer delivery (each
+/// tuple to exactly one subscriber) is available via
 /// [`SubscriptionMode::Shared`] and
 /// [`DataCell::subscribe_with`](crate::DataCell::subscribe_with).
 ///
-/// The channel closes — [`next_timeout`] returns
-/// [`DataCellError::Disconnected`] — when the query is dropped
+/// The subscription closes when the query is dropped
 /// ([`QueryHandle::drop_query`] or `DROP CONTINUOUS QUERY`) or the session
-/// stops.
-///
-/// [`next_timeout`]: Subscription::next_timeout
+/// stops: it hands out the rows it has already claimed, then
+/// [`DataCellError::Disconnected`].
 pub struct Subscription<T = Vec<Value>> {
     query: String,
-    rx: Receiver<Vec<Value>>,
-    /// Shared-mode drain ledger: every row received here is acknowledged
-    /// so the emitter can commit the pool cursor past it (exactly-once
-    /// failover; see [`crate::emitter::AckLedger`]). `None` for broadcast
-    /// subscriptions, whose reader dies with them.
-    ledger: Option<Arc<crate::emitter::AckLedger>>,
+    subscriber: Arc<Subscriber>,
+    /// Whether the reader is the query's competing-consumer pool.
+    shared: bool,
+    meter: DeliveryMeter,
+    claim: Mutex<Claim>,
     _decode: PhantomData<fn() -> T>,
 }
 
-impl<T: FromRow> Subscription<T> {
-    pub(crate) fn new(query: String, rx: Receiver<Vec<Value>>) -> Self {
-        Subscription {
-            query,
-            rx,
-            ledger: None,
-            _decode: PhantomData,
-        }
-    }
+/// The chunk a subscription claimed last and how much of it it handed out.
+struct Claim {
+    rows: Chunk,
+    /// Oids `[start, end)` of `rows` in the output basket.
+    start: u64,
+    end: u64,
+    /// Rows handed out so far.
+    taken: usize,
+}
 
-    pub(crate) fn new_acked(
+impl<T: FromRow> Subscription<T> {
+    pub(crate) fn new(
         query: String,
-        rx: Receiver<Vec<Value>>,
-        ledger: Arc<crate::emitter::AckLedger>,
+        subscriber: Arc<Subscriber>,
+        mode: SubscriptionMode,
+        meter: DeliveryMeter,
     ) -> Self {
+        let rows = Chunk::empty(subscriber.lease.basket().schema().clone());
         Subscription {
             query,
-            rx,
-            ledger: Some(ledger),
+            subscriber,
+            shared: mode == SubscriptionMode::Shared,
+            meter,
+            claim: Mutex::new(Claim {
+                rows,
+                start: 0,
+                end: 0,
+                taken: 0,
+            }),
             _decode: PhantomData,
         }
     }
@@ -843,36 +840,81 @@ impl<T: FromRow> Subscription<T> {
     }
 
     /// Non-blocking receive: `Ok(Some)` on data, `Ok(None)` when nothing
-    /// is queued, `Err(Disconnected)` once the query is gone.
+    /// is pending, `Err(Disconnected)` once the query is gone.
     pub fn try_next(&self) -> Result<Option<T>> {
-        match self.rx.try_recv() {
-            Ok(row) => {
-                if let Some(l) = &self.ledger {
-                    l.ack();
-                }
-                T::from_row(row).map(Some)
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(DataCellError::Disconnected),
+        let mut claim = self.claim.lock();
+        if claim.taken == claim.rows.len() && !self.claim_more(&mut claim)? {
+            return Ok(None);
         }
+        let at = claim.taken;
+        let width = claim.rows.columns.len() - 1;
+        let mut row = Vec::with_capacity(width);
+        for column in &claim.rows.columns[..width] {
+            row.push(column.get(at)?);
+        }
+        claim.taken += 1;
+        if self.shared && claim.taken == claim.rows.len() {
+            let lease = &self.subscriber.lease;
+            lease
+                .basket()
+                .commit_claim(lease.id(), claim.start, claim.end);
+        }
+        drop(claim);
+        T::from_row(row).map(Some)
+    }
+
+    /// Claim every unread row of the output basket into `claim`; `false`
+    /// when there is none. A broadcast reader commits the claim at once —
+    /// nobody else can deliver its rows — while a pool member commits only
+    /// after handing out the last row (see [`SubscriptionMode::Shared`]).
+    fn claim_more(&self, claim: &mut Claim) -> Result<bool> {
+        let lease = &self.subscriber.lease;
+        let basket = lease.basket();
+        if basket.is_closed() {
+            return Err(DataCellError::Disconnected);
+        }
+        let (rows, start, end) = basket.claim_for_reader(lease.id(), usize::MAX);
+        if rows.is_empty() {
+            return Ok(false);
+        }
+        if !self.shared {
+            basket.commit_claim(lease.id(), start, end);
+        }
+        self.meter.record(&rows, rows.len());
+        *claim = Claim {
+            rows,
+            start,
+            end,
+            taken: 0,
+        };
+        Ok(true)
     }
 
     /// Blocking receive with a deadline: `Ok(None)` means the timeout
-    /// elapsed (the subscription is still live).
+    /// elapsed (the subscription is still live). Waits on the output
+    /// basket's change signal.
     pub fn next_timeout(&self, timeout: Duration) -> Result<Option<T>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(row) => {
-                if let Some(l) = &self.ledger {
-                    l.ack();
-                }
-                T::from_row(row).map(Some)
+        if let Some(row) = self.try_next()? {
+            return Ok(Some(row));
+        }
+        let deadline = Instant::now() + timeout;
+        let signal = self.subscriber.lease.basket().signal();
+        loop {
+            // Read the version before polling: a change racing the poll
+            // bumps it, so the wait cannot miss it.
+            let seen = signal.version();
+            if let Some(row) = self.try_next()? {
+                return Ok(Some(row));
             }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(DataCellError::Disconnected),
+            let now = Instant::now();
+            if now >= deadline {
+                return Ok(None);
+            }
+            signal.wait_past(seen, deadline - now);
         }
     }
 
-    /// Decode everything currently queued, without blocking.
+    /// Decode everything currently pending, without blocking.
     pub fn drain(&self) -> Result<Vec<T>> {
         let mut out = Vec::new();
         while let Some(v) = self.try_next()? {
@@ -912,14 +954,29 @@ impl<T: FromRow> Subscription<T> {
 }
 
 impl<T> Drop for Subscription<T> {
-    /// Close the shared-pool ledger, so the emitter settles whatever this
-    /// subscription never drained even when it has no push left to fail.
+    /// A pool member settles its claim: the rows it handed out stay
+    /// consumed, the rest go back to the pool. Dropping the last holder of
+    /// the reader then deregisters it.
     fn drop(&mut self) {
-        if let Some(l) = &self.ledger {
-            l.close();
+        let claim = self.claim.get_mut();
+        if self.shared && claim.taken < claim.rows.len() {
+            let lease = &self.subscriber.lease;
+            settle(
+                lease.basket(),
+                lease.id(),
+                claim.start,
+                claim.taken as u64,
+                claim.end,
+            );
         }
     }
 }
+
+// A subscription moves to the thread that polls it.
+const _: () = {
+    const fn send<S: Send>() {}
+    send::<Subscription<Vec<Value>>>();
+};
 
 /// Iterator over a [`Subscription`] with an idle timeout.
 pub struct SubscriptionIter<'a, T> {
@@ -995,7 +1052,7 @@ impl<'a> QueryHandle<'a> {
 
     /// Drop the query: detach the factory from the scheduler, remove the
     /// output basket from the catalog, stop its emitters, and close every
-    /// subscription channel.
+    /// subscription.
     pub fn drop_query(self) -> Result<()> {
         self.cell.drop_query(&self.name)
     }

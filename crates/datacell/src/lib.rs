@@ -14,8 +14,11 @@
 //! * [`basket::Basket`] — the key data structure (§2.2): a locked,
 //!   timestamped, main-memory table holding a portion of a stream. Tuples
 //!   are removed once all relevant queries have consumed them.
-//! * [`receptor::Receptor`] / [`emitter::Emitter`] (§2.1) — threads at the
-//!   periphery exchanging flat relational tuples in a textual format.
+//! * [`receptor::Receptor`] and the emitters (§2.1) — the periphery
+//!   exchanging flat relational tuples: an in-process [`Subscription`] is
+//!   its own emitter, claiming result chunks on the subscriber's thread,
+//!   while a network subscriber keeps an engine-side
+//!   [`emitter::Emitter`] thread.
 //! * [`factory::Factory`] (§2.3) — a compiled continuous query plan with
 //!   execution state saved between calls; re-invoked by the scheduler, it
 //!   locks its baskets, processes input in bulk, appends results, unlocks

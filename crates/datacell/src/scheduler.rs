@@ -428,6 +428,12 @@ pub struct SchedulerMetrics {
     /// Distribution of per-firing durations (completed firings only),
     /// exported as a Prometheus histogram by the HTTP endpoint.
     pub firing_micros: HistogramSnapshot,
+    /// Output rows the query's furthest-behind subscriber has not yet
+    /// claimed: the largest [`Basket::pending_for`](crate::basket::Basket::pending_for)
+    /// over its subscribers' readers (0 without subscribers). Filled in by
+    /// [`DataCell::metrics`](crate::DataCell::metrics); a subscriber that
+    /// stops polling shows up here as output-basket lag.
+    pub undelivered: u64,
 }
 
 struct Shared {
@@ -1154,6 +1160,7 @@ impl Scheduler {
                     sched_delay_micros,
                     consecutive_skips: e.consecutive_skips.load(Ordering::Relaxed),
                     firing_micros: e.firing_hist.snapshot(),
+                    undelivered: 0,
                 }
             })
             .collect()

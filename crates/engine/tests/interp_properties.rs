@@ -14,10 +14,11 @@
 //!   appearance, then folding each group row by row — same rows, same
 //!   order, same error.
 //!
-//! * a comma join through SQL — which the planner turns into hash joins
-//!   wherever an `=` between two inputs is one the join kernel computes
-//!   exactly — must return the rows, in the order, of filtering the
-//!   nested-loop cross product with the same `WHERE`.
+//! * a comma join through SQL, or the same conjuncts as a `JOIN … ON` —
+//!   which the planner turns into hash joins wherever an `=` between two
+//!   inputs is one the join kernel computes exactly — must return the
+//!   rows, in the order, of filtering the nested-loop cross product with
+//!   the same `WHERE`.
 //!
 //! Data and predicates are drawn to sit on the kernels' edges: nils in
 //! every type, `NaN`, `-0.0` beside `0.0`, `i64` extremes, empty inputs,
@@ -559,6 +560,14 @@ fn cross_product(catalog: &Catalog, tables: usize) -> Catalog {
     out
 }
 
+fn where_clause(conds: &[String]) -> String {
+    if conds.is_empty() {
+        String::new()
+    } else {
+        format!(" where {}", conds.join(" and "))
+    }
+}
+
 fn run_sql(sql: &str, catalog: &Catalog) -> Vec<Vec<Value>> {
     let (plan, _) = compile_query(sql, catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
     execute(&plan, catalog).unwrap().chunk.rows().unwrap()
@@ -573,6 +582,7 @@ proptest! {
         b in prop::collection::vec(0u32..100_000, 0..10),
         c in prop::collection::vec(0u32..100_000, 0..10),
         three in 0u8..2,
+        on in 0u8..2,
         conjuncts in 0usize..5,
         draws in prop::collection::vec(0u32..1_000_000, 0..40),
         picks in prop::collection::vec(0usize..21, 0..4),
@@ -584,16 +594,26 @@ proptest! {
         let render = |col: &dyn Fn(usize, usize) -> String| {
             let items: Vec<String> = picks.iter().map(|&p| col(p / 7 % tables, p % 7)).collect();
             let mut d = Draws(draws.iter());
-            let wher: Vec<String> = (0..conjuncts).map(|_| d.join_conjunct(tables, col)).collect();
+            let conds: Vec<String> = (0..conjuncts).map(|_| d.join_conjunct(tables, col)).collect();
             let items = if items.is_empty() { "*".to_string() } else { items.join(", ") };
-            let wher = if wher.is_empty() { String::new() } else { format!(" where {}", wher.join(" and ")) };
-            (items, wher)
+            (items, conds)
         };
-        let (items, wher) = render(&|t, c| format!("{}.{}", TABLES[t], COLUMNS[c]));
-        let join_sql = format!("select {items} from {}{wher}", TABLES[..tables].join(", "));
+        let (items, conds) = render(&|t, c| format!("{}.{}", TABLES[t], COLUMNS[c]));
+        // The conjuncts go into `WHERE` over comma-joined tables, or into
+        // the `ON` of the last `JOIN`, which sees every table before it.
+        let join_sql = if on == 1 {
+            let on = if conds.is_empty() { "1 = 1".to_string() } else { conds.join(" and ") };
+            let inner = if tables == 3 { "a cross join b join c" } else { "a join b" };
+            format!("select {items} from {inner} on {on}")
+        } else {
+            format!("select {items} from {}{}", TABLES[..tables].join(", "), where_clause(&conds))
+        };
         let got = run_sql(&join_sql, &catalog);
-        let (items, wher) = render(&|t, c| format!("{}_{}", TABLES[t], COLUMNS[c]));
-        let want = run_sql(&format!("select {items} from x{wher}"), &cross_product(&catalog, tables));
+        let (items, conds) = render(&|t, c| format!("{}_{}", TABLES[t], COLUMNS[c]));
+        let want = run_sql(
+            &format!("select {items} from x{}", where_clause(&conds)),
+            &cross_product(&catalog, tables),
+        );
         prop_assert_eq!(got.len(), want.len(), "row count of {}", join_sql);
         for (g, w) in got.iter().zip(&want) {
             prop_assert!(
@@ -617,10 +637,11 @@ fn an_unread_comma_joined_table_still_multiplies_the_rows() {
     );
 }
 
-/// `EXPLAIN` pins for the planner's comma-join rule: same-typed int and
+/// `EXPLAIN` pins for the planner's join-key rule: same-typed int and
 /// string keys plan hash joins, each on the narrowest cross product that
 /// relates its tables; float and int = float keys stay a filtered nested
-/// loop, because the join kernel matches `-0.0` with `0.0` and `=` does not.
+/// loop, in `WHERE` and in `JOIN … ON` alike, because the join kernel
+/// matches `-0.0` with `0.0` and `=` does not.
 #[test]
 fn comma_join_equalities_plan_hash_joins_except_on_floats() {
     let catalog = join_catalog(&[vec![], vec![], vec![]]);
@@ -639,6 +660,8 @@ fn comma_join_equalities_plan_hash_joins_except_on_floats() {
     for sql in [
         "select * from a, b where a.f = b.f",
         "select * from a, b where a.i = b.f",
+        "select * from a join b on a.f = b.f",
+        "select * from a join b on b.f = a.i",
     ] {
         let plan = explain(sql);
         assert!(!plan.contains("HashJoin"), "{sql}:\n{plan}");

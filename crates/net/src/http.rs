@@ -441,6 +441,10 @@ fn render_prometheus(snap: &MetricsSnapshot, scrapes: u64) -> String {
             "datacell_query_weight{{query=\"{label}\"}} {}\n",
             q.weight
         ));
+        m.push_str(&format!(
+            "datacell_query_undelivered{{query=\"{label}\"}} {}\n",
+            q.undelivered
+        ));
         if q.firing_micros.count > 0 {
             render_histogram(
                 m,

@@ -1198,7 +1198,7 @@ pub fn push_predicate(plan: LogicalPlan, pred: ScalarExpr) -> Result<LogicalPlan
                 let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
                 st.residual.retain(|conj| {
                     match equi_key(conj, start..mid, mid..mid + right_width) {
-                        Some((lk, rk)) if hash_key_types(&lk, &rk) => {
+                        Some((lk, rk)) => {
                             left_keys.push(lk);
                             right_keys.push(rk);
                             false
@@ -1276,11 +1276,12 @@ pub fn push_predicate(plan: LogicalPlan, pred: ScalarExpr) -> Result<LogicalPlan
     Ok(plan)
 }
 
-/// `conj` as a join key pair for a join whose left input holds the flat
-/// columns `left` and whose right input holds `right`: an `=` with one side
-/// over left columns only and the other over right columns only, each
-/// remapped to its own input. `JOIN … ON` and comma joins both extract keys
-/// here.
+/// `conj` as a hash-join key pair for a join whose left input holds the
+/// flat columns `left` and whose right input holds `right`: an `=` with one
+/// side over left columns only and the other over right columns only, each
+/// remapped to its own input, whose key types the kernel compares exactly
+/// ([`hash_key_types`]). `JOIN … ON` and comma joins both extract keys
+/// here, so the two forms plan the same predicate the same way.
 fn equi_key(
     conj: &ScalarExpr,
     left: std::ops::Range<usize>,
@@ -1305,10 +1306,11 @@ fn equi_key(
     } else {
         return None;
     };
-    Some((
+    let (l, r) = (
         l.remap_columns(&|c| c - left.start),
         r.remap_columns(&|c| c - right.start),
-    ))
+    );
+    hash_key_types(&l, &r).then_some((l, r))
 }
 
 /// Whether the hash-join kernel's key equality *is* the engine's `=` for

@@ -71,7 +71,7 @@ fn main() {
     }
 
     // 7. Drop the query through its handle: the factory detaches and the
-    //    subscription channel closes.
+    //    subscription closes.
     query.drop_query().unwrap();
     assert!(alerts.try_next().is_err(), "subscription closed with query");
 

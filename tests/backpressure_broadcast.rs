@@ -9,19 +9,18 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::unbounded;
 use datacell::basket::{Basket, OverflowPolicy};
 use datacell::receptor::ChannelSource;
-use datacell::{DataCell, SubscriptionMode};
+use datacell::{DataCell, DataCellError, SubscriptionMode};
 use datacell_bat::types::{DataType, Value};
 use datacell_sql::Schema;
 
-fn wait_until(ms: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_millis(ms);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
+/// Append `values` to basket `b` and run the scheduler to quiescence.
+fn feed(cell: &DataCell, values: std::ops::Range<i64>) {
+    let mut w = cell.writer("b").unwrap();
+    for i in values {
+        w.append((i,)).unwrap();
     }
-    cond()
+    w.flush().unwrap();
+    cell.run_until_quiescent(10);
 }
 
 #[test]
@@ -50,7 +49,7 @@ fn broadcast_subscriptions_each_see_every_tuple() {
 
 #[test]
 fn shared_mode_subscriptions_compete() {
-    let cell = DataCell::builder().auto_start(true).build();
+    let cell = DataCell::new();
     cell.execute("create basket b (x int)").unwrap();
     cell.continuous_query("q", "select s.x from [select * from b] as s")
         .unwrap();
@@ -61,24 +60,22 @@ fn shared_mode_subscriptions_compete() {
         .subscribe_with::<(i64,)>("q", SubscriptionMode::Shared)
         .unwrap();
 
-    let mut w = cell.writer("b").unwrap();
-    for i in 0..100i64 {
-        w.append((i,)).unwrap();
-    }
-    w.flush().unwrap();
+    // sub1 claims the first batch by taking one row of it; the second
+    // batch is left for sub2.
+    feed(&cell, 0..50);
+    let mut all = vec![sub1.try_next().unwrap().unwrap()];
+    feed(&cell, 50..100);
+    let second = sub2.drain().unwrap();
+    assert_eq!(second, (50..100).map(|i| (i,)).collect::<Vec<_>>());
+    all.extend(second);
+    all.extend(sub1.drain().unwrap());
 
     // Between them the competing consumers see each tuple exactly once.
-    let mut all = Vec::new();
-    assert!(wait_until(5000, || {
-        all.extend(sub1.drain().unwrap());
-        all.extend(sub2.drain().unwrap());
-        all.len() >= 100
-    }));
-    cell.stop();
     let mut values: Vec<i64> = all.iter().map(|r| r.0).collect();
     values.sort_unstable();
     values.dedup();
-    assert_eq!(values.len(), 100, "no duplicates, no losses");
+    assert_eq!(values.len(), 100, "no losses");
+    assert_eq!(all.len(), 100, "no duplicates");
 }
 
 #[test]
@@ -229,7 +226,7 @@ fn reject_policy_surfaces_backpressure_to_the_writer() {
 
 #[test]
 fn last_shared_subscriber_releases_the_pool_reader() {
-    let cell = DataCell::builder().auto_start(true).build();
+    let cell = DataCell::new();
     cell.execute("create basket b (x int)").unwrap();
     cell.continuous_query("q", "select s.x from [select * from b] as s")
         .unwrap();
@@ -242,22 +239,19 @@ fn last_shared_subscriber_releases_the_pool_reader() {
         .unwrap();
     assert_eq!(out.reader_count(), 1, "one pool reader for both");
     drop(s1);
+    assert_eq!(out.reader_count(), 1, "the other member still holds it");
     drop(s2);
-    // The emitters notice on their next delivery attempt; the last one to
-    // exit deregisters the pool reader.
-    cell.execute("insert into b values (1), (2)").unwrap();
-    assert!(wait_until(3000, || out.reader_count() == 0));
-    // A fresh shared subscriber gets a fresh reader starting at the front
-    // of the resident stream: it sees the rewound leftovers (no loss),
-    // then live tuples.
+    assert_eq!(out.reader_count(), 0, "the last member released it");
+    // Without a reader nothing trims: a fresh shared subscriber gets a
+    // fresh reader starting at the front of the resident stream, so it
+    // sees the rows nobody claimed, then live tuples.
+    feed(&cell, 1..3);
     let s3 = cell
         .subscribe_with::<(i64,)>("q", SubscriptionMode::Shared)
         .unwrap();
     assert_eq!(out.reader_count(), 1);
-    cell.execute("insert into b values (7)").unwrap();
-    let rows = s3.collect_n(3, Duration::from_secs(3)).unwrap();
-    assert_eq!(rows, vec![(1,), (2,), (7,)]);
-    cell.stop();
+    feed(&cell, 7..8);
+    assert_eq!(s3.drain().unwrap(), vec![(1,), (2,), (7,)]);
 }
 
 #[test]
@@ -280,13 +274,14 @@ fn per_query_scheduler_accounts_in_metrics() {
 }
 
 #[test]
-fn bounded_subscription_channel_backpressures_slow_client() {
-    // ROADMAP follow-up: a slow client must stall the *emitter* (which
-    // holds its claim, keeping the tuples resident in the output basket)
-    // instead of growing an unbounded channel queue.
+fn slow_subscriber_defers_the_factory_without_trimming() {
+    // A broadcast subscription that does not poll holds its reader's
+    // watermark: the bounded Block output fills, the factory defers
+    // instead of dropping anything, and once the subscriber catches up it
+    // gets every row once, in order.
     let cell = DataCell::builder()
-        .subscription_channel_capacity(8)
-        .metrics(true)
+        .basket_capacity(8)
+        .overflow_policy(OverflowPolicy::Block)
         .build();
     cell.execute("create basket b (x int)").unwrap();
     let q = cell
@@ -295,65 +290,53 @@ fn bounded_subscription_channel_backpressures_slow_client() {
     let sub = q.subscribe::<(i64,)>().unwrap();
     let out = q.output().unwrap();
 
-    let mut w = cell.writer("b").unwrap();
-    for i in 0..50i64 {
-        w.append((i,)).unwrap();
-    }
-    w.flush().unwrap();
+    feed(&cell, 0..8);
+    feed(&cell, 8..16);
+    assert_eq!(out.len(), 8, "the output is full and nothing was trimmed");
+    assert_eq!(cell.basket("b").unwrap().len(), 8, "the input waits");
+    assert!(cell.metrics().factory_deferrals > 0, "the factory deferred");
+
+    let mut rows = sub.drain().unwrap();
+    assert!(out.is_empty(), "the claim released the output");
     cell.run_until_quiescent(10);
-    assert_eq!(out.len(), 50, "all results in the output basket");
-
-    // The client reads nothing: exactly the channel capacity is delivered,
-    // then the emitter blocks mid-claim — and an unacknowledged claim
-    // holds the trim watermark, so nothing leaves the basket.
-    assert!(
-        wait_until(10_000, || cell.metrics().tuples_delivered == 8),
-        "delivered {} != channel capacity 8",
-        cell.metrics().tuples_delivered
-    );
-    std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(
-        cell.metrics().tuples_delivered,
-        8,
-        "delivery parked at the channel bound"
-    );
-    assert_eq!(out.len(), 50, "claim unacknowledged: no trim, no loss");
-
-    // The client catches up: everything arrives exactly once, in order,
-    // and the acknowledged claim finally releases the basket.
-    let rows = sub.collect_n(50, Duration::from_secs(15)).unwrap();
-    assert_eq!(rows, (0..50).map(|i| (i,)).collect::<Vec<_>>());
-    assert!(wait_until(10_000, || out.is_empty()), "drained and trimmed");
-    cell.stop();
+    rows.extend(sub.drain().unwrap());
+    assert_eq!(rows, (0..16).map(|i| (i,)).collect::<Vec<_>>());
 }
 
 #[test]
-fn bounded_subscription_channel_aborts_cleanly_on_stop() {
-    // A stalled delivery must not wedge session shutdown: the emitter's
-    // cancel flag aborts the blocked push and the claim rewinds.
-    let cell = DataCell::builder()
-        .subscription_channel_capacity(4)
-        .metrics(true)
-        .build();
-    cell.execute("create basket b (x int)").unwrap();
-    let q = cell
-        .continuous_query("q", "select s.x from [select * from b] as s")
-        .unwrap();
-    let sub = q.subscribe::<(i64,)>().unwrap();
-    cell.execute("insert into b values (1), (2), (3), (4), (5), (6), (7), (8)")
-        .unwrap();
-    cell.run_until_quiescent(10);
-    // Wait until the emitter is provably parked on the full channel.
-    assert!(wait_until(10_000, || cell.metrics().tuples_delivered == 4));
-    let started = Instant::now();
-    cell.stop(); // must join the blocked emitter promptly
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "stop() wedged on a full subscription channel"
-    );
-    // Whatever was parked in the channel is still readable; the rest
-    // stayed in the output basket (rewound claim — nothing lost).
-    let delivered = sub.collect_n(8, Duration::from_millis(200)).unwrap();
-    assert_eq!(delivered.len(), 4, "channel held its bound");
-    assert_eq!(q.output().unwrap().len(), 8, "rewound claim kept tuples");
+fn stop_and_drop_end_a_blocked_subscription() {
+    // A subscriber blocked in `next_timeout` is woken by the close of the
+    // output basket: it hands out the row it had already claimed, then
+    // reports the query gone — at once, not at its timeout.
+    for stop in [true, false] {
+        let cell = DataCell::new();
+        cell.execute("create basket b (x int)").unwrap();
+        cell.continuous_query("q", "select s.x from [select * from b] as s")
+            .unwrap();
+        let sub = cell.subscribe::<(i64,)>("q").unwrap();
+        feed(&cell, 1..3);
+        assert_eq!(sub.try_next().unwrap(), Some((1,)), "claims both rows");
+        let started = Instant::now();
+        let waiter = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            loop {
+                match sub.next_timeout(Duration::from_secs(30)) {
+                    Ok(Some(row)) => got.push(row),
+                    end => return (got, end),
+                }
+            }
+        });
+        if stop {
+            cell.stop();
+        } else {
+            cell.drop_query("q").unwrap();
+        }
+        let (got, end) = waiter.join().unwrap();
+        assert_eq!(got, vec![(2,)], "the claimed row still arrives");
+        assert!(matches!(end, Err(DataCellError::Disconnected)), "{end:?}");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "woken by the close, not the timeout"
+        );
+    }
 }

@@ -294,7 +294,6 @@ fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
         .listen("127.0.0.1:0")
         .basket_capacity(64)
         .overflow_policy(OverflowPolicy::Reject)
-        .subscription_channel_capacity(8)
         .metrics(true)
         .auto_start(true)
         .build();
@@ -365,9 +364,8 @@ fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
 
 #[test]
 fn shed_policy_keeps_ingest_flowing_under_slow_subscriber() {
-    // No subscription_channel_capacity: a network subscriber has no
-    // channel — its emitter writes to the socket, whose buffer is the only
-    // queue between the engine and a remote peer.
+    // A network subscriber's emitter writes to the socket, whose buffer is
+    // the only queue between the engine and a remote peer.
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
         .basket_capacity(256)
@@ -404,7 +402,7 @@ fn shed_policy_keeps_ingest_flowing_under_slow_subscriber() {
     // Kernel socket buffers can absorb megabytes on loopback, so a fixed
     // offered load is sometimes swallowed end-to-end without a single
     // shed. Keep offering batches until the finite buffering (baskets +
-    // bounded channel + socket buffers) is full and the engine visibly
+    // socket buffers) is full and the engine visibly
     // sheds — ShedOldest keeps acking `SYNC` promptly throughout, which
     // is the property under test.
     let mut total = N;
@@ -451,7 +449,6 @@ fn abrupt_shared_disconnect_rewinds_without_loss() {
     // of `datacell-net`'s socket sink cover that.)
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
-        .subscription_channel_capacity(1)
         .auto_start(true)
         .build();
     cell.execute("create basket b (x int)").unwrap();

@@ -193,6 +193,42 @@ fn show_metrics_session_wide_and_per_query() {
 }
 
 #[test]
+fn undelivered_gauge_shows_a_subscriber_that_stopped_polling() {
+    // A subscription that does not poll holds its reader's watermark: its
+    // lag is the query's output backlog, per query in `metrics()` and on
+    // `/metrics`, and it falls to 0 once the subscriber catches up.
+    let cell = Arc::new(DataCell::builder().metrics_listen("127.0.0.1:0").build());
+    cell.execute("create basket b (x int)").unwrap();
+    cell.execute("create continuous query q as select s.x from [select * from b] as s")
+        .unwrap();
+    let slow = cell.subscribe::<(i64,)>("q").unwrap();
+    let fast = cell.subscribe::<(i64,)>("q").unwrap();
+    cell.execute("insert into b values (1), (2), (3)").unwrap();
+    cell.run_until_quiescent(10);
+    assert_eq!(fast.drain().unwrap().len(), 3);
+    let undelivered = || {
+        let m = cell.metrics();
+        m.per_query
+            .iter()
+            .find(|q| q.name == "q")
+            .unwrap()
+            .undelivered
+    };
+    assert_eq!(undelivered(), 3, "the furthest-behind subscriber's lag");
+    let server = HttpServer::start(&cell)
+        .unwrap()
+        .expect("metrics_listen configured");
+    let (_, _, body) = http_get(server.local_addr(), "/metrics", None);
+    assert!(
+        body.contains("datacell_query_undelivered{query=\"q\"} 3\n"),
+        "{body}"
+    );
+    assert_eq!(slow.drain().unwrap().len(), 3);
+    assert_eq!(undelivered(), 0, "caught up");
+    server.stop();
+}
+
+#[test]
 fn explain_analyze_row_counts_match_a_real_subscriber() {
     let cell = DataCell::builder().auto_start(true).build();
 
