@@ -10,7 +10,8 @@ use datacell::catalog::StreamCatalog;
 use datacell::factory::{Factory, FactoryOutput};
 use datacell::scheduler::Transition;
 use datacell::text::{parse_tuple, render_chunk_into, render_row, ChunkBuilder};
-use datacell::window::{BasicWindowAgg, ReEvalWindow, WindowSpec};
+use datacell::window::BasicWindowAgg;
+use datacell::DataCell;
 use datacell_baseline::{Query, Selection, TupleEngine};
 use datacell_bat::aggregate::AggFunc;
 use datacell_bat::types::Value;
@@ -100,23 +101,23 @@ fn bench_windows(c: &mut Criterion) {
         ("tumbling_1k", 1_000usize, 1_000usize),
         ("sliding_4k_500", 4_000, 500),
     ] {
-        g.bench_with_input(BenchmarkId::new("reeval", name), &(), |b, ()| {
-            let mut cat = StreamCatalog::new();
-            let input = cat
-                .create_basket("w", Schema::new(vec![("v".into(), DataType::Int)]))
-                .unwrap();
-            let w = ReEvalWindow::new(
-                "re",
-                "select sum(s.v) as value from [select * from w] as s",
-                &cat,
-                Arc::clone(&input),
-                WindowSpec::Count { size, slide },
-                FactoryOutput::Discard,
-            )
+        g.bench_with_input(BenchmarkId::new("sql_window", name), &(), |b, ()| {
+            let cell = DataCell::new();
+            cell.execute("create basket w (v int)").unwrap();
+            cell.execute(&format!(
+                "create continuous query re as \
+                 select sum(w.v) as value from w [rows {size} slide {slide}]"
+            ))
             .unwrap();
+            let input = cell.basket("w").unwrap();
+            let out = cell.query_output("re").unwrap();
+            let w = cell.window_join("re").unwrap();
             b.iter(|| {
                 input.append_rows(&rows).unwrap();
-                w.step(None).unwrap()
+                while w.ready() {
+                    w.step(None).unwrap();
+                }
+                out.clear()
             })
         });
         g.bench_with_input(BenchmarkId::new("incremental", name), &(), |b, ()| {

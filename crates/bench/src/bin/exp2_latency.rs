@@ -1,51 +1,20 @@
 //! `fig:exp2_latency` — end-to-end latency vs input rate.
 //!
-//! The full Figure-1 chain runs threaded (receptor thread → basket →
-//! scheduler-driven factory → output basket → emitter thread with a latency
-//! sink). The receptor paces the stream at a target rate; the sink measures
-//! per-tuple arrival→delivery latency from the carried `ts` column.
+//! The full Figure-1 chain runs threaded: the caller's thread paces a
+//! `StreamWriter` at a target rate into a basket, the scheduler thread
+//! fires the factory into the output basket, and a consumer thread drains
+//! a `Subscription` on it. The subscription records each tuple's
+//! arrival→delivery latency from the carried `ts` column into the query's
+//! latency histogram (`MetricsSnapshot::per_query_latency`).
 //!
 //! Expected shape: latency stays flat (sub-millisecond scheduling delay)
 //! until the rate approaches the engine's capacity, then grows sharply as
 //! baskets queue — the classic hockey stick.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use datacell::emitter::{Emitter, LatencySink};
-use datacell::metrics::LatencyHistogram;
-use datacell::receptor::{Receptor, SourceBatch, TupleSource};
 use datacell::DataCell;
-use datacell_bat::types::Value;
-use datacell_bench::{banner, f, TablePrinter};
-
-/// A rate-paced synthetic source.
-struct PacedSource {
-    rate_per_s: f64,
-    total: u64,
-    produced: u64,
-    started: Option<Instant>,
-}
-
-impl TupleSource for PacedSource {
-    fn next_batch(&mut self, max: usize) -> SourceBatch {
-        let started = *self.started.get_or_insert_with(Instant::now);
-        if self.produced >= self.total {
-            return SourceBatch::Exhausted;
-        }
-        let due = (started.elapsed().as_secs_f64() * self.rate_per_s) as u64;
-        let due = due.min(self.total);
-        if due <= self.produced {
-            return SourceBatch::Idle;
-        }
-        let n = (due - self.produced).min(max as u64);
-        let rows = (0..n)
-            .map(|k| vec![Value::Int(((self.produced + k) % 1000) as i64)])
-            .collect();
-        self.produced += n;
-        SourceBatch::Rows(rows)
-    }
-}
+use datacell_bench::{banner, f, pace, TablePrinter};
 
 fn run(rate: f64, total: u64) -> (f64, u64, u64) {
     let cell = DataCell::builder().build();
@@ -56,33 +25,23 @@ fn run(rate: f64, total: u64) -> (f64, u64, u64) {
             "select s2.v, s2.ts from [select * from s] as s2 where s2.v < 500",
         )
         .unwrap();
-    let hist = Arc::new(LatencyHistogram::new());
-    let out = q.output().unwrap();
-    let emitter =
-        Emitter::spawn("lat", Arc::clone(&out), LatencySink::new(Arc::clone(&hist))).unwrap();
+    let sub = q.subscribe::<(i64,)>().unwrap();
+    let expected = (0..total).filter(|i| i % 1000 < 500).count();
+    let within = Duration::from_secs_f64(total as f64 / rate) + Duration::from_secs(10);
+    let consumer = std::thread::spawn(move || {
+        sub.collect_n(expected, within).unwrap();
+    });
     cell.start();
-    let receptor = Receptor::spawn(
-        "paced",
-        PacedSource {
-            rate_per_s: rate,
-            total,
-            produced: 0,
-            started: None,
-        },
-        vec![cell.basket("s").unwrap()],
-        4096,
-    )
-    .unwrap();
-    receptor.join();
-    // Let the pipeline drain.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while hist.count() < total / 2 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    std::thread::sleep(Duration::from_millis(50));
+    pace(&mut cell.writer("s").unwrap(), rate, total, || {});
+    consumer.join().unwrap();
     cell.stop();
-    emitter.stop();
-    (hist.mean_micros(), hist.quantile_micros(0.99), hist.count())
+    let m = cell.metrics();
+    let (_, hist) = m
+        .per_query_latency
+        .into_iter()
+        .find(|(name, _)| name == "q")
+        .expect("q records latency");
+    (hist.mean_micros(), hist.quantile_micros(0.99), hist.count)
 }
 
 fn main() {

@@ -2,9 +2,10 @@
 //! incremental basic windows (§3.1).
 //!
 //! A sliding sum over a count window; the window size grows while the slide
-//! stays fixed, so re-evaluation reprocesses ever more tuples per slide
+//! stays fixed, so re-evaluation — the SQL window
+//! `FROM w [ROWS size SLIDE 100]` — reprocesses ever more tuples per slide
 //! while the incremental evaluator's per-slide work stays O(slide +
-//! size/slide).
+//! size/slide). Both routes must emit the same windows.
 //!
 //! Expected shape: near-parity at size≈slide (tumbling), then an
 //! increasingly large incremental win as size/slide grows.
@@ -13,9 +14,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use datacell::catalog::StreamCatalog;
-use datacell::factory::FactoryOutput;
 use datacell::scheduler::Transition;
-use datacell::window::{BasicWindowAgg, ReEvalWindow, WindowSpec};
+use datacell::window::BasicWindowAgg;
+use datacell::DataCell;
 use datacell_bat::aggregate::AggFunc;
 use datacell_bat::DataType;
 use datacell_bench::{banner, f, int_stream, TablePrinter};
@@ -26,29 +27,25 @@ const SLIDE: usize = 100;
 const BATCH: usize = 2_000;
 
 fn run_reeval(size: usize) -> (f64, usize) {
-    let mut cat = StreamCatalog::new();
-    let input = cat
-        .create_basket("w", Schema::new(vec![("v".into(), DataType::Int)]))
-        .unwrap();
-    let out = cat
-        .create_basket("o", Schema::new(vec![("value".into(), DataType::Int)]))
-        .unwrap();
-    let w = ReEvalWindow::new(
-        "re",
-        "select sum(s.v) as value from [select * from w] as s",
-        &cat,
-        Arc::clone(&input),
-        WindowSpec::Count { size, slide: SLIDE },
-        FactoryOutput::Basket(Arc::clone(&out)),
-    )
+    let cell = DataCell::new();
+    cell.execute("create basket w (v int)").unwrap();
+    cell.execute(&format!(
+        "create continuous query re as \
+         select sum(w.v) as value from w [rows {size} slide {SLIDE}]"
+    ))
     .unwrap();
+    let input = cell.basket("w").unwrap();
+    let w = cell.window_join("re").unwrap();
     let data = int_stream(TOTAL, 1_000, 17);
     let started = Instant::now();
     for chunk in data.chunks(BATCH) {
         input.append_rows(chunk).unwrap();
-        w.step(None).unwrap();
+        while w.ready() {
+            w.step(None).unwrap();
+        }
     }
-    (started.elapsed().as_secs_f64(), out.len())
+    let elapsed = started.elapsed().as_secs_f64();
+    (elapsed, cell.query_output("re").unwrap().len())
 }
 
 fn run_incremental(size: usize) -> (f64, usize) {
@@ -91,7 +88,7 @@ fn main() {
     let table = TablePrinter::new(&[
         "window",
         "size/slide",
-        "reeval (s)",
+        "sql window (s)",
         "incremental (s)",
         "speedup",
         "windows",

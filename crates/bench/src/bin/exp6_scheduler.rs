@@ -1,7 +1,9 @@
 //! `fig:exp6_scheduler` — scheduler firing-policy ablation (§2.4, D4).
 //!
-//! The same selection query under three firing disciplines while a paced
-//! receptor feeds the stream:
+//! The same selection query under three firing disciplines while the
+//! caller's thread paces a `StreamWriter` into the stream and drains the
+//! output basket between appends, recording each result's arrival→drain
+//! latency:
 //! * **eager** — fire whenever the basket is non-empty (min latency);
 //! * **threshold(n)** — fire only with ≥ n tuples buffered (bigger batches,
 //!   better per-tuple cost, more queueing delay);
@@ -14,42 +16,27 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use datacell::emitter::{Emitter, LatencySink};
+use datacell::basket::Basket;
+use datacell::clock::now_micros;
 use datacell::metrics::LatencyHistogram;
-use datacell::receptor::{Receptor, SourceBatch, TupleSource};
 use datacell::scheduler::SchedulePolicy;
-use datacell::DataCell;
-use datacell_bat::types::Value;
-use datacell_bench::{banner, f, TablePrinter};
+use datacell::{DataCell, ReaderId};
+use datacell_bench::{banner, f, pace, TablePrinter};
 
 const TOTAL: u64 = 200_000;
 const RATE: f64 = 300_000.0;
 
-struct PacedSource {
-    produced: u64,
-    started: Option<Instant>,
-}
-
-impl TupleSource for PacedSource {
-    fn next_batch(&mut self, max: usize) -> SourceBatch {
-        let started = *self.started.get_or_insert_with(Instant::now);
-        if self.produced >= TOTAL {
-            return SourceBatch::Exhausted;
-        }
-        let due = ((started.elapsed().as_secs_f64() * RATE) as u64).min(TOTAL);
-        if due <= self.produced {
-            return SourceBatch::Idle;
-        }
-        let n = (due - self.produced).min(max as u64);
-        let rows = (0..n)
-            .map(|k| vec![Value::Int(((self.produced + k) % 1000) as i64)])
-            .collect();
-        self.produced += n;
-        SourceBatch::Rows(rows)
+/// Claim everything `reader` has not seen in `out`, record each row's
+/// latency off its `ts` column, and commit.
+fn drain(out: &Basket, reader: ReaderId, hist: &LatencyHistogram) {
+    let (chunk, start, end) = out.claim_for_reader(reader, usize::MAX);
+    if let Some(ts) = chunk.columns.last().and_then(|c| c.as_timestamps().ok()) {
+        hist.record_many(ts, now_micros());
     }
+    out.commit_claim(reader, start, end);
 }
 
-fn run(policy_name: &str, min_tuples: usize, min_interval: Option<Duration>) -> (f64, u64, u64) {
+fn run(min_tuples: usize, min_interval: Option<Duration>) -> (f64, u64, u64) {
     let cell = DataCell::builder()
         .scheduler_policy(SchedulePolicy {
             priority: 0,
@@ -95,31 +82,21 @@ fn run(policy_name: &str, min_tuples: usize, min_interval: Option<Duration>) -> 
             ..SchedulePolicy::default()
         },
     );
-    let hist = Arc::new(LatencyHistogram::new());
+    let hist = LatencyHistogram::new();
     let out = cell.basket("qo").unwrap();
-    let emitter =
-        Emitter::spawn("lat", Arc::clone(&out), LatencySink::new(Arc::clone(&hist))).unwrap();
+    let reader = out.register_reader(true);
+    let mut writer = cell.writer("s").unwrap();
     cell.start();
     let started = Instant::now();
-    let receptor = Receptor::spawn(
-        policy_name,
-        PacedSource {
-            produced: 0,
-            started: None,
-        },
-        vec![cell.basket("s").unwrap()],
-        4096,
-    )
-    .unwrap();
-    receptor.join();
+    pace(&mut writer, RATE, TOTAL, || drain(&out, reader, &hist));
     // Stragglers: a threshold policy can leave a final partial batch; give
     // the scheduler a moment, then flush by one quiescent drive.
     std::thread::sleep(Duration::from_millis(30));
     cell.run_until_quiescent(1000);
     std::thread::sleep(Duration::from_millis(30));
+    drain(&out, reader, &hist);
     let wall = started.elapsed().as_secs_f64();
     cell.stop();
-    emitter.stop();
     let (_, firings, _) = cell.scheduler().stats();
     (wall, hist.quantile_micros(0.5), firings.max(1))
 }
@@ -145,7 +122,7 @@ fn main() {
         ("timeslice(20ms)", 1, Some(Duration::from_millis(20))),
     ];
     for (name, min_tuples, interval) in configs {
-        let (wall, p50, firings) = run(name, min_tuples, interval);
+        let (wall, p50, firings) = run(min_tuples, interval);
         table.row(&[
             name.into(),
             f(wall),

@@ -10,15 +10,50 @@
 //! cargo run -p datacell-bench --release --bin exp1_batch
 //! ```
 //!
-//! Shared here: deterministic workload generators and the fixed-width table
-//! printer every binary uses, so outputs are uniform and diffable, and the
-//! §2.5 strategies as SQL wirings ([`strategy`]).
+//! Shared here: deterministic workload generators, a rate-paced writer
+//! ([`pace`]) and the fixed-width table printer every binary uses, so
+//! outputs are uniform and diffable, and the §2.5 strategies as SQL
+//! wirings ([`strategy`]).
 
 pub mod strategy;
 
+use std::time::{Duration, Instant};
+
+use datacell::StreamWriter;
 use datacell_bat::types::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Most rows [`pace`] appends per step.
+const PACE_STEP: u64 = 4096;
+
+/// Append `total` rows `(i % 1000,)` through `writer` from the calling
+/// thread, none before its due time at `rate` rows/s, flushing after each
+/// step of at most 4096 rows. `idle` runs whenever no row is due yet,
+/// before the thread sleeps until the next one is.
+pub fn pace(writer: &mut StreamWriter, rate: f64, total: u64, mut idle: impl FnMut()) {
+    let started = Instant::now();
+    let mut produced = 0;
+    while produced < total {
+        let due = ((started.elapsed().as_secs_f64() * rate) as u64).min(total);
+        if due == produced {
+            idle();
+            let next = Duration::from_secs_f64((produced + 1) as f64 / rate);
+            std::thread::sleep(next.saturating_sub(started.elapsed()));
+            continue;
+        }
+        let upto = due.min(produced + PACE_STEP);
+        for i in produced..upto {
+            writer
+                .append(((i % 1000) as i64,))
+                .expect("an int row fits a one-int basket");
+        }
+        writer
+            .flush()
+            .expect("a Block writer waits instead of failing");
+        produced = upto;
+    }
+}
 
 /// Deterministic stream of `(v,)` integer tuples uniform in `[0, domain)`.
 pub fn int_stream(n: usize, domain: i64, seed: u64) -> Vec<Vec<Value>> {

@@ -1352,13 +1352,15 @@ impl Basket {
         self.inner.lock().stats
     }
 
-    /// Snapshot the full resident contents (all columns including `ts`).
-    /// Spilled head rows are brought back into memory first so the
-    /// snapshot is the complete logical stream.
+    /// Snapshot the full resident contents (all columns including `ts`):
+    /// the spilled head decoded straight into the returned chunk, then the
+    /// memory tail — the complete logical stream, without changing
+    /// residency (a read-only `SELECT` must not pull a `Spill` basket's
+    /// disk tier into memory). A failed segment decode ends the snapshot
+    /// at the last good segment, as in [`Basket::snapshot_exclusive`].
     pub fn snapshot(&self) -> Chunk {
         let mut inner = self.inner.lock();
-        self.unspill_all(&mut inner);
-        inner.mem_slice(&self.schema, 0, inner.mem_len())
+        self.stitch(&mut inner, usize::MAX).0
     }
 
     /// In-memory heap footprint in bytes (diagnostics / load shedding);

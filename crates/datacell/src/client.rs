@@ -1,10 +1,9 @@
 //! The typed client facade: [`DataCellBuilder`], [`StreamWriter`],
 //! [`Subscription`] and [`QueryHandle`].
 //!
-//! The paper's periphery exchanges *textual* tuples (§2.1), and the
-//! original session API mirrored that literally: raw `String` lines out,
-//! hand-wired receptors in. This module is the typed surface above the
-//! same Figure-1 pipeline:
+//! The paper's periphery exchanges *textual* tuples (§2.1). This module
+//! is the typed surface above the Figure-1 pipeline, and its one way in
+//! and one way out:
 //!
 //! ```text
 //! DataCell::builder() ──▶ DataCell
@@ -17,9 +16,9 @@
 //! [`IntoRow`]: tuples of primitives, `Vec<Value>`) and come out through
 //! [`Subscription::next_timeout`] (anything implementing [`FromRow`]:
 //! tuples of primitives, `Vec<Value>`, or `String` for the wire-format
-//! text-compat mode). Nothing beneath the facade changed: receptors,
-//! baskets, factories, emitters and the Petri-net scheduler are exactly
-//! the paper's architecture.
+//! text-compat mode). A writer is the pipeline's receptor and a
+//! subscription its emitter; baskets, factories and the Petri-net
+//! scheduler beneath them are the paper's architecture.
 
 use std::marker::PhantomData;
 
@@ -495,7 +494,8 @@ pub struct WriterStatsSnapshot {
 }
 
 /// A typed, schema-validated, batched ingestion handle for one basket —
-/// the replacement for hand-wiring a `ChannelSource` receptor.
+/// how rows reach a basket from a program or a `STREAM` connection, and a
+/// receptor (§2.1) of the session's Petri net for as long as it lives.
 ///
 /// Rows are validated against the basket's user schema on [`append`]
 /// (coercion rules identical to SQL `INSERT`) and textual tuples decoded
@@ -518,6 +518,17 @@ pub struct StreamWriter {
     overflow: OverflowPolicy,
     stats: WriterStats,
     metrics: Option<Arc<SessionMetrics>>,
+    /// Keeps this writer's entry in the session's writer registry alive.
+    _tag: Arc<WriterTag>,
+}
+
+/// One writer as its session tracks it: a name (its receptor transition in
+/// the Petri net) and the basket it feeds. The writer holds it for its
+/// lifetime; the session's registry holds it weakly.
+#[derive(Debug)]
+pub(crate) struct WriterTag {
+    pub(crate) name: String,
+    pub(crate) basket: String,
 }
 
 impl StreamWriter {
@@ -527,6 +538,7 @@ impl StreamWriter {
         capacity: Option<usize>,
         overflow: OverflowPolicy,
         metrics: Option<Arc<SessionMetrics>>,
+        tag: Arc<WriterTag>,
     ) -> Self {
         let user_schema = Schema {
             columns: basket.schema().columns[..basket.user_width()].to_vec(),
@@ -539,6 +551,7 @@ impl StreamWriter {
             overflow,
             stats: WriterStats::default(),
             metrics,
+            _tag: tag,
         }
     }
 

@@ -18,10 +18,13 @@
 //!   its reader's watermark, so the output basket's capacity and
 //!   [`OverflowPolicy`](crate::basket::OverflowPolicy) bound it;
 //! * a **network** subscriber, and any custom [`Sink`]
-//!   ([`DataCell::subscribe_sink`](crate::DataCell::subscribe_sink),
-//!   [`DataCell::attach_emitter`](crate::DataCell::attach_emitter)), keeps
+//!   ([`DataCell::subscribe_sink`](crate::DataCell::subscribe_sink)), keeps
 //!   an engine-side emitter thread ([`Emitter`]) that claims whenever the
 //!   basket signals new content and hands each chunk to its sink.
+//!
+//! Either way the subscription's deliveries feed its query's latency
+//! histogram (`MetricsSnapshot::per_query_latency`), measured from each
+//! tuple's arrival stamp.
 //!
 //! Two fan-out shapes fall out of the reader model:
 //!
@@ -30,7 +33,7 @@
 //! * **competing consumers** — several subscribers share one
 //!   [`ReaderId`]; each claimed range goes to exactly one of them.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -155,83 +158,10 @@ pub(crate) struct Subscriber {
     pub(crate) lease: Arc<ReaderLease>,
 }
 
-/// Records per-tuple end-to-end latency: delivery time minus the tuple's
-/// `ts` column (arrival stamp, carried through factories whose queries
-/// project it).
-#[derive(Clone)]
-pub struct LatencySink {
-    histogram: Arc<LatencyHistogram>,
-}
-
-impl LatencySink {
-    /// Record into `histogram`.
-    pub fn new(histogram: Arc<LatencyHistogram>) -> Self {
-        LatencySink { histogram }
-    }
-}
-
-impl Sink for LatencySink {
-    fn deliver(&mut self, chunk: &Chunk) -> std::result::Result<(), PartialDelivery> {
-        let ts = chunk.columns[chunk.schema.len() - 1]
-            .as_timestamps()
-            .map_err(DataCellError::from)?;
-        self.histogram.record_many(ts, now_micros());
-        Ok(())
-    }
-}
-
-/// Fan a batch out to several sinks.
-pub struct TeeSink {
-    sinks: Vec<Box<dyn Sink>>,
-}
-
-impl TeeSink {
-    /// Combine sinks.
-    pub fn new(sinks: Vec<Box<dyn Sink>>) -> Self {
-        TeeSink { sinks }
-    }
-}
-
-impl Sink for TeeSink {
-    fn deliver(&mut self, chunk: &Chunk) -> std::result::Result<(), PartialDelivery> {
-        for s in &mut self.sinks {
-            s.deliver(chunk)?;
-        }
-        Ok(())
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.sinks.iter_mut().try_for_each(|s| s.open())
-    }
-
-    fn bind_cancel(&mut self, cancel: Arc<AtomicBool>) {
-        for s in &mut self.sinks {
-            s.bind_cancel(Arc::clone(&cancel));
-        }
-    }
-
-    fn bind_meter(&mut self, meter: DeliveryMeter) {
-        for s in &mut self.sinks {
-            s.bind_meter(meter.clone());
-        }
-    }
-}
-
-/// Monotone emitter counters.
-#[derive(Debug, Default)]
-pub struct EmitterStats {
-    /// Tuples delivered.
-    pub tuples: AtomicU64,
-    /// Drain cycles that delivered at least one tuple.
-    pub batches: AtomicU64,
-}
-
 /// A running emitter thread.
 pub struct Emitter {
-    name: String,
     stop: Arc<AtomicBool>,
     exited: Arc<AtomicBool>,
-    stats: Arc<EmitterStats>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -259,64 +189,24 @@ impl EmitterControl {
 }
 
 impl Emitter {
-    /// Spawn a broadcast emitter: it registers its own reader on `basket`
-    /// (seeing every resident and future tuple) and delivers into `sink`
-    /// whenever the basket signals new content. The reader is deregistered
-    /// when the emitter exits, releasing its hold on the trim watermark.
-    pub fn spawn(
-        name: impl Into<String>,
-        basket: Arc<Basket>,
-        sink: impl Sink + 'static,
-    ) -> Result<Emitter> {
-        let reader = basket.register_reader(true);
-        let owned = Arc::clone(&basket);
-        Self::spawn_inner(name.into(), basket, reader, sink, move || {
-            owned.unregister_reader(reader)
-        })
-    }
-
-    /// Spawn a competing-consumer emitter on an externally registered
-    /// `reader` shared with other consumers: each claimed range is
-    /// delivered by exactly one of them. The caller owns the reader's
-    /// lifetime (it is *not* deregistered when this emitter exits).
-    ///
-    /// Commits each claim as soon as the sink accepts it, so the sink
-    /// must accept only rows that reached its consumer.
-    pub fn spawn_shared(
-        name: impl Into<String>,
-        basket: Arc<Basket>,
-        reader: ReaderId,
-        sink: impl Sink + 'static,
-    ) -> Result<Emitter> {
-        Self::spawn_inner(name.into(), basket, reader, sink, || {})
-    }
-
-    /// [`Emitter::spawn_shared`] with an exit hook, run after the emitter
-    /// thread finishes — the session hands it the subscriber's reader
-    /// lease, released with it.
-    pub(crate) fn spawn_shared_with_release(
-        name: impl Into<String>,
-        basket: Arc<Basket>,
-        reader: ReaderId,
-        sink: impl Sink + 'static,
-        release: impl FnOnce() + Send + 'static,
-    ) -> Result<Emitter> {
-        Self::spawn_inner(name.into(), basket, reader, sink, release)
-    }
-
-    fn spawn_inner(
+    /// Spawn an emitter on `reader` of `basket`, delivering into `sink`
+    /// whenever the basket signals new content. Each claim commits as soon
+    /// as the sink accepts it, so the sink must accept only rows that
+    /// reached its consumer; a failed delivery commits the prefix its
+    /// [`PartialDelivery`] vouches for and rewinds the rest. `release` runs
+    /// after the thread finishes — the session hands it the subscriber's
+    /// reader lease, released with it.
+    pub(crate) fn spawn(
         name: String,
         basket: Arc<Basket>,
         reader: ReaderId,
         mut sink: impl Sink + 'static,
-        on_exit: impl FnOnce() + Send + 'static,
+        release: impl FnOnce() + Send + 'static,
     ) -> Result<Emitter> {
         let stop = Arc::new(AtomicBool::new(false));
         let exited = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(EmitterStats::default());
         let thread_stop = Arc::clone(&stop);
         let thread_exited = Arc::clone(&exited);
-        let thread_stats = Arc::clone(&stats);
         let thread_name = name.clone();
         sink.bind_cancel(Arc::clone(&stop));
         let handle = std::thread::Builder::new()
@@ -348,27 +238,16 @@ impl Emitter {
                         }
                     };
                     settle(&basket, reader, start, delivered as u64, end);
-                    thread_stats
-                        .tuples
-                        .fetch_add(delivered as u64, Ordering::Relaxed);
-                    thread_stats.batches.fetch_add(1, Ordering::Relaxed);
                 }
-                on_exit();
+                release();
                 thread_exited.store(true, Ordering::Release);
             })
             .map_err(|e| DataCellError::Runtime(format!("spawn emitter: {e}")))?;
         Ok(Emitter {
-            name,
             stop,
             exited,
-            stats,
             handle: Some(handle),
         })
-    }
-
-    /// Emitter name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// A handle that stops this emitter from another thread.
@@ -382,11 +261,6 @@ impl Emitter {
     /// True once the emitter thread has exited.
     pub fn is_finished(&self) -> bool {
         self.exited.load(Ordering::Acquire)
-    }
-
-    /// Tuples delivered so far.
-    pub fn tuples_delivered(&self) -> u64 {
-        self.stats.tuples.load(Ordering::Relaxed)
     }
 
     /// Stop the thread and wait for it.
@@ -433,18 +307,15 @@ mod tests {
     use super::*;
     use crate::client::{Subscription, SubscriptionMode};
     use crate::DataCell;
-    use datacell_bat::types::{DataType, Value};
-    use datacell_sql::Schema;
+    use datacell_bat::types::Value;
     use parking_lot::Mutex;
 
-    fn basket() -> Arc<Basket> {
-        Arc::new(Basket::new("out", Schema::new(vec![("x".into(), DataType::Int)])).unwrap())
-    }
-
-    /// Collects delivered rows (without the trailing `ts` column) in memory.
+    /// Collects delivered rows (without the trailing `ts` column) in
+    /// memory, accounting them in the subscription's meter.
     #[derive(Clone, Default)]
     struct CollectSink {
         rows: Arc<Mutex<Vec<Vec<Value>>>>,
+        meter: DeliveryMeter,
     }
 
     impl CollectSink {
@@ -452,8 +323,12 @@ mod tests {
             Self::default()
         }
 
-        fn rows(&self) -> Vec<Vec<Value>> {
-            self.rows.lock().clone()
+        fn ints(&self) -> Vec<i64> {
+            self.rows
+                .lock()
+                .iter()
+                .map(|r| r[0].as_int().unwrap())
+                .collect()
         }
 
         fn len(&self) -> usize {
@@ -470,7 +345,12 @@ mod tests {
                 row.truncate(width);
                 rows.push(row);
             }
+            self.meter.record(chunk, chunk.len());
             Ok(())
+        }
+
+        fn bind_meter(&mut self, meter: DeliveryMeter) {
+            self.meter = meter;
         }
     }
 
@@ -494,79 +374,98 @@ mod tests {
         cond()
     }
 
+    /// A session with one pass-through query `q` over basket `b`.
+    fn pool_cell() -> DataCell {
+        let cell = DataCell::new();
+        cell.execute("create basket b (x int)").unwrap();
+        cell.continuous_query("q", "select s.x from [select * from b] as s")
+            .unwrap();
+        cell
+    }
+
+    /// Append `values` to `q`'s output basket one row at a time, as a
+    /// factory firing per tuple would: the sink tests exercise delivery,
+    /// not the query.
+    fn emit(out: &Basket, values: std::ops::Range<i64>) {
+        for i in values {
+            out.append_rows(&[vec![Value::Int(i)]]).unwrap();
+        }
+    }
+
+    fn sink_on(
+        cell: &DataCell,
+        mode: SubscriptionMode,
+        sink: impl Sink + 'static,
+    ) -> EmitterControl {
+        cell.subscribe_sink("q", mode, sink).unwrap()
+    }
+
     #[test]
     fn collect_sink_receives_all_tuples() {
-        let b = basket();
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
         let sink = CollectSink::new();
-        let e = Emitter::spawn("e", Arc::clone(&b), sink.clone()).unwrap();
-        for i in 0..50 {
-            b.append_rows(&[vec![Value::Int(i)]]).unwrap();
-        }
-        assert!(wait_until(2000, || sink.len() == 50), "got {}", sink.len());
-        assert!(b.is_empty());
-        assert_eq!(e.tuples_delivered(), 50);
+        let e = sink_on(&cell, SubscriptionMode::Broadcast, sink.clone());
+        emit(&out, 0..50);
+        assert!(
+            wait_until(2000, || sink.len() == 50 && out.is_empty()),
+            "got {}",
+            sink.len()
+        );
         e.stop();
-        let rows = sink.rows();
-        assert_eq!(rows[0], vec![Value::Int(0)]);
-        assert_eq!(rows[49], vec![Value::Int(49)]);
+        assert_eq!(sink.ints(), (0..50).collect::<Vec<_>>());
     }
 
     #[test]
     fn latency_sink_records_per_tuple() {
-        let b = basket();
-        let hist = Arc::new(LatencyHistogram::new());
-        let e = Emitter::spawn("e", Arc::clone(&b), LatencySink::new(Arc::clone(&hist))).unwrap();
-        b.append_rows(&[vec![Value::Int(1)], vec![Value::Int(2)]])
-            .unwrap();
-        assert!(wait_until(2000, || hist.count() == 2));
-        e.stop();
-        assert!(hist.mean_micros() >= 0.0);
+        // A sink subscription's deliveries land in its query's latency
+        // histogram, one observation per tuple.
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
+        let _e = sink_on(&cell, SubscriptionMode::Broadcast, CollectSink::new());
+        emit(&out, 0..2);
+        let recorded = || {
+            let m = cell.metrics();
+            let (_, h) = m.per_query_latency.into_iter().find(|(q, _)| q == "q")?;
+            Some(h.count)
+        };
+        assert!(wait_until(2000, || recorded() == Some(2)));
     }
 
     #[test]
     fn broadcast_emitters_each_deliver_everything() {
-        let b = basket();
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
         let s1 = CollectSink::new();
         let s2 = CollectSink::new();
-        let e1 = Emitter::spawn("e1", Arc::clone(&b), s1.clone()).unwrap();
-        let e2 = Emitter::spawn("e2", Arc::clone(&b), s2.clone()).unwrap();
-        for i in 0..20 {
-            b.append_rows(&[vec![Value::Int(i)]]).unwrap();
-        }
+        let e1 = sink_on(&cell, SubscriptionMode::Broadcast, s1.clone());
+        let e2 = sink_on(&cell, SubscriptionMode::Broadcast, s2.clone());
+        emit(&out, 0..20);
         assert!(wait_until(2000, || s1.len() == 20 && s2.len() == 20));
         assert!(
-            wait_until(2000, || b.is_empty()),
+            wait_until(2000, || out.is_empty()),
             "trimmed once both readers passed"
         );
         e1.stop();
         e2.stop();
-        let values = |s: &CollectSink| -> Vec<i64> {
-            s.rows().iter().map(|r| r[0].as_int().unwrap()).collect()
-        };
-        assert_eq!(values(&s1), (0..20).collect::<Vec<_>>());
-        assert_eq!(values(&s2), (0..20).collect::<Vec<_>>());
+        assert_eq!(s1.ints(), (0..20).collect::<Vec<_>>());
+        assert_eq!(s2.ints(), (0..20).collect::<Vec<_>>());
     }
 
     #[test]
     fn shared_emitters_compete_without_duplicates() {
-        let b = basket();
-        let reader = b.register_reader(true);
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
         let s1 = CollectSink::new();
         let s2 = CollectSink::new();
-        let e1 = Emitter::spawn_shared("e1", Arc::clone(&b), reader, s1.clone()).unwrap();
-        let e2 = Emitter::spawn_shared("e2", Arc::clone(&b), reader, s2.clone()).unwrap();
-        for i in 0..200 {
-            b.append_rows(&[vec![Value::Int(i)]]).unwrap();
-        }
+        let e1 = sink_on(&cell, SubscriptionMode::Shared, s1.clone());
+        let e2 = sink_on(&cell, SubscriptionMode::Shared, s2.clone());
+        emit(&out, 0..200);
         assert!(wait_until(3000, || s1.len() + s2.len() == 200));
         e1.stop();
         e2.stop();
-        let mut values: Vec<i64> = s1
-            .rows()
-            .iter()
-            .chain(s2.rows().iter())
-            .map(|r| r[0].as_int().unwrap())
-            .collect();
+        let mut values = s1.ints();
+        values.extend(s2.ints());
         values.sort_unstable();
         values.dedup();
         assert_eq!(values.len(), 200, "each tuple claimed exactly once");
@@ -577,75 +476,56 @@ mod tests {
         // One shared consumer's sink is already gone: its claims must be
         // rewound (not re-inserted) so the surviving consumer re-claims
         // them in place.
-        let b = basket();
-        let reader = b.register_reader(true);
-        let dead = Emitter::spawn_shared("dead", Arc::clone(&b), reader, GoneSink).unwrap();
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
+        let dead = sink_on(&cell, SubscriptionMode::Shared, GoneSink);
         let sink = CollectSink::new();
-        let live = Emitter::spawn_shared("live", Arc::clone(&b), reader, sink.clone()).unwrap();
-        for i in 0..50 {
-            b.append_rows(&[vec![Value::Int(i)]]).unwrap();
-        }
+        let live = sink_on(&cell, SubscriptionMode::Shared, sink.clone());
+        emit(&out, 0..50);
         // A rewind behind a claim the live consumer already committed
         // re-opens that claim too (the documented at-least-once corner), so
         // wait for every value, not for exactly 50 rows.
         let distinct = || {
-            let mut values: Vec<i64> = sink.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+            let mut values = sink.ints();
             values.sort_unstable();
             values.dedup();
             values.len()
         };
-        assert!(wait_until(3000, || distinct() == 50), "got {}", distinct());
+        assert!(
+            wait_until(3000, || distinct() == 50 && out.is_empty()),
+            "got {}",
+            distinct()
+        );
         dead.stop();
         live.stop();
-        assert_eq!(distinct(), 50, "rewound claims were re-delivered");
-        assert!(b.is_empty());
     }
 
     #[test]
     fn claims_are_atomic_no_duplicates() {
-        let b = basket();
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
         let sink = CollectSink::new();
-        let e = Emitter::spawn("e", Arc::clone(&b), sink.clone()).unwrap();
+        let e = sink_on(&cell, SubscriptionMode::Broadcast, sink.clone());
         // Hammer appends from two threads while the emitter drains.
-        let writers: Vec<_> = (0..2)
-            .map(|w| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    for i in 0..500 {
-                        b.append_rows(&[vec![Value::Int(w * 1000 + i)]]).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
+        std::thread::scope(|scope| {
+            for w in 0..2 {
+                let out = &out;
+                scope.spawn(move || emit(out, w * 1000..w * 1000 + 500));
+            }
+        });
         assert!(
             wait_until(3000, || sink.len() == 1000),
             "got {}",
             sink.len()
         );
         e.stop();
-        let mut values: Vec<i64> = sink
-            .rows()
-            .into_iter()
-            .map(|r| r[0].as_int().unwrap())
-            .collect();
+        let mut values = sink.ints();
         values.sort_unstable();
         values.dedup();
         assert_eq!(values.len(), 1000, "no duplicates, no losses");
     }
 
     // ------- in-process subscriptions: the subscriber plays the emitter
-
-    /// A session with one pass-through query `q` over basket `b`.
-    fn pool_cell() -> DataCell {
-        let cell = DataCell::new();
-        cell.execute("create basket b (x int)").unwrap();
-        cell.continuous_query("q", "select s.x from [select * from b] as s")
-            .unwrap();
-        cell
-    }
 
     /// Append `values` to `b` and run the query to quiescence.
     fn feed(cell: &DataCell, values: std::ops::Range<i64>) {

@@ -8,35 +8,43 @@
 //! The architecture is the one in Figure 1 of the paper:
 //!
 //! ```text
-//!   stream ──▶ Receptor ──▶ Basket B1 ──▶ Factory(Q) ──▶ Basket B2 ──▶ Emitter ──▶ client
+//!   stream ──▶ StreamWriter ──▶ Basket B1 ──▶ Factory(Q) ──▶ Basket B2 ──▶ Subscription ──▶ client
 //! ```
 //!
 //! * [`basket::Basket`] — the key data structure (§2.2): a locked,
 //!   timestamped, main-memory table holding a portion of a stream. Tuples
 //!   are removed once all relevant queries have consumed them.
-//! * [`receptor::Receptor`] and the emitters (§2.1) — the periphery
-//!   exchanging flat relational tuples: an in-process [`Subscription`] is
-//!   its own emitter, claiming result chunks on the subscriber's thread,
-//!   while a network subscriber keeps an engine-side
-//!   [`emitter::Emitter`] thread.
+//! * the receptors and emitters (§2.1) — the periphery exchanging flat
+//!   relational tuples. A receptor is a [`StreamWriter`]: typed rows or
+//!   textual lines decode straight into basket columns, on the caller's
+//!   thread or on a network connection's. An in-process [`Subscription`]
+//!   is its own emitter, claiming result chunks on the subscriber's
+//!   thread, while a network subscriber keeps an engine-side
+//!   [`emitter::Emitter`] thread
+//!   ([`DataCell::subscribe_sink`]).
 //! * [`factory::Factory`] (§2.3) — a compiled continuous query plan with
 //!   execution state saved between calls; re-invoked by the scheduler, it
 //!   locks its baskets, processes input in bulk, appends results, unlocks
 //!   (Algorithm 1).
 //! * [`scheduler::Scheduler`] (§2.4) — the Petri-net engine: baskets are
 //!   token places, receptors/factories/emitters are transitions, and a
-//!   transition fires when all of its inputs hold tuples.
-//! * [`window`] (§3.1) — windowed processing *above* the kernel: full
-//!   re-evaluation and the incremental basic-window method, both built from
-//!   ordinary relational operators plus scheduling.
+//!   transition fires when all of its inputs hold tuples
+//!   ([`DataCell::petri_net`] draws the live net: writers, queries,
+//!   subscribers).
+//! * [`window`] (§3.1) — windowed processing *above* the kernel: a SQL
+//!   window clause (`FROM s [ROWS 100 SLIDE 10]`) re-evaluates the
+//!   unchanged plan per window on [`WindowJoin`], and
+//!   [`window::BasicWindowAgg`] is the incremental basic-window method;
+//!   both are built from ordinary relational operators plus scheduling.
 //! * multi-query wiring (§2.5 strategies, §3.2 plan split) is plain SQL:
 //!   separate baskets, predicate windows (partial deletes, §2.6) and plan
 //!   sharing (`SET PLAN SHARING ON`, which cuts every shareable query into
 //!   a shared head and a private tail) compose each topology — see
 //!   `docs/mqo.md`.
-//! * [`window_join`] — cross-stream windowed joins with per-source window
-//!   specs (`FROM s1 [RANGE 10s SLIDE 5s], s2 [RANGE 5s] WHERE ...`),
-//!   evaluated by the unchanged relational join kernels.
+//! * [`window_join`] — the transition behind every SQL window, one
+//!   source or several with per-source specs
+//!   (`FROM s1 [RANGE 10s SLIDE 5s], s2 [RANGE 5s] WHERE ...`), evaluated
+//!   by the unchanged relational kernels.
 //!
 //! The front door is [`DataCell`]: a session that accepts standard SQL plus
 //! the stream DDL (`CREATE BASKET`, `CREATE CONTINUOUS QUERY`,
@@ -58,7 +66,6 @@ pub mod factory;
 pub mod metrics;
 pub mod petri;
 pub(crate) mod planshare;
-pub mod receptor;
 pub mod scheduler;
 pub mod session;
 pub mod text;

@@ -11,11 +11,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::factory::{Factory, FactoryOutput, InputMode};
+use crate::scheduler::Transition;
+use crate::window_join::WindowJoin;
 
 /// Kinds of Petri-net transitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransitionKind {
-    /// Stream input adapter.
+    /// Stream input adapter (a live writer).
     Receptor,
     /// Continuous-query (fragment) executor.
     Factory,
@@ -52,14 +54,12 @@ impl PetriNet {
         }
     }
 
-    /// Add a receptor transition writing into `targets`.
-    pub fn add_receptor(&mut self, name: &str, targets: &[String]) {
+    /// Add a receptor transition writing into `target`.
+    pub fn add_receptor(&mut self, name: &str, target: &str) {
         self.transitions
             .push((name.to_string(), TransitionKind::Receptor));
-        for t in targets {
-            self.add_place(t);
-            self.outputs.push((name.to_string(), t.clone()));
-        }
+        self.add_place(target);
+        self.outputs.push((name.to_string(), target.to_string()));
     }
 
     /// Add an emitter transition draining `source`.
@@ -100,10 +100,28 @@ impl PetriNet {
             self.add_place(&b);
             self.outputs.push((name.clone(), b));
         }
-        if let FactoryOutput::Basket(b) = factory.output() {
+        self.add_output(name, factory.output());
+    }
+
+    /// Add a windowed query's transition (a SQL window over one source or
+    /// several): it reads each input through its own cursor, so none of
+    /// its inputs is consumed exclusively.
+    pub fn add_window_join(&mut self, wj: &WindowJoin) {
+        let name = wj.name().to_string();
+        self.transitions
+            .push((name.clone(), TransitionKind::Factory));
+        for b in wj.input_names() {
+            self.add_place(&b);
+            self.inputs.push((b, name.clone()));
+        }
+        self.add_output(name, wj.output());
+    }
+
+    fn add_output(&mut self, transition: String, output: &FactoryOutput) {
+        if let FactoryOutput::Basket(b) = output {
             let b = b.name().to_string();
             self.add_place(&b);
-            self.outputs.push((name, b));
+            self.outputs.push((transition, b));
         }
     }
 
@@ -133,8 +151,8 @@ impl PetriNet {
             .map(|(p, t)| (p, t))
             .collect::<HashSet<_>>()
         {
-            // Places fed only from outside (receptor-less test rigs) are
-            // fine; flag them as informational.
+            // Places fed only from outside (direct appends, no open
+            // writer) are fine; flag them as informational.
             warnings.push(format!(
                 "place {place} has no producing transition (fed externally?)"
             ));
@@ -218,7 +236,7 @@ mod tests {
         let cat = catalog();
         let q = Arc::new(factory(&cat, "q"));
         let mut net = PetriNet::new();
-        net.add_receptor("R", &["b1".to_string()]);
+        net.add_receptor("R", "b1");
         net.add_factory(&q);
         net.add_emitter("E", "b2");
         assert_eq!(net.places.len(), 2);
@@ -237,7 +255,7 @@ mod tests {
         let q1 = Arc::new(factory(&cat, "q1"));
         let q2 = Arc::new(factory(&cat, "q2"));
         let mut net = PetriNet::new();
-        net.add_receptor("R", &["b1".to_string()]);
+        net.add_receptor("R", "b1");
         net.add_factory(&q1);
         net.add_factory(&q2);
         let warnings = net.validate();
@@ -264,7 +282,7 @@ mod tests {
         let q1 = Arc::new(f1);
         let q2 = Arc::new(f2);
         let mut net = PetriNet::new();
-        net.add_receptor("R", &["b1".to_string()]);
+        net.add_receptor("R", "b1");
         net.add_factory(&q1);
         net.add_factory(&q2);
         let warnings = net.validate();

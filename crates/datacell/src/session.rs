@@ -37,7 +37,7 @@ use crate::basket::{Basket, Durability, ReaderId, ReaderLease, TS_COLUMN};
 use crate::catalog::StreamCatalog;
 use crate::client::{
     DataCellBuilder, FromRow, OverflowPolicy, QueryHandle, StreamWriter, Subscription,
-    SubscriptionMode,
+    SubscriptionMode, WriterTag,
 };
 use crate::emitter::{DeliveryMeter, Emitter, EmitterControl, Sink, Subscriber};
 use crate::error::{DataCellError, Result};
@@ -46,7 +46,6 @@ use crate::factory::{Factory, FactoryOutput};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, NetMetricsSource, SessionMetrics};
 use crate::petri::PetriNet;
 use crate::planshare::{PlanShare, SharedNode};
-use crate::receptor::{Receptor, TupleSource};
 use crate::scheduler::{SchedulePolicy, Scheduler, Transition};
 use crate::window_join::WindowJoin;
 
@@ -118,18 +117,19 @@ pub struct DataCell {
     /// Every subscriber by query: in-process subscriptions and sink
     /// emitters alike. Entries die with their subscriber.
     subscribers: Mutex<Vec<(String, Weak<Subscriber>)>>,
+    /// Every live [`StreamWriter`] — the receptors of the Petri net,
+    /// network `STREAM` connections included. Entries die with their
+    /// writer.
+    writers: Mutex<Vec<Weak<WriterTag>>>,
     factory_registry: Mutex<Vec<Arc<Factory>>>,
     /// Cross-stream windowed-join transitions, kept so `DROP CONTINUOUS
     /// QUERY` can detach their reader cursors from the input baskets.
     window_joins: Mutex<Vec<Arc<WindowJoin>>>,
-    receptors: Mutex<Vec<Receptor>>,
-    /// Emitters, tagged with the continuous query they serve (if any) so
+    /// Sink emitters, tagged with the continuous query they serve so
     /// dropping the query can stop exactly its emitters.
-    emitters: Mutex<Vec<(Option<String>, Emitter)>>,
-    emitter_seq: AtomicU64,
-    /// Wiring records for the Petri-net rendering.
-    receptor_wiring: Mutex<Vec<(String, Vec<String>)>>,
-    emitter_wiring: Mutex<Vec<(String, String)>>,
+    emitters: Mutex<Vec<(String, Emitter)>>,
+    /// Numbers writer and subscriber names, so they never collide.
+    periphery_seq: AtomicU64,
     /// Shed/overflow totals of baskets that have since been dropped, so
     /// the session-level counters stay monotone across `DROP BASKET` /
     /// `DROP CONTINUOUS QUERY`.
@@ -217,13 +217,11 @@ impl DataCell {
             query_outputs: Mutex::new(HashMap::new()),
             shared_readers: Mutex::new(HashMap::new()),
             subscribers: Mutex::new(Vec::new()),
+            writers: Mutex::new(Vec::new()),
             factory_registry: Mutex::new(Vec::new()),
             window_joins: Mutex::new(Vec::new()),
-            receptors: Mutex::new(Vec::new()),
             emitters: Mutex::new(Vec::new()),
-            emitter_seq: AtomicU64::new(0),
-            receptor_wiring: Mutex::new(Vec::new()),
-            emitter_wiring: Mutex::new(Vec::new()),
+            periphery_seq: AtomicU64::new(0),
             retired_shed: AtomicU64::new(0),
             retired_overflow: AtomicU64::new(0),
             net_metrics: Mutex::new(None),
@@ -792,14 +790,12 @@ impl DataCell {
     /// basket, configured with the session defaults (batch size, capacity,
     /// overflow policy from [`DataCell::builder`]).
     pub fn writer(&self, basket: &str) -> Result<StreamWriter> {
-        let b = self.catalog.read().basket(basket)?;
-        Ok(StreamWriter::new(
-            b,
+        self.writer_with(
+            basket,
             self.config.writer_batch,
             self.config.basket_capacity,
             self.config.overflow,
-            self.config.metrics.clone(),
-        ))
+        )
     }
 
     /// A [`StreamWriter`] with explicit batching and capacity, overriding
@@ -812,12 +808,23 @@ impl DataCell {
         overflow: OverflowPolicy,
     ) -> Result<StreamWriter> {
         let b = self.catalog.read().basket(basket)?;
+        let seq = self.periphery_seq.fetch_add(1, Ordering::Relaxed);
+        let tag = Arc::new(WriterTag {
+            name: format!("writer-{basket}#{seq}"),
+            basket: basket.to_string(),
+        });
+        {
+            let mut writers = self.writers.lock();
+            writers.retain(|w| w.strong_count() > 0);
+            writers.push(Arc::downgrade(&tag));
+        }
         Ok(StreamWriter::new(
             b,
             batch_size,
             capacity,
             overflow,
             self.config.metrics.clone(),
+            tag,
         ))
     }
 
@@ -873,19 +880,15 @@ impl DataCell {
         let (subscriber, meter) = self.subscriber(query, mode, "emit")?;
         sink.bind_meter(meter);
         let (basket, reader) = (Arc::clone(subscriber.lease.basket()), subscriber.lease.id());
-        let emitter = Emitter::spawn_shared_with_release(
-            subscriber.name.clone(),
-            basket,
-            reader,
-            sink,
-            move || drop(subscriber),
-        )?;
+        let emitter = Emitter::spawn(subscriber.name.clone(), basket, reader, sink, move || {
+            drop(subscriber)
+        })?;
         let control = emitter.control();
         let mut emitters = self.emitters.lock();
         // Subscribers come and go (a connection per network subscriber):
         // forget the emitters that have already exited.
         emitters.retain(|(_, e)| !e.is_finished());
-        emitters.push((Some(query.to_string()), emitter));
+        emitters.push((query.to_string(), emitter));
         Ok(control)
     }
 
@@ -917,7 +920,7 @@ impl DataCell {
         };
         // The `#seq` suffix is globally unique, so subscriber names can
         // never collide across queries (e.g. a query literally named "q-1").
-        let seq = self.emitter_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.periphery_seq.fetch_add(1, Ordering::Relaxed);
         let subscriber = Arc::new(Subscriber {
             name: format!("{kind}-{query}#{seq}"),
             lease,
@@ -1108,11 +1111,11 @@ impl DataCell {
             let mut emitters = self.emitters.lock();
             let mut mine = Vec::new();
             let mut keep = Vec::with_capacity(emitters.len());
-            for (tag, e) in emitters.drain(..) {
-                if tag.as_deref() == Some(name) {
+            for (query, e) in emitters.drain(..) {
+                if query == name {
                     mine.push(e);
                 } else {
-                    keep.push((tag, e));
+                    keep.push((query, e));
                 }
             }
             *emitters = keep;
@@ -1798,50 +1801,6 @@ impl DataCell {
         handle
     }
 
-    /// Attach a receptor pumping `source` into the named baskets — the
-    /// low-level thread-driven ingest path for custom [`TupleSource`]s
-    /// (paced/replayed feeds). For typed programmatic ingestion prefer
-    /// [`DataCell::writer`].
-    pub fn attach_receptor(
-        &self,
-        name: &str,
-        source: impl TupleSource + 'static,
-        targets: &[&str],
-        batch_size: usize,
-    ) -> Result<()> {
-        let cat = self.catalog.read();
-        let baskets = targets
-            .iter()
-            .map(|t| cat.basket(t))
-            .collect::<Result<Vec<_>>>()?;
-        drop(cat);
-        let receptor = Receptor::spawn(name, source, baskets, batch_size)?;
-        self.receptor_wiring.lock().push((
-            name.to_string(),
-            targets.iter().map(|s| s.to_string()).collect(),
-        ));
-        self.receptors.lock().push(receptor);
-        Ok(())
-    }
-
-    /// Attach an emitter draining the named basket into `sink` — the
-    /// low-level delivery path for custom [`Sink`]s (latency probes,
-    /// tees). For typed consumption prefer [`DataCell::subscribe`].
-    pub fn attach_emitter(
-        &self,
-        name: &str,
-        basket: &str,
-        sink: impl Sink + 'static,
-    ) -> Result<()> {
-        let b = self.catalog.read().basket(basket)?;
-        let emitter = Emitter::spawn(name, b, sink)?;
-        self.emitter_wiring
-            .lock()
-            .push((name.to_string(), basket.to_string()));
-        self.emitters.lock().push((None, emitter));
-        Ok(())
-    }
-
     /// Start the scheduler thread.
     pub fn start(&self) {
         self.scheduler.start();
@@ -1851,9 +1810,6 @@ impl DataCell {
     /// query's output basket so its subscriptions end.
     pub fn stop(&self) {
         self.scheduler.stop();
-        for r in self.receptors.lock().drain(..) {
-            r.stop();
-        }
         for out in self.query_outputs.lock().values() {
             out.close();
         }
@@ -1868,28 +1824,25 @@ impl DataCell {
         self.scheduler.run_until_quiescent(limit)
     }
 
-    /// Snapshot the Petri-net of the current configuration.
+    /// Snapshot the Petri net of the live configuration: every open
+    /// [`StreamWriter`] as a receptor (network `STREAM` connections
+    /// included), every factory and windowed query, and every subscriber
+    /// as an emitter.
     pub fn petri_net(&self) -> PetriNet {
         let mut net = PetriNet::new();
-        for (name, targets) in self.receptor_wiring.lock().iter() {
-            net.add_receptor(name, targets);
+        for w in self.writers.lock().iter().filter_map(Weak::upgrade) {
+            net.add_receptor(&w.name, &w.basket);
         }
         for f in self.factory_registry.lock().iter() {
             net.add_factory(f);
         }
-        for (name, source) in self.emitter_wiring.lock().iter() {
-            net.add_emitter(name, source);
+        for wj in self.window_joins.lock().iter() {
+            net.add_window_join(wj);
         }
         for (_, s) in self.live_subscribers() {
             net.add_emitter(&s.name, s.lease.basket().name());
         }
         net
-    }
-
-    /// Delete the rows of `basket` matching positions (programmatic
-    /// consumption used by tests).
-    pub fn consume(&self, basket: &str, cands: &Candidates) -> Result<usize> {
-        self.basket(basket)?.consume_positions(cands)
     }
 }
 
@@ -2320,10 +2273,16 @@ mod tests {
         cell.execute("create continuous query q as select s.x from [select * from b] as s")
             .unwrap();
         let _sub = cell.subscribe::<Vec<Value>>("q").unwrap();
+        cell.execute("create basket c (x int)").unwrap();
+        cell.execute("create continuous query v as select sum(c.x) as total from c [rows 2]")
+            .unwrap();
         let net = cell.petri_net();
         let dot = net.to_dot();
         assert!(dot.contains("\"b\" -> \"q\""));
         assert!(dot.contains("\"q\" -> \"q_out\""));
+        // A windowed query is a transition like any factory.
+        assert!(dot.contains("\"c\" -> \"v\""), "{dot}");
+        assert!(dot.contains("\"v\" -> \"v_out\""), "{dot}");
     }
 
     #[test]

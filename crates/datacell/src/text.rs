@@ -612,6 +612,31 @@ mod tests {
     }
 
     #[test]
+    fn parse_tuple_types_and_nil() {
+        let schema = Schema::new(vec![
+            ("a".into(), DataType::Int),
+            ("b".into(), DataType::Float),
+            ("c".into(), DataType::Str),
+            ("d".into(), DataType::Bool),
+        ]);
+        let row = parse_tuple("1, 2.5, hello, true", &schema).unwrap();
+        assert_eq!(
+            row,
+            vec![
+                Value::Int(1),
+                Value::Float(2.5),
+                Value::Str("hello".into()),
+                Value::Bool(true)
+            ]
+        );
+        let row = parse_tuple("nil, NULL, x, f", &schema).unwrap();
+        assert_eq!(row[0], Value::Nil);
+        assert_eq!(row[1], Value::Nil);
+        assert!(parse_tuple("1, 2.5, x", &schema).is_err());
+        assert!(parse_tuple("oops, 2.5, x, t", &schema).is_err());
+    }
+
+    #[test]
     fn quoted_strings_keep_delimiters_and_whitespace() {
         let s = schema(&[DataType::Str, DataType::Int]);
         let row = parse_tuple(r#""a,b", 2"#, &s).unwrap();

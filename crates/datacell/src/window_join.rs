@@ -244,6 +244,11 @@ impl WindowJoin {
         self.plan.scanned_tables()
     }
 
+    /// Where the evaluated windows' results go.
+    pub fn output(&self) -> &FactoryOutput {
+        &self.output
+    }
+
     /// Input basket names, in plan walk order.
     pub fn input_names(&self) -> Vec<String> {
         self.sides

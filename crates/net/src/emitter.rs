@@ -179,32 +179,31 @@ mod tests {
     use std::net::TcpListener;
     use std::time::Instant;
 
-    use datacell::emitter::Emitter;
-    use datacell::{Basket, DataType, Value};
-    use datacell_sql::Schema;
+    use datacell::{DataCell, Value};
 
     #[test]
     fn failed_later_piece_rewinds_only_that_piece() {
         // One shared claim far larger than the loopback socket buffers: the
         // member reads a few pieces, then hangs up with unread data (a
         // reset), so a later piece — not the first — fails.
-        let basket = Arc::new(
-            Basket::new(
-                "out",
-                Schema::new(vec![
-                    ("i".into(), DataType::Int),
-                    ("pad".into(), DataType::Str),
-                ]),
-            )
-            .unwrap(),
-        );
+        let cell = DataCell::new();
+        cell.execute("create basket b (i int, pad varchar)")
+            .unwrap();
+        cell.execute("create continuous query q as select s.i, s.pad from [select * from b] as s")
+            .unwrap();
+        // Results land straight in the query's output basket: the test
+        // exercises delivery, not the query.
         let pad = "x".repeat(1000);
         let total: i64 = 32_000;
         let rows: Vec<Vec<Value>> = (0..total)
             .map(|i| vec![Value::Int(i), Value::Str(pad.clone())])
             .collect();
-        basket.append_rows(&rows).unwrap();
-        let reader = basket.register_reader(true);
+        cell.query_output("q").unwrap().append_rows(&rows).unwrap();
+        // The surviving pool member: it claims only when polled, so the
+        // dying member's sink takes the whole backlog in one claim first.
+        let survivor = cell
+            .subscribe_with::<(i64, String)>("q", SubscriptionMode::Shared)
+            .unwrap();
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -218,7 +217,9 @@ mod tests {
             Arc::clone(&stats),
         )
         .unwrap();
-        let dying = Emitter::spawn_shared("dying", Arc::clone(&basket), reader, sink).unwrap();
+        let dying = cell
+            .subscribe_sink("q", SubscriptionMode::Shared, sink)
+            .unwrap();
 
         // Read at least four pieces' worth, then close with data unread.
         let mut got = Vec::new();
@@ -242,11 +243,15 @@ mod tests {
         // Rows the member received (whole lines after the greeting).
         let lines = got.iter().filter(|&&b| b == b'\n').count() - 1;
         let read = lines as i64;
-        // What a surviving member would receive next: the rewound tail.
-        let (rest, _, _) = basket.claim_for_reader(reader, usize::MAX);
-        let ids = rest.columns[0].as_ints().unwrap();
+        // What the surviving member receives next: the rewound tail.
+        let ids: Vec<i64> = survivor
+            .drain()
+            .unwrap()
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
         let first = ids[0];
-        assert_eq!(ids, &(first..total).collect::<Vec<_>>()[..]);
+        assert_eq!(ids, (first..total).collect::<Vec<_>>());
         assert_eq!(stats.tuples.load(Ordering::Relaxed), first as u64);
         assert!(first > 0, "the pieces delivered before the failure commit");
         // Rows of one piece: a 1 KiB line each, 64 per 64 KiB.

@@ -1,11 +1,13 @@
 //! [`NetReceptor`]: one `STREAM` connection's ingest pump.
 //!
-//! The network-facing twin of [`datacell::receptor`]: it decodes
-//! newline-delimited tuple lines in place from its socket read buffer,
-//! straight into the typed column builders of a batched [`StreamWriter`]
+//! A receptor (§2.1) for one socket: it decodes newline-delimited tuple
+//! lines in place from its socket read buffer, straight into the typed
+//! column builders of a batched [`StreamWriter`]
 //! ([`StreamWriter::append_bytes`], the [`datacell::text`] decoder), and
 //! appends into the engine under the basket's
-//! [`OverflowPolicy`](datacell::OverflowPolicy). Only a line that
+//! [`OverflowPolicy`](datacell::OverflowPolicy). The writer is the
+//! engine's one ingest path, so the connection shows in the session's
+//! Petri net as a receptor while it streams. Only a line that
 //! straddles the edge of the read buffer is ever copied. The decoder is
 //! the trust boundary: any malformed line produces an `ERR decode` reply
 //! and a counter tick — never a panic, never a dropped connection.

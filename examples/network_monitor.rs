@@ -12,18 +12,16 @@
 //! optimizer — no bespoke stream operators. The session is configured
 //! through [`DataCellBuilder`]; ingestion runs through typed
 //! [`StreamWriter`]s; the shared-reader factories are wired through the
-//! low-level `Factory` API the facade intentionally keeps public.
+//! low-level `Factory` API the facade intentionally keeps public, and the
+//! window is a SQL window clause.
 //!
 //! [`DataCellBuilder`]: datacell::DataCellBuilder
 //! [`StreamWriter`]: datacell::StreamWriter
 //!
 //! Run with: `cargo run --example network_monitor`
 
-use std::sync::Arc;
-
 use datacell::factory::{Factory, FactoryOutput};
 use datacell::scheduler::SchedulePolicy;
-use datacell::window::{ReEvalWindow, WindowSpec};
 use datacell::DataCell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +33,6 @@ fn main() {
         "create basket alerts (src int, port int)",
         "create basket talkers (src int, total int)",
         "create basket packets_w (src int, dst int, port int, bytes int)",
-        "create basket volumes (total int)",
     ] {
         cell.execute(ddl).unwrap();
     }
@@ -74,27 +71,18 @@ fn main() {
         top.set_shared("packets", packets.register_reader(true))
             .unwrap();
 
-        // Query 3: tumbling-window byte counts per 1000 packets, on a
-        // private copy of the stream (window processing, §3.1).
-        let window = ReEvalWindow::new(
-            "volume_window",
-            "select sum(p.bytes) as total from [select * from packets_w] as p",
-            &cat,
-            cat.basket("packets_w").unwrap(),
-            WindowSpec::Count {
-                size: 1000,
-                slide: 1000,
-            },
-            FactoryOutput::Basket(cat.basket("volumes").unwrap()),
-        )
-        .unwrap();
         drop(cat);
 
         cell.add_factory(blocklist, SchedulePolicy::default());
         cell.add_factory(top, SchedulePolicy::default());
-        cell.scheduler()
-            .add_transition(Arc::new(window), SchedulePolicy::default());
     }
+    // Query 3: tumbling-window byte counts per 1000 packets, on a private
+    // copy of the stream (window processing, §3.1).
+    cell.execute(
+        "create continuous query volume_window as \
+         select sum(p.bytes) as total from packets_w [rows 1000] as p",
+    )
+    .unwrap();
 
     // Synthetic packet trace: 5000 packets, a Zipf-ish source skew, a few
     // suspicious ports, ingested through typed writers (validated against
@@ -125,13 +113,16 @@ fn main() {
 
     let alerts = cell.basket("alerts").unwrap();
     let talkers = cell.basket("talkers").unwrap();
-    let volumes = cell.basket("volumes").unwrap();
+    let volumes = cell.query_output("volume_window").unwrap();
     println!("suspicious-port alerts : {}", alerts.len());
     println!("top-talker report rows : {}", talkers.len());
     println!("volume windows         : {}", volumes.len());
     // Baskets remain inspectable as tables with one-time SQL (§2.6).
     let vsnap = cell
-        .query("select total from volumes order by total")
+        .query(&format!(
+            "select total from {} order by total",
+            volumes.name()
+        ))
         .unwrap();
     for i in 0..vsnap.len() {
         println!("  window {i}: {} bytes", vsnap.columns[0].get(i).unwrap());

@@ -1,17 +1,24 @@
 //! Integration tests for the unified reader-cursor basket model: broadcast
 //! subscription fan-out, competing-consumer mode, engine-level bounded
 //! capacity with the three overflow policies, and end-to-end backpressure
-//! (receptor/writer blocks → consumer advances → producer resumes).
+//! (writer blocks → consumer advances → producer resumes).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use datacell::basket::{Basket, OverflowPolicy};
-use datacell::receptor::ChannelSource;
 use datacell::{DataCell, DataCellError, SubscriptionMode};
 use datacell_bat::types::{DataType, Value};
 use datacell_sql::Schema;
+
+/// Block until `basket` holds `n` tuples, woken by its change signal.
+fn wait_for_len(basket: &Basket, n: usize) {
+    let signal = basket.signal();
+    let mut seen = signal.version();
+    while basket.len() < n {
+        seen = signal.wait_past(seen, Duration::from_millis(100));
+    }
+}
 
 /// Append `values` to basket `b` and run the scheduler to quiescence.
 fn feed(cell: &DataCell, values: std::ops::Range<i64>) {
@@ -101,8 +108,8 @@ fn two_registered_readers_hold_the_watermark() {
 
 #[test]
 fn capacity_block_receptor_stalls_and_resumes_without_loss() {
-    // A tiny bounded ingest basket with the Block policy: the receptor
-    // thread stalls at capacity and resumes as the factory consumes; every
+    // A tiny bounded ingest basket with the Block policy: the producer's
+    // writer stalls at capacity and resumes as the factory consumes; every
     // tuple still arrives exactly once.
     let cell = DataCell::builder()
         .basket_capacity(4)
@@ -114,26 +121,30 @@ fn capacity_block_receptor_stalls_and_resumes_without_loss() {
         .unwrap();
     let sub = q.subscribe::<(i64,)>().unwrap();
 
-    let (tx, rx) = unbounded();
-    cell.attach_receptor("src", ChannelSource::new(rx), &["b"], 16)
+    let mut w = cell
+        .writer_with("b", 16, None, OverflowPolicy::Block)
         .unwrap();
-    for i in 0..200i64 {
-        tx.send(vec![Value::Int(i)]).unwrap();
-    }
-    drop(tx);
+    let producer = std::thread::spawn(move || {
+        for i in 0..200i64 {
+            w.append((i,)).unwrap();
+        }
+        w.flush().unwrap();
+        w.stats()
+    });
 
-    // The receptor alone cannot land 200 tuples in a 4-tuple basket; the
-    // scheduler must interleave to release it.
+    // The writer alone cannot land 200 tuples in a 4-tuple basket. Start
+    // the scheduler only once it has filled the basket, so it must stall
+    // until the factory releases room.
+    wait_for_len(&cell.basket("b").unwrap(), 4);
     cell.start();
     let rows = sub.collect_n(200, Duration::from_secs(10)).unwrap();
+    let stats = producer.join().unwrap();
     cell.stop();
-    assert_eq!(rows.len(), 200, "blocked receptor resumed without loss");
+    assert_eq!(rows.len(), 200, "blocked writer resumed without loss");
     let values: Vec<i64> = rows.iter().map(|r| r.0).collect();
     assert_eq!(values, (0..200).collect::<Vec<_>>(), "order preserved");
-    assert!(
-        cell.basket("b").unwrap().stats().overflow_events > 0,
-        "capacity was actually hit"
-    );
+    assert_eq!(stats.appended, 200);
+    assert!(stats.backpressure_waits > 0, "capacity was actually hit");
 }
 
 #[test]
@@ -186,8 +197,9 @@ fn blocked_writer_unblocks_after_consumer_advances() {
         w.stats().backpressure_waits
     });
 
-    // Give the writer time to hit the 2-tuple cap, then start consuming.
-    std::thread::sleep(Duration::from_millis(50));
+    // Once the writer has filled the 2-tuple basket it must block: nothing
+    // consumes until the scheduler starts.
+    wait_for_len(&cell.basket("b").unwrap(), 2);
     assert!(!writer.is_finished(), "writer must be blocked at capacity");
     cell.start();
     let rows = sub.collect_n(20, Duration::from_secs(10)).unwrap();

@@ -4,14 +4,12 @@
 
 use std::sync::Arc;
 
-use datacell::catalog::StreamCatalog;
-use datacell::factory::FactoryOutput;
 use datacell::scheduler::Transition;
-use datacell::window::{BasicWindowAgg, ReEvalWindow, WindowSpec};
+use datacell::window::BasicWindowAgg;
+use datacell::DataCell;
 use datacell_bat::aggregate::AggFunc;
-use datacell_bat::types::{DataType, Value};
+use datacell_bat::types::Value;
 use datacell_bench::strategy::{deploy, Wiring, COMPLEMENT};
-use datacell_sql::Schema;
 use proptest::prelude::*;
 
 const DOMAIN: i64 = 300;
@@ -96,28 +94,20 @@ proptest! {
         batch in 1usize..100,
     ) {
         let size = slide * multiple;
-        let mut cat = StreamCatalog::new();
-        let re_in = cat
-            .create_basket("w", Schema::new(vec![("v".into(), DataType::Int)]))
-            .unwrap();
-        let re_out = cat
-            .create_basket("ro", Schema::new(vec![("value".into(), DataType::Int)]))
-            .unwrap();
-        let inc_in = cat
-            .create_basket("w2", Schema::new(vec![("v".into(), DataType::Int)]))
-            .unwrap();
-        let inc_out = cat
-            .create_basket("io", Schema::new(vec![("value".into(), DataType::Int)]))
-            .unwrap();
-        let re = ReEvalWindow::new(
-            "re",
-            "select sum(s.v) as value from [select * from w] as s",
-            &cat,
-            Arc::clone(&re_in),
-            WindowSpec::Count { size, slide },
-            FactoryOutput::Basket(Arc::clone(&re_out)),
-        )
+        // Re-evaluation: the one-source SQL window.
+        let cell = DataCell::new();
+        cell.execute("create basket w (v int)").unwrap();
+        cell.execute("create basket w2 (v int)").unwrap();
+        cell.execute("create basket io (value int)").unwrap();
+        cell.execute(&format!(
+            "create continuous query re as \
+             select sum(w.v) as value from w [rows {size} slide {slide}]"
+        ))
         .unwrap();
+        let re_in = cell.basket("w").unwrap();
+        let re_out = cell.query_output("re").unwrap();
+        let inc_in = cell.basket("w2").unwrap();
+        let inc_out = cell.basket("io").unwrap();
         let inc = BasicWindowAgg::new(
             "inc",
             Arc::clone(&inc_in),
@@ -132,7 +122,7 @@ proptest! {
         let rows: Vec<Vec<Value>> = data.iter().map(|&v| vec![Value::Int(v)]).collect();
         for chunk in rows.chunks(batch) {
             re_in.append_rows(chunk).unwrap();
-            re.step(None).unwrap();
+            cell.run_until_quiescent(1_000);
             inc_in.append_rows(chunk).unwrap();
             inc.step(None).unwrap();
         }

@@ -1,27 +1,12 @@
 //! Integration test for `fig:architecture` (Figure 1 of the paper): the
 //! complete receptor → basket → factory → basket → emitter chain, threaded,
 //! spanning every crate in the workspace — driven through the typed client
-//! facade plus the low-level periphery where the test needs probes.
+//! facade: a `StreamWriter` is the receptor, a `Subscription` the emitter.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use datacell::emitter::{Emitter, LatencySink};
-use datacell::metrics::LatencyHistogram;
-use datacell::receptor::{GeneratorSource, Receptor};
 use datacell::DataCell;
 use datacell_bat::types::Value;
-
-fn wait_until(ms: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_millis(ms);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    cond()
-}
 
 #[test]
 fn figure1_threaded_end_to_end() {
@@ -33,37 +18,34 @@ fn figure1_threaded_end_to_end() {
             "select s.x, s.ts from [select * from b1] as s where s.x % 2 = 0",
         )
         .unwrap();
+    let sub = q.subscribe::<(i64,)>().unwrap();
 
-    // Emitter with latency accounting off the carried ts (low-level sink:
-    // the probe the typed facade intentionally keeps available).
-    let hist = Arc::new(LatencyHistogram::new());
-    let out = q.output().unwrap();
-    let emitter =
-        Emitter::spawn("e", Arc::clone(&out), LatencySink::new(Arc::clone(&hist))).unwrap();
+    // A producer thread feeds the stream through its own writer.
+    let mut writer = cell.writer("b1").unwrap();
+    let producer = std::thread::spawn(move || {
+        for i in 0..10_000i64 {
+            writer.append((i,)).unwrap();
+        }
+        writer.flush().unwrap();
+    });
 
-    // A generator-driven receptor thread feeds the stream; a writer would
-    // do the same from the caller's thread.
-    let receptor = Receptor::spawn(
-        "gen",
-        GeneratorSource::new(10_000, |i| vec![Value::Int(i as i64)]),
-        vec![cell.basket("b1").unwrap()],
-        256,
-    )
-    .unwrap();
-
-    assert!(
-        wait_until(5_000, || hist.count() == 5_000),
-        "delivered {} of 5000 even numbers",
-        hist.count()
-    );
-    receptor.join();
+    let rows = sub.collect_n(5_000, Duration::from_secs(10)).unwrap();
+    producer.join().unwrap();
+    assert_eq!(rows.len(), 5_000, "every even number delivered");
+    assert!(rows.iter().all(|(x,)| x % 2 == 0));
+    assert_eq!(sub.try_next().unwrap(), None, "and nothing else");
     cell.stop();
-    emitter.stop();
 
-    // Everything consumed, latency recorded per tuple.
+    // Everything consumed, latency recorded per tuple off the carried ts.
     assert!(cell.basket("b1").unwrap().is_empty());
-    assert_eq!(hist.count(), 5_000);
-    assert!(hist.mean_micros() < 1_000_000.0, "sub-second latency");
+    let m = cell.metrics();
+    let (_, latency) = m
+        .per_query_latency
+        .iter()
+        .find(|(name, _)| name == "q")
+        .expect("q records latency");
+    assert_eq!(latency.count, 5_000);
+    assert!(latency.mean_micros() < 1_000_000.0, "sub-second latency");
 }
 
 #[test]
@@ -99,20 +81,25 @@ fn figure1_petri_net_is_well_formed() {
     cell.execute("create basket b1 (x int)").unwrap();
     cell.execute("create continuous query q as select s.x from [select * from b1] as s")
         .unwrap();
-    let _sub = cell.subscribe::<Vec<Value>>("q").unwrap();
-    cell.attach_receptor(
-        "r",
-        GeneratorSource::new(0, |_| vec![Value::Int(0)]),
-        &["b1"],
-        8,
-    )
-    .unwrap();
+    let sub = cell.subscribe::<Vec<Value>>("q").unwrap();
+    let writer = cell.writer("b1").unwrap();
     let net = cell.petri_net();
-    // R → b1 → q → q_out → emitter, with no warnings.
+    // writer → b1 → q → q_out → subscriber, with no warnings.
     assert_eq!(net.transitions.len(), 3);
     assert!(net.validate().is_empty(), "{:?}", net.validate());
     let dot = net.to_dot();
-    for edge in ["\"r\" -> \"b1\"", "\"b1\" -> \"q\"", "\"q\" -> \"q_out\""] {
-        assert!(dot.contains(edge), "missing {edge} in\n{dot}");
+    let (w, s) = (&net.transitions[0].0, &net.transitions[2].0);
+    assert!(w.starts_with("writer-b1"), "{w}");
+    assert!(s.starts_with("sub-q"), "{s}");
+    for edge in [
+        format!("\"{w}\" -> \"b1\""),
+        "\"b1\" -> \"q\"".into(),
+        "\"q\" -> \"q_out\"".into(),
+        format!("\"q_out\" -> \"{s}\""),
+    ] {
+        assert!(dot.contains(&edge), "missing {edge} in\n{dot}");
     }
+    // A transition lives as long as its writer or subscription.
+    drop((writer, sub));
+    assert_eq!(cell.petri_net().transitions.len(), 1);
 }

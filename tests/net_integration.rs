@@ -184,6 +184,25 @@ fn end_to_end_ingest_and_subscribe_exact_order() {
     ingest.send("SYNC");
     assert_eq!(ingest.read_line().as_deref(), Some("OK SYNC 100 0"));
 
+    // Each connection is a transition of the session's Petri net: the
+    // STREAM connection a receptor (its writer) into `b`, the SUBSCRIBE
+    // connection an emitter draining `q`'s output.
+    let net = cell.petri_net();
+    assert!(
+        net.outputs
+            .iter()
+            .any(|(t, p)| t.starts_with("writer-b") && p == "b"),
+        "{:?}",
+        net.outputs
+    );
+    assert!(
+        net.inputs
+            .iter()
+            .any(|(p, t)| p == "q_out" && t.starts_with("emit-q")),
+        "{:?}",
+        net.inputs
+    );
+
     let got = sub.collect_ints(100, Duration::from_secs(10));
     assert_eq!(
         got,

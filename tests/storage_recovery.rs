@@ -134,15 +134,44 @@ fn spilled_claims_survive_rewind_and_commit_exactly_once() {
 #[test]
 fn exclusive_snapshot_stitches_spilled_head_back() {
     // A full snapshot sees the whole logical content: the spilled head is
-    // re-materialized for it.
+    // decoded into the returned chunk, and stays on disk.
     let dir = TempDir::new("spill-exclusive");
     let (basket, store) = spill_basket(&dir, 10);
     push_ints(&basket, 0..100);
     assert!(basket.resident_len() <= 10);
+    let (resident, spilled) = (basket.resident_len(), basket.spilled_len());
+    let on_disk = store.metrics_snapshot().bytes_on_disk;
     let chunk = basket.snapshot();
     assert_eq!(ints_of(&chunk), (0..100).collect::<Vec<i64>>());
-    assert_eq!(basket.resident_len(), 100, "unspilled into memory");
-    assert_eq!(store.metrics_snapshot().bytes_on_disk, 0, "files deleted");
+    assert_eq!(basket.resident_len(), resident, "nothing unspilled");
+    assert_eq!(basket.spilled_len(), spilled);
+    assert_eq!(
+        store.metrics_snapshot().bytes_on_disk,
+        on_disk,
+        "files kept"
+    );
+}
+
+#[test]
+fn read_only_select_keeps_spill_residency() {
+    // A one-time SELECT scans a basket through a snapshot; on a Spill
+    // basket that must read the disk tier in place, not drain it into
+    // memory past the `mem_rows` budget.
+    let dir = TempDir::new("spill-select");
+    let cell = DataCell::builder().data_dir(dir.path()).build();
+    cell.execute("create basket b (x int) overflow spill 10")
+        .unwrap();
+    let b = cell.basket("b").unwrap();
+    push_ints(&b, 0..1000);
+    let spilled = b.spilled_len();
+    assert!(spilled > 0);
+    let count = cell.query("select count(*) as n from b").unwrap();
+    assert_eq!(count.columns[0].as_ints().unwrap(), &[1000]);
+    let sum = cell.query("select sum(b.x) as s from b").unwrap();
+    assert_eq!(sum.columns[0].as_ints().unwrap(), &[999 * 1000 / 2]);
+    assert!(b.resident_len() <= 10, "{} resident", b.resident_len());
+    assert_eq!(b.spilled_len(), spilled, "the disk tier stays on disk");
+    assert_eq!(b.len(), 1000, "inspection consumes nothing");
 }
 
 #[test]

@@ -397,6 +397,26 @@ fn reference_join(
     out
 }
 
+/// Reference one-source window: evaluation `k` keeps the arrival
+/// positions `[k·slide, k·slide+size)` whose key is below 3, projecting
+/// `(k, a, a)` ordered by `a` within the evaluation — the re-evaluation
+/// semantics a single `[ROWS size SLIDE slide]` source promises.
+fn reference_window(s1: &[(i64, i64)], (size, slide): (usize, usize)) -> Vec<(i64, i64, i64)> {
+    let mut out = Vec::new();
+    for lo in (0..).map(|k| k * slide) {
+        if s1.len() < lo + size {
+            break;
+        }
+        out.extend(
+            s1[lo..lo + size]
+                .iter()
+                .filter(|&&(k, _)| k < 3)
+                .map(|&(k, a)| (k, a, a)),
+        );
+    }
+    out
+}
+
 /// Windows the reference evaluates for arrival sequences of `n1` and `n2`
 /// tuples.
 fn window_count(
@@ -410,17 +430,20 @@ fn window_count(
         .count() as u64
 }
 
-/// Drive one generated scenario: per-side sequences with unique payloads,
+/// Drive one generated scenario: one windowed source (a filter per
+/// window) or two (a join), per-side sequences with unique payloads,
 /// per-side count specs, an output capacity (`None` = unbounded, else a
 /// `Block` bound), and an arbitrary interleaving of per-side batch splits
 /// with scheduler drives in between, each drive optionally followed by a
 /// drain of the output. The delivered rows must be bit-identical to the
-/// reference join of the two arrival sequences — interleaving, batching
+/// reference over the arrival sequences — interleaving, batching
 /// and a full output must not leak into window contents, and eviction
 /// must never drop an in-window tuple; every window must be evaluated
 /// exactly once however often the output filled up; and no drive may
 /// leave a side buffering more than one window plus what it ingested.
+#[allow(clippy::too_many_arguments)]
 fn differential_case(
+    sides: usize,
     keys1: &[i64],
     keys2: &[i64],
     spec1: (usize, usize),
@@ -429,15 +452,28 @@ fn differential_case(
     capacity: Option<usize>,
     drains: u32,
 ) {
+    // One source reads only s1: every batch goes to it.
+    let keys2 = if sides == 1 { &[][..] } else { keys2 };
     let cell = DataCell::new();
     cell.execute("create basket s1 (k int, a int)").unwrap();
     cell.execute("create basket s2 (k int, b int)").unwrap();
+    let (from, filter) = if sides == 1 {
+        (
+            format!("s1.a as b from s1 [rows {} slide {}]", spec1.0, spec1.1),
+            "s1.k < 3",
+        )
+    } else {
+        (
+            format!(
+                "s2.b as b from s1 [rows {} slide {}], s2 [rows {} slide {}]",
+                spec1.0, spec1.1, spec2.0, spec2.1
+            ),
+            "s1.k = s2.k",
+        )
+    };
     cell.execute(&format!(
         "create continuous query j as \
-         select s1.k as k, s1.a as a, s2.b as b \
-         from s1 [rows {} slide {}], s2 [rows {} slide {}] \
-         where s1.k = s2.k order by a, b",
-        spec1.0, spec1.1, spec2.0, spec2.1
+         select s1.k as k, s1.a as a, {from} where {filter} order by a, b"
     ))
     .unwrap();
     let join = cell.window_join("j").unwrap();
@@ -483,7 +519,7 @@ fn differential_case(
         .collect();
     let (mut fed1, mut fed2) = (0usize, 0usize);
     for (step, &(left, len)) in schedule.iter().enumerate() {
-        if left {
+        if left || sides == 1 {
             let hi = (fed1 + len.max(1)).min(s1.len());
             if hi > fed1 {
                 insert(&cell, "s1", &s1[fed1..hi]);
@@ -515,15 +551,26 @@ fn differential_case(
             break;
         }
     }
+    let (expected, windows) = if sides == 1 {
+        let n = s1.len();
+        (
+            reference_window(&s1, spec1),
+            window_count(n, n, spec1, spec1),
+        )
+    } else {
+        (
+            reference_join(&s1, &s2, spec1, spec2),
+            window_count(s1.len(), s2.len(), spec1, spec2),
+        )
+    };
     assert_eq!(
-        delivered,
-        reference_join(&s1, &s2, spec1, spec2),
-        "specs {spec1:?}/{spec2:?}, capacity {capacity:?}: diverged from the reference join"
+        delivered, expected,
+        "{sides} side(s), specs {spec1:?}/{spec2:?}, capacity {capacity:?}: diverged from the reference"
     );
     assert_eq!(
         join.windows_evaluated(),
-        window_count(s1.len(), s2.len(), spec1, spec2),
-        "specs {spec1:?}/{spec2:?}, capacity {capacity:?}: a window was evaluated twice"
+        windows,
+        "{sides} side(s), specs {spec1:?}/{spec2:?}, capacity {capacity:?}: a window was evaluated twice"
     );
 }
 
@@ -532,6 +579,7 @@ proptest! {
 
     #[test]
     fn interleavings_match_reference_join(
+        sides in 1usize..3,
         keys1 in proptest::collection::vec(0i64..6, 0..40),
         keys2 in proptest::collection::vec(0i64..6, 0..40),
         size1 in 1usize..5,
@@ -546,6 +594,7 @@ proptest! {
         drains in 0u32..(1 << 16),
     ) {
         differential_case(
+            sides,
             &keys1,
             &keys2,
             (size1, slide1.min(size1)),
