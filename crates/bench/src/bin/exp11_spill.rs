@@ -189,7 +189,7 @@ fn main() {
     let mut json_rows = Vec::new();
     for (name, policy) in [
         ("spill", OverflowPolicy::Spill { mem_rows: MEM_ROWS }),
-        ("shed_oldest", OverflowPolicy::ShedOldest),
+        ("shed", OverflowPolicy::ShedOldest),
         ("block", OverflowPolicy::Block),
     ] {
         let o = run(total, policy);

@@ -13,6 +13,10 @@
 //! throughput is near-flat in capacity while the shed count falls as the
 //! basket widens.
 //!
+//! `Block` and `Reject` must deliver every tuple: each such run waits up
+//! to 10 s for `delivered == total`, and the binary exits non-zero if one
+//! falls short.
+//!
 //! Emits one machine-readable summary line at the end
 //! (`BENCH_backpressure.json: {...}`).
 
@@ -73,13 +77,19 @@ fn run(total: u64, capacity: usize, policy: OverflowPolicy) -> Outcome {
     }
     let elapsed = started.elapsed().as_secs_f64();
 
-    // Let the pipeline settle: stop once the delivered count is stable.
+    // Let the pipeline settle: a lossless policy until every tuple is
+    // delivered, a shedding one until the delivered count is stable.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut last = delivered.load(Ordering::Relaxed);
     loop {
         std::thread::sleep(Duration::from_millis(50));
         let now = delivered.load(Ordering::Relaxed);
-        if (now == last && now > 0) || Instant::now() > deadline {
+        let settled = if lossless(policy) {
+            now == total
+        } else {
+            now == last && now > 0
+        };
+        if settled || Instant::now() > deadline {
             break;
         }
         last = now;
@@ -93,6 +103,11 @@ fn run(total: u64, capacity: usize, policy: OverflowPolicy) -> Outcome {
         shed: metrics.tuples_shed,
         overflow_events: metrics.overflow_events,
     }
+}
+
+/// Policies that must deliver every tuple.
+fn lossless(policy: OverflowPolicy) -> bool {
+    matches!(policy, OverflowPolicy::Block | OverflowPolicy::Reject)
 }
 
 fn main() {
@@ -116,6 +131,7 @@ fn main() {
         "overflow",
     ]);
     let mut json_rows = Vec::new();
+    let mut lost = Vec::new();
     for policy in [
         OverflowPolicy::Block,
         OverflowPolicy::Reject,
@@ -123,10 +139,16 @@ fn main() {
     ] {
         for capacity in [256usize, 4_096, 65_536] {
             let o = run(total, capacity, policy);
+            if lossless(policy) && o.delivered != total {
+                lost.push(format!(
+                    "{policy:?} at capacity {capacity}: {}",
+                    o.delivered
+                ));
+            }
             let name = match policy {
                 OverflowPolicy::Block => "block",
                 OverflowPolicy::Reject => "reject",
-                OverflowPolicy::ShedOldest => "shed_oldest",
+                OverflowPolicy::ShedOldest => "shed",
                 // Spill is measured by its own experiment (exp11_spill).
                 OverflowPolicy::Spill { .. } => "spill",
             };
@@ -150,4 +172,11 @@ fn main() {
         "BENCH_backpressure.json: {{\"experiment\":\"exp8_backpressure\",\"results\":[{}]}}",
         json_rows.join(",")
     );
+    if !lost.is_empty() {
+        eprintln!("lossless runs delivered fewer than {total} tuples:");
+        for l in &lost {
+            eprintln!("  {l}");
+        }
+        std::process::exit(1);
+    }
 }

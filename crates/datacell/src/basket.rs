@@ -24,11 +24,11 @@
 //! only once every registered reader's watermark has passed it: "a tuple
 //! remains in its basket until all relevant factories have seen it" (§2.5).
 //! Exclusively-owned baskets instead take the paper's basket-expression
-//! side effect (a predicate window may delete a *subset*, §2.6):
-//! [`Basket::snapshot_exclusive`] + [`Basket::consume_exclusive`] for a
-//! factory step that must survive concurrent sheds, and the plain
-//! [`Basket::consume_positions`] for positions computed against the basket
-//! as it is right now.
+//! side effect (a predicate window may delete a *subset*, §2.6) through
+//! one pair, [`Basket::snapshot_exclusive`] + [`Basket::consume_exclusive`]:
+//! factory steps, one-time `SELECT`s and control tokens alike. The pair is
+//! anchored, so it survives concurrent sheds, and segment-aware, so it
+//! never pulls a spilled backlog back into memory.
 //!
 //! Readers come in two flavours:
 //!
@@ -44,10 +44,10 @@
 //!   lost.
 //!
 //! **Bounded capacity.** A basket may carry a tuple capacity with an
-//! [`OverflowPolicy`]; *every* append path (receptors, factories, writers)
-//! respects it, so backpressure propagates end-to-end: a full basket blocks
-//! its receptor, a blocked receptor stalls the source, and
-//! `StreamWriter::flush` observes the same limit from the client side.
+//! [`OverflowPolicy`], and the basket alone applies it: every producer
+//! (writers, factories, the wire receptor's writer) only appends, so
+//! backpressure propagates end-to-end: a full basket blocks its writer,
+//! and a blocked writer stalls the source.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
@@ -75,10 +75,12 @@ pub const DEFAULT_WAL_CHECKPOINT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// What a bounded basket does when an append would exceed its capacity.
 ///
-/// Under `Block` and `Reject` the capacity bounds the *standing backlog*,
-/// not a single batch: a batch larger than the capacity is admitted whole
-/// once the basket is empty (otherwise a bulk producer whose batch exceeds
-/// the bound could never make progress).
+/// An all-or-nothing append (`Reject`, or the non-waiting
+/// [`Basket::try_append_chunk`] family under `Block`) of a batch larger
+/// than the capacity is admitted whole once the basket is empty: the
+/// bound then caps the *standing backlog*, not a single batch (otherwise
+/// such a producer could never make progress). A waiting `Block` append
+/// never exceeds the capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowPolicy {
     /// The appending thread waits until readers release space
@@ -750,29 +752,6 @@ impl Basket {
         })
     }
 
-    /// Drop up to `n` oldest resident tuples (load shedding), returning the
-    /// number dropped. Used by writers implementing a client-side
-    /// [`OverflowPolicy::ShedOldest`] over an unbounded basket.
-    pub fn shed_oldest(&self, n: usize) -> usize {
-        let dropped;
-        {
-            let mut inner = self.inner.lock();
-            let before = inner.stats.shed;
-            inner.shed_head(n);
-            dropped = (inner.stats.shed - before) as usize;
-        }
-        if dropped > 0 {
-            self.record_event(EventKind::Shed, || {
-                format!(
-                    "{}: dropped {dropped} resident tuples (client-side shed)",
-                    self.name
-                )
-            });
-            self.notify();
-        }
-        dropped
-    }
-
     /// Decide how much of a `want`-tuple batch is admitted under the
     /// capacity/overflow configuration. Called with the inner lock held.
     /// `blocking` producers may be told to wait; non-blocking (scheduler
@@ -819,10 +798,14 @@ impl Basket {
                 )
             });
         }
-        // An empty basket admits an over-capacity batch whole: the bound
-        // caps the standing backlog, not one batch — otherwise a bulk
-        // producer whose batch exceeds the capacity could never progress.
-        if resident == 0 && inner.policy != OverflowPolicy::ShedOldest {
+        // An empty basket admits an over-capacity all-or-nothing batch
+        // whole — otherwise a producer whose batch exceeds the capacity
+        // could never progress. A waiting `Block` producer instead lands
+        // it in capacity slices below, so the bound holds for it.
+        if resident == 0
+            && (inner.policy == OverflowPolicy::Reject
+                || (inner.policy == OverflowPolicy::Block && !blocking))
+        {
             return Ok(Admission::Take {
                 shed: 0,
                 take: want,
@@ -1161,18 +1144,15 @@ impl Basket {
     /// row fails before anything is appended and producers never contend
     /// on validation. On a bounded basket the [`OverflowPolicy`] applies.
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.splice(&self.transpose(rows)?, rows.len(), true)
+        self.splice(&self.transpose(rows)?, rows.len(), true, &mut 0)
     }
 
     /// Non-waiting [`Basket::append_rows`]: a full `Block`-policy basket
     /// returns [`DataCellError::Backpressure`] (all-or-nothing) instead of
-    /// blocking the caller — for scheduler-driven producers that defer and
-    /// retry rather than stall the scheduling thread, and for writers
-    /// whose own overflow policy is non-blocking (`Reject`/`ShedOldest`),
-    /// so a racing producer can never strand them in the engine's wait
-    /// loop.
+    /// blocking the caller — for producers that defer and retry rather
+    /// than stall their thread.
     pub fn try_append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.splice(&self.transpose(rows)?, rows.len(), false)
+        self.splice(&self.transpose(rows)?, rows.len(), false, &mut 0)
     }
 
     /// Append a chunk of user columns. Arrival times follow the chunk's
@@ -1181,8 +1161,7 @@ impl Basket {
     /// propagating the original arrival time so emitters can measure true
     /// end-to-end latency).
     pub fn append_chunk(&self, chunk: &Chunk) -> Result<()> {
-        self.check_chunk(chunk)?;
-        self.splice(&chunk.columns, chunk.len(), true)
+        self.append_chunk_landing(chunk, true).1
     }
 
     /// Non-waiting [`Basket::append_chunk`]: a full `Block`-policy basket
@@ -1192,8 +1171,20 @@ impl Basket {
     /// never wedges, and since factories deliver before consuming, the
     /// deferred step retries losslessly.
     pub fn try_append_chunk(&self, chunk: &Chunk) -> Result<()> {
-        self.check_chunk(chunk)?;
-        self.splice(&chunk.columns, chunk.len(), false)
+        self.append_chunk_landing(chunk, false).1
+    }
+
+    /// [`Basket::append_chunk`] (`wait`) or [`Basket::try_append_chunk`]
+    /// for a producer that keeps the rows that did not land: also returns
+    /// how many leading rows of `chunk` left it, appended or shed, on
+    /// error too. A waiting append lands an oversized batch in slices, so
+    /// it can fail with a prefix landed.
+    pub(crate) fn append_chunk_landing(&self, chunk: &Chunk, wait: bool) -> (usize, Result<()>) {
+        let mut landed = 0;
+        let result = self
+            .check_chunk(chunk)
+            .and_then(|()| self.splice(&chunk.columns, chunk.len(), wait, &mut landed));
+        (landed, result)
     }
 
     /// The carry-by-shape rule, for a batch described by `schema`: it is
@@ -1273,21 +1264,22 @@ impl Basket {
     /// dropped for the notification, the spill seal and the durability
     /// wait. Stamping happens under the lock so `ts` is monotone in oid
     /// order across concurrent appenders. `wait` selects blocking
-    /// admission (see [`Basket::admit`]).
-    fn splice(&self, cols: &[Column], total: usize, wait: bool) -> Result<()> {
-        let mut offset = 0;
+    /// admission (see [`Basket::admit`]); `offset` counts the rows that
+    /// have left `cols` (appended or shed), so a caller can tell how much
+    /// of a failed append landed.
+    fn splice(&self, cols: &[Column], total: usize, wait: bool, offset: &mut usize) -> Result<()> {
         let mut counted = false;
-        while offset < total {
+        while *offset < total {
             let mut inner = self.inner.lock();
-            let (shed, take) = match self.admit(&mut inner, total - offset, wait, &mut counted)? {
+            let (shed, take) = match self.admit(&mut inner, total - *offset, wait, &mut counted)? {
                 Admission::Take { shed, take } => (shed, take),
                 Admission::Wait => {
                     self.wait_for_space(inner);
                     continue;
                 }
             };
-            offset += shed;
-            append_range(&mut inner.columns, cols, offset, offset + take)?;
+            *offset += shed;
+            append_range(&mut inner.columns, cols, *offset, *offset + take)?;
             if cols.len() < inner.columns.len() {
                 let Some(Column::Timestamp(ts)) = inner.columns.last_mut() else {
                     unreachable!("the last column is `ts`");
@@ -1298,7 +1290,7 @@ impl Basket {
             let synced = self.log_rows_or_roll_back(&mut inner, take)?;
             self.maybe_checkpoint_wal(&mut inner);
             let spill = self.spill_job(&mut inner);
-            offset += take;
+            *offset += take;
             drop(inner);
             self.notify();
             if let Some(job) = spill {
@@ -1376,30 +1368,6 @@ impl Basket {
     }
 
     // ------------------- positional consumption (§2.6) -----------------
-
-    /// Delete the tuples at `positions` (relative to the current snapshot).
-    /// Used to apply the consumption side effect of basket expressions in
-    /// exclusively-owned baskets (a predicate window deletes a subset).
-    ///
-    /// Positions index the basket *as it is right now*: if tuples may have
-    /// been shed or trimmed since the snapshot the positions were computed
-    /// against, use [`Basket::snapshot_exclusive`] +
-    /// [`Basket::consume_exclusive`] instead — positional consumption after
-    /// a concurrent head-drop would delete shifted, newer tuples.
-    pub fn consume_positions(&self, positions: &Candidates) -> Result<usize> {
-        let removed = {
-            let mut inner = self.inner.lock();
-            // Positions were computed against the full logical contents
-            // (snapshots stitch disk + memory), so materialize the same
-            // view before deleting by position.
-            self.unspill_all(&mut inner);
-            Self::consume_in(&mut inner, positions, 0, Vec::new())?
-        };
-        if removed > 0 {
-            self.notify();
-        }
-        Ok(removed)
-    }
 
     /// Snapshot up to `budget` tuples of the logical head for exclusive
     /// consumption **without** re-materializing the spilled backlog into
@@ -2057,14 +2025,15 @@ mod tests {
     }
 
     #[test]
-    fn consume_positions_removes() {
+    fn exclusive_consume_removes_positions() {
         let b = basket();
         for i in 0..5 {
             b.append_rows(&[vec![Value::Int(i), Value::Float(0.0)]])
                 .unwrap();
         }
+        let (_, anchor) = b.snapshot_exclusive(usize::MAX);
         let n = b
-            .consume_positions(&Candidates::from_positions(vec![0, 2, 4]).unwrap())
+            .consume_exclusive(&anchor, &Candidates::from_positions(vec![0, 2, 4]).unwrap())
             .unwrap();
         assert_eq!(n, 3);
         assert_eq!(b.len(), 2);
@@ -2206,7 +2175,7 @@ mod tests {
     }
 
     #[test]
-    fn shed_oldest_keeps_newest() {
+    fn shed_policy_keeps_newest() {
         let b = bounded(3, OverflowPolicy::ShedOldest);
         let r = b.register_reader(true);
         for i in 0..3 {

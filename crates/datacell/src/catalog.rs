@@ -9,6 +9,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use datacell_bat::candidates::Candidates;
 use datacell_engine::{Catalog, Chunk};
 use datacell_sql::{Schema, SchemaProvider};
 
@@ -118,6 +119,21 @@ impl datacell_engine::DataSource for StepSource<'_> {
             ))),
         }
     }
+}
+
+/// What a plan's consuming scans of `basket` referenced (§2.6), merged:
+/// a self-join of one basket reports it once per scan. `None` when the
+/// plan consumed nothing from it.
+pub(crate) fn consumed_positions<'c>(
+    consumed: &'c [(String, Candidates)],
+    basket: &str,
+) -> Option<Cow<'c, Candidates>> {
+    let mut reports = consumed
+        .iter()
+        .filter(|(name, _)| name == basket)
+        .map(|(_, cands)| cands);
+    let first = reports.next()?;
+    Some(reports.fold(Cow::Borrowed(first), |m, c| Cow::Owned(m.union(c))))
 }
 
 #[cfg(test)]

@@ -198,22 +198,24 @@ impl DataCellBuilder {
         self
     }
 
-    /// Tuple capacity of every basket created through this session
-    /// (`CREATE BASKET` and continuous-query output baskets). The capacity
-    /// lives in the engine: receptors, factories and writers all respect
-    /// it under the configured [`OverflowPolicy`], so backpressure
-    /// propagates end-to-end. Writers additionally use it as their
-    /// flush-time soft cap. A [`Subscription`] that stops polling holds
-    /// its reader's watermark, so the capacity of its query's output
-    /// basket is also what bounds a slow subscriber.
+    /// Default tuple capacity of every basket created through this
+    /// session (`CREATE BASKET` and continuous-query output baskets); a
+    /// `CAPACITY` clause overrides it per basket. The capacity lives in
+    /// the basket alone: writers and factories only append, and the
+    /// basket applies its [`OverflowPolicy`], so backpressure propagates
+    /// end-to-end. A [`Subscription`] that stops polling holds its
+    /// reader's watermark, so the capacity of its query's output basket is
+    /// also what bounds a slow subscriber.
     pub fn basket_capacity(mut self, tuples: usize) -> Self {
         self.basket_capacity = Some(tuples.max(1));
         self
     }
 
-    /// What producers do at capacity (default: [`OverflowPolicy::Block`]):
-    /// block until readers release space, reject the batch, or shed the
-    /// oldest resident tuples.
+    /// Default [`OverflowPolicy`] of every basket created through this
+    /// session (default: [`OverflowPolicy::Block`]); an `OVERFLOW` clause
+    /// overrides it per basket. It says what an append does at capacity:
+    /// wait until readers release space, reject the batch, shed the
+    /// oldest resident tuples, or spill to disk.
     pub fn overflow_policy(mut self, policy: OverflowPolicy) -> Self {
         self.overflow = policy;
         self
@@ -477,7 +479,6 @@ struct WriterStats {
     appended: u64,
     rejected: u64,
     flushes: u64,
-    backpressure_waits: u64,
 }
 
 /// Point-in-time view of a writer's counters.
@@ -489,8 +490,6 @@ pub struct WriterStatsSnapshot {
     pub rejected: u64,
     /// Flushes that reached the basket.
     pub flushes: u64,
-    /// Flushes that hit the capacity limit (blocked or rejected).
-    pub backpressure_waits: u64,
 }
 
 /// A typed, schema-validated, batched ingestion handle for one basket —
@@ -502,9 +501,11 @@ pub struct WriterStatsSnapshot {
 /// on [`append_text`] / [`append_bytes`] — either way straight into typed
 /// column builders ([`text::ChunkBuilder`]) — buffered up to the batch
 /// size, and appended in bulk as one chunk on [`flush`], preserving the
-/// paper's batch-processing advantage on the ingest path. A writer is
-/// independent of the session's lifetime and may be moved to a producer
-/// thread.
+/// paper's batch-processing advantage on the ingest path. Like the
+/// paper's receptor, a writer only appends: what enters the basket, and
+/// what happens at capacity, is the basket's own [`OverflowPolicy`]. A
+/// writer is independent of the session's lifetime and may be moved to a
+/// producer thread.
 ///
 /// [`append`]: StreamWriter::append
 /// [`append_text`]: StreamWriter::append_text
@@ -514,8 +515,6 @@ pub struct StreamWriter {
     basket: Arc<Basket>,
     buf: text::ChunkBuilder,
     batch_size: usize,
-    capacity: Option<usize>,
-    overflow: OverflowPolicy,
     stats: WriterStats,
     metrics: Option<Arc<SessionMetrics>>,
     /// Keeps this writer's entry in the session's writer registry alive.
@@ -535,8 +534,6 @@ impl StreamWriter {
     pub(crate) fn new(
         basket: Arc<Basket>,
         batch_size: usize,
-        capacity: Option<usize>,
-        overflow: OverflowPolicy,
         metrics: Option<Arc<SessionMetrics>>,
         tag: Arc<WriterTag>,
     ) -> Self {
@@ -547,8 +544,6 @@ impl StreamWriter {
             basket,
             buf: text::ChunkBuilder::new(user_schema),
             batch_size: batch_size.max(1),
-            capacity,
-            overflow,
             stats: WriterStats::default(),
             metrics,
             _tag: tag,
@@ -576,7 +571,6 @@ impl StreamWriter {
             appended: self.stats.appended,
             rejected: self.stats.rejected,
             flushes: self.stats.flushes,
-            backpressure_waits: self.stats.backpressure_waits,
         }
     }
 
@@ -621,137 +615,63 @@ impl StreamWriter {
         Ok(())
     }
 
-    /// The smaller of the writer's soft cap and the basket's own capacity
-    /// (`None` = unbounded on both sides).
-    fn effective_capacity(&self) -> Option<usize> {
-        match (self.capacity, self.basket.capacity()) {
-            (Some(w), Some(b)) => Some(w.min(b)),
-            (Some(w), None) => Some(w),
-            (None, b) => b,
-        }
-    }
-
-    /// Room left under [`effective_capacity`], and the resident count it
-    /// was computed from.
-    ///
-    /// [`effective_capacity`]: StreamWriter::effective_capacity
-    fn room(&self) -> (usize, usize) {
-        match self.effective_capacity() {
-            None => (usize::MAX, 0),
-            Some(capacity) => {
-                let resident = self.basket.len();
-                (capacity.saturating_sub(resident), resident)
-            }
-        }
-    }
-
     /// Wait until the target basket changes (a reader released space, the
     /// engine spilled or shed) or `timeout` elapses; returns at once when
-    /// there is room already. For producers that retry a
-    /// [`flush`](StreamWriter::flush) refused with
+    /// the basket would admit the buffer already. Returns whether it
+    /// does. For producers that retry a
+    /// [`try_flush`](StreamWriter::try_flush) refused with
     /// [`DataCellError::Backpressure`] and must stay responsive to their
     /// own stop conditions between slices.
-    pub fn wait_for_room(&self, timeout: Duration) {
+    pub fn wait_for_room(&self, timeout: Duration) -> bool {
         let signal = self.basket.signal();
         // Read the version before checking the room: a release racing the
         // check bumps it, so the wait cannot miss it.
         let seen = signal.version();
-        if self.room().0 == 0 {
-            signal.wait_past(seen, timeout);
+        if self.has_room() {
+            return true;
         }
+        signal.wait_past(seen, timeout);
+        self.has_room()
     }
 
-    /// Append every buffered row to the basket in bulk, applying the
-    /// capacity/overflow policy — the writer's own soft cap *and* the
-    /// basket's engine-level capacity, whichever is tighter. A buffer
-    /// larger than the remaining capacity is flushed in capacity-sized
-    /// chunks, so a batch size above the basket capacity still makes
-    /// progress. Returns the number of rows flushed; on
-    /// [`DataCellError::Backpressure`] the rows already appended are
-    /// removed from the buffer, the rest stay for retry.
-    pub fn flush(&mut self) -> Result<usize> {
-        let mut flushed = 0;
-        let mut waited = false;
-        while !self.buf.is_empty() {
-            let (room, resident) = self.room();
-            if room == 0 {
-                if !waited {
-                    self.stats.backpressure_waits += 1;
-                    waited = true;
-                }
-                match self.overflow {
-                    OverflowPolicy::Reject => {
-                        self.record_flush(flushed);
-                        return Err(DataCellError::Backpressure {
-                            basket: self.basket.name().to_string(),
-                            resident,
-                            capacity: self.effective_capacity().unwrap_or(0),
-                        });
-                    }
-                    // A Spill basket reports no capacity (`room` is never
-                    // 0 through `effective_capacity` unless the writer set
-                    // its own soft cap); treat a soft-cap hit like Block:
-                    // wait for the engine to spill/trim.
-                    OverflowPolicy::Block | OverflowPolicy::Spill { .. } => {
-                        // Re-check after any basket change (or 1ms, so a
-                        // stopped pipeline cannot wedge the writer forever
-                        // without it noticing stop conditions upstream).
-                        self.wait_for_room(Duration::from_millis(1));
-                        continue;
-                    }
-                    OverflowPolicy::ShedOldest => {
-                        // Make room at the head of the stream; the basket
-                        // counts the shed tuples in its stats.
-                        let pending = self.buf.len();
-                        let need = pending.min(self.effective_capacity().unwrap_or(pending));
-                        self.basket.shed_oldest(need.max(1));
-                        continue;
-                    }
-                }
-            }
-            let n = room.min(self.buf.len());
-            let part;
-            let chunk = if n == self.buf.len() {
-                self.buf.chunk()
-            } else {
-                part = self.buf.chunk().head(n)?;
-                &part
-            };
-            // A concurrent producer may still win the race to the last slot:
-            // a Block-policy *writer* then waits inside the append, while
-            // a non-blocking writer (Reject/ShedOldest) uses the
-            // non-waiting path so the race surfaces as Backpressure and is
-            // handled by this loop — never by parking un-cancellably
-            // inside the engine (the wire receptor's stop-aware retry
-            // depends on flush returning).
-            let append = if self.overflow == OverflowPolicy::Block {
-                self.basket.append_chunk(chunk)
-            } else {
-                self.basket.try_append_chunk(chunk)
-            };
-            match append {
-                Ok(()) => {
-                    if n == self.buf.len() {
-                        self.buf.clear();
-                    } else {
-                        self.buf.drop_head(n);
-                    }
-                    flushed += n;
-                }
-                Err(DataCellError::Backpressure { .. })
-                    if self.overflow != OverflowPolicy::Reject =>
-                {
-                    continue;
-                }
-                Err(e) => {
-                    self.record_flush(flushed);
-                    return Err(e);
-                }
-            }
-        }
-        self.record_flush(flushed);
-        Ok(flushed)
+    /// Whether one non-waiting append of the buffer would be admitted.
+    fn has_room(&self) -> bool {
+        let room = self.basket.append_room();
+        room.is_none_or(|room| room.admits(0, self.buf.len()))
     }
+
+    /// Append every buffered row to the basket in bulk, under the basket's
+    /// own [`OverflowPolicy`]: a full `Block` basket makes this wait (an
+    /// oversized buffer lands in slices as room frees up), `Reject`
+    /// returns [`DataCellError::Backpressure`], `ShedOldest` sheds and
+    /// `Spill` admits. Returns the number of rows that left the buffer; on
+    /// any error the rows that landed have left it and the rest stay, so a
+    /// retry never duplicates.
+    pub fn flush(&mut self) -> Result<usize> {
+        self.flush_with(true)
+    }
+
+    /// [`flush`](StreamWriter::flush) that never waits: a full `Block`
+    /// basket returns [`DataCellError::Backpressure`] too, with nothing
+    /// appended (see [`Basket::try_append_chunk`]).
+    pub fn try_flush(&mut self) -> Result<usize> {
+        self.flush_with(false)
+    }
+
+    fn flush_with(&mut self, wait: bool) -> Result<usize> {
+        if self.buf.is_empty() {
+            return Ok(0);
+        }
+        let (landed, result) = self.basket.append_chunk_landing(self.buf.chunk(), wait);
+        if landed == self.buf.len() {
+            self.buf.clear();
+        } else {
+            self.buf.drop_head(landed);
+        }
+        self.record_flush(landed);
+        result.map(|()| landed)
+    }
+
     fn record_flush(&mut self, n: usize) {
         if n == 0 {
             return;
@@ -767,11 +687,17 @@ impl StreamWriter {
 impl Drop for StreamWriter {
     fn drop(&mut self) {
         // Best effort: do not lose buffered rows on drop, but never block
-        // a (possibly panicking) thread on backpressure — flush whatever
-        // fits right now and abandon the rest.
-        if !self.buf.is_empty() {
-            self.overflow = OverflowPolicy::Reject;
-            let _ = self.flush();
+        // a (possibly panicking) thread on backpressure — land what the
+        // basket admits right now (the buffer, or else the prefix that
+        // fits under its capacity) and abandon the rest.
+        if self.try_flush().is_err() {
+            let room = self.basket.append_room();
+            let fits = room.map_or(0, |r| r.capacity.saturating_sub(r.resident));
+            if let Ok(head) = self.buf.chunk().head(fits) {
+                if fits > 0 && self.basket.try_append_chunk(&head).is_ok() {
+                    self.record_flush(head.len());
+                }
+            }
         }
     }
 }

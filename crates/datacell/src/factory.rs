@@ -36,7 +36,6 @@
 //! consumers of one basket are serialized even under the parallel worker
 //! pool — which is all a §2.5 cascade of disjoint predicate windows needs.
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,7 +47,7 @@ use datacell_sql::physical::PhysicalPlan;
 use datacell_sql::Schema;
 
 use crate::basket::{Basket, ExclusiveAnchor, ReaderId};
-use crate::catalog::{StepSource, StreamCatalog};
+use crate::catalog::{consumed_positions, StepSource, StreamCatalog};
 use crate::error::{DataCellError, Result};
 
 /// How a factory reads one of its input baskets.
@@ -396,16 +395,8 @@ impl Factory {
         for ((input, snapshot), cursor) in self.inputs.iter().zip(&snapshots).zip(&cursors) {
             match cursor {
                 Cursor::Exclusive(anchor) => {
-                    // A self-join of one basket reports it once per scan.
-                    let mut reports = outcome
-                        .consumed
-                        .iter()
-                        .filter(|(name, _)| name == input.basket.name())
-                        .map(|(_, cands)| cands);
-                    if let Some(first) = reports.next() {
-                        let merged =
-                            reports.fold(Cow::Borrowed(first), |m, c| Cow::Owned(m.union(c)));
-                        consumed += input.basket.consume_exclusive(anchor, &merged)?;
+                    if let Some(gone) = consumed_positions(&outcome.consumed, input.basket.name()) {
+                        consumed += input.basket.consume_exclusive(anchor, &gone)?;
                     }
                 }
                 Cursor::Shared(r, end) => {
@@ -418,7 +409,8 @@ impl Factory {
         // 5. Control tokens: consume one per control input, then signal
         // downstream stages (the basket is in its post-consumption state).
         for c in &self.control_in {
-            c.consume_positions(&Candidates::Dense(0..1))?;
+            let (_, anchor) = c.snapshot_exclusive(1);
+            c.consume_exclusive(&anchor, &Candidates::Dense(0..1))?;
         }
         for c in &self.control_out {
             c.append_rows(&[vec![Value::Int(1)]])?;

@@ -255,6 +255,9 @@ struct Entry {
     /// Paused transitions are skipped by every pass; their input baskets
     /// keep buffering (the query lifecycle's `pause`/`resume`).
     paused: AtomicBool,
+    /// Set by [`Scheduler::remove_factory`] under [`Shared::firing_keys`]:
+    /// a pass that listed the entry before its removal must not fire it.
+    removed: AtomicBool,
     /// DRR weight (runtime-adjustable via [`Scheduler::set_weight`]).
     weight: AtomicU32,
     /// Completed firings of this transition.
@@ -600,6 +603,7 @@ impl Scheduler {
             firing: AtomicBool::new(false),
             last_fired: Mutex::new(None),
             paused: AtomicBool::new(false),
+            removed: AtomicBool::new(false),
             weight: AtomicU32::new(policy.weight.max(1)),
             firings: AtomicU64::new(0),
             busy_micros: AtomicU64::new(0),
@@ -647,13 +651,32 @@ impl Scheduler {
             .ok_or_else(|| DataCellError::Catalog(format!("unknown factory {name}")))
     }
 
-    /// Deregister a factory by name.
+    /// Deregister a factory by name. Returns once no firing of it is in
+    /// flight, so it consumes nothing appended after the call. The wait
+    /// has no time limit: a firing stalled on a full `Block` control-token
+    /// basket (the one waiting append a firing makes) keeps removal
+    /// waiting until that basket's consumer frees room.
     pub fn remove_factory(&self, name: &str) -> Result<()> {
-        let mut entries = self.shared.entries.lock();
-        let before = entries.len();
-        entries.retain(|e| e.factory.name() != name);
-        if entries.len() == before {
+        let removed: Vec<Arc<Entry>> = {
+            let mut entries = self.shared.entries.lock();
+            let (removed, kept) = entries.drain(..).partition(|e| e.factory.name() == name);
+            *entries = kept;
+            removed
+        };
+        if removed.is_empty() {
             return Err(DataCellError::Catalog(format!("unknown factory {name}")));
+        }
+        let signal = &self.shared.signal;
+        for entry in removed {
+            // Under the firing-key lock, so no firing of it begins after.
+            {
+                let _keys = self.shared.firing_keys.lock();
+                entry.removed.store(true, Ordering::Relaxed);
+            }
+            let mut seen = signal.version();
+            while entry.firing.load(Ordering::Relaxed) {
+                seen = signal.wait_past(seen, Duration::from_millis(1));
+            }
         }
         Ok(())
     }
@@ -702,7 +725,7 @@ impl Scheduler {
     /// held by another in-flight firing.
     fn try_begin_firing(shared: &Shared, entry: &Entry) -> bool {
         let mut keys = shared.firing_keys.lock();
-        if entry.firing.load(Ordering::Relaxed) {
+        if entry.firing.load(Ordering::Relaxed) || entry.removed.load(Ordering::Relaxed) {
             return false;
         }
         if entry.conflicts.iter().any(|k| keys.contains(k)) {
@@ -1471,6 +1494,27 @@ mod tests {
         input.append_rows(&[vec![Value::Int(50)]]).unwrap();
         assert_eq!(sched.run_until_quiescent(10), 0);
         assert_eq!(input.len(), 1);
+    }
+
+    #[test]
+    fn removal_outlasts_in_flight_and_listed_firings() {
+        // A pass lists the entries before it fires them, and a pool worker
+        // may still be running one: removal waits out the firing in flight,
+        // and the listed entry can never begin another.
+        let (catalog, sched) = setup();
+        sched.add_factory(selection_factory(&catalog, "q"));
+        let entry = Arc::clone(&sched.shared.entries.lock()[0]);
+        assert!(Scheduler::try_begin_firing(&sched.shared, &entry));
+        let sched = Arc::new(sched);
+        let remover = {
+            let sched = Arc::clone(&sched);
+            std::thread::spawn(move || sched.remove_factory("q"))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!remover.is_finished(), "removal waits for the firing");
+        Scheduler::end_firing(&sched.shared, &entry);
+        remover.join().unwrap().unwrap();
+        assert!(!Scheduler::try_begin_firing(&sched.shared, &entry));
     }
 
     // ------------------------- parallel execution -------------------------

@@ -28,13 +28,14 @@ use datacell_engine::{execute, execute_traced, Chunk, DataSource};
 use datacell_sql::ast::{BasketOptions, DropKind, OverflowSpec, QueryLifecycle, Statement};
 use datacell_sql::expr::ScalarExpr;
 use datacell_sql::logical::LogicalPlan;
+use datacell_sql::physical::PhysicalPlan;
 use datacell_sql::resolve::{bind_insert_rows, bind_query};
 use datacell_sql::{parser, Schema, SqlError};
 use datacell_storage::{wal, BasketManifest, SegmentStore, WalRecord};
 use parking_lot::{Mutex, RwLock};
 
-use crate::basket::{Basket, Durability, ReaderId, ReaderLease, TS_COLUMN};
-use crate::catalog::StreamCatalog;
+use crate::basket::{Basket, Durability, ExclusiveAnchor, ReaderId, ReaderLease, TS_COLUMN};
+use crate::catalog::{consumed_positions, StreamCatalog};
 use crate::client::{
     DataCellBuilder, FromRow, OverflowPolicy, QueryHandle, StreamWriter, Subscription,
     SubscriptionMode, WriterTag,
@@ -62,15 +63,49 @@ pub enum CellResult {
     Plan(String),
 }
 
-/// Read-only data source over the whole stream catalog (one-time queries).
-struct CatalogSource<'a>(&'a StreamCatalog);
+/// The data source of a one-time query over the whole stream catalog.
+/// The baskets its basket expressions consume are snapshotted exclusively
+/// up front, so [`CatalogSource::consume`] deletes through the snapshots'
+/// anchors (§2.6); any other basket is inspected through a plain snapshot.
+struct CatalogSource<'a> {
+    cat: &'a StreamCatalog,
+    consumed: Vec<(Arc<Basket>, Chunk, ExclusiveAnchor)>,
+}
+
+impl<'a> CatalogSource<'a> {
+    fn new(cat: &'a StreamCatalog, plan: &PhysicalPlan) -> Result<Self> {
+        let consumed = plan
+            .consumed_baskets()
+            .iter()
+            .map(|name| {
+                let basket = cat.basket(name)?;
+                let (chunk, anchor) = basket.snapshot_exclusive(usize::MAX);
+                Ok((basket, chunk, anchor))
+            })
+            .collect::<Result<_>>()?;
+        Ok(CatalogSource { cat, consumed })
+    }
+
+    /// Delete what the query's basket expressions referenced.
+    fn consume(&self, reports: &[(String, Candidates)]) -> Result<()> {
+        for (basket, _, anchor) in &self.consumed {
+            if let Some(gone) = consumed_positions(reports, basket.name()) {
+                basket.consume_exclusive(anchor, &gone)?;
+            }
+        }
+        Ok(())
+    }
+}
 
 impl DataSource for CatalogSource<'_> {
     fn scan(&self, table: &str) -> datacell_bat::error::Result<Cow<'_, Chunk>> {
-        if let Ok(b) = self.0.basket(table) {
+        if let Some((_, chunk, _)) = self.consumed.iter().find(|(b, ..)| b.name() == table) {
+            return Ok(Cow::Borrowed(chunk));
+        }
+        if let Ok(b) = self.cat.basket(table) {
             return Ok(Cow::Owned(b.snapshot()));
         }
-        self.0.tables.scan(table)
+        self.cat.tables.scan(table)
     }
 }
 
@@ -552,12 +587,10 @@ impl DataCell {
                 let bound = bind_query(&q, &*cat)?;
                 let optimized = datacell_sql::optimizer::optimize(bound);
                 let (plan, _) = datacell_sql::physical::plan(optimized)?;
-                let src = CatalogSource(&cat);
+                let src = CatalogSource::new(&cat, &plan)?;
                 let outcome = execute(&plan, &src).map_err(sql_err)?;
                 // One-shot consumption of basket expressions (§2.6).
-                for (basket, cands) in &outcome.consumed {
-                    cat.basket(basket)?.consume_positions(cands)?;
-                }
+                src.consume(&outcome.consumed)?;
                 Ok(CellResult::Rows(outcome.chunk.into_owned()))
             }
             Statement::Drop { kind, name } => match kind {
@@ -639,11 +672,9 @@ impl DataCell {
                 let bound = bind_query(&q, &*cat)?;
                 let optimized = datacell_sql::optimizer::optimize(bound);
                 let (plan, _) = datacell_sql::physical::plan(optimized)?;
-                let src = CatalogSource(&cat);
+                let src = CatalogSource::new(&cat, &plan)?;
                 let (outcome, stats) = execute_traced(&plan, &src).map_err(sql_err)?;
-                for (basket, cands) in &outcome.consumed {
-                    cat.basket(basket)?.consume_positions(cands)?;
-                }
+                src.consume(&outcome.consumed)?;
                 Ok(CellResult::Plan(plan.display_analyzed(&stats)))
             }
             Statement::ShowQueries => self.show_queries(),
@@ -787,26 +818,16 @@ impl DataCell {
     // ---------------- typed client facade ----------------
 
     /// A typed, schema-validated, batched [`StreamWriter`] for the named
-    /// basket, configured with the session defaults (batch size, capacity,
-    /// overflow policy from [`DataCell::builder`]).
+    /// basket, flushing every
+    /// [`writer_batch_size`](crate::DataCellBuilder::writer_batch_size)
+    /// rows. Capacity and overflow are the basket's own.
     pub fn writer(&self, basket: &str) -> Result<StreamWriter> {
-        self.writer_with(
-            basket,
-            self.config.writer_batch,
-            self.config.basket_capacity,
-            self.config.overflow,
-        )
+        self.writer_with(basket, self.config.writer_batch)
     }
 
-    /// A [`StreamWriter`] with explicit batching and capacity, overriding
-    /// the session defaults.
-    pub fn writer_with(
-        &self,
-        basket: &str,
-        batch_size: usize,
-        capacity: Option<usize>,
-        overflow: OverflowPolicy,
-    ) -> Result<StreamWriter> {
+    /// A [`StreamWriter`] that flushes every `batch_size` rows
+    /// (`usize::MAX`: only when told to).
+    pub fn writer_with(&self, basket: &str, batch_size: usize) -> Result<StreamWriter> {
         let b = self.catalog.read().basket(basket)?;
         let seq = self.periphery_seq.fetch_add(1, Ordering::Relaxed);
         let tag = Arc::new(WriterTag {
@@ -821,8 +842,6 @@ impl DataCell {
         Ok(StreamWriter::new(
             b,
             batch_size,
-            capacity,
-            overflow,
             self.config.metrics.clone(),
             tag,
         ))
@@ -1075,7 +1094,8 @@ impl DataCell {
     /// [`Subscription`] ends, and stop its emitters. Equivalent to the SQL
     /// `DROP CONTINUOUS QUERY name`; also detaches factories registered
     /// programmatically via `add_factory` (which have no output basket or
-    /// emitters of their own).
+    /// emitters of their own). Waits out a firing of the query in flight
+    /// (see [`Scheduler::remove_factory`]).
     pub fn drop_query(&self, name: &str) -> Result<()> {
         self.scheduler
             .remove_factory(name)
@@ -1968,6 +1988,10 @@ mod tests {
     use datacell_bat::types::Value;
     use std::time::Duration;
 
+    fn ints(chunk: &Chunk) -> Vec<i64> {
+        chunk.columns[0].as_ints().unwrap().to_vec()
+    }
+
     #[test]
     fn figure1_chain_end_to_end() {
         // The complete R → B1 → Q → B2 → E chain of Figure 1, via SQL and
@@ -1995,9 +2019,7 @@ mod tests {
     fn writer_validates_batches_and_counts() {
         let cell = DataCell::new();
         cell.execute("create basket b (x int, y float)").unwrap();
-        let mut w = cell
-            .writer_with("b", 3, None, OverflowPolicy::Block)
-            .unwrap();
+        let mut w = cell.writer_with("b", 3).unwrap();
         w.append((1i64, 0.5f64)).unwrap();
         w.append(vec![Value::Int(2), Value::Int(3)]).unwrap();
         assert_eq!(w.pending(), 2);
@@ -2028,47 +2050,99 @@ mod tests {
     #[test]
     fn writer_backpressure_rejects_at_capacity() {
         let cell = DataCell::new();
-        cell.execute("create basket b (x int)").unwrap();
-        let mut w = cell
-            .writer_with("b", 1, Some(2), OverflowPolicy::Reject)
+        cell.execute("create basket b (x int) capacity 2 overflow reject")
             .unwrap();
+        let mut w = cell.writer_with("b", 1).unwrap();
         w.append((1i64,)).unwrap();
         w.append((2i64,)).unwrap();
         let err = w.append((3i64,)).unwrap_err();
         assert!(matches!(err, DataCellError::Backpressure { .. }), "{err}");
         assert_eq!(w.pending(), 1, "row stays buffered for retry");
+        let b = cell.basket("b").unwrap();
+        assert_eq!(b.stats().overflow_events, 1, "the basket refused it");
         // Draining the basket unblocks the retry.
-        cell.basket("b").unwrap().clear();
+        b.clear();
         assert_eq!(w.flush().unwrap(), 1);
-        assert_eq!(w.stats().backpressure_waits, 1);
+        assert_eq!(w.stats().appended, 3);
     }
 
     #[test]
     fn writer_flushes_oversized_buffer_in_capacity_chunks() {
-        // Buffer (5 rows) larger than the basket capacity (2): flush must
-        // make progress chunk by chunk instead of wedging or failing
-        // without appending anything.
+        // A buffer (5 rows) larger than the basket's capacity (2), with one
+        // row already resident. Under Block the flush lands capacity
+        // slices, waiting for room between them, so the basket never holds
+        // more than its capacity.
         let cell = DataCell::new();
-        cell.execute("create basket b (x int)").unwrap();
-        let mut w = cell
-            .writer_with("b", 100, Some(2), OverflowPolicy::Reject)
+        cell.execute("create basket b (x int) capacity 2 overflow block")
             .unwrap();
+        let b = cell.basket("b").unwrap();
+        b.append_rows(&[vec![Value::Int(-1)]]).unwrap();
+        let mut w = cell.writer_with("b", 100).unwrap();
         for i in 0..5i64 {
             w.append((i,)).unwrap();
         }
-        assert_eq!(w.pending(), 5);
+        let flusher = std::thread::spawn(move || (w.flush(), w.stats()));
+        let signal = b.signal();
+        let mut slices = Vec::new();
+        for slice in 0..3 {
+            let mut seen = signal.version();
+            while b.len() < 2 {
+                seen = signal.wait_past(seen, Duration::from_millis(100));
+            }
+            let held = ints(&b.snapshot());
+            assert_eq!(held.len(), 2, "never more than the capacity");
+            if slice == 0 {
+                assert!(!flusher.is_finished(), "the rest waits for room");
+            }
+            slices.push(held);
+            // Draining the basket lets the next slice through.
+            b.clear();
+        }
+        let (flushed, stats) = flusher.join().unwrap();
+        assert_eq!(flushed.unwrap(), 5);
+        assert_eq!(stats.appended, 5);
+        assert_eq!(slices, vec![vec![-1, 0], vec![1, 2], vec![3, 4]]);
+        assert!(b.stats().overflow_events > 0);
+
+        // Under Reject an oversized buffer is refused whole until the
+        // basket is empty, which admits it whole.
+        cell.execute("create basket r (x int) capacity 2 overflow reject")
+            .unwrap();
+        let r = cell.basket("r").unwrap();
+        r.append_rows(&[vec![Value::Int(-1)]]).unwrap();
+        let mut w = cell.writer_with("r", 100).unwrap();
+        for i in 0..5i64 {
+            w.append((i,)).unwrap();
+        }
         let err = w.flush().unwrap_err();
         assert!(matches!(err, DataCellError::Backpressure { .. }), "{err}");
-        assert_eq!(cell.basket("b").unwrap().len(), 2, "first chunk landed");
-        assert_eq!(w.pending(), 3, "appended prefix left the buffer");
-        assert_eq!(w.stats().appended, 2);
-        // Draining the basket lets the rest through (again chunked).
-        cell.basket("b").unwrap().clear();
-        assert!(w.flush().is_err(), "3 rows still exceed capacity 2");
-        cell.basket("b").unwrap().clear();
-        assert_eq!(w.flush().unwrap(), 1);
-        assert_eq!(w.stats().appended, 5);
+        assert_eq!(w.pending(), 5, "nothing of a refused batch landed");
+        assert_eq!(r.len(), 1);
+        r.clear();
+        assert_eq!(w.flush().unwrap(), 5);
+        assert_eq!(ints(&r.snapshot()), vec![0, 1, 2, 3, 4]);
         assert_eq!(w.pending(), 0);
+    }
+
+    #[test]
+    fn dropped_writer_lands_the_prefix_that_fits() {
+        // Dropping a writer never waits: it lands what the basket admits
+        // right now and abandons the rest, under either policy.
+        let cell = DataCell::new();
+        for policy in ["block", "reject"] {
+            cell.execute(&format!(
+                "create basket b_{policy} (x int) capacity 3 overflow {policy}"
+            ))
+            .unwrap();
+            let b = cell.basket(&format!("b_{policy}")).unwrap();
+            b.append_rows(&[vec![Value::Int(-1)]]).unwrap();
+            let mut w = cell.writer_with(&format!("b_{policy}"), 100).unwrap();
+            for i in 0..5i64 {
+                w.append((i,)).unwrap();
+            }
+            drop(w);
+            assert_eq!(ints(&b.snapshot()), vec![-1, 0, 1], "{policy}");
+        }
     }
 
     #[test]

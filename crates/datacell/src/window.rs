@@ -36,6 +36,7 @@ use datacell_bat::aggregate::{Accumulator, AggFunc};
 use datacell_bat::candidates::Candidates;
 use datacell_bat::types::{DataType, Value};
 use datacell_engine::Catalog;
+use datacell_sql::ast::WindowSpec;
 use datacell_sql::Schema;
 use parking_lot::Mutex;
 
@@ -43,45 +44,6 @@ use crate::basket::{Basket, ReaderId, Signal};
 use crate::error::{DataCellError, Result};
 use crate::factory::StepOutcome;
 use crate::scheduler::Transition;
-
-/// Window shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowSpec {
-    /// Count-based sliding window: `size` tuples, advancing by `slide`.
-    /// `slide == size` gives a tumbling window.
-    Count {
-        /// Window size in tuples.
-        size: usize,
-        /// Slide in tuples.
-        slide: usize,
-    },
-    /// Time-based sliding window over the `ts` column, in microseconds.
-    Time {
-        /// Window span in µs.
-        size_micros: i64,
-        /// Slide in µs.
-        slide_micros: i64,
-    },
-}
-
-impl WindowSpec {
-    fn validate(&self) -> Result<()> {
-        let ok = match *self {
-            WindowSpec::Count { size, slide } => size > 0 && slide > 0 && slide <= size,
-            WindowSpec::Time {
-                size_micros,
-                slide_micros,
-            } => size_micros > 0 && slide_micros > 0 && slide_micros <= size_micros,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(DataCellError::Wiring(format!(
-                "invalid window spec {self:?}: size and slide must be positive, slide <= size"
-            )))
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Incremental (basic windows)
@@ -142,7 +104,12 @@ impl BasicWindowAgg {
         slide: usize,
         output: Arc<Basket>,
     ) -> Result<BasicWindowAgg> {
-        WindowSpec::Count { size, slide }.validate()?;
+        WindowSpec::Count {
+            size: size as u64,
+            slide: slide as u64,
+        }
+        .validate()
+        .map_err(DataCellError::Wiring)?;
         if !size.is_multiple_of(slide) {
             return Err(DataCellError::Wiring(format!(
                 "basic-window model requires size % slide == 0, got {size} % {slide}"

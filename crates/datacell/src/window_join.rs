@@ -52,6 +52,7 @@ use std::sync::Arc;
 
 use datacell_bat::candidates::Candidates;
 use datacell_engine::{execute, Catalog, Chunk};
+use datacell_sql::ast::WindowSpec;
 use datacell_sql::physical::PhysicalPlan;
 use parking_lot::Mutex;
 
@@ -60,7 +61,6 @@ use crate::catalog::StepSource;
 use crate::error::{DataCellError, Result};
 use crate::factory::{FactoryOutput, StepOutcome};
 use crate::scheduler::Transition;
-use crate::window::WindowSpec;
 
 /// One input stream of the join: its basket, the transition's reader
 /// cursor on it, and the source's own window spec.
@@ -121,24 +121,6 @@ pub struct WindowJoin {
     detached: AtomicBool,
 }
 
-fn to_runtime_spec(w: &datacell_sql::ast::WindowSpec) -> Result<WindowSpec> {
-    Ok(match *w {
-        datacell_sql::ast::WindowSpec::Count { size, slide } => WindowSpec::Count {
-            size: usize::try_from(size)
-                .map_err(|_| DataCellError::Wiring(format!("window size {size} too large")))?,
-            slide: usize::try_from(slide)
-                .map_err(|_| DataCellError::Wiring(format!("window slide {slide} too large")))?,
-        },
-        datacell_sql::ast::WindowSpec::Time {
-            size_micros,
-            slide_micros,
-        } => WindowSpec::Time {
-            size_micros,
-            slide_micros,
-        },
-    })
-}
-
 impl WindowJoin {
     /// Wire a compiled plan whose scans carry window clauses to its input
     /// baskets. Every consumed basket must be windowed (mixing `[RANGE ..]`
@@ -179,8 +161,8 @@ impl WindowJoin {
         let mut resolved = Vec::with_capacity(windowed.len());
         for (basket_name, spec) in &windowed {
             let basket = catalog.basket(basket_name)?;
-            let spec = to_runtime_spec(spec)?;
-            resolved.push((basket, spec));
+            spec.validate().map_err(DataCellError::Wiring)?;
+            resolved.push((basket, *spec));
         }
         let mut sides = Vec::with_capacity(resolved.len());
         let mut states = Vec::with_capacity(resolved.len());
@@ -281,7 +263,7 @@ impl WindowJoin {
     /// Is window `k` complete on side `i` given its buffered state?
     fn complete(side: &Side, st: &SideState, anchor: Option<i64>, k: u64) -> bool {
         match side.spec {
-            WindowSpec::Count { size, slide } => st.arrived >= k * slide as u64 + size as u64,
+            WindowSpec::Count { size, slide } => st.arrived >= k * slide + size,
             WindowSpec::Time {
                 size_micros,
                 slide_micros,
@@ -296,7 +278,7 @@ impl WindowJoin {
     /// (A time side without an anchor has never buffered one.)
     fn reaches(side: &Side, st: &SideState, anchor: Option<i64>, k: u64) -> Result<bool> {
         Ok(match side.spec {
-            WindowSpec::Count { slide, .. } => st.arrived > st.evicted.max(k * slide as u64),
+            WindowSpec::Count { slide, .. } => st.arrived > st.evicted.max(k * slide),
             WindowSpec::Time { slide_micros, .. } => match anchor {
                 Some(t0) => {
                     let start = t0 + k as i64 * slide_micros;
@@ -315,8 +297,8 @@ impl WindowJoin {
     fn window_chunk(side: &Side, st: &SideState, anchor: Option<i64>, k: u64) -> Result<Chunk> {
         match side.spec {
             WindowSpec::Count { size, slide } => {
-                let abs_lo = k * slide as u64;
-                let abs_hi = abs_lo + size as u64;
+                let abs_lo = k * slide;
+                let abs_hi = abs_lo + size;
                 let lo = abs_lo.saturating_sub(st.evicted) as usize;
                 let hi = (abs_hi.saturating_sub(st.evicted) as usize).min(st.buffer.len());
                 if lo >= hi {
@@ -353,7 +335,7 @@ impl WindowJoin {
     fn evict(side: &Side, st: &mut SideState, anchor: Option<i64>, k: u64) -> Result<()> {
         match side.spec {
             WindowSpec::Count { slide, .. } => {
-                let target = k * slide as u64;
+                let target = k * slide;
                 if target > st.evicted {
                     let drop = ((target - st.evicted) as usize).min(st.buffer.len());
                     for c in &mut st.buffer.columns {

@@ -22,10 +22,10 @@
 //!   boundary (malformed bytes produce `ERR` replies, never panics);
 //! * a [`NetReceptor`] decodes lines in place from its read buffer into
 //!   the column builders of a batched writer and appends into the
-//!   engine's bounded baskets through the session's
+//!   engine's bounded baskets under each basket's own
 //!   [`OverflowPolicy`](datacell::OverflowPolicy), so a full pipeline
-//!   stalls the socket (TCP backpressure) or sheds, it never buffers
-//!   unboundedly;
+//!   stalls the socket (TCP backpressure), sheds or spills, it never
+//!   buffers unboundedly;
 //! * a [`NetSink`] is the subscription's engine-side emitter writing to
 //!   the socket itself: a slow TCP client fills its kernel buffer and the
 //!   emitter stalls holding its claim, so the slowness backpressures the

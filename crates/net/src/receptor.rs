@@ -2,21 +2,25 @@
 //!
 //! A receptor (§2.1) for one socket: it decodes newline-delimited tuple
 //! lines in place from its socket read buffer, straight into the typed
-//! column builders of a batched [`StreamWriter`]
-//! ([`StreamWriter::append_bytes`], the [`datacell::text`] decoder), and
-//! appends into the engine under the basket's
-//! [`OverflowPolicy`](datacell::OverflowPolicy). The writer is the
-//! engine's one ingest path, so the connection shows in the session's
-//! Petri net as a receptor while it streams. Only a line that
+//! column builders of a [`StreamWriter`] ([`StreamWriter::append_bytes`],
+//! the [`datacell::text`] decoder), and appends them to the basket in
+//! batches — 512 lines, or a refusing basket's capacity if smaller — and
+//! at `SYNC`, `QUIT` and end of stream. The
+//! writer is the engine's one ingest path, so the connection shows in the
+//! session's Petri net as a receptor while it streams. Only a line that
 //! straddles the edge of the read buffer is ever copied. The decoder is
 //! the trust boundary: any malformed line produces an `ERR decode` reply
 //! and a counter tick — never a panic, never a dropped connection.
 //!
-//! **Backpressure.** The receptor never buffers unboundedly: when the
-//! target basket is full under `Block`/`Reject` it simply stops reading
-//! the socket until space frees (the client's TCP send buffer fills and
-//! the client stalls — backpressure end-to-end over the wire); under
-//! `ShedOldest` the engine sheds and ingest keeps flowing.
+//! **Backpressure.** The receptor only appends; the basket's own
+//! [`OverflowPolicy`](datacell::OverflowPolicy) decides what enters. Its
+//! appends never wait inside the engine
+//! ([`StreamWriter::try_flush`]): a `Block` or `Reject` basket too full
+//! for the batch refuses it, and the receptor stops reading the socket
+//! until space frees, re-checking the server's stop flag between waits
+//! (the client's TCP send buffer fills and the client stalls —
+//! backpressure end-to-end over the wire). A `ShedOldest` basket sheds
+//! and a `Spill` basket spills, so ingest keeps flowing.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -166,6 +170,8 @@ pub struct NetReceptor {
 struct Ingest {
     replies: TcpStream,
     writer: StreamWriter,
+    /// Lines buffered before a bulk append.
+    batch: usize,
     stats: Arc<ConnStats>,
     stop: Arc<AtomicBool>,
     /// Lines accepted and rejected since the connection's counters were
@@ -187,6 +193,7 @@ impl NetReceptor {
         lines: LineReader,
         replies: TcpStream,
         writer: StreamWriter,
+        batch: usize,
         stats: Arc<ConnStats>,
         stop: Arc<AtomicBool>,
     ) -> Self {
@@ -195,6 +202,7 @@ impl NetReceptor {
             ingest: Ingest {
                 replies,
                 writer,
+                batch,
                 stats,
                 stop,
                 accepted: 0,
@@ -262,13 +270,12 @@ impl Ingest {
                 return true;
             }
             LineKind::Tuple => match self.writer.append_bytes(line) {
-                Ok(()) => self.accepted += 1,
-                Err(DataCellError::Backpressure { .. }) => {
-                    // The line was accepted and buffered; the auto-flush
-                    // hit a full basket. Apply the backpressure here and
-                    // now: stop reading the socket until the flush lands.
+                Ok(()) => {
                     self.accepted += 1;
-                    self.flush_blocking();
+                    if self.writer.pending() >= self.batch {
+                        // Stop reading the socket until the batch lands.
+                        self.flush_blocking();
+                    }
                 }
                 Err(DataCellError::Decode(msg)) => {
                     self.rejected += 1;
@@ -297,23 +304,26 @@ impl Ingest {
         }
     }
 
-    /// Retry [`StreamWriter::flush`] until it lands, waiting out
-    /// backpressure on the basket's change signal in stop-aware slices.
-    /// Lossless for `Block`/`Reject` baskets while the engine runs;
-    /// `ShedOldest` baskets shed inside the engine and return immediately.
-    /// On server stop the retry gives up (rows that cannot land in a
+    /// Retry [`StreamWriter::try_flush`] until it lands, waiting out
+    /// backpressure on the basket's change signal in stop-aware slices —
+    /// and retrying only once the basket has room, so a stalled batch
+    /// counts as one overflow event. Lossless for `Block`/`Reject` baskets
+    /// while the engine runs; `ShedOldest` and `Spill` baskets admit at
+    /// once. On server stop the retry gives up (rows that cannot land in a
     /// stalled, stopping pipeline are dropped — the shutdown is never held
     /// hostage).
     fn flush_blocking(&mut self) {
         loop {
-            match self.writer.flush() {
+            match self.writer.try_flush() {
                 Ok(_) => return,
-                Err(DataCellError::Backpressure { .. }) => {
+                Err(DataCellError::Backpressure { .. }) => loop {
                     if self.stop.load(Ordering::Relaxed) {
                         return;
                     }
-                    self.writer.wait_for_room(BACKPRESSURE_SLICE);
-                }
+                    if self.writer.wait_for_room(BACKPRESSURE_SLICE) {
+                        break;
+                    }
+                },
                 Err(e) => {
                     self.reply(&protocol::err_line("internal", &e.to_string()));
                     return;

@@ -20,7 +20,7 @@ use datacell::error::{DataCellError, Result};
 use datacell::metrics::{
     NetConnectionKind, NetConnectionMetrics, NetMetricsSnapshot, NetMetricsSource,
 };
-use datacell::{CellResult, DataCell, EventKind, OverflowPolicy, SubscriptionMode};
+use datacell::{CellResult, DataCell, EventKind, SubscriptionMode};
 use datacell_sql::ColumnDef;
 use parking_lot::Mutex;
 
@@ -442,27 +442,8 @@ fn serve_stream(
     stats: Arc<ConnStats>,
     basket: &str,
 ) {
-    // The receptor must stay stop-responsive, so its writer never blocks
-    // inside the engine: `ShedOldest` baskets shed and `Spill` baskets
-    // move their head to disk (ingest keeps flowing either way — the
-    // engine admits everything), while `Block`/`Reject` surface
-    // `Backpressure` that the receptor waits out in stop-aware slices —
-    // which is what stalls the socket end-to-end.
-    let policy = match state.cell.basket(basket) {
-        Ok(b) => match b.overflow_policy() {
-            OverflowPolicy::ShedOldest | OverflowPolicy::Spill { .. } => OverflowPolicy::ShedOldest,
-            OverflowPolicy::Block | OverflowPolicy::Reject => OverflowPolicy::Reject,
-        },
-        Err(e) => {
-            let _ = writeln!(
-                replies,
-                "{}",
-                protocol::err_line("unknown-basket", &e.to_string())
-            );
-            return;
-        }
-    };
-    let writer = match state.cell.writer_with(basket, INGEST_BATCH, None, policy) {
+    // The receptor flushes its writer itself, a batch at a time.
+    let writer = match state.cell.writer_with(basket, usize::MAX) {
         Ok(w) => w,
         Err(e) => {
             let _ = writeln!(
@@ -478,8 +459,17 @@ fn serve_stream(
         return;
     }
     *stats.desc.lock() = (NetConnectionKind::Ingest, basket.to_string());
+    // A `Block`/`Reject` basket takes a batch larger than its capacity
+    // only once empty, which would stall ingest until every reader has
+    // drained it; smaller batches keep the socket flowing meanwhile.
+    let batch = state
+        .cell
+        .basket(basket)
+        .ok()
+        .and_then(|b| b.append_room())
+        .map_or(INGEST_BATCH, |room| room.capacity.min(INGEST_BATCH));
     let stop = Arc::clone(&state.stop);
-    NetReceptor::new(lines, replies, writer, stats, stop).run();
+    NetReceptor::new(lines, replies, writer, batch, stats, stop).run();
 }
 
 /// Attach a [`NetSink`] for `SUBSCRIBE <query>` to the query's output,

@@ -3,7 +3,9 @@
 //! capacity with the three overflow policies, and end-to-end backpressure
 //! (writer blocks → consumer advances → producer resumes).
 
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use datacell::basket::{Basket, OverflowPolicy};
@@ -18,6 +20,29 @@ fn wait_for_len(basket: &Basket, n: usize) {
     while basket.len() < n {
         seen = signal.wait_past(seen, Duration::from_millis(100));
     }
+}
+
+/// Run `work` on its own thread; the receiver hears when it ends, by
+/// return or by panic.
+fn spawn_watched<T: Send + 'static>(
+    work: impl FnOnce() -> T + Send + 'static,
+) -> (JoinHandle<T>, Receiver<()>) {
+    let (tx, rx) = mpsc::channel::<()>();
+    let handle = std::thread::spawn(move || {
+        let _ends = tx;
+        work()
+    });
+    (handle, rx)
+}
+
+/// Wait up to `timeout` for a watched thread's result; `None` while it
+/// still runs (it is then left behind), so a writer that hangs fails the
+/// test instead of hanging it.
+fn join_within<T>((handle, ended): (JoinHandle<T>, Receiver<()>), timeout: Duration) -> Option<T> {
+    if let Err(RecvTimeoutError::Timeout) = ended.recv_timeout(timeout) {
+        return None;
+    }
+    Some(handle.join().expect("the watched thread panicked"))
 }
 
 /// Append `values` to basket `b` and run the scheduler to quiescence.
@@ -121,9 +146,7 @@ fn capacity_block_receptor_stalls_and_resumes_without_loss() {
         .unwrap();
     let sub = q.subscribe::<(i64,)>().unwrap();
 
-    let mut w = cell
-        .writer_with("b", 16, None, OverflowPolicy::Block)
-        .unwrap();
+    let mut w = cell.writer_with("b", 16).unwrap();
     let producer = std::thread::spawn(move || {
         for i in 0..200i64 {
             w.append((i,)).unwrap();
@@ -144,7 +167,8 @@ fn capacity_block_receptor_stalls_and_resumes_without_loss() {
     let values: Vec<i64> = rows.iter().map(|r| r.0).collect();
     assert_eq!(values, (0..200).collect::<Vec<_>>(), "order preserved");
     assert_eq!(stats.appended, 200);
-    assert!(stats.backpressure_waits > 0, "capacity was actually hit");
+    let overflows = cell.basket("b").unwrap().stats().overflow_events;
+    assert!(overflows > 0, "capacity was actually hit");
 }
 
 #[test]
@@ -194,19 +218,22 @@ fn blocked_writer_unblocks_after_consumer_advances() {
             w.append((i,)).unwrap();
         }
         w.flush().unwrap();
-        w.stats().backpressure_waits
     });
 
     // Once the writer has filled the 2-tuple basket it must block: nothing
     // consumes until the scheduler starts.
-    wait_for_len(&cell.basket("b").unwrap(), 2);
+    let b = cell.basket("b").unwrap();
+    wait_for_len(&b, 2);
     assert!(!writer.is_finished(), "writer must be blocked at capacity");
     cell.start();
     let rows = sub.collect_n(20, Duration::from_secs(10)).unwrap();
-    let waits = writer.join().unwrap();
+    writer.join().unwrap();
     cell.stop();
     assert_eq!(rows.len(), 20, "round trip completed without loss");
-    assert!(waits > 0, "the flush observed backpressure");
+    assert!(
+        b.stats().overflow_events > 0,
+        "the flush stalled at capacity"
+    );
 }
 
 #[test]
@@ -223,17 +250,97 @@ fn reject_policy_surfaces_backpressure_to_the_writer() {
     }
     w.append((3i64,)).unwrap_err();
     assert_eq!(w.pending(), 1, "rejected row stays buffered for retry");
+    // The refusal is the basket's, so the session counts it.
+    assert_eq!(cell.metrics().overflow_events, 1);
     // A consumer draining the basket lets the retry through.
     cell.basket("b").unwrap().clear();
     assert_eq!(w.flush().unwrap(), 1);
-    assert!(w.stats().backpressure_waits > 0);
-    // The engine-level counter fires when a producer bypasses the writer's
-    // pre-check and hits the basket directly.
-    cell.basket("b")
-        .unwrap()
-        .append_rows(&(0..5).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>())
-        .unwrap_err();
-    assert!(cell.metrics().overflow_events > 0);
+    assert_eq!(w.stats().appended, 4);
+}
+
+#[test]
+fn writer_obeys_the_baskets_own_overflow_clause() {
+    // A basket's OVERFLOW clause, not the session default, decides what a
+    // writer's flush does at capacity.
+    let cell = DataCell::new(); // session default: Block
+    cell.execute("create basket shed (x int) capacity 4 overflow shed")
+        .unwrap();
+    cell.execute("create basket rej (x int) capacity 4 overflow reject")
+        .unwrap();
+
+    let mut w = cell.writer("shed").unwrap();
+    let writer = spawn_watched(move || {
+        for i in 0..100i64 {
+            w.append((i,)).unwrap();
+        }
+        w.flush().unwrap();
+        w.stats()
+    });
+    let stats =
+        join_within(writer, Duration::from_secs(3)).expect("a SHED basket never blocks its writer");
+    assert_eq!(stats.appended, 100);
+    let shed = cell.basket("shed").unwrap();
+    assert_eq!(
+        shed.snapshot().columns[0].as_ints().unwrap(),
+        &[96, 97, 98, 99],
+        "the newest tuples survive"
+    );
+    assert_eq!(shed.stats().shed, 96);
+
+    let rej = cell.basket("rej").unwrap();
+    let mut w = cell.writer("rej").unwrap();
+    let writer = spawn_watched(move || {
+        for i in 0..4i64 {
+            w.append((i,)).unwrap();
+        }
+        let first = w.flush();
+        w.append((4i64,)).unwrap();
+        let second = w.flush();
+        (first, second, w.pending(), rej.stats().overflow_events)
+    });
+    let (first, second, pending, overflows) = join_within(writer, Duration::from_secs(3))
+        .expect("a REJECT basket never blocks its writer");
+    assert_eq!(first.unwrap(), 4);
+    assert!(
+        matches!(second, Err(DataCellError::Backpressure { .. })),
+        "{second:?}"
+    );
+    assert_eq!(pending, 1, "the refused row stays buffered");
+    assert_eq!(overflows, 1, "the refusal is the basket's");
+
+    // A BLOCK clause under a Reject session: the flush waits for room.
+    let cell = DataCell::builder()
+        .overflow_policy(OverflowPolicy::Reject)
+        .writer_batch_size(4)
+        .build();
+    cell.execute("create basket blk (x int) capacity 4 overflow block")
+        .unwrap();
+    let blk = cell.basket("blk").unwrap();
+    let mut w = cell.writer("blk").unwrap();
+    let writer = spawn_watched(move || {
+        for i in 0..8i64 {
+            w.append((i,))?;
+        }
+        w.flush()
+    });
+    wait_for_len(&blk, 4);
+    assert!(
+        matches!(
+            writer.1.recv_timeout(Duration::from_millis(200)),
+            Err(RecvTimeoutError::Timeout)
+        ),
+        "the second batch waits for room"
+    );
+    assert_eq!(blk.len(), 4);
+    blk.clear();
+    let flushed = join_within(writer, Duration::from_secs(3)).expect("room frees the writer");
+    assert_eq!(
+        flushed.unwrap(),
+        0,
+        "the blocked batch landed in its auto-flush"
+    );
+    assert_eq!(blk.snapshot().columns[0].as_ints().unwrap(), &[4, 5, 6, 7]);
+    assert!(blk.stats().overflow_events > 0, "the stall is counted");
 }
 
 #[test]

@@ -175,6 +175,76 @@ fn read_only_select_keeps_spill_residency() {
 }
 
 #[test]
+fn one_time_basket_expression_keeps_spill_residency() {
+    // A one-time SELECT over a basket expression deletes the rows it
+    // referenced and nothing more: the disk tier stays on disk (a
+    // partially consumed segment is re-sealed in place) and the memory
+    // tail stays within the `mem_rows` budget.
+    let dir = TempDir::new("spill-one-time");
+    let cell = DataCell::builder().data_dir(dir.path()).build();
+    cell.execute("create basket b (x int) overflow spill 10")
+        .unwrap();
+    let b = cell.basket("b").unwrap();
+    push_ints(&b, 0..100);
+    let segment_files = || std::fs::read_dir(dir.path().join("b")).unwrap().count();
+    let (resident, spilled, files) = (b.resident_len(), b.spilled_len(), segment_files());
+    assert!(spilled > 0 && resident <= 10);
+    let taken = cell
+        .query("select s.x from [select * from b where b.x < 3 or b.x >= 98] as s")
+        .unwrap();
+    assert_eq!(ints_of(&taken), vec![0, 1, 2, 98, 99]);
+    assert_eq!(b.len(), 95);
+    assert_eq!(
+        b.resident_len(),
+        resident - 2,
+        "only the consumed rows left memory"
+    );
+    assert_eq!(
+        b.spilled_len(),
+        spilled - 3,
+        "only the consumed rows left disk"
+    );
+    assert_eq!(segment_files(), files, "the segment was re-sealed in place");
+    let rest = cell.query("select b.x from b").unwrap();
+    assert_eq!(ints_of(&rest), (3..98).collect::<Vec<i64>>());
+}
+
+#[test]
+fn writer_never_stalls_on_a_spill_basket() {
+    // A session capacity does not bound a Spill basket: its writer is
+    // admitted at once and the backlog beyond `mem_rows` goes to disk,
+    // with no consumer running.
+    let dir = TempDir::new("spill-writer");
+    let cell = DataCell::builder()
+        .data_dir(dir.path())
+        .basket_capacity(100)
+        .overflow_policy(OverflowPolicy::Spill { mem_rows: 100 })
+        .build();
+    cell.execute("create basket s (x int)").unwrap();
+    let mut w = cell.writer("s").unwrap();
+    let (tx, ended) = std::sync::mpsc::channel::<()>();
+    let writer = std::thread::spawn(move || {
+        let _ends = tx;
+        for i in 0..1000i64 {
+            w.append((i,)).unwrap();
+        }
+        w.flush().unwrap();
+        w.stats().appended
+    });
+    // Timeout, not hang: a stalled writer is left behind.
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+        ended.recv_timeout(Duration::from_secs(3))
+    {
+        panic!("the writer stalled on a Spill basket");
+    }
+    assert_eq!(writer.join().unwrap(), 1000);
+    let s = cell.basket("s").unwrap();
+    assert_eq!(s.len(), 1000, "every row landed");
+    assert!(s.spilled_len() > 0, "the backlog spilled");
+    assert!(s.resident_len() <= 100);
+}
+
+#[test]
 fn slow_disk_seal_blocks_only_the_sealing_appender() {
     // Regression: the spill seal (segment encode + fsync) used to run
     // under the basket lock, so a slow disk stalled every producer and
