@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the DataCell streaming layer: basket
 //! traffic, factory steps at varying batch sizes (the statistical backing
-//! for `exp1_batch`), window evaluation (backing `exp5_windows`), and the
-//! wire text format in columns against the row-at-a-time adapters.
+//! for `exp1_batch`), window evaluation (backing `exp5_windows`), the
+//! wire text format in columns against the row-at-a-time adapters, and the
+//! WAL's record framing and CRC.
 
 use std::sync::Arc;
 
@@ -11,13 +12,17 @@ use datacell::factory::{Factory, FactoryOutput};
 use datacell::scheduler::Transition;
 use datacell::text::{parse_tuple, render_chunk_into, render_row, ChunkBuilder};
 use datacell::window::BasicWindowAgg;
-use datacell::DataCell;
+use datacell::{Chunk, DataCell};
 use datacell_baseline::{Query, Selection, TupleEngine};
 use datacell_bat::aggregate::AggFunc;
+use datacell_bat::column::Column;
 use datacell_bat::types::Value;
 use datacell_bat::DataType;
 use datacell_bench::int_stream;
 use datacell_sql::Schema;
+use datacell_storage::crc::crc32;
+use datacell_storage::testutil::TempDir;
+use datacell_storage::wal::{Wal, WAL_FILE};
 
 fn bench_basket(c: &mut Criterion) {
     let mut cat = StreamCatalog::new();
@@ -239,9 +244,38 @@ fn bench_text(c: &mut Criterion) {
     g.finish();
 }
 
+/// Log size at which the WAL benchmark truncates its log to one record.
+const WAL_KEEP_BYTES: u64 = 64 << 20;
+
+fn bench_wal(c: &mut Criterion) {
+    let schema = Schema::new((0..4).map(|i| (format!("c{i}"), DataType::Int)).collect());
+    let columns = (0..4)
+        .map(|c| Column::from_ints((0..1024).map(|r| r * 4 + c).collect()))
+        .collect();
+    let chunk = Chunk::new(schema, columns).unwrap();
+    let empty = Chunk::empty(chunk.schema.clone());
+    let dir = TempDir::new("bench-wal");
+    let wal = Wal::open(&dir.path().join(WAL_FILE)).unwrap();
+    let mut g = c.benchmark_group("streaming/wal");
+    g.throughput(Throughput::Elements(chunk.len() as u64));
+    g.bench_function("append_rows_1024x4_int", |b| {
+        b.iter(|| {
+            if wal.bytes_written() > WAL_KEEP_BYTES {
+                wal.checkpoint(0, 0, 0, &empty).unwrap();
+            }
+            wal.append_rows(&chunk).unwrap()
+        })
+    });
+    let bytes: Vec<u8> = (0..32u32 << 10).map(|i| (i * 31 % 251) as u8).collect();
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("crc32_32k", |b| b.iter(|| crc32(&bytes)));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_text,
+    bench_wal,
     bench_basket,
     bench_factory_batches,
     bench_baseline_per_tuple,

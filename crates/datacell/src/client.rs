@@ -30,7 +30,7 @@ use datacell_engine::Chunk;
 use datacell_sql::Schema;
 use parking_lot::Mutex;
 
-use crate::basket::Basket;
+use crate::basket::{AppendRoom, Basket};
 use crate::emitter::{settle, DeliveryMeter, Subscriber};
 use crate::error::{DataCellError, Result};
 use crate::metrics::SessionMetrics;
@@ -636,8 +636,17 @@ impl StreamWriter {
 
     /// Whether one non-waiting append of the buffer would be admitted.
     fn has_room(&self) -> bool {
-        let room = self.basket.append_room();
+        let room = self.append_room();
         room.is_none_or(|room| room.admits(0, self.buf.len()))
+    }
+
+    /// The target basket's occupancy as
+    /// [`try_flush`](StreamWriter::try_flush) sees it
+    /// ([`Basket::append_room`]): `None` when no flush is ever refused for
+    /// its size. A producer that sizes its own batches reads it per batch,
+    /// so a capacity lowered at runtime is respected.
+    pub fn append_room(&self) -> Option<AppendRoom> {
+        self.basket.append_room()
     }
 
     /// Append every buffered row to the basket in bulk, under the basket's

@@ -311,6 +311,9 @@ pub struct NetConnectionMetrics {
     pub tuples: u64,
     /// Malformed lines refused with an `ERR decode` reply (ingest only).
     pub rejected: u64,
+    /// Basket appends the connection made (ingest only); `tuples /
+    /// appends` is the batch its socket reads delivered.
+    pub appends: u64,
 }
 
 /// Aggregated network-transport counters plus the per-connection accounts,
@@ -329,6 +332,9 @@ pub struct NetMetricsSnapshot {
     pub tuples_out: u64,
     /// Malformed ingest lines refused with an `ERR decode` reply (ever).
     pub lines_rejected: u64,
+    /// Basket appends over all `STREAM` connections (ever); `tuples_in /
+    /// ingest_appends` is the mean batch the sockets delivered.
+    pub ingest_appends: u64,
     /// Counters of every currently open connection.
     pub per_connection: Vec<NetConnectionMetrics>,
 }

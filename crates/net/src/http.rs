@@ -485,6 +485,12 @@ fn render_prometheus(snap: &MetricsSnapshot, scrapes: u64) -> String {
             "Malformed ingest lines refused.",
             net.lines_rejected,
         );
+        push_counter(
+            m,
+            "datacell_net_ingest_appends_total",
+            "Basket appends by STREAM connections (tuples_in / appends = batch size).",
+            net.ingest_appends,
+        );
     }
     if let Some(s) = &snap.storage {
         push_counter(
@@ -644,6 +650,7 @@ fn label_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacell::metrics::NetMetricsSnapshot;
 
     #[test]
     fn histogram_renders_cumulative_buckets() {
@@ -679,6 +686,27 @@ mod tests {
         assert!(out.contains("y_seconds_bucket{query=\"q1\",le=\"+Inf\"} 5"));
         assert!(out.contains("y_seconds_sum{query=\"q1\"} 0.000005"));
         assert!(out.contains("y_seconds_count{query=\"q1\"} 5"));
+    }
+
+    #[test]
+    fn net_family_exports_ingest_appends() {
+        let snap = MetricsSnapshot {
+            net: Some(NetMetricsSnapshot {
+                tuples_in: 4096,
+                ingest_appends: 3,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let body = render_prometheus(&snap, 0);
+        assert!(
+            body.contains("\ndatacell_net_tuples_in_total 4096\n"),
+            "{body}"
+        );
+        assert!(
+            body.contains("\ndatacell_net_ingest_appends_total 3\n"),
+            "{body}"
+        );
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   comma-separated, CSV-style quoting — the decoder is the network trust
 //!   boundary (malformed bytes produce `ERR` replies, never panics);
 //! * a [`NetReceptor`] decodes lines in place from its read buffer into
-//!   the column builders of a batched writer and appends into the
-//!   engine's bounded baskets under each basket's own
+//!   the column builders of a writer and appends what each socket read
+//!   delivered into the engine's bounded baskets under each basket's own
 //!   [`OverflowPolicy`](datacell::OverflowPolicy), so a full pipeline
 //!   stalls the socket (TCP backpressure), sheds or spills, it never
 //!   buffers unboundedly;

@@ -4,13 +4,21 @@
 //! lines in place from its socket read buffer, straight into the typed
 //! column builders of a [`StreamWriter`] ([`StreamWriter::append_bytes`],
 //! the [`datacell::text`] decoder), and appends them to the basket in
-//! batches — 512 lines, or a refusing basket's capacity if smaller — and
-//! at `SYNC`, `QUIT` and end of stream. The
-//! writer is the engine's one ingest path, so the connection shows in the
-//! session's Petri net as a receptor while it streams. Only a line that
-//! straddles the edge of the read buffer is ever copied. The decoder is
-//! the trust boundary: any malformed line produces an `ERR decode` reply
-//! and a counter tick — never a panic, never a dropped connection.
+//! batches. The writer is the engine's one ingest path, so the connection
+//! shows in the session's Petri net as a receptor while it streams. Only a
+//! line that straddles the edge of the read buffer is ever copied. The
+//! decoder is the trust boundary: any malformed line produces an `ERR
+//! decode` reply and a counter tick — never a panic, never a dropped
+//! connection.
+//!
+//! **Batching follows the socket.** Like the paper's receptor, it hands
+//! the kernel whatever has arrived: a batch is what one socket read
+//! delivered, appended once the read buffer is drained (the next line
+//! needs another read). So a lone line lands at once under light load,
+//! and a batch grows with the load. A batch is cut early at 8 192 rows,
+//! or at a `Block`/`Reject` basket's capacity, read when the batch starts
+//! so a capacity lowered at runtime is respected.
+//! `SYNC`, `QUIT` and end of stream land the batch too.
 //!
 //! **Backpressure.** The receptor only appends; the basket's own
 //! [`OverflowPolicy`](datacell::OverflowPolicy) decides what enters. Its
@@ -47,6 +55,9 @@ const READ_BUFFER_BYTES: usize = 64 << 10;
 // A line inside the read buffer is never checked against the cap.
 const _: () = assert!(READ_BUFFER_BYTES < MAX_LINE_BYTES);
 
+/// Most rows one basket append takes, however much a read delivered.
+const MAX_BATCH_ROWS: usize = 8192;
+
 /// Longest a full basket makes the receptor wait before it re-checks the
 /// stop flag.
 const BACKPRESSURE_SLICE: Duration = Duration::from_millis(1);
@@ -68,7 +79,9 @@ pub(crate) enum ReadStep<'a> {
     /// The peer closed the stream; the final unterminated line, possibly
     /// empty.
     Eof(&'a [u8]),
-    /// Timed out or interrupted; poll the stop flag and keep reading.
+    /// No complete line yet: a read timed out or was interrupted, or the
+    /// buffered bytes ended mid-line and the rest is still on the socket.
+    /// Poll the stop flag and call again.
     Again,
     /// The frame exceeded [`MAX_LINE_BYTES`] (framing is lost: reply and
     /// close).
@@ -79,7 +92,10 @@ pub(crate) enum ReadStep<'a> {
 
 /// The one line framer of a connection, shared by the handshake and the
 /// receptor. A line ends at `\n`; `\r` before it (CRLF framing) is not
-/// data. A line that sits wholly in the socket read buffer is handed out
+/// data. Each call reads the socket at most once, and only when every
+/// buffered byte is handed out ([`drained`](LineReader::drained)), so the
+/// caller sees each read boundary. A line that sits wholly in the socket
+/// read buffer is handed out
 /// in place and consumed at the next call; only a line that straddles the
 /// buffer's edge is copied, into the carry buffer, where the
 /// [`MAX_LINE_BYTES`] frame cap (terminator included) is enforced on
@@ -112,26 +128,26 @@ impl LineReader {
         if self.carry.last() == Some(&b'\n') {
             self.carry.clear();
         }
-        loop {
-            let (len, newline) = match self.reader.fill_buf() {
-                Ok([]) => return ReadStep::Eof(strip_cr(&self.carry)),
-                Ok(buf) => (buf.len(), buf.iter().position(|&b| b == b'\n')),
-                Err(e) if timed_out(&e) => return ReadStep::Again,
-                Err(_) => return ReadStep::Broken,
-            };
-            let take = newline.map_or(len, |i| i + 1);
-            if let (Some(i), true) = (newline, self.carry.is_empty()) {
-                self.held = take;
-                return ReadStep::Line(strip_cr(&self.reader.buffer()[..i]));
-            }
-            self.carry.extend_from_slice(&self.reader.buffer()[..take]);
-            self.reader.consume(take);
-            if self.carry.len() > MAX_LINE_BYTES {
-                return ReadStep::TooLong;
-            }
-            if newline.is_some() {
-                return ReadStep::Line(strip_cr(&self.carry[..self.carry.len() - 1]));
-            }
+        let (len, newline) = match self.reader.fill_buf() {
+            Ok([]) => return ReadStep::Eof(strip_cr(&self.carry)),
+            Ok(buf) => (buf.len(), buf.iter().position(|&b| b == b'\n')),
+            Err(e) if timed_out(&e) => return ReadStep::Again,
+            Err(_) => return ReadStep::Broken,
+        };
+        let take = newline.map_or(len, |i| i + 1);
+        if let (Some(i), true) = (newline, self.carry.is_empty()) {
+            self.held = take;
+            return ReadStep::Line(strip_cr(&self.reader.buffer()[..i]));
+        }
+        self.carry.extend_from_slice(&self.reader.buffer()[..take]);
+        self.reader.consume(take);
+        if self.carry.len() > MAX_LINE_BYTES {
+            return ReadStep::TooLong;
+        }
+        match newline {
+            Some(_) => ReadStep::Line(strip_cr(&self.carry[..self.carry.len() - 1])),
+            // The line goes on in bytes not read yet.
+            None => ReadStep::Again,
         }
     }
 
@@ -170,8 +186,12 @@ pub struct NetReceptor {
 struct Ingest {
     replies: TcpStream,
     writer: StreamWriter,
-    /// Lines buffered before a bulk append.
-    batch: usize,
+    /// Rows at which the current batch lands before the read buffer is
+    /// drained: [`MAX_BATCH_ROWS`], or a smaller `Block`/`Reject` basket's
+    /// capacity (such a basket takes a larger batch only once empty, which
+    /// would stall ingest until every reader drained it). Set when the
+    /// batch starts.
+    cap: usize,
     stats: Arc<ConnStats>,
     stop: Arc<AtomicBool>,
     /// Lines accepted and rejected since the connection's counters were
@@ -193,7 +213,6 @@ impl NetReceptor {
         lines: LineReader,
         replies: TcpStream,
         writer: StreamWriter,
-        batch: usize,
         stats: Arc<ConnStats>,
         stop: Arc<AtomicBool>,
     ) -> Self {
@@ -202,7 +221,7 @@ impl NetReceptor {
             ingest: Ingest {
                 replies,
                 writer,
-                batch,
+                cap: MAX_BATCH_ROWS,
                 stats,
                 stop,
                 accepted: 0,
@@ -215,6 +234,12 @@ impl NetReceptor {
     /// server stops. Whatever was accepted is flushed before returning.
     pub fn run(mut self) {
         while !self.ingest.stop.load(Ordering::Relaxed) {
+            if self.lines.drained() {
+                // The next line needs a socket read: land what the last one
+                // delivered, and move the counters once per read.
+                self.ingest.flush_blocking();
+                self.ingest.publish();
+            }
             match self.lines.next_line() {
                 ReadStep::Line(line) => {
                     if self.ingest.line(line) {
@@ -225,10 +250,9 @@ impl NetReceptor {
                     // A final line without a trailing newline is still a
                     // tuple (pipes often end this way).
                     self.ingest.line(last);
-                    self.ingest.publish();
                     break;
                 }
-                ReadStep::Again => continue,
+                ReadStep::Again => {}
                 ReadStep::TooLong => {
                     // Framing is lost past the cap: report and hang up.
                     self.ingest.reply(&protocol::err_line(
@@ -239,13 +263,10 @@ impl NetReceptor {
                 }
                 ReadStep::Broken => break,
             }
-            // Counters move once per socket read, not once per line.
-            if self.lines.drained() {
-                self.ingest.publish();
-            }
         }
         // Disconnect: land whatever the writer still buffers.
         self.ingest.flush_blocking();
+        self.ingest.publish();
     }
 }
 
@@ -269,29 +290,41 @@ impl Ingest {
                 self.reply("OK BYE");
                 return true;
             }
-            LineKind::Tuple => match self.writer.append_bytes(line) {
-                Ok(()) => {
-                    self.accepted += 1;
-                    if self.writer.pending() >= self.batch {
-                        // Stop reading the socket until the batch lands.
-                        self.flush_blocking();
+            LineKind::Tuple => {
+                if self.writer.pending() == 0 {
+                    // A batch starts: cap it by the basket's room now.
+                    self.cap = self
+                        .writer
+                        .append_room()
+                        .map_or(MAX_BATCH_ROWS, |room| room.capacity.min(MAX_BATCH_ROWS));
+                }
+                match self.writer.append_bytes(line) {
+                    Ok(()) => {
+                        self.accepted += 1;
+                        if self.writer.pending() >= self.cap {
+                            // Stop reading the socket until the batch lands.
+                            self.flush_blocking();
+                        }
+                    }
+                    Err(DataCellError::Decode(msg)) => {
+                        self.rejected += 1;
+                        self.reply(&protocol::err_line("decode", &msg));
+                    }
+                    Err(e) => {
+                        self.reply(&protocol::err_line("internal", &e.to_string()));
                     }
                 }
-                Err(DataCellError::Decode(msg)) => {
-                    self.rejected += 1;
-                    self.reply(&protocol::err_line("decode", &msg));
-                }
-                Err(e) => {
-                    self.reply(&protocol::err_line("internal", &e.to_string()));
-                }
-            },
+            }
         }
         false
     }
 
     /// Add the lines counted since the last update to the connection's
-    /// counters.
+    /// counters, and bring its append count up to date.
     fn publish(&mut self) {
+        self.stats
+            .appends
+            .store(self.writer.stats().flushes, Ordering::Relaxed);
         if self.accepted > 0 {
             self.stats
                 .tuples

@@ -28,11 +28,6 @@ use crate::emitter::NetSink;
 use crate::protocol::{self, Handshake};
 use crate::receptor::{timed_out, LineReader, NetReceptor, ReadStep};
 
-/// Rows a network ingest connection buffers before a bulk append — the
-/// batch-processing advantage of the paper's ingest path, applied to the
-/// socket.
-const INGEST_BATCH: usize = 512;
-
 /// How long blocking reads wait before re-checking the stop flag.
 const READ_POLL: Duration = Duration::from_millis(100);
 
@@ -46,6 +41,8 @@ pub(crate) struct ConnStats {
     pub(crate) desc: Mutex<(NetConnectionKind, String)>,
     pub(crate) tuples: AtomicU64,
     pub(crate) rejected: AtomicU64,
+    /// Basket appends an ingest connection made.
+    pub(crate) appends: AtomicU64,
 }
 
 impl ConnStats {
@@ -56,6 +53,7 @@ impl ConnStats {
             desc: Mutex::new((NetConnectionKind::Handshaking, String::new())),
             tuples: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            appends: AtomicU64::new(0),
         }
     }
 
@@ -68,6 +66,7 @@ impl ConnStats {
             target,
             tuples: self.tuples.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
+            appends: self.appends.load(Ordering::Relaxed),
         }
     }
 }
@@ -94,6 +93,7 @@ struct ServerState {
     retired_in: AtomicU64,
     retired_out: AtomicU64,
     retired_rejected: AtomicU64,
+    retired_appends: AtomicU64,
 }
 
 impl ServerState {
@@ -120,6 +120,8 @@ impl ServerState {
         match stats.desc.lock().0 {
             NetConnectionKind::Ingest => {
                 self.retired_in.fetch_add(tuples, Ordering::Relaxed);
+                self.retired_appends
+                    .fetch_add(stats.appends.load(Ordering::Relaxed), Ordering::Relaxed);
             }
             NetConnectionKind::Subscribe => {
                 self.retired_out.fetch_add(tuples, Ordering::Relaxed);
@@ -142,12 +144,16 @@ impl NetMetricsSource for ServerState {
             tuples_in: self.retired_in.load(Ordering::Relaxed),
             tuples_out: self.retired_out.load(Ordering::Relaxed),
             lines_rejected: self.retired_rejected.load(Ordering::Relaxed),
+            ingest_appends: self.retired_appends.load(Ordering::Relaxed),
             per_connection: Vec::with_capacity(conns.len()),
         };
         for c in conns.iter() {
             let m = c.stats.snapshot();
             match m.kind {
-                NetConnectionKind::Ingest => snap.tuples_in += m.tuples,
+                NetConnectionKind::Ingest => {
+                    snap.tuples_in += m.tuples;
+                    snap.ingest_appends += m.appends;
+                }
                 NetConnectionKind::Subscribe => snap.tuples_out += m.tuples,
                 NetConnectionKind::Handshaking => {}
             }
@@ -193,6 +199,7 @@ impl NetServer {
             retired_in: AtomicU64::new(0),
             retired_out: AtomicU64::new(0),
             retired_rejected: AtomicU64::new(0),
+            retired_appends: AtomicU64::new(0),
         });
         let weak = Arc::downgrade(&state);
         state
@@ -442,7 +449,7 @@ fn serve_stream(
     stats: Arc<ConnStats>,
     basket: &str,
 ) {
-    // The receptor flushes its writer itself, a batch at a time.
+    // The receptor flushes its writer itself, a socket read at a time.
     let writer = match state.cell.writer_with(basket, usize::MAX) {
         Ok(w) => w,
         Err(e) => {
@@ -459,17 +466,8 @@ fn serve_stream(
         return;
     }
     *stats.desc.lock() = (NetConnectionKind::Ingest, basket.to_string());
-    // A `Block`/`Reject` basket takes a batch larger than its capacity
-    // only once empty, which would stall ingest until every reader has
-    // drained it; smaller batches keep the socket flowing meanwhile.
-    let batch = state
-        .cell
-        .basket(basket)
-        .ok()
-        .and_then(|b| b.append_room())
-        .map_or(INGEST_BATCH, |room| room.capacity.min(INGEST_BATCH));
     let stop = Arc::clone(&state.stop);
-    NetReceptor::new(lines, replies, writer, batch, stats, stop).run();
+    NetReceptor::new(lines, replies, writer, stats, stop).run();
 }
 
 /// Attach a [`NetSink`] for `SUBSCRIBE <query>` to the query's output,

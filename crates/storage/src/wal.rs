@@ -18,6 +18,11 @@
 //! share fsyncs instead of queueing one each, which is where the paper's
 //! batched-ingest advantage survives durability.
 //!
+//! **One copy per record.** A record is framed in place: the codec
+//! encodes the body into the log's reused frame buffer behind a reserved
+//! `len | kind` header, the CRC runs over `kind + body` where they lie, and
+//! one `write_all` hands the frame to the file.
+//!
 //! Replay ([`read_wal`]) stops cleanly at the first torn or corrupt
 //! record (the crash tail) and reports how many bytes were dropped; a
 //! record that was never acknowledged durable carries no guarantee.
@@ -79,7 +84,13 @@ struct WalInner {
     /// Approximate live-log size: bytes present at open plus bytes
     /// appended since; reset by [`Wal::checkpoint`].
     bytes_written: u64,
+    /// The frame of the record being appended, reused across appends.
+    frame: Vec<u8>,
 }
+
+/// Largest frame buffer a log keeps between appends; a larger one (a big
+/// batch) is released once written.
+const FRAME_KEEP_BYTES: usize = 1 << 20;
 
 /// An open write-ahead log (see module docs).
 #[derive(Debug)]
@@ -102,6 +113,7 @@ impl Wal {
                 durable_seq: 0,
                 syncing: false,
                 bytes_written: existing,
+                frame: Vec::new(),
             }),
             synced: Condvar::new(),
         })
@@ -115,46 +127,49 @@ impl Wal {
     /// Append a batch-of-rows record; returns the sequence number to pass
     /// to [`Wal::sync_to`] for a durability guarantee.
     pub fn append_rows(&self, chunk: &Chunk) -> Result<u64> {
-        let mut body = Vec::new();
-        codec::encode_chunk_into(&mut body, chunk)?;
-        self.append_record(KIND_ROWS, &body)
+        self.append_record(KIND_ROWS, |body| codec::encode_chunk_into(body, chunk))
     }
 
     /// Append a head-trim record (no fsync needed for correctness: replay
     /// of a lost trim only re-delivers, never loses).
     pub fn append_trim(&self, to_oid: u64) -> Result<u64> {
-        self.append_record(KIND_TRIM, &to_oid.to_le_bytes())
-    }
-
-    /// Append an accounting-baseline record (compaction bookkeeping).
-    pub fn append_baseline(&self, appended: u64, consumed: u64, base_oid: u64) -> Result<u64> {
-        let mut body = Vec::with_capacity(24);
-        body.extend_from_slice(&appended.to_le_bytes());
-        body.extend_from_slice(&consumed.to_le_bytes());
-        body.extend_from_slice(&base_oid.to_le_bytes());
-        self.append_record(KIND_BASELINE, &body)
+        self.append_record(KIND_TRIM, |body| {
+            body.extend_from_slice(&to_oid.to_le_bytes());
+            Ok(())
+        })
     }
 
     /// Append a positional-consume record.
     pub fn append_consume(&self, positions: &[usize]) -> Result<u64> {
-        let mut body = Vec::with_capacity(4 + positions.len() * 4);
         let n = u32::try_from(positions.len())
             .map_err(|_| StorageError::Invalid("too many consume positions".into()))?;
-        body.extend_from_slice(&n.to_le_bytes());
-        for &p in positions {
-            let p = u32::try_from(p)
-                .map_err(|_| StorageError::Invalid("consume position overflows u32".into()))?;
-            body.extend_from_slice(&p.to_le_bytes());
-        }
-        self.append_record(KIND_CONSUME, &body)
+        self.append_record(KIND_CONSUME, |body| {
+            body.reserve(4 + positions.len() * 4);
+            body.extend_from_slice(&n.to_le_bytes());
+            for &p in positions {
+                let p = u32::try_from(p)
+                    .map_err(|_| StorageError::Invalid("consume position overflows u32".into()))?;
+                body.extend_from_slice(&p.to_le_bytes());
+            }
+            Ok(())
+        })
     }
 
-    fn append_record(&self, kind: u8, body: &[u8]) -> Result<u64> {
-        let frame = encode_frame(kind, body)?;
-        let mut inner = self.inner.lock();
-        inner.file.write_all(&frame)?;
+    /// Frame one record in the log's reused buffer and write it.
+    fn append_record(
+        &self,
+        kind: u8,
+        body: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+    ) -> Result<u64> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        encode_frame(&mut inner.frame, kind, body)?;
+        inner.file.write_all(&inner.frame)?;
         inner.written_seq += 1;
-        inner.bytes_written += frame.len() as u64;
+        inner.bytes_written += inner.frame.len() as u64;
+        if inner.frame.capacity() > FRAME_KEEP_BYTES {
+            inner.frame = Vec::new();
+        }
         Ok(inner.written_seq)
     }
 
@@ -192,17 +207,21 @@ impl Wal {
                 .write(true)
                 .truncate(true)
                 .open(&tmp)?;
-            let mut body = Vec::with_capacity(24);
-            body.extend_from_slice(&appended.to_le_bytes());
-            body.extend_from_slice(&consumed.to_le_bytes());
-            body.extend_from_slice(&base_oid.to_le_bytes());
-            let frame = encode_frame(KIND_BASELINE, &body)?;
+            // A checkpoint is rare and may be large: frame it in a buffer
+            // of its own rather than grow the append buffer.
+            let mut frame = Vec::new();
+            encode_frame(&mut frame, KIND_BASELINE, |body| {
+                body.extend_from_slice(&appended.to_le_bytes());
+                body.extend_from_slice(&consumed.to_le_bytes());
+                body.extend_from_slice(&base_oid.to_le_bytes());
+                Ok(())
+            })?;
             file.write_all(&frame)?;
             bytes += frame.len() as u64;
             if !chunk.is_empty() {
-                let mut rows = Vec::new();
-                codec::encode_chunk_into(&mut rows, chunk)?;
-                let frame = encode_frame(KIND_ROWS, &rows)?;
+                encode_frame(&mut frame, KIND_ROWS, |body| {
+                    codec::encode_chunk_into(body, chunk)
+                })?;
                 file.write_all(&frame)?;
                 bytes += frame.len() as u64;
             }
@@ -265,27 +284,32 @@ impl Wal {
     }
 }
 
-/// CRC-frame one record for the log: `len | kind | body | crc`.
-fn encode_frame(kind: u8, body: &[u8]) -> Result<Vec<u8>> {
-    let mut frame = Vec::with_capacity(9 + body.len());
-    let len = u32::try_from(1 + body.len())
-        .map_err(|_| StorageError::Invalid("record larger than 4 GiB".into()))?;
-    frame.extend_from_slice(&len.to_le_bytes());
+/// CRC-frame one record into `frame` (cleared first): `len | kind | body |
+/// crc`. `body` appends the record body behind the reserved header; the
+/// length is patched in and the CRC computed over `kind + body` in place.
+fn encode_frame(
+    frame: &mut Vec<u8>,
+    kind: u8,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+) -> Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0; 4]);
     frame.push(kind);
-    frame.extend_from_slice(body);
-    let mut crc_input = Vec::with_capacity(1 + body.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(body);
-    frame.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-    Ok(frame)
+    body(frame)?;
+    let len = u32::try_from(frame.len() - 4)
+        .map_err(|_| StorageError::Invalid("record larger than 4 GiB".into()))?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&frame[4..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Atomically replace the log at `path` with a compact one: a
 /// [`WalRecord::Baseline`] carrying the accounting totals, then `chunk`
 /// as a single rows record (recovery's compaction step: after a replay
-/// the live contents *are* the log). Written to a temp file, fsynced,
-/// renamed over the old log, directory fsynced — a crash leaves either
-/// the old log or the new one, never a mix.
+/// the live contents *are* the log). This is [`Wal::checkpoint`] on the
+/// log at `path`: a crash leaves either the old log or the new one, never
+/// a mix.
 pub fn rewrite_wal(
     path: &Path,
     appended: u64,
@@ -293,36 +317,7 @@ pub fn rewrite_wal(
     base_oid: u64,
     chunk: &Chunk,
 ) -> Result<()> {
-    let tmp = path.with_extension("log.tmp");
-    {
-        let wal = Wal {
-            path: tmp.clone(),
-            inner: Mutex::new(WalInner {
-                file: OpenOptions::new()
-                    .create(true)
-                    .write(true)
-                    .truncate(true)
-                    .open(&tmp)?,
-                written_seq: 0,
-                durable_seq: 0,
-                syncing: false,
-                bytes_written: 0,
-            }),
-            synced: Condvar::new(),
-        };
-        wal.append_baseline(appended, consumed, base_oid)?;
-        let seq = if !chunk.is_empty() {
-            wal.append_rows(chunk)?
-        } else {
-            1
-        };
-        wal.sync_to(seq)?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        crate::segment::sync_dir(dir)?;
-    }
-    Ok(())
+    Wal::open(path)?.checkpoint(appended, consumed, base_oid, chunk)
 }
 
 /// Outcome of a WAL replay.

@@ -922,3 +922,109 @@ fn frame_cap_is_exact_for_lines_straddling_the_read_buffer() {
     server.stop();
     cell.stop();
 }
+
+#[test]
+fn lone_stream_line_lands_without_sync() {
+    // A receptor appends what one socket read delivered: a single line,
+    // with no `SYNC`, `QUIT` or hang-up after it, reaches a subscriber.
+    let cell = DataCell::builder()
+        .listen("127.0.0.1:0")
+        .auto_start(true)
+        .build();
+    cell.execute("create basket b (x int)").unwrap();
+    cell.execute("create continuous query q as select s.x from [select * from b] as s")
+        .unwrap();
+    let (cell, server, addr) = serve(cell);
+    let sub = cell.subscribe::<(i64,)>("q").unwrap();
+
+    let mut ingest = Client::connect(addr);
+    ingest.send("STREAM b");
+    assert_eq!(ingest.read_line().as_deref(), Some("OK STREAM b x:int"));
+    ingest.send("42");
+    assert_eq!(
+        sub.next_timeout(Duration::from_secs(2)).unwrap(),
+        Some((42,)),
+        "the line lands while the connection idles"
+    );
+
+    // The append shows in the connection's and the listener's counters.
+    assert!(
+        wait_until(Duration::from_secs(2), || server.metrics().ingest_appends
+            == 1),
+        "one append counted"
+    );
+    let net = server.metrics();
+    let conn = net
+        .per_connection
+        .iter()
+        .find(|c| c.kind == NetConnectionKind::Ingest)
+        .expect("ingest connection listed");
+    assert_eq!((conn.tuples, conn.appends), (1, 1));
+
+    drop(ingest);
+    server.stop();
+    cell.stop();
+}
+
+#[test]
+fn receptor_follows_a_lowered_capacity() {
+    // A `Block` basket's capacity lowered while a `STREAM` connection runs
+    // sizes every later batch: no append exceeds the new capacity, so no
+    // batch waits for an empty basket and no claim holds more than it.
+    const N: usize = 1000;
+    const CAPACITY: usize = 8;
+    let cell = DataCell::builder()
+        .listen("127.0.0.1:0")
+        .auto_start(true)
+        .build();
+    cell.execute("create basket b (x int) capacity 512 overflow block")
+        .unwrap();
+    let (cell, server, addr) = serve(cell);
+    let basket = cell.basket("b").unwrap();
+    let reader = basket.register_reader(true);
+
+    let mut ingest = Client::connect(addr);
+    ingest.send("STREAM b");
+    assert_eq!(ingest.read_line().as_deref(), Some("OK STREAM b x:int"));
+    // One round trip first, so the receptor is pumping before the change.
+    ingest.send("0");
+    ingest.send("SYNC");
+    assert_eq!(ingest.read_line().as_deref(), Some("OK SYNC 1 0"));
+    basket.set_capacity(Some(CAPACITY), OverflowPolicy::Block);
+
+    let drained = Arc::clone(&basket);
+    let drain = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let (mut seen, mut largest) = (0, 0);
+        while seen < N + 1 && Instant::now() < deadline {
+            let (chunk, start, end) = drained.claim_for_reader(reader, usize::MAX);
+            if chunk.is_empty() {
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+            largest = largest.max(chunk.len());
+            seen += chunk.len();
+            drained.commit_claim(reader, start, end);
+        }
+        (seen, largest)
+    });
+
+    // One write, so a single socket read can deliver every line.
+    let mut lines: String = (0..N).map(|i| format!("{i}\n")).collect();
+    lines.push_str("SYNC\n");
+    ingest.stream.write_all(lines.as_bytes()).unwrap();
+    assert_eq!(
+        ingest.read_line().as_deref(),
+        Some(format!("OK SYNC {} 0", N + 1).as_str())
+    );
+    let (seen, largest) = drain.join().unwrap();
+    assert_eq!(seen, N + 1);
+    assert!(
+        largest <= CAPACITY,
+        "a claim held {largest} rows under capacity {CAPACITY}"
+    );
+
+    drop(ingest);
+    server.stop();
+    cell.stop();
+}
