@@ -113,6 +113,21 @@ fn run(total: u64, subscribers: usize) -> Outcome {
 
     let delivered: u64 = sub_handles.into_iter().map(|h| h.join().unwrap()).sum();
     let fanout_elapsed = started.elapsed().as_secs_f64();
+    // Every subscriber has hung up: its connection thread, which was its
+    // emitter, ends with it and deregisters its reader, leaving only the
+    // ingest connection.
+    let out = cell.query_output("q").unwrap();
+    let released = || server.metrics().connections_active == 1 && out.reader_count() == 0;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !released() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        server.metrics().connections_active,
+        1,
+        "only the ingest connection stays"
+    );
+    assert_eq!(out.reader_count(), 0, "no reader left on q's output");
     server.stop();
     cell.stop();
     Outcome {

@@ -21,19 +21,20 @@
 //! scheduler beneath them are the paper's architecture.
 
 use std::marker::PhantomData;
-
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use datacell_bat::candidates::Candidates;
 use datacell_bat::types::Value;
 use datacell_engine::Chunk;
 use datacell_sql::Schema;
 use parking_lot::Mutex;
 
-use crate::basket::{AppendRoom, Basket};
-use crate::emitter::{settle, DeliveryMeter, Subscriber};
+use crate::basket::{AppendRoom, Basket, ReaderId, ReaderLease};
+use crate::clock::now_micros;
 use crate::error::{DataCellError, Result};
-use crate::metrics::SessionMetrics;
+use crate::metrics::{LatencyHistogram, SessionMetrics};
 use crate::scheduler::{Fairness, SchedulePolicy};
 use crate::session::DataCell;
 use crate::text;
@@ -68,13 +69,9 @@ pub enum SubscriptionMode {
     /// sibling may already have delivered): never loss, never reordering
     /// within a claim. Consumers that cannot tolerate that should
     /// deduplicate on a key or use [`SubscriptionMode::Broadcast`]. A
-    /// sink attached with [`DataCell::subscribe_sink`](crate::DataCell::subscribe_sink)
-    /// (the network subscriber) commits a claim once its delivery returns
-    /// `Ok`, which a socket sink does only for rows written to a peer
-    /// that has not hung up; a delivery failing partway commits the
-    /// prefix it reports
-    /// ([`PartialDelivery`](crate::emitter::PartialDelivery)) and rewinds
-    /// the rest.
+    /// chunk taken whole with [`Subscription::claim_chunk`] (how a
+    /// network subscriber claims) settles the same way: the leading rows
+    /// reported through [`ChunkClaim::delivered`] commit, the rest rewind.
     Shared,
 }
 
@@ -713,6 +710,61 @@ impl Drop for StreamWriter {
 
 // ------------------------------------------------------------ Subscription
 
+/// One subscriber of a continuous query as its session tracks it: a name
+/// (its emitter transition in the Petri net) and the reader it holds on
+/// the query's output basket for the lifetime of its [`Subscription`].
+#[derive(Debug)]
+pub(crate) struct Subscriber {
+    pub(crate) name: String,
+    pub(crate) lease: Arc<ReaderLease>,
+}
+
+/// The accounts a subscription's deliveries feed: its query's end-to-end
+/// latency histogram (always recorded — the arrival `ts` rides on every
+/// tuple anyway) and, when session metrics are on, the session's delivered
+/// counter and latency histogram. A row is accounted once, when it is
+/// committed: at claim for a broadcast reader, as it is handed out for a
+/// pool member, and as it is reported delivered for a [`ChunkClaim`].
+#[derive(Debug, Clone)]
+pub(crate) struct DeliveryMeter {
+    query: Arc<LatencyHistogram>,
+    session: Option<Arc<SessionMetrics>>,
+}
+
+impl DeliveryMeter {
+    pub(crate) fn new(query: Arc<LatencyHistogram>, session: Option<Arc<SessionMetrics>>) -> Self {
+        DeliveryMeter { query, session }
+    }
+
+    /// Account rows `rows` of a delivered chunk (its `ts` column last):
+    /// their count, and their latency as of now.
+    fn record(&self, chunk: &Chunk, rows: Range<usize>) {
+        if let Some(m) = &self.session {
+            m.delivered.add(rows.len() as u64);
+        }
+        if let Some(ts) = chunk.columns.last().and_then(|c| c.as_timestamps().ok()) {
+            let (ts, now) = (&ts[rows], now_micros());
+            self.query.record_many(ts, now);
+            if let Some(m) = &self.session {
+                m.latency.record_many(ts, now);
+            }
+        }
+    }
+}
+
+/// Settle a claim `[start, end)` of which the first `done` rows were
+/// delivered: commit those, give the rest back to the reader.
+fn settle(basket: &Basket, reader: ReaderId, start: u64, done: u64, end: u64) {
+    let mid = start + done.min(end - start);
+    if mid >= end {
+        basket.commit_claim(reader, start, end);
+    } else {
+        // Drops the whole in-flight range and steps the cursor back to
+        // `mid`: `[start, mid)` stays consumed.
+        basket.rewind_claim(reader, mid, end);
+    }
+}
+
 /// A typed stream of continuous-query results.
 ///
 /// Each delivered tuple (minus the implicit `ts` column) is decoded into
@@ -725,7 +777,9 @@ impl Drop for StreamWriter {
 /// on the polling thread. There is no engine-side thread and no queue
 /// outside the basket, so a subscriber that stops polling holds its
 /// reader's watermark and the output basket's capacity and
-/// [`OverflowPolicy`] bound it.
+/// [`OverflowPolicy`] bound it. A consumer that wants columns rather than
+/// rows — the network subscriber — takes whole chunks with
+/// [`claim_chunk`](Subscription::claim_chunk) instead.
 ///
 /// Subscriptions are **broadcast by default**: each registers its own
 /// reader, commits each claim as it takes it, and so several subscriptions
@@ -787,6 +841,11 @@ impl<T: FromRow> Subscription<T> {
         &self.query
     }
 
+    /// True once the query is gone: dropped, or its session stopped.
+    pub fn is_closed(&self) -> bool {
+        self.subscriber.lease.basket().is_closed()
+    }
+
     /// Non-blocking receive: `Ok(Some)` on data, `Ok(None)` when nothing
     /// is pending, `Err(Disconnected)` once the query is gone.
     pub fn try_next(&self) -> Result<Option<T>> {
@@ -801,11 +860,14 @@ impl<T: FromRow> Subscription<T> {
             row.push(column.get(at)?);
         }
         claim.taken += 1;
-        if self.shared && claim.taken == claim.rows.len() {
-            let lease = &self.subscriber.lease;
-            lease
-                .basket()
-                .commit_claim(lease.id(), claim.start, claim.end);
+        if self.shared {
+            self.meter.record(&claim.rows, at..at + 1);
+            if claim.taken == claim.rows.len() {
+                let lease = &self.subscriber.lease;
+                lease
+                    .basket()
+                    .commit_claim(lease.id(), claim.start, claim.end);
+            }
         }
         drop(claim);
         T::from_row(row).map(Some)
@@ -827,8 +889,8 @@ impl<T: FromRow> Subscription<T> {
         }
         if !self.shared {
             basket.commit_claim(lease.id(), start, end);
+            self.meter.record(&rows, 0..rows.len());
         }
-        self.meter.record(&rows, rows.len());
         *claim = Claim {
             rows,
             start,
@@ -836,6 +898,63 @@ impl<T: FromRow> Subscription<T> {
             taken: 0,
         };
         Ok(true)
+    }
+
+    /// Claim everything unread as one [`Chunk`] (the output basket's `ts`
+    /// column last), waiting for rows once, at most `timeout`: the
+    /// emitter's step for a consumer that takes columns rather than
+    /// decoded rows, as the network subscriber does. Report through
+    /// [`ChunkClaim::delivered`] how many leading rows reached the
+    /// consumer; dropping the claim commits those and gives the rest back
+    /// to this subscription's reader, to be claimed again (under
+    /// [`SubscriptionMode::Shared`], perhaps by another member). Rows a
+    /// [`try_next`](Self::try_next) claim left undecoded come out first,
+    /// handed out as `try_next` would have. `Ok(None)` means nothing came:
+    /// the wait ended at `timeout`, or on a wake-up of the output basket's
+    /// signal that left this reader nothing to claim. `Err(Disconnected)`
+    /// means the query is gone.
+    pub fn claim_chunk(&self, timeout: Duration) -> Result<Option<ChunkClaim<'_>>> {
+        let signal = self.subscriber.lease.basket().signal();
+        // Read the version before claiming: a change racing the claim
+        // bumps it, so the wait cannot miss it.
+        let seen = signal.version();
+        if let Some(claim) = self.take_chunk()? {
+            return Ok(Some(claim));
+        }
+        signal.wait_past(seen, timeout);
+        self.take_chunk()
+    }
+
+    /// [`claim_chunk`](Self::claim_chunk) without the wait.
+    fn take_chunk(&self) -> Result<Option<ChunkClaim<'_>>> {
+        let mut claim = self.claim.lock();
+        let len = claim.rows.len();
+        if claim.taken < len {
+            let rows = claim.rows.gather(&Candidates::Dense(claim.taken..len))?;
+            if self.shared {
+                self.meter.record(&claim.rows, claim.taken..len);
+                let lease = &self.subscriber.lease;
+                lease
+                    .basket()
+                    .commit_claim(lease.id(), claim.start, claim.end);
+            }
+            claim.taken = len;
+            return Ok(Some(ChunkClaim {
+                rows,
+                delivered: 0,
+                owner: None,
+            }));
+        }
+        let lease = &self.subscriber.lease;
+        if lease.basket().is_closed() {
+            return Err(DataCellError::Disconnected);
+        }
+        let (rows, start, end) = lease.basket().claim_for_reader(lease.id(), usize::MAX);
+        Ok((!rows.is_empty()).then(|| ChunkClaim {
+            rows,
+            delivered: 0,
+            owner: Some((lease, &self.meter, start, end)),
+        }))
     }
 
     /// Blocking receive with a deadline: `Ok(None)` means the timeout
@@ -920,6 +1039,51 @@ impl<T> Drop for Subscription<T> {
     }
 }
 
+/// A chunk claimed whole by [`Subscription::claim_chunk`]. Dropping it
+/// settles the claim: the rows reported [`delivered`](Self::delivered)
+/// commit, the rest go back to the subscription's reader.
+pub struct ChunkClaim<'a> {
+    rows: Chunk,
+    delivered: usize,
+    /// The reader, the accounts and the oids `[start, end)` the claim
+    /// settles; `None` for rows already handed out.
+    owner: Option<(&'a ReaderLease, &'a DeliveryMeter, u64, u64)>,
+}
+
+impl ChunkClaim<'_> {
+    /// The claimed rows, the output basket's `ts` column last.
+    pub fn chunk(&self) -> &Chunk {
+        &self.rows
+    }
+
+    /// Report that the first `n` rows (a running total) reached the
+    /// consumer: they are accounted as delivered now and commit when the
+    /// claim is dropped.
+    pub fn delivered(&mut self, n: usize) {
+        let n = n.min(self.rows.len());
+        if n > self.delivered {
+            if let Some((_, meter, ..)) = self.owner {
+                meter.record(&self.rows, self.delivered..n);
+            }
+            self.delivered = n;
+        }
+    }
+}
+
+impl Drop for ChunkClaim<'_> {
+    fn drop(&mut self) {
+        if let Some((lease, _, start, end)) = self.owner {
+            settle(
+                lease.basket(),
+                lease.id(),
+                start,
+                self.delivered as u64,
+                end,
+            );
+        }
+    }
+}
+
 // A subscription moves to the thread that polls it.
 const _: () = {
     const fn send<S: Send>() {}
@@ -999,8 +1163,8 @@ impl<'a> QueryHandle<'a> {
     }
 
     /// Drop the query: detach the factory from the scheduler, remove the
-    /// output basket from the catalog, stop its emitters, and close every
-    /// subscription.
+    /// output basket from the catalog, and close it, which ends every
+    /// subscription — network subscribers included.
     pub fn drop_query(self) -> Result<()> {
         self.cell.drop_query(&self.name)
     }
@@ -1061,5 +1225,198 @@ mod tests {
         assert_eq!(b.basket_capacity, Some(1), "clamped to >= 1");
         assert_eq!(b.overflow, OverflowPolicy::Reject);
         assert!(b.metrics);
+    }
+
+    // ------- subscriptions: the subscriber plays the emitter
+
+    /// A session (metrics on) with one pass-through query `q` over
+    /// basket `b`.
+    fn pool_cell() -> DataCell {
+        let cell = DataCell::builder().metrics(true).build();
+        cell.execute("create basket b (x int)").unwrap();
+        cell.continuous_query("q", "select s.x from [select * from b] as s")
+            .unwrap();
+        cell
+    }
+
+    /// Append `values` to `b` and run the query to quiescence.
+    fn feed(cell: &DataCell, values: std::ops::Range<i64>) {
+        let mut w = cell.writer("b").unwrap();
+        for i in values {
+            w.append((i,)).unwrap();
+        }
+        w.flush().unwrap();
+        cell.run_until_quiescent(10);
+    }
+
+    fn member(cell: &DataCell) -> Subscription<(i64,)> {
+        cell.subscribe_with("q", SubscriptionMode::Shared).unwrap()
+    }
+
+    fn values(sub: &Subscription<(i64,)>) -> Vec<i64> {
+        sub.drain().unwrap().into_iter().map(|(x,)| x).collect()
+    }
+
+    /// `q`'s delivered rows by the session counter and by its latency
+    /// histogram's observation count.
+    fn delivered(cell: &DataCell) -> (u64, u64) {
+        let m = cell.metrics();
+        let observed = m
+            .per_query_latency
+            .iter()
+            .find(|(q, _)| q == "q")
+            .map_or(0, |(_, h)| h.count);
+        (m.tuples_delivered, observed)
+    }
+
+    #[test]
+    fn acked_shared_pool_fails_over_exactly_once() {
+        // A pool member takes k rows of its claim and is dropped: its
+        // settlement commits exactly those k and rewinds the rest, so the
+        // survivor gets every other row once — for every k. Each row is
+        // accounted once, by the member that handed it out.
+        for k in 0..=4i64 {
+            let cell = pool_cell();
+            let dying = member(&cell);
+            let survivor = member(&cell);
+            feed(&cell, 0..4);
+            let taken: Vec<i64> = (0..k)
+                .map(|_| dying.try_next().unwrap().unwrap().0)
+                .collect();
+            assert_eq!(taken, (0..k).collect::<Vec<_>>());
+            if k > 0 {
+                assert_eq!(survivor.try_next().unwrap(), None, "one claim holds all 4");
+            }
+            drop(dying);
+            feed(&cell, 4..6);
+            assert_eq!(values(&survivor), (k..6).collect::<Vec<_>>(), "k = {k}");
+            assert!(cell.query_output("q").unwrap().is_empty(), "k = {k}");
+            assert_eq!(delivered(&cell), (6, 6), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn acked_shared_pool_settles_when_idle_subscriber_drops() {
+        // The last member leaves mid-claim: the row it took is committed
+        // and trimmed at once, the rows it never took stay for the next
+        // member, and the pool reader is released.
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
+        let dying = member(&cell);
+        feed(&cell, 0..4);
+        assert_eq!(dying.try_next().unwrap(), Some((0,)));
+        drop(dying);
+        assert_eq!(out.reader_count(), 0, "pool reader released");
+        assert_eq!(out.len(), 3, "the taken row trimmed, the rest kept");
+        let next = member(&cell);
+        assert_eq!(values(&next), vec![1, 2, 3]);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn acked_shared_pool_commits_as_subscriber_drains() {
+        // A shared claim commits once its last row is handed out, so the
+        // basket holds the claim until then and trims it right after.
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
+        let sub = member(&cell);
+        feed(&cell, 0..30);
+        for i in 0..29 {
+            assert_eq!(sub.try_next().unwrap(), Some((i,)));
+        }
+        assert_eq!(out.len(), 30, "claim not yet fully handed out");
+        assert_eq!(sub.try_next().unwrap(), Some((29,)));
+        assert!(out.is_empty(), "claim committed and trimmed");
+    }
+
+    #[test]
+    fn claims_are_atomic_no_duplicates() {
+        // Two threads append to the output basket while a subscriber
+        // drains it: every row arrives exactly once.
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
+        let sub = cell.subscribe::<(i64,)>("q").unwrap();
+        let mut got = Vec::new();
+        std::thread::scope(|scope| {
+            let appenders: Vec<_> = (0..2i64)
+                .map(|w| {
+                    let out = &out;
+                    scope.spawn(move || {
+                        for i in w * 1000..w * 1000 + 500 {
+                            out.append_rows(&[vec![Value::Int(i)]]).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            while !appenders.iter().all(|h| h.is_finished()) {
+                got.extend(values(&sub));
+            }
+        });
+        got.extend(values(&sub));
+        assert_eq!(got.len(), 1000, "no duplicates, no losses");
+        got.sort_unstable();
+        got.dedup();
+        assert_eq!(got.len(), 1000, "no duplicates, no losses");
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn latency_records_one_observation_per_delivered_row() {
+        // Rows decoded through `try_next` are accounted once each; of a
+        // chunk claim, exactly the rows reported delivered.
+        let cell = pool_cell();
+        let sub = cell.subscribe::<(i64,)>("q").unwrap();
+        feed(&cell, 0..3);
+        assert_eq!(values(&sub), vec![0, 1, 2]);
+        assert_eq!(delivered(&cell), (3, 3));
+        feed(&cell, 3..8);
+        let mut claim = sub.claim_chunk(Duration::ZERO).unwrap().unwrap();
+        assert_eq!(claim.chunk().len(), 5);
+        claim.delivered(2);
+        claim.delivered(1);
+        drop(claim);
+        assert_eq!(delivered(&cell), (5, 5), "only the delivered prefix");
+    }
+
+    #[test]
+    fn chunk_claim_settles_the_delivered_prefix() {
+        // A partly delivered chunk commits its prefix and gives the rest
+        // back: to the same broadcast reader, or to another pool member.
+        let cell = pool_cell();
+        let out = cell.query_output("q").unwrap();
+        let sub = cell.subscribe::<(i64,)>("q").unwrap();
+        let (dying, survivor) = (member(&cell), member(&cell));
+        feed(&cell, 0..6);
+        let mut claim = sub.claim_chunk(Duration::ZERO).unwrap().unwrap();
+        claim.delivered(2);
+        drop(claim);
+        assert_eq!(values(&sub), vec![2, 3, 4, 5], "broadcast: the rest again");
+        let mut claim = dying.claim_chunk(Duration::ZERO).unwrap().unwrap();
+        claim.delivered(4);
+        drop(claim);
+        drop(dying);
+        assert_eq!(
+            values(&survivor),
+            vec![4, 5],
+            "shared: the rest to a member"
+        );
+        assert!(out.is_empty());
+        // Rows a `try_next` claim left come out first, as handed out.
+        feed(&cell, 6..9);
+        assert_eq!(sub.try_next().unwrap(), Some((6,)));
+        let claim = sub.claim_chunk(Duration::ZERO).unwrap().unwrap();
+        let rest: Vec<i64> = (0..claim.chunk().len())
+            .map(|i| claim.chunk().row(i).unwrap()[0].as_int().unwrap())
+            .collect();
+        assert_eq!(rest, vec![7, 8]);
+        drop(claim);
+        assert_eq!(sub.try_next().unwrap(), None);
+        assert!(sub.claim_chunk(Duration::ZERO).unwrap().is_none());
+        cell.drop_query("q").unwrap();
+        assert!(sub.is_closed());
+        assert!(matches!(
+            sub.claim_chunk(Duration::ZERO),
+            Err(DataCellError::Disconnected)
+        ));
     }
 }

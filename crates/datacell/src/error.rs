@@ -18,10 +18,9 @@ pub enum DataCellError {
     Wiring(String),
     /// A component thread failed or disconnected.
     Runtime(String),
-    /// The peer of a channel-backed handle is gone: a dropped
-    /// [`Subscription`](crate::client::Subscription) on the emitter side,
-    /// or a dropped/stopped query on the subscriber side. A clean shutdown
-    /// signal, not a fault.
+    /// A [`Subscription`](crate::client::Subscription)'s query is gone:
+    /// dropped, or its session stopped. A clean shutdown signal, not a
+    /// fault.
     Disconnected,
     /// A typed ingest or decode failed: the row did not match the schema
     /// (arity, type, or a malformed textual tuple).

@@ -17,11 +17,12 @@
 //! * the receptors and emitters (§2.1) — the periphery exchanging flat
 //!   relational tuples. A receptor is a [`StreamWriter`]: typed rows or
 //!   textual lines decode straight into basket columns, on the caller's
-//!   thread or on a network connection's. An in-process [`Subscription`]
-//!   is its own emitter, claiming result chunks on the subscriber's
-//!   thread, while a network subscriber keeps an engine-side
-//!   [`emitter::Emitter`] thread
-//!   ([`DataCell::subscribe_sink`]).
+//!   thread or on a network connection's. An emitter is a
+//!   [`Subscription`]: a reader on its query's output basket that claims
+//!   result chunks on the subscriber's own thread — the caller's, or a
+//!   network `SUBSCRIBE` connection's, which writes each chunk to its
+//!   socket ([`Subscription::claim_chunk`]). No delivery thread runs
+//!   inside the engine.
 //! * [`factory::Factory`] (§2.3) — a compiled continuous query plan with
 //!   execution state saved between calls; re-invoked by the scheduler, it
 //!   locks its baskets, processes input in bulk, appends results, unlocks
@@ -59,7 +60,6 @@ pub mod basket;
 pub mod catalog;
 pub mod client;
 pub mod clock;
-pub mod emitter;
 pub mod error;
 pub mod events;
 pub mod factory;
@@ -77,8 +77,8 @@ pub use datacell_engine::Chunk;
 
 pub use crate::basket::{Basket, BasketStats, Durability, OverflowPolicy, ReaderId};
 pub use crate::client::{
-    DataCellBuilder, FromRow, FromValue, IntoRow, QueryHandle, StreamWriter, Subscription,
-    SubscriptionMode,
+    ChunkClaim, DataCellBuilder, FromRow, FromValue, IntoRow, QueryHandle, StreamWriter,
+    Subscription, SubscriptionMode,
 };
 pub use crate::error::{DataCellError, Result};
 pub use crate::events::{EngineEvent, EventKind, EventRing};

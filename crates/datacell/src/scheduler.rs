@@ -5,8 +5,9 @@
 //! every iteration it checks which of the existing transitions can be
 //! processed by analyzing their inputs."
 //!
-//! Receptors and emitters are their own threads (transitions that fire on
-//! their channels); the scheduler drives the *factories*: each pass it
+//! Receptors and emitters fire on their callers' threads — a writer's
+//! flush appends, a subscription's poll claims — so the scheduler drives
+//! only the *factories* (and windowed queries): each pass it
 //! re-evaluates every factory's firing condition — all data inputs hold at
 //! least `min_tuples` tuples, all control inputs hold a token — and fires
 //! the ready ones. When nothing is ready it blocks on an aggregated basket

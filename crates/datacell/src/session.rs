@@ -1,11 +1,12 @@
 //! The DataCell session: the system's front door.
 //!
-//! A [`DataCell`] owns the stream catalog, the scheduler, and the periphery
-//! threads, and accepts the full SQL surface: ordinary statements behave as
-//! in the underlying DBMS, while the stream DDL — `CREATE BASKET` and
-//! `CREATE CONTINUOUS QUERY` — builds the streaming topology. This is the
-//! paper's positioning of DataCell "between the SQL-to-MAL compiler and the
-//! MonetDB kernel": one language, one optimizer, two execution regimes.
+//! A [`DataCell`] owns the stream catalog and the scheduler (the periphery
+//! runs on its callers' threads), and accepts the full SQL surface:
+//! ordinary statements behave as in the underlying DBMS, while the stream
+//! DDL — `CREATE BASKET` and `CREATE CONTINUOUS QUERY` — builds the
+//! streaming topology. This is the paper's positioning of DataCell
+//! "between the SQL-to-MAL compiler and the MonetDB kernel": one language,
+//! one optimizer, two execution regimes.
 //!
 //! Semantics worth noting (§2.6):
 //! * a basket named *outside* a basket expression "behaves as any
@@ -37,10 +38,9 @@ use parking_lot::{Mutex, RwLock};
 use crate::basket::{Basket, Durability, ExclusiveAnchor, ReaderId, ReaderLease, TS_COLUMN};
 use crate::catalog::{consumed_positions, StreamCatalog};
 use crate::client::{
-    DataCellBuilder, FromRow, OverflowPolicy, QueryHandle, StreamWriter, Subscription,
-    SubscriptionMode, WriterTag,
+    DataCellBuilder, DeliveryMeter, FromRow, OverflowPolicy, QueryHandle, StreamWriter, Subscriber,
+    Subscription, SubscriptionMode, WriterTag,
 };
-use crate::emitter::{DeliveryMeter, Emitter, EmitterControl, Sink, Subscriber};
 use crate::error::{DataCellError, Result};
 use crate::events::{EngineEvent, EventKind, EventRing};
 use crate::factory::{Factory, FactoryOutput};
@@ -149,8 +149,8 @@ pub struct DataCell {
     /// subscribers hold the lease; the last one to go deregisters the
     /// reader (an abandoned reader would hold the trim watermark forever).
     shared_readers: Mutex<HashMap<String, Weak<ReaderLease>>>,
-    /// Every subscriber by query: in-process subscriptions and sink
-    /// emitters alike. Entries die with their subscriber.
+    /// Every subscriber by query, in-process and network alike. Entries
+    /// die with their subscription.
     subscribers: Mutex<Vec<(String, Weak<Subscriber>)>>,
     /// Every live [`StreamWriter`] — the receptors of the Petri net,
     /// network `STREAM` connections included. Entries die with their
@@ -160,9 +160,6 @@ pub struct DataCell {
     /// Cross-stream windowed-join transitions, kept so `DROP CONTINUOUS
     /// QUERY` can detach their reader cursors from the input baskets.
     window_joins: Mutex<Vec<Arc<WindowJoin>>>,
-    /// Sink emitters, tagged with the continuous query they serve so
-    /// dropping the query can stop exactly its emitters.
-    emitters: Mutex<Vec<(String, Emitter)>>,
     /// Numbers writer and subscriber names, so they never collide.
     periphery_seq: AtomicU64,
     /// Shed/overflow totals of baskets that have since been dropped, so
@@ -255,7 +252,6 @@ impl DataCell {
             writers: Mutex::new(Vec::new()),
             factory_registry: Mutex::new(Vec::new()),
             window_joins: Mutex::new(Vec::new()),
-            emitters: Mutex::new(Vec::new()),
             periphery_seq: AtomicU64::new(0),
             retired_shed: AtomicU64::new(0),
             retired_overflow: AtomicU64::new(0),
@@ -863,65 +859,17 @@ impl DataCell {
     }
 
     /// Subscribe with an explicit fan-out mode: [`SubscriptionMode::
-    /// Broadcast`] (every subscriber sees every tuple) or
-    /// [`SubscriptionMode::Shared`] (the query's shared subscriptions form
-    /// a competing-consumer pool; each tuple goes to exactly one of them).
+    /// Broadcast`] (every subscriber sees every tuple, on a reader of its
+    /// own) or [`SubscriptionMode::Shared`] (the query's shared
+    /// subscriptions form a competing-consumer pool on one reader; each
+    /// tuple goes to exactly one of them). This is the one place a
+    /// subscriber is wired: its reader, its delivery accounts, and its
+    /// entry in the subscriber registry (Petri net, `undelivered` metric).
     pub fn subscribe_with<T: FromRow>(
         &self,
         query: &str,
         mode: SubscriptionMode,
     ) -> Result<Subscription<T>> {
-        let (subscriber, meter) = self.subscriber(query, mode, "sub")?;
-        Ok(Subscription::new(
-            query.to_string(),
-            subscriber,
-            mode,
-            meter,
-        ))
-    }
-
-    /// Deliver a continuous query's results into a caller-supplied
-    /// [`Sink`] — how a transport (the `datacell-net` socket subscriber)
-    /// subscribes. The sink runs on an engine-side emitter thread with the
-    /// same fan-out `mode` as [`DataCell::subscribe_with`]; under
-    /// [`SubscriptionMode::Shared`] a claim commits once `deliver` returns
-    /// `Ok`, so the sink must return `Ok` only for rows that reached their
-    /// consumer, and a failed delivery commits just the prefix its
-    /// [`PartialDelivery`](crate::emitter::PartialDelivery) vouches for.
-    /// The returned control stops the emitter (rewinding an undelivered
-    /// claim); dropping the query or stopping the session stops it too.
-    pub fn subscribe_sink(
-        &self,
-        query: &str,
-        mode: SubscriptionMode,
-        mut sink: impl Sink + 'static,
-    ) -> Result<EmitterControl> {
-        let (subscriber, meter) = self.subscriber(query, mode, "emit")?;
-        sink.bind_meter(meter);
-        let (basket, reader) = (Arc::clone(subscriber.lease.basket()), subscriber.lease.id());
-        let emitter = Emitter::spawn(subscriber.name.clone(), basket, reader, sink, move || {
-            drop(subscriber)
-        })?;
-        let control = emitter.control();
-        let mut emitters = self.emitters.lock();
-        // Subscribers come and go (a connection per network subscriber):
-        // forget the emitters that have already exited.
-        emitters.retain(|(_, e)| !e.is_finished());
-        emitters.push((query.to_string(), emitter));
-        Ok(control)
-    }
-
-    /// Register one subscriber of `query` — the one place subscriptions
-    /// are wired: its reader on the output basket (its own under
-    /// [`SubscriptionMode::Broadcast`], the query's one pool reader under
-    /// [`SubscriptionMode::Shared`]), its delivery accounts, and its entry
-    /// in the subscriber registry (Petri net, `undelivered` metric).
-    fn subscriber(
-        &self,
-        query: &str,
-        mode: SubscriptionMode,
-        kind: &str,
-    ) -> Result<(Arc<Subscriber>, DeliveryMeter)> {
         let out = self.query_output(query)?;
         let lease = match mode {
             SubscriptionMode::Broadcast => Arc::new(ReaderLease::register(out, true)),
@@ -941,7 +889,7 @@ impl DataCell {
         // never collide across queries (e.g. a query literally named "q-1").
         let seq = self.periphery_seq.fetch_add(1, Ordering::Relaxed);
         let subscriber = Arc::new(Subscriber {
-            name: format!("{kind}-{query}#{seq}"),
+            name: format!("sub-{query}#{seq}"),
             lease,
         });
         {
@@ -959,7 +907,12 @@ impl DataCell {
                 .or_default(),
         );
         let meter = DeliveryMeter::new(hist, self.config.metrics.clone());
-        Ok((subscriber, meter))
+        Ok(Subscription::new(
+            query.to_string(),
+            subscriber,
+            mode,
+            meter,
+        ))
     }
 
     /// The live subscribers, each with its query.
@@ -1090,11 +1043,12 @@ impl DataCell {
     }
 
     /// Drop a continuous query: detach its factory from the scheduler,
-    /// remove the output basket from the catalog, close it so every
-    /// [`Subscription`] ends, and stop its emitters. Equivalent to the SQL
-    /// `DROP CONTINUOUS QUERY name`; also detaches factories registered
-    /// programmatically via `add_factory` (which have no output basket or
-    /// emitters of their own). Waits out a firing of the query in flight
+    /// remove the output basket from the catalog, and close it so every
+    /// [`Subscription`] ends — a network subscriber's connection closes
+    /// once its thread sees the closed basket. Joins no thread. Equivalent
+    /// to the SQL `DROP CONTINUOUS QUERY name`; also detaches factories
+    /// registered programmatically via `add_factory` (which have no output
+    /// basket of their own). Waits out a firing of the query in flight
     /// (see [`Scheduler::remove_factory`]).
     pub fn drop_query(&self, name: &str) -> Result<()> {
         self.scheduler
@@ -1124,25 +1078,6 @@ impl DataCell {
             if out.has_storage() {
                 self.remove_basket_storage(out.name());
             }
-        }
-        // Take this query's emitters out of the registry, then stop them
-        // outside the lock (stop joins the thread).
-        let mine: Vec<Emitter> = {
-            let mut emitters = self.emitters.lock();
-            let mut mine = Vec::new();
-            let mut keep = Vec::with_capacity(emitters.len());
-            for (query, e) in emitters.drain(..) {
-                if query == name {
-                    mine.push(e);
-                } else {
-                    keep.push((query, e));
-                }
-            }
-            *emitters = keep;
-            mine
-        };
-        for e in mine {
-            e.stop();
         }
         self.query_latency.lock().remove(name);
         self.events
@@ -1826,15 +1761,12 @@ impl DataCell {
         self.scheduler.start();
     }
 
-    /// Stop the scheduler and all periphery threads, and close every
-    /// query's output basket so its subscriptions end.
+    /// Stop the scheduler and close every query's output basket, so every
+    /// subscription ends — on whichever thread polls it.
     pub fn stop(&self) {
         self.scheduler.stop();
         for out in self.query_outputs.lock().values() {
             out.close();
-        }
-        for (_, e) in self.emitters.lock().drain(..) {
-            e.stop();
         }
     }
 

@@ -10,12 +10,12 @@
 //!   socket read buffer ──decode──▶ column builders ──▶ Basket ──▶ Factory ──▶ Basket
 //!   (NetReceptor, STREAM b)        (StreamWriter)                               │
 //!                                                                                ▼ claim
-//!   socket ◀──write── byte buffer ◀──render── column slices ◀── emitter thread (NetSink, SUBSCRIBE q)
+//!   socket ◀──write── byte buffer ◀──render── column slices ◀── connection thread (SUBSCRIBE q)
 //! ```
 //!
 //! The edge is columnar from socket to socket: no per-tuple row, string or
-//! channel send between a [`NetReceptor`]'s socket read and a
-//! [`NetSink`]'s socket write.
+//! channel send between a [`NetReceptor`]'s socket read and a subscriber's
+//! socket write.
 //!
 //! * framing is exactly [`datacell::text`]: one tuple per line,
 //!   comma-separated, CSV-style quoting — the decoder is the network trust
@@ -26,10 +26,12 @@
 //!   [`OverflowPolicy`](datacell::OverflowPolicy), so a full pipeline
 //!   stalls the socket (TCP backpressure), sheds or spills, it never
 //!   buffers unboundedly;
-//! * a [`NetSink`] is the subscription's engine-side emitter writing to
-//!   the socket itself: a slow TCP client fills its kernel buffer and the
-//!   emitter stalls holding its claim, so the slowness backpressures the
-//!   pipeline instead of growing a queue.
+//! * a `SUBSCRIBE` connection is its own emitter: its thread holds a
+//!   [`Subscription`](datacell::Subscription), claims result chunks
+//!   ([`Subscription::claim_chunk`](datacell::Subscription::claim_chunk))
+//!   and writes them to the socket itself. A slow TCP client fills its
+//!   kernel buffer and the thread stalls holding its claim, so the
+//!   slowness backpressures the pipeline instead of growing a queue.
 //!
 //! The entry point is [`NetServer`]: bind it to the address configured
 //! through [`DataCellBuilder::listen`](datacell::DataCellBuilder::listen),
@@ -60,13 +62,11 @@
 //! The full frame grammar, handshake, error replies and backpressure
 //! semantics are specified in `docs/protocol.md` at the repository root.
 
-pub mod emitter;
 pub mod http;
 pub mod protocol;
 pub mod receptor;
 pub mod server;
 
-pub use emitter::NetSink;
 pub use http::HttpServer;
 pub use protocol::{Handshake, StreamCommand, PROTOCOL_VERSION};
 pub use receptor::NetReceptor;

@@ -156,13 +156,6 @@ impl LineReader {
     pub(crate) fn drained(&self) -> bool {
         self.reader.buffer().len() == self.held
     }
-
-    /// The buffered socket reader, with any unread input (the line framing
-    /// is abandoned).
-    pub(crate) fn into_inner(mut self) -> BufReader<TcpStream> {
-        self.reader.consume(self.held);
-        self.reader
-    }
 }
 
 /// Drop the `\r`s ending a line.

@@ -4,7 +4,22 @@
 //! One blocking accept loop, one thread per connection. Each connection is
 //! greeted with `OK datacell 1`, sends a handshake line
 //! ([`crate::protocol::Handshake`]), and becomes either a [`NetReceptor`]
-//! (`STREAM`) or the read side of a [`NetSink`] (`SUBSCRIBE`). The server
+//! (`STREAM`) or an emitter (`SUBSCRIBE`): a
+//! [`Subscription`](datacell::Subscription) whose chunks the connection
+//! thread writes to its socket.
+//!
+//! **Backpressure.** A subscriber that stops reading fills its kernel
+//! socket buffer; the write blocks and its thread parks holding its
+//! basket claim, so the slow client stalls exactly its own reader while
+//! the query's output basket fills and the factory defers or sheds under
+//! its [`OverflowPolicy`](datacell::OverflowPolicy). The write waits in
+//! slices of a few milliseconds, giving up when the server stops or the
+//! query's output closes (`DROP CONTINUOUS QUERY`, [`DataCell::stop`]).
+//!
+//! **Disconnects.** Between claims, and on each idle wake-up, the thread
+//! probes the read side; a hang-up, or a failed write, ends the
+//! connection and its subscription, whose reader deregisters — no tuple
+//! is lost. The server
 //! registers itself as the session's [`NetMetricsSource`], so
 //! [`DataCell::metrics`] reports accepted/active connections and
 //! per-connection tuple counters alongside the engine's own accounts.
@@ -20,16 +35,24 @@ use datacell::error::{DataCellError, Result};
 use datacell::metrics::{
     NetConnectionKind, NetConnectionMetrics, NetMetricsSnapshot, NetMetricsSource,
 };
-use datacell::{CellResult, DataCell, EventKind, SubscriptionMode};
+use datacell::text::ChunkRenderer;
+use datacell::{CellResult, DataCell, EventKind, SubscriptionMode, Value};
 use datacell_sql::ColumnDef;
 use parking_lot::Mutex;
 
-use crate::emitter::NetSink;
 use crate::protocol::{self, Handshake};
 use crate::receptor::{timed_out, LineReader, NetReceptor, ReadStep};
 
 /// How long blocking reads wait before re-checking the stop flag.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// How long a subscriber's thread waits — for results, or for room in a
+/// full socket — before re-checking that the subscriber is still wanted.
+const WAIT_POLL: Duration = Duration::from_millis(10);
+
+/// Most bytes rendered ahead of one socket write (a single longer row is
+/// written whole).
+const PIECE_BYTES: usize = 64 << 10;
 
 /// Traffic counters of one connection, shared between the connection
 /// thread and the server's registry.
@@ -253,6 +276,14 @@ impl NetServer {
             // Unblocks reads parked in a poll slice and writes parked on a
             // slow client's full socket buffer.
             let _ = c.stream.shutdown(Shutdown::Both);
+            // A subscriber waiting for results waits on its query's output
+            // basket, not on the socket: wake it too.
+            let (kind, target) = c.stats.desc.lock().clone();
+            if kind == NetConnectionKind::Subscribe {
+                if let Ok(out) = self.state.cell.query_output(&target) {
+                    out.signal().notify();
+                }
+            }
         }
         for mut c in conns {
             if let Some(h) = c.handle.take() {
@@ -425,7 +456,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream, stats: Arc<Con
                 return;
             }
             Ok(Handshake::Subscribe { query, mode }) => {
-                serve_subscribe(state, lines, replies, stats, &query, mode);
+                serve_subscribe(state, replies, stats, &query, mode);
                 return;
             }
             Ok(Handshake::Exec { sql }) => {
@@ -470,58 +501,111 @@ fn serve_stream(
     NetReceptor::new(lines, replies, writer, stats, stop).run();
 }
 
-/// Attach a [`NetSink`] for `SUBSCRIBE <query>` to the query's output,
-/// then watch the read side until the subscriber goes: the engine-side
-/// emitter does all the writing. Client input is ignored per protocol;
-/// EOF means the client hung up, so its emitter is stopped at once — an
-/// idle subscriber's reader is released without waiting for a delivery
-/// to fail.
+/// Serve `SUBSCRIBE <query>`: this connection's thread is the query's
+/// emitter (see the module docs). It subscribes — registering its reader
+/// before the `OK SUBSCRIBE` reply, so the client sees every tuple after
+/// it — and then, until the client hangs up, the server stops or the
+/// query's output closes, claims each chunk the output basket signals,
+/// renders it from its column slices ([`ChunkRenderer`]) in pieces of at
+/// most [`PIECE_BYTES`] into one reused buffer, and writes them. Client
+/// input is ignored per protocol: the read-side probe discards it.
+///
+/// Each claim commits the rows written (under `MODE shared`, written
+/// *and* followed by a probe showing the peer still there: a write into
+/// a half-closed socket succeeds at the OS level) and gives the rest back
+/// to its reader — so a shared member's failure returns at most the
+/// failing piece to the pool, and a broadcast member's reader goes with
+/// its subscription. `tuples` counts the rows written.
 fn serve_subscribe(
     state: &Arc<ServerState>,
-    lines: LineReader,
     mut replies: TcpStream,
     stats: Arc<ConnStats>,
     query: &str,
     mode: SubscriptionMode,
 ) {
-    let unknown = |replies: &mut TcpStream, e: &DataCellError| {
-        let _ = writeln!(
-            replies,
-            "{}",
-            protocol::err_line("unknown-query", &e.to_string())
-        );
-    };
-    let out = match state.cell.query_output(query) {
-        Ok(out) => out,
-        Err(e) => return unknown(&mut replies, &e),
+    let subscribed = state.cell.query_output(query).and_then(|out| {
+        let sub = state.cell.subscribe_with::<Vec<Value>>(query, mode)?;
+        Ok((out, sub))
+    });
+    let (out, sub) = match subscribed {
+        Ok(s) => s,
+        Err(e) => {
+            let _ = writeln!(
+                replies,
+                "{}",
+                protocol::err_line("unknown-query", &e.to_string())
+            );
+            return;
+        }
     };
     let width = out.user_width();
-    let greeting = format!(
+    // One write, so the reply leaves in one segment.
+    let reply = format!(
         "OK SUBSCRIBE {query} {}\n",
         render_cols(&out.schema().columns[..width])
     );
-    let Ok(sink) = replies
-        .try_clone()
-        .and_then(|s| NetSink::new(s, width, mode, greeting, Arc::clone(&stats)))
-    else {
+    if replies.write_all(reply.as_bytes()).is_err()
+        || replies.set_write_timeout(Some(WAIT_POLL)).is_err()
+    {
         return;
-    };
-    let control = match state.cell.subscribe_sink(query, mode, sink) {
-        Ok(control) => control,
-        Err(e) => return unknown(&mut replies, &e),
-    };
+    }
     *stats.desc.lock() = (NetConnectionKind::Subscribe, query.to_string());
-    let mut reader = lines.into_inner();
-    let mut scratch = [0u8; 512];
-    while !state.stop.load(Ordering::Relaxed) && !control.is_finished() {
-        match reader.read(&mut scratch) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) if timed_out(&e) => {}
-            Err(_) => break,
+    let shared = mode == SubscriptionMode::Shared;
+    let wanted = || !state.stop.load(Ordering::Relaxed) && !sub.is_closed();
+    let mut buf = Vec::new();
+    while wanted() && peer_alive(&replies) {
+        let mut claim = match sub.claim_chunk(WAIT_POLL) {
+            Ok(Some(claim)) => claim,
+            Ok(None) => continue,
+            Err(_) => return,
+        };
+        let rows = ChunkRenderer::new(claim.chunk(), width);
+        let mut done = 0;
+        while done < rows.len() {
+            buf.clear();
+            let next = rows.render_until(done, PIECE_BYTES, &mut buf);
+            if !write_all(&replies, &buf, wanted) || (shared && !peer_alive(&replies)) {
+                break;
+            }
+            done = next;
+        }
+        stats.tuples.fetch_add(done as u64, Ordering::Relaxed);
+        claim.delivered(done);
+        if done < claim.chunk().len() {
+            return; // dropping the claim gives the rest back
         }
     }
-    control.stop();
+}
+
+/// Write all of `buf`, waiting out a full socket in [`WAIT_POLL`] slices
+/// while the subscriber is still `wanted`; `false` once the write fails
+/// or is given up.
+fn write_all(mut socket: &TcpStream, buf: &[u8], wanted: impl Fn() -> bool) -> bool {
+    let mut at = 0;
+    while at < buf.len() {
+        match socket.write(&buf[at..]) {
+            Ok(0) => return false,
+            Ok(n) => at += n,
+            Err(e) if timed_out(&e) && wanted() => {}
+            Err(_) => return false,
+        }
+    }
+    true
+}
+
+/// One non-blocking read of the read side: discards what the client sent
+/// (at most one read's worth, so a client that keeps sending cannot hold
+/// the thread here) and returns `false` once it has hung up. The socket
+/// is non-blocking for the probe only, so writes keep their timeout.
+fn peer_alive(mut socket: &TcpStream) -> bool {
+    if socket.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let alive = match socket.read(&mut [0u8; 4096]) {
+        Ok(n) => n > 0,
+        Err(e) => timed_out(&e),
+    };
+    socket.set_nonblocking(false).is_ok() && alive
 }
 
 /// Render an `EXEC` outcome onto the socket. The first line tells the

@@ -3,7 +3,7 @@
 //! ```text
 //! tcp ─▶ NetReceptor ─decode─▶ columns ─▶ Basket trades ─▶ Factory(big) ─▶ Basket
 //!                                                                           │ claim
-//! tcp ◀─write─ bytes ◀─render─ column slices ◀─ emitter thread (NetSink) ◀──┘
+//! tcp ◀─write─ bytes ◀─render─ column slices ◀─ connection thread ◀─────────┘
 //! ```
 //!
 //! The engine listens on a loopback port; a "client" thread speaks the

@@ -7,7 +7,7 @@
 //! * multi-client ingest + broadcast/shared subscribe with exact tuple
 //!   counts and order per client;
 //! * slow-reader TCP backpressure: a subscriber that stops reading stalls
-//!   its own emitter while the engine's memory stays bounded (defer/
+//!   its own connection thread while the engine's memory stays bounded (defer/
 //!   overflow/shed counters visible in `DataCell::metrics()`);
 //! * abrupt-disconnect rewind: a killed shared-pool subscriber loses no
 //!   tuples — survivors re-claim its rewound ranges (duplicates only per
@@ -17,11 +17,12 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use datacell::metrics::NetConnectionKind;
-use datacell::{DataCell, OverflowPolicy};
+use datacell::{DataCell, OverflowPolicy, SubscriptionMode, Value};
 use datacell_net::NetServer;
 
 /// A minimal blocking wire-protocol client (what `nc` would be).
@@ -198,7 +199,7 @@ fn end_to_end_ingest_and_subscribe_exact_order() {
     assert!(
         net.inputs
             .iter()
-            .any(|(p, t)| p == "q_out" && t.starts_with("emit-q")),
+            .any(|(p, t)| p == "q_out" && t.starts_with("sub-q")),
         "{:?}",
         net.inputs
     );
@@ -305,9 +306,9 @@ fn multi_client_broadcast_and_shared_fanout() {
 #[test]
 fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
     // Bounded output (Reject): a subscriber that stops reading fills its
-    // socket and stalls its emitter; the factory defers instead of
-    // growing memory; the fast subscriber still gets everything — and when
-    // the slow client dies abruptly, its reader deregisters and the
+    // socket and stalls its connection thread; the factory defers instead
+    // of growing memory; the fast subscriber still gets everything — and
+    // when the slow client dies abruptly, its reader deregisters and the
     // pipeline drains completely.
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
@@ -331,35 +332,58 @@ fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
     fast.send("SUBSCRIBE q");
     assert!(fast.read_line().unwrap().starts_with("OK SUBSCRIBE q"));
 
-    // Wide rows so a few thousand overflow every kernel socket buffer.
-    const N: usize = 4000;
-    let pad = "p".repeat(120);
-    let ingest_pad = pad.clone();
+    // Kernel socket buffers can absorb megabytes on loopback, so a fixed
+    // load may never stall the slow subscriber. Keep offering batches of
+    // wide rows until the stall shows as deferred factory steps and a
+    // full basket; a batch offered once the pipeline is stalled completes
+    // only after the slow client is gone.
+    let stalled = |cell: &DataCell| {
+        let m = cell.metrics();
+        m.factory_deferrals > 0 && m.overflow_events > 0
+    };
+    const BATCH: usize = 2000;
+    let ingest_cell = Arc::clone(&cell);
     let ingest = std::thread::spawn(move || {
+        let pad = "p".repeat(120);
         let mut c = Client::connect(addr);
         c.send("STREAM b");
         assert!(c.read_line().unwrap().starts_with("OK STREAM b"));
-        for i in 0..N {
-            c.send(&format!("{i}, {ingest_pad}"));
+        let mut total = 0;
+        for _ in 0..200 {
+            if stalled(&ingest_cell) {
+                break;
+            }
+            for i in total..total + BATCH {
+                c.send(&format!("{i}, {pad}"));
+            }
+            total += BATCH;
+            c.send("SYNC");
+            assert_eq!(
+                c.read_line().as_deref(),
+                Some(format!("OK SYNC {total} 0").as_str()),
+                "every line accepted, none lost"
+            );
         }
-        c.send("SYNC");
-        assert_eq!(
-            c.read_line().as_deref(),
-            Some(format!("OK SYNC {N} 0").as_str()),
-            "every line accepted, none lost"
-        );
+        total
     });
 
-    // Drain the fast subscriber from a thread so its socket never stalls.
-    let fast_handle = std::thread::spawn(move || fast.collect_ints(N, Duration::from_secs(60)));
+    // Drain the fast subscriber from a thread so its socket never stalls,
+    // until it has every row the ingest sent (known once ingest ends).
+    let sent = Arc::new(AtomicUsize::new(usize::MAX));
+    let fast_sent = Arc::clone(&sent);
+    let fast_handle = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut got = Vec::new();
+        while got.len() < fast_sent.load(Ordering::Acquire) && Instant::now() < deadline {
+            got.extend(fast.collect_ints(BATCH, Duration::from_millis(100)));
+        }
+        got
+    });
 
-    // The stall must become observable: deferred factory steps and a
-    // bounded output basket, while ingest is nowhere near done.
+    // The stall is certain; it must become observable, with the engine's
+    // memory bounded.
     assert!(
-        wait_until(Duration::from_secs(30), || {
-            let m = cell.metrics();
-            m.factory_deferrals > 0 && m.overflow_events > 0
-        }),
+        wait_until(Duration::from_secs(60), || stalled(&cell)),
         "slow subscriber stalls the pipeline into visible deferrals"
     );
     let out_len = cell.query_output("q").unwrap().len();
@@ -368,14 +392,15 @@ fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
         "engine memory stays bounded while stalled (output resident: {out_len})"
     );
 
-    // Kill the slow client abruptly: its emitter's write fails (or its
-    // connection thread sees the hang-up and stops it), the claim rewinds,
-    // the reader deregisters, and the stream drains to the fast
-    // subscriber — every tuple, in order.
+    // Kill the slow client abruptly: its connection's write fails or its
+    // probe sees the hang-up, the claim rewinds, the reader deregisters,
+    // and the stream drains to the fast subscriber — every tuple, in
+    // order.
     drop(slow);
+    let total = ingest.join().unwrap();
+    sent.store(total, Ordering::Release);
     let got = fast_handle.join().unwrap();
-    assert_eq!(got, (0..N as i64).collect::<Vec<i64>>());
-    ingest.join().unwrap();
+    assert_eq!(got, (0..total as i64).collect::<Vec<i64>>());
 
     server.stop();
     cell.stop();
@@ -383,8 +408,8 @@ fn slow_tcp_subscriber_bounds_engine_and_disconnect_releases() {
 
 #[test]
 fn shed_policy_keeps_ingest_flowing_under_slow_subscriber() {
-    // A network subscriber's emitter writes to the socket, whose buffer is
-    // the only queue between the engine and a remote peer.
+    // A network subscriber's connection thread writes to the socket, whose
+    // buffer is the only queue between the engine and a remote peer.
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
         .basket_capacity(256)
@@ -464,8 +489,8 @@ fn abrupt_shared_disconnect_rewinds_without_loss() {
     // A shared claim delivered toward a dead client fails (the write, or
     // the read-side probe after it). Its rows fit in one written piece, so
     // it rewinds whole — the survivor re-claims it all. (A claim of several
-    // pieces keeps those delivered before the failing one: the unit tests
-    // of `datacell-net`'s socket sink cover that.)
+    // pieces keeps those delivered before the failing one:
+    // `failed_later_piece_rewinds_only_that_piece` covers that.)
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
         .auto_start(true)
@@ -507,6 +532,191 @@ fn abrupt_shared_disconnect_rewinds_without_loss() {
         got,
         (0..N).collect::<Vec<i64>>(),
         "survivor re-claims the dead consumer's rewound ranges: no loss"
+    );
+
+    server.stop();
+    cell.stop();
+}
+
+/// Bytes a subscriber's connection renders ahead of one socket write.
+const PIECE_BYTES: usize = 64 << 10;
+
+/// Read `client`'s raw result bytes until `stop` says enough or the server
+/// closes the connection (EOF), for at most 10 s.
+fn read_raw(client: &mut Client, mut stop: impl FnMut(&[u8]) -> bool) -> (Vec<u8>, bool) {
+    use std::io::Read;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut got = Vec::new();
+    let mut buf = vec![0u8; 16 << 10];
+    while !stop(&got) && Instant::now() < deadline {
+        match client.reader.read(&mut buf) {
+            Ok(0) => return (got, true),
+            Ok(n) => got.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return (got, true),
+            Err(_) => {}
+        }
+    }
+    (got, false)
+}
+
+/// The first field of every complete line in `bytes`.
+fn first_fields(bytes: &[u8]) -> Vec<i64> {
+    let text = String::from_utf8_lossy(bytes);
+    let complete = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
+    complete
+        .lines()
+        .map(|l| l.split(',').next().unwrap().trim().parse().unwrap())
+        .collect()
+}
+
+#[test]
+fn failed_later_piece_rewinds_only_that_piece() {
+    // One shared claim far larger than the loopback socket buffers: the
+    // member reads a few pieces, then hangs up with unread data (a reset),
+    // so a later piece — not the first — fails. The pieces written before
+    // it stay committed; the surviving member re-receives at most the one
+    // that failed.
+    let cell = DataCell::builder().listen("127.0.0.1:0").build();
+    cell.execute("create basket b (i int, pad varchar)")
+        .unwrap();
+    cell.execute("create continuous query q as select s.i, s.pad from [select * from b] as s")
+        .unwrap();
+    // Results land straight in the query's output basket: the test
+    // exercises delivery, not the query.
+    let pad = "x".repeat(1000);
+    let total: i64 = 32_000;
+    let rows: Vec<Vec<Value>> = (0..total)
+        .map(|i| vec![Value::Int(i), Value::Str(pad.clone())])
+        .collect();
+    cell.query_output("q").unwrap().append_rows(&rows).unwrap();
+    // The surviving pool member claims only when polled, so the TCP
+    // member takes the whole backlog in one claim first.
+    let survivor = cell
+        .subscribe_with::<(i64, String)>("q", SubscriptionMode::Shared)
+        .unwrap();
+    let (cell, server, addr) = serve(cell);
+
+    let mut dying = Client::connect(addr);
+    dying.send("SUBSCRIBE q MODE shared");
+    assert!(dying.read_line().unwrap().starts_with("OK SUBSCRIBE q"));
+    // Read at least four pieces' worth, then close with data unread.
+    let (got, closed) = read_raw(&mut dying, |got| got.len() > 4 * PIECE_BYTES + 100);
+    assert!(!closed, "the connection closed early");
+    drop(dying);
+    assert!(
+        wait_until(Duration::from_secs(10), || server
+            .metrics()
+            .connections_active
+            == 0),
+        "the failed write was noticed"
+    );
+
+    let read = first_fields(&got).len() as i64;
+    // What the surviving member receives next: the rewound tail.
+    let ids: Vec<i64> = survivor
+        .drain()
+        .unwrap()
+        .into_iter()
+        .map(|(i, _)| i)
+        .collect();
+    let first = ids[0];
+    assert_eq!(ids, (first..total).collect::<Vec<_>>());
+    assert_eq!(server.metrics().tuples_out, first as u64, "rows written");
+    assert!(first > 0, "the pieces delivered before the failure commit");
+    // Rows of one piece: a 1 KiB line each, 64 per 64 KiB.
+    let per_piece = (PIECE_BYTES / (pad.len() + 8)) as i64 + 1;
+    let twice = read.saturating_sub(first);
+    assert!(
+        twice <= per_piece,
+        "{twice} rows re-delivered (read {read}, rewound from {first})"
+    );
+
+    server.stop();
+    cell.stop();
+}
+
+#[test]
+fn drop_query_closes_live_network_subscribers() {
+    // Dropping a query ends its network subscribers without waiting on
+    // them: an idle one, and one stalled on a full socket because it
+    // stopped reading. Each sees the server close after an in-order
+    // prefix, and neither leaves a reader on the dropped basket.
+    let cell = DataCell::builder().listen("127.0.0.1:0").build();
+    cell.execute("create basket b (i int, pad varchar)")
+        .unwrap();
+    cell.execute("create continuous query q as select s.i, s.pad from [select * from b] as s")
+        .unwrap();
+    let (cell, server, addr) = serve(cell);
+    let out = cell.query_output("q").unwrap();
+
+    let mut stalled = Client::connect(addr);
+    stalled.send("SUBSCRIBE q");
+    assert!(stalled.read_line().unwrap().starts_with("OK SUBSCRIBE q"));
+    let mut idle = Client::connect(addr);
+    idle.send("SUBSCRIBE q");
+    assert!(idle.read_line().unwrap().starts_with("OK SUBSCRIBE q"));
+
+    // Offer 1 KiB rows, each batch read in full by the idle subscriber,
+    // until the stalled one's connection lags by 8 MiB — more than the
+    // socket buffers of a peer that never reads can hold (its receive
+    // buffer grows only as it reads), so its thread is parked on a full
+    // socket.
+    let pad = "x".repeat(1000);
+    let mut sent = 0i64;
+    let mut idle_got = Vec::new();
+    for _ in 0..64 {
+        let rows: Vec<Vec<Value>> = (sent..sent + 1000)
+            .map(|i| vec![Value::Int(i), Value::Str(pad.clone())])
+            .collect();
+        out.append_rows(&rows).unwrap();
+        sent += 1000;
+        let want = (sent as usize) - idle_got.len();
+        let (mut lines, mut scanned) = (0, 0);
+        let (got, closed) = read_raw(&mut idle, |got| {
+            lines += got[scanned..].iter().filter(|&&b| b == b'\n').count();
+            scanned = got.len();
+            lines >= want
+        });
+        assert!(!closed);
+        idle_got.extend(first_fields(&got));
+        let written: u64 = server
+            .metrics()
+            .per_connection
+            .iter()
+            .map(|c| c.tuples)
+            .min()
+            .unwrap();
+        if written + 8000 <= sent as u64 {
+            break;
+        }
+    }
+    assert_eq!(idle_got, (0..sent).collect::<Vec<_>>());
+
+    let started = Instant::now();
+    cell.execute("drop continuous query q").unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "drop returned in {:?}",
+        started.elapsed()
+    );
+    let (rest, closed) = read_raw(&mut idle, |_| false);
+    assert!(closed && rest.is_empty(), "idle subscriber closed");
+    let (got, closed) = read_raw(&mut stalled, |_| false);
+    assert!(closed, "stalled subscriber closed");
+    let prefix = first_fields(&got);
+    assert!(prefix.len() < sent as usize, "it had stalled");
+    assert_eq!(prefix, (0..prefix.len() as i64).collect::<Vec<_>>());
+    assert!(
+        wait_until(Duration::from_secs(10), || server
+            .metrics()
+            .connections_active
+            == 0),
+        "both connections end"
+    );
+    assert_eq!(
+        out.reader_count(),
+        0,
+        "no reader left on the dropped basket"
     );
 
     server.stop();
@@ -638,8 +848,8 @@ fn blank_lines_are_ignored_and_frames_are_capped() {
 #[test]
 fn idle_subscriber_disconnect_is_reaped() {
     // A subscriber that hangs up while no results are flowing must not
-    // leak its emitter thread, basket reader, or registry entry: the
-    // connection thread, blocked on the read side, notices the EOF.
+    // leak its connection thread, basket reader, or registry entry: the
+    // thread's idle read-side probe notices the EOF.
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
         .auto_start(true)
@@ -667,8 +877,8 @@ fn idle_subscriber_disconnect_is_reaped() {
         }),
         "idle disconnected subscriber reaped"
     );
-    // On that EOF the connection thread stopped the subscription's
-    // emitter, so its reader is gone without any further delivery.
+    // On that EOF the connection thread dropped its subscription, so its
+    // reader is gone without any further delivery.
     assert!(
         wait_until(Duration::from_secs(10), || {
             cell.query_output("q").unwrap().reader_count() < readers_with_sub
