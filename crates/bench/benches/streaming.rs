@@ -192,6 +192,31 @@ fn wire_lines() -> Vec<u8> {
     buf
 }
 
+/// `x int, s str` lines filling 64 KiB, three in eight plain: the rest
+/// are quoted, non-ASCII, not UTF-8, `NIL`, empty or malformed.
+fn mixed_lines() -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 << 10);
+    let mut i = 0;
+    while buf.len() < (64 << 10) - 80 {
+        match i % 8 {
+            0 => buf.extend_from_slice(format!("oops{i}, malformed\n").as_bytes()),
+            1 => buf.extend_from_slice(format!("{i}, \"quoted, {i} \"\"x\"\"\\n\"\r\n").as_bytes()),
+            2 => buf.extend_from_slice(format!("  {i} ,\t é→ {i}  \n").as_bytes()),
+            3 => {
+                buf.extend_from_slice(format!("{i}, bad").as_bytes());
+                buf.extend_from_slice(b"\xff\xc3 utf8\n");
+            }
+            4 => buf.extend_from_slice(format!("{i}, NIL\n").as_bytes()),
+            5 => buf.extend_from_slice(format!("{i},\n").as_bytes()),
+            _ => {
+                buf.extend_from_slice(format!("{i}, plain-{i:06}-{}\n", "p".repeat(32)).as_bytes())
+            }
+        }
+        i += 1;
+    }
+    buf
+}
+
 fn bench_text(c: &mut Criterion) {
     let schema = Schema::new(vec![
         ("k".into(), DataType::Int),
@@ -214,12 +239,55 @@ fn bench_text(c: &mut Criterion) {
             builder
         })
     });
+    g.bench_function("decode_64k_read_at_a_time", |b| {
+        b.iter(|| {
+            // One call per 64 KiB, as the receptor decodes a socket read.
+            let mut builder = ChunkBuilder::new(schema.clone());
+            let decoded = builder.decode_lines(&buf, usize::MAX);
+            assert_eq!(decoded, (buf.len(), lines.len()));
+            builder
+        })
+    });
     g.bench_function("decode_64k_parse_tuple_per_line", |b| {
         b.iter(|| {
             lines
                 .iter()
                 .map(|l| parse_tuple(std::str::from_utf8(l).unwrap(), &schema).unwrap())
                 .collect::<Vec<_>>()
+        })
+    });
+
+    // Lines off the one-pass core: strings, quotes, non-ASCII, nil and
+    // malformed lines, as in `net_integration`'s mixed ingest script.
+    let mixed_schema = Schema::new(vec![
+        ("x".into(), DataType::Int),
+        ("s".into(), DataType::Str),
+    ]);
+    let mixed = mixed_lines();
+    let mixed_lines: Vec<&[u8]> = mixed.split_inclusive(|&b| b == b'\n').collect();
+    g.throughput(Throughput::Elements(mixed_lines.len() as u64));
+    g.bench_function("decode_64k_mixed_into_chunk", |b| {
+        b.iter(|| {
+            let mut builder = ChunkBuilder::new(mixed_schema.clone());
+            for line in &mixed_lines {
+                let _ = builder.decode_line(line.strip_suffix(b"\n").unwrap());
+            }
+            builder
+        })
+    });
+    g.bench_function("decode_64k_mixed_read_at_a_time", |b| {
+        b.iter(|| {
+            // The receptor's loop: one pass, and a stopped line on its own.
+            let mut builder = ChunkBuilder::new(mixed_schema.clone());
+            let mut at = 0;
+            while at < mixed.len() {
+                at += builder.decode_lines(&mixed[at..], usize::MAX).0;
+                if let Some(n) = mixed[at..].iter().position(|&b| b == b'\n') {
+                    let _ = builder.decode_line(&mixed[at..at + n]);
+                    at += n + 1;
+                }
+            }
+            builder
         })
     });
 

@@ -495,7 +495,8 @@ pub struct WriterStatsSnapshot {
 ///
 /// Rows are validated against the basket's user schema on [`append`]
 /// (coercion rules identical to SQL `INSERT`) and textual tuples decoded
-/// on [`append_text`] / [`append_bytes`] — either way straight into typed
+/// on [`append_text`] / [`append_bytes`] (a read's worth of lines at a
+/// time on [`append_lines`]) — either way straight into typed
 /// column builders ([`text::ChunkBuilder`]) — buffered up to the batch
 /// size, and appended in bulk as one chunk on [`flush`], preserving the
 /// paper's batch-processing advantage on the ingest path. Like the
@@ -507,6 +508,7 @@ pub struct WriterStatsSnapshot {
 /// [`append`]: StreamWriter::append
 /// [`append_text`]: StreamWriter::append_text
 /// [`append_bytes`]: StreamWriter::append_bytes
+/// [`append_lines`]: StreamWriter::append_lines
 /// [`flush`]: StreamWriter::flush
 pub struct StreamWriter {
     basket: Arc<Basket>,
@@ -598,6 +600,18 @@ impl StreamWriter {
     pub fn append_bytes(&mut self, line: &[u8]) -> Result<()> {
         let decoded = self.buf.decode_line(line);
         self.buffered(decoded)
+    }
+
+    /// Decode and buffer the complete lines at the front of `bytes` in one
+    /// pass, at most `max_rows` of them ([`text::ChunkBuilder::decode_lines`]);
+    /// returns the bytes consumed and the rows buffered. It stops before
+    /// the first line that needs the per-line rules — hand that line to
+    /// [`append_bytes`](StreamWriter::append_bytes) and resume after it.
+    /// Unlike the other appends it never flushes: the caller lands the
+    /// buffer ([`flush`](StreamWriter::flush),
+    /// [`try_flush`](StreamWriter::try_flush)).
+    pub fn append_lines(&mut self, bytes: &[u8], max_rows: usize) -> (usize, usize) {
+        self.buf.decode_lines(bytes, max_rows)
     }
 
     /// Count a rejected row, or auto-flush a full buffer.
@@ -719,9 +733,10 @@ pub(crate) struct Subscriber {
     pub(crate) lease: Arc<ReaderLease>,
 }
 
-/// The accounts a subscription's deliveries feed: its query's end-to-end
-/// latency histogram (always recorded — the arrival `ts` rides on every
-/// tuple anyway) and, when session metrics are on, the session's delivered
+/// The accounts a subscription's deliveries feed: its query's latency
+/// histogram (always recorded — the output basket's `ts` rides on every
+/// tuple anyway: output-basket entry, or input-basket entry when the query
+/// projects `ts`) and, when session metrics are on, the session's delivered
 /// counter and latency histogram. A row is accounted once, when it is
 /// committed: at claim for a broadcast reader, as it is handed out for a
 /// pool member, and as it is reported delivered for a [`ChunkClaim`].
@@ -1173,6 +1188,8 @@ impl<'a> QueryHandle<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacell_bat::column::Column;
+    use datacell_bat::types::DataType;
 
     #[test]
     fn into_row_accepts_tuples_and_vecs() {
@@ -1376,6 +1393,48 @@ mod tests {
         claim.delivered(1);
         drop(claim);
         assert_eq!(delivered(&cell), (5, 5), "only the delivered prefix");
+    }
+
+    #[test]
+    fn latency_spans_the_input_basket_only_when_the_query_projects_ts() {
+        // A row whose `ts` says it entered `b` 10 s ago: a query projecting
+        // `ts` carries that stamp into its output basket and records it;
+        // one that does not stamps its output rows afresh and records only
+        // their output-basket residency. Both read `b` through one shared
+        // plan head.
+        let cell = DataCell::builder().plan_sharing(true).build();
+        cell.execute("create basket b (x int)").unwrap();
+        cell.continuous_query("with_ts", "select t.x, t.ts from [select * from b] as t")
+            .unwrap();
+        cell.continuous_query("without_ts", "select t.x from [select * from b] as t")
+            .unwrap();
+        // The projected `ts` is the output basket's own: one user column.
+        let with_ts = cell.subscribe::<(i64,)>("with_ts").unwrap();
+        let without_ts = cell.subscribe::<(i64,)>("without_ts").unwrap();
+        const TEN_S: i64 = 10_000_000;
+        let chunk = Chunk::new(
+            Schema::new(vec![
+                ("x".into(), DataType::Int),
+                ("ts".into(), DataType::Timestamp),
+            ]),
+            vec![
+                Column::from_ints(vec![7]),
+                Column::from_timestamps(vec![now_micros() - TEN_S]),
+            ],
+        )
+        .unwrap();
+        cell.basket("b").unwrap().append_chunk(&chunk).unwrap();
+        cell.run_until_quiescent(10);
+        assert_eq!(with_ts.drain().unwrap(), vec![(7,)]);
+        assert_eq!(without_ts.drain().unwrap(), vec![(7,)]);
+        let m = cell.metrics();
+        let latency = |q: &str| {
+            let (_, h) = m.per_query_latency.iter().find(|(n, _)| n == q).unwrap();
+            assert_eq!(h.count, 1, "{q}: one delivered row");
+            h.max_micros
+        };
+        assert!(latency("with_ts") >= TEN_S as u64, "input-basket entry");
+        assert!(latency("without_ts") < TEN_S as u64, "output-basket entry");
     }
 
     #[test]

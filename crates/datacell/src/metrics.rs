@@ -356,15 +356,17 @@ pub struct MetricsSnapshot {
     /// 99th-percentile delivery latency in microseconds (bucket bound,
     /// clamped to the observed maximum).
     pub p99_latency_micros: u64,
-    /// Session-wide end-to-end (basket entry → subscription delivery)
-    /// latency histogram. Populated when
+    /// Session-wide delivery latency histogram: output-basket entry →
+    /// subscription delivery; input-basket entry when the query projects
+    /// `ts`. Populated when
     /// [`DataCellBuilder::metrics`](crate::client::DataCellBuilder::metrics)
     /// is enabled.
     pub latency: HistogramSnapshot,
-    /// Per-continuous-query end-to-end latency histograms, one per query
-    /// with at least one subscription, keyed by query name. Always
-    /// recorded (independent of the session-metrics toggle): the arrival
-    /// timestamp rides on every tuple anyway, so attribution is free.
+    /// Per-continuous-query delivery latency histograms (output-basket
+    /// entry → delivery; input-basket entry when the query projects
+    /// `ts`), one per query with at least one subscription, keyed by query
+    /// name. Always recorded (independent of the session-metrics toggle):
+    /// the `ts` rides on every tuple anyway, so attribution is free.
     pub per_query_latency: Vec<(String, HistogramSnapshot)>,
     /// Microseconds since the session was built — lets dashboards
     /// correlate counter resets with restarts.

@@ -191,8 +191,9 @@ pub struct DataCell {
     /// Ring of recent engine events (firings, overflow/shed, recovery,
     /// connection churn …) — see [`DataCell::recent_events`].
     events: Arc<EventRing>,
-    /// Per-query end-to-end latency histograms, fed by every subscription
-    /// sink of the query (basket entry → delivery). Kept across
+    /// Per-query latency histograms, fed by every subscription of the
+    /// query (output-basket entry → delivery; input-basket entry when the
+    /// query projects `ts`). Kept across
     /// pause/resume; removed on drop.
     query_latency: Mutex<HashMap<String, Arc<LatencyHistogram>>>,
     /// Engine-clock µs stamp taken at session construction

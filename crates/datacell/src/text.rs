@@ -5,11 +5,11 @@
 //! module is the single definition of that wire format, in both
 //! directions and in columns:
 //!
-//! * **decode** — [`ChunkBuilder::decode_line`] appends one line, given as
-//!   bytes, straight into typed column builders (the
-//!   [`StreamWriter`](crate::StreamWriter) buffer, and through it the
-//!   network receptor); [`parse_tuple`] is the same decoder aimed at a
-//!   value row;
+//! * **decode** — [`ChunkBuilder::decode_lines`] decodes a buffer of
+//!   lines (a socket read) in one pass straight into typed column builders
+//!   (the [`StreamWriter`](crate::StreamWriter) buffer, and through it the
+//!   network receptor); [`ChunkBuilder::decode_line`] is its one-line case
+//!   and [`parse_tuple`] the same decoder aimed at a value row;
 //! * **render** — [`ChunkRenderer`] / [`render_chunk_into`] write result
 //!   rows straight from column slices into a byte buffer (the network
 //!   subscriber, `EXEC … rows`); [`render_row`] is the same field writers
@@ -30,13 +30,21 @@
 //! * the unquoted tokens `nil` and `null` (any case) denote SQL NULL; the
 //!   *quoted* string `"nil"` stays a string;
 //! * bytes that are not UTF-8 decode as U+FFFD replacement characters.
+//!
+//! One decoder core applies these rules to a *plain* line — ASCII, no
+//! quote, the schema's arity — where each field is the trimmed span
+//! between two commas: it walks the line once and parses each field
+//! straight into its typed column. It stops at any other line, where the
+//! general splitter [`split_fields`] decodes the line or reports its
+//! error. [`ChunkBuilder::decode_lines`] also stops at a blank line and at
+//! a bare [`StreamCommand`], which a network receptor handles itself.
 
 use std::io::Write as _;
 use std::sync::Arc;
 
-use datacell_bat::column::Column;
+use datacell_bat::column::{Column, NIL_BOOL};
 use datacell_bat::heap::StrHeap;
-use datacell_bat::types::{DataType, Value, NIL_INT};
+use datacell_bat::types::{nil_float, DataType, Value, NIL_INT, NIL_STR_CODE};
 use datacell_engine::Chunk;
 use datacell_sql::Schema;
 
@@ -60,66 +68,58 @@ pub struct Field {
 /// lines on which it provably agrees with it (ASCII, no quote).
 pub fn split_fields(line: &str) -> Vec<Field> {
     let mut fields = Vec::new();
-    let mut chars = line.chars().peekable();
+    let mut rest = line;
     loop {
-        // Skip leading whitespace.
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        let mut text = String::new();
-        let mut quoted = false;
-        if chars.peek() == Some(&'"') {
-            quoted = true;
-            chars.next();
-            loop {
-                match chars.next() {
-                    Some('"') => {
-                        if chars.peek() == Some(&'"') {
+        // Leading whitespace is not data.
+        rest = rest.trim_start();
+        let field = match rest.strip_prefix('"') {
+            Some(quoted) => {
+                let mut text = String::new();
+                let mut chars = quoted.chars();
+                while let Some(c) = chars.next() {
+                    let next = chars.as_str().chars().next();
+                    match (c, next) {
+                        ('"', Some('"')) => {
                             text.push('"');
                             chars.next();
-                        } else {
-                            break;
                         }
-                    }
-                    Some('\\') => match chars.peek() {
+                        ('"', _) => break,
                         // The escapes that make line terminators (and the
                         // escape character itself) wire-representable.
-                        Some('n') => {
-                            text.push('\n');
+                        ('\\', Some(e @ ('n' | 'r' | '\\'))) => {
+                            text.push(match e {
+                                'n' => '\n',
+                                'r' => '\r',
+                                _ => '\\',
+                            });
                             chars.next();
                         }
-                        Some('r') => {
-                            text.push('\r');
-                            chars.next();
-                        }
-                        Some('\\') => {
-                            text.push('\\');
-                            chars.next();
-                        }
-                        // Unknown escape: keep the backslash literally
-                        // (lenient, like the unterminated-quote rule).
-                        _ => text.push('\\'),
-                    },
-                    Some(c) => text.push(c),
-                    None => break, // unterminated quote: lenient
+                        // Anything else, an unknown escape's backslash
+                        // included (lenient, like an unterminated quote,
+                        // which runs to end of line), is literal.
+                        (c, _) => text.push(c),
+                    }
+                }
+                // Stray characters after the closing quote are ignored.
+                let after = chars.as_str();
+                rest = &after[after.find(',').unwrap_or(after.len())..];
+                Field { text, quoted: true }
+            }
+            None => {
+                let end = rest.find(',').unwrap_or(rest.len());
+                // Trailing whitespace (including end-of-line) is not data.
+                let text = rest[..end].trim_end().to_owned();
+                rest = &rest[end..];
+                Field {
+                    text,
+                    quoted: false,
                 }
             }
-            // Consume anything up to the next delimiter (stray trailing
-            // characters after the closing quote are ignored).
-            while matches!(chars.peek(), Some(c) if *c != ',') {
-                chars.next();
-            }
-        } else {
-            while matches!(chars.peek(), Some(c) if *c != ',') {
-                text.push(chars.next().expect("peeked"));
-            }
-            // Trailing whitespace (including end-of-line) is not data.
-            text.truncate(text.trim_end().len());
-        }
-        fields.push(Field { text, quoted });
-        match chars.next() {
-            Some(',') => continue,
-            _ => break,
+        };
+        fields.push(field);
+        match rest.strip_prefix(',') {
+            Some(next) => rest = next,
+            None => break,
         }
     }
     fields
@@ -127,92 +127,206 @@ pub fn split_fields(line: &str) -> Vec<Field> {
 
 // ------------------------------------------------------------------ decode
 
-/// One field's value, typed by its column.
-enum Parsed<'a> {
-    Nil,
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    Str(&'a str),
-    Timestamp(i64),
-}
-
-/// Where the decoder puts a line's fields: column builders or a value row.
+/// Where decoded fields go: column builders or a value row.
 trait Target {
-    fn put(&mut self, col: usize, v: Parsed<'_>);
+    /// Parse one field (a plain field's trimmed bytes, or a split field's
+    /// text) as column `col`'s type and append it; false, appending
+    /// nothing, when it is not of that type.
+    fn put(&mut self, col: usize, raw: &[u8], quoted: bool) -> bool;
+
+    /// Drop the fields appended for a row that was not completed.
+    fn rollback(&mut self);
 }
 
-impl Target for [Column] {
-    fn put(&mut self, col: usize, v: Parsed<'_>) {
-        match (&mut self[col], v) {
-            (c, Parsed::Nil) => c.push_nil(),
-            (Column::Int(c), Parsed::Int(x)) | (Column::Timestamp(c), Parsed::Timestamp(x)) => {
-                c.push(x)
+/// A chunk's columns and the rows completed in them.
+struct Builders<'a> {
+    cols: &'a mut [Column],
+    rows: usize,
+}
+
+impl<'a> Builders<'a> {
+    fn new(cols: &'a mut [Column]) -> Self {
+        let rows = cols.first().map_or(0, Column::len);
+        Builders { cols, rows }
+    }
+}
+
+impl Target for Builders<'_> {
+    fn put(&mut self, col: usize, raw: &[u8], quoted: bool) -> bool {
+        let nil = || !quoted && is_nil(raw);
+        match &mut self.cols[col] {
+            Column::Int(v) | Column::Timestamp(v) => {
+                push(v, parse_i64(raw).or_else(|| nil().then_some(NIL_INT)))
             }
-            (Column::Float(c), Parsed::Float(x)) => c.push(x),
-            (Column::Bool(c), Parsed::Bool(b)) => c.push(i8::from(b)),
-            (Column::Str { codes, heap }, Parsed::Str(s)) => {
-                codes.push(Arc::make_mut(heap).intern(s));
+            Column::Float(v) => push(v, parse_f64(raw).or_else(|| nil().then(nil_float))),
+            Column::Bool(v) => push(
+                v,
+                parse_bool(raw)
+                    .map(i8::from)
+                    .or_else(|| nil().then_some(NIL_BOOL)),
+            ),
+            Column::Str { codes, heap } => {
+                codes.push(if nil() {
+                    NIL_STR_CODE
+                } else {
+                    Arc::make_mut(heap).intern(utf8(raw))
+                });
+                true
             }
-            _ => unreachable!("fields are parsed as their column's type"),
+        }
+    }
+
+    fn rollback(&mut self) {
+        let rows = self.rows;
+        for c in self.cols.iter_mut() {
+            match c {
+                Column::Int(v) | Column::Timestamp(v) => v.truncate(rows),
+                Column::Float(v) => v.truncate(rows),
+                Column::Bool(v) => v.truncate(rows),
+                Column::Str { codes, .. } => codes.truncate(rows),
+            }
         }
     }
 }
 
-impl Target for Vec<Value> {
-    fn put(&mut self, _col: usize, v: Parsed<'_>) {
-        self.push(match v {
-            Parsed::Nil => Value::Nil,
-            Parsed::Int(x) => Value::Int(x),
-            Parsed::Float(x) => Value::Float(x),
-            Parsed::Bool(b) => Value::Bool(b),
-            Parsed::Str(s) => Value::Str(s.to_string()),
-            Parsed::Timestamp(x) => Value::Timestamp(x),
-        });
+/// Append `x` if it parsed.
+fn push<T>(v: &mut Vec<T>, x: Option<T>) -> bool {
+    x.map(|x| v.push(x)).is_some()
+}
+
+/// A value row of one schema.
+struct ValueRow<'s> {
+    schema: &'s Schema,
+    values: Vec<Value>,
+}
+
+impl Target for ValueRow<'_> {
+    fn put(&mut self, col: usize, raw: &[u8], quoted: bool) -> bool {
+        let value = if !quoted && is_nil(raw) {
+            Some(Value::Nil)
+        } else {
+            match self.schema.columns[col].ty {
+                DataType::Int => parse_i64(raw).map(Value::Int),
+                DataType::Timestamp => parse_i64(raw).map(Value::Timestamp),
+                DataType::Float => parse_f64(raw).map(Value::Float),
+                DataType::Bool => parse_bool(raw).map(Value::Bool),
+                DataType::Str => Some(Value::Str(utf8(raw).to_owned())),
+            }
+        };
+        push(&mut self.values, value)
+    }
+
+    fn rollback(&mut self) {
+        self.values.clear();
     }
 }
 
-/// Decode one line (without its terminator) against `schema` into `out`.
-/// On error `out` may hold a prefix of the row; the caller rolls it back.
-fn decode<T: Target + ?Sized>(line: &[u8], schema: &Schema, out: &mut T) -> Result<()> {
-    if !line.is_ascii() || line.contains(&b'"') {
-        // Quotes, escapes and Unicode whitespace: the general splitter.
-        let text = String::from_utf8_lossy(line);
-        let fields = split_fields(&text);
-        if fields.len() != schema.len() {
-            return Err(arity_error(fields.len(), schema));
+/// The decoder core: decode the line at the front of `bytes` into `out`
+/// if it is plain, and return where it ends (the index of its `\n`, or the
+/// end of `bytes`).
+///
+/// A plain line is ASCII without a quote and has `width` fields, each of
+/// its column's type. Each field is the span between two commas with
+/// whitespace — `\r` included, so CRLF framing needs no pass of its own —
+/// trimmed, which is exactly what [`split_fields`] makes of such a line.
+/// Any other line is `None`: it needs the general rules, and `out` may
+/// hold a prefix of its row for the caller to roll back.
+fn plain_row<T: Target>(bytes: &[u8], width: usize, out: &mut T) -> Option<usize> {
+    let last = width.checked_sub(1)?;
+    let mut at = 0;
+    for col in 0..width {
+        let start = at;
+        while at < bytes.len() && !SPECIAL[usize::from(bytes[at])] {
+            at += 1;
         }
-        for (i, (f, cd)) in fields.iter().zip(&schema.columns).enumerate() {
-            out.put(i, parse_field(f.text.as_bytes(), f.quoted, cd.ty)?);
+        match bytes.get(at) {
+            Some(b',') if col < last => {}
+            Some(b'\n') | None if col == last => {}
+            _ => return None,
         }
+        if !out.put(col, trim_whitespace(&bytes[start..at]), false) {
+            return None;
+        }
+        at += 1;
+    }
+    Some(at - 1)
+}
+
+/// The bytes that end a plain field's scan: the delimiter, the line end,
+/// a quote and every non-ASCII byte.
+const SPECIAL: [bool; 256] = {
+    let mut t = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = b >= 0x80 || b == b',' as usize || b == b'\n' as usize || b == b'"' as usize;
+        b += 1;
+    }
+    t
+};
+
+/// Decode one line (without its terminator) into `out`: the core, or the
+/// general rules of [`split_fields`] where it stops. On error nothing of
+/// the line is left in `out`.
+fn decode<T: Target>(line: &[u8], schema: &Schema, out: &mut T) -> Result<()> {
+    // A line with an embedded `\n` is not one plain line.
+    if plain_row(line, schema.len(), out) == Some(line.len()) {
         return Ok(());
     }
-    // ASCII without quotes: every field is the trimmed span between two
-    // commas, exactly what `split_fields` would return. A wrong field
-    // count is the error that wins, as in the general path.
-    let arity = || {
-        let fields = line.iter().filter(|&&b| b == b',').count() + 1;
-        (fields != schema.len()).then(|| arity_error(fields, schema))
-    };
-    let mut fields = line.split(|&b| b == b',');
-    for (i, cd) in schema.columns.iter().enumerate() {
-        let raw = fields
-            .next()
-            .ok_or_else(|| arity().expect("too few fields"))?;
-        match parse_field(trim_whitespace(raw), false, cd.ty) {
-            Ok(v) => out.put(i, v),
-            Err(e) => return Err(arity().unwrap_or(e)),
+    out.rollback();
+    // Quotes, escapes, Unicode whitespace, errors: the general splitter.
+    let text = String::from_utf8_lossy(line);
+    let fields = split_fields(&text);
+    if fields.len() != schema.len() {
+        return Err(arity_error(fields.len(), schema));
+    }
+    for (i, (f, cd)) in fields.iter().zip(&schema.columns).enumerate() {
+        if !out.put(i, f.text.as_bytes(), f.quoted) {
+            out.rollback();
+            return Err(DataCellError::Decode(format!(
+                "cannot parse {:?} as {}",
+                f.text, cd.ty
+            )));
         }
     }
-    match fields.next() {
-        Some(_) => Err(arity().expect("too many fields")),
-        None => Ok(()),
+    Ok(())
+}
+
+/// An in-stream command of a network receptor's line stream: a bare word,
+/// in any case, that is never read as a tuple. A one-string-column tuple
+/// that must carry exactly such a word is sent quoted (`"SYNC"`),
+/// mirroring the `nil` quoting rule of the tuple format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamCommand {
+    /// `SYNC` — flush everything received so far into the basket and
+    /// reply `OK SYNC <accepted> <rejected>` (cumulative counts).
+    Sync,
+    /// `QUIT` — flush, reply `OK BYE`, close.
+    Quit,
+}
+
+/// The in-stream command a line is, given without the whitespace around
+/// it.
+pub fn stream_command(line: &[u8]) -> Option<StreamCommand> {
+    if line.eq_ignore_ascii_case(b"SYNC") {
+        Some(StreamCommand::Sync)
+    } else if line.eq_ignore_ascii_case(b"QUIT") {
+        Some(StreamCommand::Quit)
+    } else {
+        None
     }
 }
 
-/// Trim the ASCII characters `char::is_whitespace` accepts (which, unlike
-/// `u8::is_ascii_whitespace`, include the vertical tab).
-fn trim_whitespace(mut b: &[u8]) -> &[u8] {
+/// A trimmed line a network receptor does not hand the decoder: blank, or
+/// an in-stream command.
+fn is_reserved(line: &[u8]) -> bool {
+    line.is_empty() || stream_command(line).is_some()
+}
+
+/// Trim the whitespace the wire format ignores around a field: the ASCII
+/// characters `char::is_whitespace` accepts (which, unlike
+/// `u8::is_ascii_whitespace`, include the vertical tab). On an ASCII line
+/// this is exactly `str::trim`.
+pub fn trim_whitespace(mut b: &[u8]) -> &[u8] {
     let ws = |c: &u8| matches!(c, b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r');
     while b.first().is_some_and(ws) {
         b = &b[1..];
@@ -223,22 +337,14 @@ fn trim_whitespace(mut b: &[u8]) -> &[u8] {
     b
 }
 
-/// Parse one field (`raw` is UTF-8: a `str`'s bytes, or ASCII) as `ty`.
-/// Numbers and booleans are parsed from the bytes; only strings, floats
-/// and errors look at the text.
-fn parse_field(raw: &[u8], quoted: bool, ty: DataType) -> Result<Parsed<'_>> {
-    let text = || std::str::from_utf8(raw).expect("fields are UTF-8");
-    if !quoted && (raw.eq_ignore_ascii_case(b"nil") || raw.eq_ignore_ascii_case(b"null")) {
-        return Ok(Parsed::Nil);
-    }
-    let parsed = match ty {
-        DataType::Int => parse_i64(raw).map(Parsed::Int),
-        DataType::Timestamp => parse_i64(raw).map(Parsed::Timestamp),
-        DataType::Float => text().parse().ok().map(Parsed::Float),
-        DataType::Bool => parse_bool(raw).map(Parsed::Bool),
-        DataType::Str => Some(Parsed::Str(text())),
-    };
-    parsed.ok_or_else(|| DataCellError::Decode(format!("cannot parse {:?} as {ty}", text())))
+/// A field's text: a `str`'s bytes, or ASCII.
+fn utf8(raw: &[u8]) -> &str {
+    std::str::from_utf8(raw).expect("fields are UTF-8")
+}
+
+/// The unquoted tokens that denote SQL NULL.
+fn is_nil(raw: &[u8]) -> bool {
+    raw.eq_ignore_ascii_case(b"nil") || raw.eq_ignore_ascii_case(b"null")
 }
 
 /// `str::parse::<i64>` on UTF-8 bytes, with a loop for the common case:
@@ -265,6 +371,10 @@ fn parse_i64(raw: &[u8]) -> Option<i64> {
     Some(if neg { -v } else { v })
 }
 
+fn parse_f64(raw: &[u8]) -> Option<f64> {
+    utf8(raw).parse().ok()
+}
+
 fn parse_bool(raw: &[u8]) -> Option<bool> {
     let is = |w: &[u8]| raw.eq_ignore_ascii_case(w);
     if is(b"true") || is(b"t") || is(b"1") {
@@ -288,8 +398,11 @@ fn arity_error(fields: usize, schema: &Schema) -> DataCellError {
 /// format rules) into a value row — the decoder of [`ChunkBuilder`] aimed
 /// at a `Vec<Value>`.
 pub fn parse_tuple(line: &str, schema: &Schema) -> Result<Vec<Value>> {
-    let mut row = Vec::with_capacity(schema.len());
-    decode(line.as_bytes(), schema, &mut row).map(|()| row)
+    let mut row = ValueRow {
+        schema,
+        values: Vec::with_capacity(schema.len()),
+    };
+    decode(line.as_bytes(), schema, &mut row).map(|()| row.values)
 }
 
 /// Typed column builders for rows of one schema: lines decode straight
@@ -333,12 +446,45 @@ impl ChunkBuilder {
     /// Decode one textual tuple (a line without its `\n`) and append it;
     /// malformed input is a [`DataCellError::Decode`] and appends nothing.
     pub fn decode_line(&mut self, line: &[u8]) -> Result<()> {
-        let start = self.len();
-        let decoded = decode(line, &self.chunk.schema, self.chunk.columns.as_mut_slice());
-        if decoded.is_err() {
-            self.truncate(start);
+        let mut out = Builders::new(&mut self.chunk.columns);
+        decode(line, &self.chunk.schema, &mut out)
+    }
+
+    /// Decode the complete `\n`-terminated lines at the front of `bytes`
+    /// (`\r`s before a `\n` are not data) in one pass and append them, up
+    /// to `max_rows` rows. Returns the bytes consumed and the rows
+    /// appended.
+    ///
+    /// It stops before the first line that needs the general rules of
+    /// [`decode_line`](ChunkBuilder::decode_line) — a quote, a non-ASCII
+    /// byte, or anything malformed — or a receptor's own rules: a blank
+    /// line or a bare [`StreamCommand`]. It also stops before a line whose
+    /// `\n` is not in `bytes`. A line it stops at leaves the builders
+    /// untouched; hand it to `decode_line` (or to the caller's own line
+    /// rules) and resume after it.
+    pub fn decode_lines(&mut self, bytes: &[u8], max_rows: usize) -> (usize, usize) {
+        let width = self.chunk.schema.len();
+        let mut out = Builders::new(&mut self.chunk.columns);
+        let (start, mut consumed) = (out.rows, 0);
+        while out.rows - start < max_rows {
+            let rest = &bytes[consumed..];
+            match plain_row(rest, width, &mut out) {
+                // A complete line, and not one a receptor keeps for itself
+                // (only a one-field line can be blank or a command).
+                Some(end)
+                    if end < rest.len()
+                        && (width > 1 || !is_reserved(trim_whitespace(&rest[..end]))) =>
+                {
+                    consumed += end + 1;
+                    out.rows += 1;
+                }
+                _ => {
+                    out.rollback();
+                    break;
+                }
+            }
         }
-        decoded
+        (consumed, out.rows - start)
     }
 
     /// Append one value row, coercing each value to its column type (the
@@ -385,12 +531,6 @@ impl ChunkBuilder {
                 Column::Str { .. } => *c = Column::empty(DataType::Str),
                 c => c.clear(),
             }
-        }
-    }
-
-    fn truncate(&mut self, len: usize) {
-        for c in &mut self.chunk.columns {
-            c.truncate(len);
         }
     }
 }
@@ -761,6 +901,26 @@ mod tests {
                 vec![Value::Int(5), Value::Str("e,f".into()), Value::Nil],
             ]
         );
+    }
+
+    #[test]
+    fn decode_lines_leaves_blank_and_command_lines_to_the_receptor() {
+        // One string column would take each of these words as a tuple.
+        let mut b = ChunkBuilder::new(schema(&[DataType::Str]));
+        for stop in ["SYNC", " sync \r", "\x0BQuit\x0C", "", " \t\r"] {
+            let buf = format!("a\n{stop}\nb\n");
+            assert_eq!(
+                b.decode_lines(buf.as_bytes(), usize::MAX),
+                (2, 1),
+                "{stop:?}"
+            );
+        }
+        // A quoted line takes the general rules, and the one-line decoder
+        // knows no commands.
+        assert_eq!(b.decode_lines(b"\"SYNC\"\nb\n", usize::MAX), (0, 0));
+        b.decode_line(b"QUIT").unwrap();
+        assert_eq!(b.len(), 6);
+        assert_eq!(b.chunk().row(5).unwrap(), vec![Value::Str("QUIT".into())]);
     }
 
     #[test]

@@ -405,7 +405,7 @@ fn render_prometheus(snap: &MetricsSnapshot, scrapes: u64) -> String {
             m,
             "datacell_delivery_latency_seconds",
             "histogram",
-            "End-to-end basket-entry to delivery latency, all queries.",
+            "Output-basket entry to delivery latency, all queries (input-basket entry for a query that projects ts).",
         );
         render_histogram(m, "datacell_delivery_latency_seconds", "", &snap.latency);
     }
@@ -415,7 +415,7 @@ fn render_prometheus(snap: &MetricsSnapshot, scrapes: u64) -> String {
             m,
             "datacell_query_latency_seconds",
             "histogram",
-            "End-to-end latency per continuous query.",
+            "Output-basket entry to delivery latency per continuous query (input-basket entry when it projects ts).",
         );
         render_histogram(m, "datacell_query_latency_seconds", &label, h);
     }

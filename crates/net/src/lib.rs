@@ -20,9 +20,11 @@
 //! * framing is exactly [`datacell::text`]: one tuple per line,
 //!   comma-separated, CSV-style quoting — the decoder is the network trust
 //!   boundary (malformed bytes produce `ERR` replies, never panics);
-//! * a [`NetReceptor`] decodes lines in place from its read buffer into
-//!   the column builders of a writer and appends what each socket read
-//!   delivered into the engine's bounded baskets under each basket's own
+//! * a [`NetReceptor`] decodes each socket read in one pass, in place in
+//!   its read buffer, into the column builders of a writer (only blank,
+//!   command, quoted, non-ASCII or malformed lines take the per-line
+//!   rules) and appends what each read delivered into the engine's
+//!   bounded baskets under each basket's own
 //!   [`OverflowPolicy`](datacell::OverflowPolicy), so a full pipeline
 //!   stalls the socket (TCP backpressure), sheds or spills, it never
 //!   buffers unboundedly;

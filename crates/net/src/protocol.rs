@@ -29,7 +29,8 @@
 //! `SHOW QUERIES` / `SHOW METRICS` / `EXPLAIN ANALYZE` probes with pings
 //! before (or instead of) committing the socket to `STREAM`/`SUBSCRIBE`.
 
-use datacell::SubscriptionMode;
+pub use datacell::text::StreamCommand;
+use datacell::{text, SubscriptionMode};
 
 /// Wire-protocol version announced in the greeting (`OK datacell 1`).
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -156,31 +157,11 @@ pub fn parse_handshake(line: &str) -> Result<Handshake, String> {
     }
 }
 
-/// An in-stream control line (recognized between tuple lines of a
-/// `STREAM` session).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamCommand {
-    /// `SYNC` — flush everything received so far into the basket and
-    /// reply `OK SYNC <accepted> <rejected>` (cumulative counts).
-    Sync,
-    /// `QUIT` — flush, reply `OK BYE`, close.
-    Quit,
-}
-
-/// Recognize an in-stream command. The bare words `SYNC` and `QUIT`
-/// (case-insensitive, surrounding whitespace ignored) are commands; a
-/// single-string-column tuple that must carry exactly those words can be
-/// sent quoted (`"SYNC"`), mirroring the `nil` quoting rule of the tuple
-/// format itself.
+/// Recognize an in-stream command (recognized between tuple lines of a
+/// `STREAM` session): a bare [`StreamCommand`] word, case-insensitive,
+/// surrounding whitespace ignored.
 pub fn parse_stream_command(line: &str) -> Option<StreamCommand> {
-    let t = line.trim();
-    if t.eq_ignore_ascii_case("SYNC") {
-        Some(StreamCommand::Sync)
-    } else if t.eq_ignore_ascii_case("QUIT") {
-        Some(StreamCommand::Quit)
-    } else {
-        None
-    }
+    text::stream_command(line.trim().as_bytes())
 }
 
 /// Render an `ERR <category> <message>` reply line; newlines in the

@@ -2,14 +2,21 @@
 //!
 //! A receptor (§2.1) for one socket: it decodes newline-delimited tuple
 //! lines in place from its socket read buffer, straight into the typed
-//! column builders of a [`StreamWriter`] ([`StreamWriter::append_bytes`],
-//! the [`datacell::text`] decoder), and appends them to the basket in
-//! batches. The writer is the engine's one ingest path, so the connection
-//! shows in the session's Petri net as a receptor while it streams. Only a
-//! line that straddles the edge of the read buffer is ever copied. The
-//! decoder is the trust boundary: any malformed line produces an `ERR
-//! decode` reply and a counter tick — never a panic, never a dropped
-//! connection.
+//! column builders of a [`StreamWriter`], and appends them to the basket
+//! in batches. The writer is the engine's one ingest path, so the
+//! connection shows in the session's Petri net as a receptor while it
+//! streams.
+//!
+//! **Decoding follows the read.** The bytes a socket read delivered are
+//! decoded in one pass ([`StreamWriter::append_lines`], the
+//! [`datacell::text`] decoder core) up to the first line that needs the
+//! per-line rules: a blank line, a `SYNC`/`QUIT`, a quoted, non-ASCII or
+//! malformed line. That line alone is framed and handled on its own
+//! ([`StreamWriter::append_bytes`] for a tuple), then the pass resumes, so
+//! replies keep the order of the lines. Only a line that straddles the
+//! edge of the read buffer is ever copied. The decoder is the trust
+//! boundary: any malformed line produces an `ERR decode` reply and a
+//! counter tick — never a panic, never a dropped connection.
 //!
 //! **Batching follows the socket.** Like the paper's receptor, it hands
 //! the kernel whatever has arrived: a batch is what one socket read
@@ -36,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use datacell::{DataCellError, StreamWriter};
+use datacell::{text, DataCellError, StreamWriter};
 
 use crate::protocol::{self, StreamCommand};
 use crate::server::ConnStats;
@@ -156,6 +163,20 @@ impl LineReader {
     pub(crate) fn drained(&self) -> bool {
         self.reader.buffer().len() == self.held
     }
+
+    /// The bytes buffered after the line last handed out, for a caller
+    /// that frames several lines at once. None while a line straddles the
+    /// buffer's edge: its head went to the carry buffer with every byte
+    /// buffered after it.
+    pub(crate) fn buffered(&self) -> &[u8] {
+        &self.reader.buffer()[self.held..]
+    }
+
+    /// Hand out the first `n` bytes of [`buffered`](LineReader::buffered)
+    /// as handled; they are released at the next call.
+    pub(crate) fn consume(&mut self, n: usize) {
+        self.held += n;
+    }
 }
 
 /// Drop the `\r`s ending a line.
@@ -233,6 +254,12 @@ impl NetReceptor {
                 self.ingest.flush_blocking();
                 self.ingest.publish();
             }
+            // The plain lines at the front of the buffer, in one pass.
+            if self.ingest.lines(&mut self.lines) {
+                continue;
+            }
+            // The line the pass stopped at, one straddling the buffer's
+            // edge, or a read: one line at a time.
             match self.lines.next_line() {
                 ReadStep::Line(line) => {
                     if self.ingest.line(line) {
@@ -264,6 +291,41 @@ impl NetReceptor {
 }
 
 impl Ingest {
+    /// Decode the plain tuple lines buffered in `lines` into the batch in
+    /// one pass, up to the batch's room, and consume them. True when the
+    /// pass is to run again: it took every buffered byte (the batch lands
+    /// before the next read) or filled the batch. False when nothing is
+    /// buffered or the pass stopped before a line: that line is left for
+    /// [`line`](Ingest::line), so the pass never tries it twice.
+    fn lines(&mut self, lines: &mut LineReader) -> bool {
+        let bytes = lines.buffered();
+        if bytes.is_empty() {
+            return false;
+        }
+        self.start_batch();
+        let room = self.cap.saturating_sub(self.writer.pending());
+        let (used, rows) = self.writer.append_lines(bytes, room);
+        let drained = used == bytes.len();
+        lines.consume(used);
+        self.accepted += rows as u64;
+        let full = rows > 0 && self.writer.pending() >= self.cap;
+        if full {
+            // Stop reading the socket until the batch lands.
+            self.flush_blocking();
+        }
+        drained || full
+    }
+
+    /// When a batch starts, cap it by the basket's room now.
+    fn start_batch(&mut self) {
+        if self.writer.pending() == 0 {
+            self.cap = self
+                .writer
+                .append_room()
+                .map_or(MAX_BATCH_ROWS, |room| room.capacity.min(MAX_BATCH_ROWS));
+        }
+    }
+
     /// Process one line (without its terminator); returns true when the
     /// connection should close (`QUIT`). Blank lines are ignored (trailing
     /// newlines from piped files, interactive `nc` use); an empty
@@ -284,13 +346,7 @@ impl Ingest {
                 return true;
             }
             LineKind::Tuple => {
-                if self.writer.pending() == 0 {
-                    // A batch starts: cap it by the basket's room now.
-                    self.cap = self
-                        .writer
-                        .append_room()
-                        .map_or(MAX_BATCH_ROWS, |room| room.capacity.min(MAX_BATCH_ROWS));
-                }
+                self.start_batch();
                 match self.writer.append_bytes(line) {
                     Ok(()) => {
                         self.accepted += 1;
@@ -365,12 +421,18 @@ impl Ingest {
     }
 }
 
-/// Blank, an in-stream command, or a tuple — decided on the text (lossy
-/// UTF-8, borrowed when the line is valid), so whitespace means what it
-/// means to the tuple decoder.
+/// Blank, an in-stream command, or a tuple — decided on the text trimmed
+/// as `str::trim` trims it, so whitespace means what it means to the tuple
+/// decoder: an ASCII line in place ([`text::trim_whitespace`] is
+/// `str::trim` there), any other through its lossy UTF-8 text.
 fn classify(line: &[u8]) -> LineKind {
-    let text = String::from_utf8_lossy(line);
-    let t = text.trim();
+    let lossy;
+    let t = if line.is_ascii() {
+        std::str::from_utf8(text::trim_whitespace(line)).expect("ASCII is UTF-8")
+    } else {
+        lossy = String::from_utf8_lossy(line);
+        lossy.trim()
+    };
     if t.is_empty() {
         LineKind::Blank
     } else if let Some(c) = protocol::parse_stream_command(t) {

@@ -995,25 +995,36 @@ fn mixed_input() -> Script {
     s
 }
 
-/// Stream `input` in writes of `piece` bytes through a fresh server; return
-/// the replies the ingest connection got (up to its last `OK SYNC`) and the
-/// result lines a subscriber received.
-fn ingest_in_pieces(input: &[u8], syncs: usize, piece: usize) -> (Vec<String>, Vec<String>) {
+/// Stream `input` in writes of `piece` bytes through a fresh server whose
+/// basket `b` has `columns` (SQL column definitions and the wire
+/// description `SUBSCRIBE` must reply with) and whose query `q` passes
+/// them through; return the replies the ingest connection got (up to its
+/// last `OK SYNC`) and the result lines a subscriber received.
+fn ingest_in_pieces(
+    (columns, described): (&str, &str),
+    input: &[u8],
+    syncs: usize,
+    piece: usize,
+) -> (Vec<String>, Vec<String>) {
     let cell = DataCell::builder()
         .listen("127.0.0.1:0")
         .auto_start(true)
         .build();
-    cell.execute("create basket b (x int, s varchar(64))")
+    cell.execute(&format!("create basket b ({columns})"))
         .unwrap();
-    cell.execute("create continuous query q as select t.x, t.s from [select * from b] as t")
-        .unwrap();
+    let names: Vec<String> = columns
+        .split(',')
+        .map(|c| format!("t.{}", c.split_whitespace().next().unwrap()))
+        .collect();
+    cell.execute(&format!(
+        "create continuous query q as select {} from [select * from b] as t",
+        names.join(", ")
+    ))
+    .unwrap();
     let (cell, server, addr) = serve(cell);
     let mut sub = Client::connect(addr);
     sub.send("SUBSCRIBE q");
-    assert_eq!(
-        sub.read_line().as_deref(),
-        Some("OK SUBSCRIBE q x:int,s:str")
-    );
+    assert_eq!(sub.read_line(), Some(format!("OK SUBSCRIBE q {described}")));
 
     let mut ingest = Client::connect(addr);
     ingest.send("STREAM b");
@@ -1058,7 +1069,7 @@ fn split_writes_decode_identically() {
         script.bytes.len() > 2 * 65_537,
         "input straddles the read buffer"
     );
-    let (replies, results) = ingest_in_pieces(&script.bytes, script.syncs, 65_537);
+    let (replies, results) = ingest_in_pieces(STR_COLUMNS, &script.bytes, script.syncs, 65_537);
     let errors = replies
         .iter()
         .filter(|l| l.starts_with("ERR decode"))
@@ -1085,7 +1096,126 @@ fn split_writes_decode_identically() {
         );
     }
     for piece in [7, 1] {
-        let (r, out) = ingest_in_pieces(&script.bytes, script.syncs, piece);
+        let (r, out) = ingest_in_pieces(STR_COLUMNS, &script.bytes, script.syncs, piece);
+        assert_eq!(r, replies, "replies with {piece}-byte writes");
+        assert_eq!(out, results, "results with {piece}-byte writes");
+    }
+}
+
+/// The basket of [`mixed_input`], and its wire description.
+const STR_COLUMNS: (&str, &str) = ("x int, s varchar(64)", "x:int,s:str");
+
+/// The basket of [`int_input`] (the shape the wire workloads send), and
+/// its wire description.
+const INT_COLUMNS: (&str, &str) = ("k int, v int, sent_us int", "k:int,v:int,sent_us:int");
+
+/// An ingest script on [`INT_COLUMNS`]: mostly plain lines, which the
+/// receptor decodes a read at a time, interleaved with every kind of line
+/// that one-pass decoding must stop at and hand to the per-line rules —
+/// blank and whitespace-only lines, commands, non-ASCII bytes, malformed
+/// lines — and with plain-looking corners it decodes itself.
+fn int_input() -> Script {
+    let mut s = Script {
+        bytes: Vec::new(),
+        syncs: 0,
+        accepted: 0,
+        rejected: 0,
+    };
+    for i in 0..12_000u64 {
+        // Which counter each line moves: accepted, rejected, or syncs.
+        let (line, counter) = match i % 23 {
+            0 => (b"\n".to_vec(), None),
+            1 => (b" \t \r\n".to_vec(), None),
+            2 => (
+                format!("\x0B{i},\x0C 2\x0B, 3\x0C\n").into_bytes(),
+                Some(&mut s.accepted),
+            ),
+            3 => (
+                format!("{i}, nil ,NULL\r\n").into_bytes(),
+                Some(&mut s.accepted),
+            ),
+            4 => (format!("+{i},-0,+7\n").into_bytes(), Some(&mut s.accepted)),
+            5 => (
+                format!("{i},1234567890123456789,-9223372036854775807\n").into_bytes(),
+                Some(&mut s.accepted),
+            ),
+            6 => (
+                format!("{i},12345678901234567890,1\n").into_bytes(),
+                Some(&mut s.rejected),
+            ),
+            7 => (format!("{i},4é2,1\n").into_bytes(), Some(&mut s.rejected)),
+            8 => (format!("{i},2\n").into_bytes(), Some(&mut s.rejected)),
+            9 => (format!("{i},2,3,4\n").into_bytes(), Some(&mut s.rejected)),
+            10 => (b"SYNC\n".to_vec(), Some(&mut s.syncs)),
+            11 => (b" sync \r\n".to_vec(), Some(&mut s.syncs)),
+            12 => (b"\x0B \x0C\r\n".to_vec(), None),
+            13 => (b"\x0BQuIt\x0C,\n".to_vec(), Some(&mut s.rejected)),
+            14 => (b"\x0BSync\x0C\n".to_vec(), Some(&mut s.syncs)),
+            _ => (
+                format!("{},{},{}\n", i % 1024, i * 7919 % 1000, 1_700_000_000 + i).into_bytes(),
+                Some(&mut s.accepted),
+            ),
+        };
+        if let Some(n) = counter {
+            *n += 1;
+        }
+        s.bytes.extend_from_slice(&line);
+    }
+    s.bytes.extend_from_slice(b"SYNC\n");
+    s.syncs += 1;
+    s
+}
+
+#[test]
+fn split_writes_decode_int_reads_identically() {
+    // The sibling of `split_writes_decode_identically` on the all-int shape
+    // the receptor decodes a read at a time: wherever the writes cut the
+    // stream, the lines the one-pass decoder stops at get the same
+    // replies, in the same order, with the same SYNC counts and results.
+    let script = int_input();
+    assert!(
+        script.bytes.len() > 2 * 65_537,
+        "input straddles the read buffer"
+    );
+    let (replies, results) = ingest_in_pieces(INT_COLUMNS, &script.bytes, script.syncs, 65_537);
+    let errors: Vec<&String> = replies
+        .iter()
+        .filter(|l| l.starts_with("ERR decode"))
+        .collect();
+    assert_eq!(errors.len(), script.rejected, "one ERR per malformed line");
+    for want in [
+        "ERR decode cannot parse \"12345678901234567890\" as int",
+        "ERR decode cannot parse \"4é2\" as int",
+        "ERR decode tuple has 2 fields, schema k:int, v:int, sent_us:int wants 3",
+        "ERR decode tuple has 4 fields, schema k:int, v:int, sent_us:int wants 3",
+    ] {
+        assert!(
+            errors.iter().any(|e| *e == want),
+            "{want:?} in {:?}",
+            &errors[..4]
+        );
+    }
+    assert_eq!(
+        replies.last().unwrap(),
+        &format!("OK SYNC {} {}", script.accepted, script.rejected),
+        "blank lines and commands are neither accepted nor rejected"
+    );
+    assert_eq!(results.len(), script.accepted);
+    for want in [
+        "2,2,3",
+        "3,nil,nil",
+        "4,0,7",
+        "5,1234567890123456789,-9223372036854775807",
+        "15,785,1700000015",
+    ] {
+        assert!(
+            results.iter().any(|r| r == want),
+            "{want:?} in {:?}",
+            &results[..8]
+        );
+    }
+    for piece in [7, 1] {
+        let (r, out) = ingest_in_pieces(INT_COLUMNS, &script.bytes, script.syncs, piece);
         assert_eq!(r, replies, "replies with {piece}-byte writes");
         assert_eq!(out, results, "results with {piece}-byte writes");
     }

@@ -22,7 +22,9 @@
 //! `docs/protocol.md`).
 
 use datacell::error::DataCellError;
-use datacell::text::{parse_tuple, render_chunk_into, render_row, split_fields, ChunkBuilder};
+use datacell::text::{
+    parse_tuple, render_chunk_into, render_row, split_fields, stream_command, ChunkBuilder,
+};
 use datacell_bat::types::{DataType, Value};
 use datacell_sql::Schema;
 use proptest::prelude::*;
@@ -492,7 +494,11 @@ proptest! {
     // `inf`, `NaN` — framed as the receptor frames it: the same rows and
     // the same rejected lines (with the same messages) as the reference
     // applied line by line to the lossy text, and a rejected line leaves
-    // the builders untouched.
+    // the builders untouched. Decoded a read at a time — `decode_lines`,
+    // resuming with `decode_line` on each line it stops at, as the receptor
+    // does — the buffer gives the same rows and rejected lines again, and
+    // the one-pass decoder never consumes a line `decode_line` rejects or
+    // the receptor treats as blank or as a command.
     #[test]
     fn decoded_buffers_match_reference_line_by_line(
         tags in prop::collection::vec(0usize..5, 1..5),
@@ -506,6 +512,7 @@ proptest! {
         terms in prop::collection::vec(0usize..TERMINATORS.len(), 12..13),
         fits in prop::collection::vec(0usize..4, 12..13),
         unterminated in 0usize..2,
+        room in 1usize..6,
     ) {
         let schema = schema_of_tags(&tags);
         let mut buf = Vec::new();
@@ -551,9 +558,62 @@ proptest! {
                 want_rejected.push(i);
             }
         }
-        prop_assert_eq!(got_rejected, want_rejected, "buffer {:?}", String::from_utf8_lossy(&buf));
+        prop_assert_eq!(&got_rejected, &want_rejected, "buffer {:?}", String::from_utf8_lossy(&buf));
         let got_rows = builder.chunk().rows().unwrap();
         prop_assert_eq!(format!("{got_rows:?}"), format!("{want_rows:?}"));
+
+        // Read at a time, at most `room` rows a call (a batch's room).
+        let framed = frames(&buf);
+        let mut bulk = ChunkBuilder::new(schema.clone());
+        let (mut at, mut n, mut bulk_rejected) = (0, 0, Vec::new());
+        loop {
+            let (used, rows) = bulk.decode_lines(&buf[at..], room);
+            let consumed = &buf[at..at + used];
+            prop_assert!(rows <= room);
+            prop_assert_eq!(consumed.iter().filter(|&&b| b == b'\n').count(), rows);
+            prop_assert!(consumed.last().is_none_or(|&b| b == b'\n'), "whole lines only");
+            for line in &framed[n..n + rows] {
+                let text = String::from_utf8_lossy(line);
+                let t = text.trim();
+                prop_assert!(
+                    reference::parse_tuple(&text, &schema).is_ok(),
+                    "consumed a rejected line {:?}", text
+                );
+                prop_assert!(
+                    !t.is_empty() && stream_command(t.as_bytes()).is_none(),
+                    "consumed a blank line or a command {:?}", text
+                );
+            }
+            at += used;
+            n += rows;
+            if rows == room {
+                continue;
+            }
+            if n == framed.len() {
+                break;
+            }
+            // The line it stopped at, through the one-line decoder.
+            let end = buf[at..].iter().position(|&b| b == b'\n').map_or(buf.len(), |i| at + i + 1);
+            let line = framed[n];
+            prop_assert!(buf[at..end].starts_with(line));
+            let before = bulk.len();
+            match bulk.decode_line(line) {
+                Ok(()) => {}
+                Err(DataCellError::Decode(g)) => {
+                    let text = String::from_utf8_lossy(line);
+                    prop_assert_eq!(Err(g), reference::parse_tuple(&text, &schema).map(|_| ()));
+                    prop_assert_eq!(bulk.len(), before, "rejected line appended rows");
+                    bulk_rejected.push(n);
+                }
+                Err(other) => prop_assert!(false, "unexpected error class {other:?}"),
+            }
+            at = end;
+            n += 1;
+        }
+        prop_assert_eq!(at, buf.len());
+        prop_assert_eq!(bulk_rejected, want_rejected);
+        prop_assert!(bulk.chunk().columns.iter().all(|c| c.len() == bulk.len()));
+        prop_assert_eq!(format!("{:?}", bulk.chunk().rows().unwrap()), format!("{got_rows:?}"));
     }
 
     // The columnar renderer is byte-identical to the reference row
