@@ -81,7 +81,8 @@ fn run(min_tuples: usize, min_interval: Option<Duration>) -> (f64, u64, u64) {
             min_interval,
             ..SchedulePolicy::default()
         },
-    );
+    )
+    .expect("register factory");
     let hist = LatencyHistogram::new();
     let out = cell.basket("qo").unwrap();
     let reader = out.register_reader(true);

@@ -30,8 +30,8 @@
 //! * [`scheduler::Scheduler`] (§2.4) — the Petri-net engine: baskets are
 //!   token places, receptors/factories/emitters are transitions, and a
 //!   transition fires when all of its inputs hold tuples
-//!   ([`DataCell::petri_net`] draws the live net: writers, queries,
-//!   subscribers).
+//!   ([`DataCell::petri_net`] draws the live net: writers, every
+//!   transition the scheduler runs, subscribers).
 //! * [`window`] (§3.1) — windowed processing *above* the kernel: a SQL
 //!   window clause (`FROM s [ROWS 100 SLIDE 10]`) re-evaluates the
 //!   unchanged plan per window on [`WindowJoin`], and

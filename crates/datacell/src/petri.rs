@@ -2,24 +2,38 @@
 //!
 //! "Baskets are equivalent to Petri-net token place-holders while
 //! receptors, emitters and factories represent Petri-net transitions."
-//! This module materializes that graph from the wired components, checks
-//! well-formedness (every transition needs inputs and outputs; two
-//! exclusive consumers on one basket must be serialized by control tokens),
-//! and renders Graphviz for documentation and debugging.
+//! [`DataCell::petri_net`](crate::DataCell::petri_net) draws this graph
+//! from the live configuration: its writers as receptors, its subscribers
+//! as emitters, and every transition the scheduler runs, each reporting
+//! its own places ([`Transition::places`]). The net checks well-formedness
+//! (every transition needs inputs and outputs; two exclusive consumers on
+//! one basket must be serialized by control tokens) and renders Graphviz
+//! for documentation and debugging.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
-use crate::factory::{Factory, FactoryOutput, InputMode};
 use crate::scheduler::Transition;
-use crate::window_join::WindowJoin;
+
+/// The places one scheduled transition touches, as
+/// [`Transition::places`] reports them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Places {
+    /// Data input baskets, each with whether the transition consumes it
+    /// exclusively (a cursor read is not exclusive).
+    pub inputs: Vec<(String, bool)>,
+    /// Control-token baskets the transition waits on.
+    pub control_in: Vec<String>,
+    /// Baskets the transition appends to: results and control tokens.
+    pub outputs: Vec<String>,
+}
 
 /// Kinds of Petri-net transitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransitionKind {
     /// Stream input adapter (a live writer).
     Receptor,
-    /// Continuous-query (fragment) executor.
+    /// A scheduled transition: a continuous-query (fragment) executor or
+    /// a window evaluator.
     Factory,
     /// Result delivery adapter.
     Emitter,
@@ -70,24 +84,23 @@ impl PetriNet {
         self.inputs.push((source.to_string(), name.to_string()));
     }
 
-    /// Add a factory transition, deriving its edges from its wiring.
-    pub fn add_factory(&mut self, factory: &Arc<Factory>) {
-        let name = factory.name().to_string();
+    /// Add a scheduled transition with the places it reports.
+    pub fn add_transition(&mut self, transition: &dyn Transition) {
+        let name = transition.name().to_string();
+        let places = transition.places();
         self.transitions
             .push((name.clone(), TransitionKind::Factory));
-        for input in factory.inputs() {
-            let b = input.basket.name().to_string();
+        for (b, exclusive) in places.inputs {
             self.add_place(&b);
             self.inputs.push((b.clone(), name.clone()));
-            if matches!(input.mode, InputMode::Exclusive) {
+            if exclusive {
                 self.exclusive_consumers
                     .entry(b)
                     .or_default()
                     .push(name.clone());
             }
         }
-        for c in factory.control_in() {
-            let b = c.name().to_string();
+        for b in places.control_in {
             self.add_place(&b);
             self.inputs.push((b.clone(), name.clone()));
             self.control_waits
@@ -95,33 +108,9 @@ impl PetriNet {
                 .or_default()
                 .insert(b);
         }
-        for c in factory.control_out() {
-            let b = c.name().to_string();
+        for b in places.outputs {
             self.add_place(&b);
             self.outputs.push((name.clone(), b));
-        }
-        self.add_output(name, factory.output());
-    }
-
-    /// Add a windowed query's transition (a SQL window over one source or
-    /// several): it reads each input through its own cursor, so none of
-    /// its inputs is consumed exclusively.
-    pub fn add_window_join(&mut self, wj: &WindowJoin) {
-        let name = wj.name().to_string();
-        self.transitions
-            .push((name.clone(), TransitionKind::Factory));
-        for b in wj.input_names() {
-            self.add_place(&b);
-            self.inputs.push((b, name.clone()));
-        }
-        self.add_output(name, wj.output());
-    }
-
-    fn add_output(&mut self, transition: String, output: &FactoryOutput) {
-        if let FactoryOutput::Basket(b) = output {
-            let b = b.name().to_string();
-            self.add_place(&b);
-            self.outputs.push((transition, b));
         }
     }
 
@@ -207,9 +196,10 @@ impl PetriNet {
 mod tests {
     use super::*;
     use crate::catalog::StreamCatalog;
-    use crate::factory::FactoryOutput;
+    use crate::factory::{Factory, FactoryOutput};
     use datacell_bat::types::DataType;
     use datacell_sql::Schema;
+    use std::sync::Arc;
 
     fn catalog() -> StreamCatalog {
         let mut cat = StreamCatalog::new();
@@ -237,7 +227,7 @@ mod tests {
         let q = Arc::new(factory(&cat, "q"));
         let mut net = PetriNet::new();
         net.add_receptor("R", "b1");
-        net.add_factory(&q);
+        net.add_transition(&*q);
         net.add_emitter("E", "b2");
         assert_eq!(net.places.len(), 2);
         assert_eq!(net.transitions.len(), 3);
@@ -256,8 +246,8 @@ mod tests {
         let q2 = Arc::new(factory(&cat, "q2"));
         let mut net = PetriNet::new();
         net.add_receptor("R", "b1");
-        net.add_factory(&q1);
-        net.add_factory(&q2);
+        net.add_transition(&*q1);
+        net.add_transition(&*q2);
         let warnings = net.validate();
         assert!(
             warnings.iter().any(|w| w.contains("exclusive consumers")),
@@ -283,8 +273,8 @@ mod tests {
         let q2 = Arc::new(f2);
         let mut net = PetriNet::new();
         net.add_receptor("R", "b1");
-        net.add_factory(&q1);
-        net.add_factory(&q2);
+        net.add_transition(&*q1);
+        net.add_transition(&*q2);
         let warnings = net.validate();
         assert!(
             !warnings.iter().any(|w| w.contains("exclusive consumers")),
@@ -297,7 +287,7 @@ mod tests {
         let cat = catalog();
         let q = Arc::new(factory(&cat, "q"));
         let mut net = PetriNet::new();
-        net.add_factory(&q); // no receptor feeds b1
+        net.add_transition(&*q); // no receptor feeds b1
         let warnings = net.validate();
         assert!(warnings.iter().any(|w| w.contains("no producing")));
     }

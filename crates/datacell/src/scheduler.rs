@@ -94,12 +94,13 @@ use parking_lot::{Mutex, RwLock};
 use datacell_engine::Catalog;
 use datacell_exec::{PoolSnapshot, WorkerPool};
 
-use crate::basket::Signal;
+use crate::basket::{Basket, Signal};
 use crate::catalog::StreamCatalog;
 use crate::error::{DataCellError, Result};
 use crate::events::{EventKind, EventRing};
-use crate::factory::{Factory, StepOutcome};
+use crate::factory::{Factory, FactoryInput, FactoryOutput, InputMode, StepOutcome};
 use crate::metrics::{HistogramSnapshot, LatencyHistogram};
+use crate::petri::Places;
 
 /// A schedulable Petri-net transition. [`Factory`] is the canonical
 /// implementation; the window evaluators in [`crate::window`] are others.
@@ -131,6 +132,13 @@ pub trait Transition: Send + Sync {
     fn conflict_keys(&self) -> Vec<String> {
         Vec::new()
     }
+    /// The baskets the transition reads and appends to, as
+    /// [`DataCell::petri_net`](crate::DataCell::petri_net) draws them (who
+    /// consumes a place exclusively; which places a firing locks is
+    /// [`Transition::conflict_keys`]). Default: none.
+    fn places(&self) -> Places {
+        Places::default()
+    }
 }
 
 impl Transition for Factory {
@@ -161,6 +169,24 @@ impl Transition for Factory {
 
     fn conflict_keys(&self) -> Vec<String> {
         self.conflict_basket_names()
+    }
+
+    fn places(&self) -> Places {
+        let name = |b: &Arc<Basket>| b.name().to_string();
+        let exclusive = |i: &FactoryInput| matches!(i.mode, InputMode::Exclusive);
+        let mut outputs: Vec<String> = self.control_out().iter().map(name).collect();
+        if let FactoryOutput::Basket(b) = self.output() {
+            outputs.push(name(b));
+        }
+        Places {
+            inputs: self
+                .inputs()
+                .iter()
+                .map(|i| (name(&i.basket), exclusive(i)))
+                .collect(),
+            control_in: self.control_in().iter().map(name).collect(),
+            outputs,
+        }
     }
 }
 

@@ -8,6 +8,16 @@
 //! "between the SQL-to-MAL compiler and the MonetDB kernel": one language,
 //! one optimizer, two execution regimes.
 //!
+//! The session keeps one registry of names: each SQL continuous query,
+//! `add_factory` factory and plan-sharing head has one record there (its
+//! output basket, windowed transition, subscribers and latency
+//! histogram), so a name is registered at most once and every lifecycle
+//! call reads the same record. The transitions themselves live only in
+//! the scheduler, and [`DataCell::petri_net`] draws them from it. Every
+//! basket the session creates — `CREATE BASKET`, a shared intermediate, a
+//! query's output — opens through one path that adopts a recovered basket
+//! or creates and wires a new one.
+//!
 //! Semantics worth noting (§2.6):
 //! * a basket named *outside* a basket expression "behaves as any
 //!   (temporary) table" — `SELECT * FROM b` inspects without consuming;
@@ -16,6 +26,7 @@
 //!   continual.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,7 +58,7 @@ use crate::factory::{Factory, FactoryOutput};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, NetMetricsSource, SessionMetrics};
 use crate::petri::PetriNet;
 use crate::planshare::{PlanShare, SharedNode};
-use crate::scheduler::{SchedulePolicy, Scheduler, Transition};
+use crate::scheduler::{SchedulePolicy, Scheduler};
 use crate::window_join::WindowJoin;
 
 /// Result of one statement.
@@ -137,29 +148,44 @@ pub struct RecoveryReport {
     pub torn_bytes: u64,
 }
 
+/// What the session keeps for one registered name (see the query
+/// registry on [`DataCell`]); the scheduler holds its transition.
+#[derive(Default)]
+struct QueryRecord {
+    /// A SQL continuous query's output basket; `None` for an
+    /// `add_factory` factory and a shared head.
+    output: Option<Arc<Basket>>,
+    /// The transition of a windowed query.
+    window_join: Option<Arc<WindowJoin>>,
+    /// A plan-sharing head (`mqoN_head`): internal, so no lifecycle call
+    /// addresses it.
+    shared_head: bool,
+    /// The one reader every [`SubscriptionMode::Shared`] subscriber
+    /// competes on. They hold the lease; the last one to go deregisters
+    /// the reader, which would otherwise hold the trim watermark forever.
+    shared_reader: Weak<ReaderLease>,
+    /// Every subscriber, in-process and network alike; entries die with
+    /// their subscription.
+    subscribers: Vec<Weak<Subscriber>>,
+    /// Fed by every subscription (output-basket entry → delivery;
+    /// input-basket entry when the query projects `ts`) from the first
+    /// one on, across pause/resume.
+    latency: Option<Arc<LatencyHistogram>>,
+}
+
 /// The DataCell system handle (see module docs).
 pub struct DataCell {
     catalog: Arc<RwLock<StreamCatalog>>,
     scheduler: Scheduler,
     config: CellConfig,
-    /// Continuous query name → output basket.
-    query_outputs: Mutex<HashMap<String, Arc<Basket>>>,
-    /// Continuous query name → the single competing-consumer reader shared
-    /// by every [`SubscriptionMode::Shared`] subscriber of that query. The
-    /// subscribers hold the lease; the last one to go deregisters the
-    /// reader (an abandoned reader would hold the trim watermark forever).
-    shared_readers: Mutex<HashMap<String, Weak<ReaderLease>>>,
-    /// Every subscriber by query, in-process and network alike. Entries
-    /// die with their subscription.
-    subscribers: Mutex<Vec<(String, Weak<Subscriber>)>>,
+    /// The query registry: one record per name of a SQL continuous
+    /// query, `add_factory` factory or plan-sharing head, so a name is
+    /// registered at most once.
+    queries: Mutex<HashMap<String, QueryRecord>>,
     /// Every live [`StreamWriter`] — the receptors of the Petri net,
     /// network `STREAM` connections included. Entries die with their
     /// writer.
     writers: Mutex<Vec<Weak<WriterTag>>>,
-    factory_registry: Mutex<Vec<Arc<Factory>>>,
-    /// Cross-stream windowed-join transitions, kept so `DROP CONTINUOUS
-    /// QUERY` can detach their reader cursors from the input baskets.
-    window_joins: Mutex<Vec<Arc<WindowJoin>>>,
     /// Numbers writer and subscriber names, so they never collide.
     periphery_seq: AtomicU64,
     /// Shed/overflow totals of baskets that have since been dropped, so
@@ -191,11 +217,6 @@ pub struct DataCell {
     /// Ring of recent engine events (firings, overflow/shed, recovery,
     /// connection churn …) — see [`DataCell::recent_events`].
     events: Arc<EventRing>,
-    /// Per-query latency histograms, fed by every subscription of the
-    /// query (output-basket entry → delivery; input-basket entry when the
-    /// query projects `ts`). Kept across
-    /// pause/resume; removed on drop.
-    query_latency: Mutex<HashMap<String, Arc<LatencyHistogram>>>,
     /// Engine-clock µs stamp taken at session construction
     /// ([`MetricsSnapshot::uptime_micros`]).
     started_micros: i64,
@@ -247,12 +268,8 @@ impl DataCell {
                 data_dir: builder.data_dir,
                 durability: builder.durability,
             },
-            query_outputs: Mutex::new(HashMap::new()),
-            shared_readers: Mutex::new(HashMap::new()),
-            subscribers: Mutex::new(Vec::new()),
+            queries: Mutex::new(HashMap::new()),
             writers: Mutex::new(Vec::new()),
-            factory_registry: Mutex::new(Vec::new()),
-            window_joins: Mutex::new(Vec::new()),
             periphery_seq: AtomicU64::new(0),
             retired_shed: AtomicU64::new(0),
             retired_overflow: AtomicU64::new(0),
@@ -262,7 +279,6 @@ impl DataCell {
             plan_share: Mutex::new(PlanShare::default()),
             plan_sharing: AtomicBool::new(builder.plan_sharing),
             events,
-            query_latency: Mutex::new(HashMap::new()),
             started_micros: crate::clock::now_micros(),
         };
         if cell.config.durability == Durability::Persistent && cell.storage.is_none() {
@@ -364,11 +380,11 @@ impl DataCell {
 
     /// Output basket of a registered continuous query.
     pub fn query_output(&self, query: &str) -> Result<Arc<Basket>> {
-        self.query_outputs
+        self.queries
             .lock()
             .get(query)
-            .cloned()
-            .ok_or_else(|| DataCellError::Catalog(format!("unknown continuous query {query}")))
+            .and_then(|r| r.output.clone())
+            .ok_or_else(|| unknown_query(query))
     }
 
     /// Execute one SQL statement.
@@ -410,22 +426,15 @@ impl DataCell {
                 columns,
                 options,
             } => {
-                let user_schema = Schema::new(columns);
                 // A basket rebuilt by `recover()` is *adopted* by an
                 // identical re-declaration, so startup scripts re-run
                 // unchanged after a crash.
-                if self.try_adopt(&name, &user_schema, &options)?.is_some() {
-                    return Ok(CellResult::Ack(format!("adopted recovered basket {name}")));
-                }
-                let (capacity, policy, persistent) = self.resolve_basket_config(&options)?;
-                let basket = self.catalog.write().create_basket(&name, user_schema)?;
-                basket.set_parent_signal(self.scheduler.signal());
-                basket.set_events(Arc::clone(&self.events));
-                // Engine-level capacity: receptors, factories and writers
-                // all hit the same bound.
-                basket.set_capacity(capacity, policy);
-                self.setup_basket_storage(&basket, capacity, policy, persistent)?;
-                Ok(CellResult::Ack(format!("created basket {name}")))
+                let (_, adopted) = self.open_basket(&name, Schema::new(columns), &options)?;
+                Ok(CellResult::Ack(if adopted {
+                    format!("adopted recovered basket {name}")
+                } else {
+                    format!("created basket {name}")
+                }))
             }
             Statement::CreateContinuousQuery { name, query } => {
                 if !query.is_continuous() {
@@ -433,76 +442,14 @@ impl DataCell {
                         "continuous query {name} must contain a basket expression (§2.6)"
                     )));
                 }
-                // Cost-based multi-query sharing: when enabled and the
-                // plan's consuming-scan prefix matches (or can seed) a
-                // shared node, register through the shared path instead.
-                if self.plan_sharing.load(Ordering::Relaxed) {
-                    if let Some(res) = self.try_register_shared(&name, &query)? {
-                        return Ok(res);
-                    }
+                // Reserve the name first, so a shared head built for this
+                // query never takes it.
+                self.register(&name, QueryRecord::default())?;
+                let registered = self.register_query(&name, &query);
+                if registered.is_err() {
+                    self.queries.lock().remove(&name);
                 }
-                let out_name = format!("{name}_out");
-                // Compile against the current catalog.
-                let (plan, out_schema) = {
-                    let cat = self.catalog.read();
-                    let bound = bind_query(&query, &*cat)?;
-                    let optimized = datacell_sql::optimizer::optimize(bound);
-                    datacell_sql::physical::plan(optimized)?
-                };
-                let output = self.create_query_output(&out_name, &out_schema)?;
-                // Windowed scans route to the WindowJoin evaluator instead
-                // of a plain factory: the stream layer shapes the per-source
-                // window snapshots, the unchanged plan (and its join
-                // kernels) does the rest. Note these plans fell through the
-                // plan-sharing path above by construction — a windowed scan
-                // is never a shareable prefix.
-                if !plan.windowed_scans().is_empty() {
-                    let wj = {
-                        let cat = self.catalog.read();
-                        WindowJoin::from_plan(
-                            &name,
-                            plan,
-                            &cat,
-                            FactoryOutput::Basket(Arc::clone(&output)),
-                        )?
-                    };
-                    let wj = Arc::new(wj);
-                    self.scheduler.add_transition(
-                        Arc::clone(&wj) as Arc<dyn crate::scheduler::Transition>,
-                        self.config.default_policy,
-                    );
-                    self.window_joins.lock().push(wj);
-                    self.query_outputs.lock().insert(name.clone(), output);
-                    self.events.record(
-                        EventKind::QueryRegistered,
-                        format!("{name} (windowed, output {out_name})"),
-                    );
-                    return Ok(CellResult::Ack(format!(
-                        "registered continuous windowed query {name} (output basket {out_name})"
-                    )));
-                }
-                let factory = {
-                    let cat = self.catalog.read();
-                    Factory::from_plan(
-                        &name,
-                        plan,
-                        out_schema,
-                        &cat,
-                        FactoryOutput::Basket(Arc::clone(&output)),
-                    )?
-                };
-                let handle = self
-                    .scheduler
-                    .add_factory_with_policy(factory, self.config.default_policy);
-                self.factory_registry.lock().push(handle);
-                self.query_outputs.lock().insert(name.clone(), output);
-                self.events.record(
-                    EventKind::QueryRegistered,
-                    format!("{name} (output {out_name})"),
-                );
-                Ok(CellResult::Ack(format!(
-                    "registered continuous query {name} (output basket {out_name})"
-                )))
+                registered
             }
             Statement::Insert {
                 table,
@@ -596,14 +543,7 @@ impl DataCell {
                     Ok(CellResult::Ack(format!("dropped table {name}")))
                 }
                 DropKind::Basket => {
-                    {
-                        let mut cat = self.catalog.write();
-                        if let Ok(b) = cat.basket(&name) {
-                            self.retire_basket_stats(&b);
-                        }
-                        cat.drop_basket(&name)?;
-                    }
-                    self.remove_basket_storage(&name);
+                    self.drop_basket(&name)?;
                     Ok(CellResult::Ack(format!("dropped basket {name}")))
                 }
                 DropKind::ContinuousQuery => {
@@ -682,11 +622,13 @@ impl DataCell {
     /// `SHOW QUERIES`: one row per registered continuous query with its
     /// scheduler state and counters, ordered by name.
     fn show_queries(&self) -> Result<CellResult> {
-        let queries: Vec<String> = {
-            let mut names: Vec<String> = self.query_outputs.lock().keys().cloned().collect();
-            names.sort();
-            names
-        };
+        let mut queries: Vec<(String, String)> = self
+            .queries
+            .lock()
+            .iter()
+            .filter_map(|(q, r)| Some((q.clone(), r.output.as_ref()?.name().to_string())))
+            .collect();
+        queries.sort();
         let per_query = self.scheduler.transition_metrics();
         let schema = Schema::new(vec![
             ("query".into(), DataType::Str),
@@ -703,24 +645,16 @@ impl DataCell {
             .iter()
             .map(|c| Column::with_capacity(c.ty, queries.len()))
             .collect();
-        for name in &queries {
-            let state = match self.scheduler.is_paused(name) {
+        for (name, output) in queries {
+            let state = match self.scheduler.is_paused(&name) {
                 Ok(true) => "paused",
                 Ok(false) => "running",
                 // Shared-prefix tails are scheduled under the query's own
                 // name; anything unknown to the scheduler is draining.
                 Err(_) => "detached",
             };
-            let output = self
-                .query_outputs
-                .lock()
-                .get(name)
-                .map(|b| b.name().to_string())
-                .unwrap_or_default();
-            let m = per_query.iter().find(|m| &m.name == name);
-            columns[0]
-                .push(&Value::Str(name.clone()))
-                .map_err(sql_err_kernel)?;
+            let m = per_query.iter().find(|m| m.name == name);
+            columns[0].push(&Value::Str(name)).map_err(sql_err_kernel)?;
             columns[1]
                 .push(&Value::Str(state.into()))
                 .map_err(sql_err_kernel)?;
@@ -770,9 +704,8 @@ impl DataCell {
                 rows.push(("uptime_micros".into(), snap.uptime_micros as f64));
             }
             Some(q) => {
-                let m = snap.per_query.iter().find(|m| m.name == q).ok_or_else(|| {
-                    DataCellError::Catalog(format!("unknown continuous query {q}"))
-                })?;
+                let m = snap.per_query.iter().find(|m| m.name == q);
+                let m = m.ok_or_else(|| unknown_query(q))?;
                 rows.push(("firings".into(), m.firings as f64));
                 rows.push(("busy_micros".into(), m.busy_micros as f64));
                 rows.push(("tuples_in".into(), m.tuples_in as f64));
@@ -871,20 +804,20 @@ impl DataCell {
         query: &str,
         mode: SubscriptionMode,
     ) -> Result<Subscription<T>> {
-        let out = self.query_output(query)?;
-        let lease = match mode {
-            SubscriptionMode::Broadcast => Arc::new(ReaderLease::register(out, true)),
-            SubscriptionMode::Shared => {
-                let mut pools = self.shared_readers.lock();
-                match pools.get(query).and_then(Weak::upgrade) {
-                    Some(lease) => lease,
-                    None => {
-                        let lease = Arc::new(ReaderLease::register(out, true));
-                        pools.insert(query.to_string(), Arc::downgrade(&lease));
-                        lease
-                    }
-                }
+        let mut queries = self.queries.lock();
+        let record = queries
+            .get_mut(query)
+            .filter(|r| r.output.is_some())
+            .ok_or_else(|| unknown_query(query))?;
+        let out = record.output.clone().expect("filtered on an output");
+        let lease = match (mode, record.shared_reader.upgrade()) {
+            (SubscriptionMode::Shared, Some(lease)) => lease,
+            (SubscriptionMode::Shared, None) => {
+                let lease = Arc::new(ReaderLease::register(out, true));
+                record.shared_reader = Arc::downgrade(&lease);
+                lease
             }
+            (SubscriptionMode::Broadcast, _) => Arc::new(ReaderLease::register(out, true)),
         };
         // The `#seq` suffix is globally unique, so subscriber names can
         // never collide across queries (e.g. a query literally named "q-1").
@@ -893,20 +826,13 @@ impl DataCell {
             name: format!("sub-{query}#{seq}"),
             lease,
         });
-        {
-            let mut subscribers = self.subscribers.lock();
-            subscribers.retain(|(_, s)| s.strong_count() > 0);
-            subscribers.push((query.to_string(), Arc::downgrade(&subscriber)));
-        }
+        record.subscribers.retain(|s| s.strong_count() > 0);
+        record.subscribers.push(Arc::downgrade(&subscriber));
         // Per-query latency attribution: every subscriber of a query feeds
         // the query's one histogram, recorded independently of the
         // session-metrics toggle.
-        let hist = Arc::clone(
-            self.query_latency
-                .lock()
-                .entry(query.to_string())
-                .or_default(),
-        );
+        let hist = Arc::clone(record.latency.get_or_insert_default());
+        drop(queries);
         let meter = DeliveryMeter::new(hist, self.config.metrics.clone());
         Ok(Subscription::new(
             query.to_string(),
@@ -918,10 +844,14 @@ impl DataCell {
 
     /// The live subscribers, each with its query.
     fn live_subscribers(&self) -> Vec<(String, Arc<Subscriber>)> {
-        self.subscribers
-            .lock()
+        let queries = self.queries.lock();
+        queries
             .iter()
-            .filter_map(|(q, s)| Some((q.clone(), s.upgrade()?)))
+            .flat_map(|(q, r)| {
+                r.subscribers
+                    .iter()
+                    .filter_map(|s| Some((q.clone(), s.upgrade()?)))
+            })
             .collect()
     }
 
@@ -949,11 +879,7 @@ impl DataCell {
     /// Lifecycle handle for a registered continuous query
     /// (pause / resume / drop; see [`QueryHandle`]).
     pub fn query_handle(&self, name: &str) -> Result<QueryHandle<'_>> {
-        if !self.query_outputs.lock().contains_key(name) {
-            return Err(DataCellError::Catalog(format!(
-                "unknown continuous query {name}"
-            )));
-        }
+        self.query_output(name)?;
         Ok(QueryHandle::new(self, name.to_string()))
     }
 
@@ -961,17 +887,15 @@ impl DataCell {
     /// while its input baskets keep buffering. Works for SQL-registered
     /// queries and factories added programmatically via `add_factory`.
     pub fn pause_query(&self, name: &str) -> Result<()> {
-        self.scheduler
-            .set_paused(name, true)
-            .map_err(|e| self.lifecycle_err(name, e))
+        self.addressable(name)?;
+        self.scheduler.set_paused(name, true)
     }
 
     /// Resume a paused continuous query; the backlog is processed in one
     /// bulk step.
     pub fn resume_query(&self, name: &str) -> Result<()> {
-        self.scheduler
-            .set_paused(name, false)
-            .map_err(|e| self.lifecycle_err(name, e))
+        self.addressable(name)?;
+        self.scheduler.set_paused(name, false)
     }
 
     /// Declare a windowed query's input streams quiescent and close every
@@ -1015,11 +939,10 @@ impl DataCell {
     /// The transition running a windowed continuous query (its counters,
     /// buffers and explicit [`WindowJoin::flush`]).
     pub fn window_join(&self, name: &str) -> Result<Arc<WindowJoin>> {
-        self.window_joins
+        self.queries
             .lock()
-            .iter()
-            .find(|w| w.name() == name)
-            .cloned()
+            .get(name)
+            .and_then(|r| r.window_join.clone())
             .ok_or_else(|| {
                 DataCellError::Catalog(format!("unknown windowed continuous query {name}"))
             })
@@ -1027,9 +950,8 @@ impl DataCell {
 
     /// True iff the named continuous query is paused.
     pub fn is_query_paused(&self, name: &str) -> Result<bool> {
-        self.scheduler
-            .is_paused(name)
-            .map_err(|e| self.lifecycle_err(name, e))
+        self.addressable(name)?;
+        self.scheduler.is_paused(name)
     }
 
     /// Set a continuous query's deficit-round-robin weight (clamped to
@@ -1038,9 +960,8 @@ impl DataCell {
     /// Equivalent to the SQL `SET QUERY WEIGHT name = 3`; also reaches
     /// factories registered programmatically via `add_factory`.
     pub fn set_query_weight(&self, name: &str, weight: u32) -> Result<()> {
-        self.scheduler
-            .set_weight(name, weight)
-            .map_err(|e| self.lifecycle_err(name, e))
+        self.addressable(name)?;
+        self.scheduler.set_weight(name, weight)
     }
 
     /// Drop a continuous query: detach its factory from the scheduler,
@@ -1052,38 +973,55 @@ impl DataCell {
     /// basket of their own). Waits out a firing of the query in flight
     /// (see [`Scheduler::remove_factory`]).
     pub fn drop_query(&self, name: &str) -> Result<()> {
-        self.scheduler
-            .remove_factory(name)
-            .map_err(|e| self.lifecycle_err(name, e))?;
-        self.factory_registry.lock().retain(|f| f.name() != name);
-        // Windowed joins additionally hold a reader cursor per input
+        self.addressable(name)?;
+        self.scheduler.remove_factory(name)?;
+        let record = self.queries.lock().remove(name).unwrap_or_default();
+        // A windowed join additionally holds a reader cursor per input
         // basket; detach them so the inputs stop retaining tuples.
-        self.window_joins.lock().retain(|wj| {
-            if wj.name() == name {
-                wj.detach();
-                false
-            } else {
-                true
-            }
-        });
-        self.shared_readers.lock().remove(name);
-        self.subscribers.lock().retain(|(q, _)| q != name);
+        if let Some(wj) = &record.window_join {
+            wj.detach();
+        }
         // Plan sharing: detach this query's reader from its shared
         // intermediate; the last subscriber retires the shared head.
         self.release_shared(name);
-        let out = self.query_outputs.lock().remove(name);
-        if let Some(out) = out {
+        if let Some(out) = record.output {
             out.close();
-            self.retire_basket_stats(&out);
-            let _ = self.catalog.write().drop_basket(out.name());
-            if out.has_storage() {
-                self.remove_basket_storage(out.name());
-            }
+            let _ = self.drop_basket(out.name());
         }
-        self.query_latency.lock().remove(name);
         self.events
             .record(EventKind::QueryDropped, name.to_string());
         Ok(())
+    }
+
+    /// Check that `name` is one a lifecycle call may address: a SQL
+    /// continuous query or an `add_factory` factory, never a shared head.
+    fn addressable(&self, name: &str) -> Result<()> {
+        match self.queries.lock().get(name) {
+            Some(r) if !r.shared_head => Ok(()),
+            _ => Err(unknown_query(name)),
+        }
+    }
+
+    /// Enter `name` in the query registry, unless a query, factory or
+    /// shared head already holds it.
+    fn register(&self, name: &str, record: QueryRecord) -> Result<()> {
+        match self.queries.lock().entry(name.to_string()) {
+            Entry::Occupied(_) => Err(DataCellError::Catalog(format!(
+                "name {name} already exists"
+            ))),
+            Entry::Vacant(slot) => {
+                slot.insert(record);
+                Ok(())
+            }
+        }
+    }
+
+    /// Fill a reserved SQL query's record once its transition runs.
+    fn set_query(&self, name: &str, output: Arc<Basket>, window_join: Option<Arc<WindowJoin>>) {
+        if let Some(r) = self.queries.lock().get_mut(name) {
+            r.output = Some(output);
+            r.window_join = window_join;
+        }
     }
 
     // ---------------- multi-query plan sharing ----------------
@@ -1100,6 +1038,61 @@ impl DataCell {
     /// Whether plan sharing is currently enabled.
     pub fn plan_sharing(&self) -> bool {
         self.plan_sharing.load(Ordering::Relaxed)
+    }
+
+    /// Compile and schedule the continuous query whose name
+    /// [`CREATE CONTINUOUS QUERY`](Statement::CreateContinuousQuery) just
+    /// reserved: through the plan-sharing path when it applies, otherwise
+    /// as a private factory, or as a [`WindowJoin`] when the plan scans a
+    /// window.
+    fn register_query(&self, name: &str, query: &datacell_sql::ast::Query) -> Result<CellResult> {
+        // Cost-based multi-query sharing: when enabled and the plan's
+        // consuming-scan prefix matches (or can seed) a shared node,
+        // register through the shared path instead.
+        if self.plan_sharing.load(Ordering::Relaxed) {
+            if let Some(res) = self.try_register_shared(name, query)? {
+                return Ok(res);
+            }
+        }
+        let out_name = format!("{name}_out");
+        // Compile against the current catalog.
+        let (plan, out_schema) = {
+            let cat = self.catalog.read();
+            let bound = bind_query(query, &*cat)?;
+            let optimized = datacell_sql::optimizer::optimize(bound);
+            datacell_sql::physical::plan(optimized)?
+        };
+        let output = self.create_query_output(&out_name, &out_schema)?;
+        let sink = FactoryOutput::Basket(Arc::clone(&output));
+        // Windowed scans route to the WindowJoin evaluator instead of a
+        // plain factory: the stream layer shapes the per-source window
+        // snapshots, the unchanged plan (and its join kernels) does the
+        // rest. These plans fell through the plan-sharing path above by
+        // construction — a windowed scan is never a shareable prefix.
+        let windowed = !plan.windowed_scans().is_empty();
+        let window_join = if windowed {
+            let wj = WindowJoin::from_plan(name, plan, &self.catalog.read(), sink)?;
+            let wj = Arc::new(wj);
+            let policy = self.config.default_policy;
+            self.scheduler.add_transition(Arc::clone(&wj) as _, policy);
+            Some(wj)
+        } else {
+            let factory = Factory::from_plan(name, plan, out_schema, &self.catalog.read(), sink)?;
+            self.scheduler
+                .add_factory_with_policy(factory, self.config.default_policy);
+            None
+        };
+        self.set_query(name, output, window_join);
+        let (kind, tag) = if windowed {
+            ("windowed ", "windowed, ")
+        } else {
+            ("", "")
+        };
+        let detail = format!("{name} ({tag}output {out_name})");
+        self.events.record(EventKind::QueryRegistered, detail);
+        Ok(CellResult::Ack(format!(
+            "registered continuous {kind}query {name} (output basket {out_name})"
+        )))
     }
 
     /// Try to register `name` through the plan-sharing path. Returns
@@ -1144,67 +1137,29 @@ impl DataCell {
                 (mid, node.mid_name.clone(), false)
             }
             None => {
-                ps.seq += 1;
-                let mid_name = format!("mqo{}_mid", ps.seq);
-                let head_name = format!("mqo{}_head", ps.seq);
-                let source_basket = self.catalog.read().basket(&source)?;
-                let user_schema = Schema {
-                    columns: source_basket.schema().columns[..source_basket.user_width()].to_vec(),
-                };
-                // The shared intermediate gets the session-default
-                // capacity/overflow/durability like any query plumbing
-                // basket; a recovered one (same name, same schema) is
-                // adopted so startup scripts replay after a crash.
-                let mid =
-                    match self.try_adopt(&mid_name, &user_schema, &BasketOptions::default())? {
-                        Some(b) => b,
-                        None => {
-                            let (capacity, policy, persistent) =
-                                self.resolve_basket_config(&BasketOptions::default())?;
-                            let b = {
-                                let mut cat = self.catalog.write();
-                                let b = cat.create_basket(&mid_name, user_schema)?;
-                                b.set_parent_signal(self.scheduler.signal());
-                                b.set_events(Arc::clone(&self.events));
-                                b.set_capacity(capacity, policy);
-                                b
-                            };
-                            self.setup_basket_storage(&b, capacity, policy, persistent)?;
-                            b
-                        }
+                // The head is internal but its name is registered like
+                // any query's, so it never takes a registered name and no
+                // later query takes its name.
+                let seq = loop {
+                    ps.seq += 1;
+                    let head = QueryRecord {
+                        shared_head: true,
+                        ..QueryRecord::default()
                     };
-                let built = (|| {
-                    let (head_plan, head_schema) = datacell_sql::physical::plan(prefix.clone())?;
-                    let cat = self.catalog.read();
-                    Factory::from_plan(
-                        &head_name,
-                        head_plan,
-                        head_schema,
-                        &cat,
-                        FactoryOutput::Basket(Arc::clone(&mid)),
-                    )
-                })();
-                let mut head = match built {
-                    Ok(h) => h,
-                    Err(e) => {
-                        self.teardown_shared_mid(&mid_name);
-                        return Err(e);
+                    if self.register(&format!("mqo{}_head", ps.seq), head).is_ok() {
+                        break ps.seq;
                     }
                 };
-                // The head never consumes the source exclusively: it
-                // reads through a shared cursor, so co-resident readers
-                // keep their own pace and the source trims at the slowest
-                // watermark.
-                let source_reader = source_basket.register_reader(true);
-                if let Err(e) = head.set_shared(&source, source_reader) {
-                    source_basket.unregister_reader(source_reader);
-                    self.teardown_shared_mid(&mid_name);
-                    return Err(e);
-                }
-                let handle = self
-                    .scheduler
-                    .add_factory_with_policy(head, self.config.default_policy);
-                self.factory_registry.lock().push(handle);
+                let head_name = format!("mqo{seq}_head");
+                let mid_name = format!("mqo{seq}_mid");
+                let (mid, source_reader) =
+                    match self.build_shared_head(&head_name, &mid_name, &prefix, &source) {
+                        Ok(built) => built,
+                        Err(e) => {
+                            self.queries.lock().remove(&head_name);
+                            return Err(e);
+                        }
+                    };
                 ps.nodes.push(SharedNode {
                     fingerprint,
                     prefix: prefix.clone(),
@@ -1230,7 +1185,7 @@ impl DataCell {
                 // its subscribers, so it earns their aggregate share of
                 // scheduler busy time.
                 let _ = self.scheduler.set_weight(&head_name, weight);
-                self.query_outputs.lock().insert(name.to_string(), output);
+                self.set_query(name, output, None);
                 self.events.record(
                     EventKind::PlanShareAttach,
                     format!("{name} attached to {mid_name} (head {head_name})"),
@@ -1260,6 +1215,31 @@ impl DataCell {
         }
     }
 
+    /// Open a new shared node's intermediate basket and schedule its head
+    /// factory. Returns the intermediate and the head's cursor on
+    /// `source`.
+    fn build_shared_head(
+        &self,
+        head_name: &str,
+        mid_name: &str,
+        prefix: &LogicalPlan,
+        source: &str,
+    ) -> Result<(Arc<Basket>, ReaderId)> {
+        let source_basket = self.catalog.read().basket(source)?;
+        let user_schema = Schema {
+            columns: source_basket.schema().columns[..source_basket.user_width()].to_vec(),
+        };
+        let (head_plan, head_schema) = datacell_sql::physical::plan(prefix.clone())?;
+        // The shared intermediate gets the session-default
+        // capacity/overflow/durability like any query plumbing basket; a
+        // recovered one (same name, same schema) is adopted so startup
+        // scripts replay after a crash.
+        let (mid, _) = self.open_basket(mid_name, user_schema, &BasketOptions::default())?;
+        let source_reader =
+            self.schedule_cursor_factory(head_name, head_plan, head_schema, &source_basket, &mid)?;
+        Ok((mid, source_reader))
+    }
+
     /// Compile and register a shared query's tail: the original plan with
     /// its consuming scan retargeted (predicate-free) onto the shared
     /// intermediate, reading through its own shared cursor.
@@ -1276,63 +1256,56 @@ impl DataCell {
             datacell_sql::physical::plan(datacell_sql::optimizer::optimize(tail_logical))?;
         let out_name = format!("{name}_out");
         let output = self.create_query_output(&out_name, &out_schema)?;
-        let built = (|| {
-            let mut tail = {
-                let cat = self.catalog.read();
-                Factory::from_plan(
-                    name,
-                    tail_plan,
-                    out_schema,
-                    &cat,
-                    FactoryOutput::Basket(Arc::clone(&output)),
-                )?
-            };
-            let mid_reader = mid.register_reader(true);
-            if let Err(e) = tail.set_shared(mid_name, mid_reader) {
-                mid.unregister_reader(mid_reader);
-                return Err(e);
-            }
-            Ok((tail, mid_reader))
-        })();
-        let (tail, mid_reader) = match built {
-            Ok(v) => v,
-            Err(e) => {
-                let _ = self.catalog.write().drop_basket(&out_name);
-                self.remove_basket_storage(&out_name);
-                return Err(e);
-            }
-        };
-        let handle = self
-            .scheduler
-            .add_factory_with_policy(tail, self.config.default_policy);
-        self.factory_registry.lock().push(handle);
+        let mid_reader = self.schedule_cursor_factory(name, tail_plan, out_schema, mid, &output)?;
         Ok((output, out_name, mid_reader))
     }
 
-    /// Drop a just-created shared intermediate after a failed node build.
-    fn teardown_shared_mid(&self, mid_name: &str) {
-        let _ = self.catalog.write().drop_basket(mid_name);
-        self.remove_basket_storage(mid_name);
+    /// Schedule a plan-sharing factory (a head or a tail) appending to
+    /// the `output` basket just opened for it. It never consumes `input`
+    /// exclusively: it reads through a shared cursor of its own, so
+    /// co-resident readers keep their own pace and `input` trims at the
+    /// slowest watermark. Returns that cursor. On failure `output` is
+    /// dropped again.
+    fn schedule_cursor_factory(
+        &self,
+        name: &str,
+        plan: PhysicalPlan,
+        schema: Schema,
+        input: &Arc<Basket>,
+        output: &Arc<Basket>,
+    ) -> Result<ReaderId> {
+        let built = (|| {
+            let sink = FactoryOutput::Basket(Arc::clone(output));
+            let mut factory = Factory::from_plan(name, plan, schema, &self.catalog.read(), sink)?;
+            let reader = input.register_reader(true);
+            if let Err(e) = factory.set_shared(input.name(), reader) {
+                input.unregister_reader(reader);
+                return Err(e);
+            }
+            Ok((factory, reader))
+        })();
+        match built {
+            Ok((factory, reader)) => {
+                self.scheduler
+                    .add_factory_with_policy(factory, self.config.default_policy);
+                Ok(reader)
+            }
+            Err(e) => {
+                let _ = self.drop_basket(output.name());
+                Err(e)
+            }
+        }
     }
 
-    /// Tear down a retired shared node: head factory, source reader, and
-    /// the intermediate basket with its storage.
+    /// Tear down a retired shared node: head factory and its registry
+    /// name, source reader, and the intermediate basket with its storage.
     fn retire_shared_node(&self, node: &SharedNode) {
         let _ = self.scheduler.remove_factory(&node.head_name);
-        self.factory_registry
-            .lock()
-            .retain(|f| f.name() != node.head_name);
+        self.queries.lock().remove(&node.head_name);
         if let Ok(src) = self.catalog.read().basket(&node.source) {
             src.unregister_reader(node.source_reader);
         }
-        {
-            let mut cat = self.catalog.write();
-            if let Ok(b) = cat.basket(&node.mid_name) {
-                self.retire_basket_stats(&b);
-            }
-            let _ = cat.drop_basket(&node.mid_name);
-        }
-        self.remove_basket_storage(&node.mid_name);
+        let _ = self.drop_basket(&node.mid_name);
     }
 
     /// Reference-counted detach on `DROP CONTINUOUS QUERY`: remove the
@@ -1373,42 +1346,21 @@ impl DataCell {
     /// Create (or adopt, after `recover()`) a continuous query's output
     /// basket. A query projecting `ts` of type Timestamp as its last column
     /// gets a basket one column narrower, so the factory's appends carry
-    /// that arrival timestamp through by shape.
+    /// that arrival timestamp through by shape. A bounded output basket
+    /// pushes backpressure into the factory itself (its step defers or
+    /// stalls when subscribers fall behind).
     fn create_query_output(&self, out_name: &str, out_schema: &Schema) -> Result<Arc<Basket>> {
         let carry_ts = out_schema
             .columns
             .last()
             .is_some_and(|c| c.name == TS_COLUMN && c.ty == DataType::Timestamp);
-        let user_schema = if carry_ts {
-            Schema {
-                columns: out_schema.columns[..out_schema.len() - 1].to_vec(),
-            }
-        } else {
-            out_schema.clone()
+        let user_schema = Schema {
+            columns: out_schema.columns[..out_schema.len() - usize::from(carry_ts)].to_vec(),
         };
         // A recovered output basket (same name, same schema) is adopted
         // with its undelivered rows intact, so re-registering the query
         // after `recover()` resumes delivery without loss.
-        let output = match self.try_adopt(out_name, &user_schema, &BasketOptions::default())? {
-            Some(b) => b,
-            None => {
-                let (capacity, policy, persistent) =
-                    self.resolve_basket_config(&BasketOptions::default())?;
-                let b = {
-                    let mut cat = self.catalog.write();
-                    let b = cat.create_basket(out_name, user_schema)?;
-                    b.set_parent_signal(self.scheduler.signal());
-                    b.set_events(Arc::clone(&self.events));
-                    // Bounded output baskets push backpressure into the
-                    // factory itself (its step defers or stalls when
-                    // subscribers fall behind).
-                    b.set_capacity(capacity, policy);
-                    b
-                };
-                self.setup_basket_storage(&b, capacity, policy, persistent)?;
-                b
-            }
-        };
+        let (output, _) = self.open_basket(out_name, user_schema, &BasketOptions::default())?;
         Ok(output)
     }
 
@@ -1474,10 +1426,10 @@ impl DataCell {
             // recorded unconditionally, independent of the session-metrics
             // toggle.
             let mut per_query: Vec<(String, crate::metrics::HistogramSnapshot)> = self
-                .query_latency
+                .queries
                 .lock()
                 .iter()
-                .map(|(q, h)| (q.clone(), h.snapshot()))
+                .filter_map(|(q, r)| Some((q.clone(), r.latency.as_ref()?.snapshot())))
                 .collect();
             per_query.sort_by(|a, b| a.0.cmp(&b.0));
             snap.per_query_latency = per_query;
@@ -1493,24 +1445,41 @@ impl DataCell {
         snap
     }
 
-    /// Fold a to-be-dropped basket's shed/overflow totals into the retired
-    /// counters so [`DataCell::metrics`] stays monotone.
-    fn retire_basket_stats(&self, basket: &Basket) {
-        let stats = basket.stats();
-        self.retired_shed.fetch_add(stats.shed, Ordering::Relaxed);
-        self.retired_overflow
-            .fetch_add(stats.overflow_events, Ordering::Relaxed);
+    /// Drop a basket: fold its shed/overflow totals into the retired
+    /// counters (so [`DataCell::metrics`] stays monotone), remove it from
+    /// the catalog, then delete its on-disk state.
+    fn drop_basket(&self, name: &str) -> Result<()> {
+        {
+            let mut cat = self.catalog.write();
+            let stats = cat.basket(name)?.stats();
+            self.retired_shed.fetch_add(stats.shed, Ordering::Relaxed);
+            self.retired_overflow
+                .fetch_add(stats.overflow_events, Ordering::Relaxed);
+            cat.drop_basket(name)?;
+        }
+        self.remove_basket_storage(name);
+        Ok(())
     }
 
     // ---------------- storage / durability ----------------
 
-    /// Resolve a basket's capacity / overflow / durability from its
-    /// `CREATE BASKET` clauses over the session defaults, validating that
-    /// spill and persistence have a `data_dir` to live in.
-    fn resolve_basket_config(
+    /// Open a basket: adopt the one `recover()` rebuilt under this name
+    /// (see `try_adopt`), or create it. A new basket takes its capacity,
+    /// overflow and durability from its `CREATE BASKET` clauses over the
+    /// session defaults (spill and persistence need a `data_dir` to live
+    /// in), is wired into the session, and gets its slice of the store: a
+    /// manifest (always, when a store exists — recovery needs it), spill
+    /// segments (under `Spill`) and a WAL (when persistent). Returns the
+    /// basket and whether it was adopted.
+    fn open_basket(
         &self,
+        name: &str,
+        user_schema: Schema,
         options: &BasketOptions,
-    ) -> Result<(Option<usize>, OverflowPolicy, bool)> {
+    ) -> Result<(Arc<Basket>, bool)> {
+        if let Some(basket) = self.try_adopt(name, &user_schema, options)? {
+            return Ok((basket, true));
+        }
         let capacity = options
             .capacity
             .map(|c| c as usize)
@@ -1532,41 +1501,38 @@ impl DataCell {
                 ));
             }
         }
-        Ok((capacity, policy, persistent))
+        let basket = self.catalog.write().create_basket(name, user_schema)?;
+        self.wire_basket(&basket, capacity, policy);
+        if let Some(store) = &self.storage {
+            let bs = store.basket(name)?;
+            let user_columns = basket.schema().columns[..basket.user_width()]
+                .iter()
+                .map(|c| (c.name.clone(), c.ty))
+                .collect();
+            bs.write_manifest(&BasketManifest {
+                name: name.to_string(),
+                columns: user_columns,
+                persistent,
+                policy: policy_manifest_str(policy),
+                capacity: capacity.map(|c| c as u64),
+            })?;
+            let wal = if persistent {
+                Some(Arc::new(bs.open_wal()?))
+            } else {
+                None
+            };
+            basket.attach_storage(bs, wal);
+        }
+        Ok((basket, false))
     }
 
-    /// Give a freshly created basket its slice of the store: a manifest
-    /// (always, when a store exists — recovery needs it), spill segments
-    /// (under `Spill`), and a WAL (when persistent).
-    fn setup_basket_storage(
-        &self,
-        basket: &Arc<Basket>,
-        capacity: Option<usize>,
-        policy: OverflowPolicy,
-        persistent: bool,
-    ) -> Result<()> {
-        let Some(store) = &self.storage else {
-            return Ok(());
-        };
-        let bs = store.basket(basket.name())?;
-        let user_columns = basket.schema().columns[..basket.user_width()]
-            .iter()
-            .map(|c| (c.name.clone(), c.ty))
-            .collect();
-        bs.write_manifest(&BasketManifest {
-            name: basket.name().to_string(),
-            columns: user_columns,
-            persistent,
-            policy: policy_manifest_str(policy),
-            capacity: capacity.map(|c| c as u64),
-        })?;
-        let wal = if persistent {
-            Some(Arc::new(bs.open_wal()?))
-        } else {
-            None
-        };
-        basket.attach_storage(bs, wal);
-        Ok(())
+    /// Wire a basket into the session: its appends wake the scheduler,
+    /// its overflow is traced, and its capacity bounds every producer —
+    /// writers, receptors and factories alike.
+    fn wire_basket(&self, basket: &Basket, capacity: Option<usize>, policy: OverflowPolicy) {
+        basket.set_parent_signal(self.scheduler.signal());
+        basket.set_events(Arc::clone(&self.events));
+        basket.set_capacity(capacity, policy);
     }
 
     /// Adopt a recovered basket under an identical re-declaration.
@@ -1705,9 +1671,7 @@ impl DataCell {
                 .catalog
                 .write()
                 .create_basket(&name, manifest.user_schema())?;
-            basket.set_parent_signal(self.scheduler.signal());
-            basket.set_events(Arc::clone(&self.events));
-            basket.set_capacity(capacity, policy);
+            self.wire_basket(&basket, capacity, policy);
             basket.attach_storage(bs.clone(), Some(wal_handle));
             basket.restore_contents(chunk, base_oid, appended, consumed)?;
             // A Spill basket must not hold its whole recovered backlog in
@@ -1737,24 +1701,14 @@ impl DataCell {
         Ok(report)
     }
 
-    /// Rewrite a scheduler "unknown factory" error into the session-level
-    /// "unknown continuous query" wording, unless the name *is* registered
-    /// as a query (then the scheduler error is the real story).
-    fn lifecycle_err(&self, name: &str, e: DataCellError) -> DataCellError {
-        if self.query_outputs.lock().contains_key(name) {
-            e
-        } else {
-            DataCellError::Catalog(format!("unknown continuous query {name}"))
-        }
-    }
-
     // ---------------- programmatic wiring ----------------
 
-    /// Register a hand-built factory with the scheduler.
-    pub fn add_factory(&self, factory: Factory, policy: SchedulePolicy) -> Arc<Factory> {
-        let handle = self.scheduler.add_factory_with_policy(factory, policy);
-        self.factory_registry.lock().push(Arc::clone(&handle));
-        handle
+    /// Register a hand-built factory with the scheduler. Its name joins
+    /// the query registry, so the lifecycle calls reach it; a name
+    /// already registered is refused.
+    pub fn add_factory(&self, factory: Factory, policy: SchedulePolicy) -> Result<Arc<Factory>> {
+        self.register(factory.name(), QueryRecord::default())?;
+        Ok(self.scheduler.add_factory_with_policy(factory, policy))
     }
 
     /// Start the scheduler thread.
@@ -1766,7 +1720,12 @@ impl DataCell {
     /// subscription ends — on whichever thread polls it.
     pub fn stop(&self) {
         self.scheduler.stop();
-        for out in self.query_outputs.lock().values() {
+        for out in self
+            .queries
+            .lock()
+            .values()
+            .filter_map(|r| r.output.as_ref())
+        {
             out.close();
         }
     }
@@ -1779,18 +1738,15 @@ impl DataCell {
 
     /// Snapshot the Petri net of the live configuration: every open
     /// [`StreamWriter`] as a receptor (network `STREAM` connections
-    /// included), every factory and windowed query, and every subscriber
-    /// as an emitter.
+    /// included), every transition the scheduler runs with the places it
+    /// reports, and every subscriber as an emitter.
     pub fn petri_net(&self) -> PetriNet {
         let mut net = PetriNet::new();
         for w in self.writers.lock().iter().filter_map(Weak::upgrade) {
             net.add_receptor(&w.name, &w.basket);
         }
-        for f in self.factory_registry.lock().iter() {
-            net.add_factory(f);
-        }
-        for wj in self.window_joins.lock().iter() {
-            net.add_window_join(wj);
+        for t in self.scheduler.transitions() {
+            net.add_transition(&*t);
         }
         for (_, s) in self.live_subscribers() {
             net.add_emitter(&s.name, s.lease.basket().name());
@@ -1803,6 +1759,10 @@ impl Drop for DataCell {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+fn unknown_query(name: &str) -> DataCellError {
+    DataCellError::Catalog(format!("unknown continuous query {name}"))
 }
 
 fn sql_err(e: SqlError) -> DataCellError {
@@ -2097,7 +2057,8 @@ mod tests {
             )
             .unwrap()
         };
-        cell.add_factory(factory, SchedulePolicy::default());
+        cell.add_factory(factory, SchedulePolicy::default())
+            .unwrap();
         cell.execute("pause continuous query prog").unwrap();
         assert!(cell.is_query_paused("prog").unwrap());
         cell.execute("resume continuous query prog").unwrap();
@@ -2290,6 +2251,80 @@ mod tests {
         // A windowed query is a transition like any factory.
         assert!(dot.contains("\"c\" -> \"v\""), "{dot}");
         assert!(dot.contains("\"v\" -> \"v_out\""), "{dot}");
+    }
+
+    #[test]
+    fn petri_net_draws_transitions_added_to_the_scheduler() {
+        // A transition scheduled by hand, as `financial_ticker` wires its
+        // incremental window, is drawn with the places it reports.
+        use crate::petri::TransitionKind;
+        use crate::window::BasicWindowAgg;
+        use datacell_bat::aggregate::AggFunc;
+        let cell = DataCell::new();
+        cell.execute("create basket ticks (px int)").unwrap();
+        cell.execute("create basket volume (value int)").unwrap();
+        let agg = BasicWindowAgg::new(
+            "sliding_volume",
+            cell.basket("ticks").unwrap(),
+            "px",
+            AggFunc::Sum,
+            None,
+            4,
+            2,
+            cell.basket("volume").unwrap(),
+        )
+        .unwrap();
+        cell.scheduler()
+            .add_transition(Arc::new(agg), SchedulePolicy::default());
+        let net = cell.petri_net();
+        assert_eq!(
+            net.transitions,
+            vec![("sliding_volume".to_string(), TransitionKind::Factory)]
+        );
+        assert_eq!(net.inputs, vec![("ticks".into(), "sliding_volume".into())]);
+        assert_eq!(
+            net.outputs,
+            vec![("sliding_volume".into(), "volume".into())]
+        );
+        let dot = net.to_dot();
+        assert!(dot.contains("\"ticks\" -> \"sliding_volume\""), "{dot}");
+        assert!(dot.contains("\"sliding_volume\" -> \"volume\""), "{dot}");
+    }
+
+    #[test]
+    fn a_name_is_registered_once() {
+        let cell = DataCell::new();
+        cell.execute("create basket b (x int)").unwrap();
+        cell.execute("create continuous query q as select s.x from [select * from b] as s")
+            .unwrap();
+        let compile = |name: &str| {
+            let catalog = cell.catalog();
+            let cat = catalog.read();
+            Factory::compile(
+                name,
+                "select s.x from [select * from b] as s",
+                &cat,
+                FactoryOutput::Discard,
+            )
+            .unwrap()
+        };
+        let err = cell
+            .add_factory(compile("q"), SchedulePolicy::default())
+            .unwrap_err();
+        assert!(err.to_string().contains("name q already exists"), "{err}");
+        cell.add_factory(compile("prog"), SchedulePolicy::default())
+            .unwrap();
+        assert!(cell
+            .execute("create continuous query prog as select s.x from [select * from b] as s")
+            .is_err());
+        assert!(cell.basket("prog_out").is_err(), "nothing left behind");
+        let names: Vec<String> = cell
+            .scheduler()
+            .transitions()
+            .iter()
+            .map(|t| t.name().to_string())
+            .collect();
+        assert_eq!(names, ["q", "prog"]);
     }
 
     #[test]

@@ -43,6 +43,7 @@ use parking_lot::Mutex;
 use crate::basket::{Basket, ReaderId, Signal};
 use crate::error::{DataCellError, Result};
 use crate::factory::StepOutcome;
+use crate::petri::Places;
 use crate::scheduler::Transition;
 
 // ---------------------------------------------------------------------
@@ -239,6 +240,14 @@ impl Transition for BasicWindowAgg {
 
     fn subscribe(&self, signal: Arc<Signal>) {
         self.input.set_parent_signal(signal);
+    }
+
+    fn places(&self) -> Places {
+        Places {
+            inputs: vec![(self.input.name().to_string(), false)],
+            control_in: Vec::new(),
+            outputs: vec![self.output.name().to_string()],
+        }
     }
 }
 

@@ -60,6 +60,7 @@ use crate::basket::{AppendRoom, Basket, ReaderId, Signal};
 use crate::catalog::StepSource;
 use crate::error::{DataCellError, Result};
 use crate::factory::{FactoryOutput, StepOutcome};
+use crate::petri::Places;
 use crate::scheduler::Transition;
 
 /// One input stream of the join: its basket, the transition's reader
@@ -224,11 +225,6 @@ impl WindowJoin {
     /// contents at step/flush time.
     pub fn scanned_tables(&self) -> Vec<String> {
         self.plan.scanned_tables()
-    }
-
-    /// Where the evaluated windows' results go.
-    pub fn output(&self) -> &FactoryOutput {
-        &self.output
     }
 
     /// Input basket names, in plan walk order.
@@ -676,6 +672,19 @@ impl Transition for WindowJoin {
     /// join concurrently with any transition touching either input.
     fn conflict_keys(&self) -> Vec<String> {
         self.input_names()
+    }
+
+    /// Every input is read through a cursor of its own, so none is
+    /// consumed exclusively, even though a firing locks them all.
+    fn places(&self) -> Places {
+        Places {
+            inputs: self.input_names().into_iter().map(|b| (b, false)).collect(),
+            control_in: Vec::new(),
+            outputs: match &self.output {
+                FactoryOutput::Basket(b) => vec![b.name().to_string()],
+                FactoryOutput::Discard => Vec::new(),
+            },
+        }
     }
 }
 

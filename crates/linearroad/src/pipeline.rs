@@ -33,17 +33,17 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use datacell::basket::{Basket, ReaderId, Signal};
-use datacell::catalog::StreamCatalog;
 use datacell::error::{DataCellError, Result};
 use datacell::factory::StepOutcome;
-use datacell::scheduler::{SchedulePolicy, Scheduler, Transition};
+use datacell::petri::Places;
+use datacell::scheduler::{SchedulePolicy, Transition};
+use datacell::DataCell;
 use datacell_bat::aggregate::{scalar_agg, AggFunc};
 use datacell_bat::select::{theta_select, CmpOp};
 use datacell_bat::types::Value;
-use datacell_bat::{Bat, DataType};
+use datacell_bat::Bat;
 use datacell_engine::Catalog;
-use datacell_sql::Schema;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::gen::LrRecord;
 
@@ -381,14 +381,28 @@ impl Transition for LrCore {
     fn subscribe(&self, signal: Arc<Signal>) {
         self.input.set_parent_signal(signal);
     }
+
+    fn places(&self) -> Places {
+        Places {
+            inputs: vec![(self.input.name().to_string(), false)],
+            control_in: Vec::new(),
+            outputs: [
+                &self.toll_out,
+                &self.acc_out,
+                &self.bal_out,
+                &self.daily_out,
+            ]
+            .map(|b| b.name().to_string())
+            .to_vec(),
+        }
+    }
 }
 
 /// The wired Linear Road system.
 pub struct LinearRoadSystem {
-    /// Shared stream catalog (input/output baskets + history table).
-    pub catalog: Arc<RwLock<StreamCatalog>>,
-    /// The scheduler driving the core.
-    pub scheduler: Scheduler,
+    /// The session holding the baskets, the `history` table and the
+    /// scheduler that runs `lr_core`.
+    pub cell: DataCell,
     /// Input basket (`lr_in`).
     pub input: Arc<Basket>,
     /// Toll notifications: `(vid, time, lav, toll, rts)`.
@@ -405,58 +419,21 @@ impl LinearRoadSystem {
     /// Build the full topology. `history_rows` pre-loads the
     /// `history(vid, day, xway, expenditure)` table.
     pub fn new(history_rows: &[(i64, i64, i64, i64)]) -> Result<LinearRoadSystem> {
-        let mut cat = StreamCatalog::new();
-        let int = DataType::Int;
-        let input = cat.create_basket("lr_in", LrRecord::input_schema())?;
-        let toll_out = cat.create_basket(
-            "toll_out",
-            Schema::new(vec![
-                ("vid".into(), int),
-                ("time".into(), int),
-                ("lav".into(), int),
-                ("toll".into(), int),
-                // Arrival timestamp of the triggering report, for
-                // end-to-end response-time accounting.
-                ("rts".into(), DataType::Timestamp),
-            ]),
-        )?;
-        let acc_out = cat.create_basket(
-            "acc_out",
-            Schema::new(vec![
-                ("vid".into(), int),
-                ("time".into(), int),
-                ("seg".into(), int),
-            ]),
-        )?;
-        let bal_out = cat.create_basket(
-            "bal_out",
-            Schema::new(vec![
-                ("qid".into(), int),
-                ("vid".into(), int),
-                ("balance".into(), int),
-                ("time".into(), int),
-            ]),
-        )?;
-        let daily_out = cat.create_basket(
-            "daily_out",
-            Schema::new(vec![
-                ("qid".into(), int),
-                ("vid".into(), int),
-                ("day".into(), int),
-                ("total".into(), int),
-                ("time".into(), int),
-            ]),
-        )?;
-        cat.tables.create_table(
-            "history",
-            Schema::new(vec![
-                ("vid".into(), int),
-                ("day".into(), int),
-                ("xway".into(), int),
-                ("expenditure".into(), int),
-            ]),
+        let cell = DataCell::new();
+        cell.execute_script(
+            "create basket lr_in (rtype int, time int, vid int, speed int, xway int, \
+                                  lane int, dir int, seg int, pos int, qid int, day int);
+             -- rts: arrival timestamp of the triggering report, for
+             -- end-to-end response-time accounting.
+             create basket toll_out (vid int, time int, lav int, toll int, rts timestamp);
+             create basket acc_out (vid int, time int, seg int);
+             create basket bal_out (qid int, vid int, balance int, time int);
+             create basket daily_out (qid int, vid int, day int, total int, time int);
+             create table history (vid int, day int, xway int, expenditure int)",
         )?;
         {
+            let catalog = cell.catalog();
+            let mut cat = catalog.write();
             let table = cat.tables.table_mut("history")?;
             for &(vid, day, xway, exp) in history_rows {
                 table.append_row(&[
@@ -467,26 +444,25 @@ impl LinearRoadSystem {
                 ])?;
             }
         }
-        let catalog = Arc::new(RwLock::new(cat));
-        let scheduler = Scheduler::new(Arc::clone(&catalog));
+        let input = cell.basket("lr_in")?;
         let core = Arc::new(LrCore {
             input: Arc::clone(&input),
             reader: input.register_reader(true),
-            toll_out: Arc::clone(&toll_out),
-            acc_out: Arc::clone(&acc_out),
-            bal_out: Arc::clone(&bal_out),
-            daily_out: Arc::clone(&daily_out),
+            toll_out: cell.basket("toll_out")?,
+            acc_out: cell.basket("acc_out")?,
+            bal_out: cell.basket("bal_out")?,
+            daily_out: cell.basket("daily_out")?,
             state: Mutex::new(CoreState::default()),
         });
-        scheduler.add_transition(core, SchedulePolicy::default());
+        cell.scheduler()
+            .add_transition(Arc::clone(&core) as _, SchedulePolicy::default());
         Ok(LinearRoadSystem {
-            catalog,
-            scheduler,
             input,
-            toll_out,
-            acc_out,
-            bal_out,
-            daily_out,
+            toll_out: Arc::clone(&core.toll_out),
+            acc_out: Arc::clone(&core.acc_out),
+            bal_out: Arc::clone(&core.bal_out),
+            daily_out: Arc::clone(&core.daily_out),
+            cell,
         })
     }
 
@@ -498,7 +474,7 @@ impl LinearRoadSystem {
 
     /// Drive the scheduler until quiescent (deterministic mode).
     pub fn drain(&self) -> u64 {
-        self.scheduler.run_until_quiescent(10_000)
+        self.cell.run_until_quiescent(10_000)
     }
 }
 
@@ -506,6 +482,7 @@ impl LinearRoadSystem {
 mod tests {
     use super::*;
     use crate::gen::{TrafficConfig, TrafficSim};
+    use datacell::petri::TransitionKind;
 
     fn positions(entries: &[(i64, i64, i64, i64)], // (time, vid, speed, seg)
     ) -> Vec<LrRecord> {
@@ -630,6 +607,38 @@ mod tests {
         let snap = sys.daily_out.snapshot();
         assert_eq!(snap.columns[0].as_ints().unwrap(), &[9]);
         assert_eq!(snap.columns[3].as_ints().unwrap(), &[42], "25 + 17");
+    }
+
+    #[test]
+    fn the_cell_draws_and_schedules_lr_core() {
+        let sys = LinearRoadSystem::new(&[]).unwrap();
+        let width = sys.input.user_width();
+        assert_eq!(
+            sys.input.schema().columns[..width],
+            LrRecord::input_schema().columns[..],
+            "lr_in's DDL matches the records fed into it"
+        );
+        let net = sys.cell.petri_net();
+        assert_eq!(
+            net.transitions,
+            vec![("lr_core".to_string(), TransitionKind::Factory)]
+        );
+        assert_eq!(net.inputs, vec![("lr_in".into(), "lr_core".into())]);
+        let mut outputs: Vec<&str> = net
+            .outputs
+            .iter()
+            .map(|(t, place)| {
+                assert_eq!(t, "lr_core");
+                place.as_str()
+            })
+            .collect();
+        outputs.sort_unstable();
+        assert_eq!(outputs, ["acc_out", "bal_out", "daily_out", "toll_out"]);
+        sys.feed(&positions(&[(0, 1, 55, 10)])).unwrap();
+        sys.drain();
+        let per_query = sys.cell.metrics().per_query;
+        let core = per_query.iter().find(|q| q.name == "lr_core");
+        assert_eq!(core.map(|q| q.firings), Some(1), "{per_query:?}");
     }
 
     #[test]

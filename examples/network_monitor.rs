@@ -73,8 +73,9 @@ fn main() {
 
         drop(cat);
 
-        cell.add_factory(blocklist, SchedulePolicy::default());
-        cell.add_factory(top, SchedulePolicy::default());
+        cell.add_factory(blocklist, SchedulePolicy::default())
+            .unwrap();
+        cell.add_factory(top, SchedulePolicy::default()).unwrap();
     }
     // Query 3: tumbling-window byte counts per 1000 packets, on a private
     // copy of the stream (window processing, §3.1).

@@ -112,6 +112,98 @@ fn drop_detaches_refcounted_and_last_drop_retires_the_node() {
 }
 
 #[test]
+fn shared_heads_are_internal() {
+    let c = cell(true);
+    c.execute("create basket s (a int, b int)").unwrap();
+    c.execute(
+        "create continuous query q1 as \
+         select s2.a from [select * from s where s.b < 50] as s2",
+    )
+    .unwrap();
+    for stmt in [
+        "drop continuous query mqo1_head",
+        "pause continuous query mqo1_head",
+        "resume continuous query mqo1_head",
+        "set query weight mqo1_head = 3",
+    ] {
+        let err = c.execute(stmt).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unknown continuous query mqo1_head"),
+            "{stmt}: {err}"
+        );
+    }
+    assert!(c.query_handle("mqo1_head").is_err());
+    assert!(c.is_query_paused("mqo1_head").is_err());
+
+    c.execute("insert into s values (1, 10), (3, 10)").unwrap();
+    c.run_until_quiescent(10_000);
+    assert_eq!(
+        ints(&c, "q1", 0),
+        vec![1, 3],
+        "the tail keeps receiving rows"
+    );
+    let m = c.metrics();
+    assert_eq!(m.shared_subplans, 1);
+    let head = m.per_query.iter().find(|q| q.name == "mqo1_head");
+    assert_eq!(
+        head.map(|h| h.weight),
+        Some(1),
+        "metrics still list the head"
+    );
+}
+
+#[test]
+fn a_query_name_never_clashes_with_a_shared_head() {
+    let transitions = |c: &datacell::session::DataCell| {
+        let mut names: Vec<String> = c
+            .scheduler()
+            .transitions()
+            .iter()
+            .map(|t| t.name().to_string())
+            .collect();
+        names.sort();
+        names
+    };
+    let shared = "select s2.a from [select * from s where s.b < 50] as s2";
+
+    // The user's name first: the head built for it takes the next name.
+    let c = cell(true);
+    c.execute("create basket s (a int, b int)").unwrap();
+    c.execute(&format!("create continuous query mqo1_head as {shared}"))
+        .unwrap();
+    c.execute(&format!("create continuous query q2 as {shared}"))
+        .unwrap();
+    assert_eq!(transitions(&c), ["mqo1_head", "mqo2_head", "q2"]);
+    c.execute("insert into s values (1, 10)").unwrap();
+    c.run_until_quiescent(10_000);
+    assert_eq!(ints(&c, "mqo1_head", 0), vec![1]);
+    assert_eq!(ints(&c, "q2", 0), vec![1]);
+    c.execute("drop continuous query mqo1_head").unwrap();
+    assert_eq!(transitions(&c), ["mqo2_head", "q2"]);
+    c.execute("insert into s values (3, 10)").unwrap();
+    c.run_until_quiescent(10_000);
+    assert_eq!(ints(&c, "q2", 0), vec![1, 3], "q2 keeps its head");
+
+    // The head first: a query cannot take the head's name.
+    let c = cell(true);
+    c.execute("create basket s (a int, b int)").unwrap();
+    c.execute(&format!("create continuous query q1 as {shared}"))
+        .unwrap();
+    let err = c
+        .execute(&format!("create continuous query mqo1_head as {shared}"))
+        .unwrap_err();
+    assert!(err.to_string().contains("mqo1_head"), "{err}");
+    assert!(c.query_output("mqo1_head").is_err());
+    assert!(c.basket("mqo1_head_out").is_err(), "nothing left behind");
+    assert_eq!(transitions(&c), ["mqo1_head", "q1"]);
+    assert_eq!(c.metrics().shared_subscribers, vec![("mqo1_mid".into(), 1)]);
+    c.execute("insert into s values (1, 10), (3, 10)").unwrap();
+    c.run_until_quiescent(10_000);
+    assert_eq!(ints(&c, "q1", 0), vec![1, 3]);
+}
+
+#[test]
 fn set_plan_sharing_toggles_registration_path() {
     let c = cell(false);
     c.execute("create basket s (a int)").unwrap();
