@@ -1,14 +1,19 @@
 //! # datacell-bench — the evaluation harness
 //!
-//! One binary per experiment in DESIGN.md §6; each regenerates the rows/
-//! series of its table or figure on stdout. Criterion micro-benchmarks for
-//! the underlying primitives live in `benches/`.
-//!
-//! Run an experiment with, e.g.:
+//! The `ledger` binary runs the gated benchmark (`dcbench`, declared by
+//! `BENCHMARK.json`) in alternating pairs of two revisions and writes the
+//! committed `BENCH_<n>.json` record:
 //!
 //! ```text
-//! cargo run -p datacell-bench --release --bin exp1_batch
+//! cargo run -p datacell-bench --release --bin ledger -- <parent-rev> <change-rev> BENCH_<n>.json
 //! ```
+//!
+//! The other binaries draw the paper's curves that `dcbench` does not:
+//! bulk against tuple-at-a-time (`exp1_batch`), latency under paced load
+//! (`exp2_latency`), the §2.5 strategies (`exp3_strategies`), the kernels
+//! (`exp13_kernels`), the metrics scrape cost (`exp16_observability`) and
+//! Linear Road (`linearroad_bench`). Criterion micro-benchmarks live in
+//! `benches/`.
 //!
 //! Shared here: deterministic workload generators, a rate-paced writer
 //! ([`pace`]) and the fixed-width table printer every binary uses, so
@@ -60,20 +65,6 @@ pub fn int_stream(n: usize, domain: i64, seed: u64) -> Vec<Vec<Value>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| vec![Value::Int(rng.gen_range(0..domain))])
-        .collect()
-}
-
-/// Deterministic stream of `(k, v)` pairs: key uniform in `[0, keys)`,
-/// value uniform in `[0, domain)`.
-pub fn kv_stream(n: usize, keys: i64, domain: i64, seed: u64) -> Vec<Vec<Value>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            vec![
-                Value::Int(rng.gen_range(0..keys)),
-                Value::Int(rng.gen_range(0..domain)),
-            ]
-        })
         .collect()
 }
 
@@ -144,7 +135,6 @@ mod tests {
     fn streams_are_deterministic() {
         assert_eq!(int_stream(10, 100, 1), int_stream(10, 100, 1));
         assert_ne!(int_stream(10, 100, 1), int_stream(10, 100, 2));
-        assert_eq!(kv_stream(5, 3, 10, 1).len(), 5);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   query is an exclusive consumer whose predicate window deletes only its
 //!   own tuples (§2.6), conflict keys serialize the consumers, and later
 //!   queries scan what earlier ones left. Where the ranges leave part of
-//!   the domain uncovered, one complement query takes the leftovers —
-//!   without it they would keep every consumer ready forever.
+//!   the domain uncovered, one complement query drains the leftovers,
+//!   which would otherwise accumulate in `s`.
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;

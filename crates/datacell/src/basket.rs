@@ -293,6 +293,18 @@ pub struct ExclusiveAnchor {
     epoch: u64,
     /// Tuples covered by the snapshot.
     rows: usize,
+    /// The basket's `appended` count at snapshot time, if the snapshot
+    /// holds every tuple the basket held then.
+    whole_at: Option<u64>,
+}
+
+impl ExclusiveAnchor {
+    /// The basket's [`BasketStats::appended`] count when the snapshot was
+    /// taken, if the snapshot holds every tuple the basket held then;
+    /// `None` when the budget or a failed segment decode cut it short.
+    pub fn whole_at(&self) -> Option<u64> {
+        self.whole_at
+    }
 }
 
 /// Outcome of one locked slice attempt: either the slice itself, or the
@@ -1320,6 +1332,13 @@ impl Basket {
         self.inner.lock().spilled_rows() as usize
     }
 
+    /// [`Basket::len`] and [`BasketStats::appended`] under one lock: what
+    /// an exclusive consumer's ready predicate reads.
+    pub fn len_and_appended(&self) -> (usize, u64) {
+        let inner = self.inner.lock();
+        (inner.total_len(), inner.stats.appended)
+    }
+
     /// True iff no tuples are resident (memory or disk).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -1388,7 +1407,14 @@ impl Basket {
         let (base, epoch) = (inner.head_oid(), inner.epoch);
         let (chunk, _) = self.stitch(&mut inner, budget);
         let rows = chunk.len();
-        (chunk, ExclusiveAnchor { base, epoch, rows })
+        let whole_at = (rows == inner.total_len()).then_some(inner.stats.appended);
+        let anchor = ExclusiveAnchor {
+            base,
+            epoch,
+            rows,
+            whole_at,
+        };
+        (chunk, anchor)
     }
 
     /// Delete the tuples at `positions` *relative to a

@@ -161,31 +161,10 @@ impl DataCellBuilder {
     /// [`Fairness::Priority`], the historical fixed sweep). Pick
     /// [`Fairness::DeficitRoundRobin`] for multi-tenant workloads where a
     /// hot query must not starve its co-tenants; per-query shares are set
-    /// with [`DataCellBuilder::query_weight`], `SET QUERY WEIGHT` in SQL,
+    /// with [`DataCellBuilder::scheduler_policy`], `SET QUERY WEIGHT` in SQL,
     /// or [`QueryHandle::set_weight`].
     pub fn fairness(mut self, fairness: Fairness) -> Self {
         self.fairness = fairness;
-        self
-    }
-
-    /// Shorthand: priority of SQL-registered queries.
-    pub fn query_priority(mut self, priority: i32) -> Self {
-        self.default_policy.priority = priority;
-        self
-    }
-
-    /// Shorthand: deficit-round-robin weight of SQL-registered queries
-    /// (clamped to ≥ 1; only meaningful under
-    /// [`Fairness::DeficitRoundRobin`]).
-    pub fn query_weight(mut self, weight: u32) -> Self {
-        self.default_policy.weight = weight.max(1);
-        self
-    }
-
-    /// Shorthand: minimum interval between firings of SQL-registered
-    /// queries (time-sliced batching).
-    pub fn min_fire_interval(mut self, interval: Duration) -> Self {
-        self.default_policy.min_interval = Some(interval);
         self
     }
 
@@ -1227,8 +1206,11 @@ mod tests {
     #[test]
     fn builder_defaults_and_knobs() {
         let b = DataCellBuilder::new()
-            .query_priority(3)
-            .min_fire_interval(Duration::from_millis(5))
+            .scheduler_policy(SchedulePolicy {
+                priority: 3,
+                min_interval: Some(Duration::from_millis(5)),
+                ..SchedulePolicy::default()
+            })
             .writer_batch_size(0)
             .basket_capacity(0)
             .overflow_policy(OverflowPolicy::Reject)

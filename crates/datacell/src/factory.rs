@@ -151,6 +151,11 @@ pub struct Factory {
     /// tuples (§2.4: "the system may explicitly require a basket to have a
     /// minimum of n tuples before the relevant factory may run").
     min_tuples: usize,
+    /// Per input, aligned with `inputs`: the basket's `appended` count
+    /// when a successful firing last examined all of it (`u64::MAX`:
+    /// never). Tuples it left behind cannot qualify on a rerun, since a
+    /// basket expression's window reads only its own basket's tuples.
+    examined: Vec<AtomicU64>,
     stats: FactoryStats,
 }
 
@@ -210,6 +215,7 @@ impl Factory {
             name,
             plan,
             out_schema,
+            examined: inputs.iter().map(|_| AtomicU64::new(u64::MAX)).collect(),
             inputs,
             control_in: Vec::new(),
             control_out: Vec::new(),
@@ -313,11 +319,31 @@ impl Factory {
 
     /// Petri-net firing condition (§2.4): every data input holds at least
     /// `min_tuples` pending tuples and every control input holds a token.
+    /// Without a control input, a firing must also have something new to
+    /// see: a shared input's pending tuples are new by definition, while an
+    /// exclusive input is new only if tuples were appended since a
+    /// successful firing last examined all of it. Tuples left outside a
+    /// predicate window therefore wait for the next append instead of
+    /// keeping the query firing.
     pub fn ready(&self) -> bool {
-        self.inputs.iter().all(|i| match i.mode {
-            InputMode::Exclusive => i.basket.len() >= self.min_tuples,
-            InputMode::Shared(r) => i.basket.pending_for(r) >= self.min_tuples,
-        }) && self.control_in.iter().all(|c| !c.is_empty())
+        let mut fresh = !self.control_in.is_empty();
+        for (i, examined) in self.inputs.iter().zip(&self.examined) {
+            let pending = match i.mode {
+                InputMode::Exclusive => {
+                    let (len, appended) = i.basket.len_and_appended();
+                    fresh |= appended != examined.load(Ordering::Relaxed);
+                    len
+                }
+                InputMode::Shared(r) => {
+                    fresh = true;
+                    i.basket.pending_for(r)
+                }
+            };
+            if pending < self.min_tuples {
+                return false;
+            }
+        }
+        fresh && self.control_in.iter().all(|c| !c.is_empty())
     }
 
     /// Fire once: snapshot → execute → consume → emit (Algorithm 1 body).
@@ -391,12 +417,28 @@ impl Factory {
 
         // 4. Consumption (§2.6 side effect). Appends that slipped in since
         // the snapshot sit past the snapshot positions and are untouched.
+        // An exclusive input counts as examined once a whole-basket
+        // snapshot had every qualifying tuple removed.
         let mut consumed = 0usize;
-        for ((input, snapshot), cursor) in self.inputs.iter().zip(&snapshots).zip(&cursors) {
+        for (((input, snapshot), cursor), examined) in self
+            .inputs
+            .iter()
+            .zip(&snapshots)
+            .zip(&cursors)
+            .zip(&self.examined)
+        {
             match cursor {
                 Cursor::Exclusive(anchor) => {
-                    if let Some(gone) = consumed_positions(&outcome.consumed, input.basket.name()) {
-                        consumed += input.basket.consume_exclusive(anchor, &gone)?;
+                    let (qualified, removed) =
+                        match consumed_positions(&outcome.consumed, input.basket.name()) {
+                            Some(gone) => {
+                                (gone.len(), input.basket.consume_exclusive(anchor, &gone)?)
+                            }
+                            None => (0, 0),
+                        };
+                    consumed += removed;
+                    if let Some(appended) = anchor.whole_at().filter(|_| removed == qualified) {
+                        examined.store(appended, Ordering::Relaxed);
                     }
                 }
                 Cursor::Shared(r, end) => {
@@ -449,6 +491,7 @@ impl Factory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basket::OverflowPolicy;
     use datacell_bat::types::DataType;
     use datacell_sql::Schema;
 
@@ -547,6 +590,52 @@ mod tests {
         assert!(!f.ready());
         push(&input, &[(3, 0)]);
         assert!(f.ready());
+    }
+
+    #[test]
+    fn unmatched_leftovers_wait_for_an_append() {
+        // A firing that examined the whole basket leaves (2, 50) outside
+        // the predicate window: firing again would only see it again.
+        let (cat, input, output) = setup();
+        let f = Factory::compile(
+            "q",
+            "select s.a from [select * from r where r.b < 10] as s",
+            &cat,
+            FactoryOutput::Basket(Arc::clone(&output)),
+        )
+        .unwrap();
+        push(&input, &[(1, 5), (2, 50)]);
+        f.step(Some(&cat.tables)).unwrap();
+        assert_eq!(input.len(), 1);
+        assert!(!f.ready(), "only an unmatched tuple is left");
+        push(&input, &[(3, 7)]);
+        assert!(f.ready(), "an append re-arms the input");
+        // A deferred firing (full output) examined nothing: still ready.
+        output.set_capacity(Some(1), OverflowPolicy::Reject);
+        assert!(f.step(Some(&cat.tables)).is_err());
+        assert!(f.ready(), "a deferred firing keeps the input ready");
+        output.set_capacity(None, OverflowPolicy::Reject);
+        f.step(Some(&cat.tables)).unwrap();
+        assert!(!f.ready());
+        assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[1, 3]);
+    }
+
+    #[test]
+    fn budgeted_firing_keeps_the_rest_ready() {
+        let (cat, input, _) = setup();
+        let f = Factory::compile(
+            "q",
+            "select s.a from [select * from r where r.b < 10] as s",
+            &cat,
+            FactoryOutput::Discard,
+        )
+        .unwrap();
+        push(&input, &[(1, 50), (2, 50), (3, 5)]);
+        f.step_limited(Some(&cat.tables), 2).unwrap();
+        assert!(f.ready(), "the budget cut the snapshot short");
+        f.step(Some(&cat.tables)).unwrap();
+        assert_eq!(input.len(), 2);
+        assert!(!f.ready());
     }
 
     #[test]

@@ -898,6 +898,52 @@ fn idle_subscriber_disconnect_is_reaped() {
 }
 
 #[test]
+fn every_hung_up_subscriber_releases_its_connection_and_reader() {
+    // Fan-out to 1, 2 and 4 subscribers: each receives every tuple, and
+    // once all have hung up only the ingest connection stays and no
+    // reader is left on the query's output.
+    const N: i64 = 200;
+    for subscribers in [1, 2, 4] {
+        let cell = DataCell::builder()
+            .listen("127.0.0.1:0")
+            .auto_start(true)
+            .build();
+        cell.execute("create basket s (v int)").unwrap();
+        cell.execute("create continuous query q as select s2.v from [select * from s] as s2")
+            .unwrap();
+        let (cell, server, addr) = serve(cell);
+        let mut subs: Vec<Client> = (0..subscribers).map(|_| Client::connect(addr)).collect();
+        for sub in &mut subs {
+            sub.send("SUBSCRIBE q");
+            assert!(sub.read_line().unwrap().starts_with("OK SUBSCRIBE q"));
+        }
+        let mut ingest = Client::connect(addr);
+        ingest.send("STREAM s");
+        assert!(ingest.read_line().unwrap().starts_with("OK"));
+        for v in 0..N {
+            ingest.send(&v.to_string());
+        }
+        ingest.send("SYNC");
+        assert!(ingest.read_line().unwrap().starts_with("OK SYNC"));
+        for sub in &mut subs {
+            let got = sub.collect_ints(N as usize, Duration::from_secs(10));
+            assert_eq!(got, (0..N).collect::<Vec<_>>(), "{subscribers} subscribers");
+        }
+        drop(subs);
+        let out = cell.query_output("q").unwrap();
+        let released = || server.metrics().connections_active == 1 && out.reader_count() == 0;
+        assert!(
+            wait_until(Duration::from_secs(10), released),
+            "{subscribers} subscribers: connections {}, readers {}",
+            server.metrics().connections_active,
+            out.reader_count()
+        );
+        server.stop();
+        cell.stop();
+    }
+}
+
+#[test]
 fn server_start_respects_builder_configuration() {
     // No listen address → no server.
     let plain = Arc::new(DataCell::builder().build());

@@ -6,6 +6,7 @@
 
 use datacell::basket::{Durability, OverflowPolicy};
 use datacell::session::DataCell;
+use datacell::Value;
 use datacell_storage::testutil::TempDir;
 use proptest::prelude::*;
 
@@ -304,6 +305,30 @@ fn multi_basket_plans_fall_through_to_private_path() {
     assert_eq!(ints(&c, "j", 0), vec![2], "join still runs privately");
 }
 
+#[test]
+fn an_unmatched_tuple_does_not_keep_a_query_firing() {
+    // The predicate window leaves (1, 10) in `s`. Firing again would see
+    // only that tuple again, so the query waits for the next append.
+    for sharing in [false, true] {
+        let c = cell(sharing);
+        c.execute("create basket s (a int, b int)").unwrap();
+        c.execute(
+            "create continuous query q as \
+             select s2.a from [select * from s where s.b < 5] as s2",
+        )
+        .unwrap();
+        c.execute("insert into s values (1, 10), (2, 1)").unwrap();
+        let fired = c.run_until_quiescent(10_000);
+        assert!(fired <= 2, "sharing={sharing}: {fired} firings");
+        assert_eq!(ints(&c, "q", 0), vec![2], "sharing={sharing}");
+        if !sharing {
+            let m = c.metrics();
+            let q = m.per_query.iter().find(|p| p.name == "q").unwrap();
+            assert_eq!(q.firings, 1, "q fires once");
+        }
+    }
+}
+
 // ---------------- the §3.2 split, as plan sharing wires it ----------------
 
 const HEAVY: &str = "create continuous query heavy as \
@@ -366,6 +391,82 @@ fn head_releases_shared_basket_early() {
     assert_eq!(source.pending_for(slow), 1);
     source.unregister_reader(slow);
     assert!(source.is_empty(), "no other reader holds it");
+}
+
+/// §3.2 by hand: a light selection and a time-sliced heavy aggregate
+/// each read `s` through a reader cursor; split, the heavy plan becomes a
+/// cheap eager head into `heavy_mid` and the time-sliced tail over it.
+/// Returns the light query's answers and what stays in `s` and in
+/// `heavy_mid` while the heavy reader waits out its slice.
+fn time_sliced_heavy_reader(split: bool) -> (Vec<i64>, usize, usize) {
+    use datacell::factory::{Factory, FactoryOutput};
+    use datacell::scheduler::{SchedulePolicy, Scheduler};
+    use std::sync::Arc;
+
+    let mut cat = datacell::catalog::StreamCatalog::new();
+    let kv = || {
+        let col = |n: &str| (n.to_string(), datacell_bat::DataType::Int);
+        datacell_sql::Schema::new(vec![col("k"), col("v")])
+    };
+    let input = cat.create_basket("s", kv()).unwrap();
+    let mid = cat.create_basket("heavy_mid", kv()).unwrap();
+    let light_out = cat.create_basket("light_out", kv()).unwrap();
+    let heavy_out = cat.create_basket("heavy_out", kv()).unwrap();
+    let reading = |name: &str, sql: &str, out: &Arc<datacell::Basket>| {
+        let out = FactoryOutput::Basket(Arc::clone(out));
+        let mut f = Factory::compile(name, sql, &cat, out).unwrap();
+        f.set_shared("s", input.register_reader(true)).unwrap();
+        f
+    };
+    let heavy_sql = "select m.k, count(*) as n from [select * from heavy_mid] as m group by m.k";
+    let light = reading(
+        "light",
+        "select s2.k, s2.v from [select * from s] as s2 where s2.v < 10",
+        &light_out,
+    );
+    let sliced = SchedulePolicy {
+        min_interval: Some(std::time::Duration::from_secs(3600)),
+        ..SchedulePolicy::default()
+    };
+    let mut factories = vec![(light, SchedulePolicy::default())];
+    if split {
+        let head = reading(
+            "head",
+            "select s2.k, s2.v from [select * from s] as s2",
+            &mid,
+        );
+        let out = FactoryOutput::Basket(Arc::clone(&heavy_out));
+        let tail = Factory::compile("tail", heavy_sql, &cat, out).unwrap();
+        factories.extend([(head, SchedulePolicy::default()), (tail, sliced)]);
+    } else {
+        let sql = heavy_sql.replace("heavy_mid] as m", "s] as m");
+        factories.push((reading("heavy", &sql, &heavy_out), sliced));
+    }
+    let scheduler = Scheduler::new(Arc::new(parking_lot::RwLock::new(cat)));
+    for (f, policy) in factories {
+        scheduler.add_factory_with_policy(f, policy);
+    }
+    // The heavy plan fires on the first batch, then waits out its slice.
+    for batch in 0..4i64 {
+        let rows: Vec<_> = (0..50)
+            .map(|i| vec![Value::Int(i % 7), Value::Int(batch * 50 + i)])
+            .collect();
+        input.append_rows(&rows).unwrap();
+        scheduler.run_until_quiescent(100);
+    }
+    let light = light_out.snapshot().columns[1].as_ints().unwrap().to_vec();
+    (light, input.len(), mid.len())
+}
+
+#[test]
+fn splitting_a_time_sliced_heavy_reader_keeps_light_answers() {
+    let (monolithic, backlog, _) = time_sliced_heavy_reader(false);
+    let (split, drained, moved) = time_sliced_heavy_reader(true);
+    assert_eq!(monolithic, (0..10).collect::<Vec<_>>());
+    assert_eq!(split, monolithic, "the light query's answers are unchanged");
+    // Unsplit, `s` holds every tuple the sliced reader has not passed;
+    // split, the head drains `s` and the backlog waits in `heavy_mid`.
+    assert_eq!((backlog, drained, moved), (150, 0, 150));
 }
 
 #[test]

@@ -113,3 +113,44 @@ fn explain_shows_reused_optimizer_plan() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+#[test]
+fn one_time_and_continuous_queries_agree_on_a_sql_battery() {
+    // The same compiler serves both regimes (§1): each shape runs as a
+    // one-time query over table `t` and as a basket-expression query over
+    // basket `b` holding the same rows, and the answers must match.
+    const ROWS: &str = "(1, 10, 'red'), (2, 25, 'blue'), (3, 25, 'red'), (4, 40, 'green'), \
+                        (5, 55, 'blue'), (6, 70, 'red'), (7, 85, 'green'), (8, 100, 'blue')";
+    let battery = [
+        "select a from {src} where v between 20 and 80 order by a",
+        "select a, v * 2 + 1 as vv from {src} where v > 50 order by a",
+        "select c, count(*) as n, sum(v) as sv from {src} group by c order by c",
+        "select c, count(*) as n from {src} group by c having count(*) > 2 order by c",
+        "select distinct v from {src} order by v",
+        "select a, case when v in (25, 55) then 'hit' else 'miss' end as tag \
+         from {src} order by a",
+        "select a from {src} where c like '%ee%' order by a",
+        "select a, v from {src} order by v desc limit 3",
+        "select count(*) as n, avg(v) as av, min(c) as mc from {src}",
+    ];
+    let cell = DataCell::new();
+    cell.execute("create table t (a int, v int, c varchar(10))")
+        .unwrap();
+    cell.execute("create basket b (a int, v int, c varchar(10))")
+        .unwrap();
+    cell.execute(&format!("insert into t values {ROWS}"))
+        .unwrap();
+    for shape in battery {
+        // Basket expressions consume: refill the basket for each shape.
+        cell.execute(&format!("insert into b values {ROWS}"))
+            .unwrap();
+        let rows = |src: &str| {
+            let sql = shape.replace("{src}", src);
+            cell.query(&sql).unwrap().rows().unwrap()
+        };
+        let one_time = rows("t");
+        assert!(!one_time.is_empty(), "{shape}");
+        assert_eq!(one_time, rows("[select * from b] as s"), "{shape}");
+        assert!(cell.basket("b").unwrap().is_empty(), "{shape}");
+    }
+}

@@ -69,6 +69,19 @@ fn windowed_join_sql_end_to_end() {
 }
 
 #[test]
+fn windowed_equi_join_plans_a_hash_join() {
+    let cell = DataCell::new();
+    cell.execute("create basket s1 (k int, a int)").unwrap();
+    cell.execute("create basket s2 (k int, b int)").unwrap();
+    let explain = "explain select s1.k as k, s1.a as a, s2.b as b \
+                   from s1 [rows 128], s2 [rows 128] where s1.k = s2.k";
+    match cell.execute(explain).unwrap() {
+        datacell::CellResult::Plan(plan) => assert!(plan.contains("HashJoin"), "{plan}"),
+        other => panic!("EXPLAIN returned {other:?}"),
+    }
+}
+
+#[test]
 fn windowed_join_delivers_to_subscribers() {
     let cell = join_cell();
     let sub = cell.subscribe::<(i64, i64, i64)>("j").unwrap();
