@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the DataCell streaming layer: basket
 //! traffic, factory steps at varying batch sizes (the statistical backing
-//! for `exp1_batch`), window evaluation (backing `exp5_windows`), the
+//! for `exp1_batch`), window evaluation (SQL against basic windows), the
 //! wire text format in columns against the row-at-a-time adapters, and the
 //! WAL's record framing and CRC.
 

@@ -1,6 +1,7 @@
 //! Property-based cross-strategy and cross-evaluator equivalence: the
-//! invariants behind `fig:exp3_strategies` and `fig:exp5_windows`, checked
-//! on randomized workloads.
+//! invariants behind `fig:exp3_strategies` and the §3.1 claim that SQL
+//! windows and basic windows emit the same windows, checked on randomized
+//! workloads.
 
 use std::sync::Arc;
 
