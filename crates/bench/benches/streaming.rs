@@ -63,7 +63,7 @@ fn bench_factory_batches(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("batch", batch), &(), |b, ()| {
             b.iter(|| {
                 input.append_rows(&rows).unwrap();
-                factory.step(None).unwrap()
+                factory.step(None, usize::MAX).unwrap()
             })
         });
     }
@@ -120,7 +120,7 @@ fn bench_windows(c: &mut Criterion) {
             b.iter(|| {
                 input.append_rows(&rows).unwrap();
                 while w.ready() {
-                    w.step(None).unwrap();
+                    w.step(None, usize::MAX).unwrap();
                 }
                 out.clear()
             })
@@ -146,7 +146,7 @@ fn bench_windows(c: &mut Criterion) {
             .unwrap();
             b.iter(|| {
                 input.append_rows(&rows).unwrap();
-                w.step(None).unwrap();
+                w.step(None, usize::MAX).unwrap();
                 out.clear()
             })
         });

@@ -45,7 +45,7 @@ fn datacell_run(batch: usize) -> (f64, usize) {
     let started = Instant::now();
     for chunk in data.chunks(batch) {
         input.append_rows(chunk).unwrap();
-        factory.step(None).unwrap();
+        factory.step(None, usize::MAX).unwrap();
     }
     let elapsed = started.elapsed().as_secs_f64();
     (elapsed, out.len())

@@ -35,7 +35,7 @@ use crate::basket::{AppendRoom, Basket, ReaderId, ReaderLease};
 use crate::clock::now_micros;
 use crate::error::{DataCellError, Result};
 use crate::metrics::{LatencyHistogram, SessionMetrics};
-use crate::scheduler::{Fairness, SchedulePolicy};
+use crate::scheduler::SchedulePolicy;
 use crate::session::DataCell;
 use crate::text;
 
@@ -92,7 +92,6 @@ pub enum SubscriptionMode {
 #[derive(Debug, Clone)]
 pub struct DataCellBuilder {
     pub(crate) default_policy: SchedulePolicy,
-    pub(crate) fairness: Fairness,
     pub(crate) writer_batch: usize,
     pub(crate) basket_capacity: Option<usize>,
     pub(crate) overflow: OverflowPolicy,
@@ -111,7 +110,6 @@ impl Default for DataCellBuilder {
     fn default() -> Self {
         DataCellBuilder {
             default_policy: SchedulePolicy::default(),
-            fairness: Fairness::default(),
             writer_batch: 256,
             basket_capacity: None,
             overflow: OverflowPolicy::Block,
@@ -157,17 +155,6 @@ impl DataCellBuilder {
         self
     }
 
-    /// How scheduler passes divide the thread between queries (default:
-    /// [`Fairness::Priority`], the historical fixed sweep). Pick
-    /// [`Fairness::DeficitRoundRobin`] for multi-tenant workloads where a
-    /// hot query must not starve its co-tenants; per-query shares are set
-    /// with [`DataCellBuilder::scheduler_policy`], `SET QUERY WEIGHT` in SQL,
-    /// or [`QueryHandle::set_weight`].
-    pub fn fairness(mut self, fairness: Fairness) -> Self {
-        self.fairness = fairness;
-        self
-    }
-
     /// Rows a [`StreamWriter`] buffers before flushing to its basket.
     pub fn writer_batch_size(mut self, rows: usize) -> Self {
         self.writer_batch = rows.max(1);
@@ -207,11 +194,10 @@ impl DataCellBuilder {
     /// Worker threads executing factory firings when the scheduler runs in
     /// the background (clamped to ≥ 1; default: the machine's available
     /// cores, overridable with the `DATACELL_WORKERS` environment
-    /// variable). With `1` the scheduler keeps the historical sequential
-    /// pass loop — admission and execution on one thread, byte-for-byte
-    /// the old firing order. With more, ready firings are dispatched to a
-    /// work-stealing pool ([`datacell_exec::WorkerPool`]) while the
-    /// admission pass (fairness, budgets, gating) stays sequential; also
+    /// variable). With `1` admission and execution share the background
+    /// thread: every firing runs inline. With more, ready firings are
+    /// dispatched to a work-stealing pool ([`datacell_exec::WorkerPool`])
+    /// while the admission pass (tiers, budgets, gating) stays sequential; also
     /// settable at runtime with `SET SCHEDULER WORKERS n` in SQL.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
@@ -1137,11 +1123,11 @@ impl<'a> QueryHandle<'a> {
         self.cell.is_query_paused(&self.name)
     }
 
-    /// Set the query's deficit-round-robin weight (clamped to ≥ 1): under
-    /// [`Fairness::DeficitRoundRobin`] a weight-3 query accrues three times
-    /// the busy-time credit of a weight-1 co-tenant. Equivalent to
-    /// the SQL `SET QUERY WEIGHT name = 3`. Has no effect under
-    /// [`Fairness::Priority`].
+    /// Set the query's deficit-round-robin weight (clamped to ≥ 1): in the
+    /// DRR ring a weight-3 query accrues three times the busy-time credit
+    /// of a weight-1 co-tenant. Equivalent to the SQL
+    /// `SET QUERY WEIGHT name = 3`. It acts only at
+    /// [`SchedulePolicy::priority`]` < 0`; the unbudgeted sweep ignores it.
     pub fn set_weight(&self, weight: u32) -> Result<()> {
         self.cell.set_query_weight(&self.name, weight)
     }

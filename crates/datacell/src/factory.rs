@@ -346,20 +346,16 @@ impl Factory {
         fresh && self.control_in.iter().all(|c| !c.is_empty())
     }
 
-    /// Fire once: snapshot → execute → consume → emit (Algorithm 1 body).
-    pub fn step(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
-        self.step_limited(tables, usize::MAX)
-    }
-
-    /// Fire once, processing at most `max_tuples` tuples *per data input*
-    /// — the budgeted service used by the scheduler's deficit-round-robin
-    /// fairness policy. Tuples beyond the budget stay in their baskets
+    /// Fire once: snapshot → execute → consume → emit (Algorithm 1 body),
+    /// processing at most `max_tuples` tuples *per data input*
+    /// (`usize::MAX` for the whole backlog; a DRR ring member's budget in
+    /// the scheduler). Tuples beyond the budget stay in their baskets
     /// (exclusive inputs keep them resident, shared cursors advance only
     /// past the served prefix) and are picked up by a later firing, so a
     /// budgeted step is simply a smaller batch, not a loss. The budget is
     /// clamped up to [`Factory::min_tuples`] so a firing never undercuts
     /// the configured batch threshold.
-    pub fn step_limited(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
+    pub fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
         let budget = max_tuples.max(self.min_tuples);
         let started = Instant::now();
 
@@ -533,7 +529,7 @@ mod tests {
         .unwrap();
         push(&input, &[(5, 0), (15, 0), (25, 0), (12, 0)]);
         assert!(f.ready());
-        let out = f.step(Some(&cat.tables)).unwrap();
+        let out = f.step(Some(&cat.tables), usize::MAX).unwrap();
         assert_eq!(out.tuples_in, 4);
         assert_eq!(out.consumed, 4); // plain basket expression consumes all
         assert_eq!(out.produced, 2);
@@ -557,7 +553,7 @@ mod tests {
         )
         .unwrap();
         push(&input, &[(1, 5), (2, 50), (3, 7)]);
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         // (2, 50) is outside the predicate window: it stays.
         assert_eq!(input.len(), 1);
         let snap = input.snapshot();
@@ -605,17 +601,17 @@ mod tests {
         )
         .unwrap();
         push(&input, &[(1, 5), (2, 50)]);
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         assert_eq!(input.len(), 1);
         assert!(!f.ready(), "only an unmatched tuple is left");
         push(&input, &[(3, 7)]);
         assert!(f.ready(), "an append re-arms the input");
         // A deferred firing (full output) examined nothing: still ready.
         output.set_capacity(Some(1), OverflowPolicy::Reject);
-        assert!(f.step(Some(&cat.tables)).is_err());
+        assert!(f.step(Some(&cat.tables), usize::MAX).is_err());
         assert!(f.ready(), "a deferred firing keeps the input ready");
         output.set_capacity(None, OverflowPolicy::Reject);
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         assert!(!f.ready());
         assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[1, 3]);
     }
@@ -631,9 +627,9 @@ mod tests {
         )
         .unwrap();
         push(&input, &[(1, 50), (2, 50), (3, 5)]);
-        f.step_limited(Some(&cat.tables), 2).unwrap();
+        f.step(Some(&cat.tables), 2).unwrap();
         assert!(f.ready(), "the budget cut the snapshot short");
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         assert_eq!(input.len(), 2);
         assert!(!f.ready());
     }
@@ -656,7 +652,7 @@ mod tests {
         assert!(!f.ready(), "no token yet");
         token.append_rows(&[vec![Value::Int(1)]]).unwrap();
         assert!(f.ready());
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         assert!(token.is_empty(), "token consumed");
     }
 
@@ -675,7 +671,7 @@ mod tests {
         .unwrap();
         f.add_control_out(Arc::clone(&token));
         push(&input, &[(1, 0)]);
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         assert_eq!(token.len(), 1);
     }
 
@@ -693,7 +689,7 @@ mod tests {
         f.set_shared("r", r).unwrap();
         let r2 = input.register_reader(true); // a second reader holds tuples
         push(&input, &[(1, 0), (2, 0)]);
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         // Nothing qualified, but the reader has seen both tuples...
         assert_eq!(input.pending_for(r), 0);
         // ...and they stay resident because reader 2 hasn't.
@@ -713,13 +709,13 @@ mod tests {
         )
         .unwrap();
         push(&input, &[(1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]);
-        let out = f.step_limited(Some(&cat.tables), 2).unwrap();
+        let out = f.step(Some(&cat.tables), 2).unwrap();
         assert_eq!((out.tuples_in, out.consumed, out.produced), (2, 2, 2));
         assert_eq!(input.snapshot().columns[0].as_ints().unwrap(), &[3, 4, 5]);
         assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[1, 2]);
         // The remainder is served by later firings; no loss, no reorder.
-        f.step_limited(Some(&cat.tables), 2).unwrap();
-        f.step_limited(Some(&cat.tables), 2).unwrap();
+        f.step(Some(&cat.tables), 2).unwrap();
+        f.step(Some(&cat.tables), 2).unwrap();
         assert!(input.is_empty());
         assert_eq!(
             output.snapshot().columns[0].as_ints().unwrap(),
@@ -740,16 +736,16 @@ mod tests {
         let r = input.register_reader(true);
         f.set_shared("r", r).unwrap();
         push(&input, &[(1, 0), (2, 0), (3, 0)]);
-        f.step_limited(Some(&cat.tables), 2).unwrap();
+        f.step(Some(&cat.tables), 2).unwrap();
         assert_eq!(input.pending_for(r), 1, "cursor advanced past the prefix");
-        f.step_limited(Some(&cat.tables), 2).unwrap();
+        f.step(Some(&cat.tables), 2).unwrap();
         assert_eq!(input.pending_for(r), 0);
         assert!(input.is_empty(), "sole reader passed: trimmed");
         // Deep backlog: the snapshot itself is budget-sized, and the cursor
         // commits past exactly the tuples served.
         let backlog: Vec<(i64, i64)> = (0..10_000).map(|i| (i, 0)).collect();
         push(&input, &backlog);
-        let out = f.step_limited(Some(&cat.tables), 10).unwrap();
+        let out = f.step(Some(&cat.tables), 10).unwrap();
         assert_eq!((out.tuples_in, out.consumed), (10, 10));
         assert_eq!(input.pending_for(r), 9_990);
         let (next, _) = input.snapshot_for_reader(r, 1);
@@ -769,7 +765,7 @@ mod tests {
         f.set_min_tuples(3);
         push(&input, &[(1, 0), (2, 0), (3, 0), (4, 0)]);
         // Budget 1 is clamped up to the firing threshold.
-        let out = f.step_limited(Some(&cat.tables), 1).unwrap();
+        let out = f.step(Some(&cat.tables), 1).unwrap();
         assert_eq!(out.tuples_in, 3);
         assert_eq!(input.len(), 1);
     }
@@ -785,9 +781,9 @@ mod tests {
         )
         .unwrap();
         push(&input, &[(1, 0), (2, 0)]);
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         push(&input, &[(3, 0)]);
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         let s = f.stats();
         assert_eq!(s.invocations, 2);
         assert_eq!(s.tuples_in, 3);
@@ -820,7 +816,7 @@ mod tests {
         .unwrap();
         push(&input, &[(1, 0)]);
         let in_ts = input.snapshot().columns[2].as_timestamps().unwrap()[0];
-        f.step(Some(&cat.tables)).unwrap();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
         let out_ts = output.snapshot().columns[1].as_timestamps().unwrap()[0];
         assert_eq!(in_ts, out_ts, "arrival timestamp carried through");
     }

@@ -83,6 +83,6 @@ pub use crate::client::{
 pub use crate::error::{DataCellError, Result};
 pub use crate::events::{EngineEvent, EventKind, EventRing};
 pub use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
-pub use crate::scheduler::{Fairness, SchedulePolicy, SchedulerMetrics};
+pub use crate::scheduler::{SchedulePolicy, SchedulerMetrics};
 pub use crate::session::{CellResult, DataCell};
 pub use crate::window_join::WindowJoin;

@@ -400,8 +400,8 @@ pub struct MetricsSnapshot {
     /// Per-query scheduling accounts: firings, busy-time, tuples
     /// processed, deferrals, DRR weight, and the starvation alarms
     /// (`sched_delay_micros`, `consecutive_skips`) — these feed, and
-    /// observe, the scheduler's
-    /// [`Fairness`](crate::scheduler::Fairness) policy.
+    /// observe, the scheduler's DRR ring
+    /// ([`SchedulePolicy`](crate::scheduler::SchedulePolicy)`::priority < 0`).
     pub per_query: Vec<crate::scheduler::SchedulerMetrics>,
     /// Active shared subplan nodes built by multi-query plan sharing
     /// ([`crate::DataCellBuilder::plan_sharing`] / `SET PLAN SHARING ON`):

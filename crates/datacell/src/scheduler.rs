@@ -13,51 +13,56 @@
 //! the ready ones. When nothing is ready it blocks on an aggregated basket
 //! signal instead of spinning.
 //!
-//! # Fairness
+//! # Priority and fairness
 //!
-//! How a pass divides the scheduling thread between ready transitions is
-//! the [`Fairness`] policy:
+//! One admission loop picks every firing. A transition's
+//! [`SchedulePolicy::priority`] puts it in one of two tiers:
 //!
-//! * [`Fairness::Priority`] (the default) — the historical fixed sweep:
-//!   every ready transition fires once per pass, higher
-//!   [`SchedulePolicy::priority`] first, ties in registration order. Each
-//!   firing processes the transition's *entire* backlog, so one hot query
-//!   with a deep backlog head-of-line-blocks every co-tenant for the whole
-//!   duration of its step.
-//! * [`Fairness::DeficitRoundRobin`] — a deficit round-robin ring over the
-//!   transitions at priority ≤ 0, with strict priority retained as an
-//!   opt-in express tier: transitions at priority > 0 still fire first and
-//!   unbudgeted, exactly as under `Priority`. Each backlogged ring member
-//!   accrues busy-time credit **by elapsed wall-clock time** — `quantum ×
-//!   weight` microseconds per millisecond since its last service
-//!   opportunity (Δt clamped to `[1 ms, 100 ms]`), decoupling the credit
-//!   rate from the scheduler's pass rate: a busy system whose passes take
-//!   10 ms accrues the same per-second credit as an idle-ish one passing
-//!   every 1 ms, and back-to-back deterministic drives sit on the 1 ms
-//!   floor (one nominal quantum per pass — the historical behavior).
-//!   The accumulated credit is converted into a **tuple budget**
-//!   through the per-tuple cost observed over its recent firings (an EWMA,
-//!   so a drifting cost — a growing join table, shifting selectivity — is
-//!   tracked within a few firings), and the
-//!   firing is capped at that budget ([`Transition::step_budgeted`]). An
-//!   expensive query therefore fires in small slices — or is skipped until
-//!   its deficit covers even one tuple — while cheap queries keep firing
-//!   every pass; unused deficit carries forward while a query stays
-//!   backlogged and resets when its inputs run dry (classic DRR). A
-//!   firing that overruns its budget (transitions without budget support,
-//!   factories clamped up to `min_tuples`) drives the balance negative,
-//!   and the transition is skipped until its credit repays the overrun —
-//!   fair share holds on average even for budget-ignoring transitions.
+//! * `priority >= 0` — the **unbudgeted sweep**, the default: every ready
+//!   transition fires once per pass, higher priority first, ties in
+//!   registration order. Each firing processes the transition's *entire*
+//!   backlog, so one hot query with a deep backlog holds up every
+//!   co-tenant for the whole of its step.
+//! * `priority < 0` — the **deficit round-robin ring**, served after the
+//!   sweep from a rotating start. Each backlogged ring member accrues
+//!   busy-time credit **by elapsed wall-clock time** — `quantum × weight`
+//!   microseconds per millisecond since its last service opportunity (Δt
+//!   clamped to `[1 ms, 100 ms]`), decoupling the credit rate from the
+//!   scheduler's pass rate: a busy system whose passes take 10 ms accrues
+//!   the same per-second credit as an idle-ish one passing every 1 ms,
+//!   and back-to-back deterministic drives sit on the 1 ms floor (one
+//!   nominal quantum per pass). The quantum is the scheduler's one
+//!   fairness number ([`Scheduler::set_quantum`], default 1000: a weight-1
+//!   member may use one full core). The accumulated credit is converted
+//!   into a **tuple budget** through the per-tuple cost observed over its
+//!   recent firings (an EWMA, so a drifting cost — a growing join table,
+//!   shifting selectivity — is tracked within a few firings), and the
+//!   firing is capped at that budget (the `max_tuples` of
+//!   [`Transition::step`]). An expensive query therefore fires in small
+//!   slices — or is skipped until its deficit covers even one tuple —
+//!   while cheap queries keep firing every pass; unused deficit carries
+//!   forward while a query stays backlogged and resets when its inputs run
+//!   dry (classic DRR). A firing that overruns its budget (transitions
+//!   that ignore it, factories clamped up to `min_tuples`) drives the
+//!   balance negative, and the transition is skipped until its credit
+//!   repays the overrun — fair share holds on average even for
+//!   budget-ignoring transitions.
+//!
+//! The sweep stays the default because it is the faster one: the ring's
+//! slicing costs throughput on saturated workloads (`docs/scheduler.md`
+//! has the measurement).
 //!
 //! Starvation is observable: [`SchedulerMetrics`] reports per-query
 //! scheduling delay (time spent ready-but-unfired) and the current
-//! consecutive-skip streak.
+//! consecutive-skip streak. A ready transition held back this pass — by
+//! its DRR deficit, or because a sibling in flight holds one of its
+//! firing locks — counts as skipped in either tier.
 //!
 //! # Parallel execution
 //!
 //! With [`Scheduler::set_workers`]` > 1` the pass loop splits into
 //! *admission* and *execution*: the background thread keeps running the
-//! fairness policy exactly as above — ready checks, DRR credit accrual,
+//! admission loop exactly as above — ready checks, DRR credit accrual,
 //! tuple budgets — but instead of firing inline it dispatches each
 //! admitted firing to a work-stealing pool of worker threads
 //! ([`datacell_exec::WorkerPool`]), routed by a stable per-transition
@@ -74,8 +79,8 @@
 //! twice concurrently — including against a concurrent
 //! [`Scheduler::run_until_quiescent`] manual drive, which contends on the
 //! same locks — and two exclusive consumers of one basket are serialized.
-//! With `workers == 1` (the default) no pool exists and the pass loop is
-//! the historical sequential sweep, byte-for-byte.
+//! With `workers == 1` (the default) no pool exists and the background
+//! thread runs every firing inline.
 //!
 //! Two drive modes:
 //! * [`Scheduler::start`] — the production mode: a background thread runs
@@ -109,16 +114,11 @@ pub trait Transition: Send + Sync {
     fn name(&self) -> &str;
     /// Firing condition (§2.4): true when all inputs hold enough tokens.
     fn ready(&self) -> bool;
-    /// Fire once.
-    fn step(&self, tables: Option<&Catalog>) -> Result<StepOutcome>;
-    /// Fire once, processing at most `max_tuples` tuples per data input —
-    /// the service granularity of [`Fairness::DeficitRoundRobin`]. The
-    /// default ignores the budget and runs a full [`Transition::step`];
-    /// transitions that can slice their input (factories) override it.
-    fn step_budgeted(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
-        let _ = max_tuples;
-        self.step(tables)
-    }
+    /// Fire once, processing at most `max_tuples` tuples per data input:
+    /// `usize::MAX` from the unbudgeted sweep, a DRR ring member's tuple
+    /// budget otherwise. A transition that cannot slice its input may
+    /// ignore the budget; the ring then charges the overrun as debt.
+    fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome>;
     /// Subscribe the transition's input baskets to the scheduler's wake-up
     /// signal.
     fn subscribe(&self, signal: Arc<Signal>);
@@ -150,12 +150,8 @@ impl Transition for Factory {
         Factory::ready(self)
     }
 
-    fn step(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
-        Factory::step(self, tables)
-    }
-
-    fn step_budgeted(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
-        Factory::step_limited(self, tables, max_tuples)
+    fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
+        Factory::step(self, tables, max_tuples)
     }
 
     fn subscribe(&self, signal: Arc<Signal>) {
@@ -190,48 +186,23 @@ impl Transition for Factory {
     }
 }
 
-/// How a scheduling pass divides the thread between ready transitions.
-/// See the [module docs](self) for the full story.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Fairness {
-    /// The historical fixed sweep: every ready transition fires once per
-    /// pass with an unbounded batch, higher priority first, ties in
-    /// registration order.
-    #[default]
-    Priority,
-    /// Deficit round-robin over the transitions at priority ≤ 0 (a
-    /// positive priority stays a strict express tier). Each backlogged
-    /// ring member accrues `quantum × weight` µs of busy-time credit per
-    /// **millisecond of elapsed wall-clock** (Δt clamped to
-    /// `[1 ms, 100 ms]`, so tight deterministic drives accrue one nominal
-    /// quantum per pass); firings are capped at the tuple budget that
-    /// credit buys at the query's observed per-tuple cost, so no single
-    /// query can monopolize the scheduler. A weight-1 `quantum` of 1000
-    /// therefore means "one full core's worth of busy time"; 250 means a
-    /// quarter core.
-    DeficitRoundRobin {
-        /// Busy-time credit in µs accrued per millisecond of wall-clock
-        /// by a weight-1 query (clamped to ≥ 1 — a zero quantum would
-        /// starve the whole ring).
-        quantum: u64,
-    },
-}
-
 /// Per-factory scheduling parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulePolicy {
     /// Higher fires first within a pass (paper: "different query
-    /// priorities"). Under [`Fairness::DeficitRoundRobin`], transitions
-    /// with `priority > 0` form the strict express tier; everything else
-    /// is served by the DRR ring.
+    /// priorities"), and the sign picks the tier: at `priority >= 0` (the
+    /// default 0 included) the transition fires unbudgeted in priority
+    /// order; at `priority < 0` it joins the deficit round-robin ring,
+    /// served after the sweep in budgeted slices (see the
+    /// [module docs](self)).
     pub priority: i32,
     /// Fire at most once per interval (time-sliced batching); `None` =
     /// eager.
     pub min_interval: Option<Duration>,
-    /// Relative share of scheduler busy time under
-    /// [`Fairness::DeficitRoundRobin`] (a weight-3 query accrues three
-    /// times the credit per unit of wall-clock). Clamped to ≥ 1; ignored
-    /// by [`Fairness::Priority`].
+    /// Relative share of scheduler busy time in the DRR ring (a weight-3
+    /// query accrues three times the credit per unit of wall-clock).
+    /// Clamped to ≥ 1. It acts only at `priority < 0`: the unbudgeted
+    /// sweep ignores it.
     pub weight: u32,
 }
 
@@ -244,6 +215,11 @@ impl Default for SchedulePolicy {
         }
     }
 }
+
+/// DRR credit, in µs, that a weight-1 ring member accrues per millisecond
+/// of wall-clock unless [`Scheduler::set_quantum`] says otherwise: one
+/// full core's worth of busy time (250 would be a quarter core).
+const DEFAULT_QUANTUM: u64 = 1_000;
 
 /// Floor of the per-tuple cost estimate, in nanoseconds (a measured cost
 /// below this is treated as ~10M tuples/s — protects the budget math from
@@ -378,6 +354,39 @@ impl Entry {
             });
     }
 
+    /// Accrue a ring member's DRR credit for the Δt since its last service
+    /// opportunity (clamped to `[`[`ACCRUAL_FLOOR_MICROS`]`,
+    /// `[`ACCRUAL_CAP_MICROS`]`]`, so tight loops behave per-pass and a
+    /// stalled ring cannot mint an unbounded burst) and price the balance
+    /// at the observed per-tuple cost. Returns `(budget, credit)`: the
+    /// tuples this firing may take, 0 while the balance cannot buy one or
+    /// still repays an overdraft, and the credit just accrued.
+    fn accrue(&self, quantum: u64) -> (usize, i64) {
+        let dt_micros = {
+            let now = Instant::now();
+            let mut last = self.last_accrual.lock();
+            let dt = last
+                .map(|t| now.duration_since(t).as_micros() as u64)
+                .unwrap_or(0);
+            *last = Some(now);
+            dt.clamp(ACCRUAL_FLOOR_MICROS, ACCRUAL_CAP_MICROS)
+        };
+        let credit = quantum
+            .saturating_mul(self.weight())
+            .saturating_mul(dt_micros)
+            / 1_000;
+        let credit = credit.min(i64::MAX as u64) as i64;
+        let deficit = self
+            .deficit_micros
+            .fetch_add(credit, Ordering::Relaxed)
+            .saturating_add(credit);
+        let budget = match deficit {
+            ..=0 => 0,
+            d => (d as u64).saturating_mul(1000) / self.cost_per_tuple_nanos(),
+        };
+        (usize::try_from(budget).unwrap_or(usize::MAX), credit)
+    }
+
     /// Mark the entry ready-but-unfired this pass.
     fn note_skip(&self) {
         self.consecutive_skips.fetch_add(1, Ordering::Relaxed);
@@ -451,9 +460,10 @@ pub struct SchedulerMetrics {
     /// monotone.)
     pub sched_delay_micros: u64,
     /// Current streak of passes in which the transition was ready but not
-    /// fired (resets on every firing). Bounded under
-    /// [`Fairness::DeficitRoundRobin`] by `cost / (quantum × weight)`;
-    /// a blowup here is the starvation alarm.
+    /// fired (resets on every firing): held back by its DRR deficit or
+    /// refused a firing lock held by a sibling in flight. Bounded in the
+    /// DRR ring by `cost / (quantum × weight)`; a blowup here is the
+    /// starvation alarm.
     pub consecutive_skips: u64,
     /// Distribution of per-firing durations (completed firings only),
     /// exported as a Prometheus histogram by the HTTP endpoint.
@@ -472,7 +482,9 @@ struct Shared {
     signal: Arc<Signal>,
     stop: AtomicBool,
     stats: SchedulerStats,
-    fairness: Mutex<Fairness>,
+    /// DRR credit in µs per millisecond of a weight-1 ring member
+    /// ([`Scheduler::set_quantum`]).
+    quantum: AtomicU64,
     /// Rotating start offset of the DRR ring, so ties in service order do
     /// not systematically favor earlier registrations.
     ring_head: AtomicU64,
@@ -520,8 +532,7 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Create a scheduler over a shared catalog, with the default
-    /// [`Fairness::Priority`] pass order.
+    /// Create a scheduler over a shared catalog.
     pub fn new(catalog: Arc<RwLock<StreamCatalog>>) -> Self {
         Scheduler {
             shared: Arc::new(Shared {
@@ -530,7 +541,7 @@ impl Scheduler {
                 signal: Arc::new(Signal::new()),
                 stop: AtomicBool::new(false),
                 stats: SchedulerStats::default(),
-                fairness: Mutex::new(Fairness::default()),
+                quantum: AtomicU64::new(DEFAULT_QUANTUM),
                 ring_head: AtomicU64::new(0),
                 firing_keys: Mutex::new(HashSet::new()),
                 workers: AtomicUsize::new(1),
@@ -555,8 +566,8 @@ impl Scheduler {
     }
 
     /// Set the worker-thread count used by [`Scheduler::start`] (clamped
-    /// to ≥ 1). With 1 the background loop is the historical sequential
-    /// sweep; with more, admitted firings run on a work-stealing pool. A
+    /// to ≥ 1). With 1 the background thread runs every firing inline;
+    /// with more, admitted firings run on a work-stealing pool. A
     /// running scheduler is restarted so the new pool size takes effect.
     pub fn set_workers(&self, workers: usize) {
         self.shared.workers.store(workers.max(1), Ordering::Relaxed);
@@ -571,19 +582,17 @@ impl Scheduler {
         self.shared.workers.load(Ordering::Relaxed)
     }
 
-    /// Switch the pass order policy at runtime (takes effect on the next
-    /// pass).
-    pub fn set_fairness(&self, fairness: Fairness) {
-        *self.shared.fairness.lock() = fairness;
+    /// Set the DRR quantum: the busy-time credit, in µs, that a weight-1
+    /// ring member (`priority < 0`) accrues per millisecond of wall-clock.
+    /// Default 1000, one full core. A zero quantum is served as 1, so the
+    /// ring never starves outright. Takes effect on the next pass.
+    pub fn set_quantum(&self, quantum: u64) {
+        self.shared.quantum.store(quantum, Ordering::Relaxed);
         self.shared.signal.notify();
     }
 
-    /// The active pass order policy.
-    pub fn fairness(&self) -> Fairness {
-        *self.shared.fairness.lock()
-    }
-
-    /// Adjust a transition's DRR weight at runtime (clamped to ≥ 1).
+    /// Adjust a transition's DRR weight at runtime (clamped to ≥ 1). It
+    /// acts only while the transition sits in the ring (`priority < 0`).
     pub fn set_weight(&self, name: &str, weight: u32) -> Result<()> {
         let entries = self.shared.entries.lock();
         let entry = entries
@@ -718,31 +727,88 @@ impl Scheduler {
             .collect()
     }
 
-    /// One scheduling pass under the active [`Fairness`] policy. Returns
-    /// the number of firings.
+    /// One scheduling pass. Returns the number of firings.
     pub fn pass(&self) -> u64 {
         Self::pass_impl(&self.shared, None).0
     }
 
-    /// Runs one pass; returns `(fired, skipped)` where `fired` counts
-    /// inline firings (or, with a pool, firings *dispatched*) and
-    /// `skipped` counts ready transitions held back this pass — by their
-    /// DRR deficit, or by a firing lock a concurrent drive still holds.
+    /// The admission loop, the one place that picks a firing: every ready
+    /// entry of the unbudgeted tier (`priority >= 0`) in priority order,
+    /// then the DRR ring (`priority < 0`) from a rotating start, each ring
+    /// member capped at the tuple budget its credit buys. Returns
+    /// `(fired, skipped)` where `fired` counts inline firings (or, with a
+    /// pool, firings *dispatched*) and `skipped` counts ready transitions
+    /// held back this pass — by their DRR deficit, or by a firing lock a
+    /// concurrent drive or an in-flight sibling still holds.
     fn pass_impl(shared: &Arc<Shared>, pool: Option<&Arc<WorkerPool>>) -> (u64, u64) {
-        let fairness = *shared.fairness.lock();
         let entries: Vec<Arc<Entry>> = shared.entries.lock().clone();
-        let (fired, skipped) = match fairness {
-            Fairness::Priority => Self::sweep(shared, &entries, pool),
-            Fairness::DeficitRoundRobin { quantum } => {
-                // Express tier first (strict priority, unbudgeted), then
-                // the DRR ring over everything at priority ≤ 0.
-                let (strict, ring): (Vec<_>, Vec<_>) =
-                    entries.into_iter().partition(|e| e.policy.priority > 0);
-                let (fired, express_skipped) = Self::sweep(shared, &strict, pool);
-                let (ring_fired, skipped) = Self::serve_ring(shared, &ring, quantum, pool);
-                (fired + ring_fired, express_skipped + skipped)
-            }
+        // Entries are sorted by priority, high first: the unbudgeted tier
+        // is a prefix, the ring the rest.
+        let tier = entries.partition_point(|e| e.policy.priority >= 0);
+        let ring = entries.len() - tier;
+        let head = match ring {
+            0 => 0,
+            n => (shared.ring_head.fetch_add(1, Ordering::Relaxed) % n as u64) as usize,
         };
+        let quantum = shared.quantum.load(Ordering::Relaxed).max(1);
+        let (mut fired, mut skipped) = (0, 0);
+        for i in (0..tier).chain((0..ring).map(|k| tier + (head + k) % ring)) {
+            let entry = &entries[i];
+            let in_ring = i >= tier;
+            if shared.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            if entry.firing.load(Ordering::Relaxed) {
+                // In flight on a worker or a concurrent drive: being
+                // served right now, not starved. The accrual anchor stays
+                // (the elapsed time mints credit, Δt-capped, once the
+                // firing completes) and the drive keeps passing.
+                skipped += 1;
+                continue;
+            }
+            let gated = Self::gated(entry);
+            if gated || !entry.factory.ready() {
+                entry.note_idle();
+                if in_ring {
+                    // An idle or gated stretch mints no credit. A backlog
+                    // that ran dry also drops its deficit (classic DRR),
+                    // so an idle query cannot bank credit for a burst.
+                    *entry.last_accrual.lock() = None;
+                    if !gated {
+                        entry.deficit_micros.store(0, Ordering::Relaxed);
+                    }
+                }
+                continue;
+            }
+            let (budget, credit) = if in_ring {
+                match entry.accrue(quantum) {
+                    // Cannot yet afford a single tuple: carry the deficit.
+                    (0, _) => {
+                        entry.note_skip();
+                        skipped += 1;
+                        continue;
+                    }
+                    (budget, credit) => (budget, Some(credit)),
+                }
+            } else {
+                (usize::MAX, None)
+            };
+            if !Self::try_begin_firing(shared, entry) {
+                // A conflict key is held by another in-flight firing (an
+                // exclusive sibling over the same basket): a skip like a
+                // budget cut. The entry is retried next pass, and accrued
+                // credit carries.
+                entry.note_skip();
+                skipped += 1;
+                continue;
+            }
+            // The deficit settlement (charge actual busy time, or cap at
+            // one round's credit on deferral) happens inside the firing,
+            // inline here or on the worker that runs it.
+            if Self::launch_firing(shared, pool, entry, budget, credit) {
+                fired += 1;
+            }
+        }
         shared.stats.passes.fetch_add(1, Ordering::Relaxed);
         (fired, skipped)
     }
@@ -779,7 +845,7 @@ impl Scheduler {
         shared.signal.notify();
     }
 
-    /// Run one admitted firing to completion: step, then (under DRR)
+    /// Run one admitted firing to completion: step, then (in the DRR ring)
     /// settle the deficit ledger from the firing's actual busy time, then
     /// release the firing lock. Runs inline on the pass loop, or on a pool
     /// worker when the firing was dispatched — the accounting is identical.
@@ -787,7 +853,7 @@ impl Scheduler {
     fn execute_firing(
         shared: &Shared,
         entry: &Entry,
-        budget: Option<usize>,
+        budget: usize,
         drr_credit: Option<i64>,
     ) -> FireResult {
         let result = Self::fire_entry(shared, entry, budget);
@@ -833,7 +899,7 @@ impl Scheduler {
         shared: &Arc<Shared>,
         pool: Option<&Arc<WorkerPool>>,
         entry: &Arc<Entry>,
-        budget: Option<usize>,
+        budget: usize,
         drr_credit: Option<i64>,
     ) -> bool {
         match pool {
@@ -888,148 +954,12 @@ impl Scheduler {
         false
     }
 
-    /// The historical fixed sweep: fire every ready entry once, unbudgeted,
-    /// in the (priority-sorted) order given. An entry whose firing lock is
-    /// held by a concurrent drive or in-flight worker counts as skipped,
-    /// so quiescence loops keep passing until that firing completes.
-    fn sweep(
-        shared: &Arc<Shared>,
-        entries: &[Arc<Entry>],
-        pool: Option<&Arc<WorkerPool>>,
-    ) -> (u64, u64) {
-        let (mut fired, mut skipped) = (0, 0);
-        for entry in entries {
-            if shared.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            if entry.firing.load(Ordering::Relaxed) {
-                // Already in flight elsewhere: being served, not starved.
-                skipped += 1;
-                continue;
-            }
-            if Self::gated(entry) || !entry.factory.ready() {
-                entry.note_idle();
-                continue;
-            }
-            if !Self::try_begin_firing(shared, entry) {
-                skipped += 1;
-                continue;
-            }
-            if Self::launch_firing(shared, pool, entry, None, None) {
-                fired += 1;
-            }
-        }
-        (fired, skipped)
-    }
-
-    /// One deficit-round-robin round over the ring: every backlogged member
-    /// accrues `quantum × weight` µs of credit per elapsed millisecond
-    /// since its last service opportunity (Δt clamped to
-    /// `[`[`ACCRUAL_FLOOR_MICROS`]`, `[`ACCRUAL_CAP_MICROS`]`]`) and is
-    /// served a tuple budget its credit can buy at its observed per-tuple
-    /// cost. Returns `(fired, skipped)`.
-    fn serve_ring(
-        shared: &Arc<Shared>,
-        ring: &[Arc<Entry>],
-        quantum: u64,
-        pool: Option<&Arc<WorkerPool>>,
-    ) -> (u64, u64) {
-        if ring.is_empty() {
-            return (0, 0);
-        }
-        // A zero quantum would accrue no credit and silently starve every
-        // ring member forever; clamp it like the weights.
-        let quantum = quantum.max(1);
-        let head = (shared.ring_head.fetch_add(1, Ordering::Relaxed) % ring.len() as u64) as usize;
-        let (mut fired, mut skipped) = (0, 0);
-        for i in 0..ring.len() {
-            let entry = &ring[(head + i) % ring.len()];
-            if shared.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            if entry.firing.load(Ordering::Relaxed) {
-                // In flight on a worker or a concurrent drive: being
-                // served right now, not starved — leave the accrual anchor
-                // alone (the elapsed time will mint credit when the firing
-                // completes, Δt-capped) and keep the pass loop alive.
-                skipped += 1;
-                continue;
-            }
-            if Self::gated(entry) {
-                entry.note_idle();
-                *entry.last_accrual.lock() = None;
-                continue;
-            }
-            if !entry.factory.ready() {
-                // Backlog ran dry: classic DRR zeroes the deficit so idle
-                // queries cannot bank credit for a later burst — and the
-                // accrual anchor resets so the idle stretch mints nothing.
-                entry.deficit_micros.store(0, Ordering::Relaxed);
-                entry.note_idle();
-                *entry.last_accrual.lock() = None;
-                continue;
-            }
-            // Elapsed-time accrual: Δt since this entry's last service
-            // opportunity, clamped so tight loops behave per-pass and a
-            // stalled ring cannot mint an unbounded burst.
-            let dt_micros = {
-                let now = Instant::now();
-                let mut last = entry.last_accrual.lock();
-                let dt = last
-                    .map(|t| now.duration_since(t).as_micros() as u64)
-                    .unwrap_or(0);
-                *last = Some(now);
-                dt.clamp(ACCRUAL_FLOOR_MICROS, ACCRUAL_CAP_MICROS)
-            };
-            let credit = quantum
-                .saturating_mul(entry.weight())
-                .saturating_mul(dt_micros)
-                / 1_000;
-            let credit = credit.min(i64::MAX as u64) as i64;
-            let deficit = entry
-                .deficit_micros
-                .fetch_add(credit, Ordering::Relaxed)
-                .saturating_add(credit);
-            let budget = if deficit <= 0 {
-                // Still paying back an overdraft from a past over-budget
-                // firing.
-                0
-            } else {
-                (deficit as u64).saturating_mul(1000) / entry.cost_per_tuple_nanos()
-            };
-            if budget == 0 {
-                // Cannot yet afford a single tuple: carry the deficit.
-                entry.note_skip();
-                skipped += 1;
-                continue;
-            }
-            let budget = usize::try_from(budget).unwrap_or(usize::MAX);
-            if !Self::try_begin_firing(shared, entry) {
-                // A conflict key is held by another in-flight firing
-                // (e.g. an exclusive sibling over the same basket): retry
-                // next pass; the accrued credit carries.
-                skipped += 1;
-                continue;
-            }
-            // The deficit settlement — charge actual busy time, or cap at
-            // one round's credit on deferral — happens inside the firing
-            // (inline here, or on the worker that runs it).
-            if Self::launch_firing(shared, pool, entry, Some(budget), Some(credit)) {
-                fired += 1;
-            }
-        }
-        (fired, skipped)
-    }
-
-    /// Fire one entry (optionally with a tuple budget) and do the
-    /// book-keeping shared by both fairness policies.
-    fn fire_entry(shared: &Shared, entry: &Entry, budget: Option<usize>) -> FireResult {
+    /// Fire one entry with a tuple budget (`usize::MAX` outside the ring)
+    /// and do the book-keeping of every firing.
+    fn fire_entry(shared: &Shared, entry: &Entry, max_tuples: usize) -> FireResult {
         let catalog = shared.catalog.read();
         let started = Instant::now();
-        let result = match budget {
-            None => entry.factory.step(Some(&catalog.tables)),
-            Some(max) => entry.factory.step_budgeted(Some(&catalog.tables), max),
-        };
+        let result = entry.factory.step(Some(&catalog.tables), max_tuples);
         let busy = started.elapsed().as_micros() as u64;
         drop(catalog);
         *entry.last_fired.lock() = Some(Instant::now());
@@ -1077,9 +1007,9 @@ impl Scheduler {
     }
 
     /// Deterministic drive: fire until no factory is ready (or `limit`
-    /// passes, as a cycle guard). Returns total firings. Under
-    /// [`Fairness::DeficitRoundRobin`] a pass may fire nothing while a
-    /// ready query is still saving up deficit; the drive keeps passing
+    /// passes, as a cycle guard). Returns total firings. A pass may fire
+    /// nothing while a ready ring member is still saving up deficit; the
+    /// drive keeps passing
     /// until no transition is ready *or* skipped, so budgeted backlogs
     /// drain deterministically.
     ///
@@ -1102,7 +1032,7 @@ impl Scheduler {
 
     /// Start the background scheduling thread (idempotent). With
     /// [`Scheduler::set_workers`]` > 1` the thread becomes the *admission*
-    /// loop of an admission/execution split: it runs the fairness policy
+    /// loop of an admission/execution split: it runs the admission loop
     /// and dispatches each admitted firing to a work-stealing pool of that
     /// many workers.
     pub fn start(&self) {
@@ -1252,6 +1182,13 @@ mod tests {
         )
         .unwrap()
     }
+
+    /// A DRR ring member's policy.
+    const RING: SchedulePolicy = SchedulePolicy {
+        priority: -1,
+        min_interval: None,
+        weight: 1,
+    };
 
     #[test]
     fn quiescent_drive_processes_everything() {
@@ -1421,8 +1358,8 @@ mod tests {
         // consumer recovers, service resumes in quantum-sized slices, not
         // one mega-firing over the whole accumulated credit.
         let (catalog, sched) = setup();
-        sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 50 });
-        sched.add_factory(selection_factory(&catalog, "q"));
+        sched.set_quantum(50);
+        sched.add_factory_with_policy(selection_factory(&catalog, "q"), RING);
         let (input, out) = {
             let cat = catalog.read();
             (cat.basket("r").unwrap(), cat.basket("out").unwrap())
@@ -1453,23 +1390,12 @@ mod tests {
     }
 
     #[test]
-    fn fairness_defaults_to_priority_and_is_switchable() {
-        let (_, sched) = setup();
-        assert_eq!(sched.fairness(), Fairness::Priority);
-        sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 500 });
-        assert_eq!(
-            sched.fairness(),
-            Fairness::DeficitRoundRobin { quantum: 500 }
-        );
-    }
-
-    #[test]
     fn drr_drive_processes_everything() {
         // The quiescent drive must drain the same workload as Priority
         // even when firings are budgeted (skips keep the drive alive).
         let (catalog, sched) = setup();
-        sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 1000 });
-        sched.add_factory(selection_factory(&catalog, "q"));
+        sched.set_quantum(1000);
+        sched.add_factory_with_policy(selection_factory(&catalog, "q"), RING);
         let (input, out) = {
             let cat = catalog.read();
             (cat.basket("r").unwrap(), cat.basket("out").unwrap())
@@ -1484,8 +1410,8 @@ mod tests {
     #[test]
     fn zero_quantum_is_clamped_not_starving() {
         let (catalog, sched) = setup();
-        sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 0 });
-        sched.add_factory(selection_factory(&catalog, "q"));
+        sched.set_quantum(0);
+        sched.add_factory_with_policy(selection_factory(&catalog, "q"), RING);
         let (input, out) = {
             let cat = catalog.read();
             (cat.basket("r").unwrap(), cat.basket("out").unwrap())
@@ -1542,6 +1468,38 @@ mod tests {
         Scheduler::end_firing(&sched.shared, &entry);
         remover.join().unwrap().unwrap();
         assert!(!Scheduler::try_begin_firing(&sched.shared, &entry));
+    }
+
+    #[test]
+    fn a_firing_refused_for_a_lock_counts_as_a_skip() {
+        // Two exclusive consumers of `r` share the conflict key "r": while
+        // one holds its firing lock, the other is ready but refused. That
+        // is a skip in either tier, just like a budget cut.
+        for priority in [0, -1] {
+            let (catalog, sched) = setup();
+            let policy = SchedulePolicy {
+                priority,
+                ..SchedulePolicy::default()
+            };
+            sched.add_factory_with_policy(selection_factory(&catalog, "a"), policy);
+            sched.add_factory_with_policy(selection_factory(&catalog, "b"), policy);
+            let input = catalog.read().basket("r").unwrap();
+            input.append_rows(&[vec![Value::Int(50)]]).unwrap();
+            let a = Arc::clone(&sched.shared.entries.lock()[0]);
+            assert_eq!(a.factory.name(), "a");
+            assert!(Scheduler::try_begin_firing(&sched.shared, &a));
+            let skips = |name: &str| {
+                let m = sched.transition_metrics();
+                m.iter().find(|m| m.name == name).unwrap().consecutive_skips
+            };
+            assert_eq!(sched.pass(), 0);
+            assert_eq!(skips("b"), 1, "priority {priority}: refused is skipped");
+            Scheduler::end_firing(&sched.shared, &a);
+            sched.set_paused("a", true).unwrap();
+            assert_eq!(sched.pass(), 1);
+            assert_eq!(skips("b"), 0, "priority {priority}: the streak ends");
+            assert!(input.is_empty());
+        }
     }
 
     // ------------------------- parallel execution -------------------------

@@ -9,7 +9,7 @@
 //! one optimizer, two execution regimes.
 //!
 //! The session keeps one registry of names: each SQL continuous query,
-//! `add_factory` factory and plan-sharing head has one record there (its
+//! hand-added transition and plan-sharing head has one record there (its
 //! output basket, windowed transition, subscribers and latency
 //! histogram), so a name is registered at most once and every lifecycle
 //! call reads the same record. The transitions themselves live only in
@@ -58,7 +58,7 @@ use crate::factory::{Factory, FactoryOutput};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, NetMetricsSource, SessionMetrics};
 use crate::petri::PetriNet;
 use crate::planshare::{PlanShare, SharedNode};
-use crate::scheduler::{SchedulePolicy, Scheduler};
+use crate::scheduler::{SchedulePolicy, Scheduler, Transition};
 use crate::window_join::WindowJoin;
 
 /// Result of one statement.
@@ -152,8 +152,8 @@ pub struct RecoveryReport {
 /// registry on [`DataCell`]); the scheduler holds its transition.
 #[derive(Default)]
 struct QueryRecord {
-    /// A SQL continuous query's output basket; `None` for an
-    /// `add_factory` factory and a shared head.
+    /// A SQL continuous query's output basket; `None` for a
+    /// hand-added transition and a shared head.
     output: Option<Arc<Basket>>,
     /// The transition of a windowed query.
     window_join: Option<Arc<WindowJoin>>,
@@ -179,7 +179,7 @@ pub struct DataCell {
     scheduler: Scheduler,
     config: CellConfig,
     /// The query registry: one record per name of a SQL continuous
-    /// query, `add_factory` factory or plan-sharing head, so a name is
+    /// query, hand-added transition or plan-sharing head, so a name is
     /// registered at most once.
     queries: Mutex<HashMap<String, QueryRecord>>,
     /// Every live [`StreamWriter`] — the receptors of the Petri net,
@@ -244,7 +244,6 @@ impl DataCell {
     pub(crate) fn from_builder(builder: DataCellBuilder) -> Result<Self> {
         let catalog = Arc::new(RwLock::new(StreamCatalog::new()));
         let scheduler = Scheduler::new(Arc::clone(&catalog));
-        scheduler.set_fairness(builder.fairness);
         scheduler.set_workers(builder.workers);
         crate::clock::init();
         let events = Arc::new(EventRing::default());
@@ -885,7 +884,7 @@ impl DataCell {
 
     /// Pause a continuous query: the scheduler stops firing its factory
     /// while its input baskets keep buffering. Works for SQL-registered
-    /// queries and factories added programmatically via `add_factory`.
+    /// queries and transitions added via `add_factory`/`add_transition`.
     pub fn pause_query(&self, name: &str) -> Result<()> {
         self.addressable(name)?;
         self.scheduler.set_paused(name, true)
@@ -955,10 +954,11 @@ impl DataCell {
     }
 
     /// Set a continuous query's deficit-round-robin weight (clamped to
-    /// ≥ 1) — its relative share of scheduler busy time under
-    /// [`Fairness`](crate::scheduler::Fairness)`::DeficitRoundRobin`.
-    /// Equivalent to the SQL `SET QUERY WEIGHT name = 3`; also reaches
-    /// factories registered programmatically via `add_factory`.
+    /// ≥ 1): its relative share of scheduler busy time in the DRR ring.
+    /// It acts only at [`SchedulePolicy::priority`]` < 0`; the unbudgeted
+    /// sweep ignores it. Equivalent to the SQL `SET QUERY WEIGHT name = 3`;
+    /// also reaches transitions registered programmatically via
+    /// `add_factory` or `add_transition`.
     pub fn set_query_weight(&self, name: &str, weight: u32) -> Result<()> {
         self.addressable(name)?;
         self.scheduler.set_weight(name, weight)
@@ -968,9 +968,9 @@ impl DataCell {
     /// remove the output basket from the catalog, and close it so every
     /// [`Subscription`] ends — a network subscriber's connection closes
     /// once its thread sees the closed basket. Joins no thread. Equivalent
-    /// to the SQL `DROP CONTINUOUS QUERY name`; also detaches factories
-    /// registered programmatically via `add_factory` (which have no output
-    /// basket of their own). Waits out a firing of the query in flight
+    /// to the SQL `DROP CONTINUOUS QUERY name`; also detaches transitions
+    /// registered via `add_factory` or `add_transition` (which have no
+    /// output basket of their own). Waits out a firing of the query in flight
     /// (see [`Scheduler::remove_factory`]).
     pub fn drop_query(&self, name: &str) -> Result<()> {
         self.addressable(name)?;
@@ -994,7 +994,7 @@ impl DataCell {
     }
 
     /// Check that `name` is one a lifecycle call may address: a SQL
-    /// continuous query or an `add_factory` factory, never a shared head.
+    /// continuous query or a hand-added transition, never a shared head.
     fn addressable(&self, name: &str) -> Result<()> {
         match self.queries.lock().get(name) {
             Some(r) if !r.shared_head => Ok(()),
@@ -1703,12 +1703,26 @@ impl DataCell {
 
     // ---------------- programmatic wiring ----------------
 
-    /// Register a hand-built factory with the scheduler. Its name joins
-    /// the query registry, so the lifecycle calls reach it; a name
+    /// Register a hand-built transition (a window evaluator, a custom
+    /// [`Transition`]) with the scheduler. Its name joins the query
+    /// registry, so pause, resume, weight and drop reach it; a name
     /// already registered is refused.
+    pub fn add_transition(
+        &self,
+        transition: Arc<dyn Transition>,
+        policy: SchedulePolicy,
+    ) -> Result<()> {
+        self.register(transition.name(), QueryRecord::default())?;
+        self.scheduler.add_transition(transition, policy);
+        Ok(())
+    }
+
+    /// Register a hand-built factory, as [`DataCell::add_transition`]
+    /// does.
     pub fn add_factory(&self, factory: Factory, policy: SchedulePolicy) -> Result<Arc<Factory>> {
-        self.register(factory.name(), QueryRecord::default())?;
-        Ok(self.scheduler.add_factory_with_policy(factory, policy))
+        let factory = Arc::new(factory);
+        self.add_transition(Arc::clone(&factory) as _, policy)?;
+        Ok(factory)
     }
 
     /// Start the scheduler thread.
@@ -2274,8 +2288,8 @@ mod tests {
             cell.basket("volume").unwrap(),
         )
         .unwrap();
-        cell.scheduler()
-            .add_transition(Arc::new(agg), SchedulePolicy::default());
+        cell.add_transition(Arc::new(agg), SchedulePolicy::default())
+            .unwrap();
         let net = cell.petri_net();
         assert_eq!(
             net.transitions,

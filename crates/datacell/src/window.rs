@@ -178,7 +178,9 @@ impl Transition for BasicWindowAgg {
         self.input.pending_for(self.reader) > 0
     }
 
-    fn step(&self, _tables: Option<&Catalog>) -> Result<StepOutcome> {
+    /// Folds the whole pending input: a DRR ring member's budget is
+    /// ignored, and the ring charges the overrun as debt.
+    fn step(&self, _tables: Option<&Catalog>, _max_tuples: usize) -> Result<StepOutcome> {
         // Snapshot without committing; fold into a *working copy* of the
         // summaries and deliver all completed windows in one non-waiting
         // append — only on success do the state and cursor commit, so a
@@ -383,7 +385,7 @@ mod tests {
         let data: Vec<i64> = (0..40).map(|i| (i * 13) % 17).collect();
         push(&input, &data);
         push(&inc_input, &data);
-        inc.step(None).unwrap();
+        inc.step(None, usize::MAX).unwrap();
         assert_eq!(run(&cell), out_values(&inc_out));
         assert!(inc.windows_emitted() > 0);
     }
@@ -412,7 +414,7 @@ mod tests {
         let data: Vec<i64> = (0..30).map(|i| (i * 7) % 20).collect();
         push(&input, &data);
         push(&inc_input, &data);
-        inc.step(None).unwrap();
+        inc.step(None, usize::MAX).unwrap();
         assert_eq!(run(&cell), out_values(&inc_out));
     }
 
@@ -431,7 +433,7 @@ mod tests {
         )
         .unwrap();
         push(&inc_input, &[5, 1, 9, 2, 3, 4, 10, 0]);
-        inc.step(None).unwrap();
+        inc.step(None, usize::MAX).unwrap();
         // Windows: [5,1,9,2]→9, [9,2,3,4]→9, [3,4,10,0]→10.
         assert_eq!(out_values(&inc_out), vec![9, 9, 10]);
     }
@@ -455,12 +457,15 @@ mod tests {
         inc_out.append_rows(&[vec![Value::Int(0)]]).unwrap();
         inc_out.set_capacity(Some(1), OverflowPolicy::Reject);
         push(&inc_input, &[1, 2, 3, 4]);
-        assert!(inc.step(None).is_err(), "full output defers the step");
+        assert!(
+            inc.step(None, usize::MAX).is_err(),
+            "full output defers the step"
+        );
         assert!(inc.ready(), "input cursor did not move");
         assert_eq!(inc.windows_emitted(), 0, "state untouched");
         // Downstream drains: the retry reproduces the same windows.
         inc_out.clear();
-        inc.step(None).unwrap();
+        inc.step(None, usize::MAX).unwrap();
         assert!(!inc.ready());
         assert_eq!(out_values(&inc_out), vec![3, 7]);
         assert_eq!(inc.windows_emitted(), 2);
@@ -540,7 +545,7 @@ mod tests {
         .unwrap();
         for chunk in [[1, 2], [3, 4], [5, 6], [7, 8]] {
             push(&inc_input, &chunk);
-            inc.step(None).unwrap();
+            inc.step(None, usize::MAX).unwrap();
         }
         // Windows complete after 6 and 8 tuples → two emissions of count 6.
         assert_eq!(out_values(&inc_out), vec![6, 6]);

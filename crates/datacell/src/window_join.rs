@@ -647,13 +647,9 @@ impl Transition for WindowJoin {
                 .any(|(s, open)| open.load(Ordering::Relaxed) && s.basket.pending_for(s.reader) > 0)
     }
 
-    fn step(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
-        self.step_inner(tables, usize::MAX, false)
-    }
-
     /// Ingest at most `max_tuples` tuples per side: the join's firings are
     /// budgeted like any factory's.
-    fn step_budgeted(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
+    fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
         self.step_inner(tables, max_tuples.max(1), false)
     }
 
@@ -778,17 +774,17 @@ mod tests {
         push(&left, &[(1, 10), (2, 20), (3, 30)]);
         assert!(wj.ready());
         // Right side incomplete: nothing fires.
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(wj.windows_evaluated(), 0);
         push(&right, &[(2, 200), (3, 300), (4, 400)]);
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(wj.windows_evaluated(), 1);
         assert_eq!(out_rows(&out), vec![(2, 20, 200), (3, 30, 300)]);
         // Second window joins only second-window tuples (no cross-window
         // leakage: (1,·) from window 0 must not meet (1,·) in window 1).
         push(&left, &[(5, 50), (6, 60), (1, 11)]);
         push(&right, &[(5, 500), (1, 111), (7, 700)]);
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(wj.windows_evaluated(), 2);
         assert_eq!(
             out_rows(&out),
@@ -813,7 +809,7 @@ mod tests {
             &right,
             &[(2, 200), (9, 900), (3, 300), (1, 100), (4, 400), (8, 800)],
         );
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(wj.windows_evaluated(), 2);
         // Window 0: left {1,2} × right {2,9,3,1} → (1,100),(2,200).
         // Window 1: left {3,4} × right {3,1,4,8} → (3,300),(4,400).
@@ -840,15 +836,15 @@ mod tests {
             .append_chunk(&stamp(&[(2, 200, 100), (3, 300, 950)]))
             .unwrap();
         // Neither side has passed t0+1000 yet.
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(wj.windows_evaluated(), 0);
         // Left passes the window end; right has not — still incomplete.
         left.append_chunk(&stamp(&[(9, 90, 1500)])).unwrap();
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(wj.windows_evaluated(), 0);
         // Right passes it too: window [0, 1000) joins {1,2}×{2,3}.
         right.append_chunk(&stamp(&[(9, 900, 1100)])).unwrap();
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(wj.windows_evaluated(), 1);
         assert_eq!(out_rows(&out), vec![(2, 20, 200)]);
     }
@@ -869,7 +865,7 @@ mod tests {
         right.append_chunk(&stamp(&[(2, 200, 100)])).unwrap();
         // Online: the window [0, 1000) can never close — both streams went
         // quiescent before any tuple at/after 1000 arrived.
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(wj.windows_evaluated(), 0);
         // Explicit flush closes it at the horizons and drains the buffers.
         wj.flush(None).unwrap();
@@ -924,7 +920,7 @@ mod tests {
             .unwrap();
         left.append_chunk(&stamp(&[(1, 10, 0), (2, 20, 2500)]))
             .unwrap();
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(wj.windows_evaluated(), 0);
         // Must return (anchoring on the sides that have data) and drain the
         // left buffer; an empty partner contributes no join rows.
@@ -982,7 +978,7 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        wj.step(None).unwrap();
+                        wj.step(None, usize::MAX).unwrap();
                         thread::yield_now();
                     }
                 })
@@ -1027,15 +1023,15 @@ mod tests {
         push(&left, &[(1, 10), (2, 20)]);
         push(&right, &[(1, 100), (2, 200)]);
         assert!(!wj.ready(), "a full output makes the join wait");
-        let step = wj.step(None).unwrap();
+        let step = wj.step(None, usize::MAX).unwrap();
         assert_eq!((step.tuples_in, step.produced), (4, 0));
         assert_eq!(wj.windows_evaluated(), 1);
         assert_eq!(wj.buffered(), vec![0, 0], "the window is committed");
         assert!(!wj.ready(), "held rows wait for room");
-        assert!(wj.step(None).is_err(), "a forced step defers");
+        assert!(wj.step(None, usize::MAX).is_err(), "a forced step defers");
         out.clear();
         assert!(wj.ready());
-        wj.step(None).unwrap();
+        wj.step(None, usize::MAX).unwrap();
         assert_eq!(out_rows(&out), vec![(1, 10, 100), (2, 20, 200)]);
         assert_eq!(wj.windows_evaluated(), 1, "delivered, not re-evaluated");
         assert!(!wj.ready());
@@ -1058,7 +1054,7 @@ mod tests {
         let rows: Vec<(i64, i64)> = (0..6).map(|i| (i, i)).collect();
         push(&left, &rows);
         push(&right, &rows);
-        let step = wj.step(None).unwrap();
+        let step = wj.step(None, usize::MAX).unwrap();
         assert_eq!(step.produced, 3);
         assert_eq!(wj.windows_evaluated(), 4, "three delivered, one held");
         assert_eq!(wj.buffered(), vec![2, 2]);
@@ -1066,7 +1062,7 @@ mod tests {
         out.clear();
         assert!(wj.ready());
         assert_eq!(
-            wj.step(None).unwrap().tuples_in,
+            wj.step(None, usize::MAX).unwrap().tuples_in,
             0,
             "buffered windows first"
         );

@@ -155,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_returns_one_report_per_l() {
+    fn l_rating_sweep_returns_one_report_per_l() {
         let reports = l_rating_sweep(&[1, 2], 120, 33);
         assert_eq!(reports.len(), 2);
         assert!(reports[1].records > reports[0].records);

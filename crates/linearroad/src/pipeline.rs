@@ -320,7 +320,7 @@ impl Transition for LrCore {
         self.input.pending_for(self.reader) > 0
     }
 
-    fn step(&self, tables: Option<&Catalog>) -> Result<StepOutcome> {
+    fn step(&self, tables: Option<&Catalog>, _max_tuples: usize) -> Result<StepOutcome> {
         // Snapshot now, commit at the end of the step: an emit failure
         // leaves the cursor in place so the batch is retried (at-least-
         // once) instead of silently dropping the unprocessed remainder.
@@ -454,8 +454,7 @@ impl LinearRoadSystem {
             daily_out: cell.basket("daily_out")?,
             state: Mutex::new(CoreState::default()),
         });
-        cell.scheduler()
-            .add_transition(Arc::clone(&core) as _, SchedulePolicy::default());
+        cell.add_transition(Arc::clone(&core) as _, SchedulePolicy::default())?;
         Ok(LinearRoadSystem {
             input,
             toll_out: Arc::clone(&core.toll_out),

@@ -67,7 +67,7 @@ pub enum Statement {
         action: QueryLifecycle,
     },
     /// `SET QUERY WEIGHT name = n` — the query's relative share of
-    /// scheduler busy time under the deficit-round-robin fairness policy.
+    /// scheduler busy time in the deficit-round-robin ring.
     /// The parser rejects non-positive weights, so `weight ≥ 1` always
     /// holds here (programmatic paths like `QueryHandle::set_weight`
     /// clamp instead).

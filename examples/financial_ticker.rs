@@ -89,8 +89,8 @@ fn main() {
         )
         .unwrap();
         drop(cat);
-        cell.scheduler()
-            .add_transition(Arc::new(sliding_volume), SchedulePolicy::default());
+        cell.add_transition(Arc::new(sliding_volume), SchedulePolicy::default())
+            .unwrap();
     }
 
     cell.start();

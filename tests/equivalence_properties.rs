@@ -125,7 +125,7 @@ proptest! {
             re_in.append_rows(chunk).unwrap();
             cell.run_until_quiescent(1_000);
             inc_in.append_rows(chunk).unwrap();
-            inc.step(None).unwrap();
+            inc.step(None, usize::MAX).unwrap();
         }
         let revals = re_out.snapshot().columns[0].as_ints().unwrap().to_vec();
         let incvals = inc_out.snapshot().columns[0].as_ints().unwrap().to_vec();

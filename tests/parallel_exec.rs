@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use datacell::client::SubscriptionMode;
-use datacell::{DataCell, Fairness};
+use datacell::{DataCell, SchedulePolicy};
 
 const QUERIES: usize = 4;
 const ROWS_PER_QUERY: i64 = 2_000;
@@ -261,15 +261,19 @@ fn sql_resizes_the_worker_pool() {
 
 #[test]
 fn drr_fairness_holds_under_parallel_execution() {
-    // The fairness policy is computed by the sequential admission pass,
-    // so parallel execution must not break it: under DRR two co-tenant
-    // queries with equal weight both make progress.
+    // The DRR ring is served by the sequential admission pass, so
+    // parallel execution must not break it: two co-tenant ring members
+    // (priority < 0) with equal weight both make progress.
     let cell = DataCell::builder()
         .workers(4)
-        .fairness(Fairness::DeficitRoundRobin { quantum: 500 })
+        .scheduler_policy(SchedulePolicy {
+            priority: -1,
+            ..SchedulePolicy::default()
+        })
         .metrics(true)
         .auto_start(true)
         .build();
+    cell.scheduler().set_quantum(500);
     for q in 0..2 {
         cell.execute(&format!("create basket src{q} (x int)"))
             .unwrap();

@@ -6,12 +6,24 @@
 
 use datacell::basket::{Durability, OverflowPolicy};
 use datacell::session::DataCell;
-use datacell::Value;
+use datacell::{SchedulePolicy, Value};
 use datacell_storage::testutil::TempDir;
 use proptest::prelude::*;
 
 fn cell(sharing: bool) -> DataCell {
     DataCell::builder().plan_sharing(sharing).build()
+}
+
+/// A cell whose SQL queries, and the shared heads they inherit their
+/// policy through, sit in the DRR ring (`priority < 0`).
+fn ring_cell(sharing: bool) -> DataCell {
+    DataCell::builder()
+        .plan_sharing(sharing)
+        .scheduler_policy(SchedulePolicy {
+            priority: -1,
+            ..SchedulePolicy::default()
+        })
+        .build()
 }
 
 fn spill_cell(sharing: bool, dir: &TempDir) -> DataCell {
@@ -308,9 +320,13 @@ fn multi_basket_plans_fall_through_to_private_path() {
 #[test]
 fn an_unmatched_tuple_does_not_keep_a_query_firing() {
     // The predicate window leaves (1, 10) in `s`. Firing again would see
-    // only that tuple again, so the query waits for the next append.
-    for sharing in [false, true] {
-        let c = cell(sharing);
+    // only that tuple again, so the query waits for the next append, in
+    // the unbudgeted sweep and in the DRR ring alike.
+    for (sharing, c) in [
+        (false, cell(false)),
+        (true, cell(true)),
+        (false, ring_cell(false)),
+    ] {
         c.execute("create basket s (a int, b int)").unwrap();
         c.execute(
             "create continuous query q as \
@@ -475,9 +491,8 @@ fn split_pipeline_drains_under_budgeted_drr_firings() {
     // slices its firings: the head's cursor commits only the served
     // prefix, the tail fires off the intermediate, and repeated budgeted
     // rounds drain the same answer one bulk firing produces.
-    let c = cell(true);
-    c.scheduler()
-        .set_fairness(datacell::Fairness::DeficitRoundRobin { quantum: 200 });
+    let c = ring_cell(true);
+    c.scheduler().set_quantum(200);
     c.execute("create basket s (a int, b int)").unwrap();
     c.execute(
         "create continuous query heavy as \

@@ -3,9 +3,12 @@
 //! factory and output basket are detached and every subscription closes —
 //! the contract behind `QueryHandle`.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use datacell::{DataCell, DataCellError};
+use datacell::window::BasicWindowAgg;
+use datacell::{DataCell, DataCellError, SchedulePolicy};
+use datacell_bat::aggregate::AggFunc;
 
 #[test]
 fn register_subscribe_drop_detaches_and_closes() {
@@ -74,6 +77,53 @@ fn drop_via_handle_closes_multiple_subscriptions() {
     }
     // Dropping twice reports the unknown query.
     assert!(cell.drop_query("q").is_err());
+}
+
+#[test]
+fn lifecycle_calls_reach_a_transition_added_by_hand() {
+    let cell = DataCell::new();
+    cell.execute("create basket ticks (px int)").unwrap();
+    cell.execute("create basket volume (value int)").unwrap();
+    cell.execute("create basket other (px int)").unwrap();
+    cell.execute("create continuous query q as select o.px from [select * from other] as o")
+        .unwrap();
+    let window = |name: &str| {
+        let (ticks, volume) = (
+            cell.basket("ticks").unwrap(),
+            cell.basket("volume").unwrap(),
+        );
+        Arc::new(BasicWindowAgg::new(name, ticks, "px", AggFunc::Sum, None, 2, 2, volume).unwrap())
+    };
+    cell.add_transition(window("vol"), SchedulePolicy::default())
+        .unwrap();
+    let volume = cell.basket("volume").unwrap();
+
+    // A taken name is refused, whichever side took it first.
+    let err = cell
+        .add_transition(window("q"), SchedulePolicy::default())
+        .unwrap_err();
+    assert!(err.to_string().contains("name q already exists"), "{err}");
+    assert!(cell
+        .execute("create continuous query vol as select o.px from [select * from other] as o")
+        .is_err());
+
+    // Pause and resume reach it: the window buffers, then fires.
+    cell.pause_query("vol").unwrap();
+    assert!(cell.is_query_paused("vol").unwrap());
+    cell.execute("insert into ticks values (1), (2)").unwrap();
+    cell.run_until_quiescent(100);
+    assert!(volume.is_empty(), "paused window fired");
+    cell.resume_query("vol").unwrap();
+    cell.run_until_quiescent(100);
+    assert_eq!(volume.len(), 1, "one window of two ticks");
+    cell.set_query_weight("vol", 3).unwrap();
+
+    // Drop detaches it: new ticks close no window.
+    cell.drop_query("vol").unwrap();
+    cell.execute("insert into ticks values (3), (4)").unwrap();
+    cell.run_until_quiescent(100);
+    assert_eq!(volume.len(), 1, "dropped window fired");
+    assert!(cell.drop_query("vol").is_err());
 }
 
 #[test]

@@ -1,9 +1,9 @@
-//! Deterministic fairness tests for the scheduler's pass-order policies:
-//! under [`Fairness::DeficitRoundRobin`] a 10×-cost query and its cheap
-//! co-tenant both make progress every few passes (bounded consecutive
-//! skips — no starvation), and under [`Fairness::Priority`] the historical
-//! sweep ordering is preserved byte-for-byte (regression guard for
-//! existing workloads).
+//! Deterministic fairness tests for the scheduler's two tiers: in the
+//! deficit round-robin ring (`priority < 0`) a 10×-cost query and its
+//! cheap co-tenant both make progress every few passes (bounded
+//! consecutive skips — no starvation), and in the default unbudgeted
+//! sweep (`priority >= 0`) the historical ordering is preserved
+//! byte-for-byte (regression guard for existing workloads).
 //!
 //! The workload is a synthetic [`Transition`] whose per-tuple cost is an
 //! exact busy-wait, so the scheduler's cost model sees a controlled,
@@ -17,7 +17,7 @@ use datacell::basket::Signal;
 use datacell::catalog::StreamCatalog;
 use datacell::error::Result;
 use datacell::factory::StepOutcome;
-use datacell::scheduler::{Fairness, SchedulePolicy, Scheduler, Transition};
+use datacell::scheduler::{SchedulePolicy, Scheduler, Transition};
 use datacell::DataCell;
 use parking_lot::{Mutex, RwLock};
 
@@ -34,7 +34,7 @@ struct CostedQuery {
     cost_nanos: AtomicU64,
     /// Tuples served by each firing, in order (drift-tracking tests).
     firing_sizes: Mutex<Vec<usize>>,
-    /// When false, `step_budgeted` ignores its budget and processes the
+    /// When false, `step` ignores its budget and processes the
     /// whole backlog — modelling transitions without budget support
     /// (window evaluators), to test the scheduler's overdraft debt.
     honors_budget: bool,
@@ -55,8 +55,8 @@ impl CostedQuery {
         })
     }
 
-    /// A transition that ignores the tuple budget entirely (the default
-    /// `Transition::step_budgeted` of evaluators without input slicing).
+    /// A transition that ignores the tuple budget entirely (as window
+    /// evaluators without input slicing do).
     fn budget_blind(name: &str, cost_per_tuple: Duration) -> Arc<Self> {
         Arc::new(CostedQuery {
             name: name.to_string(),
@@ -110,11 +110,7 @@ impl Transition for CostedQuery {
         self.pending.load(Ordering::Relaxed) > 0
     }
 
-    fn step(&self, tables: Option<&datacell_engine::Catalog>) -> Result<StepOutcome> {
-        self.step_budgeted(tables, usize::MAX)
-    }
-
-    fn step_budgeted(
+    fn step(
         &self,
         _tables: Option<&datacell_engine::Catalog>,
         max_tuples: usize,
@@ -151,6 +147,13 @@ fn scheduler() -> Scheduler {
     Scheduler::new(Arc::new(RwLock::new(StreamCatalog::new())))
 }
 
+/// A DRR ring member's policy: a negative priority joins the ring.
+const RING: SchedulePolicy = SchedulePolicy {
+    priority: -1,
+    min_interval: None,
+    weight: 1,
+};
+
 /// The busy-wait cost model measures wall-clock time, so concurrently
 /// running tests inflate each other's measured costs (and, with overdraft
 /// debt, compound them). Serialize *every* test in this binary.
@@ -162,14 +165,14 @@ fn drr_serves_both_queries_under_10x_cost_skew() {
     let sched = scheduler();
     // Quantum is a wall-clock share now: 400 µs of busy credit per ms,
     // per query — together 0.8 cores, so the budget genuinely binds.
-    sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 400 });
+    sched.set_quantum(400);
     // Costs sit well above OS scheduling noise (a ~10 ms preemption is a
     // few credits, not fifty), keeping the assertions meaningful on a
     // loaded machine.
     let cheap = CostedQuery::new("cheap", Duration::from_micros(200));
     let heavy = CostedQuery::new("heavy", Duration::from_micros(2_000));
-    sched.add_transition(Arc::clone(&cheap) as _, SchedulePolicy::default());
-    sched.add_transition(Arc::clone(&heavy) as _, SchedulePolicy::default());
+    sched.add_transition(Arc::clone(&cheap) as _, RING);
+    sched.add_transition(Arc::clone(&heavy) as _, RING);
 
     // Warm-up: one tiny firing each teaches the scheduler the real
     // per-tuple costs (the bootstrap estimate is optimistic by design).
@@ -235,17 +238,17 @@ fn drr_serves_both_queries_under_10x_cost_skew() {
 
 #[test]
 fn budget_blind_transition_pays_overdraft_debt() {
-    // A transition whose step ignores the tuple budget (the default
-    // `step_budgeted`) still cannot monopolize the ring: its over-budget
+    // A transition whose step ignores the tuple budget still cannot
+    // monopolize the ring: its over-budget
     // firing drives the deficit negative and it is skipped until the debt
     // is repaid, while the budget-honoring co-tenant fires every pass.
     let _serial = TIMING.lock();
     let sched = scheduler();
-    sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 400 });
+    sched.set_quantum(400);
     let blind = CostedQuery::budget_blind("blind", Duration::from_micros(1_000));
     let cheap = CostedQuery::new("cheap", Duration::from_micros(200));
-    sched.add_transition(Arc::clone(&blind) as _, SchedulePolicy::default());
-    sched.add_transition(Arc::clone(&cheap) as _, SchedulePolicy::default());
+    sched.add_transition(Arc::clone(&blind) as _, RING);
+    sched.add_transition(Arc::clone(&cheap) as _, RING);
     // Warm-up: teach the scheduler both real per-tuple costs, then clear
     // any bootstrap-misestimate debt before measuring.
     blind.feed(1);
@@ -294,17 +297,14 @@ fn drr_weights_shift_busy_share() {
     let sched = scheduler();
     // 0.6 + 0.2 cores by weight: scarce enough that the budget binds and
     // the 3:1 share is the inflow ratio, not the backlog ratio.
-    sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 200 });
+    sched.set_quantum(200);
     let favored = CostedQuery::new("favored", Duration::from_micros(1_000));
     let normal = CostedQuery::new("normal", Duration::from_micros(1_000));
     sched.add_transition(
         Arc::clone(&favored) as _,
-        SchedulePolicy {
-            weight: 3,
-            ..SchedulePolicy::default()
-        },
+        SchedulePolicy { weight: 3, ..RING },
     );
-    sched.add_transition(Arc::clone(&normal) as _, SchedulePolicy::default());
+    sched.add_transition(Arc::clone(&normal) as _, RING);
     favored.feed(1);
     normal.feed(1);
     sched.run_until_quiescent(50);
@@ -329,12 +329,11 @@ fn drr_weights_shift_busy_share() {
 
 #[test]
 fn priority_sweep_ordering_is_preserved_byte_for_byte() {
-    // Regression guard: under Fairness::Priority (the default) the firing
-    // order is exactly the historical sweep — priority descending, ties in
+    // Regression guard: at the default priority tier the firing order is
+    // exactly the historical sweep — priority descending, ties in
     // registration order, every ready transition once per pass, no skips.
     let _serial = TIMING.lock();
     let sched = scheduler();
-    assert_eq!(sched.fairness(), Fairness::Priority, "default unchanged");
     let log = Arc::new(Mutex::new(Vec::new()));
     let first_tie = CostedQuery::with_log("first_tie", Arc::clone(&log));
     let high = CostedQuery::with_log("high", Arc::clone(&log));
@@ -371,15 +370,15 @@ fn priority_sweep_ordering_is_preserved_byte_for_byte() {
 
 #[test]
 fn strict_priority_tier_rides_above_the_drr_ring() {
-    // priority > 0 opts out of the ring: it fires first and unbudgeted
-    // even under DRR, exactly like the old sweep.
+    // A non-negative priority stays out of the ring: it fires first and
+    // unbudgeted, in the sweep.
     let _serial = TIMING.lock();
     let sched = scheduler();
-    sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 100 });
+    sched.set_quantum(100);
     let log = Arc::new(Mutex::new(Vec::new()));
     let express = CostedQuery::with_log("express", Arc::clone(&log));
     let ring = CostedQuery::with_log("ring", Arc::clone(&log));
-    sched.add_transition(Arc::clone(&ring) as _, SchedulePolicy::default());
+    sched.add_transition(Arc::clone(&ring) as _, RING);
     sched.add_transition(
         Arc::clone(&express) as _,
         SchedulePolicy {
@@ -409,9 +408,9 @@ fn ewma_cost_model_tracks_cost_drift() {
     // again.
     let _serial = TIMING.lock();
     let sched = scheduler();
-    sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 500 });
+    sched.set_quantum(500);
     let q = CostedQuery::new("drifter", Duration::from_micros(20));
-    sched.add_transition(Arc::clone(&q) as _, SchedulePolicy::default());
+    sched.add_transition(Arc::clone(&q) as _, RING);
 
     // A long, cheap history: a lifetime average would be anchored here.
     q.feed(2_000);
@@ -463,9 +462,9 @@ fn drr_credit_tracks_wall_clock_not_pass_rate() {
         let sched = scheduler();
         // 0.2 cores of credit; each tuple costs 1 ms, so the query is
         // budget-bound, never backlog-bound.
-        sched.set_fairness(Fairness::DeficitRoundRobin { quantum: 200 });
+        sched.set_quantum(200);
         let q = CostedQuery::new("q", Duration::from_millis(1));
-        sched.add_transition(Arc::clone(&q) as _, SchedulePolicy::default());
+        sched.add_transition(Arc::clone(&q) as _, RING);
         q.feed(1);
         sched.run_until_quiescent(50); // teach the cost model
         q.feed(1_000_000);
@@ -488,9 +487,8 @@ fn drr_credit_tracks_wall_clock_not_pass_rate() {
 #[test]
 fn weights_reach_sql_and_handles_end_to_end() {
     let _serial = TIMING.lock();
-    let cell = DataCell::builder()
-        .fairness(Fairness::DeficitRoundRobin { quantum: 500 })
-        .build();
+    let cell = DataCell::builder().scheduler_policy(RING).build();
+    cell.scheduler().set_quantum(500);
     cell.execute("create basket b1 (x int)").unwrap();
     cell.execute("create basket b2 (x int)").unwrap();
     let q1 = cell
@@ -516,7 +514,7 @@ fn weights_reach_sql_and_handles_end_to_end() {
         "{err}"
     );
 
-    // The DRR scheduler still drains SQL workloads deterministically.
+    // The DRR ring still drains SQL workloads deterministically.
     cell.execute("insert into b1 values (1), (2), (3)").unwrap();
     cell.execute("insert into b2 values (4), (5)").unwrap();
     cell.run_until_quiescent(1000);

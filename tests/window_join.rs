@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use datacell::basket::{Durability, OverflowPolicy};
-use datacell::{DataCell, Fairness};
+use datacell::{DataCell, SchedulePolicy};
 use datacell_bat::types::DataType;
 use datacell_bat::Column;
 use datacell_engine::Chunk;
@@ -280,8 +280,8 @@ fn spill_backed_inputs_compose() {
     assert_eq!(out_rows(&cell, "j"), expected);
 }
 
-/// DRR budgeted firings: under DeficitRoundRobin the join is stepped in
-/// budgeted slices next to a co-tenant query; output is still complete,
+/// DRR budgeted firings: in the DRR ring (`priority < 0`) the join is
+/// stepped in budgeted slices next to a co-tenant query; output is still complete,
 /// both transitions make progress, and the join's budget caps what one
 /// firing ingests per side. The first firing's budget is exactly
 /// `quantum` tuples (one round's credit at the bootstrap cost of 1 µs a
@@ -290,9 +290,13 @@ fn spill_backed_inputs_compose() {
 fn drr_budgeted_firings_compose() {
     const QUANTUM: u64 = 100;
     let cell = DataCell::builder()
-        .fairness(Fairness::DeficitRoundRobin { quantum: QUANTUM })
+        .scheduler_policy(SchedulePolicy {
+            priority: -1,
+            ..SchedulePolicy::default()
+        })
         .metrics(true)
         .build();
+    cell.scheduler().set_quantum(QUANTUM);
     cell.execute("create basket s1 (k int, a int)").unwrap();
     cell.execute("create basket s2 (k int, b int)").unwrap();
     cell.execute("create basket other (x int)").unwrap();
