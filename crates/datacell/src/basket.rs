@@ -26,9 +26,10 @@
 //! Exclusively-owned baskets instead take the paper's basket-expression
 //! side effect (a predicate window may delete a *subset*, §2.6) through
 //! one pair, [`Basket::snapshot_exclusive`] + [`Basket::consume_exclusive`]:
-//! factory steps, one-time `SELECT`s and control tokens alike. The pair is
-//! anchored, so it survives concurrent sheds, and segment-aware, so it
-//! never pulls a spilled backlog back into memory.
+//! factory steps and one-time `SELECT`s alike. The pair is anchored, so it
+//! survives concurrent sheds and never deletes a tuple its snapshot did not
+//! match, and segment-aware, so it never pulls a spilled backlog back into
+//! memory.
 //!
 //! Readers come in two flavours:
 //!
@@ -291,6 +292,8 @@ pub struct ExclusiveAnchor {
     base: u64,
     /// Basket epoch at snapshot time.
     epoch: u64,
+    /// The basket's `holes` count at snapshot time.
+    holes: u64,
     /// Tuples covered by the snapshot.
     rows: usize,
     /// The basket's `appended` count at snapshot time, if the snapshot
@@ -413,6 +416,10 @@ struct Inner {
     /// if the epoch still matches; otherwise the sealed file is orphaned
     /// and deleted. Tail appends do *not* bump it.
     epoch: u64,
+    /// Bumped by every consume whose removed positions are not a logical
+    /// prefix. Such a consume renumbers the survivors, so an exclusive
+    /// anchor taken before it can no longer map its positions by a shift.
+    holes: u64,
 }
 
 impl Inner {
@@ -576,6 +583,7 @@ impl Basket {
                 spill: None,
                 wal: None,
                 epoch: 0,
+                holes: 0,
             }),
             signal: Arc::new(Signal::new()),
             parent_signal: Mutex::new(None),
@@ -1404,13 +1412,14 @@ impl Basket {
     /// (the unread rows stay pending, never skipped or served corrupt).
     pub fn snapshot_exclusive(&self, budget: usize) -> (Chunk, ExclusiveAnchor) {
         let mut inner = self.inner.lock();
-        let (base, epoch) = (inner.head_oid(), inner.epoch);
+        let (base, epoch, holes) = (inner.head_oid(), inner.epoch, inner.holes);
         let (chunk, _) = self.stitch(&mut inner, budget);
         let rows = chunk.len();
         let whole_at = (rows == inner.total_len()).then_some(inner.stats.appended);
         let anchor = ExclusiveAnchor {
             base,
             epoch,
+            holes,
             rows,
             whole_at,
         };
@@ -1429,6 +1438,10 @@ impl Basket {
     /// clear, a competing consume) bump it, in which case this falls back
     /// to the shift-corrected anchored path: positions whose tuples left the
     /// head since the snapshot are skipped, never re-aimed at newer tuples.
+    /// A shift maps positions only while every row that left did so from
+    /// the head: after a competing consume that left a hole, this removes
+    /// nothing, and the snapshot's tuples are seen again rather than a
+    /// tuple it never matched deleted.
     ///
     /// A failed decode or re-seal keeps the affected segment intact
     /// (counted; the rows are re-delivered rather than lost — the same
@@ -1440,7 +1453,9 @@ impl Basket {
     ) -> Result<usize> {
         let removed = {
             let mut inner = self.inner.lock();
-            if inner.epoch != anchor.epoch {
+            if inner.holes != anchor.holes {
+                0
+            } else if inner.epoch != anchor.epoch {
                 self.consume_anchored(&mut inner, anchor.base, positions)?
             } else {
                 let limit = anchor.rows.min(inner.total_len());
@@ -1603,6 +1618,10 @@ impl Basket {
         // basket, but keep cursors sane by clamping to the new end.
         inner.base_oid += (len - keep.len()) as u64;
         inner.epoch += 1;
+        // Sorted and distinct, so a prefix iff the last is `len - 1`.
+        if gone.last() != Some(&(gone.len() - 1)) {
+            inner.holes += 1;
+        }
         let end = inner.end_oid();
         for rs in inner.readers.values_mut() {
             rs.cursor = rs.cursor.min(end);
@@ -2066,6 +2085,22 @@ mod tests {
         let snap = b.snapshot();
         assert_eq!(snap.columns[0].as_ints().unwrap(), &[1, 3]);
         assert_eq!(b.stats().consumed, 3);
+    }
+
+    #[test]
+    fn racing_exclusive_consumers_delete_only_what_they_matched() {
+        // Two unserialized exclusive consumers (a one-time basket query
+        // beside a firing) both match 20. The later one must not mistake
+        // the renumbering left by the mid-basket delete for a head shift.
+        let b = bounded(8, OverflowPolicy::Block);
+        let rows: Vec<Vec<Value>> = [10, 20, 30, 40].map(|x| vec![Value::Int(x)]).into();
+        b.append_rows(&rows).unwrap();
+        let (_, first) = b.snapshot_exclusive(usize::MAX);
+        let (_, second) = b.snapshot_exclusive(usize::MAX);
+        let twenty = Candidates::from_positions(vec![1]).unwrap();
+        assert_eq!(b.consume_exclusive(&second, &twenty).unwrap(), 1);
+        assert_eq!(b.consume_exclusive(&first, &twenty).unwrap(), 0);
+        assert_eq!(ints(&b), [10, 30, 40]);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! A factory owns the physical plan of one continuous query (or the head or
 //! tail of a split plan, §3.2), references to its input baskets (data
-//! inputs, each exclusive or shared), optional *control* baskets that
-//! regulate firing (the auxiliary token places of §2.4), and an optional
-//! output basket.
+//! inputs, each exclusive or shared, the shared ones through reader
+//! cursors it owns) and an optional output basket. Where §2.4 regulates
+//! firings with auxiliary token baskets, the scheduler's conflict keys
+//! serialize exclusive consumers here and SQL wirings order the stages, so
+//! no firing waits on a basket.
 //!
 //! One `step()` is one loop iteration of Algorithm 1:
 //!
@@ -15,11 +17,11 @@
 //! 3. append results to the output basket — *before* consuming, so a
 //!    bounded output basket that rejects the batch
 //!    ([`OverflowPolicy::Reject`](crate::basket::OverflowPolicy)) defers
-//!    the whole step without losing input tuples, and a `Block` output
-//!    stalls the factory (backpressure propagating upstream);
+//!    the whole step without losing input tuples; a full `Block` output
+//!    defers it the same way (backpressure propagating upstream);
 //! 4. apply consumption: exclusive inputs delete exactly the tuples the
 //!    basket expression referenced; shared inputs advance their reader
-//!    cursor; control tokens are consumed and emitted last.
+//!    cursor.
 //!
 //! **Concurrency.** The paper's Algorithm 1 holds the basket locks for the
 //! whole loop body. We get the same effect with finer locks because (a)
@@ -40,8 +42,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use datacell_bat::candidates::Candidates;
-use datacell_bat::types::Value;
 use datacell_engine::{execute, Catalog, Chunk};
 use datacell_sql::physical::PhysicalPlan;
 use datacell_sql::Schema;
@@ -144,8 +144,6 @@ pub struct Factory {
     plan: PhysicalPlan,
     out_schema: Schema,
     inputs: Vec<FactoryInput>,
-    control_in: Vec<Arc<Basket>>,
-    control_out: Vec<Arc<Basket>>,
     output: FactoryOutput,
     /// Fire only when every data input has at least this many pending
     /// tuples (§2.4: "the system may explicitly require a basket to have a
@@ -217,8 +215,6 @@ impl Factory {
             out_schema,
             examined: inputs.iter().map(|_| AtomicU64::new(u64::MAX)).collect(),
             inputs,
-            control_in: Vec::new(),
-            control_out: Vec::new(),
             output,
             min_tuples: 1,
             stats: FactoryStats::default(),
@@ -254,33 +250,19 @@ impl Factory {
         &self.output
     }
 
-    /// Control-input baskets (token places).
-    pub fn control_in(&self) -> &[Arc<Basket>] {
-        &self.control_in
-    }
-
-    /// Control-output baskets.
-    pub fn control_out(&self) -> &[Arc<Basket>] {
-        &self.control_out
-    }
-
     /// Basket names this factory must hold exclusively while firing: its
     /// exclusive-mode data inputs (a firing snapshots, delivers, then
     /// *deletes* from them — two concurrent exclusive consumers would
-    /// double-consume) and its control inputs (a firing eats one token).
-    /// Shared-mode inputs are absent: each reader owns a private cursor,
+    /// double-consume). Shared-mode inputs are absent: each reader owns a private cursor,
     /// so concurrent firings of *different* factories over one shared
     /// basket are safe. The scheduler acquires these keys together with
     /// the per-transition firing lock before every firing.
     pub fn conflict_basket_names(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .inputs
+        self.inputs
             .iter()
             .filter(|i| matches!(i.mode, InputMode::Exclusive))
             .map(|i| i.basket.name().to_string())
-            .collect();
-        keys.extend(self.control_in.iter().map(|c| c.name().to_string()));
-        keys
+            .collect()
     }
 
     /// Set the firing threshold.
@@ -294,6 +276,7 @@ impl Factory {
     }
 
     /// Switch input basket `name` to the shared discipline using reader `r`.
+    /// The factory then owns `r`: [`Factory::detach`] unregisters it.
     pub fn set_shared(&mut self, basket: &str, r: ReaderId) -> Result<()> {
         for input in &mut self.inputs {
             if input.basket.name() == basket {
@@ -307,26 +290,26 @@ impl Factory {
         )))
     }
 
-    /// Add a control input (the factory consumes one token per firing).
-    pub fn add_control_in(&mut self, token_basket: Arc<Basket>) {
-        self.control_in.push(token_basket);
-    }
-
-    /// Add a control output (the factory emits one token per firing).
-    pub fn add_control_out(&mut self, token_basket: Arc<Basket>) {
-        self.control_out.push(token_basket);
+    /// Unregister every shared input's reader, so the inputs stop keeping
+    /// tuples for this factory. The scheduler calls it when the factory is
+    /// removed.
+    pub fn detach(&self) {
+        for input in &self.inputs {
+            if let InputMode::Shared(r) = input.mode {
+                input.basket.unregister_reader(r);
+            }
+        }
     }
 
     /// Petri-net firing condition (§2.4): every data input holds at least
-    /// `min_tuples` pending tuples and every control input holds a token.
-    /// Without a control input, a firing must also have something new to
+    /// `min_tuples` pending tuples, and a firing has something new to
     /// see: a shared input's pending tuples are new by definition, while an
     /// exclusive input is new only if tuples were appended since a
     /// successful firing last examined all of it. Tuples left outside a
     /// predicate window therefore wait for the next append instead of
     /// keeping the query firing.
     pub fn ready(&self) -> bool {
-        let mut fresh = !self.control_in.is_empty();
+        let mut fresh = false;
         for (i, examined) in self.inputs.iter().zip(&self.examined) {
             let pending = match i.mode {
                 InputMode::Exclusive => {
@@ -343,7 +326,7 @@ impl Factory {
                 return false;
             }
         }
-        fresh && self.control_in.iter().all(|c| !c.is_empty())
+        fresh
     }
 
     /// Fire once: snapshot → execute → consume → emit (Algorithm 1 body),
@@ -444,17 +427,7 @@ impl Factory {
             }
         }
 
-        // 5. Control tokens: consume one per control input, then signal
-        // downstream stages (the basket is in its post-consumption state).
-        for c in &self.control_in {
-            let (_, anchor) = c.snapshot_exclusive(1);
-            c.consume_exclusive(&anchor, &Candidates::Dense(0..1))?;
-        }
-        for c in &self.control_out {
-            c.append_rows(&[vec![Value::Int(1)]])?;
-        }
-
-        // 6. Book-keeping ("its status is kept around", §2.3).
+        // 5. Book-keeping ("its status is kept around", §2.3).
         self.stats.invocations.fetch_add(1, Ordering::Relaxed);
         self.stats
             .tuples_in
@@ -488,7 +461,7 @@ impl Factory {
 mod tests {
     use super::*;
     use crate::basket::OverflowPolicy;
-    use datacell_bat::types::DataType;
+    use datacell_bat::types::{DataType, Value};
     use datacell_sql::Schema;
 
     fn setup() -> (StreamCatalog, Arc<Basket>, Arc<Basket>) {
@@ -632,47 +605,6 @@ mod tests {
         f.step(Some(&cat.tables), usize::MAX).unwrap();
         assert_eq!(input.len(), 2);
         assert!(!f.ready());
-    }
-
-    #[test]
-    fn control_tokens_regulate_firing() {
-        let (mut cat, input, _) = setup();
-        let token = cat
-            .create_basket("tok", Schema::new(vec![("t".into(), DataType::Int)]))
-            .unwrap();
-        let mut f = Factory::compile(
-            "q",
-            "select s.a from [select * from r] as s",
-            &cat,
-            FactoryOutput::Discard,
-        )
-        .unwrap();
-        f.add_control_in(Arc::clone(&token));
-        push(&input, &[(1, 0)]);
-        assert!(!f.ready(), "no token yet");
-        token.append_rows(&[vec![Value::Int(1)]]).unwrap();
-        assert!(f.ready());
-        f.step(Some(&cat.tables), usize::MAX).unwrap();
-        assert!(token.is_empty(), "token consumed");
-    }
-
-    #[test]
-    fn control_token_emitted() {
-        let (mut cat, input, _) = setup();
-        let token = cat
-            .create_basket("tok", Schema::new(vec![("t".into(), DataType::Int)]))
-            .unwrap();
-        let mut f = Factory::compile(
-            "q",
-            "select s.a from [select * from r] as s",
-            &cat,
-            FactoryOutput::Discard,
-        )
-        .unwrap();
-        f.add_control_out(Arc::clone(&token));
-        push(&input, &[(1, 0)]);
-        f.step(Some(&cat.tables), usize::MAX).unwrap();
-        assert_eq!(token.len(), 1);
     }
 
     #[test]

@@ -5,12 +5,17 @@
 //! [`DataCell::petri_net`](crate::DataCell::petri_net) draws this graph
 //! from the live configuration: its writers as receptors, its subscribers
 //! as emitters, and every transition the scheduler runs, each reporting
-//! its own places ([`Transition::places`]). The net checks well-formedness
-//! (every transition needs inputs and outputs; two exclusive consumers on
-//! one basket must be serialized by control tokens) and renders Graphviz
-//! for documentation and debugging.
+//! its own places ([`Transition::places`]). The net flags places no
+//! transition feeds and renders Graphviz for documentation and debugging.
+//!
+//! §2.4 also has "auxiliary input/output baskets" regulate when a
+//! transition runs. This engine has none: two exclusive consumers of one
+//! basket never fire at once because the scheduler locks the basket's
+//! name as a conflict key for each firing ([`Transition::conflict_keys`]),
+//! and which one fires first is not fixed — a §2.5 cascade splits a
+//! stream with disjoint predicate windows, which makes the order moot.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::scheduler::Transition;
 
@@ -18,12 +23,9 @@ use crate::scheduler::Transition;
 /// [`Transition::places`] reports them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Places {
-    /// Data input baskets, each with whether the transition consumes it
-    /// exclusively (a cursor read is not exclusive).
-    pub inputs: Vec<(String, bool)>,
-    /// Control-token baskets the transition waits on.
-    pub control_in: Vec<String>,
-    /// Baskets the transition appends to: results and control tokens.
+    /// Baskets the transition reads, exclusively or through a cursor.
+    pub inputs: Vec<String>,
+    /// Baskets the transition appends to.
     pub outputs: Vec<String>,
 }
 
@@ -50,10 +52,6 @@ pub struct PetriNet {
     pub inputs: Vec<(String, String)>,
     /// Edges transition → place (outputs).
     pub outputs: Vec<(String, String)>,
-    /// Exclusive consumers per place (for the wiring check).
-    exclusive_consumers: HashMap<String, Vec<String>>,
-    /// Control edges: consumer name → token basket names it waits on.
-    control_waits: HashMap<String, HashSet<String>>,
 }
 
 impl PetriNet {
@@ -90,23 +88,9 @@ impl PetriNet {
         let places = transition.places();
         self.transitions
             .push((name.clone(), TransitionKind::Factory));
-        for (b, exclusive) in places.inputs {
+        for b in places.inputs {
             self.add_place(&b);
-            self.inputs.push((b.clone(), name.clone()));
-            if exclusive {
-                self.exclusive_consumers
-                    .entry(b)
-                    .or_default()
-                    .push(name.clone());
-            }
-        }
-        for b in places.control_in {
-            self.add_place(&b);
-            self.inputs.push((b.clone(), name.clone()));
-            self.control_waits
-                .entry(name.clone())
-                .or_default()
-                .insert(b);
+            self.inputs.push((b, name.clone()));
         }
         for b in places.outputs {
             self.add_place(&b);
@@ -114,55 +98,21 @@ impl PetriNet {
         }
     }
 
-    /// Well-formedness warnings:
-    ///
-    /// * a factory place with *no* producer (dead input),
-    /// * a place with ≥2 exclusive consumers that are not serialized by
-    ///   control tokens — the §2.4 rule that "auxiliary input/output
-    ///   baskets are used to regulate when a transition runs".
-    ///
-    /// The second warning is about *determinism*, not safety. At runtime
-    /// the scheduler's firing locks treat every exclusive input (and
-    /// control input) as a conflict key, so two transitions sharing an
-    /// exclusively-consumed place never *step concurrently* — even under
-    /// a multi-worker pool, racing consumers cannot tear each other's
-    /// claims. What the locks do **not** decide is *which* consumer runs
-    /// first, so an un-serialized pair still splits the stream
-    /// nondeterministically; serialize with control tokens when the split
-    /// matters.
+    /// Well-formedness warnings: one per place that some transition reads
+    /// and none produces (dead input). Places fed only from outside —
+    /// direct appends, no open writer — are fine, so this is
+    /// informational.
     pub fn validate(&self) -> Vec<String> {
-        let mut warnings = Vec::new();
         let produced: HashSet<&String> = self.outputs.iter().map(|(_, p)| p).collect();
-        for (place, _) in self
+        let dead: HashSet<&String> = self
             .inputs
             .iter()
-            .filter(|(p, _)| !produced.contains(p))
-            .map(|(p, t)| (p, t))
-            .collect::<HashSet<_>>()
-        {
-            // Places fed only from outside (direct appends, no open
-            // writer) are fine; flag them as informational.
-            warnings.push(format!(
-                "place {place} has no producing transition (fed externally?)"
-            ));
-        }
-        for (place, consumers) in &self.exclusive_consumers {
-            if consumers.len() > 1 {
-                // Serialized iff every consumer waits on at least one
-                // control token (cascade chains).
-                let all_gated = consumers
-                    .iter()
-                    .all(|c| self.control_waits.get(c).is_some_and(|s| !s.is_empty()));
-                if !all_gated {
-                    warnings.push(format!(
-                        "place {place} has {} un-serialized exclusive consumers: {:?}",
-                        consumers.len(),
-                        consumers
-                    ));
-                }
-            }
-        }
-        warnings
+            .map(|(p, _)| p)
+            .filter(|p| !produced.contains(p))
+            .collect();
+        dead.into_iter()
+            .map(|place| format!("place {place} has no producing transition (fed externally?)"))
+            .collect()
     }
 
     /// Graphviz rendering: places as circles, transitions as boxes.
@@ -237,49 +187,6 @@ mod tests {
         assert!(dot.contains("\"b1\" -> \"q\""));
         assert!(dot.contains("\"q\" -> \"b2\""));
         assert!(dot.contains("\"b2\" -> \"E\""));
-    }
-
-    #[test]
-    fn unserialized_exclusive_consumers_flagged() {
-        let cat = catalog();
-        let q1 = Arc::new(factory(&cat, "q1"));
-        let q2 = Arc::new(factory(&cat, "q2"));
-        let mut net = PetriNet::new();
-        net.add_receptor("R", "b1");
-        net.add_transition(&*q1);
-        net.add_transition(&*q2);
-        let warnings = net.validate();
-        assert!(
-            warnings.iter().any(|w| w.contains("exclusive consumers")),
-            "{warnings:?}"
-        );
-    }
-
-    #[test]
-    fn token_serialized_cascade_passes_validation() {
-        let mut cat = catalog();
-        let tok = cat
-            .create_basket("tok", Schema::new(vec![("t".into(), DataType::Int)]))
-            .unwrap();
-        let mut f1 = factory(&cat, "q1");
-        f1.add_control_out(Arc::clone(&tok));
-        f1.add_control_in(
-            cat.create_basket("tok0", Schema::new(vec![("t".into(), DataType::Int)]))
-                .unwrap(),
-        );
-        let mut f2 = factory(&cat, "q2");
-        f2.add_control_in(tok);
-        let q1 = Arc::new(f1);
-        let q2 = Arc::new(f2);
-        let mut net = PetriNet::new();
-        net.add_receptor("R", "b1");
-        net.add_transition(&*q1);
-        net.add_transition(&*q2);
-        let warnings = net.validate();
-        assert!(
-            !warnings.iter().any(|w| w.contains("exclusive consumers")),
-            "{warnings:?}"
-        );
     }
 
     #[test]

@@ -15,15 +15,14 @@
 //! Lookup is fingerprint-prefiltered and equality-confirmed: a candidate
 //! matches only when [`LogicalPlan::fingerprint`] *and* `==` agree on the
 //! optimized prefix and the source basket name matches. Detach is
-//! reference-counted on `DROP CONTINUOUS QUERY`: dropping a subscriber
-//! unregisters its reader; dropping the last one retires the head factory
-//! and the intermediate basket.
+//! reference-counted on `DROP CONTINUOUS QUERY`: dropping the last
+//! subscriber retires the head factory and the intermediate basket. Each
+//! factory owns its reader, so removing it from the scheduler releases
+//! the reader; the registry keeps names only.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use datacell_sql::logical::LogicalPlan;
-
-use crate::basket::ReaderId;
 
 /// One shared subplan: a head factory materializing a common prefix into
 /// an intermediate basket, plus the queries subscribed to it.
@@ -40,11 +39,8 @@ pub(crate) struct SharedNode {
     pub head_name: String,
     /// Name of the shared intermediate basket the head fills.
     pub mid_name: String,
-    /// The head's shared reader cursor on the source basket.
-    pub source_reader: ReaderId,
-    /// Subscribed query name → that query's tail reader on the
-    /// intermediate basket.
-    pub subscribers: HashMap<String, ReaderId>,
+    /// Names of the queries whose tails read the intermediate basket.
+    pub subscribers: HashSet<String>,
 }
 
 /// Session-wide plan-sharing registry.
@@ -71,29 +67,28 @@ impl PlanShare {
     }
 
     /// Remove `query` from whichever node it subscribes to. Returns the
-    /// tail's reader on the intermediate plus, when this was the last
-    /// subscriber, the whole retired node for teardown.
-    pub fn detach(&mut self, query: &str) -> Option<(ReaderId, String, Option<SharedNode>)> {
+    /// intermediate's name plus, when this was the last subscriber, the
+    /// whole retired node for teardown.
+    pub fn detach(&mut self, query: &str) -> Option<(String, Option<SharedNode>)> {
         let idx = self
             .nodes
             .iter()
-            .position(|n| n.subscribers.contains_key(query))?;
+            .position(|n| n.subscribers.contains(query))?;
         let node = &mut self.nodes[idx];
-        let reader = node.subscribers.remove(query)?;
+        node.subscribers.remove(query);
         let mid = node.mid_name.clone();
         let retired = if node.subscribers.is_empty() {
             Some(self.nodes.swap_remove(idx))
         } else {
             None
         };
-        Some((reader, mid, retired))
+        Some((mid, retired))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basket::Basket;
     use datacell_sql::Schema;
 
     fn scan(table: &str) -> LogicalPlan {
@@ -107,15 +102,6 @@ mod tests {
         }
     }
 
-    fn reader() -> ReaderId {
-        let b = Basket::new(
-            "tmp",
-            Schema::new(vec![("a".into(), datacell_bat::types::DataType::Int)]),
-        )
-        .unwrap();
-        b.register_reader(true)
-    }
-
     fn node(source: &str, query: &str) -> SharedNode {
         let prefix = scan(source);
         SharedNode {
@@ -124,8 +110,7 @@ mod tests {
             source: source.into(),
             head_name: format!("mqo1_head_{source}"),
             mid_name: format!("mqo1_mid_{source}"),
-            source_reader: reader(),
-            subscribers: HashMap::from([(query.to_string(), reader())]),
+            subscribers: HashSet::from([query.to_string()]),
         }
     }
 
@@ -144,12 +129,12 @@ mod tests {
     fn detach_refcounts_to_retirement() {
         let mut ps = PlanShare::default();
         let mut n = node("s", "q1");
-        n.subscribers.insert("q2".into(), reader());
+        n.subscribers.insert("q2".into());
         ps.nodes.push(n);
-        let (_, mid, retired) = ps.detach("q1").unwrap();
+        let (mid, retired) = ps.detach("q1").unwrap();
         assert_eq!(mid, "mqo1_mid_s");
         assert!(retired.is_none(), "q2 still subscribed");
-        let (_, _, retired) = ps.detach("q2").unwrap();
+        let (_, retired) = ps.detach("q2").unwrap();
         assert!(retired.is_some(), "last drop retires the node");
         assert!(ps.nodes.is_empty());
         assert!(ps.detach("q3").is_none());

@@ -9,8 +9,8 @@
 //! flush appends, a subscription's poll claims — so the scheduler drives
 //! only the *factories* (and windowed queries): each pass it
 //! re-evaluates every factory's firing condition — all data inputs hold at
-//! least `min_tuples` tuples, all control inputs hold a token — and fires
-//! the ready ones. When nothing is ready it blocks on an aggregated basket
+//! least `min_tuples` tuples, and one of them holds something new — and
+//! fires the ready ones. When nothing is ready it blocks on an aggregated basket
 //! signal instead of spinning.
 //!
 //! # Priority and fairness
@@ -99,11 +99,11 @@ use parking_lot::{Mutex, RwLock};
 use datacell_engine::Catalog;
 use datacell_exec::{PoolSnapshot, WorkerPool};
 
-use crate::basket::{Basket, Signal};
+use crate::basket::Signal;
 use crate::catalog::StreamCatalog;
 use crate::error::{DataCellError, Result};
 use crate::events::{EventKind, EventRing};
-use crate::factory::{Factory, FactoryInput, FactoryOutput, InputMode, StepOutcome};
+use crate::factory::{Factory, FactoryOutput, StepOutcome};
 use crate::metrics::{HistogramSnapshot, LatencyHistogram};
 use crate::petri::Places;
 
@@ -139,6 +139,11 @@ pub trait Transition: Send + Sync {
     fn places(&self) -> Places {
         Places::default()
     }
+    /// Release what the transition registered on its baskets (reader
+    /// cursors), so they stop keeping tuples for it.
+    /// [`Scheduler::remove_factory`] calls it once, after the transition's
+    /// last firing. Default: nothing to release.
+    fn detach(&self) {}
 }
 
 impl Transition for Factory {
@@ -158,9 +163,6 @@ impl Transition for Factory {
         for input in self.inputs() {
             input.basket.set_parent_signal(Arc::clone(&signal));
         }
-        for c in self.control_in() {
-            c.set_parent_signal(Arc::clone(&signal));
-        }
     }
 
     fn conflict_keys(&self) -> Vec<String> {
@@ -168,21 +170,21 @@ impl Transition for Factory {
     }
 
     fn places(&self) -> Places {
-        let name = |b: &Arc<Basket>| b.name().to_string();
-        let exclusive = |i: &FactoryInput| matches!(i.mode, InputMode::Exclusive);
-        let mut outputs: Vec<String> = self.control_out().iter().map(name).collect();
-        if let FactoryOutput::Basket(b) = self.output() {
-            outputs.push(name(b));
-        }
         Places {
             inputs: self
                 .inputs()
                 .iter()
-                .map(|i| (name(&i.basket), exclusive(i)))
+                .map(|i| i.basket.name().to_string())
                 .collect(),
-            control_in: self.control_in().iter().map(name).collect(),
-            outputs,
+            outputs: match self.output() {
+                FactoryOutput::Basket(b) => vec![b.name().to_string()],
+                FactoryOutput::Discard => Vec::new(),
+            },
         }
+    }
+
+    fn detach(&self) {
+        Factory::detach(self)
     }
 }
 
@@ -325,8 +327,8 @@ impl Entry {
     }
 
     /// Fold one successful firing (`busy_micros` over `tuples` input
-    /// tuples) into the cost EWMA. Firings that saw no data (control-token
-    /// firings) carry no per-tuple signal and are skipped.
+    /// tuples) into the cost EWMA. Firings that saw no data carry no
+    /// per-tuple signal and are skipped.
     fn record_cost(&self, busy_micros: u64, tuples: usize) {
         if tuples == 0 {
             return;
@@ -688,10 +690,10 @@ impl Scheduler {
     }
 
     /// Deregister a factory by name. Returns once no firing of it is in
-    /// flight, so it consumes nothing appended after the call. The wait
-    /// has no time limit: a firing stalled on a full `Block` control-token
-    /// basket (the one waiting append a firing makes) keeps removal
-    /// waiting until that basket's consumer frees room.
+    /// flight, so it consumes nothing appended after the call, and after
+    /// [`Transition::detach`] released its readers. A factory's firing
+    /// waits on no basket, so neither does removal; a custom transition
+    /// whose `step` blocks holds removal for as long.
     pub fn remove_factory(&self, name: &str) -> Result<()> {
         let removed: Vec<Arc<Entry>> = {
             let mut entries = self.shared.entries.lock();
@@ -713,6 +715,7 @@ impl Scheduler {
             while entry.firing.load(Ordering::Relaxed) {
                 seen = signal.wait_past(seen, Duration::from_millis(1));
             }
+            entry.factory.detach();
         }
         Ok(())
     }

@@ -46,7 +46,7 @@ use datacell_sql::{parser, Schema, SqlError};
 use datacell_storage::{wal, BasketManifest, SegmentStore, WalRecord};
 use parking_lot::{Mutex, RwLock};
 
-use crate::basket::{Basket, Durability, ExclusiveAnchor, ReaderId, ReaderLease, TS_COLUMN};
+use crate::basket::{Basket, Durability, ExclusiveAnchor, ReaderLease, TS_COLUMN};
 use crate::catalog::{consumed_positions, StreamCatalog};
 use crate::client::{
     DataCellBuilder, DeliveryMeter, FromRow, OverflowPolicy, QueryHandle, StreamWriter, Subscriber,
@@ -964,25 +964,21 @@ impl DataCell {
         self.scheduler.set_weight(name, weight)
     }
 
-    /// Drop a continuous query: detach its factory from the scheduler,
-    /// remove the output basket from the catalog, and close it so every
+    /// Drop a continuous query: remove its transition from the scheduler,
+    /// which releases every reader the transition registered, remove the
+    /// output basket from the catalog, and close it so every
     /// [`Subscription`] ends — a network subscriber's connection closes
     /// once its thread sees the closed basket. Joins no thread. Equivalent
-    /// to the SQL `DROP CONTINUOUS QUERY name`; also detaches transitions
+    /// to the SQL `DROP CONTINUOUS QUERY name`; also reaches transitions
     /// registered via `add_factory` or `add_transition` (which have no
-    /// output basket of their own). Waits out a firing of the query in flight
-    /// (see [`Scheduler::remove_factory`]).
+    /// output basket of their own). Waits out a firing of the query in
+    /// flight, which waits on no full basket (see
+    /// [`Scheduler::remove_factory`]).
     pub fn drop_query(&self, name: &str) -> Result<()> {
         self.addressable(name)?;
         self.scheduler.remove_factory(name)?;
         let record = self.queries.lock().remove(name).unwrap_or_default();
-        // A windowed join additionally holds a reader cursor per input
-        // basket; detach them so the inputs stop retaining tuples.
-        if let Some(wj) = &record.window_join {
-            wj.detach();
-        }
-        // Plan sharing: detach this query's reader from its shared
-        // intermediate; the last subscriber retires the shared head.
+        // Plan sharing: the last subscriber retires the shared head.
         self.release_shared(name);
         if let Some(out) = record.output {
             out.close();
@@ -1152,32 +1148,30 @@ impl DataCell {
                 };
                 let head_name = format!("mqo{seq}_head");
                 let mid_name = format!("mqo{seq}_mid");
-                let (mid, source_reader) =
-                    match self.build_shared_head(&head_name, &mid_name, &prefix, &source) {
-                        Ok(built) => built,
-                        Err(e) => {
-                            self.queries.lock().remove(&head_name);
-                            return Err(e);
-                        }
-                    };
+                let mid = match self.build_shared_head(&head_name, &mid_name, &prefix, &source) {
+                    Ok(mid) => mid,
+                    Err(e) => {
+                        self.queries.lock().remove(&head_name);
+                        return Err(e);
+                    }
+                };
                 ps.nodes.push(SharedNode {
                     fingerprint,
                     prefix: prefix.clone(),
                     source: source.clone(),
                     head_name,
                     mid_name: mid_name.clone(),
-                    source_reader,
-                    subscribers: HashMap::new(),
+                    subscribers: HashSet::new(),
                 });
                 (mid, mid_name, true)
             }
         };
         match self.build_shared_tail(name, logical, &source, &mid, &mid_name) {
-            Ok((output, out_name, mid_reader)) => {
+            Ok((output, out_name)) => {
                 let node = ps
                     .find_mut(fingerprint, &prefix, &source)
                     .expect("shared node just ensured");
-                node.subscribers.insert(name.to_string(), mid_reader);
+                node.subscribers.insert(name.to_string());
                 let head_name = node.head_name.clone();
                 let weight = node.subscribers.len().max(1) as u32;
                 drop(ps);
@@ -1216,15 +1210,14 @@ impl DataCell {
     }
 
     /// Open a new shared node's intermediate basket and schedule its head
-    /// factory. Returns the intermediate and the head's cursor on
-    /// `source`.
+    /// factory. Returns the intermediate.
     fn build_shared_head(
         &self,
         head_name: &str,
         mid_name: &str,
         prefix: &LogicalPlan,
         source: &str,
-    ) -> Result<(Arc<Basket>, ReaderId)> {
+    ) -> Result<Arc<Basket>> {
         let source_basket = self.catalog.read().basket(source)?;
         let user_schema = Schema {
             columns: source_basket.schema().columns[..source_basket.user_width()].to_vec(),
@@ -1235,9 +1228,8 @@ impl DataCell {
         // recovered one (same name, same schema) is adopted so startup
         // scripts replay after a crash.
         let (mid, _) = self.open_basket(mid_name, user_schema, &BasketOptions::default())?;
-        let source_reader =
-            self.schedule_cursor_factory(head_name, head_plan, head_schema, &source_basket, &mid)?;
-        Ok((mid, source_reader))
+        self.schedule_cursor_factory(head_name, head_plan, head_schema, &source_basket, &mid)?;
+        Ok(mid)
     }
 
     /// Compile and register a shared query's tail: the original plan with
@@ -1250,22 +1242,22 @@ impl DataCell {
         source: &str,
         mid: &Arc<Basket>,
         mid_name: &str,
-    ) -> Result<(Arc<Basket>, String, ReaderId)> {
+    ) -> Result<(Arc<Basket>, String)> {
         let tail_logical = datacell_sql::optimizer::retarget(logical, source, mid_name);
         let (tail_plan, out_schema) =
             datacell_sql::physical::plan(datacell_sql::optimizer::optimize(tail_logical))?;
         let out_name = format!("{name}_out");
         let output = self.create_query_output(&out_name, &out_schema)?;
-        let mid_reader = self.schedule_cursor_factory(name, tail_plan, out_schema, mid, &output)?;
-        Ok((output, out_name, mid_reader))
+        self.schedule_cursor_factory(name, tail_plan, out_schema, mid, &output)?;
+        Ok((output, out_name))
     }
 
     /// Schedule a plan-sharing factory (a head or a tail) appending to
     /// the `output` basket just opened for it. It never consumes `input`
     /// exclusively: it reads through a shared cursor of its own, so
     /// co-resident readers keep their own pace and `input` trims at the
-    /// slowest watermark. Returns that cursor. On failure `output` is
-    /// dropped again.
+    /// slowest watermark. The factory owns that cursor, so its removal
+    /// releases it. On failure `output` is dropped again.
     fn schedule_cursor_factory(
         &self,
         name: &str,
@@ -1273,7 +1265,7 @@ impl DataCell {
         schema: Schema,
         input: &Arc<Basket>,
         output: &Arc<Basket>,
-    ) -> Result<ReaderId> {
+    ) -> Result<()> {
         let built = (|| {
             let sink = FactoryOutput::Basket(Arc::clone(output));
             let mut factory = Factory::from_plan(name, plan, schema, &self.catalog.read(), sink)?;
@@ -1282,13 +1274,13 @@ impl DataCell {
                 input.unregister_reader(reader);
                 return Err(e);
             }
-            Ok((factory, reader))
+            Ok(factory)
         })();
         match built {
-            Ok((factory, reader)) => {
+            Ok(factory) => {
                 self.scheduler
                     .add_factory_with_policy(factory, self.config.default_policy);
-                Ok(reader)
+                Ok(())
             }
             Err(e) => {
                 let _ = self.drop_basket(output.name());
@@ -1297,28 +1289,23 @@ impl DataCell {
         }
     }
 
-    /// Tear down a retired shared node: head factory and its registry
-    /// name, source reader, and the intermediate basket with its storage.
+    /// Tear down a retired shared node: head factory (and with it its
+    /// source reader), its registry name, and the intermediate basket with
+    /// its storage.
     fn retire_shared_node(&self, node: &SharedNode) {
         let _ = self.scheduler.remove_factory(&node.head_name);
         self.queries.lock().remove(&node.head_name);
-        if let Ok(src) = self.catalog.read().basket(&node.source) {
-            src.unregister_reader(node.source_reader);
-        }
         let _ = self.drop_basket(&node.mid_name);
     }
 
-    /// Reference-counted detach on `DROP CONTINUOUS QUERY`: remove the
-    /// query's reader from its shared intermediate (releasing its hold on
-    /// the trim watermark); the last subscriber retires the whole node.
+    /// Reference-counted detach on `DROP CONTINUOUS QUERY`, after the
+    /// query's tail factory (and with it its reader on the shared
+    /// intermediate) is gone: the last subscriber retires the whole node.
     fn release_shared(&self, name: &str) {
         let mut ps = self.plan_share.lock();
-        let Some((reader, mid_name, retired)) = ps.detach(name) else {
+        let Some((mid_name, retired)) = ps.detach(name) else {
             return;
         };
-        if let Ok(mid) = self.catalog.read().basket(&mid_name) {
-            mid.unregister_reader(reader);
-        }
         self.events.record(
             EventKind::PlanShareDetach,
             format!(

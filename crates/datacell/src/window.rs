@@ -246,10 +246,21 @@ impl Transition for BasicWindowAgg {
 
     fn places(&self) -> Places {
         Places {
-            inputs: vec![(self.input.name().to_string(), false)],
-            control_in: Vec::new(),
+            inputs: vec![self.input.name().to_string()],
             outputs: vec![self.output.name().to_string()],
         }
+    }
+
+    fn detach(&self) {
+        self.input.unregister_reader(self.reader);
+    }
+}
+
+/// A window refused by `add_transition`, or dropped without a scheduler,
+/// still registered its reader in `new`.
+impl Drop for BasicWindowAgg {
+    fn drop(&mut self) {
+        self.detach();
     }
 }
 

@@ -119,7 +119,6 @@ pub struct WindowJoin {
     state: Mutex<JoinState>,
     readiness: Readiness,
     windows_evaluated: AtomicU64,
-    detached: AtomicBool,
 }
 
 impl WindowJoin {
@@ -200,7 +199,6 @@ impl WindowJoin {
             }),
             readiness,
             windows_evaluated: AtomicU64::new(0),
-            detached: AtomicBool::new(false),
         })
     }
 
@@ -233,18 +231,6 @@ impl WindowJoin {
             .iter()
             .map(|s| s.basket.name().to_string())
             .collect()
-    }
-
-    /// Unregister the reader cursors so the input baskets stop retaining
-    /// tuples for this join. Idempotent; called on drop and on
-    /// `DROP CONTINUOUS QUERY`.
-    pub fn detach(&self) {
-        if self.detached.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        for side in &self.sides {
-            side.basket.unregister_reader(side.reader);
-        }
     }
 
     /// Declare the inputs quiescent and close every remaining window at
@@ -674,12 +660,19 @@ impl Transition for WindowJoin {
     /// consumed exclusively, even though a firing locks them all.
     fn places(&self) -> Places {
         Places {
-            inputs: self.input_names().into_iter().map(|b| (b, false)).collect(),
-            control_in: Vec::new(),
+            inputs: self.input_names(),
             outputs: match &self.output {
                 FactoryOutput::Basket(b) => vec![b.name().to_string()],
                 FactoryOutput::Discard => Vec::new(),
             },
+        }
+    }
+
+    /// Unregister the reader cursors so the input baskets stop retaining
+    /// tuples for this join. Idempotent; called on removal and on drop.
+    fn detach(&self) {
+        for side in &self.sides {
+            side.basket.unregister_reader(side.reader);
         }
     }
 }

@@ -384,8 +384,7 @@ impl Transition for LrCore {
 
     fn places(&self) -> Places {
         Places {
-            inputs: vec![(self.input.name().to_string(), false)],
-            control_in: Vec::new(),
+            inputs: vec![self.input.name().to_string()],
             outputs: [
                 &self.toll_out,
                 &self.acc_out,
@@ -395,6 +394,16 @@ impl Transition for LrCore {
             .map(|b| b.name().to_string())
             .to_vec(),
         }
+    }
+
+    fn detach(&self) {
+        self.input.unregister_reader(self.reader);
+    }
+}
+
+impl Drop for LrCore {
+    fn drop(&mut self) {
+        self.detach();
     }
 }
 

@@ -28,13 +28,13 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use datacell::error::{DataCellError, Result};
 use datacell::metrics::MetricsSnapshot;
 use datacell::{CellResult, DataCell, HistogramSnapshot, Value};
-use parking_lot::Mutex;
+
+use crate::server::AcceptLoop;
 
 /// How long a request read may stall before the connection is dropped —
 /// scrapers are fast; anything slower is a stuck peer holding a thread.
@@ -49,7 +49,6 @@ const EVENTS_DEFAULT: usize = 256;
 struct HttpState {
     cell: Arc<DataCell>,
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     scrapes: AtomicU64,
 }
 
@@ -57,7 +56,7 @@ struct HttpState {
 /// [`HttpServer::stop`] or drop.
 pub struct HttpServer {
     state: Arc<HttpState>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
+    acceptor: AcceptLoop,
 }
 
 impl HttpServer {
@@ -76,27 +75,28 @@ impl HttpServer {
     pub fn bind(cell: Arc<DataCell>, addr: &str) -> Result<HttpServer> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| DataCellError::Runtime(format!("http: bind {addr}: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| DataCellError::Runtime(format!("http: set_nonblocking: {e}")))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| DataCellError::Runtime(format!("http: local_addr: {e}")))?;
         let state = Arc::new(HttpState {
             cell,
             local_addr,
-            stop: Arc::new(AtomicBool::new(false)),
             scrapes: AtomicU64::new(0),
         });
         let accept_state = Arc::clone(&state);
-        let handle = std::thread::Builder::new()
-            .name(format!("datacell-http-{local_addr}"))
-            .spawn(move || accept_loop(accept_state, listener))
-            .map_err(|e| DataCellError::Runtime(format!("http: spawn accept loop: {e}")))?;
-        Ok(HttpServer {
-            state,
-            accept_handle: Mutex::new(Some(handle)),
-        })
+        let acceptor = AcceptLoop::spawn(
+            format!("datacell-http-{local_addr}"),
+            listener,
+            Arc::new(AtomicBool::new(false)),
+            move |stream, _peer| {
+                let conn_state = Arc::clone(&accept_state);
+                let _ = std::thread::Builder::new()
+                    .name("datacell-http-conn".into())
+                    .spawn(move || handle_request(&conn_state, stream));
+            },
+        )
+        .map_err(|e| DataCellError::Runtime(format!("http: spawn accept loop: {e}")))?;
+        Ok(HttpServer { state, acceptor })
     }
 
     /// The bound address (resolves port `0` to the ephemeral port).
@@ -112,43 +112,18 @@ impl HttpServer {
     /// Stop accepting and join the accept loop. In-flight responses
     /// finish on their own threads (each closes its socket when done).
     pub fn stop(self) {
-        self.stop_impl();
-    }
-
-    fn stop_impl(&self) {
-        self.state.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept_handle.lock().take() {
-            let _ = h.join();
-        }
+        self.acceptor.stop();
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.stop_impl();
-    }
-}
-
-fn accept_loop(state: Arc<HttpState>, listener: TcpListener) {
-    while !state.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_state = Arc::clone(&state);
-                let _ = std::thread::Builder::new()
-                    .name("datacell-http-conn".into())
-                    .spawn(move || handle_request(&conn_state, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
+        self.acceptor.stop();
     }
 }
 
 /// Read one request head, route it, write one response, close.
 fn handle_request(state: &Arc<HttpState>, stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {

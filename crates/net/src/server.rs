@@ -191,7 +191,7 @@ impl NetMetricsSource for ServerState {
 /// and every connection thread — on [`NetServer::stop`] or drop.
 pub struct NetServer {
     state: Arc<ServerState>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
+    acceptor: AcceptLoop,
 }
 
 impl NetServer {
@@ -229,14 +229,14 @@ impl NetServer {
             .cell
             .register_net_metrics(weak as std::sync::Weak<dyn NetMetricsSource>);
         let accept_state = Arc::clone(&state);
-        let handle = std::thread::Builder::new()
-            .name(format!("datacell-net-{local_addr}"))
-            .spawn(move || accept_loop(accept_state, listener))
-            .map_err(|e| DataCellError::Runtime(format!("net: spawn accept loop: {e}")))?;
-        Ok(NetServer {
-            state,
-            accept_handle: Mutex::new(Some(handle)),
-        })
+        let acceptor = AcceptLoop::spawn(
+            format!("datacell-net-{local_addr}"),
+            listener,
+            Arc::clone(&state.stop),
+            move |stream, peer| spawn_conn(&accept_state, stream, peer),
+        )
+        .map_err(|e| DataCellError::Runtime(format!("net: spawn accept loop: {e}")))?;
+        Ok(NetServer { state, acceptor })
     }
 
     /// The bound address (resolves port `0` to the ephemeral port).
@@ -261,16 +261,8 @@ impl NetServer {
     }
 
     fn stop_impl(&self) {
-        self.state.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_handle.lock().take() {
-            // The accept loop blocks in `accept`: wake it with a connection
-            // of our own. Should even that fail, leave the thread detached
-            // rather than hang in `join` — it exits on the next connection.
-            let wake = wake_addr(self.state.local_addr);
-            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
-                let _ = h.join();
-            }
-        }
+        // Sets the stop flag the connection threads read too.
+        self.acceptor.stop();
         let conns: Vec<Conn> = self.state.conns.lock().drain(..).collect();
         for c in &conns {
             // Unblocks reads parked in a poll slice and writes parked on a
@@ -300,7 +292,60 @@ impl Drop for NetServer {
     }
 }
 
-/// The address [`NetServer::stop`] connects to: the bound one, with a
+/// The one accept loop both front doors run: a thread blocked in
+/// `accept`, so a connection is taken up the moment it arrives and an
+/// idle listener never wakes. Stopping sets a flag and wakes the loop
+/// with a connection of its own.
+pub(crate) struct AcceptLoop {
+    stop: Arc<AtomicBool>,
+    local_addr: SocketAddr,
+    handle: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl AcceptLoop {
+    /// Start thread `name`, handing each connection `listener` accepts to
+    /// `serve` until `stop` is set.
+    pub(crate) fn spawn(
+        name: String,
+        listener: TcpListener,
+        stop: Arc<AtomicBool>,
+        mut serve: impl FnMut(TcpStream, SocketAddr) + Send + 'static,
+    ) -> std::io::Result<AcceptLoop> {
+        let local_addr = listener.local_addr()?;
+        let stopped = Arc::clone(&stop);
+        let handle = std::thread::Builder::new().name(name).spawn(move || loop {
+            let accepted = listener.accept();
+            if stopped.load(Ordering::Acquire) {
+                return;
+            }
+            match accepted {
+                Ok((stream, peer)) => serve(stream, peer),
+                // E.g. out of file descriptors: back off instead of spinning.
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        })?;
+        Ok(AcceptLoop {
+            stop,
+            local_addr,
+            handle: Mutex::new(Some(handle)),
+        })
+    }
+
+    /// Set the stop flag, wake the loop and join it. Should even the wake
+    /// connection fail, the thread is left detached rather than hanging
+    /// `join`: it exits on the next connection. Idempotent.
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(h) = self.handle.lock().take() {
+            let wake = wake_addr(self.local_addr);
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = h.join();
+            }
+        }
+    }
+}
+
+/// The address the wake connection goes to: the bound one, with a
 /// wildcard IP replaced by loopback.
 fn wake_addr(local: SocketAddr) -> SocketAddr {
     let ip = match local.ip() {
@@ -309,23 +354,6 @@ fn wake_addr(local: SocketAddr) -> SocketAddr {
         ip => ip,
     };
     SocketAddr::new(ip, local.port())
-}
-
-/// Accept until stopped; each connection gets its own thread. `accept`
-/// blocks, so a connection is taken up the moment it arrives;
-/// [`NetServer::stop`] wakes the loop with a connection of its own.
-fn accept_loop(state: Arc<ServerState>, listener: TcpListener) {
-    loop {
-        let accepted = listener.accept();
-        if state.stop.load(Ordering::Acquire) {
-            return;
-        }
-        match accepted {
-            Ok((stream, peer)) => spawn_conn(&state, stream, peer),
-            // E.g. out of file descriptors: back off instead of spinning.
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
 }
 
 fn spawn_conn(state: &Arc<ServerState>, stream: TcpStream, peer: SocketAddr) {

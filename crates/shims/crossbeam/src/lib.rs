@@ -4,10 +4,10 @@
 //!
 //! The build environment has no network access to crates.io, so the
 //! workspace vendors the surface it actually uses: cloneable
-//! [`channel::Sender`]/[`channel::Receiver`], `unbounded()`/`bounded()`,
-//! the `send`/`try_send`/`recv`/`try_recv`/`recv_timeout` methods with
-//! the real crate's error types, and the [`deque::Injector`]/[`deque::Steal`]
-//! pair the work-stealing execution pool (`datacell-exec`) is built on.
+//! [`channel::Sender`]/[`channel::Receiver`] from `unbounded()`, the
+//! `send`/`recv`/`try_recv`/`recv_timeout` methods with the real crate's
+//! error types, and the [`deque::Injector`]/[`deque::Steal`] pair the
+//! work-stealing execution pool (`datacell-exec`) is built on.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -23,44 +23,6 @@ pub mod channel {
     impl<T> fmt::Display for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// A bounded channel is at capacity right now.
-        Full(T),
-        /// Every receiver has been dropped.
-        Disconnected(T),
-    }
-
-    impl<T> fmt::Display for TrySendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TrySendError::Full(_) => f.write_str("sending on a full channel"),
-                TrySendError::Disconnected(_) => f.write_str("sending on a disconnected channel"),
-            }
-        }
-    }
-
-    /// Error returned by [`Sender::send_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum SendTimeoutError<T> {
-        /// The timeout elapsed with the channel still full.
-        Timeout(T),
-        /// Every receiver has been dropped.
-        Disconnected(T),
-    }
-
-    impl<T> fmt::Display for SendTimeoutError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                SendTimeoutError::Timeout(_) => f.write_str("send timed out on a full channel"),
-                SendTimeoutError::Disconnected(_) => {
-                    f.write_str("sending on a disconnected channel")
-                }
-            }
         }
     }
 
@@ -97,8 +59,6 @@ pub mod channel {
         cv: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
-        /// Message capacity; `None` = unbounded.
-        capacity: Option<usize>,
     }
 
     /// The sending half of a channel; cloneable (multi-producer).
@@ -113,23 +73,11 @@ pub mod channel {
 
     /// Create an unbounded MPMC channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        channel(None)
-    }
-
-    /// Create a bounded MPMC channel holding at most `cap` messages
-    /// (clamped to ≥ 1): [`Sender::send`] blocks while full,
-    /// [`Sender::try_send`] returns [`TrySendError::Full`].
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        channel(Some(cap.max(1)))
-    }
-
-    fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
-            capacity,
         });
         (
             Sender {
@@ -140,75 +88,18 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// The one enqueue path: wait for room until `deadline` (`None` =
-        /// wait forever), parking on the channel's condvar in bounded
-        /// steps so a receiver dropped without a wakeup is still noticed.
+        /// Enqueue a message; fails iff every receiver has been dropped.
         /// Receiver liveness is checked under the queue lock, so a message
         /// is never enqueued into a channel whose last receiver is gone.
-        fn send_deadline(
-            &self,
-            value: T,
-            deadline: Option<Instant>,
-        ) -> Result<(), SendTimeoutError<T>> {
+        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut q = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if self.shared.receivers.load(Ordering::Acquire) == 0 {
-                    return Err(SendTimeoutError::Disconnected(value));
-                }
-                match self.shared.capacity {
-                    Some(cap) if q.len() >= cap => {
-                        let now = Instant::now();
-                        if deadline.is_some_and(|d| now >= d) {
-                            return Err(SendTimeoutError::Timeout(value));
-                        }
-                        let step = Duration::from_millis(1);
-                        let wait = deadline.map_or(step, |d| (d - now).min(step));
-                        let (guard, _) = self
-                            .shared
-                            .cv
-                            .wait_timeout(q, wait)
-                            .unwrap_or_else(|p| p.into_inner());
-                        q = guard;
-                    }
-                    _ => break,
-                }
+            if self.shared.receivers.load(Ordering::Acquire) == 0 {
+                return Err(SendError(value));
             }
             q.push_back(value);
             drop(q);
-            // The one condvar is shared by blocked receivers *and* (on a
-            // bounded channel) blocked senders: notify_one could hand the
-            // wakeup to a parked sender and strand a receiver forever.
-            if self.shared.capacity.is_some() {
-                self.shared.cv.notify_all();
-            } else {
-                self.shared.cv.notify_one();
-            }
+            self.shared.cv.notify_one();
             Ok(())
-        }
-
-        /// Enqueue a message, waiting for room on a full bounded channel;
-        /// fails iff every receiver has been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.send_deadline(value, None).map_err(|e| match e {
-                SendTimeoutError::Disconnected(v) | SendTimeoutError::Timeout(v) => SendError(v),
-            })
-        }
-
-        /// Enqueue with a deadline: parks on the channel's condvar while
-        /// full (woken by receiver pops) and gives the message back on
-        /// timeout or disconnect.
-        pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-            self.send_deadline(value, Some(Instant::now() + timeout))
-        }
-
-        /// Non-blocking enqueue: a full bounded channel returns
-        /// [`TrySendError::Full`] instead of waiting.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            self.send_deadline(value, Some(Instant::now()))
-                .map_err(|e| match e {
-                    SendTimeoutError::Timeout(v) => TrySendError::Full(v),
-                    SendTimeoutError::Disconnected(v) => TrySendError::Disconnected(v),
-                })
         }
 
         /// Messages currently queued.
@@ -249,19 +140,10 @@ pub mod channel {
             self.shared.senders.load(Ordering::Acquire) == 0
         }
 
-        /// Wake senders blocked on a full bounded channel after a pop.
-        fn notify_room(&self) {
-            if self.shared.capacity.is_some() {
-                self.shared.cv.notify_all();
-            }
-        }
-
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut q = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
             if let Some(v) = q.pop_front() {
-                drop(q);
-                self.notify_room();
                 return Ok(v);
             }
             if self.disconnected() {
@@ -276,8 +158,6 @@ pub mod channel {
             let mut q = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
             loop {
                 if let Some(v) = q.pop_front() {
-                    drop(q);
-                    self.notify_room();
                     return Ok(v);
                 }
                 if self.disconnected() {
@@ -293,8 +173,6 @@ pub mod channel {
             let mut q = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
             loop {
                 if let Some(v) = q.pop_front() {
-                    drop(q);
-                    self.notify_room();
                     return Ok(v);
                 }
                 if self.disconnected() {
@@ -389,98 +267,6 @@ pub mod channel {
                 Err(RecvTimeoutError::Disconnected)
             );
             t.join().unwrap();
-        }
-
-        #[test]
-        fn bounded_try_send_and_blocking_send() {
-            let (tx, rx) = bounded(2);
-            tx.try_send(1).unwrap();
-            tx.try_send(2).unwrap();
-            assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-            assert_eq!(rx.try_recv(), Ok(1));
-            tx.try_send(3).unwrap();
-
-            // Blocking send waits until the receiver makes room.
-            let t = {
-                let tx = tx.clone();
-                std::thread::spawn(move || tx.send(4).unwrap())
-            };
-            std::thread::sleep(Duration::from_millis(10));
-            assert_eq!(rx.recv(), Ok(2));
-            t.join().unwrap();
-            assert_eq!(rx.recv(), Ok(3));
-            assert_eq!(rx.recv(), Ok(4));
-
-            drop(rx);
-            assert_eq!(tx.try_send(9), Err(TrySendError::Disconnected(9)));
-            assert_eq!(tx.send(9), Err(SendError(9)));
-        }
-
-        #[test]
-        fn send_timeout_waits_bounded() {
-            let (tx, rx) = bounded(1);
-            tx.send(1).unwrap();
-            assert_eq!(
-                tx.send_timeout(2, Duration::from_millis(5)),
-                Err(SendTimeoutError::Timeout(2))
-            );
-            // A concurrent pop wakes the parked sender.
-            let t = {
-                let tx = tx.clone();
-                std::thread::spawn(move || tx.send_timeout(2, Duration::from_secs(5)).unwrap())
-            };
-            std::thread::sleep(Duration::from_millis(10));
-            assert_eq!(rx.recv(), Ok(1));
-            t.join().unwrap();
-            assert_eq!(rx.recv(), Ok(2));
-            drop(rx);
-            assert_eq!(
-                tx.send_timeout(9, Duration::from_millis(1)),
-                Err(SendTimeoutError::Disconnected(9))
-            );
-        }
-
-        #[test]
-        fn bounded_mpmc_stress_no_stranded_wakeups() {
-            // Two producers and two consumers hammering a 1-slot channel:
-            // a push must wake *receivers* even when senders are parked on
-            // the same condvar (notify_one could strand a receiver).
-            let (tx, rx) = bounded(1);
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    let rx = rx.clone();
-                    std::thread::spawn(move || {
-                        let mut got = Vec::new();
-                        while let Ok(v) = rx.recv() {
-                            got.push(v);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            let producers: Vec<_> = (0..2)
-                .map(|p| {
-                    let tx = tx.clone();
-                    std::thread::spawn(move || {
-                        for i in 0..200 {
-                            tx.send(p * 1000 + i).unwrap();
-                        }
-                    })
-                })
-                .collect();
-            for t in producers {
-                t.join().unwrap();
-            }
-            drop(tx);
-            drop(rx);
-            let mut all: Vec<i32> = consumers
-                .into_iter()
-                .flat_map(|c| c.join().unwrap())
-                .collect();
-            all.sort_unstable();
-            let mut want: Vec<i32> = (0..200).chain(1000..1200).collect();
-            want.sort_unstable();
-            assert_eq!(all, want, "every message delivered exactly once");
         }
 
         #[test]

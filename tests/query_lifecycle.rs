@@ -118,8 +118,10 @@ fn lifecycle_calls_reach_a_transition_added_by_hand() {
     assert_eq!(volume.len(), 1, "one window of two ticks");
     cell.set_query_weight("vol", 3).unwrap();
 
-    // Drop detaches it: new ticks close no window.
+    // Drop detaches it: new ticks close no window, and no reader is
+    // left on the input, neither `vol`'s nor the refused window's.
     cell.drop_query("vol").unwrap();
+    assert_eq!(cell.basket("ticks").unwrap().reader_count(), 0);
     cell.execute("insert into ticks values (3), (4)").unwrap();
     cell.run_until_quiescent(100);
     assert_eq!(volume.len(), 1, "dropped window fired");
