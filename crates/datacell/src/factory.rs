@@ -253,10 +253,10 @@ impl Factory {
     /// Basket names this factory must hold exclusively while firing: its
     /// exclusive-mode data inputs (a firing snapshots, delivers, then
     /// *deletes* from them — two concurrent exclusive consumers would
-    /// double-consume). Shared-mode inputs are absent: each reader owns a private cursor,
-    /// so concurrent firings of *different* factories over one shared
-    /// basket are safe. The scheduler acquires these keys together with
-    /// the per-transition firing lock before every firing.
+    /// double-consume). Shared-mode inputs are absent: each reader owns a
+    /// private cursor, so concurrent firings of *different* factories over
+    /// one shared basket are safe. The scheduler acquires these keys
+    /// together with the per-transition firing lock before every firing.
     pub fn conflict_basket_names(&self) -> Vec<String> {
         self.inputs
             .iter()

@@ -10,8 +10,8 @@
 //! only the *factories* (and windowed queries): each pass it
 //! re-evaluates every factory's firing condition — all data inputs hold at
 //! least `min_tuples` tuples, and one of them holds something new — and
-//! fires the ready ones. When nothing is ready it blocks on an aggregated basket
-//! signal instead of spinning.
+//! fires the ready ones. When nothing is ready it blocks on an aggregated
+//! basket signal instead of spinning.
 //!
 //! # Priority and fairness
 //!
