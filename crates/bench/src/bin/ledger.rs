@@ -19,9 +19,11 @@
 //! `<out.json>` holds both revisions, the host, the probes, per side the
 //! failed-run share and the operations `dcbench` attempted and failed,
 //! and per workload and metric each side's runs (`null` for a failed run),
-//! median and quartiles, the change's pair wins and, for a gated metric, a
-//! verdict (see [`verdict`]). The markdown pair table of the gated metrics
-//! is printed to stdout.
+//! median and quartiles, the change's pair wins, the median change/parent
+//! ratio over the pairs the parent ran first and over those the change ran
+//! first (apart, they show a run-order effect the alternation hides) and,
+//! for a gated metric, a verdict (see [`verdict`]). The markdown pair
+//! table of the gated metrics is printed to stdout.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -362,7 +364,8 @@ fn verdict(m: &Metric, parent: &[f64], change: &[f64], wins: usize, pairs: usize
 }
 
 /// Metric `m` over `pairs`: each side's runs and quartiles, the change's
-/// pair wins and, for a gated metric, the verdict.
+/// pair wins, the median change/parent ratio by which side ran first and,
+/// for a gated metric, the verdict.
 fn summarize(m: &Metric, pairs: &[Pair]) -> Json {
     let parent: Vec<_> = pairs.iter().map(|p| p.0.value(&m.name)).collect();
     let change: Vec<_> = pairs.iter().map(|p| p.1.value(&m.name)).collect();
@@ -388,6 +391,14 @@ fn summarize(m: &Metric, pairs: &[Pair]) -> Json {
             ("q3", q3),
         ])
     };
+    // The parent runs first in odd pairs (0-based index even).
+    let ratio = |skip: usize| {
+        let both = parent.iter().zip(&change).skip(skip).step_by(2);
+        let ratios: Vec<f64> = both
+            .filter_map(|(p, c)| Some(c.as_ref()? / p.as_ref()?))
+            .collect();
+        quartiles(&ratios).map_or(Json::Null, |q| Json::Num(q[1]))
+    };
     let verdict = m.bound.map(|_| verdict(m, &p, &c, wins, pairs.len()));
     let verdict = verdict.map_or(Json::Null, |v| Json::Str(v.into()));
     obj([
@@ -396,6 +407,8 @@ fn summarize(m: &Metric, pairs: &[Pair]) -> Json {
         ("change", side(&change, &c)),
         ("change_wins", Json::Num(wins as f64)),
         ("pairs", Json::Num(pairs.len() as f64)),
+        ("ratio_parent_first", ratio(0)),
+        ("ratio_change_first", ratio(1)),
         ("verdict", verdict),
     ])
 }
@@ -730,6 +743,26 @@ mod tests {
         assert!(t.contains(&want), "{t}");
         let small = [sig(7621214.5), sig(0.000506), sig(0.0)];
         assert_eq!(small, ["7.62e6", "0.000506", "0"]);
+    }
+
+    #[test]
+    fn run_order_ratios_split_the_pairs() {
+        let s = spec();
+        let run = |v: f64| Run::parse(&canned(&s, v), true);
+        // Whoever runs second is twice as fast: the change in the odd
+        // pairs, where the parent goes first, the parent in the even ones.
+        let mut pairs: Vec<Pair> = (0..PAIRS)
+            .map(|k| match k % 2 {
+                0 => (run(100.0), run(200.0)),
+                _ => (run(200.0), run(100.0)),
+            })
+            .collect();
+        pairs[2].0 = Run::parse("", false);
+        let e = summarize(&s.end_to_end[0], &pairs);
+        assert_eq!(e.num(&["ratio_parent_first"]), Some(2.0));
+        assert_eq!(e.num(&["ratio_change_first"]), Some(0.5));
+        let none = summarize(&s.end_to_end[0], &pairs[..1]);
+        assert_eq!(none.at(&["ratio_change_first"]), Some(&Json::Null));
     }
 
     #[test]

@@ -40,7 +40,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use datacell_engine::{execute, Catalog, Chunk};
 use datacell_sql::physical::PhysicalPlan;
@@ -101,32 +100,6 @@ impl std::fmt::Debug for FactoryOutput {
     }
 }
 
-/// Monotone counters for one factory.
-#[derive(Debug, Default)]
-pub struct FactoryStats {
-    /// Completed firings.
-    pub invocations: AtomicU64,
-    /// Input tuples processed (sum over data inputs of snapshot sizes).
-    pub tuples_in: AtomicU64,
-    /// Result tuples produced.
-    pub tuples_out: AtomicU64,
-    /// Time spent inside `step`, in microseconds.
-    pub busy_micros: AtomicU64,
-}
-
-/// Snapshot of [`FactoryStats`] counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FactoryStatsSnapshot {
-    /// Completed firings.
-    pub invocations: u64,
-    /// Input tuples processed.
-    pub tuples_in: u64,
-    /// Result tuples produced.
-    pub tuples_out: u64,
-    /// Total busy time in microseconds.
-    pub busy_micros: u64,
-}
-
 /// Result of one firing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepOutcome {
@@ -154,7 +127,6 @@ pub struct Factory {
     /// never). Tuples it left behind cannot qualify on a rerun, since a
     /// basket expression's window reads only its own basket's tuples.
     examined: Vec<AtomicU64>,
-    stats: FactoryStats,
 }
 
 impl std::fmt::Debug for Factory {
@@ -217,7 +189,6 @@ impl Factory {
             inputs,
             output,
             min_tuples: 1,
-            stats: FactoryStats::default(),
         };
         if let FactoryOutput::Basket(b) = &factory.output {
             b.check_shape(&factory.out_schema)?;
@@ -340,7 +311,6 @@ impl Factory {
     /// the configured batch threshold.
     pub fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
         let budget = max_tuples.max(self.min_tuples);
-        let started = Instant::now();
 
         // 1. Snapshot inputs, at most `budget` tuples each. `snapshots` and
         // `cursors` stay aligned with `self.inputs`.
@@ -427,33 +397,11 @@ impl Factory {
             }
         }
 
-        // 5. Book-keeping ("its status is kept around", §2.3).
-        self.stats.invocations.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .tuples_in
-            .fetch_add(tuples_in as u64, Ordering::Relaxed);
-        self.stats
-            .tuples_out
-            .fetch_add(produced as u64, Ordering::Relaxed);
-        self.stats
-            .busy_micros
-            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-
         Ok(StepOutcome {
             tuples_in,
             consumed,
             produced,
         })
-    }
-
-    /// Snapshot the factory's counters.
-    pub fn stats(&self) -> FactoryStatsSnapshot {
-        FactoryStatsSnapshot {
-            invocations: self.stats.invocations.load(Ordering::Relaxed),
-            tuples_in: self.stats.tuples_in.load(Ordering::Relaxed),
-            tuples_out: self.stats.tuples_out.load(Ordering::Relaxed),
-            busy_micros: self.stats.busy_micros.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -700,26 +648,6 @@ mod tests {
         let out = f.step(Some(&cat.tables), 1).unwrap();
         assert_eq!(out.tuples_in, 3);
         assert_eq!(input.len(), 1);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let (cat, input, output) = setup();
-        let f = Factory::compile(
-            "q",
-            "select s.a from [select * from r] as s",
-            &cat,
-            FactoryOutput::Basket(output),
-        )
-        .unwrap();
-        push(&input, &[(1, 0), (2, 0)]);
-        f.step(Some(&cat.tables), usize::MAX).unwrap();
-        push(&input, &[(3, 0)]);
-        f.step(Some(&cat.tables), usize::MAX).unwrap();
-        let s = f.stats();
-        assert_eq!(s.invocations, 2);
-        assert_eq!(s.tuples_in, 3);
-        assert_eq!(s.tuples_out, 3);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! histograms and throughput meters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use datacell_bat::types::NIL_INT;
-use parking_lot::Mutex;
+
+use crate::clock::Clock;
 
 /// A log-scaled latency histogram (microseconds) with exact totals.
 ///
@@ -144,16 +144,6 @@ impl LatencyHistogram {
             max_micros: self.max_micros(),
         }
     }
-
-    /// Reset all counters.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Frozen copy of a [`LatencyHistogram`], embedded in
@@ -200,10 +190,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// Wall-clock throughput meter: tuples per second over a measured span.
+/// Throughput meter: tuples per second since it was made.
 #[derive(Debug)]
 pub struct Throughput {
-    started: Mutex<Instant>,
+    /// Engine-clock nanoseconds at creation.
+    started: u64,
     tuples: AtomicU64,
 }
 
@@ -217,7 +208,7 @@ impl Throughput {
     /// Start measuring now.
     pub fn new() -> Self {
         Throughput {
-            started: Mutex::new(Instant::now()),
+            started: Clock::System.now_nanos(),
             tuples: AtomicU64::new(0),
         }
     }
@@ -232,19 +223,12 @@ impl Throughput {
         self.tuples.load(Ordering::Relaxed)
     }
 
-    /// Tuples per second since start (or the last reset).
+    /// Tuples per second since start.
     pub fn rate(&self) -> f64 {
-        let elapsed = self.started.lock().elapsed().as_secs_f64();
-        if elapsed <= 0.0 {
-            return 0.0;
+        match Clock::System.now_nanos().saturating_sub(self.started) {
+            0 => 0.0,
+            elapsed => self.total() as f64 * 1e9 / elapsed as f64,
         }
-        self.total() as f64 / elapsed
-    }
-
-    /// Restart the clock and zero the counter.
-    pub fn reset(&self) {
-        *self.started.lock() = Instant::now();
-        self.tuples.store(0, Ordering::Relaxed);
     }
 }
 
@@ -439,9 +423,7 @@ mod tests {
         // Median bucket upper bound covers the 3rd observation (4µs → bucket [4,8)).
         assert!(h.quantile_micros(0.5) >= 4);
         assert!(h.quantile_micros(1.0) >= 10_000 / 2);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_micros(), 0.0);
+        assert_eq!(LatencyHistogram::new().mean_micros(), 0.0);
     }
 
     #[test]
@@ -506,7 +488,5 @@ mod tests {
         t.add(50);
         assert_eq!(t.total(), 150);
         assert!(t.rate() > 0.0);
-        t.reset();
-        assert_eq!(t.total(), 0);
     }
 }

@@ -25,8 +25,8 @@
 //!   co-tenant for the whole of its step.
 //! * `priority < 0` — the **deficit round-robin ring**, served after the
 //!   sweep from a rotating start. Each backlogged ring member accrues
-//!   busy-time credit **by elapsed wall-clock time** — `quantum × weight`
-//!   microseconds per millisecond since its last service opportunity (Δt
+//!   busy-time credit **by elapsed scheduler-clock time** — `quantum ×
+//!   weight` microseconds per millisecond since its last service opportunity (Δt
 //!   clamped to `[1 ms, 100 ms]`), decoupling the credit rate from the
 //!   scheduler's pass rate: a busy system whose passes take 10 ms accrues
 //!   the same per-second credit as an idle-ish one passing every 1 ms,
@@ -51,6 +51,10 @@
 //! The sweep stays the default because it is the faster one: the ring's
 //! slicing costs throughput on saturated workloads (`docs/scheduler.md`
 //! has the measurement).
+//!
+//! Every time the scheduler reads — firing cost, DRR credit, ready-waits,
+//! `min_interval` — comes from the one [`Clock`] it is built with, so a
+//! test on a manual clock gets the same counts on every run.
 //!
 //! Starvation is observable: [`SchedulerMetrics`] reports per-query
 //! scheduling delay (time spent ready-but-unfired) and the current
@@ -92,7 +96,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -101,6 +105,7 @@ use datacell_exec::{PoolSnapshot, WorkerPool};
 
 use crate::basket::Signal;
 use crate::catalog::StreamCatalog;
+use crate::clock::Clock;
 use crate::error::{DataCellError, Result};
 use crate::events::{EventKind, EventRing};
 use crate::factory::{Factory, FactoryOutput, StepOutcome};
@@ -198,11 +203,12 @@ pub struct SchedulePolicy {
     /// served after the sweep in budgeted slices (see the
     /// [module docs](self)).
     pub priority: i32,
-    /// Fire at most once per interval (time-sliced batching); `None` =
-    /// eager.
+    /// Fire at most once per interval of scheduler-clock time
+    /// (time-sliced batching); `None` = eager.
     pub min_interval: Option<Duration>,
     /// Relative share of scheduler busy time in the DRR ring (a weight-3
-    /// query accrues three times the credit per unit of wall-clock).
+    /// query accrues three times the credit per unit of scheduler-clock
+    /// time).
     /// Clamped to ≥ 1. It acts only at `priority < 0`: the unbudgeted
     /// sweep ignores it.
     pub weight: u32,
@@ -219,7 +225,7 @@ impl Default for SchedulePolicy {
 }
 
 /// DRR credit, in µs, that a weight-1 ring member accrues per millisecond
-/// of wall-clock unless [`Scheduler::set_quantum`] says otherwise: one
+/// of scheduler-clock time unless [`Scheduler::set_quantum`] says otherwise: one
 /// full core's worth of busy time (250 would be a quarter core).
 const DEFAULT_QUANTUM: u64 = 1_000;
 
@@ -246,6 +252,15 @@ const ACCRUAL_FLOOR_MICROS: u64 = 1_000;
 /// resets the anchor outright, so this only guards ready-but-slow rings).
 const ACCRUAL_CAP_MICROS: u64 = 100_000;
 
+/// An unset clock reading of [`Entry`]'s time fields ("never"): no clock
+/// reaches it, a manual one starting at 0 included.
+const UNSET: u64 = u64::MAX;
+
+/// Whole µs from `since` to `now`, both clock nanoseconds (0 if `since` is later).
+fn micros_between(since: u64, now: u64) -> u64 {
+    now.saturating_sub(since) / 1_000
+}
+
 struct Entry {
     factory: Arc<dyn Transition>,
     policy: SchedulePolicy,
@@ -256,7 +271,8 @@ struct Entry {
     /// Mutated only under [`Shared::firing_keys`], so the flag and the
     /// conflict-key set always change together.
     firing: AtomicBool,
-    last_fired: Mutex<Option<Instant>>,
+    /// Clock nanoseconds at the end of the last firing, or [`UNSET`].
+    last_fired: AtomicU64,
     /// Paused transitions are skipped by every pass; their input baskets
     /// keep buffering (the query lifecycle's `pause`/`resume`).
     paused: AtomicBool,
@@ -267,7 +283,7 @@ struct Entry {
     weight: AtomicU32,
     /// Completed firings of this transition.
     firings: AtomicU64,
-    /// Wall-clock time spent inside this transition's `step`, in µs —
+    /// Scheduler-clock time spent inside this transition's `step`, in µs —
     /// every attempt, including deferred and failed ones (the metric of
     /// scheduler time this transition consumed).
     busy_micros: AtomicU64,
@@ -301,12 +317,13 @@ struct Entry {
     consecutive_skips: AtomicU64,
     /// Cumulative time spent ready-but-unfired before each firing, µs.
     sched_delay_micros: AtomicU64,
-    /// When the transition was first observed ready since its last firing.
-    ready_since: Mutex<Option<Instant>>,
+    /// When (clock nanoseconds) the transition was first observed ready
+    /// since its last firing, or [`UNSET`].
+    ready_since: AtomicU64,
     /// When DRR credit last accrued for this entry — the Δt anchor of the
-    /// elapsed-time accrual. Reset whenever the entry leaves the ready
-    /// set, so idle or paused stretches mint no credit.
-    last_accrual: Mutex<Option<Instant>>,
+    /// elapsed-time accrual — or [`UNSET`]. Reset whenever the entry
+    /// leaves the ready set, so idle or paused stretches mint no credit.
+    last_accrual: AtomicU64,
 }
 
 impl Entry {
@@ -363,16 +380,13 @@ impl Entry {
     /// at the observed per-tuple cost. Returns `(budget, credit)`: the
     /// tuples this firing may take, 0 while the balance cannot buy one or
     /// still repays an overdraft, and the credit just accrued.
-    fn accrue(&self, quantum: u64) -> (usize, i64) {
-        let dt_micros = {
-            let now = Instant::now();
-            let mut last = self.last_accrual.lock();
-            let dt = last
-                .map(|t| now.duration_since(t).as_micros() as u64)
-                .unwrap_or(0);
-            *last = Some(now);
-            dt.clamp(ACCRUAL_FLOOR_MICROS, ACCRUAL_CAP_MICROS)
-        };
+    fn accrue(&self, quantum: u64, clock: &Clock) -> (usize, i64) {
+        let now = clock.now_nanos();
+        let dt_micros = match self.last_accrual.swap(now, Ordering::Relaxed) {
+            UNSET => 0,
+            last => micros_between(last, now),
+        }
+        .clamp(ACCRUAL_FLOOR_MICROS, ACCRUAL_CAP_MICROS);
         let credit = quantum
             .saturating_mul(self.weight())
             .saturating_mul(dt_micros)
@@ -390,28 +404,28 @@ impl Entry {
     }
 
     /// Mark the entry ready-but-unfired this pass.
-    fn note_skip(&self) {
+    fn note_skip(&self, clock: &Clock) {
         self.consecutive_skips.fetch_add(1, Ordering::Relaxed);
-        let mut since = self.ready_since.lock();
-        if since.is_none() {
-            *since = Some(Instant::now());
-        }
+        // Sets an unset wait; a set one is earlier and stays.
+        self.ready_since
+            .fetch_min(clock.now_nanos(), Ordering::Relaxed);
     }
 
     /// Mark the entry idle, paused, or interval-gated: not starvation —
     /// clear the skip streak and drop any pending ready-wait.
     fn note_idle(&self) {
         self.consecutive_skips.store(0, Ordering::Relaxed);
-        *self.ready_since.lock() = None;
+        self.ready_since.store(UNSET, Ordering::Relaxed);
     }
 
     /// Mark the entry fired: fold the ready-wait into the scheduling-delay
-    /// account and clear the skip streak.
-    fn note_fired(&self) {
+    /// account and clear the skip streak. `now` is the firing's end.
+    fn note_fired(&self, now: u64) {
         self.consecutive_skips.store(0, Ordering::Relaxed);
-        if let Some(since) = self.ready_since.lock().take() {
+        let since = self.ready_since.swap(UNSET, Ordering::Relaxed);
+        if since != UNSET {
             self.sched_delay_micros
-                .fetch_add(since.elapsed().as_micros() as u64, Ordering::Relaxed);
+                .fetch_add(micros_between(since, now), Ordering::Relaxed);
         }
     }
 }
@@ -445,7 +459,7 @@ pub struct SchedulerMetrics {
     pub name: String,
     /// Completed firings.
     pub firings: u64,
-    /// Wall-clock µs spent inside `step`.
+    /// Scheduler-clock µs spent inside `step`.
     pub busy_micros: u64,
     /// Input tuples processed across all firings.
     pub tuples_in: u64,
@@ -481,6 +495,8 @@ pub struct SchedulerMetrics {
 struct Shared {
     entries: Mutex<Vec<Arc<Entry>>>,
     catalog: Arc<RwLock<StreamCatalog>>,
+    /// The one time source of every firing, credit and wait.
+    clock: Clock,
     signal: Arc<Signal>,
     stop: AtomicBool,
     stats: SchedulerStats,
@@ -516,9 +532,9 @@ impl Shared {
 
 /// What happened when the scheduler tried to fire one entry.
 enum FireResult {
-    /// The step completed; `busy_micros` is its measured wall-clock cost.
+    /// The step completed; `busy_micros` is its measured clock cost.
     Fired {
-        /// Wall-clock µs the step consumed.
+        /// Scheduler-clock µs the step consumed.
         busy_micros: u64,
     },
     /// The step was turned away by output backpressure (retried later).
@@ -534,12 +550,15 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Create a scheduler over a shared catalog.
-    pub fn new(catalog: Arc<RwLock<StreamCatalog>>) -> Self {
+    /// Create a scheduler over a shared catalog that reads every time from
+    /// `clock`: [`Clock::System`] in a `DataCell`, [`Clock::manual`] where
+    /// a test moves the scheduler clock itself.
+    pub fn new(catalog: Arc<RwLock<StreamCatalog>>, clock: Clock) -> Self {
         Scheduler {
             shared: Arc::new(Shared {
                 entries: Mutex::new(Vec::new()),
                 catalog,
+                clock,
                 signal: Arc::new(Signal::new()),
                 stop: AtomicBool::new(false),
                 stats: SchedulerStats::default(),
@@ -585,7 +604,8 @@ impl Scheduler {
     }
 
     /// Set the DRR quantum: the busy-time credit, in µs, that a weight-1
-    /// ring member (`priority < 0`) accrues per millisecond of wall-clock.
+    /// ring member (`priority < 0`) accrues per millisecond of
+    /// scheduler-clock time.
     /// Default 1000, one full core. A zero quantum is served as 1, so the
     /// ring never starves outright. Takes effect on the next pass.
     pub fn set_quantum(&self, quantum: u64) {
@@ -639,7 +659,7 @@ impl Scheduler {
             policy,
             conflicts,
             firing: AtomicBool::new(false),
-            last_fired: Mutex::new(None),
+            last_fired: AtomicU64::new(UNSET),
             paused: AtomicBool::new(false),
             removed: AtomicBool::new(false),
             weight: AtomicU32::new(policy.weight.max(1)),
@@ -652,8 +672,8 @@ impl Scheduler {
             deficit_micros: AtomicI64::new(0),
             consecutive_skips: AtomicU64::new(0),
             sched_delay_micros: AtomicU64::new(0),
-            ready_since: Mutex::new(None),
-            last_accrual: Mutex::new(None),
+            ready_since: AtomicU64::new(UNSET),
+            last_accrual: AtomicU64::new(UNSET),
         }));
         // Stable priority order, high first; ties keep registration order.
         entries.sort_by_key(|e| std::cmp::Reverse(e.policy.priority));
@@ -769,14 +789,14 @@ impl Scheduler {
                 skipped += 1;
                 continue;
             }
-            let gated = Self::gated(entry);
+            let gated = Self::gated(entry, &shared.clock);
             if gated || !entry.factory.ready() {
                 entry.note_idle();
                 if in_ring {
                     // An idle or gated stretch mints no credit. A backlog
                     // that ran dry also drops its deficit (classic DRR),
                     // so an idle query cannot bank credit for a burst.
-                    *entry.last_accrual.lock() = None;
+                    entry.last_accrual.store(UNSET, Ordering::Relaxed);
                     if !gated {
                         entry.deficit_micros.store(0, Ordering::Relaxed);
                     }
@@ -784,10 +804,10 @@ impl Scheduler {
                 continue;
             }
             let (budget, credit) = if in_ring {
-                match entry.accrue(quantum) {
+                match entry.accrue(quantum, &shared.clock) {
                     // Cannot yet afford a single tuple: carry the deficit.
                     (0, _) => {
-                        entry.note_skip();
+                        entry.note_skip(&shared.clock);
                         skipped += 1;
                         continue;
                     }
@@ -801,7 +821,7 @@ impl Scheduler {
                 // exclusive sibling over the same basket): a skip like a
                 // budget cut. The entry is retried next pass, and accrued
                 // credit carries.
-                entry.note_skip();
+                entry.note_skip(&shared.clock);
                 skipped += 1;
                 continue;
             }
@@ -943,29 +963,27 @@ impl Scheduler {
     /// True iff the entry is pausable/interval-gated out of this pass.
     /// (Interval-gated entries are treated as not ready: they are neither
     /// fired nor counted as starved.)
-    fn gated(entry: &Entry) -> bool {
+    fn gated(entry: &Entry, clock: &Clock) -> bool {
         if entry.paused.load(Ordering::Relaxed) {
             return true;
         }
-        if let Some(interval) = entry.policy.min_interval {
-            if let Some(t) = *entry.last_fired.lock() {
-                if t.elapsed() < interval {
-                    return true;
-                }
-            }
-        }
-        false
+        let last = entry.last_fired.load(Ordering::Relaxed);
+        entry.policy.min_interval.is_some_and(|interval| {
+            last != UNSET
+                && u128::from(clock.now_nanos().saturating_sub(last)) < interval.as_nanos()
+        })
     }
 
     /// Fire one entry with a tuple budget (`usize::MAX` outside the ring)
     /// and do the book-keeping of every firing.
     fn fire_entry(shared: &Shared, entry: &Entry, max_tuples: usize) -> FireResult {
         let catalog = shared.catalog.read();
-        let started = Instant::now();
+        let started = shared.clock.now_nanos();
         let result = entry.factory.step(Some(&catalog.tables), max_tuples);
-        let busy = started.elapsed().as_micros() as u64;
+        let ended = shared.clock.now_nanos();
         drop(catalog);
-        *entry.last_fired.lock() = Some(Instant::now());
+        let busy = micros_between(started, ended);
+        entry.last_fired.store(ended, Ordering::Relaxed);
         entry.busy_micros.fetch_add(busy, Ordering::Relaxed);
         match result {
             Ok(out) => {
@@ -976,7 +994,7 @@ impl Scheduler {
                 entry
                     .tuples_in
                     .fetch_add(out.tuples_in as u64, Ordering::Relaxed);
-                entry.note_fired();
+                entry.note_fired(ended);
                 shared.record_event(EventKind::Firing, || {
                     format!(
                         "{} fired: {} tuples in {busy}µs",
@@ -994,7 +1012,7 @@ impl Scheduler {
             Err(DataCellError::Backpressure { .. }) => {
                 entry.deferrals.fetch_add(1, Ordering::Relaxed);
                 shared.stats.deferrals.fetch_add(1, Ordering::Relaxed);
-                *entry.ready_since.lock() = None;
+                entry.ready_since.store(UNSET, Ordering::Relaxed);
                 FireResult::Deferred
             }
             Err(e) => {
@@ -1003,7 +1021,7 @@ impl Scheduler {
                 shared.record_event(EventKind::FiringError, || {
                     format!("{} failed: {e}", entry.factory.name())
                 });
-                *entry.ready_since.lock() = None;
+                entry.ready_since.store(UNSET, Ordering::Relaxed);
                 FireResult::Errored
             }
         }
@@ -1130,8 +1148,9 @@ impl Scheduler {
                 // delay, so the starvation alarm rises while a query is
                 // being skipped, not only after it finally fires.
                 let mut sched_delay_micros = e.sched_delay_micros.load(Ordering::Relaxed);
-                if let Some(since) = *e.ready_since.lock() {
-                    sched_delay_micros += since.elapsed().as_micros() as u64;
+                let since = e.ready_since.load(Ordering::Relaxed);
+                if since != UNSET {
+                    sched_delay_micros += micros_between(since, self.shared.clock.now_nanos());
                 }
                 SchedulerMetrics {
                     name: e.factory.name().to_string(),
@@ -1162,6 +1181,7 @@ mod tests {
     use crate::factory::FactoryOutput;
     use datacell_bat::types::{DataType, Value};
     use datacell_sql::Schema;
+    use std::time::Instant;
 
     fn setup() -> (Arc<RwLock<StreamCatalog>>, Scheduler) {
         let mut cat = StreamCatalog::new();
@@ -1170,7 +1190,7 @@ mod tests {
         cat.create_basket("out", Schema::new(vec![("a".into(), DataType::Int)]))
             .unwrap();
         let catalog = Arc::new(RwLock::new(cat));
-        let sched = Scheduler::new(Arc::clone(&catalog));
+        let sched = Scheduler::new(Arc::clone(&catalog), Clock::manual());
         (catalog, sched)
     }
 
@@ -1280,8 +1300,13 @@ mod tests {
         assert_eq!(sched.pass(), 1);
         input.append_rows(&[vec![Value::Int(60)]]).unwrap();
         // Interval not elapsed: no firing.
+        sched.shared.clock.advance(Duration::from_secs(3599));
         assert_eq!(sched.pass(), 0);
         assert_eq!(input.len(), 1);
+        // The interval ends: the next pass fires and drains the basket.
+        sched.shared.clock.advance(Duration::from_secs(1));
+        assert_eq!(sched.pass(), 1);
+        assert!(input.is_empty());
     }
 
     #[test]
@@ -1320,6 +1345,7 @@ mod tests {
         assert_eq!(accounts.len(), 1);
         assert_eq!(accounts[0].name, "q");
         assert_eq!(accounts[0].firings, 2);
+        assert_eq!(accounts[0].tuples_in, 2);
         assert_eq!(accounts[0].deferrals, 0);
     }
 

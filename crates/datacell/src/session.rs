@@ -243,7 +243,7 @@ impl DataCell {
 
     pub(crate) fn from_builder(builder: DataCellBuilder) -> Result<Self> {
         let catalog = Arc::new(RwLock::new(StreamCatalog::new()));
-        let scheduler = Scheduler::new(Arc::clone(&catalog));
+        let scheduler = Scheduler::new(Arc::clone(&catalog), crate::clock::Clock::System);
         scheduler.set_workers(builder.workers);
         crate::clock::init();
         let events = Arc::new(EventRing::default());

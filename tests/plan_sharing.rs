@@ -458,11 +458,13 @@ fn time_sliced_heavy_reader(split: bool) -> (Vec<i64>, usize, usize) {
         let sql = heavy_sql.replace("heavy_mid] as m", "s] as m");
         factories.push((reading("heavy", &sql, &heavy_out), sliced));
     }
-    let scheduler = Scheduler::new(Arc::new(parking_lot::RwLock::new(cat)));
+    let catalog = Arc::new(parking_lot::RwLock::new(cat));
+    let scheduler = Scheduler::new(catalog, datacell::clock::Clock::manual());
     for (f, policy) in factories {
         scheduler.add_factory_with_policy(f, policy);
     }
-    // The heavy plan fires on the first batch, then waits out its slice.
+    // The heavy plan fires on the first batch, then waits out its slice,
+    // which the manual clock, never advanced, does not end.
     for batch in 0..4i64 {
         let rows: Vec<_> = (0..50)
             .map(|i| vec![Value::Int(i % 7), Value::Int(batch * 50 + i)])

@@ -5,19 +5,21 @@
 //! sweep (`priority >= 0`) the historical ordering is preserved
 //! byte-for-byte (regression guard for existing workloads).
 //!
-//! The workload is a synthetic [`Transition`] whose per-tuple cost is an
-//! exact busy-wait, so the scheduler's cost model sees a controlled,
-//! reproducible skew without depending on plan-execution timings.
+//! The workload is a synthetic [`Transition`] whose firing moves the
+//! scheduler's manual [`Clock`] forward by its exact per-tuple cost, so
+//! the cost model sees a controlled skew and every run gives the same
+//! counts, whatever else the host is doing.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use datacell::basket::Signal;
 use datacell::catalog::StreamCatalog;
+use datacell::clock::Clock;
 use datacell::error::Result;
 use datacell::factory::StepOutcome;
-use datacell::scheduler::{SchedulePolicy, Scheduler, Transition};
+use datacell::scheduler::{SchedulePolicy, Scheduler, SchedulerMetrics, Transition};
 use datacell::DataCell;
 use parking_lot::{Mutex, RwLock};
 
@@ -29,7 +31,7 @@ struct CostedQuery {
     pending: AtomicUsize,
     /// Tuples processed so far.
     processed: AtomicU64,
-    /// Busy-wait per tuple, in nanoseconds (adjustable mid-test to model
+    /// Clock time per tuple, in nanoseconds (adjustable mid-test to model
     /// cost drift — a growing join table, shifting selectivity).
     cost_nanos: AtomicU64,
     /// Tuples served by each firing, in order (drift-tracking tests).
@@ -40,11 +42,17 @@ struct CostedQuery {
     honors_budget: bool,
     /// Firing order log shared across transitions (ordering tests).
     log: Option<Arc<Mutex<Vec<String>>>>,
+    /// The scheduler's clock, which each firing moves forward by its cost.
+    clock: Clock,
 }
 
 impl CostedQuery {
-    fn new(name: &str, cost_per_tuple: Duration) -> Arc<Self> {
-        Arc::new(CostedQuery {
+    fn new(name: &str, cost_per_tuple: Duration, clock: &Clock) -> Arc<Self> {
+        Arc::new(Self::plain(name, cost_per_tuple, clock))
+    }
+
+    fn plain(name: &str, cost_per_tuple: Duration, clock: &Clock) -> Self {
+        CostedQuery {
             name: name.to_string(),
             pending: AtomicUsize::new(0),
             processed: AtomicU64::new(0),
@@ -52,32 +60,23 @@ impl CostedQuery {
             firing_sizes: Mutex::new(Vec::new()),
             honors_budget: true,
             log: None,
-        })
+            clock: clock.clone(),
+        }
     }
 
     /// A transition that ignores the tuple budget entirely (as window
     /// evaluators without input slicing do).
-    fn budget_blind(name: &str, cost_per_tuple: Duration) -> Arc<Self> {
+    fn budget_blind(name: &str, cost_per_tuple: Duration, clock: &Clock) -> Arc<Self> {
         Arc::new(CostedQuery {
-            name: name.to_string(),
-            pending: AtomicUsize::new(0),
-            processed: AtomicU64::new(0),
-            cost_nanos: AtomicU64::new(cost_per_tuple.as_nanos() as u64),
-            firing_sizes: Mutex::new(Vec::new()),
             honors_budget: false,
-            log: None,
+            ..Self::plain(name, cost_per_tuple, clock)
         })
     }
 
-    fn with_log(name: &str, log: Arc<Mutex<Vec<String>>>) -> Arc<Self> {
+    fn with_log(name: &str, log: &Arc<Mutex<Vec<String>>>, clock: &Clock) -> Arc<Self> {
         Arc::new(CostedQuery {
-            name: name.to_string(),
-            pending: AtomicUsize::new(0),
-            processed: AtomicU64::new(0),
-            cost_nanos: AtomicU64::new(Duration::from_micros(1).as_nanos() as u64),
-            firing_sizes: Mutex::new(Vec::new()),
-            honors_budget: true,
-            log: Some(log),
+            log: Some(Arc::clone(log)),
+            ..Self::plain(name, Duration::from_micros(1), clock)
         })
     }
 
@@ -121,12 +120,9 @@ impl Transition for CostedQuery {
             usize::MAX
         };
         let n = self.pending.load(Ordering::Relaxed).min(cap);
-        // Exact busy-wait: n tuples at the configured per-tuple cost.
-        let cost = Duration::from_nanos(self.cost_nanos.load(Ordering::Relaxed));
-        let deadline = Instant::now() + cost * n as u32;
-        while Instant::now() < deadline {
-            std::hint::spin_loop();
-        }
+        // n tuples at the configured per-tuple cost, on the scheduler clock.
+        let cost = self.cost_nanos.load(Ordering::Relaxed) * n as u64;
+        self.clock.advance(Duration::from_nanos(cost));
         self.pending.fetch_sub(n, Ordering::Relaxed);
         self.processed.fetch_add(n as u64, Ordering::Relaxed);
         self.firing_sizes.lock().push(n);
@@ -143,8 +139,11 @@ impl Transition for CostedQuery {
     fn subscribe(&self, _signal: Arc<Signal>) {}
 }
 
-fn scheduler() -> Scheduler {
-    Scheduler::new(Arc::new(RwLock::new(StreamCatalog::new())))
+/// A scheduler on a fresh manual clock, and that clock.
+fn scheduler() -> (Scheduler, Clock) {
+    let clock = Clock::manual();
+    let catalog = Arc::new(RwLock::new(StreamCatalog::new()));
+    (Scheduler::new(catalog, clock.clone()), clock)
 }
 
 /// A DRR ring member's policy: a negative priority joins the ring.
@@ -154,23 +153,14 @@ const RING: SchedulePolicy = SchedulePolicy {
     weight: 1,
 };
 
-/// The busy-wait cost model measures wall-clock time, so concurrently
-/// running tests inflate each other's measured costs (and, with overdraft
-/// debt, compound them). Serialize *every* test in this binary.
-static TIMING: Mutex<()> = Mutex::new(());
-
 #[test]
 fn drr_serves_both_queries_under_10x_cost_skew() {
-    let _serial = TIMING.lock();
-    let sched = scheduler();
-    // Quantum is a wall-clock share now: 400 µs of busy credit per ms,
+    let (sched, clock) = scheduler();
+    // Quantum is a share of clock time: 400 µs of busy credit per ms,
     // per query — together 0.8 cores, so the budget genuinely binds.
     sched.set_quantum(400);
-    // Costs sit well above OS scheduling noise (a ~10 ms preemption is a
-    // few credits, not fifty), keeping the assertions meaningful on a
-    // loaded machine.
-    let cheap = CostedQuery::new("cheap", Duration::from_micros(200));
-    let heavy = CostedQuery::new("heavy", Duration::from_micros(2_000));
+    let cheap = CostedQuery::new("cheap", Duration::from_micros(200), &clock);
+    let heavy = CostedQuery::new("heavy", Duration::from_micros(2_000), &clock);
     sched.add_transition(Arc::clone(&cheap) as _, RING);
     sched.add_transition(Arc::clone(&heavy) as _, RING);
 
@@ -188,7 +178,7 @@ fn drr_serves_both_queries_under_10x_cost_skew() {
     heavy.feed(1_000_000);
     const PASSES: usize = 60;
     // Nominally the heavy query fires every ~5th pass (2 ms cost vs
-    // ≥400 µs/pass accrual); K leaves headroom for preemption noise.
+    // ≥400 µs/pass accrual); K leaves headroom.
     const K: u64 = 8;
     let cheap_before = cheap.processed();
     let heavy_before = heavy.processed();
@@ -218,8 +208,7 @@ fn drr_serves_both_queries_under_10x_cost_skew() {
         heavy_m.firings
     );
     // Absolute-starvation backstop: a broken ring would skip the heavy
-    // query for essentially the whole drive (streak ≈ PASSES); bounded
-    // preemption noise cannot reach half of it.
+    // query for essentially the whole drive (streak ≈ PASSES).
     assert!(
         max_skip_streak < (PASSES as u64) / 2,
         "no consecutive-skip blowup: max streak {max_skip_streak}"
@@ -236,17 +225,17 @@ fn drr_serves_both_queries_under_10x_cost_skew() {
     );
 }
 
-#[test]
-fn budget_blind_transition_pays_overdraft_debt() {
-    // A transition whose step ignores the tuple budget still cannot
-    // monopolize the ring: its over-budget
-    // firing drives the deficit negative and it is skipped until the debt
-    // is repaid, while the budget-honoring co-tenant fires every pass.
-    let _serial = TIMING.lock();
-    let sched = scheduler();
+const BLIND_PASSES: u64 = 60;
+
+/// A budget-blind transition beside a budget-honoring one in the ring:
+/// warm-up, then [`BLIND_PASSES`] passes that refill the blind one with
+/// 10 tuples (10 ms) whenever it runs dry. The metrics after the warm-up
+/// and at the end.
+fn budget_blind_drive() -> [Vec<SchedulerMetrics>; 2] {
+    let (sched, clock) = scheduler();
     sched.set_quantum(400);
-    let blind = CostedQuery::budget_blind("blind", Duration::from_micros(1_000));
-    let cheap = CostedQuery::new("cheap", Duration::from_micros(200));
+    let blind = CostedQuery::budget_blind("blind", Duration::from_micros(1_000), &clock);
+    let cheap = CostedQuery::new("cheap", Duration::from_micros(200), &clock);
     sched.add_transition(Arc::clone(&blind) as _, RING);
     sched.add_transition(Arc::clone(&cheap) as _, RING);
     // Warm-up: teach the scheduler both real per-tuple costs, then clear
@@ -258,48 +247,60 @@ fn budget_blind_transition_pays_overdraft_debt() {
         sched.pass();
     }
     let warm = sched.transition_metrics();
-    let blind_warm = warm.iter().find(|m| m.name == "blind").unwrap().firings;
-    let cheap_warm = warm.iter().find(|m| m.name == "cheap").unwrap().firings;
     cheap.feed(1_000_000);
-
-    const PASSES: usize = 60;
-    for _ in 0..PASSES {
-        // Keep the blind transition backlogged with a fixed 10-tuple
-        // (~10 ms) refill so each of its firings overruns its accrued
-        // credit (≥0.4 ms/pass) many times over.
+    for _ in 0..BLIND_PASSES {
+        // Each blind firing overruns its accrued credit (≥0.4 ms/pass)
+        // many times over.
         if blind.pending.load(Ordering::Relaxed) == 0 {
             blind.feed(10);
         }
         sched.pass();
     }
-    let metrics = sched.transition_metrics();
-    let blind_m = metrics.iter().find(|m| m.name == "blind").unwrap();
-    let cheap_m = metrics.iter().find(|m| m.name == "cheap").unwrap();
-    let blind_fired = blind_m.firings - blind_warm;
-    let cheap_fired = cheap_m.firings - cheap_warm;
+    [warm, sched.transition_metrics()]
+}
+
+#[test]
+fn budget_blind_transition_pays_overdraft_debt() {
+    // A transition whose step ignores the tuple budget still cannot
+    // monopolize the ring: its over-budget
+    // firing drives the deficit negative and it is skipped until the debt
+    // is repaid, while the budget-honoring co-tenant fires every pass.
+    let [warm, metrics] = budget_blind_drive();
+    let fired = |name: &str| {
+        let firings = |m: &[SchedulerMetrics]| m.iter().find(|m| m.name == name).unwrap().firings;
+        firings(&metrics) - firings(&warm)
+    };
+    let (blind_fired, cheap_fired) = (fired("blind"), fired("cheap"));
     assert!(
-        cheap_fired >= (PASSES as u64) * 3 / 5,
-        "budget-honoring co-tenant keeps firing: {cheap_fired} of {PASSES}"
+        cheap_fired >= BLIND_PASSES * 3 / 5,
+        "budget-honoring co-tenant keeps firing: {cheap_fired} of {BLIND_PASSES}"
     );
     // Each blind firing costs ~10 ms against a sub-millisecond accrual,
     // so debt limits it to a handful of firings. Without overdraft debt
     // it would fire every pass it is backlogged (~30+ of 60).
     assert!(
-        blind_fired <= (PASSES as u64) / 4,
+        blind_fired <= BLIND_PASSES / 4,
         "overdraft debt throttles the budget-blind transition: {blind_fired} firings"
     );
     assert!(blind_fired >= 2, "but it is still served");
 }
 
 #[test]
+fn identical_drives_replay_exactly() {
+    // On a fresh manual clock the scheduler's whole account — firings,
+    // tuples, busy time, scheduling delay, skip streaks — is a function of
+    // the drive alone.
+    assert_eq!(budget_blind_drive(), budget_blind_drive());
+}
+
+#[test]
 fn drr_weights_shift_busy_share() {
-    let _serial = TIMING.lock();
-    let sched = scheduler();
+    let (sched, clock) = scheduler();
     // 0.6 + 0.2 cores by weight: scarce enough that the budget binds and
     // the 3:1 share is the inflow ratio, not the backlog ratio.
     sched.set_quantum(200);
-    let favored = CostedQuery::new("favored", Duration::from_micros(1_000));
-    let normal = CostedQuery::new("normal", Duration::from_micros(1_000));
+    let favored = CostedQuery::new("favored", Duration::from_micros(1_000), &clock);
+    let normal = CostedQuery::new("normal", Duration::from_micros(1_000), &clock);
     sched.add_transition(
         Arc::clone(&favored) as _,
         SchedulePolicy { weight: 3, ..RING },
@@ -332,12 +333,11 @@ fn priority_sweep_ordering_is_preserved_byte_for_byte() {
     // Regression guard: at the default priority tier the firing order is
     // exactly the historical sweep — priority descending, ties in
     // registration order, every ready transition once per pass, no skips.
-    let _serial = TIMING.lock();
-    let sched = scheduler();
+    let (sched, clock) = scheduler();
     let log = Arc::new(Mutex::new(Vec::new()));
-    let first_tie = CostedQuery::with_log("first_tie", Arc::clone(&log));
-    let high = CostedQuery::with_log("high", Arc::clone(&log));
-    let second_tie = CostedQuery::with_log("second_tie", Arc::clone(&log));
+    let first_tie = CostedQuery::with_log("first_tie", &log, &clock);
+    let high = CostedQuery::with_log("high", &log, &clock);
+    let second_tie = CostedQuery::with_log("second_tie", &log, &clock);
     sched.add_transition(Arc::clone(&first_tie) as _, SchedulePolicy::default());
     sched.add_transition(
         Arc::clone(&high) as _,
@@ -372,12 +372,11 @@ fn priority_sweep_ordering_is_preserved_byte_for_byte() {
 fn strict_priority_tier_rides_above_the_drr_ring() {
     // A non-negative priority stays out of the ring: it fires first and
     // unbudgeted, in the sweep.
-    let _serial = TIMING.lock();
-    let sched = scheduler();
+    let (sched, clock) = scheduler();
     sched.set_quantum(100);
     let log = Arc::new(Mutex::new(Vec::new()));
-    let express = CostedQuery::with_log("express", Arc::clone(&log));
-    let ring = CostedQuery::with_log("ring", Arc::clone(&log));
+    let express = CostedQuery::with_log("express", &log, &clock);
+    let ring = CostedQuery::with_log("ring", &log, &clock);
     sched.add_transition(Arc::clone(&ring) as _, RING);
     sched.add_transition(
         Arc::clone(&express) as _,
@@ -406,10 +405,9 @@ fn ewma_cost_model_tracks_cost_drift() {
     // closes 1/8 of the gap per firing: within a handful of firings the
     // budget shrinks to match the new cost and firings are quantum-sized
     // again.
-    let _serial = TIMING.lock();
-    let sched = scheduler();
+    let (sched, clock) = scheduler();
     sched.set_quantum(500);
-    let q = CostedQuery::new("drifter", Duration::from_micros(20));
+    let q = CostedQuery::new("drifter", Duration::from_micros(20), &clock);
     sched.add_transition(Arc::clone(&q) as _, RING);
 
     // A long, cheap history: a lifetime average would be anchored here.
@@ -424,8 +422,10 @@ fn ewma_cost_model_tracks_cost_drift() {
 
     // Drive until 8 post-drift firings happened (the first one is allowed
     // to overrun: it was budgeted with the stale estimate).
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while q.firing_sizes().len() < warm_firings + 8 && Instant::now() < deadline {
+    for _ in 0..10_000 {
+        if q.firing_sizes().len() >= warm_firings + 8 {
+            break;
+        }
         sched.pass();
     }
     let sizes = q.firing_sizes();
@@ -452,26 +452,25 @@ fn ewma_cost_model_tracks_cost_drift() {
 fn drr_credit_tracks_wall_clock_not_pass_rate() {
     // The PR-3 follow-up pinned: per-pass accrual coupled a query's
     // credit rate to how often the scheduler passes, so an idle-ish
-    // system passing every 1 ms out-accrued a busy one in wall-clock
+    // system passing every 1 ms out-accrued a busy one in clock-time
     // terms. Accrual is now `quantum × weight × Δt`: one budget-bound
-    // query driven over the same wall-clock window at *half* the pass
-    // rate must get an (approximately) unchanged share. Under the old
+    // query driven over the same 400 ms of clock time at a third of the
+    // pass rate must get an (approximately) unchanged share. Under the old
     // per-pass rule the fast drive processed ~2.3× the slow one.
-    let _serial = TIMING.lock();
     let run = |pass_period: Duration| -> u64 {
-        let sched = scheduler();
+        let (sched, clock) = scheduler();
         // 0.2 cores of credit; each tuple costs 1 ms, so the query is
         // budget-bound, never backlog-bound.
         sched.set_quantum(200);
-        let q = CostedQuery::new("q", Duration::from_millis(1));
+        let q = CostedQuery::new("q", Duration::from_millis(1), &clock);
         sched.add_transition(Arc::clone(&q) as _, RING);
         q.feed(1);
         sched.run_until_quiescent(50); // teach the cost model
         q.feed(1_000_000);
-        let deadline = Instant::now() + Duration::from_millis(400);
-        while Instant::now() < deadline {
+        let end = clock.now_nanos() + Duration::from_millis(400).as_nanos() as u64;
+        while clock.now_nanos() < end {
             sched.pass();
-            std::thread::sleep(pass_period);
+            clock.advance(pass_period);
         }
         q.processed() - 1
     };
@@ -486,7 +485,6 @@ fn drr_credit_tracks_wall_clock_not_pass_rate() {
 
 #[test]
 fn weights_reach_sql_and_handles_end_to_end() {
-    let _serial = TIMING.lock();
     let cell = DataCell::builder().scheduler_policy(RING).build();
     cell.scheduler().set_quantum(500);
     cell.execute("create basket b1 (x int)").unwrap();
