@@ -91,14 +91,6 @@ impl TupleEngine {
         }
     }
 
-    /// Push a batch; the engine still processes tuple-at-a-time internally
-    /// (this exists only so harnesses can feed identical inputs).
-    pub fn push_all(&mut self, tuples: &[Tuple]) {
-        for t in tuples {
-            self.push(t);
-        }
-    }
-
     /// Borrow a query by position.
     pub fn query_mut(&mut self, i: usize) -> &mut Query {
         &mut self.queries[i]

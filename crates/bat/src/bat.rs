@@ -53,15 +53,6 @@ impl Bat {
         Bat::new(Column::empty(ty))
     }
 
-    /// Wrap a column with an explicit head sequence base.
-    pub fn with_seqbase(tail: Column, hseqbase: u64) -> Self {
-        Bat {
-            hseqbase,
-            tail,
-            tsorted: false,
-        }
-    }
-
     /// Convenience: integer BAT from values.
     pub fn from_ints(v: Vec<i64>) -> Self {
         Bat::new(Column::from_ints(v))
@@ -100,18 +91,6 @@ impl Bat {
     /// Borrow the tail column.
     pub fn tail(&self) -> &Column {
         &self.tail
-    }
-
-    /// Mutably borrow the tail column. Clears the sortedness hint — the
-    /// caller may reorder values arbitrarily.
-    pub fn tail_mut(&mut self) -> &mut Column {
-        self.tsorted = false;
-        &mut self.tail
-    }
-
-    /// Consume the BAT, yielding its tail.
-    pub fn into_tail(self) -> Column {
-        self.tail
     }
 
     /// Sortedness hint (see [`Bat::set_sorted`]).
@@ -154,12 +133,6 @@ impl Bat {
     pub fn append_value(&mut self, v: &Value) -> Result<()> {
         self.tsorted = false;
         self.tail.push(v)
-    }
-
-    /// Append all tuples of `other`.
-    pub fn append_bat(&mut self, other: &Bat) -> Result<()> {
-        self.tsorted = false;
-        self.tail.append_column(other.tail())
     }
 
     /// Positional projection: gather tuples at `cands` into a fresh BAT with

@@ -62,14 +62,6 @@ impl Deployment {
         let out = self.cell.query_output(name).expect("registered query");
         out.snapshot().columns[0].as_ints().unwrap().to_vec()
     }
-
-    /// Result tuples across the range queries.
-    pub fn total_output(&self) -> usize {
-        self.queries
-            .iter()
-            .map(|q| self.cell.query_output(q).map_or(0, |b| b.len()))
-            .sum()
-    }
 }
 
 /// Wire one query per range over a stream whose values lie in `domain`.

@@ -31,18 +31,17 @@
 //! match, and segment-aware, so it never pulls a spilled backlog back into
 //! memory.
 //!
-//! Readers come in two flavours:
-//!
-//! * **snapshot/commit** ([`Basket::snapshot_for_reader`] +
-//!   [`Basket::commit_reader`]) — for transitions the scheduler fires at
-//!   most once concurrently (factories, windows);
-//! * **claim/commit/rewind** ([`Basket::claim_for_reader`] +
-//!   [`Basket::commit_claim`] / [`Basket::rewind_claim`]) — for
-//!   subscribers: a claim atomically hands a range to one consumer
-//!   (competing subscribers sharing a [`ReaderId`] never double-deliver),
-//!   while the trim watermark is held at the oldest *unacknowledged* claim
-//!   so a failed delivery can rewind and be re-claimed instead of being
-//!   lost.
+//! Every reader follows one protocol, **claim/commit/rewind**
+//! ([`Basket::claim_for_reader`] + [`Basket::commit_claim`] /
+//! [`Basket::rewind_claim`]): a claim atomically hands a range to one
+//! consumer (competing subscribers sharing a [`ReaderId`] never
+//! double-deliver), while the trim watermark is held at the oldest
+//! *unacknowledged* claim, so a failed delivery or a deferred firing gives
+//! its range back to be re-claimed instead of losing it. Owners hold their
+//! reader as a [`ReaderLease`]: [`ReaderLease::claim`] returns a
+//! [`ReaderClaim`] guard that commits on [`ReaderClaim::commit`] and
+//! otherwise gives the range back when dropped, and dropping (or
+//! [releasing](ReaderLease::release)) the lease deregisters the reader.
 //!
 //! **Bounded capacity.** A basket may carry a tuple capacity with an
 //! [`OverflowPolicy`], and the basket alone applies it: every producer
@@ -224,35 +223,109 @@ pub struct ReaderId(u32);
 
 /// A reader registered on a basket for as long as the lease lives:
 /// dropping it deregisters the reader, releasing its hold on the trim
-/// watermark. Subscribers share one through an `Arc` when they share the
-/// reader (a competing-consumer pool).
+/// watermark. Every owner of a shared reader holds one — a factory per
+/// shared input, a window evaluator, a subscriber (subscribers share one
+/// through an `Arc` when they share the reader: a competing-consumer
+/// pool) — and reads through [`ReaderLease::claim`].
 #[derive(Debug)]
-pub(crate) struct ReaderLease {
+pub struct ReaderLease {
     basket: Arc<Basket>,
     id: ReaderId,
 }
 
 impl ReaderLease {
     /// Register a reader on `basket` (see [`Basket::register_reader`]).
-    pub(crate) fn register(basket: Arc<Basket>, from_start: bool) -> Self {
+    pub fn register(basket: Arc<Basket>, from_start: bool) -> Self {
         let id = basket.register_reader(from_start);
         ReaderLease { basket, id }
     }
 
     /// The basket read.
-    pub(crate) fn basket(&self) -> &Arc<Basket> {
+    pub fn basket(&self) -> &Arc<Basket> {
         &self.basket
     }
 
     /// The registered reader.
-    pub(crate) fn id(&self) -> ReaderId {
+    pub fn id(&self) -> ReaderId {
         self.id
+    }
+
+    /// Tuples this reader has not yet claimed ([`Basket::pending_for`]).
+    pub fn pending(&self) -> usize {
+        self.basket.pending_for(self.id)
+    }
+
+    /// Claim up to `max` unread tuples ([`Basket::claim_for_reader`]): the
+    /// rows, and the guard that settles their range — committed by
+    /// [`ReaderClaim::commit`], given back if dropped first.
+    pub fn claim(&self, max: usize) -> (Chunk, ReaderClaim<'_>) {
+        let (rows, start, end) = self.basket.claim_for_reader(self.id, max);
+        let claim = ReaderClaim {
+            lease: self,
+            start,
+            end,
+            done: 0,
+        };
+        (rows, claim)
+    }
+
+    /// Settle a claim `[start, end)` of which the first `done` rows were
+    /// delivered: commit those, give the rest back to the reader. The one
+    /// give-back path of every claim.
+    pub fn settle(&self, start: u64, done: u64, end: u64) {
+        let mid = start + done.min(end - start);
+        if mid < end {
+            // Drops the whole in-flight range and steps the cursor back to
+            // `mid`: `[start, mid)` stays consumed.
+            self.basket.rewind_claim(self.id, mid, end);
+        } else if start < end {
+            self.basket.commit_claim(self.id, start, end);
+        }
+    }
+
+    /// Deregister the reader now, ahead of the lease's drop: a removed
+    /// transition whose `Arc` outlives its removal stops holding tuples.
+    /// Idempotent.
+    pub fn release(&self) {
+        self.basket.unregister_reader(self.id);
     }
 }
 
 impl Drop for ReaderLease {
     fn drop(&mut self) {
-        self.basket.unregister_reader(self.id);
+        self.release();
+    }
+}
+
+/// A range claimed through [`ReaderLease::claim`]. Dropping it settles the
+/// range: rows marked [`delivered`](Self::delivered) commit, the rest go
+/// back to the reader — so a firing that errs or defers loses nothing.
+#[must_use = "dropping a claim gives its range back"]
+#[derive(Debug)]
+pub struct ReaderClaim<'a> {
+    lease: &'a ReaderLease,
+    start: u64,
+    end: u64,
+    /// Leading rows delivered so far.
+    done: u64,
+}
+
+impl ReaderClaim<'_> {
+    /// Mark the first `n` rows (a running total) delivered: they commit
+    /// when the claim is dropped.
+    pub fn delivered(&mut self, n: usize) {
+        self.done = self.done.max(n as u64);
+    }
+
+    /// Commit the whole range.
+    pub fn commit(mut self) {
+        self.done = self.end - self.start;
+    }
+}
+
+impl Drop for ReaderClaim<'_> {
+    fn drop(&mut self) {
+        self.lease.settle(self.start, self.done, self.end);
     }
 }
 
@@ -627,16 +700,6 @@ impl Basket {
         let mut inner = self.inner.lock();
         inner.spill = Some(SpillState::new(store));
         inner.wal = wal;
-    }
-
-    /// True iff a store/WAL is attached.
-    pub fn has_storage(&self) -> bool {
-        self.inner.lock().spill.is_some()
-    }
-
-    /// True iff appends are WAL-logged ([`Durability::Persistent`]).
-    pub fn is_persistent(&self) -> bool {
-        self.inner.lock().wal.is_some()
     }
 
     /// Replace the resident contents wholesale — the recovery path.
@@ -1706,28 +1769,6 @@ impl Basket {
         self.inner.lock().readers.len()
     }
 
-    /// Snapshot up to `max` of the tuples reader `r` has not yet seen,
-    /// along with the end oid to pass to [`Basket::commit_reader`] after
-    /// processing (it lies past exactly the tuples returned). The cursor
-    /// does not move: this is the snapshot/commit flavour for transitions
-    /// fired at most once concurrently.
-    pub fn snapshot_for_reader(&self, r: ReaderId, max: usize) -> (Chunk, u64) {
-        let (chunk, _, end) = self.slice_resolving_segments(r, max, false);
-        (chunk, end)
-    }
-
-    /// Advance reader `r`'s cursor and watermark to `end_oid` and trim
-    /// tuples every reader has now released.
-    pub fn commit_reader(&self, r: ReaderId, end_oid: u64) {
-        {
-            let mut inner = self.inner.lock();
-            if let Some(rs) = inner.readers.get_mut(&r) {
-                rs.cursor = rs.cursor.max(end_oid);
-            }
-        }
-        self.trim();
-    }
-
     /// Atomically claim up to `max` unread tuples for reader `r`: the
     /// cursor advances past the claimed range (a competing consumer on the
     /// same reader claims the *next* range), but the reader's watermark
@@ -1735,67 +1776,27 @@ impl Basket {
     /// tuples survive until delivery is acknowledged. Returns the claimed
     /// chunk with its `[start, end)` oid range (empty chunk ⇒ nothing
     /// pending, `start == end`).
-    pub fn claim_for_reader(&self, r: ReaderId, max: usize) -> (Chunk, u64, u64) {
-        self.slice_resolving_segments(r, max, true)
-    }
-
-    /// Acknowledge a delivered claim: the watermark advances past it and
-    /// fully-released tuples are trimmed.
-    pub fn commit_claim(&self, r: ReaderId, start: u64, end: u64) {
-        {
-            let mut inner = self.inner.lock();
-            if let Some(rs) = inner.readers.get_mut(&r) {
-                rs.inflight.retain(|&(s, e)| e <= start || s >= end);
-            }
-        }
-        self.trim();
-    }
-
-    /// Give a failed claim back: the cursor rewinds to the claim start so
-    /// the range is re-claimed (by this consumer or a competing one on the
-    /// same reader). With claims committed out of order this is
-    /// at-least-once — ranges claimed after `start` may be re-delivered.
-    /// A `start` inside a claim gives back only its tail: the head below
-    /// `start` counts as consumed and is trimmed once every reader is past
-    /// it.
-    pub fn rewind_claim(&self, r: ReaderId, start: u64, end: u64) {
-        {
-            let mut inner = self.inner.lock();
-            // A rewind may legitimately point back into the spilled head;
-            // clamp to the oldest live row, wherever it resides.
-            let base = inner.head_oid();
-            if let Some(rs) = inner.readers.get_mut(&r) {
-                rs.inflight.retain(|&(s, e)| e <= start || s >= end);
-                rs.cursor = rs.cursor.min(start).max(base);
-            }
-        }
-        self.trim();
-        // The rewound range is pending again: wake consumers to re-claim.
-        self.notify();
-    }
-
-    /// Drive [`Basket::slice_from_cursor`] to completion, decoding any
-    /// cache-missed spill segment **outside the basket lock**: the lock is
-    /// released around the `read_segment` call (decode + CRC check of a
-    /// whole segment — milliseconds on a cold disk), so concurrent appends
-    /// and claims on other segments proceed while the decode runs. The
+    ///
+    /// A cache-missed spill segment is decoded **outside the basket lock**
+    /// ([`Basket::slice_from_cursor`] asks for it): the lock is released
+    /// around the `read_segment` call (decode + CRC check of a whole
+    /// segment — milliseconds on a cold disk), so concurrent appends and
+    /// claims on other segments proceed while the decode runs. The
     /// decoded segment is installed into the one-segment cache only if an
     /// identical [`SegmentMeta`] is still listed (the layout may have
     /// changed underneath us: trim, clear, exclusive consume), then the
     /// slice is retried — the second pass hits the cache or re-resolves
     /// the moved cursor. A rare adversarial race could keep evicting the
     /// cache between passes, so after a few attempts the decode falls back
-    /// to running under the lock (the historical behavior), guaranteeing
-    /// termination. With `claim` the successful slice also pushes the
-    /// inflight range and advances the cursor, atomically with the slice.
-    fn slice_resolving_segments(&self, r: ReaderId, max: usize, claim: bool) -> (Chunk, u64, u64) {
+    /// to running under the lock, guaranteeing termination.
+    pub fn claim_for_reader(&self, r: ReaderId, max: usize) -> (Chunk, u64, u64) {
         let mut attempts = 0u32;
         loop {
             let need = {
                 let mut inner = self.inner.lock();
                 match self.slice_from_cursor(&mut inner, r, max, attempts >= 3) {
                     CursorSlice::Ready(chunk, start, end) => {
-                        if claim && end > start {
+                        if end > start {
                             if let Some(rs) = inner.readers.get_mut(&r) {
                                 rs.inflight.push((start, end));
                                 rs.cursor = rs.cursor.max(end);
@@ -1831,6 +1832,44 @@ impl Basket {
                 }
             }
         }
+    }
+
+    /// Acknowledge a delivered claim: the watermark advances past it and
+    /// fully-released tuples are trimmed.
+    pub fn commit_claim(&self, r: ReaderId, start: u64, end: u64) {
+        {
+            let mut inner = self.inner.lock();
+            if let Some(rs) = inner.readers.get_mut(&r) {
+                rs.inflight.retain(|&(s, e)| e <= start || s >= end);
+            }
+        }
+        self.trim();
+    }
+
+    /// Give a failed claim back: the cursor rewinds to the claim start so
+    /// the range is re-claimed (by this consumer or a competing one on the
+    /// same reader). With claims committed out of order this is
+    /// at-least-once — ranges claimed after `start` may be re-delivered.
+    /// A `start` inside a claim gives back only its tail: the head below
+    /// `start` counts as consumed and is trimmed once every reader is past
+    /// it.
+    pub fn rewind_claim(&self, r: ReaderId, start: u64, end: u64) {
+        {
+            let mut inner = self.inner.lock();
+            // A rewind may legitimately point back into the spilled head;
+            // clamp to the oldest live row, wherever it resides.
+            let base = inner.head_oid();
+            if let Some(rs) = inner.readers.get_mut(&r) {
+                rs.inflight.retain(|&(s, e)| e <= start || s >= end);
+                rs.cursor = rs.cursor.min(start).max(base);
+            }
+        }
+        self.trim();
+        // The rewound range is pending again: wake the consumers waiting
+        // on this basket to re-claim it. Not the scheduler: a transition
+        // gives back only from its own firing, and retrying it at once
+        // would spin on a deferral instead of waiting for room.
+        self.signal.notify();
     }
 
     /// Slice `[cursor, cursor+max)` for reader `r` with the lock held.
@@ -2123,17 +2162,17 @@ mod tests {
         b.append_rows(&[vec![Value::Int(2), Value::Float(0.0)]])
             .unwrap();
 
-        let (c1, end1) = b.snapshot_for_reader(r1, usize::MAX);
+        let (c1, s1, e1) = b.claim_for_reader(r1, usize::MAX);
         assert_eq!(c1.len(), 2);
-        b.commit_reader(r1, end1);
+        b.commit_claim(r1, s1, e1);
         // r2 has not read: nothing trimmed yet (§2.5).
         assert_eq!(b.len(), 2);
         assert_eq!(b.pending_for(r1), 0);
         assert_eq!(b.pending_for(r2), 2);
 
-        let (c2, end2) = b.snapshot_for_reader(r2, usize::MAX);
+        let (c2, s2, e2) = b.claim_for_reader(r2, usize::MAX);
         assert_eq!(c2.len(), 2);
-        b.commit_reader(r2, end2);
+        b.commit_claim(r2, s2, e2);
         // All readers have seen the tuples: basket trimmed.
         assert_eq!(b.len(), 0);
         assert_eq!(b.stats().consumed, 2);
@@ -2149,7 +2188,7 @@ mod tests {
         b.append_rows(&[vec![Value::Int(2), Value::Float(0.0)]])
             .unwrap();
         assert_eq!(b.pending_for(r), 1);
-        let (c, _) = b.snapshot_for_reader(r, usize::MAX);
+        let (c, ..) = b.claim_for_reader(r, usize::MAX);
         assert_eq!(c.columns[0].as_ints().unwrap(), &[2]);
     }
 
@@ -2160,8 +2199,8 @@ mod tests {
         let r2 = b.register_reader(true);
         b.append_rows(&[vec![Value::Int(1), Value::Float(0.0)]])
             .unwrap();
-        let (_, end) = b.snapshot_for_reader(r1, usize::MAX);
-        b.commit_reader(r1, end);
+        let (_, s, e) = b.claim_for_reader(r1, usize::MAX);
+        b.commit_claim(r1, s, e);
         assert_eq!(b.len(), 1);
         assert_eq!(b.reader_count(), 2);
         b.unregister_reader(r2);
@@ -2247,9 +2286,9 @@ mod tests {
         assert_eq!(ints(&b), vec![2, 3, 4]);
         assert_eq!(b.stats().shed, 2);
         // The reader skipped the shed tuples; it still sees the survivors.
-        let (c, end) = b.snapshot_for_reader(r, usize::MAX);
+        let (c, s, e) = b.claim_for_reader(r, usize::MAX);
         assert_eq!(c.columns[0].as_ints().unwrap(), &[2, 3, 4]);
-        b.commit_reader(r, end);
+        b.commit_claim(r, s, e);
         assert!(b.is_empty());
         // A batch larger than the capacity keeps only its newest tuples.
         let big: Vec<Vec<Value>> = (10..20).map(|i| vec![Value::Int(i)]).collect();
@@ -2273,15 +2312,15 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(!writer.is_finished(), "writer must be blocked at capacity");
-        let (c, end) = b.snapshot_for_reader(r, usize::MAX);
+        let (c, s, e) = b.claim_for_reader(r, usize::MAX);
         assert_eq!(c.len(), 2);
-        b.commit_reader(r, end);
+        b.commit_claim(r, s, e);
         writer.join().unwrap();
         assert_eq!(b.pending_for(r), 2, "blocked batch landed after trim");
         assert!(b.stats().overflow_events >= 1);
         let total: Vec<i64> = {
-            let (c, end) = b.snapshot_for_reader(r, usize::MAX);
-            b.commit_reader(r, end);
+            let (c, s, e) = b.claim_for_reader(r, usize::MAX);
+            b.commit_claim(r, s, e);
             c.columns[0].as_ints().unwrap().to_vec()
         };
         assert_eq!(total, vec![2, 3], "no loss, no duplication");
@@ -2323,8 +2362,8 @@ mod tests {
         assert!(matches!(err, DataCellError::Backpressure { .. }), "{err}");
         assert_eq!(b.len(), 1, "nothing appended");
         // Consumer drains: the retry lands (empty basket admits the batch).
-        let (_, end) = b.snapshot_for_reader(r, usize::MAX);
-        b.commit_reader(r, end);
+        let (_, s, e) = b.claim_for_reader(r, usize::MAX);
+        b.commit_claim(r, s, e);
         b.try_append_chunk(&chunk).unwrap();
         assert_eq!(b.pending_for(r), 2);
     }

@@ -42,18 +42,6 @@ impl StreamCatalog {
         Ok(basket)
     }
 
-    /// Register an externally created basket under its own name.
-    pub fn register_basket(&mut self, basket: Arc<Basket>) -> Result<()> {
-        let name = basket.name().to_string();
-        if self.baskets.contains_key(&name) || self.tables.contains(&name) {
-            return Err(DataCellError::Catalog(format!(
-                "name {name} already exists"
-            )));
-        }
-        self.baskets.insert(name, basket);
-        Ok(())
-    }
-
     /// Look a basket up.
     pub fn basket(&self, name: &str) -> Result<Arc<Basket>> {
         self.baskets

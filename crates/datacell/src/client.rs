@@ -31,7 +31,7 @@ use datacell_engine::Chunk;
 use datacell_sql::Schema;
 use parking_lot::Mutex;
 
-use crate::basket::{AppendRoom, Basket, ReaderId, ReaderLease};
+use crate::basket::{AppendRoom, Basket, ReaderClaim, ReaderLease};
 use crate::clock::now_micros;
 use crate::error::{DataCellError, Result};
 use crate::metrics::{LatencyHistogram, SessionMetrics};
@@ -732,19 +732,6 @@ impl DeliveryMeter {
     }
 }
 
-/// Settle a claim `[start, end)` of which the first `done` rows were
-/// delivered: commit those, give the rest back to the reader.
-fn settle(basket: &Basket, reader: ReaderId, start: u64, done: u64, end: u64) {
-    let mid = start + done.min(end - start);
-    if mid >= end {
-        basket.commit_claim(reader, start, end);
-    } else {
-        // Drops the whole in-flight range and steps the cursor back to
-        // `mid`: `[start, mid)` stays consumed.
-        basket.rewind_claim(reader, mid, end);
-    }
-}
-
 /// A typed stream of continuous-query results.
 ///
 /// Each delivered tuple (minus the implicit `ts` column) is decoded into
@@ -929,11 +916,11 @@ impl<T: FromRow> Subscription<T> {
         if lease.basket().is_closed() {
             return Err(DataCellError::Disconnected);
         }
-        let (rows, start, end) = lease.basket().claim_for_reader(lease.id(), usize::MAX);
+        let (rows, claim) = lease.claim(usize::MAX);
         Ok((!rows.is_empty()).then(|| ChunkClaim {
             rows,
             delivered: 0,
-            owner: Some((lease, &self.meter, start, end)),
+            owner: Some((claim, &self.meter)),
         }))
     }
 
@@ -1008,13 +995,7 @@ impl<T> Drop for Subscription<T> {
         let claim = self.claim.get_mut();
         if self.shared && claim.taken < claim.rows.len() {
             let lease = &self.subscriber.lease;
-            settle(
-                lease.basket(),
-                lease.id(),
-                claim.start,
-                claim.taken as u64,
-                claim.end,
-            );
+            lease.settle(claim.start, claim.taken as u64, claim.end);
         }
     }
 }
@@ -1025,9 +1006,9 @@ impl<T> Drop for Subscription<T> {
 pub struct ChunkClaim<'a> {
     rows: Chunk,
     delivered: usize,
-    /// The reader, the accounts and the oids `[start, end)` the claim
-    /// settles; `None` for rows already handed out.
-    owner: Option<(&'a ReaderLease, &'a DeliveryMeter, u64, u64)>,
+    /// The reader's claim on the rows and the accounts they feed; `None`
+    /// for rows already handed out.
+    owner: Option<(ReaderClaim<'a>, &'a DeliveryMeter)>,
 }
 
 impl ChunkClaim<'_> {
@@ -1042,24 +1023,11 @@ impl ChunkClaim<'_> {
     pub fn delivered(&mut self, n: usize) {
         let n = n.min(self.rows.len());
         if n > self.delivered {
-            if let Some((_, meter, ..)) = self.owner {
+            if let Some((claim, meter)) = &mut self.owner {
                 meter.record(&self.rows, self.delivered..n);
+                claim.delivered(n);
             }
             self.delivered = n;
-        }
-    }
-}
-
-impl Drop for ChunkClaim<'_> {
-    fn drop(&mut self) {
-        if let Some((lease, _, start, end)) = self.owner {
-            settle(
-                lease.basket(),
-                lease.id(),
-                start,
-                self.delivered as u64,
-                end,
-            );
         }
     }
 }

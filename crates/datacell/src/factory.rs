@@ -20,8 +20,8 @@
 //!    the whole step without losing input tuples; a full `Block` output
 //!    defers it the same way (backpressure propagating upstream);
 //! 4. apply consumption: exclusive inputs delete exactly the tuples the
-//!    basket expression referenced; shared inputs advance their reader
-//!    cursor.
+//!    basket expression referenced; shared inputs commit the claim their
+//!    reader took in step 1 (an erring or deferred step gives it back).
 //!
 //! **Concurrency.** The paper's Algorithm 1 holds the basket locks for the
 //! whole loop body. We get the same effect with finer locks because (a)
@@ -45,32 +45,33 @@ use datacell_engine::{execute, Catalog, Chunk};
 use datacell_sql::physical::PhysicalPlan;
 use datacell_sql::Schema;
 
-use crate::basket::{Basket, ExclusiveAnchor, ReaderId};
+use crate::basket::{Basket, ExclusiveAnchor, ReaderClaim, ReaderId, ReaderLease};
 use crate::catalog::{consumed_positions, StepSource, StreamCatalog};
 use crate::error::{DataCellError, Result};
 
 /// How a factory reads one of its input baskets.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub enum InputMode {
     /// The basket expression's qualifying tuples are deleted right after
     /// the step: the whole basket for a plain `[select * from b]`, only
     /// the predicate window otherwise (§2.6).
     Exclusive,
-    /// Read from this reader's cursor; tuples are removed only when every
-    /// reader has passed them (§2.5). Plan sharing reads this way.
-    Shared(ReaderId),
+    /// Read through the factory's own reader; tuples are removed only
+    /// when every reader has passed them (§2.5). Plan sharing reads this
+    /// way.
+    Shared(ReaderLease),
 }
 
 /// What one firing holds of an input between snapshot and consumption.
-enum Cursor {
+enum Cursor<'a> {
     /// Layout anchor of an exclusive snapshot.
     Exclusive(ExclusiveAnchor),
-    /// The shared reader and the oid its snapshot ended at.
-    Shared(ReaderId, u64),
+    /// The shared reader's claim, given back unless the firing commits it.
+    Shared(ReaderClaim<'a>),
 }
 
 /// One data input of a factory.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FactoryInput {
     /// The basket read from.
     pub basket: Arc<Basket>,
@@ -246,13 +247,17 @@ impl Factory {
         self.min_tuples
     }
 
-    /// Switch input basket `name` to the shared discipline using reader `r`.
-    /// The factory then owns `r`: [`Factory::detach`] unregisters it.
-    pub fn set_shared(&mut self, basket: &str, r: ReaderId) -> Result<()> {
+    /// Switch input basket `name` to the shared discipline: the factory
+    /// registers a reader of its own on it (from the start of resident
+    /// data) and holds it for as long as it lives, or until
+    /// [`Factory::detach`]. Returns the reader.
+    pub fn set_shared(&mut self, basket: &str) -> Result<ReaderId> {
         for input in &mut self.inputs {
             if input.basket.name() == basket {
-                input.mode = InputMode::Shared(r);
-                return Ok(());
+                let lease = ReaderLease::register(Arc::clone(&input.basket), true);
+                let id = lease.id();
+                input.mode = InputMode::Shared(lease);
+                return Ok(id);
             }
         }
         Err(DataCellError::Wiring(format!(
@@ -261,13 +266,13 @@ impl Factory {
         )))
     }
 
-    /// Unregister every shared input's reader, so the inputs stop keeping
+    /// Release every shared input's reader, so the inputs stop keeping
     /// tuples for this factory. The scheduler calls it when the factory is
-    /// removed.
+    /// removed; dropping the factory does the same.
     pub fn detach(&self) {
         for input in &self.inputs {
-            if let InputMode::Shared(r) = input.mode {
-                input.basket.unregister_reader(r);
+            if let InputMode::Shared(lease) = &input.mode {
+                lease.release();
             }
         }
     }
@@ -282,15 +287,15 @@ impl Factory {
     pub fn ready(&self) -> bool {
         let mut fresh = false;
         for (i, examined) in self.inputs.iter().zip(&self.examined) {
-            let pending = match i.mode {
+            let pending = match &i.mode {
                 InputMode::Exclusive => {
                     let (len, appended) = i.basket.len_and_appended();
                     fresh |= appended != examined.load(Ordering::Relaxed);
                     len
                 }
-                InputMode::Shared(r) => {
+                InputMode::Shared(lease) => {
                     fresh = true;
-                    i.basket.pending_for(r)
+                    lease.pending()
                 }
             };
             if pending < self.min_tuples {
@@ -313,7 +318,8 @@ impl Factory {
         let budget = max_tuples.max(self.min_tuples);
 
         // 1. Snapshot inputs, at most `budget` tuples each. `snapshots` and
-        // `cursors` stay aligned with `self.inputs`.
+        // `cursors` stay aligned with `self.inputs`. A shared input's claim
+        // gives its range back if the firing errs or defers before step 4.
         //
         // Exclusive snapshots are anchored to the basket's layout epoch: a
         // concurrent `ShedOldest` eviction between snapshot and
@@ -325,14 +331,14 @@ impl Factory {
         let mut snapshots: Vec<Chunk> = Vec::with_capacity(self.inputs.len());
         let mut cursors: Vec<Cursor> = Vec::with_capacity(self.inputs.len());
         for input in &self.inputs {
-            let (chunk, cursor) = match input.mode {
+            let (chunk, cursor) = match &input.mode {
                 InputMode::Exclusive => {
                     let (chunk, anchor) = input.basket.snapshot_exclusive(budget);
                     (chunk, Cursor::Exclusive(anchor))
                 }
-                InputMode::Shared(r) => {
-                    let (chunk, end) = input.basket.snapshot_for_reader(r, budget);
-                    (chunk, Cursor::Shared(r, end))
+                InputMode::Shared(lease) => {
+                    let (chunk, claim) = lease.claim(budget);
+                    (chunk, Cursor::Shared(claim))
                 }
             };
             snapshots.push(chunk);
@@ -373,7 +379,7 @@ impl Factory {
             .inputs
             .iter()
             .zip(&snapshots)
-            .zip(&cursors)
+            .zip(cursors)
             .zip(&self.examined)
         {
             match cursor {
@@ -381,7 +387,7 @@ impl Factory {
                     let (qualified, removed) =
                         match consumed_positions(&outcome.consumed, input.basket.name()) {
                             Some(gone) => {
-                                (gone.len(), input.basket.consume_exclusive(anchor, &gone)?)
+                                (gone.len(), input.basket.consume_exclusive(&anchor, &gone)?)
                             }
                             None => (0, 0),
                         };
@@ -390,8 +396,8 @@ impl Factory {
                         examined.store(appended, Ordering::Relaxed);
                     }
                 }
-                Cursor::Shared(r, end) => {
-                    input.basket.commit_reader(*r, *end);
+                Cursor::Shared(claim) => {
+                    claim.commit();
                     consumed += snapshot.len();
                 }
             }
@@ -565,8 +571,7 @@ mod tests {
             FactoryOutput::Discard,
         )
         .unwrap();
-        let r = input.register_reader(true);
-        f.set_shared("r", r).unwrap();
+        let r = f.set_shared("r").unwrap();
         let r2 = input.register_reader(true); // a second reader holds tuples
         push(&input, &[(1, 0), (2, 0)]);
         f.step(Some(&cat.tables), usize::MAX).unwrap();
@@ -575,6 +580,35 @@ mod tests {
         // ...and they stay resident because reader 2 hasn't.
         assert_eq!(input.len(), 2);
         assert_eq!(input.pending_for(r2), 2);
+    }
+
+    #[test]
+    fn deferred_shared_firing_keeps_its_input() {
+        let (cat, input, output) = setup();
+        let mut f = Factory::compile(
+            "q",
+            "select s.a from [select * from r] as s",
+            &cat,
+            FactoryOutput::Basket(Arc::clone(&output)),
+        )
+        .unwrap();
+        let r = f.set_shared("r").unwrap();
+        output.set_capacity(Some(1), OverflowPolicy::Reject);
+        output.append_rows(&[vec![Value::Int(0)]]).unwrap();
+        push(&input, &[(1, 0), (2, 0), (3, 0)]);
+        // The full output rejects the batch: the step defers, and the
+        // reader keeps every tuple pending and resident.
+        let err = f.step(Some(&cat.tables), usize::MAX).unwrap_err();
+        assert!(matches!(err, DataCellError::Backpressure { .. }), "{err}");
+        assert_eq!(input.pending_for(r), 3);
+        assert_eq!(input.len(), 3, "a deferred firing trims nothing");
+        assert!(f.ready());
+        // The output drains: the retry delivers every tuple once.
+        output.clear();
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
+        assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[1, 2, 3]);
+        assert_eq!(input.pending_for(r), 0);
+        assert!(input.is_empty(), "sole reader passed: trimmed");
     }
 
     #[test]
@@ -613,8 +647,7 @@ mod tests {
             FactoryOutput::Discard,
         )
         .unwrap();
-        let r = input.register_reader(true);
-        f.set_shared("r", r).unwrap();
+        let r = f.set_shared("r").unwrap();
         push(&input, &[(1, 0), (2, 0), (3, 0)]);
         f.step(Some(&cat.tables), 2).unwrap();
         assert_eq!(input.pending_for(r), 1, "cursor advanced past the prefix");
@@ -628,7 +661,7 @@ mod tests {
         let out = f.step(Some(&cat.tables), 10).unwrap();
         assert_eq!((out.tuples_in, out.consumed), (10, 10));
         assert_eq!(input.pending_for(r), 9_990);
-        let (next, _) = input.snapshot_for_reader(r, 1);
+        let (next, ..) = input.claim_for_reader(r, 1);
         assert_eq!(next.columns[0].as_ints().unwrap(), &[10]);
     }
 

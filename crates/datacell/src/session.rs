@@ -338,13 +338,6 @@ impl DataCell {
         self.events.recent_n(n)
     }
 
-    /// Total engine events recorded since the session was built (monotone;
-    /// unlike [`recent_events`](Self::recent_events), unaffected by the
-    /// ring's retention limit).
-    pub fn events_recorded(&self) -> u64 {
-        self.events.recorded()
-    }
-
     /// Record an engine event into the session's ring. Public so attached
     /// transports (the `datacell-net` servers) can trace connection churn
     /// alongside engine events.
@@ -1266,16 +1259,9 @@ impl DataCell {
         input: &Arc<Basket>,
         output: &Arc<Basket>,
     ) -> Result<()> {
-        let built = (|| {
-            let sink = FactoryOutput::Basket(Arc::clone(output));
-            let mut factory = Factory::from_plan(name, plan, schema, &self.catalog.read(), sink)?;
-            let reader = input.register_reader(true);
-            if let Err(e) = factory.set_shared(input.name(), reader) {
-                input.unregister_reader(reader);
-                return Err(e);
-            }
-            Ok(factory)
-        })();
+        let sink = FactoryOutput::Basket(Arc::clone(output));
+        let built = Factory::from_plan(name, plan, schema, &self.catalog.read(), sink)
+            .and_then(|mut factory| factory.set_shared(input.name()).map(|_| factory));
         match built {
             Ok(factory) => {
                 self.scheduler

@@ -34,13 +34,12 @@ use std::sync::Arc;
 
 use datacell_bat::aggregate::{Accumulator, AggFunc};
 use datacell_bat::candidates::Candidates;
-use datacell_bat::types::{DataType, Value};
+use datacell_bat::types::Value;
 use datacell_engine::Catalog;
 use datacell_sql::ast::WindowSpec;
-use datacell_sql::Schema;
 use parking_lot::Mutex;
 
-use crate::basket::{Basket, ReaderId, Signal};
+use crate::basket::{Basket, ReaderLease, Signal};
 use crate::error::{DataCellError, Result};
 use crate::factory::StepOutcome;
 use crate::petri::Places;
@@ -75,9 +74,8 @@ struct BasicState {
 /// (count-based; see module docs).
 pub struct BasicWindowAgg {
     name: String,
-    input: Arc<Basket>,
-    /// Registered reader on `input` (unified cursor discipline).
-    reader: ReaderId,
+    /// The evaluator's reader on its input basket.
+    input: ReaderLease,
     /// Aggregated column index in the input basket schema.
     column: usize,
     func: AggFunc,
@@ -126,11 +124,9 @@ impl BasicWindowAgg {
                 "output basket must have exactly one {agg_ty} column"
             )));
         }
-        let reader = input.register_reader(true);
         Ok(BasicWindowAgg {
             name: name.into(),
-            input,
-            reader,
+            input: ReaderLease::register(input, true),
             column,
             func,
             filter,
@@ -161,7 +157,7 @@ impl BasicWindowAgg {
             for acc in state.ring.iter().take(bw_per_window) {
                 merged.merge(acc);
             }
-            let in_ty = self.input.schema().columns[self.column].ty;
+            let in_ty = self.input.basket().schema().columns[self.column].ty;
             out.push(vec![merged.finish(self.func, in_ty)?]);
             state.ring.pop_front();
         }
@@ -175,17 +171,18 @@ impl Transition for BasicWindowAgg {
     }
 
     fn ready(&self) -> bool {
-        self.input.pending_for(self.reader) > 0
+        self.input.pending() > 0
     }
 
     /// Folds the whole pending input: a DRR ring member's budget is
     /// ignored, and the ring charges the overrun as debt.
     fn step(&self, _tables: Option<&Catalog>, _max_tuples: usize) -> Result<StepOutcome> {
-        // Snapshot without committing; fold into a *working copy* of the
-        // summaries and deliver all completed windows in one non-waiting
-        // append — only on success do the state and cursor commit, so a
-        // full bounded output defers the step losslessly.
-        let (incoming, end) = self.input.snapshot_for_reader(self.reader, usize::MAX);
+        // Claim the input; fold into a *working copy* of the summaries and
+        // deliver all completed windows in one non-waiting append — only
+        // on success do the state and the claim commit, so a full bounded
+        // output defers the step losslessly (the dropped claim gives the
+        // input back).
+        let (incoming, claim) = self.input.claim(usize::MAX);
         let tuples_in = incoming.len();
         if tuples_in == 0 {
             return Ok(StepOutcome::default());
@@ -232,7 +229,7 @@ impl Transition for BasicWindowAgg {
         drop(state);
         self.windows_emitted
             .fetch_add(produced as u64, Ordering::Relaxed);
-        self.input.commit_reader(self.reader, end);
+        claim.commit();
         Ok(StepOutcome {
             tuples_in,
             consumed: tuples_in,
@@ -241,40 +238,28 @@ impl Transition for BasicWindowAgg {
     }
 
     fn subscribe(&self, signal: Arc<Signal>) {
-        self.input.set_parent_signal(signal);
+        self.input.basket().set_parent_signal(signal);
     }
 
     fn places(&self) -> Places {
         Places {
-            inputs: vec![self.input.name().to_string()],
+            inputs: vec![self.input.basket().name().to_string()],
             outputs: vec![self.output.name().to_string()],
         }
     }
 
     fn detach(&self) {
-        self.input.unregister_reader(self.reader);
+        self.input.release();
     }
-}
-
-/// A window refused by `add_transition`, or dropped without a scheduler,
-/// still registered its reader in `new`.
-impl Drop for BasicWindowAgg {
-    fn drop(&mut self) {
-        self.detach();
-    }
-}
-
-/// Convenience: the output basket schema for a [`BasicWindowAgg`] of `func`
-/// over a column of type `input_ty`.
-pub fn agg_output_schema(func: AggFunc, input_ty: DataType) -> Schema {
-    Schema::new(vec![("value".into(), func.output_type(input_ty))])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DataCell;
+    use datacell_bat::types::DataType;
     use datacell_engine::Chunk;
+    use datacell_sql::Schema;
 
     /// An input basket `w (v int)` and an output basket `wout (value int)`
     /// for a [`BasicWindowAgg`].

@@ -36,7 +36,7 @@
 //! the soundness gap the explicit call makes the caller own.
 //!
 //! **Each window is evaluated once.** A step moves a source's pending
-//! tuples into its private buffer (committing the reader cursor) only while
+//! tuples into its private buffer (committing its reader's claim) only while
 //! that source's next window is still open, so a buffer never holds more
 //! than one ingest plus one window, and a full buffer leaves the rest in
 //! the input basket, where backpressure reaches the producer. The step then
@@ -56,18 +56,17 @@ use datacell_sql::ast::WindowSpec;
 use datacell_sql::physical::PhysicalPlan;
 use parking_lot::Mutex;
 
-use crate::basket::{AppendRoom, Basket, ReaderId, Signal};
+use crate::basket::{AppendRoom, ReaderLease, Signal};
 use crate::catalog::StepSource;
 use crate::error::{DataCellError, Result};
 use crate::factory::{FactoryOutput, StepOutcome};
 use crate::petri::Places;
 use crate::scheduler::Transition;
 
-/// One input stream of the join: its basket, the transition's reader
-/// cursor on it, and the source's own window spec.
+/// One input stream of the join: the transition's reader on its basket
+/// and the source's own window spec.
 struct Side {
-    basket: Arc<Basket>,
-    reader: ReaderId,
+    input: ReaderLease,
     spec: WindowSpec,
 }
 
@@ -154,20 +153,12 @@ impl WindowJoin {
                  clause: windowed {names:?}, consumed {consumed:?}"
             )));
         }
-        // Validate every side before registering any reader: a reader
-        // registered on an early side and then leaked by a later error
-        // would pin that basket's trim watermark forever (Side has no Drop;
-        // detach() only exists on a constructed WindowJoin).
-        let mut resolved = Vec::with_capacity(windowed.len());
+        // A side's lease deregisters its reader if a later side errs.
+        let mut sides = Vec::with_capacity(windowed.len());
+        let mut states = Vec::with_capacity(windowed.len());
         for (basket_name, spec) in &windowed {
             let basket = catalog.basket(basket_name)?;
             spec.validate().map_err(DataCellError::Wiring)?;
-            resolved.push((basket, *spec));
-        }
-        let mut sides = Vec::with_capacity(resolved.len());
-        let mut states = Vec::with_capacity(resolved.len());
-        for (basket, spec) in resolved {
-            let reader = basket.register_reader(true);
             states.push(SideState {
                 buffer: Chunk::empty(basket.schema().clone()),
                 arrived: 0,
@@ -176,9 +167,8 @@ impl WindowJoin {
                 first_ts: None,
             });
             sides.push(Side {
-                basket,
-                reader,
-                spec,
+                input: ReaderLease::register(basket, true),
+                spec: *spec,
             });
         }
         let readiness = Readiness {
@@ -229,7 +219,7 @@ impl WindowJoin {
     pub fn input_names(&self) -> Vec<String> {
         self.sides
             .iter()
-            .map(|s| s.basket.name().to_string())
+            .map(|s| s.input.basket().name().to_string())
             .collect()
     }
 
@@ -344,9 +334,9 @@ impl WindowJoin {
     }
 
     /// Move up to `budget` of side `i`'s pending tuples into its buffer
-    /// and commit its reader cursor past them. Returns how many moved.
+    /// and commit its reader's claim on them. Returns how many moved.
     fn ingest(side: &Side, st: &mut SideState, budget: usize) -> Result<usize> {
-        let (incoming, end) = side.basket.snapshot_for_reader(side.reader, budget);
+        let (incoming, claim) = side.input.claim(budget);
         let n = incoming.len();
         if n > 0 {
             let ts = incoming.columns[incoming.schema.len() - 1].as_timestamps()?;
@@ -360,7 +350,7 @@ impl WindowJoin {
                 st.buffer.append(&incoming)?;
             }
         }
-        side.basket.commit_reader(side.reader, end);
+        claim.commit();
         Ok(n)
     }
 
@@ -489,7 +479,7 @@ impl WindowJoin {
                 .sides
                 .iter()
                 .zip(&windows)
-                .map(|(s, w)| (s.basket.name(), w))
+                .map(|(s, w)| (s.input.basket().name(), w))
                 .collect();
             let src = StepSource {
                 snapshots: &lent,
@@ -602,12 +592,6 @@ impl WindowJoin {
     }
 }
 
-impl Drop for WindowJoin {
-    fn drop(&mut self) {
-        self.detach();
-    }
-}
-
 impl Transition for WindowJoin {
     fn name(&self) -> &str {
         &self.name
@@ -630,7 +614,7 @@ impl Transition for WindowJoin {
                 .sides
                 .iter()
                 .zip(&self.readiness.open)
-                .any(|(s, open)| open.load(Ordering::Relaxed) && s.basket.pending_for(s.reader) > 0)
+                .any(|(s, open)| open.load(Ordering::Relaxed) && s.input.pending() > 0)
     }
 
     /// Ingest at most `max_tuples` tuples per side: the join's firings are
@@ -643,7 +627,7 @@ impl Transition for WindowJoin {
     /// basket with freed room.
     fn subscribe(&self, signal: Arc<Signal>) {
         for side in &self.sides {
-            side.basket.set_parent_signal(Arc::clone(&signal));
+            side.input.basket().set_parent_signal(Arc::clone(&signal));
         }
         if let FactoryOutput::Basket(b) = &self.output {
             b.set_parent_signal(signal);
@@ -668,11 +652,11 @@ impl Transition for WindowJoin {
         }
     }
 
-    /// Unregister the reader cursors so the input baskets stop retaining
-    /// tuples for this join. Idempotent; called on removal and on drop.
+    /// Release the readers so the input baskets stop retaining tuples
+    /// for this join ahead of its drop.
     fn detach(&self) {
         for side in &self.sides {
-            side.basket.unregister_reader(side.reader);
+            side.input.release();
         }
     }
 }
@@ -680,6 +664,7 @@ impl Transition for WindowJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basket::Basket;
     use crate::catalog::StreamCatalog;
     use datacell_bat::types::{DataType, Value};
     use datacell_sql::Schema;

@@ -32,7 +32,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use datacell::basket::{Basket, ReaderId, Signal};
+use datacell::basket::{Basket, ReaderLease, Signal};
 use datacell::error::{DataCellError, Result};
 use datacell::factory::StepOutcome;
 use datacell::petri::Places;
@@ -104,10 +104,9 @@ struct CoreState {
 /// The Linear Road core transition: consumes `lr_in`, emits to the four
 /// output baskets, answers historical queries against the `history` table.
 pub struct LrCore {
-    input: Arc<Basket>,
-    /// Registered reader on `input`: consumption goes through the engine's
-    /// unified cursor discipline.
-    reader: ReaderId,
+    /// The core's reader on `lr_in`: consumption goes through the engine's
+    /// one reader protocol.
+    input: ReaderLease,
     toll_out: Arc<Basket>,
     acc_out: Arc<Basket>,
     bal_out: Arc<Basket>,
@@ -317,14 +316,14 @@ impl Transition for LrCore {
     }
 
     fn ready(&self) -> bool {
-        self.input.pending_for(self.reader) > 0
+        self.input.pending() > 0
     }
 
     fn step(&self, tables: Option<&Catalog>, _max_tuples: usize) -> Result<StepOutcome> {
-        // Snapshot now, commit at the end of the step: an emit failure
-        // leaves the cursor in place so the batch is retried (at-least-
+        // Claim now, commit at the end of the step: an emit failure drops
+        // the claim, which gives the batch back to be retried (at-least-
         // once) instead of silently dropping the unprocessed remainder.
-        let (chunk, end) = self.input.snapshot_for_reader(self.reader, usize::MAX);
+        let (chunk, claim) = self.input.claim(usize::MAX);
         let n = chunk.len();
         if n == 0 {
             return Ok(StepOutcome::default());
@@ -370,7 +369,7 @@ impl Transition for LrCore {
                 }
             }
         }
-        self.input.commit_reader(self.reader, end);
+        claim.commit();
         Ok(StepOutcome {
             tuples_in: n,
             consumed: n,
@@ -379,12 +378,12 @@ impl Transition for LrCore {
     }
 
     fn subscribe(&self, signal: Arc<Signal>) {
-        self.input.set_parent_signal(signal);
+        self.input.basket().set_parent_signal(signal);
     }
 
     fn places(&self) -> Places {
         Places {
-            inputs: vec![self.input.name().to_string()],
+            inputs: vec![self.input.basket().name().to_string()],
             outputs: [
                 &self.toll_out,
                 &self.acc_out,
@@ -397,13 +396,7 @@ impl Transition for LrCore {
     }
 
     fn detach(&self) {
-        self.input.unregister_reader(self.reader);
-    }
-}
-
-impl Drop for LrCore {
-    fn drop(&mut self) {
-        self.detach();
+        self.input.release();
     }
 }
 
@@ -455,8 +448,7 @@ impl LinearRoadSystem {
         }
         let input = cell.basket("lr_in")?;
         let core = Arc::new(LrCore {
-            input: Arc::clone(&input),
-            reader: input.register_reader(true),
+            input: ReaderLease::register(Arc::clone(&input), true),
             toll_out: cell.basket("toll_out")?,
             acc_out: cell.basket("acc_out")?,
             bal_out: cell.basket("bal_out")?,

@@ -25,14 +25,16 @@
 //! The scrape count is itself exported (`datacell_http_scrapes_total`).
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use datacell::error::{DataCellError, Result};
 use datacell::metrics::MetricsSnapshot;
 use datacell::{CellResult, DataCell, HistogramSnapshot, Value};
+use parking_lot::Mutex;
 
 use crate::server::AcceptLoop;
 
@@ -52,11 +54,17 @@ struct HttpState {
     scrapes: AtomicU64,
 }
 
+/// Requests being answered: each one's socket (so a stop can cut a
+/// stalled read short) and its thread. Finished ones are reaped as new
+/// ones arrive.
+type Requests = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
+
 /// The HTTP observability listener (see module docs). Stops on
 /// [`HttpServer::stop`] or drop.
 pub struct HttpServer {
     state: Arc<HttpState>,
     acceptor: AcceptLoop,
+    requests: Requests,
 }
 
 impl HttpServer {
@@ -84,19 +92,38 @@ impl HttpServer {
             scrapes: AtomicU64::new(0),
         });
         let accept_state = Arc::clone(&state);
+        let requests = Requests::default();
+        let accept_requests = Arc::clone(&requests);
         let acceptor = AcceptLoop::spawn(
             format!("datacell-http-{local_addr}"),
             listener,
             Arc::new(AtomicBool::new(false)),
             move |stream, _peer| {
+                let Ok(socket) = stream.try_clone() else {
+                    return;
+                };
                 let conn_state = Arc::clone(&accept_state);
-                let _ = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("datacell-http-conn".into())
-                    .spawn(move || handle_request(&conn_state, stream));
+                    .spawn(move || {
+                        handle_request(&conn_state, &stream);
+                        // The registry's clone keeps the socket open: close
+                        // it explicitly so the client sees the response end.
+                        let _ = stream.shutdown(Shutdown::Both);
+                    });
+                if let Ok(handle) = spawned {
+                    let mut requests = accept_requests.lock();
+                    requests.retain(|(_, h)| !h.is_finished());
+                    requests.push((socket, handle));
+                }
             },
         )
         .map_err(|e| DataCellError::Runtime(format!("http: spawn accept loop: {e}")))?;
-        Ok(HttpServer { state, acceptor })
+        Ok(HttpServer {
+            state,
+            acceptor,
+            requests,
+        })
     }
 
     /// The bound address (resolves port `0` to the ephemeral port).
@@ -109,27 +136,33 @@ impl HttpServer {
         self.state.scrapes.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting and join the accept loop. In-flight responses
-    /// finish on their own threads (each closes its socket when done).
+    /// Stop accepting, shut every in-flight request's socket and join
+    /// all threads: once it returns, no thread of the server holds the
+    /// session. Dropping the server does the same.
     pub fn stop(self) {
-        self.acceptor.stop();
+        drop(self);
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.acceptor.stop();
+        let requests: Vec<_> = self.requests.lock().drain(..).collect();
+        for (socket, _) in &requests {
+            // Unblocks a read waiting on a silent client.
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        for (_, handle) in requests {
+            let _ = handle.join();
+        }
     }
 }
 
 /// Read one request head, route it, write one response, close.
-fn handle_request(state: &Arc<HttpState>, stream: TcpStream) {
+fn handle_request(state: &Arc<HttpState>, stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
+    let mut writer = stream;
     let mut reader = BufReader::new(stream.take(MAX_HEAD));
     let mut request_line = String::new();
     if reader.read_line(&mut request_line).is_err() || request_line.trim().is_empty() {
@@ -137,7 +170,7 @@ fn handle_request(state: &Arc<HttpState>, stream: TcpStream) {
     }
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        let _ = respond(&mut writer, 400, "text/plain", "bad request\n");
+        let _ = respond(writer, 400, "text/plain", "bad request\n");
         return;
     };
     let method = method.to_string();
@@ -167,7 +200,7 @@ fn handle_request(state: &Arc<HttpState>, stream: TcpStream) {
         }
     }
     if method != "GET" {
-        let _ = respond(&mut writer, 405, "text/plain", "method not allowed\n");
+        let _ = respond(writer, 405, "text/plain", "method not allowed\n");
         return;
     }
     let (path, query) = match target.split_once('?') {
@@ -199,18 +232,18 @@ fn handle_request(state: &Arc<HttpState>, stream: TcpStream) {
             state.scrapes.fetch_add(1, Ordering::Relaxed);
             let body =
                 render_prometheus(&state.cell.metrics(), state.scrapes.load(Ordering::Relaxed));
-            let _ = respond(&mut writer, 200, "text/plain; version=0.0.4", &body);
+            let _ = respond(writer, 200, "text/plain; version=0.0.4", &body);
         }
         "/healthz" => {
             let (code, body) = healthz(&state.cell);
-            let _ = respond(&mut writer, code, "text/plain", &body);
+            let _ = respond(writer, code, "text/plain", &body);
         }
         "/queries" => {
             let body = match state.cell.execute("show queries") {
                 Ok(CellResult::Rows(chunk)) => chunk_to_json(&chunk),
                 Ok(_) | Err(_) => "[]".to_string(),
             };
-            let _ = respond(&mut writer, 200, "application/json", &body);
+            let _ = respond(writer, 200, "application/json", &body);
         }
         "/events" => {
             let n = query
@@ -234,10 +267,10 @@ fn handle_request(state: &Arc<HttpState>, stream: TcpStream) {
                 ));
             }
             body.push(']');
-            let _ = respond(&mut writer, 200, "application/json", &body);
+            let _ = respond(writer, 200, "application/json", &body);
         }
         _ => {
-            let _ = respond(&mut writer, 404, "text/plain", "not found\n");
+            let _ = respond(writer, 404, "text/plain", "not found\n");
         }
     }
 }
@@ -260,7 +293,7 @@ fn healthz(cell: &DataCell) -> (u16, String) {
     (200, "ok\n".into())
 }
 
-fn respond(w: &mut TcpStream, code: u16, content_type: &str, body: &str) -> std::io::Result<()> {
+fn respond(mut w: &TcpStream, code: u16, content_type: &str, body: &str) -> std::io::Result<()> {
     let reason = match code {
         200 => "OK",
         400 => "Bad Request",

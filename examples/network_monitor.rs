@@ -36,7 +36,6 @@ fn main() {
     ] {
         cell.execute(ddl).unwrap();
     }
-    let packets = cell.basket("packets").unwrap();
 
     // Queries 1 and 2 share the `packets` basket under the shared-readers
     // discipline (§2.5): a tuple is removed only once both have seen it.
@@ -55,9 +54,7 @@ fn main() {
             FactoryOutput::Basket(alerts),
         )
         .unwrap();
-        blocklist
-            .set_shared("packets", packets.register_reader(true))
-            .unwrap();
+        blocklist.set_shared("packets").unwrap();
 
         // Query 2 (heavy, shared reader): top talkers per batch.
         let mut top = Factory::compile(
@@ -68,8 +65,7 @@ fn main() {
             FactoryOutput::Basket(talkers),
         )
         .unwrap();
-        top.set_shared("packets", packets.register_reader(true))
-            .unwrap();
+        top.set_shared("packets").unwrap();
 
         drop(cat);
 

@@ -120,13 +120,13 @@ fn two_registered_readers_hold_the_watermark() {
     b.append_rows(&[vec![Value::Int(1)], vec![Value::Int(2)]])
         .unwrap();
 
-    let (c1, end1) = b.snapshot_for_reader(r1, usize::MAX);
-    b.commit_reader(r1, end1);
+    let (c1, s1, e1) = b.claim_for_reader(r1, usize::MAX);
+    b.commit_claim(r1, s1, e1);
     assert_eq!(c1.len(), 2);
     assert_eq!(b.len(), 2, "second reader still holds the tuples");
 
-    let (c2, end2) = b.snapshot_for_reader(r2, usize::MAX);
-    b.commit_reader(r2, end2);
+    let (c2, s2, e2) = b.claim_for_reader(r2, usize::MAX);
+    b.commit_claim(r2, s2, e2);
     assert_eq!(c2.len(), 2);
     assert_eq!(b.len(), 0, "both cursors passed: watermark trimmed");
 }

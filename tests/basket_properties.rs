@@ -139,8 +139,8 @@ enum Op {
     AuxCommitOldest(usize),
     /// Auxiliary reader `r` rewinds its oldest in-flight claim.
     AuxRewind(usize),
-    /// Auxiliary reader `r` snapshots and commits everything pending.
-    AuxSnapshotCommit(usize),
+    /// Auxiliary reader `r` claims and commits everything pending.
+    AuxClaimAll(usize),
     /// Drop auxiliary reader `r` (its in-flight claims die with it).
     AuxDrop(usize),
 }
@@ -155,7 +155,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (0usize..3).prop_map(Op::AuxCommitNewest),
         2 => (0usize..3).prop_map(Op::AuxCommitOldest),
         2 => (0usize..3).prop_map(Op::AuxRewind),
-        1 => (0usize..3).prop_map(Op::AuxSnapshotCommit),
+        1 => (0usize..3).prop_map(Op::AuxClaimAll),
         1 => (0usize..3).prop_map(Op::AuxDrop),
     ]
 }
@@ -247,11 +247,11 @@ proptest! {
                         b.rewind_claim(aux.id, s, e);
                     }
                 }
-                Op::AuxSnapshotCommit(r) => {
+                Op::AuxClaimAll(r) => {
                     let aux = &mut auxes[r];
                     if aux.live && aux.inflight.is_empty() {
-                        let (_chunk, end) = b.snapshot_for_reader(aux.id, usize::MAX);
-                        b.commit_reader(aux.id, end);
+                        let (_chunk, s, e) = b.claim_for_reader(aux.id, usize::MAX);
+                        b.commit_claim(aux.id, s, e);
                     }
                 }
                 Op::AuxDrop(r) => {
@@ -327,8 +327,8 @@ proptest! {
             prop_assert!(b.len() <= cap, "ShedOldest bound is strict");
             match i % 4 {
                 0 => {
-                    let (_, end) = b.snapshot_for_reader(reader, usize::MAX);
-                    b.commit_reader(reader, end);
+                    let (_, s, e) = b.claim_for_reader(reader, usize::MAX);
+                    b.commit_claim(reader, s, e);
                 }
                 1 => {
                     let (_, s, e) = b.claim_for_reader(reader, 2);

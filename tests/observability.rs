@@ -582,6 +582,28 @@ fn http_auth_gates_everything_but_health() {
     Arc::try_unwrap(cell).ok().expect("sole owner").stop();
 }
 
+#[test]
+fn http_stop_joins_in_flight_requests() {
+    let cell = Arc::new(DataCell::builder().auto_start(true).build());
+    let server = HttpServer::bind(Arc::clone(&cell), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    // An idle client that never sends its request: its request thread
+    // sits in the read, holding the session.
+    let idle = TcpStream::connect(addr).expect("connect idle");
+    // Connections are accepted in order, so a completed request on a
+    // second one proves the idle one was accepted and its thread spawned.
+    let (status, _, _) = http_get(addr, "/healthz", None);
+    assert_eq!(status, 200);
+    server.stop();
+    assert_eq!(
+        Arc::strong_count(&cell),
+        1,
+        "stop joined the idle request's thread"
+    );
+    drop(idle);
+    Arc::try_unwrap(cell).ok().expect("sole owner").stop();
+}
+
 /// Minimal TCP wire client (same shape as tests/net_integration.rs).
 struct WireClient {
     reader: BufReader<TcpStream>,

@@ -431,7 +431,7 @@ fn time_sliced_heavy_reader(split: bool) -> (Vec<i64>, usize, usize) {
     let reading = |name: &str, sql: &str, out: &Arc<datacell::Basket>| {
         let out = FactoryOutput::Basket(Arc::clone(out));
         let mut f = Factory::compile(name, sql, &cat, out).unwrap();
-        f.set_shared("s", input.register_reader(true)).unwrap();
+        f.set_shared("s").unwrap();
         f
     };
     let heavy_sql = "select m.k, count(*) as n from [select * from heavy_mid] as m group by m.k";

@@ -129,6 +129,32 @@ fn lifecycle_calls_reach_a_transition_added_by_hand() {
 }
 
 #[test]
+fn a_refused_factory_releases_its_shared_reader() {
+    use datacell::factory::{Factory, FactoryOutput};
+
+    let cell = DataCell::new();
+    cell.execute("create basket s (x int)").unwrap();
+    cell.execute("create basket other (x int)").unwrap();
+    cell.execute("create continuous query q as select o.x from [select * from other] as o")
+        .unwrap();
+    let s = cell.basket("s").unwrap();
+    let mut f = Factory::compile(
+        "q",
+        "select t.x from [select * from s] as t",
+        &cell.catalog().read(),
+        FactoryOutput::Discard,
+    )
+    .unwrap();
+    f.set_shared("s").unwrap();
+    assert_eq!(s.reader_count(), 1);
+    // The name is taken: the factory is refused and dropped, and with it
+    // the reader that would pin `s`'s trim watermark.
+    let err = cell.add_factory(f, SchedulePolicy::default()).unwrap_err();
+    assert!(err.to_string().contains("name q already exists"), "{err}");
+    assert_eq!(s.reader_count(), 0);
+}
+
+#[test]
 fn pause_buffers_resume_drains_under_scheduler_thread() {
     let cell = DataCell::builder().auto_start(true).build();
     cell.execute("create basket b (x int)").unwrap();
