@@ -1778,10 +1778,10 @@ impl Basket {
     /// pending, `start == end`).
     ///
     /// A cache-missed spill segment is decoded **outside the basket lock**
-    /// ([`Basket::slice_from_cursor`] asks for it): the lock is released
-    /// around the `read_segment` call (decode + CRC check of a whole
-    /// segment — milliseconds on a cold disk), so concurrent appends and
-    /// claims on other segments proceed while the decode runs. The
+    /// (`slice_from_cursor` asks for it): the lock is released around the
+    /// `read_segment` call (decode + CRC check of a whole segment —
+    /// milliseconds on a cold disk), so concurrent appends and claims on
+    /// other segments proceed while the decode runs. The
     /// decoded segment is installed into the one-segment cache only if an
     /// identical [`SegmentMeta`] is still listed (the layout may have
     /// changed underneath us: trim, clear, exclusive consume), then the
