@@ -140,6 +140,32 @@ impl AppendRoom {
     }
 }
 
+/// The WAL record an append wrote last: waiting on it makes that append,
+/// and every record the log holds before it, durable. Empty for an
+/// ephemeral basket or an append that logged nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Durable(Option<(Arc<Wal>, u64)>);
+
+impl Durable {
+    /// Keep `newer` if it names a record: a basket's log numbers its
+    /// records in append order, so the newer ticket covers the older.
+    pub(crate) fn advance(&mut self, newer: Durable) {
+        if newer.0.is_some() {
+            *self = newer;
+        }
+    }
+}
+
+/// How far one append got: the leading rows of the batch that left it
+/// (appended or shed) and the ticket to wait on for their durability —
+/// on an error too, so a caller knows what landed and can still make it
+/// durable.
+#[derive(Debug, Default)]
+pub(crate) struct Landing {
+    pub(crate) rows: usize,
+    pub(crate) durable: Durable,
+}
+
 /// Whether a basket's contents survive a restart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
@@ -147,12 +173,19 @@ pub enum Durability {
     /// tuples.
     #[default]
     Ephemeral,
-    /// Every append is written to a per-basket WAL with group-commit
-    /// batching before the append returns, and head-trims/consumptions are
-    /// logged too, so
+    /// Every append is written to a per-basket WAL, and head-trims and
+    /// consumptions are logged too, so
     /// [`DataCell::recover`](crate::DataCell::recover) can rebuild the
     /// basket's exact contents (and its `appended`/`consumed` accounting
-    /// baselines) after a crash. Requires a session `data_dir`.
+    /// baselines) after a crash. Durability is promised at the
+    /// acknowledgement: `Ok` from [`Basket::append_rows`],
+    /// [`Basket::append_chunk`], their `try_` twins and
+    /// [`StreamWriter::flush`](crate::StreamWriter::flush) means the rows
+    /// are on disk (group commit shares one `fdatasync` among concurrent
+    /// appenders), while [`StreamWriter::try_flush`](crate::StreamWriter::try_flush)
+    /// lands rows without waiting and [`StreamWriter::sync`](crate::StreamWriter::sync)
+    /// makes them durable — on the wire, `OK SYNC` and `OK BYE`. Requires a
+    /// session `data_dir`.
     Persistent,
 }
 
@@ -941,25 +974,20 @@ impl Basket {
 
     // -------------------------- spill / wal ---------------------------
 
-    /// Log the newest `take` in-memory rows to the WAL. Called with the
-    /// inner lock held so record order matches oid order; the returned
-    /// `(wal, seq)` is the group-commit sync target, awaited *after* the
-    /// lock is released. A failed log **rolls the un-logged rows back
-    /// out** before returning the error — they were never visible outside
-    /// the lock, so the producer's retry of the failed batch cannot
+    /// Log the newest `take` in-memory rows to the WAL, encoded straight
+    /// from the basket's columns. Called with the inner lock held so record
+    /// order matches oid order; the returned ticket is awaited, if at all,
+    /// *after* the lock is released. A failed log **rolls the un-logged
+    /// rows back out** before returning the error — they were never visible
+    /// outside the lock, so the producer's retry of the failed batch cannot
     /// duplicate.
-    fn log_rows_or_roll_back(
-        &self,
-        inner: &mut Inner,
-        take: usize,
-    ) -> Result<Option<(Arc<Wal>, u64)>> {
+    fn log_rows_or_roll_back(&self, inner: &mut Inner, take: usize) -> Result<Durable> {
         let Some(wal) = inner.wal.clone() else {
-            return Ok(None);
+            return Ok(Durable::default());
         };
         let len = inner.mem_len();
-        let chunk = inner.mem_slice(&self.schema, len - take, len);
-        match wal.append_rows(&chunk) {
-            Ok(seq) => Ok(Some((wal, seq))),
+        match wal.append_row_range(&inner.columns, len - take..len) {
+            Ok(seq) => Ok(Durable(Some((wal, seq)))),
             Err(e) => {
                 for c in &mut inner.columns {
                     *c = c.slice(0, len - take).expect("truncate to prefix");
@@ -974,19 +1002,27 @@ impl Basket {
         }
     }
 
-    /// Block until WAL record `seq` is durable (group commit with any
-    /// concurrent committers). On a sync error the rows are already
+    /// Block until the record `ticket` names is durable (group commit with
+    /// any concurrent committers). On a sync error the rows are already
     /// resident and logged — only the *durability confirmation* failed —
     /// so the error means "not confirmed durable", not "not appended";
     /// re-appending the batch would duplicate it.
-    fn await_durable(&self, synced: Option<(Arc<Wal>, u64)>) -> Result<()> {
-        if let Some((wal, seq)) = synced {
-            wal.sync_to(seq).map_err(|e| {
+    pub(crate) fn await_durable(&self, ticket: &Durable) -> Result<()> {
+        if let Some((wal, seq)) = &ticket.0 {
+            wal.sync_to(*seq).map_err(|e| {
                 self.inner.lock().stats.storage_errors += 1;
                 DataCellError::Storage(format!("basket {}: wal sync failed: {e}", self.name))
             })?;
         }
         Ok(())
+    }
+
+    /// Length of the basket's WAL file that its last completed sync
+    /// covered (`None` for an ephemeral basket): the log a power loss
+    /// leaves behind, which every acknowledged append lies within.
+    pub fn durable_wal_len(&self) -> Option<u64> {
+        let wal = self.inner.lock().wal.clone()?;
+        Some(wal.durable_len())
     }
 
     /// Live WAL compaction (the PR-5 "compaction only happens at
@@ -1227,15 +1263,16 @@ impl Basket {
     /// row fails before anything is appended and producers never contend
     /// on validation. On a bounded basket the [`OverflowPolicy`] applies.
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.splice(&self.transpose(rows)?, rows.len(), true, &mut 0)
+        self.append_durably(&self.transpose(rows)?, rows.len(), true)
     }
 
     /// Non-waiting [`Basket::append_rows`]: a full `Block`-policy basket
     /// returns [`DataCellError::Backpressure`] (all-or-nothing) instead of
     /// blocking the caller — for producers that defer and retry rather
-    /// than stall their thread.
+    /// than stall their thread. Like every `Ok` append, a persistent
+    /// basket's rows are durable when it returns.
     pub fn try_append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.splice(&self.transpose(rows)?, rows.len(), false, &mut 0)
+        self.append_durably(&self.transpose(rows)?, rows.len(), false)
     }
 
     /// Append a chunk of user columns. Arrival times follow the chunk's
@@ -1244,7 +1281,8 @@ impl Basket {
     /// propagating the original arrival time so emitters can measure true
     /// end-to-end latency).
     pub fn append_chunk(&self, chunk: &Chunk) -> Result<()> {
-        self.append_chunk_landing(chunk, true).1
+        self.check_chunk(chunk)?;
+        self.append_durably(&chunk.columns, chunk.len(), true)
     }
 
     /// Non-waiting [`Basket::append_chunk`]: a full `Block`-policy basket
@@ -1252,22 +1290,35 @@ impl Basket {
     /// appended) instead of blocking. Factories use this for their output
     /// baskets so a full output defers the step — the scheduler thread
     /// never wedges, and since factories deliver before consuming, the
-    /// deferred step retries losslessly.
+    /// deferred step retries losslessly. It still waits for the disk: a
+    /// firing consumes its input only once its output is durable.
     pub fn try_append_chunk(&self, chunk: &Chunk) -> Result<()> {
-        self.append_chunk_landing(chunk, false).1
+        self.check_chunk(chunk)?;
+        self.append_durably(&chunk.columns, chunk.len(), false)
+    }
+
+    /// Splice, then wait until what landed is durable — on an error too,
+    /// so a failed append leaves its landed prefix on disk.
+    fn append_durably(&self, cols: &[Column], total: usize, wait: bool) -> Result<()> {
+        let mut landing = Landing::default();
+        let result = self.splice(cols, total, wait, &mut landing);
+        let synced = self.await_durable(&landing.durable);
+        result.and(synced)
     }
 
     /// [`Basket::append_chunk`] (`wait`) or [`Basket::try_append_chunk`]
-    /// for a producer that keeps the rows that did not land: also returns
-    /// how many leading rows of `chunk` left it, appended or shed, on
-    /// error too. A waiting append lands an oversized batch in slices, so
-    /// it can fail with a prefix landed.
-    pub(crate) fn append_chunk_landing(&self, chunk: &Chunk, wait: bool) -> (usize, Result<()>) {
-        let mut landed = 0;
+    /// for a producer that keeps the rows that did not land, **without
+    /// waiting for the disk**: the [`Landing`] says how many leading rows
+    /// of `chunk` left it, appended or shed, on error too, and carries the
+    /// ticket the producer waits on before it promises durability. A
+    /// waiting append lands an oversized batch in slices, so it can fail
+    /// with a prefix landed.
+    pub(crate) fn append_chunk_landing(&self, chunk: &Chunk, wait: bool) -> (Landing, Result<()>) {
+        let mut landing = Landing::default();
         let result = self
             .check_chunk(chunk)
-            .and_then(|()| self.splice(&chunk.columns, chunk.len(), wait, &mut landed));
-        (landed, result)
+            .and_then(|()| self.splice(&chunk.columns, chunk.len(), wait, &mut landing));
+        (landing, result)
     }
 
     /// The carry-by-shape rule, for a batch described by `schema`: it is
@@ -1344,14 +1395,23 @@ impl Basket {
     /// capacity/overflow configuration allows, fills the columns, logs to
     /// the WAL (rolling the rows back out if that fails), checkpoints and
     /// snapshots an over-budget head — all under the lock, which is then
-    /// dropped for the notification, the spill seal and the durability
-    /// wait. Stamping happens under the lock so `ts` is monotone in oid
-    /// order across concurrent appenders. `wait` selects blocking
-    /// admission (see [`Basket::admit`]); `offset` counts the rows that
-    /// have left `cols` (appended or shed), so a caller can tell how much
-    /// of a failed append landed.
-    fn splice(&self, cols: &[Column], total: usize, wait: bool, offset: &mut usize) -> Result<()> {
+    /// dropped for the notification and the spill seal. It never waits for
+    /// the disk: `landing` collects the WAL ticket of the newest record,
+    /// and the caller decides when durability is due. Stamping happens
+    /// under the lock so `ts` is monotone in oid order across concurrent
+    /// appenders. `wait` selects blocking admission (see
+    /// [`Basket::admit`]); `landing.rows` counts the rows that have left
+    /// `cols` (appended or shed), so a caller can tell how much of a
+    /// failed append landed.
+    fn splice(
+        &self,
+        cols: &[Column],
+        total: usize,
+        wait: bool,
+        landing: &mut Landing,
+    ) -> Result<()> {
         let mut counted = false;
+        let offset = &mut landing.rows;
         while *offset < total {
             let mut inner = self.inner.lock();
             let (shed, take) = match self.admit(&mut inner, total - *offset, wait, &mut counted)? {
@@ -1370,7 +1430,9 @@ impl Basket {
                 ts.resize(ts.len() + take, now_micros());
             }
             inner.stats.appended += take as u64;
-            let synced = self.log_rows_or_roll_back(&mut inner, take)?;
+            landing
+                .durable
+                .advance(self.log_rows_or_roll_back(&mut inner, take)?);
             self.maybe_checkpoint_wal(&mut inner);
             let spill = self.spill_job(&mut inner);
             *offset += take;
@@ -1379,7 +1441,6 @@ impl Basket {
             if let Some(job) = spill {
                 self.finish_spill(job);
             }
-            self.await_durable(synced)?;
         }
         Ok(())
     }
@@ -1571,8 +1632,11 @@ impl Basket {
                 spill.drop_segment(&meta, &self.name);
                 removed.extend_from_slice(seg_gone);
             } else if let Some(full) = self.segment(inner, &meta) {
-                // Partial: retain survivors, re-seal in place at the same
-                // base.
+                // Partial: retain survivors and re-seal them. The removed
+                // rows advance the segment's base, as they advance the
+                // in-memory base, so segments keep tiling the oids up to
+                // the memory tail and the head oid stays the one a WAL
+                // replay counts.
                 let keep = Candidates::from_sorted_unchecked(
                     seg_gone.iter().map(|&p| p - offset).collect(),
                 )
@@ -1587,7 +1651,10 @@ impl Basket {
                         .collect(),
                 };
                 let spill = inner.spill.as_mut().expect("segments drained from it");
-                match spill.store.replace_segment(&meta, &survivors) {
+                match spill
+                    .store
+                    .replace_segment(&meta, meta.base_oid + n as u64, &survivors)
+                {
                     Ok(new_meta) => {
                         spill.rows -= n as u64;
                         removed.extend_from_slice(seg_gone);
@@ -1649,42 +1716,59 @@ impl Basket {
     /// first). `mem_offset` is the logical ordinal of the first in-memory
     /// row before the call, so the single WAL record carries ordinals
     /// relative to the pre-consume logical content — exactly the view a
-    /// replay holds at this record.
+    /// replay holds at this record. A consume of the logical prefix
+    /// `0..n` — every row a `[select * from s]` firing read — logs one
+    /// `TrimTo(head + n)` instead of `n` positions and drops the memory
+    /// head in place.
     fn consume_in(
         inner: &mut Inner,
         mem_gone: &Candidates,
         mem_offset: usize,
         mut gone: Vec<usize>,
     ) -> Result<usize> {
-        let len = inner.mem_len();
-        let keep = mem_gone.complement(len).to_positions();
+        let (len, on_disk) = (inner.mem_len(), gone.len());
         gone.extend(mem_gone.iter().filter(|&p| p < len).map(|p| mem_offset + p));
-        if gone.is_empty() {
+        let mem_removed = gone.len() - on_disk;
+        let Some(&last) = gone.last() else {
             return Ok(0);
-        }
+        };
+        // Sorted and distinct, so a prefix iff the last is `len - 1`.
+        let prefix = last == gone.len() - 1;
+        // Segments tile the oids up to the memory tail, so the logical
+        // head sits `mem_offset` rows below the memory base.
+        let head = inner.base_oid.saturating_sub(mem_offset as u64);
         if let Some(wal) = inner.wal.clone() {
             // Exact replay order is guaranteed by the held lock. Trim and
             // consume records are not fsynced: losing the tail of them only
             // re-delivers (at-least-once), never loses or corrupts.
-            if let Err(e) = wal.append_consume(&gone) {
+            let logged = if prefix {
+                wal.append_trim(head + gone.len() as u64)
+            } else {
+                wal.append_consume(&gone)
+            };
+            if let Err(e) = logged {
                 inner.stats.storage_errors += 1;
                 eprintln!("wal consume record failed: {e}");
             }
         }
-        if keep.len() < len {
+        if prefix {
             for c in &mut inner.columns {
-                c.retain_positions(&keep)?;
+                c.drop_head(mem_removed);
+            }
+        } else {
+            inner.holes += 1;
+            if mem_removed > 0 {
+                let keep = mem_gone.complement(len).to_positions();
+                for c in &mut inner.columns {
+                    c.retain_positions(&keep)?;
+                }
             }
         }
         // Deleting arbitrary positions invalidates oid-density; readers
         // and exclusive consumption are not meant to be mixed on one
         // basket, but keep cursors sane by clamping to the new end.
-        inner.base_oid += (len - keep.len()) as u64;
+        inner.base_oid += mem_removed as u64;
         inner.epoch += 1;
-        // Sorted and distinct, so a prefix iff the last is `len - 1`.
-        if gone.last() != Some(&(gone.len() - 1)) {
-            inner.holes += 1;
-        }
         let end = inner.end_oid();
         for rs in inner.readers.values_mut() {
             rs.cursor = rs.cursor.min(end);
@@ -2474,5 +2558,73 @@ mod tests {
         b.append_chunk(&chunk).unwrap();
         assert_eq!(ints(&b), vec![2, 3]);
         assert_eq!(b.stats().shed, 1);
+    }
+
+    #[test]
+    fn prefix_consume_logs_one_trim_and_replays_to_the_live_state() {
+        use datacell_storage::testutil::TempDir;
+        use datacell_storage::wal::read_wal;
+        use datacell_storage::{SegmentStore, WalRecord};
+        let dir = TempDir::new("prefix-consume");
+        let store = SegmentStore::open(dir.path()).unwrap();
+        let bs = store.basket("b").unwrap();
+        let b = bounded(usize::MAX, OverflowPolicy::Spill { mem_rows: 40 });
+        let wal = Arc::new(bs.open_wal().unwrap());
+        b.attach_storage(bs, Some(Arc::clone(&wal)));
+        let push = |from: i64, n: i64| {
+            for chunk in (from..from + n).collect::<Vec<_>>().chunks(25) {
+                let rows: Vec<Vec<Value>> = chunk.iter().map(|&i| vec![Value::Int(i)]).collect();
+                b.append_rows(&rows).unwrap();
+            }
+        };
+        let consume = |budget: usize, every: usize| {
+            let (chunk, anchor) = b.snapshot_exclusive(budget);
+            let gone = Candidates::from_sorted_unchecked((0..chunk.len()).step_by(every).collect());
+            b.consume_exclusive(&anchor, &gone).unwrap();
+        };
+        let kinds = |wal: &Wal| {
+            let records = read_wal(wal.path(), b.schema()).unwrap().records;
+            let trims = records
+                .iter()
+                .filter(|r| matches!(r, WalRecord::TrimTo(_)))
+                .count();
+            let consumes = records
+                .iter()
+                .filter(|r| matches!(r, WalRecord::Consume(_)))
+                .count();
+            (trims, consumes)
+        };
+        // The replay of the log so far holds the live contents, head oid
+        // and totals — with a segment cut short on the head too.
+        let replays_live = || {
+            let replay = read_wal(wal.path(), b.schema()).unwrap();
+            let (chunk, base, appended, consumed) =
+                crate::session::apply_wal_records(b.schema(), replay.records).unwrap();
+            assert_eq!(chunk.columns[0].as_ints().unwrap(), &ints(&b)[..]);
+            assert_eq!(base, b.inner.lock().head_oid(), "replayed base oid");
+            let stats = b.stats();
+            assert_eq!((appended, consumed), (stats.appended, stats.consumed));
+        };
+        push(0, 200);
+        assert!(b.spilled_len() > 0, "the head is on disk");
+        // Prefixes ending inside a segment, across segments and in memory,
+        // each logged as one trim.
+        for budget in [7, 30, 45, 64] {
+            consume(budget, 1);
+            replays_live();
+        }
+        assert!(b.spilled_len() > 0, "still consuming a spilled head");
+        assert_eq!(kinds(&wal), (4, 0));
+        // A consume with holes stays positional, inside a segment too, and
+        // later prefixes still replay from the head it leaves.
+        consume(9, 2);
+        replays_live();
+        assert_eq!(kinds(&wal), (4, 1));
+        push(200, 60);
+        for budget in [11, 30, 200] {
+            consume(budget, 1);
+            replays_live();
+        }
+        assert_eq!(kinds(&wal), (7, 1));
     }
 }

@@ -31,7 +31,7 @@ use datacell_engine::Chunk;
 use datacell_sql::Schema;
 use parking_lot::Mutex;
 
-use crate::basket::{AppendRoom, Basket, ReaderClaim, ReaderLease};
+use crate::basket::{AppendRoom, Basket, Durable, ReaderClaim, ReaderLease};
 use crate::clock::now_micros;
 use crate::error::{DataCellError, Result};
 use crate::metrics::{LatencyHistogram, SessionMetrics};
@@ -478,6 +478,9 @@ pub struct WriterStatsSnapshot {
 pub struct StreamWriter {
     basket: Arc<Basket>,
     buf: text::ChunkBuilder,
+    /// The newest WAL record a flush wrote and [`sync`](StreamWriter::sync)
+    /// has not yet awaited.
+    unsynced: Durable,
     batch_size: usize,
     stats: WriterStats,
     metrics: Option<Arc<SessionMetrics>>,
@@ -507,6 +510,7 @@ impl StreamWriter {
         StreamWriter {
             basket,
             buf: text::ChunkBuilder::new(user_schema),
+            unsynced: Durable::default(),
             batch_size: batch_size.max(1),
             stats: WriterStats::default(),
             metrics,
@@ -631,23 +635,44 @@ impl StreamWriter {
     /// returns [`DataCellError::Backpressure`], `ShedOldest` sheds and
     /// `Spill` admits. Returns the number of rows that left the buffer; on
     /// any error the rows that landed have left it and the rest stay, so a
-    /// retry never duplicates.
+    /// retry never duplicates. On a persistent basket `Ok` means durable:
+    /// it [syncs](StreamWriter::sync) every row this writer landed.
     pub fn flush(&mut self) -> Result<usize> {
-        self.flush_with(true)
+        let landed = self.flush_with(true);
+        let synced = self.sync();
+        synced.and(landed)
     }
 
     /// [`flush`](StreamWriter::flush) that never waits: a full `Block`
     /// basket returns [`DataCellError::Backpressure`] too, with nothing
-    /// appended (see [`Basket::try_append_chunk`]).
+    /// appended (see [`Basket::try_append_chunk`]). Nor does it wait for
+    /// the disk: the rows are in the basket, visible to its readers, but
+    /// a persistent basket's are durable only once
+    /// [`sync`](StreamWriter::sync) returns.
     pub fn try_flush(&mut self) -> Result<usize> {
         self.flush_with(false)
+    }
+
+    /// Wait until every row this writer has landed is durable: one
+    /// group-commit `fdatasync` covers all the flushes since the last
+    /// sync (nothing to wait for on an ephemeral basket). A failed sync
+    /// returns [`DataCellError::Storage`]: the rows are in the basket, but
+    /// not confirmed on disk, and a later `sync` retries the confirmation.
+    /// The `STREAM` receptor calls this before it acknowledges `SYNC` or
+    /// `QUIT`; dropping the writer syncs as a best effort.
+    pub fn sync(&mut self) -> Result<()> {
+        self.basket.await_durable(&self.unsynced)?;
+        self.unsynced = Durable::default();
+        Ok(())
     }
 
     fn flush_with(&mut self, wait: bool) -> Result<usize> {
         if self.buf.is_empty() {
             return Ok(0);
         }
-        let (landed, result) = self.basket.append_chunk_landing(self.buf.chunk(), wait);
+        let (landing, result) = self.basket.append_chunk_landing(self.buf.chunk(), wait);
+        let landed = landing.rows;
+        self.unsynced.advance(landing.durable);
         if landed == self.buf.len() {
             self.buf.clear();
         } else {
@@ -684,6 +709,7 @@ impl Drop for StreamWriter {
                 }
             }
         }
+        let _ = self.sync();
     }
 }
 

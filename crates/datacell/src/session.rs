@@ -1797,7 +1797,10 @@ fn manifest_policy(s: &str) -> Option<OverflowPolicy> {
 /// Fold a replayed WAL into the basket state it describes: the resident
 /// contents (full width including `ts`), the base oid, and the lifetime
 /// `appended`/`consumed` totals.
-fn apply_wal_records(schema: &Schema, records: Vec<WalRecord>) -> Result<(Chunk, u64, u64, u64)> {
+pub(crate) fn apply_wal_records(
+    schema: &Schema,
+    records: Vec<WalRecord>,
+) -> Result<(Chunk, u64, u64, u64)> {
     let mut columns: Vec<Column> = schema.columns.iter().map(|c| Column::empty(c.ty)).collect();
     let mut base_oid = 0u64;
     let mut appended = 0u64;
@@ -1867,6 +1870,41 @@ mod tests {
     use super::*;
     use datacell_bat::types::Value;
     use std::time::Duration;
+
+    #[test]
+    fn prefix_trim_replays_like_the_positional_consume() {
+        // `TrimTo(head + n)` — what a prefix consume logs — replays to the
+        // same contents, base oid and totals as `Consume(0..n)`, from a
+        // baseline that put the head at a nonzero oid, and a trim reaching
+        // past the end drops what is there, as the positions would.
+        let schema = Schema::new(vec![
+            ("x".into(), DataType::Int),
+            (TS_COLUMN.into(), DataType::Timestamp),
+        ]);
+        let rows = WalRecord::Rows(Chunk {
+            schema: schema.clone(),
+            columns: vec![
+                Column::from_ints((0..10).collect()),
+                Column::from_timestamps((0..10).collect()),
+            ],
+        });
+        let baseline = WalRecord::Baseline {
+            appended: 5,
+            consumed: 3,
+            base_oid: 100,
+        };
+        for n in [0u32, 1, 4, 10, 12] {
+            let replay = |last: WalRecord| {
+                let records = vec![baseline.clone(), rows.clone(), last];
+                apply_wal_records(&schema, records).unwrap()
+            };
+            let (trimmed, t_base, t_app, t_con) = replay(WalRecord::TrimTo(100 + u64::from(n)));
+            let (consumed, c_base, c_app, c_con) = replay(WalRecord::Consume((0..n).collect()));
+            assert_eq!(ints(&trimmed), ints(&consumed), "n = {n}");
+            assert_eq!((t_base, t_app, t_con), (c_base, c_app, c_con), "n = {n}");
+            assert_eq!(t_base, 100 + u64::from(n.min(10)));
+        }
+    }
 
     fn ints(chunk: &Chunk) -> Vec<i64> {
         chunk.columns[0].as_ints().unwrap().to_vec()

@@ -537,6 +537,12 @@ fn render_prometheus(snap: &MetricsSnapshot, scrapes: u64) -> String {
             "Tuples restored by WAL recovery.",
             s.tuples_recovered,
         );
+        push_counter(
+            m,
+            "datacell_storage_wal_syncs_total",
+            "WAL fdatasync calls (one group commit can cover many appends).",
+            s.wal_syncs,
+        );
     }
     out
 }

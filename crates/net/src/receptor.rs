@@ -27,6 +27,15 @@
 //! so a capacity lowered at runtime is respected.
 //! `SYNC`, `QUIT` and end of stream land the batch too.
 //!
+//! **Durability follows the acknowledgement.** A batch lands in the basket
+//! without waiting for the disk ([`StreamWriter::try_flush`]); on a
+//! persistent basket the connection thread goes on reading while the WAL
+//! records wait for a sync. The wire's one durability promise is
+//! `OK SYNC`/`OK BYE`, so only those wait: the receptor
+//! [syncs](StreamWriter::sync) every row it landed first — one group-commit
+//! `fdatasync` for all the batches since the last acknowledgement — and a
+//! failed sync answers `ERR storage` instead. End of stream syncs too.
+//!
 //! **Backpressure.** The receptor only appends; the basket's own
 //! [`OverflowPolicy`](datacell::OverflowPolicy) decides what enters. Its
 //! appends never wait inside the engine
@@ -251,7 +260,7 @@ impl NetReceptor {
             if self.lines.drained() {
                 // The next line needs a socket read: land what the last one
                 // delivered, and move the counters once per read.
-                self.ingest.flush_blocking();
+                let _ = self.ingest.flush_blocking();
                 self.ingest.publish();
             }
             // The plain lines at the front of the buffer, in one pass.
@@ -284,8 +293,8 @@ impl NetReceptor {
                 ReadStep::Broken => break,
             }
         }
-        // Disconnect: land whatever the writer still buffers.
-        self.ingest.flush_blocking();
+        // Disconnect: land whatever the writer still buffers, durably.
+        self.ingest.land();
         self.ingest.publish();
     }
 }
@@ -311,7 +320,7 @@ impl Ingest {
         let full = rows > 0 && self.writer.pending() >= self.cap;
         if full {
             // Stop reading the socket until the batch lands.
-            self.flush_blocking();
+            let _ = self.flush_blocking();
         }
         drained || full
     }
@@ -334,15 +343,19 @@ impl Ingest {
         match classify(line) {
             LineKind::Blank => {}
             LineKind::Command(StreamCommand::Sync) => {
-                self.flush_blocking();
+                let landed = self.land();
                 self.publish();
-                let s = self.writer.stats();
-                self.reply(&format!("OK SYNC {} {}", s.appended, s.rejected));
+                if landed {
+                    let s = self.writer.stats();
+                    self.reply(&format!("OK SYNC {} {}", s.appended, s.rejected));
+                }
             }
             LineKind::Command(StreamCommand::Quit) => {
-                self.flush_blocking();
+                let landed = self.land();
                 self.publish();
-                self.reply("OK BYE");
+                if landed {
+                    self.reply("OK BYE");
+                }
                 return true;
             }
             LineKind::Tuple => {
@@ -352,16 +365,14 @@ impl Ingest {
                         self.accepted += 1;
                         if self.writer.pending() >= self.cap {
                             // Stop reading the socket until the batch lands.
-                            self.flush_blocking();
+                            let _ = self.flush_blocking();
                         }
                     }
                     Err(DataCellError::Decode(msg)) => {
                         self.rejected += 1;
                         self.reply(&protocol::err_line("decode", &msg));
                     }
-                    Err(e) => {
-                        self.reply(&protocol::err_line("internal", &e.to_string()));
-                    }
+                    Err(e) => self.reply_err(&e),
                 }
             }
         }
@@ -393,25 +404,52 @@ impl Ingest {
     /// while the engine runs; `ShedOldest` and `Spill` baskets admit at
     /// once. On server stop the retry gives up (rows that cannot land in a
     /// stalled, stopping pipeline are dropped — the shutdown is never held
-    /// hostage).
-    fn flush_blocking(&mut self) {
+    /// hostage). Any other failure is answered with an `ERR` line and
+    /// returned as false.
+    fn flush_blocking(&mut self) -> bool {
         loop {
             match self.writer.try_flush() {
-                Ok(_) => return,
+                Ok(_) => return true,
                 Err(DataCellError::Backpressure { .. }) => loop {
                     if self.stop.load(Ordering::Relaxed) {
-                        return;
+                        return true;
                     }
                     if self.writer.wait_for_room(BACKPRESSURE_SLICE) {
                         break;
                     }
                 },
                 Err(e) => {
-                    self.reply(&protocol::err_line("internal", &e.to_string()));
-                    return;
+                    self.reply_err(&e);
+                    return false;
                 }
             }
         }
+    }
+
+    /// Land the batch and make every row landed so far durable, as an
+    /// acknowledgement promises; false (with an `ERR` line sent) when the
+    /// append or the sync failed, so no acknowledgement may follow.
+    fn land(&mut self) -> bool {
+        if !self.flush_blocking() {
+            return false;
+        }
+        match self.writer.sync() {
+            Ok(()) => true,
+            Err(e) => {
+                self.reply_err(&e);
+                false
+            }
+        }
+    }
+
+    /// Answer a failed append or sync: `ERR storage` for the disk,
+    /// `ERR internal` for anything else.
+    fn reply_err(&mut self, e: &DataCellError) {
+        let kind = match e {
+            DataCellError::Storage(_) => "storage",
+            _ => "internal",
+        };
+        self.reply(&protocol::err_line(kind, &e.to_string()));
     }
 
     /// Best-effort single-line reply; a failed write means the client is

@@ -17,6 +17,8 @@
 //! so a corrupt frame that slipped past an outer check can never panic or
 //! produce a torn chunk.
 
+use std::ops::Range;
+
 use datacell_bat::column::Column;
 use datacell_bat::types::{DataType, Value};
 use datacell_engine::Chunk;
@@ -50,39 +52,48 @@ fn tag_type(tag: u8) -> Option<DataType> {
 
 /// Serialize a chunk's columns into `buf` (see module docs for the layout).
 pub fn encode_chunk_into(buf: &mut Vec<u8>, chunk: &Chunk) -> Result<()> {
-    let ncols = u16::try_from(chunk.schema.len())
+    encode_rows_into(buf, &chunk.columns, 0..chunk.len())
+}
+
+/// Serialize rows `rows` of equal-length `columns` into `buf`, in the
+/// layout of [`encode_chunk_into`] — straight from the columns, so a caller
+/// holding a range of a larger table (a basket's freshly appended tail)
+/// encodes it without copying it into a chunk first.
+pub fn encode_rows_into(buf: &mut Vec<u8>, columns: &[Column], rows: Range<usize>) -> Result<()> {
+    let ncols = u16::try_from(columns.len())
         .map_err(|_| StorageError::Invalid("more than 65535 columns".into()))?;
-    let nrows = chunk.len() as u64;
+    if columns.iter().any(|c| c.len() < rows.end) || rows.start > rows.end {
+        return Err(StorageError::Invalid(
+            "row range outside the columns".into(),
+        ));
+    }
     buf.extend_from_slice(&ncols.to_le_bytes());
-    buf.extend_from_slice(&nrows.to_le_bytes());
-    for col in &chunk.columns {
+    buf.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+    for col in columns {
         buf.push(type_tag(col.data_type()));
     }
-    for col in &chunk.columns {
-        encode_column_into(buf, col)?;
+    for col in columns {
+        encode_column_into(buf, col, rows.clone())?;
     }
     Ok(())
 }
 
-fn encode_column_into(buf: &mut Vec<u8>, col: &Column) -> Result<()> {
+/// Append one 8-byte little-endian word per value, into bytes sized once.
+fn put_words<T: Copy>(buf: &mut Vec<u8>, values: &[T], word: impl Fn(T) -> [u8; 8]) {
+    let start = buf.len();
+    buf.resize(start + values.len() * 8, 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&word(x));
+    }
+}
+
+fn encode_column_into(buf: &mut Vec<u8>, col: &Column, rows: Range<usize>) -> Result<()> {
     match col {
-        Column::Int(v) | Column::Timestamp(v) => {
-            for x in v {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Column::Float(v) => {
-            for x in v {
-                buf.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-        }
-        Column::Bool(v) => {
-            for x in v {
-                buf.push(*x as u8);
-            }
-        }
+        Column::Int(v) | Column::Timestamp(v) => put_words(buf, &v[rows], i64::to_le_bytes),
+        Column::Float(v) => put_words(buf, &v[rows], |x| x.to_bits().to_le_bytes()),
+        Column::Bool(v) => buf.extend(v[rows].iter().map(|&x| x as u8)),
         Column::Str { codes, heap } => {
-            for (i, &code) in codes.iter().enumerate() {
+            for (i, &code) in codes.iter().enumerate().take(rows.end).skip(rows.start) {
                 if col.is_nil_at(i) {
                     buf.extend_from_slice(&NIL_STR_LEN.to_le_bytes());
                     continue;
@@ -325,6 +336,26 @@ mod tests {
             decode_chunk(&buf, &narrow),
             Err(StorageError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn row_range_encodes_like_its_slice() {
+        let c = chunk();
+        for (from, to) in [(0, 4), (1, 3), (2, 2), (3, 4)] {
+            let sliced = Chunk {
+                schema: schema(),
+                columns: c
+                    .columns
+                    .iter()
+                    .map(|col| col.slice(from, to).unwrap())
+                    .collect(),
+            };
+            let (mut whole, mut ranged) = (Vec::new(), Vec::new());
+            encode_chunk_into(&mut whole, &sliced).unwrap();
+            encode_rows_into(&mut ranged, &c.columns, from..to).unwrap();
+            assert_eq!(ranged, whole, "rows {from}..{to}");
+        }
+        assert!(encode_rows_into(&mut Vec::new(), &c.columns, 2..5).is_err());
     }
 
     #[test]

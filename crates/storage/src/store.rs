@@ -49,6 +49,8 @@ pub struct StorageMetrics {
     pub wal_bytes_replayed: AtomicU64,
     /// Torn WAL tail bytes dropped by recovery.
     pub wal_bytes_torn: AtomicU64,
+    /// WAL `fdatasync` calls made by group commits.
+    pub wal_syncs: AtomicU64,
 }
 
 /// Point-in-time copy of [`StorageMetrics`].
@@ -72,6 +74,8 @@ pub struct StorageMetricsSnapshot {
     pub wal_bytes_replayed: u64,
     /// Torn WAL tail bytes dropped by recovery.
     pub wal_bytes_torn: u64,
+    /// WAL `fdatasync` calls made by group commits.
+    pub wal_syncs: u64,
 }
 
 impl StorageMetrics {
@@ -87,6 +91,7 @@ impl StorageMetrics {
             tuples_recovered: self.tuples_recovered.load(Ordering::Relaxed),
             wal_bytes_replayed: self.wal_bytes_replayed.load(Ordering::Relaxed),
             wal_bytes_torn: self.wal_bytes_torn.load(Ordering::Relaxed),
+            wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
         }
     }
 }
@@ -402,14 +407,27 @@ impl BasketStore {
         Ok(chunk)
     }
 
-    /// Atomically replace a segment's contents with `chunk` (the surviving
-    /// rows after a partial exclusive consume), keeping the old base oid
-    /// and therefore the same file name: the new image is written to a
-    /// temp file and renamed over the old one. `tuples_spilled` is
-    /// untouched — no new rows were spilled — while `bytes_on_disk` moves
-    /// by the size delta.
-    pub fn replace_segment(&self, old: &SegmentMeta, chunk: &Chunk) -> Result<SegmentMeta> {
-        let meta = segment::write_segment(&self.dir, old.base_oid, chunk)?;
+    /// Replace a segment's contents with `chunk` (the surviving rows after a
+    /// partial exclusive consume), sealed at `base_oid`. At the old base the
+    /// new image is written to a temp file and renamed over the old one; at
+    /// a later base (the consume took rows off the segment, which advance
+    /// its first oid as they advance a basket's) it lands in a file of its
+    /// own and the old file is deleted — on failure the old segment stays
+    /// and the new file goes. `tuples_spilled` is untouched — no new rows
+    /// were spilled — while `bytes_on_disk` moves by the size delta.
+    pub fn replace_segment(
+        &self,
+        old: &SegmentMeta,
+        base_oid: u64,
+        chunk: &Chunk,
+    ) -> Result<SegmentMeta> {
+        let meta = segment::write_segment(&self.dir, base_oid, chunk)?;
+        if meta.path != old.path {
+            if let Err(e) = segment::delete_segment(&old.path) {
+                let _ = segment::delete_segment(&meta.path);
+                return Err(e);
+            }
+        }
         self.metrics
             .segments_written
             .fetch_add(1, Ordering::Relaxed);
@@ -465,7 +483,7 @@ impl BasketStore {
 
     /// Open the basket's write-ahead log.
     pub fn open_wal(&self) -> Result<Wal> {
-        Wal::open(&self.dir.join(WAL_FILE))
+        Wal::open_counted(&self.dir.join(WAL_FILE), Arc::clone(&self.metrics))
     }
 
     /// Delete every segment file (counted) and the WAL — used when a

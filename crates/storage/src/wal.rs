@@ -12,7 +12,8 @@
 //!
 //! **Group commit.** [`Wal::append_rows`] writes the record under the log lock
 //! and returns a sequence number without waiting for the disk;
-//! [`Wal::sync_to`] makes it durable. While one thread is inside
+//! [`Wal::sync_to`] makes it durable, and [`Wal::durable_len`] is the file
+//! length the last completed sync covered — the log a power loss leaves. While one thread is inside
 //! `fdatasync`, later committers park on a condvar and are all released by
 //! that single sync if it covered their records — concurrent appenders
 //! share fsyncs instead of queueing one each, which is where the paper's
@@ -29,8 +30,12 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
+use datacell_bat::column::Column;
 use datacell_engine::Chunk;
 use datacell_sql::Schema;
 use parking_lot::{Condvar, Mutex};
@@ -38,6 +43,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::codec;
 use crate::crc::crc32;
 use crate::error::{Result, StorageError};
+use crate::store::StorageMetrics;
 
 /// File name of a basket's write-ahead log.
 pub const WAL_FILE: &str = "wal.log";
@@ -84,6 +90,9 @@ struct WalInner {
     /// Approximate live-log size: bytes present at open plus bytes
     /// appended since; reset by [`Wal::checkpoint`].
     bytes_written: u64,
+    /// `bytes_written` as of the last completed sync (or checkpoint): the
+    /// prefix of the file that survives a power loss.
+    durable_len: u64,
     /// The frame of the record being appended, reused across appends.
     frame: Vec<u8>,
 }
@@ -98,12 +107,21 @@ pub struct Wal {
     path: PathBuf,
     inner: Mutex<WalInner>,
     synced: Condvar,
+    /// Counts the log's fdatasyncs (`wal_syncs`).
+    metrics: Arc<StorageMetrics>,
 }
 
 impl Wal {
     /// Open (creating if absent) the log at `path`, appending at the end.
     pub fn open(path: &Path) -> Result<Wal> {
+        Wal::open_counted(path, Arc::default())
+    }
+
+    /// [`Wal::open`], counting the log's syncs in `metrics`.
+    pub fn open_counted(path: &Path, metrics: Arc<StorageMetrics>) -> Result<Wal> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
+        // Whatever the file holds at open is on disk as far as this log
+        // knows: nothing it writes is durable before its first sync.
         let existing = file.metadata()?.len();
         Ok(Wal {
             path: path.to_path_buf(),
@@ -113,9 +131,11 @@ impl Wal {
                 durable_seq: 0,
                 syncing: false,
                 bytes_written: existing,
+                durable_len: existing,
                 frame: Vec::new(),
             }),
             synced: Condvar::new(),
+            metrics,
         })
     }
 
@@ -128,6 +148,15 @@ impl Wal {
     /// to [`Wal::sync_to`] for a durability guarantee.
     pub fn append_rows(&self, chunk: &Chunk) -> Result<u64> {
         self.append_record(KIND_ROWS, |body| codec::encode_chunk_into(body, chunk))
+    }
+
+    /// [`Wal::append_rows`] of rows `rows` of equal-length `columns` (full
+    /// basket width), encoded straight from them: a basket logs its newly
+    /// appended tail without copying it out first.
+    pub fn append_row_range(&self, columns: &[Column], rows: Range<usize>) -> Result<u64> {
+        self.append_record(KIND_ROWS, |body| {
+            codec::encode_rows_into(body, columns, rows)
+        })
     }
 
     /// Append a head-trim record (no fsync needed for correctness: replay
@@ -233,6 +262,7 @@ impl Wal {
         }
         inner.file = OpenOptions::new().append(true).open(&self.path)?;
         inner.bytes_written = bytes;
+        inner.durable_len = bytes;
         inner.durable_seq = inner.written_seq;
         self.synced.notify_all();
         Ok(())
@@ -254,16 +284,22 @@ impl Wal {
                 continue;
             }
             inner.syncing = true;
-            let target = inner.written_seq;
+            let (target, target_len) = (inner.written_seq, inner.bytes_written);
             // fdatasync outside the lock so appenders keep writing.
             let file = inner.file.try_clone()?;
             drop(inner);
+            self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
             let result = file.sync_data();
             inner = self.inner.lock();
             inner.syncing = false;
             match result {
                 Ok(()) => {
-                    inner.durable_seq = inner.durable_seq.max(target);
+                    // A checkpoint while the sync ran made everything
+                    // durable already, in a file of its own length.
+                    if inner.durable_seq < target {
+                        inner.durable_seq = target;
+                        inner.durable_len = target_len;
+                    }
                     self.synced.notify_all();
                 }
                 Err(e) => {
@@ -281,6 +317,14 @@ impl Wal {
     /// [`Wal::checkpoint`]. Drives size-threshold checkpoint triggers.
     pub fn bytes_written(&self) -> u64 {
         self.inner.lock().bytes_written
+    }
+
+    /// Length of the log file its last completed [`Wal::sync_to`] (or
+    /// [`Wal::checkpoint`]) covered: every record a returned `sync_to`
+    /// promised lies within it, so cutting the file here — what a power
+    /// loss may do to the unsynced tail — replays them all.
+    pub fn durable_len(&self) -> u64 {
+        self.inner.lock().durable_len
     }
 }
 
@@ -504,6 +548,62 @@ mod tests {
             let replay = read_wal(&path, &schema()).unwrap();
             assert_eq!(replay.records.len(), 1, "cut at {cut}");
             assert_eq!(replay.torn_bytes, (cut - first_len) as u64);
+        }
+    }
+
+    #[test]
+    fn power_loss_keeps_every_synced_record() {
+        // A power loss keeps some prefix of the file no shorter than what
+        // the last completed sync covered. Cut the log at every byte from
+        // that length to the end: each record whose `sync_to` returned
+        // replays, in order, whatever unsynced tail survives with it.
+        let dir = TempDir::new("wal-power-loss");
+        let path = dir.path().join(WAL_FILE);
+        let metrics = Arc::new(StorageMetrics::default());
+        let wal = Wal::open_counted(&path, Arc::clone(&metrics)).unwrap();
+        assert_eq!(wal.durable_len(), 0);
+        let mut synced = Vec::new();
+        for batch in 0..3i64 {
+            let mut last = 0;
+            for i in 0..4 {
+                let v = batch * 10 + i;
+                last = wal.append_rows(&rows(&[v])).unwrap();
+                synced.push(v);
+            }
+            wal.append_trim(batch as u64).unwrap();
+            wal.sync_to(last).unwrap();
+        }
+        assert_eq!(metrics.snapshot().wal_syncs, 3);
+        let durable = wal.durable_len();
+        assert_eq!(durable, wal.bytes_written());
+        // Written but never synced: may or may not survive.
+        let columns = [
+            Column::from_ints(vec![100, 101, 102]),
+            Column::from_timestamps(vec![0, 1, 2]),
+        ];
+        wal.append_row_range(&columns, 1..3).unwrap();
+        wal.append_consume(&[0]).unwrap();
+        assert_eq!(wal.durable_len(), durable, "appends move no durable byte");
+        drop(wal);
+
+        let full = std::fs::read(&path).unwrap();
+        assert!(durable < full.len() as u64);
+        for cut in durable as usize..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let replay = read_wal(&path, &schema()).unwrap();
+            let ints: Vec<i64> = replay
+                .records
+                .iter()
+                .filter_map(|r| match r {
+                    WalRecord::Rows(c) => Some(c.columns[0].as_ints().unwrap().to_vec()),
+                    _ => None,
+                })
+                .flatten()
+                .collect();
+            assert_eq!(ints[..synced.len()], synced[..], "cut at {cut}");
+            if ints.len() > synced.len() {
+                assert_eq!(ints[synced.len()..], [101, 102], "cut at {cut}");
+            }
         }
     }
 

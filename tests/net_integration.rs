@@ -1414,3 +1414,130 @@ fn receptor_follows_a_lowered_capacity() {
     server.stop();
     cell.stop();
 }
+
+/// Stream `lines` into persistent basket `b` one socket read at a time:
+/// each line is sent only once the previous one has landed.
+fn stream_read_by_read(
+    ingest: &mut Client,
+    basket: &datacell::Basket,
+    lines: std::ops::Range<i64>,
+) {
+    for i in lines {
+        let before = basket.stats().appended;
+        ingest.send(&i.to_string());
+        assert!(
+            wait_until(Duration::from_secs(5), || basket.stats().appended
+                == before + 1),
+            "line {i} lands without a SYNC"
+        );
+    }
+}
+
+#[test]
+fn wire_durability_acknowledged_rows_survive_a_power_loss() {
+    // `OK SYNC` promises that every row it counts is on disk. A power loss
+    // may keep no more of the WAL than its last completed sync covered:
+    // cut a copy of the log there, recover it in a fresh cell, and every
+    // acknowledged row must come back, in order.
+    use datacell_storage::testutil::TempDir;
+    let dir = TempDir::new("wire-power-loss");
+    let cell = DataCell::builder()
+        .listen("127.0.0.1:0")
+        .data_dir(dir.path())
+        .auto_start(true)
+        .build();
+    cell.execute("create basket b (x int) persistent").unwrap();
+    let (cell, server, addr) = serve(cell);
+    let basket = cell.basket("b").unwrap();
+
+    let mut ingest = Client::connect(addr);
+    ingest.send("STREAM b");
+    assert_eq!(ingest.read_line().as_deref(), Some("OK STREAM b x:int"));
+    let mut acked: Vec<i64> = Vec::new();
+    for (round, singles, burst) in [(0, 0..40, 40..90), (1, 90..120, 120..170)] {
+        stream_read_by_read(&mut ingest, &basket, singles.clone());
+        // A whole burst in one write, so the receptor can land it in a
+        // single socket read.
+        let lines: String = burst.clone().map(|i| format!("{i}\n")).collect();
+        ingest.stream.write_all(lines.as_bytes()).unwrap();
+        acked.extend(singles.chain(burst));
+        ingest.send("SYNC");
+        assert_eq!(
+            ingest.read_line(),
+            Some(format!("OK SYNC {} 0", acked.len())),
+            "round {round}"
+        );
+        let durable = basket.durable_wal_len().expect("persistent basket") as usize;
+
+        let copy = TempDir::new("wire-power-loss-copy");
+        let (from, to) = (dir.path().join("b"), copy.path().join("b"));
+        std::fs::create_dir(&to).unwrap();
+        std::fs::copy(from.join("manifest.txt"), to.join("manifest.txt")).unwrap();
+        let wal = std::fs::read(from.join("wal.log")).unwrap();
+        assert!(durable <= wal.len());
+        std::fs::write(to.join("wal.log"), &wal[..durable]).unwrap();
+        let back = DataCell::builder().data_dir(copy.path()).build();
+        back.recover().unwrap();
+        let got = back.basket("b").unwrap().snapshot();
+        assert_eq!(
+            got.columns[0].as_ints().unwrap(),
+            &acked[..],
+            "round {round}"
+        );
+    }
+
+    ingest.send("QUIT");
+    assert_eq!(ingest.read_line().as_deref(), Some("OK BYE"));
+    server.stop();
+    cell.stop();
+}
+
+#[test]
+fn wire_durability_one_sync_per_acknowledgement() {
+    // Socket reads land without waiting for the disk; the acknowledgement
+    // pays one group-commit sync for all of them.
+    use datacell_storage::testutil::TempDir;
+    const READS: i64 = 12;
+    let dir = TempDir::new("wire-one-sync");
+    let cell = DataCell::builder()
+        .listen("127.0.0.1:0")
+        .data_dir(dir.path())
+        .auto_start(true)
+        .build();
+    cell.execute("create basket b (x int) persistent").unwrap();
+    let (cell, server, addr) = serve(cell);
+    let basket = cell.basket("b").unwrap();
+    // No live checkpoint may sync the log behind the receptor's back.
+    basket.set_wal_checkpoint_bytes(u64::MAX);
+    let syncs = || cell.metrics().storage.expect("data dir").wal_syncs;
+
+    let mut ingest = Client::connect(addr);
+    ingest.send("STREAM b");
+    assert_eq!(ingest.read_line().as_deref(), Some("OK STREAM b x:int"));
+    let before = syncs();
+    stream_read_by_read(&mut ingest, &basket, 0..READS);
+    assert_eq!(syncs(), before, "no read waited for the disk");
+    ingest.send("SYNC");
+    assert_eq!(
+        ingest.read_line(),
+        Some(format!("OK SYNC {READS} 0")),
+        "acknowledged"
+    );
+    assert_eq!(syncs(), before + 1, "{READS} reads, one sync");
+    let wal = std::fs::metadata(dir.path().join("b").join("wal.log")).unwrap();
+    assert_eq!(
+        basket.durable_wal_len(),
+        Some(wal.len()),
+        "the sync covered the log"
+    );
+
+    // A SYNC with nothing new landed costs nothing more.
+    ingest.send("SYNC");
+    assert_eq!(ingest.read_line(), Some(format!("OK SYNC {READS} 0")));
+    assert_eq!(syncs(), before + 1);
+
+    ingest.send("QUIT");
+    assert_eq!(ingest.read_line().as_deref(), Some("OK BYE"));
+    server.stop();
+    cell.stop();
+}
