@@ -260,7 +260,7 @@ impl NetReceptor {
             if self.lines.drained() {
                 // The next line needs a socket read: land what the last one
                 // delivered, and move the counters once per read.
-                let _ = self.ingest.flush_blocking();
+                self.ingest.flush_blocking();
                 self.ingest.publish();
             }
             // The plain lines at the front of the buffer, in one pass.
@@ -320,7 +320,7 @@ impl Ingest {
         let full = rows > 0 && self.writer.pending() >= self.cap;
         if full {
             // Stop reading the socket until the batch lands.
-            let _ = self.flush_blocking();
+            self.flush_blocking();
         }
         drained || full
     }
@@ -365,7 +365,7 @@ impl Ingest {
                         self.accepted += 1;
                         if self.writer.pending() >= self.cap {
                             // Stop reading the socket until the batch lands.
-                            let _ = self.flush_blocking();
+                            self.flush_blocking();
                         }
                     }
                     Err(DataCellError::Decode(msg)) => {
