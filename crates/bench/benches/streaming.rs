@@ -176,7 +176,6 @@ fn bench_sql_compile(c: &mut Criterion) {
         })
     });
     g.finish();
-    let _ = Value::Int(0);
 }
 
 /// `k,v,sent_us` int lines like the wire workloads send, filling 64 KiB.
@@ -187,6 +186,25 @@ fn wire_lines() -> Vec<u8> {
         buf.extend_from_slice(
             format!("{},{},{}\n", i % 1024, (i * 7919) % 1000, 1_700_000_000 + i).as_bytes(),
         );
+        i += 1;
+    }
+    buf
+}
+
+/// [`wire_lines`] with 1 line in 16 off the integer fast shape: a padded
+/// field, a `nil`, or a 19-digit value (leading zeros, still in range).
+fn wire_lines_off_shape() -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 << 10);
+    let mut i: i64 = 0;
+    while buf.len() < (64 << 10) - 40 {
+        let (k, v, sent) = (i % 1024, (i * 7919) % 1000, 1_700_000_000 + i);
+        let line = match (i % 16, i / 16 % 3) {
+            (15, 0) => format!("{k}, {v} ,{sent}\n"),
+            (15, 1) => format!("{k},nil,{sent}\n"),
+            (15, _) => format!("{k},{v},{sent:019}\n"),
+            _ => format!("{k},{v},{sent}\n"),
+        };
+        buf.extend_from_slice(line.as_bytes());
         i += 1;
     }
     buf
@@ -254,6 +272,42 @@ fn bench_text(c: &mut Criterion) {
                 .iter()
                 .map(|l| parse_tuple(std::str::from_utf8(l).unwrap(), &schema).unwrap())
                 .collect::<Vec<_>>()
+        })
+    });
+
+    // The receptor's read when some fields leave the integer fast shape:
+    // each such field takes the exact rule, the rest of its line does not.
+    let off_shape = wire_lines_off_shape();
+    let off_rows = off_shape.iter().filter(|&&b| b == b'\n').count();
+    g.throughput(Throughput::Elements(off_rows as u64));
+    g.bench_function("decode_64k_off_shape_read_at_a_time", |b| {
+        b.iter(|| {
+            let mut builder = ChunkBuilder::new(schema.clone());
+            let decoded = builder.decode_lines(&off_shape, usize::MAX);
+            assert_eq!(decoded, (off_shape.len(), off_rows));
+            builder
+        })
+    });
+
+    // The in-process writer's path: value rows whose values already have
+    // their columns' types.
+    let typed: Vec<Vec<Value>> = (0..8192i64)
+        .map(|i| {
+            vec![
+                Value::Int(i % 1024),
+                Value::Int((i * 7919) % 1000),
+                Value::Int(1_700_000_000 + i),
+            ]
+        })
+        .collect();
+    g.throughput(Throughput::Elements(typed.len() as u64));
+    g.bench_function("push_row_8192_typed_rows", |b| {
+        b.iter(|| {
+            let mut builder = ChunkBuilder::new(schema.clone());
+            for row in &typed {
+                builder.push_row(row).unwrap();
+            }
+            builder
         })
     });
 

@@ -33,11 +33,17 @@
 //!
 //! One decoder core applies these rules to a *plain* line — ASCII, no
 //! quote, the schema's arity — where each field is the trimmed span
-//! between two commas: it walks the line once and parses each field
-//! straight into its typed column. It stops at any other line, where the
-//! general splitter [`split_fields`] decodes the line or reports its
-//! error. [`ChunkBuilder::decode_lines`] also stops at a blank line and at
-//! a bare [`StreamCommand`], which a network receptor handles itself.
+//! between two commas, parsed straight into its typed column. A field of
+//! an integer column (`Int`, `Timestamp`) is parsed as it is scanned: an
+//! optional sign and 1 to 18 digits that end at the field's delimiter are
+//! its value. Any other field — padded, `nil`, 19 digits or more, or of
+//! another type — takes the exact rule: scanned again from its start to
+//! the delimiter, trimmed, checked for nil and parsed. Only that field is
+//! read twice; the rest of the line keeps the one pass. The core stops at
+//! any other line, where the general splitter [`split_fields`] decodes the
+//! line or reports its error. [`ChunkBuilder::decode_lines`] also stops at
+//! a blank line and at a bare [`StreamCommand`], which a network receptor
+//! handles itself.
 
 use std::io::Write as _;
 use std::sync::Arc;
@@ -129,6 +135,14 @@ pub fn split_fields(line: &str) -> Vec<Field> {
 
 /// Where decoded fields go: column builders or a value row.
 trait Target {
+    /// True iff column `col` holds `i64`s (an `Int` or a `Timestamp`
+    /// column): the columns whose fields the core parses as it scans them.
+    fn is_int(&self, col: usize) -> bool;
+
+    /// Append `v` to column `col`, one of the [`is_int`](Target::is_int)
+    /// columns.
+    fn put_int(&mut self, col: usize, v: i64);
+
     /// Parse one field (a plain field's trimmed bytes, or a split field's
     /// text) as column `col`'s type and append it; false, appending
     /// nothing, when it is not of that type.
@@ -152,6 +166,16 @@ impl<'a> Builders<'a> {
 }
 
 impl Target for Builders<'_> {
+    fn is_int(&self, col: usize) -> bool {
+        matches!(self.cols[col], Column::Int(_) | Column::Timestamp(_))
+    }
+
+    fn put_int(&mut self, col: usize, v: i64) {
+        if let Column::Int(c) | Column::Timestamp(c) = &mut self.cols[col] {
+            c.push(v);
+        }
+    }
+
     fn put(&mut self, col: usize, raw: &[u8], quoted: bool) -> bool {
         let nil = || !quoted && is_nil(raw);
         match &mut self.cols[col] {
@@ -177,14 +201,8 @@ impl Target for Builders<'_> {
     }
 
     fn rollback(&mut self) {
-        let rows = self.rows;
         for c in self.cols.iter_mut() {
-            match c {
-                Column::Int(v) | Column::Timestamp(v) => v.truncate(rows),
-                Column::Float(v) => v.truncate(rows),
-                Column::Bool(v) => v.truncate(rows),
-                Column::Str { codes, .. } => codes.truncate(rows),
-            }
+            c.truncate(self.rows);
         }
     }
 }
@@ -201,6 +219,20 @@ struct ValueRow<'s> {
 }
 
 impl Target for ValueRow<'_> {
+    fn is_int(&self, col: usize) -> bool {
+        matches!(
+            self.schema.columns[col].ty,
+            DataType::Int | DataType::Timestamp
+        )
+    }
+
+    fn put_int(&mut self, col: usize, v: i64) {
+        self.values.push(match self.schema.columns[col].ty {
+            DataType::Timestamp => Value::Timestamp(v),
+            _ => Value::Int(v),
+        });
+    }
+
     fn put(&mut self, col: usize, raw: &[u8], quoted: bool) -> bool {
         let value = if !quoted && is_nil(raw) {
             Some(Value::Nil)
@@ -231,25 +263,67 @@ impl Target for ValueRow<'_> {
 /// trimmed, which is exactly what [`split_fields`] makes of such a line.
 /// Any other line is `None`: it needs the general rules, and `out` may
 /// hold a prefix of its row for the caller to roll back.
+///
+/// A field of an integer column is parsed while it is scanned: an
+/// optional sign and 1 to 18 digits ending right at the field's delimiter
+/// are its value, which is what [`parse_i64`] makes of them. Any other
+/// field — padded, `nil`, longer, or of another type — is scanned again
+/// from its start by the exact rule: to a [`SPECIAL`] byte, trimmed, and
+/// parsed by [`Target::put`].
+#[inline(always)]
 fn plain_row<T: Target>(bytes: &[u8], width: usize, out: &mut T) -> Option<usize> {
     let last = width.checked_sub(1)?;
     let mut at = 0;
     for col in 0..width {
         let start = at;
+        // The field's delimiter: a comma, or the line's end after the last.
+        let ends = |at: usize| match bytes.get(at) {
+            Some(b',') => col < last,
+            Some(b'\n') | None => col == last,
+            _ => false,
+        };
+        if out.is_int(col) {
+            if let Some((v, end)) = scan_int(bytes, start) {
+                if ends(end) {
+                    out.put_int(col, v);
+                    at = end + 1;
+                    continue;
+                }
+            }
+        }
         while at < bytes.len() && !SPECIAL[usize::from(bytes[at])] {
             at += 1;
         }
-        match bytes.get(at) {
-            Some(b',') if col < last => {}
-            Some(b'\n') | None if col == last => {}
-            _ => return None,
-        }
-        if !out.put(col, trim_whitespace(&bytes[start..at]), false) {
+        if !ends(at) || !out.put(col, trim_whitespace(&bytes[start..at]), false) {
             return None;
         }
         at += 1;
     }
     Some(at - 1)
+}
+
+/// The integer fast shape at `bytes[start..]`: an optional sign and 1 to
+/// 18 digits (too few to overflow), as a value and the index just past
+/// the last digit. `None` is any other field, for the exact rule.
+#[inline(always)]
+fn scan_int(bytes: &[u8], start: usize) -> Option<(i64, usize)> {
+    let (neg, first) = match bytes.get(start) {
+        Some(b'-') => (true, start + 1),
+        Some(b'+') => (false, start + 1),
+        _ => (false, start),
+    };
+    let mut at = first;
+    let mut v: i64 = 0;
+    while let Some(&b) = bytes.get(at) {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 || at - first == 18 {
+            break;
+        }
+        v = v * 10 + i64::from(d);
+        at += 1;
+    }
+    // After 18 digits `at` rests on any 19th, which is not a delimiter.
+    (at > first).then_some((if neg { -v } else { v }, at))
 }
 
 /// The bytes that end a plain field's scan: the delimiter, the line end,
@@ -347,28 +421,15 @@ fn is_nil(raw: &[u8]) -> bool {
     raw.eq_ignore_ascii_case(b"nil") || raw.eq_ignore_ascii_case(b"null")
 }
 
-/// `str::parse::<i64>` on UTF-8 bytes, with a loop for the common case:
-/// an optional sign and up to 18 digits cannot overflow; anything longer
-/// (or empty) takes the standard parser, so the accepted language is
-/// exactly its.
+/// `str::parse::<i64>` on UTF-8 bytes, with [`scan_int`] for the common
+/// case: an optional sign and up to 18 digits cannot overflow; anything
+/// else takes the standard parser, so the accepted language is exactly
+/// its.
 fn parse_i64(raw: &[u8]) -> Option<i64> {
-    let (neg, digits) = match raw {
-        [b'-', rest @ ..] => (true, rest),
-        [b'+', rest @ ..] => (false, rest),
-        all => (false, all),
-    };
-    if digits.is_empty() || digits.len() > 18 {
-        return std::str::from_utf8(raw).ok()?.parse().ok();
+    match scan_int(raw, 0) {
+        Some((v, end)) if end == raw.len() => Some(v),
+        _ => std::str::from_utf8(raw).ok()?.parse().ok(),
     }
-    let mut v: i64 = 0;
-    for &d in digits {
-        let d = d.wrapping_sub(b'0');
-        if d > 9 {
-            return None;
-        }
-        v = v * 10 + i64::from(d);
-    }
-    Some(if neg { -v } else { v })
 }
 
 fn parse_f64(raw: &[u8]) -> Option<f64> {
@@ -491,6 +552,9 @@ impl ChunkBuilder {
     /// rules of SQL `INSERT`); a row of the wrong arity or with a value
     /// that has no lossless coercion is a [`DataCellError::Decode`] and
     /// appends nothing.
+    ///
+    /// A row whose values all have their columns' types (or are nil)
+    /// lands as it is, without a coercion per value.
     pub fn push_row(&mut self, row: &[Value]) -> Result<()> {
         let schema = &self.chunk.schema;
         if row.len() != schema.len() {
@@ -500,6 +564,17 @@ impl ChunkBuilder {
                 schema.render(),
                 schema.len()
             )));
+        }
+        let rows = self.chunk.len();
+        let columns = &mut self.chunk.columns;
+        match columns
+            .iter_mut()
+            .zip(row)
+            .position(|(c, v)| !push_typed(c, v))
+        {
+            None => return Ok(()),
+            // Undo the typed prefix; the checked path takes the whole row.
+            Some(i) => columns[..i].iter_mut().for_each(|c| c.truncate(rows)),
         }
         if let Some((v, cd)) = row
             .iter()
@@ -533,6 +608,23 @@ impl ChunkBuilder {
             }
         }
     }
+}
+
+/// Append `v` to `c` if it has the column's type or is nil, storing what
+/// [`Column::push`] would (a NaN float is the canonical nil); false,
+/// appending nothing, for a value that needs a coercion or has none.
+fn push_typed(c: &mut Column, v: &Value) -> bool {
+    match (c, v) {
+        (Column::Int(c), Value::Int(x)) | (Column::Timestamp(c), Value::Timestamp(x)) => c.push(*x),
+        (Column::Float(c), Value::Float(x)) => c.push(if x.is_nan() { nil_float() } else { *x }),
+        (Column::Bool(c), Value::Bool(x)) => c.push(i8::from(*x)),
+        (Column::Str { codes, heap }, Value::Str(x)) => {
+            codes.push(Arc::make_mut(heap).intern(x));
+        }
+        (c, Value::Nil) => c.push_nil(),
+        _ => return false,
+    }
+    true
 }
 
 // ------------------------------------------------------------------ render
@@ -924,6 +1016,55 @@ mod tests {
     }
 
     #[test]
+    fn integer_fields_take_the_exact_rule_one_at_a_time() {
+        let s = schema(&[DataType::Int, DataType::Timestamp, DataType::Int]);
+        // Fast-shape and exact-rule fields on one line, in one pass.
+        let mut b = ChunkBuilder::new(s.clone());
+        let buf = b"1, 2 ,nil\n+0,-7,007\n0000000000000000042,3\t,-\n";
+        assert_eq!(b.decode_lines(buf, usize::MAX), (20, 2));
+        let rows = b.chunk().rows().unwrap();
+        assert_eq!(
+            rows,
+            vec![
+                vec![Value::Int(1), Value::Timestamp(2), Value::Nil],
+                vec![Value::Int(0), Value::Timestamp(-7), Value::Int(7)],
+            ]
+        );
+        // The line it stopped at (a bare `-`) is rejected as before.
+        assert!(b.decode_line(b"0000000000000000042,3\t,-").is_err());
+        for (line, want) in [
+            ("1, 2 ,nil", [1, 2, NIL_INT]),
+            ("0000000000000000042,3\t,4\x0b", [42, 3, 4]),
+            (
+                "-9223372036854775807,+123456789012345678,\x0c9\x0c",
+                [i64::MIN + 1, 123456789012345678, 9],
+            ),
+        ] {
+            let mut one = ChunkBuilder::new(s.clone());
+            one.decode_line(line.as_bytes()).unwrap();
+            let got: Vec<i64> = one
+                .chunk()
+                .columns
+                .iter()
+                .map(|c| c.as_i64s().unwrap()[0])
+                .collect();
+            assert_eq!(got, want, "{line:?}");
+            let row = parse_tuple(line, &s).unwrap();
+            assert_eq!(row, one.chunk().rows().unwrap()[0], "{line:?}");
+        }
+        for line in [
+            "+-1,0,0",
+            "1,2,9223372036854775808",
+            "1,2",
+            "1,2,3,",
+            "1,2,3 4",
+        ] {
+            assert!(parse_tuple(line, &s).is_err(), "{line:?}");
+            assert_eq!(b.decode_lines(format!("{line}\n").as_bytes(), 1), (0, 0));
+        }
+    }
+
+    #[test]
     fn push_row_coerces_or_rejects_whole_rows() {
         let mut b = ChunkBuilder::new(schema(&[DataType::Float, DataType::Timestamp]));
         b.push_row(&[Value::Int(2), Value::Int(7)]).unwrap();
@@ -934,6 +1075,25 @@ mod tests {
         assert_eq!(
             b.chunk().rows().unwrap(),
             vec![vec![Value::Float(2.0), Value::Timestamp(7)]]
+        );
+        // Typed rows land as they are; a NaN of any payload is the
+        // canonical nil, and a row that fails after a typed prefix leaves
+        // nothing behind.
+        let odd_nan = f64::from_bits(0xfff8_0000_0000_0001);
+        b.push_row(&[Value::Float(odd_nan), Value::Timestamp(8)])
+            .unwrap();
+        b.push_row(&[Value::Nil, Value::Nil]).unwrap();
+        assert!(b.push_row(&[Value::Float(1.5), Value::Float(2.5)]).is_err());
+        b.push_row(&[Value::Float(1.5), Value::Int(9)]).unwrap();
+        let floats = b.chunk().columns[0].as_floats().unwrap();
+        assert_eq!(floats[1].to_bits(), nil_float().to_bits());
+        assert_eq!(
+            b.chunk().rows().unwrap()[1..],
+            [
+                vec![Value::Nil, Value::Timestamp(8)],
+                vec![Value::Nil, Value::Nil],
+                vec![Value::Float(1.5), Value::Timestamp(9)],
+            ]
         );
         b.clear();
         assert!(b.is_empty());

@@ -93,6 +93,10 @@ struct WalInner {
     /// `bytes_written` as of the last completed sync (or checkpoint): the
     /// prefix of the file that survives a power loss.
     durable_len: u64,
+    /// The error of a failed sync, returned to every later sync until a
+    /// checkpoint rewrites the log: the kernel may have dropped the pages
+    /// that sync was writing, so no later sync can vouch for them.
+    sync_failed: Option<StorageError>,
     /// The frame of the record being appended, reused across appends.
     frame: Vec<u8>,
 }
@@ -132,6 +136,7 @@ impl Wal {
                 syncing: false,
                 bytes_written: existing,
                 durable_len: existing,
+                sync_failed: None,
                 frame: Vec::new(),
             }),
             synced: Condvar::new(),
@@ -219,7 +224,7 @@ impl Wal {
     /// new one — never a mix. Everything the checkpoint wrote is fsynced
     /// before the swap, so [`Wal::sync_to`] targets taken before the
     /// checkpoint are already satisfied and `durable_seq` jumps to
-    /// `written_seq`.
+    /// `written_seq`; a failed sync's error is cleared with it.
     pub fn checkpoint(
         &self,
         appended: u64,
@@ -264,6 +269,7 @@ impl Wal {
         inner.bytes_written = bytes;
         inner.durable_len = bytes;
         inner.durable_seq = inner.written_seq;
+        inner.sync_failed = None;
         self.synced.notify_all();
         Ok(())
     }
@@ -272,43 +278,48 @@ impl Wal {
     /// thread's in-flight fdatasync covers `seq`, this call just waits for
     /// it; otherwise it runs the sync itself, making every record written
     /// so far durable in one call.
+    ///
+    /// A failed sync stays failed: this and every later call for a record
+    /// it did not make durable returns its error, and
+    /// [`Wal::durable_len`] stays put, until a [`Wal::checkpoint`]
+    /// rewrites the log. (A retry that succeeded would vouch for pages the
+    /// kernel may have dropped with the failure.)
     pub fn sync_to(&self, seq: u64) -> Result<()> {
         let mut inner = self.inner.lock();
         loop {
             if inner.durable_seq >= seq {
                 return Ok(());
             }
+            if let Some(e) = &inner.sync_failed {
+                return Err(e.clone());
+            }
             if inner.syncing {
                 // Piggyback on the in-flight sync.
                 self.synced.wait(&mut inner);
                 continue;
             }
-            inner.syncing = true;
             let (target, target_len) = (inner.written_seq, inner.bytes_written);
             // fdatasync outside the lock so appenders keep writing.
             let file = inner.file.try_clone()?;
+            inner.syncing = true;
             drop(inner);
             self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
-            let result = file.sync_data();
+            let result = sync_data(&file);
             inner = self.inner.lock();
             inner.syncing = false;
-            match result {
-                Ok(()) => {
-                    // A checkpoint while the sync ran made everything
-                    // durable already, in a file of its own length.
-                    if inner.durable_seq < target {
+            // A checkpoint while the sync ran made everything durable
+            // already, in a file of its own length (and of its own fate).
+            if inner.durable_seq < target {
+                match result {
+                    Ok(()) => {
                         inner.durable_seq = target;
                         inner.durable_len = target_len;
                     }
-                    self.synced.notify_all();
-                }
-                Err(e) => {
-                    // Wake waiters so they retry (and observe the error
-                    // themselves if it persists).
-                    self.synced.notify_all();
-                    return Err(e.into());
+                    Err(e) => inner.sync_failed = Some(e.into()),
                 }
             }
+            // Waiters see the new durable mark or the failure.
+            self.synced.notify_all();
         }
     }
 
@@ -326,6 +337,21 @@ impl Wal {
     pub fn durable_len(&self) -> u64 {
         self.inner.lock().durable_len
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tests: make this thread's next [`sync_data`] fail.
+    static FAIL_NEXT_SYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// `file.sync_data()` (in tests, failing when the thread asked for it).
+fn sync_data(file: &File) -> std::io::Result<()> {
+    #[cfg(test)]
+    if FAIL_NEXT_SYNC.take() {
+        return Err(std::io::Error::other("injected fdatasync failure"));
+    }
+    file.sync_data()
 }
 
 /// CRC-frame one record into `frame` (cleared first): `len | kind | body |
@@ -605,6 +631,38 @@ mod tests {
                 assert_eq!(ints[synced.len()..], [101, 102], "cut at {cut}");
             }
         }
+    }
+
+    #[test]
+    fn failed_sync_stays_failed_until_a_checkpoint() {
+        let dir = TempDir::new("wal-sync-failed");
+        let metrics = Arc::new(StorageMetrics::default());
+        let wal = Wal::open_counted(&dir.path().join(WAL_FILE), Arc::clone(&metrics)).unwrap();
+        let s1 = wal.append_rows(&rows(&[1])).unwrap();
+        wal.sync_to(s1).unwrap();
+        let durable = wal.durable_len();
+        let s2 = wal.append_rows(&rows(&[2])).unwrap();
+        FAIL_NEXT_SYNC.set(true);
+        let failed = wal.sync_to(s2).unwrap_err();
+        assert!(matches!(&failed, StorageError::Io(m) if m.contains("injected")));
+        // The disk would take the next sync, but it could not vouch for
+        // the pages the failed one was writing: no retry is made.
+        let s3 = wal.append_rows(&rows(&[3])).unwrap();
+        assert_eq!(wal.sync_to(s2), Err(failed.clone()));
+        assert_eq!(wal.sync_to(s3), Err(failed));
+        assert_eq!(wal.durable_len(), durable);
+        assert_eq!(metrics.snapshot().wal_syncs, 2);
+        // What was durable before the failure stays durable.
+        wal.sync_to(s1).unwrap();
+
+        // A checkpoint rewrites the live contents into a synced file.
+        wal.checkpoint(3, 0, 0, &rows(&[1, 2, 3])).unwrap();
+        assert_eq!(wal.durable_len(), wal.bytes_written());
+        wal.sync_to(s3).unwrap();
+        let s4 = wal.append_rows(&rows(&[4])).unwrap();
+        wal.sync_to(s4).unwrap();
+        assert_eq!(wal.durable_len(), wal.bytes_written());
+        assert_eq!(metrics.snapshot().wal_syncs, 3);
     }
 
     #[test]
