@@ -162,29 +162,38 @@ impl Column {
     }
 
     /// Append a [`Value`], coercing when lossless. Nil appends the type's
-    /// nil sentinel.
+    /// nil sentinel (a NaN float of any payload is nil). A value that
+    /// already has the column's type is stored as it is.
+    #[inline]
     pub fn push(&mut self, value: &Value) -> Result<()> {
-        let ty = self.data_type();
         if value.is_nil() {
             self.push_nil();
             return Ok(());
         }
+        match (&mut *self, value) {
+            (Column::Int(v), Value::Int(x)) | (Column::Timestamp(v), Value::Timestamp(x)) => {
+                v.push(*x)
+            }
+            (Column::Float(v), Value::Float(x)) => v.push(*x),
+            (Column::Bool(v), Value::Bool(x)) => v.push(i8::from(*x)),
+            (Column::Str { codes, heap }, Value::Str(x)) => {
+                codes.push(Arc::make_mut(heap).intern(x));
+            }
+            _ => return self.push_coerced(value),
+        }
+        Ok(())
+    }
+
+    /// [`Column::push`] of a non-nil value of another type: coerced to the
+    /// column's type, then stored.
+    fn push_coerced(&mut self, value: &Value) -> Result<()> {
+        let ty = self.data_type();
         let coerced = value.coerce_to(ty).ok_or_else(|| BatError::TypeMismatch {
             op: "push",
             expected: ty.name(),
             got: value.data_type().map(|t| t.name()).unwrap_or("nil"),
         })?;
-        match (self, coerced) {
-            (Column::Int(v), Value::Int(x)) => v.push(x),
-            (Column::Float(v), Value::Float(x)) => v.push(x),
-            (Column::Bool(v), Value::Bool(x)) => v.push(i8::from(x)),
-            (Column::Str { codes, heap }, Value::Str(x)) => {
-                codes.push(Arc::make_mut(heap).intern(&x));
-            }
-            (Column::Timestamp(v), Value::Timestamp(x)) => v.push(x),
-            _ => unreachable!("coerce_to returned wrong variant"),
-        }
-        Ok(())
+        self.push(&coerced)
     }
 
     /// Append this column's nil sentinel.

@@ -175,26 +175,6 @@ impl Value {
         }
     }
 
-    /// True iff [`Value::coerce_to`] would succeed — the same decision
-    /// without cloning string payloads, for pre-validation passes that
-    /// must not mutate anything until every value is known good.
-    pub fn can_coerce_to(&self, ty: DataType) -> bool {
-        if self.is_nil() {
-            return true;
-        }
-        matches!(
-            (self, ty),
-            (Value::Int(_), DataType::Int)
-                | (Value::Int(_), DataType::Float)
-                | (Value::Int(_), DataType::Timestamp)
-                | (Value::Float(_), DataType::Float)
-                | (Value::Bool(_), DataType::Bool)
-                | (Value::Str(_), DataType::Str)
-                | (Value::Timestamp(_), DataType::Timestamp)
-                | (Value::Timestamp(_), DataType::Int)
-        )
-    }
-
     /// Coerce this value to `ty`, if a lossless coercion exists.
     pub fn coerce_to(&self, ty: DataType) -> Option<Value> {
         if self.is_nil() {

@@ -716,7 +716,8 @@ impl Basket {
     /// `bytes`, the next append compacts it in place to a baseline plus
     /// the basket's current contents (see [`Wal::checkpoint`]). `0`
     /// disables live checkpointing (compaction then only happens at
-    /// recovery, the pre-checkpoint behavior). Default:
+    /// recovery, or at once after a failed WAL sync).
+    /// Default:
     /// [`DEFAULT_WAL_CHECKPOINT_BYTES`].
     pub fn set_wal_checkpoint_bytes(&self, bytes: u64) {
         self.wal_checkpoint_bytes
@@ -1003,18 +1004,34 @@ impl Basket {
     }
 
     /// Block until the record `ticket` names is durable (group commit with
-    /// any concurrent committers). On a sync error the rows are already
-    /// resident and logged — only the *durability confirmation* failed —
-    /// so the error means "not confirmed durable", not "not appended";
+    /// any concurrent committers).
+    ///
+    /// A failed sync (counted) stays failed in the log until a checkpoint
+    /// rewrites it, so one is taken at once, whatever the threshold: it
+    /// writes the resident contents to a fresh, synced file, which makes
+    /// the ticket's record durable and lets later syncs succeed. Only if
+    /// that fails too is the error returned. The rows are then resident
+    /// and logged — only the *durability confirmation* failed — so the
+    /// error means "not confirmed durable", not "not appended";
     /// re-appending the batch would duplicate it.
     pub(crate) fn await_durable(&self, ticket: &Durable) -> Result<()> {
-        if let Some((wal, seq)) = &ticket.0 {
-            wal.sync_to(*seq).map_err(|e| {
-                self.inner.lock().stats.storage_errors += 1;
-                DataCellError::Storage(format!("basket {}: wal sync failed: {e}", self.name))
-            })?;
+        let Some((wal, seq)) = &ticket.0 else {
+            return Ok(());
+        };
+        let Err(e) = wal.sync_to(*seq) else {
+            return Ok(());
+        };
+        {
+            let mut inner = self.inner.lock();
+            inner.stats.storage_errors += 1;
+            // A concurrent waiter may have checkpointed already.
+            if wal.sync_failed() {
+                self.checkpoint_wal(&mut inner, wal);
+            }
         }
-        Ok(())
+        wal.sync_to(*seq).map_err(|_| {
+            DataCellError::Storage(format!("basket {}: wal sync failed: {e}", self.name))
+        })
     }
 
     /// Length of the basket's WAL file that its last completed sync
@@ -1041,6 +1058,12 @@ impl Basket {
         if threshold == 0 || wal.bytes_written() < threshold {
             return;
         }
+        self.checkpoint_wal(inner, &wal);
+    }
+
+    /// Rewrite `wal` (the basket's log) as a baseline plus the full
+    /// logical contents; see [`Basket::maybe_checkpoint_wal`].
+    fn checkpoint_wal(&self, inner: &mut Inner, wal: &Wal) {
         let (chunk, complete) = self.stitch(inner, usize::MAX);
         if !complete {
             return;
@@ -2558,6 +2581,38 @@ mod tests {
         b.append_chunk(&chunk).unwrap();
         assert_eq!(ints(&b), vec![2, 3]);
         assert_eq!(b.stats().shed, 1);
+    }
+
+    #[test]
+    fn a_failed_sync_is_checkpointed_away_at_once() {
+        use datacell_storage::testutil::TempDir;
+        use datacell_storage::wal::read_wal;
+        use datacell_storage::SegmentStore;
+        let dir = TempDir::new("failed-sync");
+        let store = SegmentStore::open(dir.path()).unwrap();
+        let bs = store.basket("b").unwrap();
+        let b = bounded(usize::MAX, OverflowPolicy::Block);
+        // No threshold checkpoint: only the failed sync takes one.
+        b.set_wal_checkpoint_bytes(0);
+        let wal = Arc::new(bs.open_wal().unwrap());
+        b.attach_storage(bs, Some(Arc::clone(&wal)));
+        let file_len = || std::fs::metadata(wal.path()).unwrap().len();
+        b.append_rows(&[vec![Value::Int(1)]]).unwrap();
+        // The failed sync is counted; the checkpoint it takes makes the
+        // batch durable, so the append is `Ok` and is not retried.
+        wal.fail_next_sync();
+        b.append_rows(&[vec![Value::Int(2)]]).unwrap();
+        assert_eq!(b.stats().storage_errors, 1);
+        assert!(!wal.sync_failed());
+        assert_eq!(b.durable_wal_len(), Some(file_len()));
+        // Later appends sync as before, and the log replays the contents.
+        b.append_rows(&[vec![Value::Int(3)]]).unwrap();
+        assert_eq!(b.durable_wal_len(), Some(file_len()));
+        assert_eq!(b.stats().storage_errors, 1);
+        let replay = read_wal(wal.path(), b.schema()).unwrap();
+        let (chunk, ..) = crate::session::apply_wal_records(b.schema(), replay.records).unwrap();
+        assert_eq!(chunk.columns[0].as_ints().unwrap(), [1, 2, 3]);
+        assert_eq!(ints(&b), [1, 2, 3]);
     }
 
     #[test]

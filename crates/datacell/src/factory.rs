@@ -468,6 +468,37 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_output_sync_delivers_once() {
+        use datacell_storage::testutil::TempDir;
+        use datacell_storage::SegmentStore;
+        let (cat, input, output) = setup();
+        let dir = TempDir::new("factory-failed-sync");
+        let store = SegmentStore::open(dir.path()).unwrap();
+        let bs = store.basket("out").unwrap();
+        let wal = Arc::new(bs.open_wal().unwrap());
+        output.set_wal_checkpoint_bytes(0);
+        output.attach_storage(bs, Some(Arc::clone(&wal)));
+        let f = Factory::compile(
+            "q",
+            "select s.a from [select * from r] as s",
+            &cat,
+            FactoryOutput::Basket(Arc::clone(&output)),
+        )
+        .unwrap();
+        // The output's sync fails, the basket checkpoints its log, and
+        // the firing completes: it consumes its input and is not re-fired.
+        push(&input, &[(1, 0), (2, 0)]);
+        wal.fail_next_sync();
+        let out = f.step(Some(&cat.tables), usize::MAX).unwrap();
+        assert_eq!((out.consumed, out.produced), (2, 2));
+        assert!(!f.ready());
+        push(&input, &[(3, 0)]);
+        f.step(Some(&cat.tables), usize::MAX).unwrap();
+        assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[1, 2, 3]);
+        assert_eq!(output.stats().storage_errors, 1);
+    }
+
+    #[test]
     fn predicate_window_leaves_partial_basket() {
         // Query q2 of §2.6: the basket expression filters, so only the
         // tuples inside the predicate window are removed.

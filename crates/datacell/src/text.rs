@@ -552,9 +552,6 @@ impl ChunkBuilder {
     /// rules of SQL `INSERT`); a row of the wrong arity or with a value
     /// that has no lossless coercion is a [`DataCellError::Decode`] and
     /// appends nothing.
-    ///
-    /// A row whose values all have their columns' types (or are nil)
-    /// lands as it is, without a coercion per value.
     pub fn push_row(&mut self, row: &[Value]) -> Result<()> {
         let schema = &self.chunk.schema;
         if row.len() != schema.len() {
@@ -567,27 +564,15 @@ impl ChunkBuilder {
         }
         let rows = self.chunk.len();
         let columns = &mut self.chunk.columns;
-        match columns
-            .iter_mut()
-            .zip(row)
-            .position(|(c, v)| !push_typed(c, v))
-        {
-            None => return Ok(()),
-            // Undo the typed prefix; the checked path takes the whole row.
-            Some(i) => columns[..i].iter_mut().for_each(|c| c.truncate(rows)),
-        }
-        if let Some((v, cd)) = row
-            .iter()
-            .zip(&schema.columns)
-            .find(|(v, cd)| !v.can_coerce_to(cd.ty))
-        {
-            return Err(DataCellError::Decode(format!(
-                "column {}: cannot coerce {v} to {}",
-                cd.name, cd.ty
-            )));
-        }
-        for (c, v) in self.chunk.columns.iter_mut().zip(row) {
-            c.push(v).expect("coercion checked above");
+        for (i, (c, v)) in columns.iter_mut().zip(row).enumerate() {
+            if c.push(v).is_err() {
+                columns[..i].iter_mut().for_each(|c| c.truncate(rows));
+                let cd = &schema.columns[i];
+                return Err(DataCellError::Decode(format!(
+                    "column {}: cannot coerce {v} to {}",
+                    cd.name, cd.ty
+                )));
+            }
         }
         Ok(())
     }
@@ -608,23 +593,6 @@ impl ChunkBuilder {
             }
         }
     }
-}
-
-/// Append `v` to `c` if it has the column's type or is nil, storing what
-/// [`Column::push`] would (a NaN float is the canonical nil); false,
-/// appending nothing, for a value that needs a coercion or has none.
-fn push_typed(c: &mut Column, v: &Value) -> bool {
-    match (c, v) {
-        (Column::Int(c), Value::Int(x)) | (Column::Timestamp(c), Value::Timestamp(x)) => c.push(*x),
-        (Column::Float(c), Value::Float(x)) => c.push(if x.is_nan() { nil_float() } else { *x }),
-        (Column::Bool(c), Value::Bool(x)) => c.push(i8::from(*x)),
-        (Column::Str { codes, heap }, Value::Str(x)) => {
-            codes.push(Arc::make_mut(heap).intern(x));
-        }
-        (c, Value::Nil) => c.push_nil(),
-        _ => return false,
-    }
-    true
 }
 
 // ------------------------------------------------------------------ render

@@ -32,6 +32,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+#[cfg(any(test, feature = "fault-injection"))]
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -113,6 +115,9 @@ pub struct Wal {
     synced: Condvar,
     /// Counts the log's fdatasyncs (`wal_syncs`).
     metrics: Arc<StorageMetrics>,
+    /// Set by [`Wal::fail_next_sync`]: the next fdatasync fails.
+    #[cfg(any(test, feature = "fault-injection"))]
+    fail_next_sync: AtomicBool,
 }
 
 impl Wal {
@@ -141,6 +146,8 @@ impl Wal {
             }),
             synced: Condvar::new(),
             metrics,
+            #[cfg(any(test, feature = "fault-injection"))]
+            fail_next_sync: AtomicBool::new(false),
         })
     }
 
@@ -304,7 +311,7 @@ impl Wal {
             inner.syncing = true;
             drop(inner);
             self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
-            let result = sync_data(&file);
+            let result = self.sync_data(&file);
             inner = self.inner.lock();
             inner.syncing = false;
             // A checkpoint while the sync ran made everything durable
@@ -337,21 +344,28 @@ impl Wal {
     pub fn durable_len(&self) -> u64 {
         self.inner.lock().durable_len
     }
-}
 
-#[cfg(test)]
-thread_local! {
-    /// Tests: make this thread's next [`sync_data`] fail.
-    static FAIL_NEXT_SYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// `file.sync_data()` (in tests, failing when the thread asked for it).
-fn sync_data(file: &File) -> std::io::Result<()> {
-    #[cfg(test)]
-    if FAIL_NEXT_SYNC.take() {
-        return Err(std::io::Error::other("injected fdatasync failure"));
+    /// True iff a failed sync is stored: every [`Wal::sync_to`] of a
+    /// record not yet durable fails until a [`Wal::checkpoint`].
+    pub fn sync_failed(&self) -> bool {
+        self.inner.lock().sync_failed.is_some()
     }
-    file.sync_data()
+
+    /// Make this log's next fdatasync fail, for tests of the failure path
+    /// (feature `fault-injection`).
+    #[cfg(any(test, feature = "fault-injection"))]
+    pub fn fail_next_sync(&self) {
+        self.fail_next_sync.store(true, Ordering::Relaxed);
+    }
+
+    /// `file.sync_data()`, failing once after [`Wal::fail_next_sync`].
+    fn sync_data(&self, file: &File) -> std::io::Result<()> {
+        #[cfg(any(test, feature = "fault-injection"))]
+        if self.fail_next_sync.swap(false, Ordering::Relaxed) {
+            return Err(std::io::Error::other("injected fdatasync failure"));
+        }
+        file.sync_data()
+    }
 }
 
 /// CRC-frame one record into `frame` (cleared first): `len | kind | body |
@@ -642,8 +656,9 @@ mod tests {
         wal.sync_to(s1).unwrap();
         let durable = wal.durable_len();
         let s2 = wal.append_rows(&rows(&[2])).unwrap();
-        FAIL_NEXT_SYNC.set(true);
+        wal.fail_next_sync();
         let failed = wal.sync_to(s2).unwrap_err();
+        assert!(wal.sync_failed());
         assert!(matches!(&failed, StorageError::Io(m) if m.contains("injected")));
         // The disk would take the next sync, but it could not vouch for
         // the pages the failed one was writing: no retry is made.
@@ -657,6 +672,7 @@ mod tests {
 
         // A checkpoint rewrites the live contents into a synced file.
         wal.checkpoint(3, 0, 0, &rows(&[1, 2, 3])).unwrap();
+        assert!(!wal.sync_failed());
         assert_eq!(wal.durable_len(), wal.bytes_written());
         wal.sync_to(s3).unwrap();
         let s4 = wal.append_rows(&rows(&[4])).unwrap();
