@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use datacell::catalog::StreamCatalog;
 use datacell::factory::{Factory, FactoryOutput};
+use datacell::scheduler::Transition;
 use datacell_baseline::{Query, Selection, TupleEngine};
 use datacell_bat::DataType;
 use datacell_bench::{banner, f, int_stream, TablePrinter};

@@ -354,6 +354,14 @@ impl ReaderClaim<'_> {
     pub fn commit(mut self) {
         self.done = self.end - self.start;
     }
+
+    /// Keep the whole range in flight past this claim: the caller settles
+    /// it later through [`ReaderLease::settle`].
+    pub fn keep(self) -> std::ops::Range<u64> {
+        let range = self.start..self.end;
+        std::mem::forget(self);
+        range
+    }
 }
 
 impl Drop for ReaderClaim<'_> {
@@ -786,6 +794,13 @@ impl Basket {
     /// Width without the `ts` column.
     pub fn user_width(&self) -> usize {
         self.schema.len() - 1
+    }
+
+    /// The schema without the `ts` column.
+    pub fn user_schema(&self) -> Schema {
+        Schema {
+            columns: self.schema.columns[..self.user_width()].to_vec(),
+        }
     }
 
     /// The change signal (subscribe for wakeups).

@@ -504,9 +504,7 @@ impl StreamWriter {
         metrics: Option<Arc<SessionMetrics>>,
         tag: Arc<WriterTag>,
     ) -> Self {
-        let user_schema = Schema {
-            columns: basket.schema().columns[..basket.user_width()].to_vec(),
-        };
+        let user_schema = basket.user_schema();
         StreamWriter {
             basket,
             buf: text::ChunkBuilder::new(user_schema),

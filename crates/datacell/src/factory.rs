@@ -14,14 +14,15 @@
 //! 1. snapshot the input baskets (the locks are per-basket and internal —
 //!    see the concurrency note below);
 //! 2. run the plan in bulk over the snapshots;
-//! 3. append results to the output basket — *before* consuming, so a
-//!    bounded output basket that rejects the batch
-//!    ([`OverflowPolicy::Reject`](crate::basket::OverflowPolicy)) defers
-//!    the whole step without losing input tuples; a full `Block` output
-//!    defers it the same way (backpressure propagating upstream);
-//! 4. apply consumption: exclusive inputs delete exactly the tuples the
-//!    basket expression referenced; shared inputs commit the claim their
-//!    reader took in step 1 (an erring or deferred step gives it back).
+//! 3. deliver the result through the factory's [`Outbox`] — *before*
+//!    consuming. A full bounded output keeps the factory from firing at
+//!    all; a result the output refuses is held, with the firing's hold on
+//!    its inputs, and the next firing delivers it before anything else;
+//! 4. once the result is delivered, apply consumption: exclusive inputs
+//!    delete exactly the tuples the basket expression referenced; shared
+//!    inputs commit the range their reader claimed in step 1 (an erring
+//!    step gives it back). A removed factory drops its held result and
+//!    leaves the input unconsumed.
 //!
 //! **Concurrency.** The paper's Algorithm 1 holds the basket locks for the
 //! whole loop body. We get the same effect with finer locks because (a)
@@ -33,21 +34,27 @@
 //! and never the newer rows that moved into their positions; (b) two
 //! factories never consume the same basket exclusively at the same time:
 //! the scheduler holds a per-transition firing lock plus the factory's
-//! [`Factory::conflict_basket_names`] keys for the duration of every
+//! [`Transition::conflict_keys`] keys for the duration of every
 //! firing, so a factory runs at most once concurrently and exclusive
 //! consumers of one basket are serialized even under the parallel worker
 //! pool — which is all a §2.5 cascade of disjoint predicate windows needs.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use datacell_engine::{execute, Catalog, Chunk};
+use datacell_bat::candidates::Candidates;
+use datacell_engine::{execute, Catalog, Chunk, ExecOutcome};
 use datacell_sql::physical::PhysicalPlan;
 use datacell_sql::Schema;
+use parking_lot::Mutex;
 
-use crate::basket::{Basket, ExclusiveAnchor, ReaderClaim, ReaderId, ReaderLease};
+use crate::basket::{Basket, ExclusiveAnchor, ReaderId, ReaderLease};
 use crate::catalog::{consumed_positions, StepSource, StreamCatalog};
 use crate::error::{DataCellError, Result};
+use crate::outbox::Outbox;
+use crate::petri::Places;
+use crate::scheduler::Transition;
 
 /// How a factory reads one of its input baskets.
 #[derive(Debug)]
@@ -62,12 +69,21 @@ pub enum InputMode {
     Shared(ReaderLease),
 }
 
-/// What one firing holds of an input between snapshot and consumption.
-enum Cursor<'a> {
+/// A firing's hold on one input, from its snapshot to its delivery.
+enum Cursor<C> {
     /// Layout anchor of an exclusive snapshot.
     Exclusive(ExclusiveAnchor),
-    /// The shared reader's claim, given back unless the firing commits it.
-    Shared(ReaderClaim<'a>),
+    /// The shared reader's claim while the plan runs (given back if it
+    /// errs), then its range, settled when the result is delivered.
+    Shared(C),
+}
+
+/// A computed result's hold on the factory's inputs.
+struct Owed {
+    /// Per input, aligned with `inputs`.
+    cursors: Vec<Cursor<Range<u64>>>,
+    /// The plan's consumed positions per exclusive input.
+    consumed: Vec<(String, Candidates)>,
 }
 
 /// One data input of a factory.
@@ -108,8 +124,11 @@ pub struct StepOutcome {
     pub tuples_in: usize,
     /// Tuples removed from input baskets.
     pub consumed: usize,
-    /// Result tuples produced.
+    /// Result tuples delivered.
     pub produced: usize,
+    /// Result tuples computed and held: the output had no room for them
+    /// (the scheduler counts the firing as a deferral).
+    pub held: usize,
 }
 
 /// A compiled continuous query (or plan fragment) — see module docs.
@@ -118,7 +137,9 @@ pub struct Factory {
     plan: PhysicalPlan,
     out_schema: Schema,
     inputs: Vec<FactoryInput>,
-    output: FactoryOutput,
+    outbox: Outbox,
+    /// The input hold of the result `outbox` holds, if any.
+    owed: Mutex<Option<Owed>>,
     /// Fire only when every data input has at least this many pending
     /// tuples (§2.4: "the system may explicitly require a basket to have a
     /// minimum of n tuples before the relevant factory may run").
@@ -135,7 +156,7 @@ impl std::fmt::Debug for Factory {
         f.debug_struct("Factory")
             .field("name", &self.name)
             .field("inputs", &self.inputs.len())
-            .field("output", &self.output)
+            .field("output", &self.outbox.basket().map(|b| b.name()))
             .field("min_tuples", &self.min_tuples)
             .finish()
     }
@@ -188,18 +209,14 @@ impl Factory {
             out_schema,
             examined: inputs.iter().map(|_| AtomicU64::new(u64::MAX)).collect(),
             inputs,
-            output,
+            outbox: Outbox::new(output),
+            owed: Mutex::new(None),
             min_tuples: 1,
         };
-        if let FactoryOutput::Basket(b) = &factory.output {
+        if let Some(b) = factory.outbox.basket() {
             b.check_shape(&factory.out_schema)?;
         }
         Ok(factory)
-    }
-
-    /// Factory name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The compiled plan (diagnostics, Petri-net construction).
@@ -217,24 +234,9 @@ impl Factory {
         &self.inputs
     }
 
-    /// Output wiring.
-    pub fn output(&self) -> &FactoryOutput {
-        &self.output
-    }
-
-    /// Basket names this factory must hold exclusively while firing: its
-    /// exclusive-mode data inputs (a firing snapshots, delivers, then
-    /// *deletes* from them — two concurrent exclusive consumers would
-    /// double-consume). Shared-mode inputs are absent: each reader owns a
-    /// private cursor, so concurrent firings of *different* factories over
-    /// one shared basket are safe. The scheduler acquires these keys
-    /// together with the per-transition firing lock before every firing.
-    pub fn conflict_basket_names(&self) -> Vec<String> {
-        self.inputs
-            .iter()
-            .filter(|i| matches!(i.mode, InputMode::Exclusive))
-            .map(|i| i.basket.name().to_string())
-            .collect()
+    /// The output and the result it holds.
+    pub fn outbox(&self) -> &Outbox {
+        &self.outbox
     }
 
     /// Set the firing threshold.
@@ -250,7 +252,7 @@ impl Factory {
     /// Switch input basket `name` to the shared discipline: the factory
     /// registers a reader of its own on it (from the start of resident
     /// data) and holds it for as long as it lives, or until
-    /// [`Factory::detach`]. Returns the reader.
+    /// [`Transition::detach`]. Returns the reader.
     pub fn set_shared(&mut self, basket: &str) -> Result<ReaderId> {
         for input in &mut self.inputs {
             if input.basket.name() == basket {
@@ -266,60 +268,126 @@ impl Factory {
         )))
     }
 
-    /// Release every shared input's reader, so the inputs stop keeping
-    /// tuples for this factory. The scheduler calls it when the factory is
-    /// removed; dropping the factory does the same.
-    pub fn detach(&self) {
-        for input in &self.inputs {
-            if let InputMode::Shared(lease) = &input.mode {
-                lease.release();
-            }
+    /// Steps 3–4: deliver `fresh` behind the held result, then consume
+    /// what the delivered result owes its inputs. A refused result is held
+    /// with `owes`, so nothing is consumed before it is delivered.
+    fn settle(
+        &self,
+        owed: &mut Option<Owed>,
+        tuples_in: usize,
+        owes: Owed,
+        fresh: &Chunk,
+    ) -> Result<StepOutcome> {
+        let delivered = self.outbox.deliver(fresh);
+        if self.outbox.held_rows() > 0 {
+            *owed = Some(owes);
+            return delivered.map(|d| StepOutcome { tuples_in, ..d });
         }
+        let delivered = delivered?;
+        let consumed = self.consume(owes)?;
+        Ok(StepOutcome {
+            tuples_in,
+            consumed,
+            ..delivered
+        })
     }
 
-    /// Petri-net firing condition (§2.4): every data input holds at least
-    /// `min_tuples` pending tuples, and a firing has something new to
-    /// see: a shared input's pending tuples are new by definition, while an
-    /// exclusive input is new only if tuples were appended since a
-    /// successful firing last examined all of it. Tuples left outside a
-    /// predicate window therefore wait for the next append instead of
-    /// keeping the query firing.
-    pub fn ready(&self) -> bool {
-        let mut fresh = false;
-        for (i, examined) in self.inputs.iter().zip(&self.examined) {
-            let pending = match &i.mode {
-                InputMode::Exclusive => {
-                    let (len, appended) = i.basket.len_and_appended();
-                    fresh |= appended != examined.load(Ordering::Relaxed);
-                    len
+    /// Step 4, consumption (§2.6 side effect) for a delivered result.
+    /// Appends that slipped in since the snapshot sit past its positions
+    /// and are untouched. An exclusive input counts as examined once a
+    /// whole-basket snapshot had every qualifying tuple removed. Every
+    /// shared range is settled even if an exclusive input errs.
+    fn consume(&self, owes: Owed) -> Result<usize> {
+        let mut consumed = 0usize;
+        let mut failure = None;
+        for ((input, cursor), examined) in self.inputs.iter().zip(owes.cursors).zip(&self.examined)
+        {
+            match cursor {
+                Cursor::Exclusive(anchor) => {
+                    let gone = consumed_positions(&owes.consumed, input.basket.name());
+                    let qualified = gone.as_ref().map_or(0, |g| g.len());
+                    let removed = match gone.map(|g| input.basket.consume_exclusive(&anchor, &g)) {
+                        Some(Err(e)) => {
+                            failure.get_or_insert(e);
+                            continue;
+                        }
+                        Some(Ok(removed)) => removed,
+                        None => 0,
+                    };
+                    consumed += removed;
+                    if let Some(appended) = anchor.whole_at().filter(|_| removed == qualified) {
+                        examined.store(appended, Ordering::Relaxed);
+                    }
                 }
-                InputMode::Shared(lease) => {
-                    fresh = true;
-                    lease.pending()
+                Cursor::Shared(range) => {
+                    if let InputMode::Shared(lease) = &input.mode {
+                        lease.settle(range.start, range.end - range.start, range.end);
+                    }
+                    consumed += (range.end - range.start) as usize;
                 }
-            };
-            if pending < self.min_tuples {
-                return false;
             }
         }
-        fresh
+        failure.map_or(Ok(consumed), Err)
+    }
+}
+
+impl Transition for Factory {
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Fire once: snapshot → execute → consume → emit (Algorithm 1 body),
-    /// processing at most `max_tuples` tuples *per data input*
+    /// Petri-net firing condition (§2.4), after the output's
+    /// ([`Outbox::ready`]): every data input holds at least `min_tuples`
+    /// pending tuples, and a firing has something new to see: a shared
+    /// input's pending tuples are new by definition, while an exclusive
+    /// input is new only if tuples were appended since a delivered firing
+    /// last examined all of it. Tuples left outside a predicate window
+    /// therefore wait for the next append instead of keeping the query
+    /// firing.
+    fn ready(&self) -> bool {
+        Outbox::ready([&self.outbox], || {
+            let mut fresh = false;
+            for (i, examined) in self.inputs.iter().zip(&self.examined) {
+                let pending = match &i.mode {
+                    InputMode::Exclusive => {
+                        let (len, appended) = i.basket.len_and_appended();
+                        fresh |= appended != examined.load(Ordering::Relaxed);
+                        len
+                    }
+                    InputMode::Shared(lease) => {
+                        fresh = true;
+                        lease.pending()
+                    }
+                };
+                if pending < self.min_tuples {
+                    return false;
+                }
+            }
+            fresh
+        })
+    }
+
+    /// Fire once: snapshot → execute → deliver → consume (Algorithm 1
+    /// body), processing at most `max_tuples` tuples *per data input*
     /// (`usize::MAX` for the whole backlog; a DRR ring member's budget in
     /// the scheduler). Tuples beyond the budget stay in their baskets
     /// (exclusive inputs keep them resident, shared cursors advance only
     /// past the served prefix) and are picked up by a later firing, so a
     /// budgeted step is simply a smaller batch, not a loss. The budget is
     /// clamped up to [`Factory::min_tuples`] so a firing never undercuts
-    /// the configured batch threshold.
-    pub fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
+    /// the configured batch threshold. A held result is delivered first,
+    /// and alone.
+    fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
+        let mut owed = self.owed.lock();
+        if let Some(owes) = owed.take() {
+            let nothing = Chunk::empty(self.out_schema.clone());
+            return self.settle(&mut owed, 0, owes, &nothing);
+        }
         let budget = max_tuples.max(self.min_tuples);
 
         // 1. Snapshot inputs, at most `budget` tuples each. `snapshots` and
         // `cursors` stay aligned with `self.inputs`. A shared input's claim
-        // gives its range back if the firing errs or defers before step 4.
+        // gives its range back if the plan errs.
         //
         // Exclusive snapshots are anchored to the basket's layout epoch: a
         // concurrent `ShedOldest` eviction between snapshot and
@@ -329,7 +397,7 @@ impl Factory {
         // segment-aware: a spilled backlog is served from disk in
         // budget-sized bites instead of being re-materialized whole.
         let mut snapshots: Vec<Chunk> = Vec::with_capacity(self.inputs.len());
-        let mut cursors: Vec<Cursor> = Vec::with_capacity(self.inputs.len());
+        let mut cursors = Vec::with_capacity(self.inputs.len());
         for input in &self.inputs {
             let (chunk, cursor) = match &input.mode {
                 InputMode::Exclusive => {
@@ -357,57 +425,44 @@ impl Factory {
             snapshots: &lent,
             tables,
         };
-        let outcome = execute(&self.plan, &src)?;
+        let ExecOutcome { chunk, consumed } = execute(&self.plan, &src)?;
+        let cursors = cursors
+            .into_iter()
+            .map(|c| match c {
+                Cursor::Exclusive(anchor) => Cursor::Exclusive(anchor),
+                Cursor::Shared(claim) => Cursor::Shared(claim.keep()),
+            })
+            .collect();
+        self.settle(&mut owed, tuples_in, Owed { cursors, consumed }, &chunk)
+    }
 
-        // 3. Deliver results first, without waiting: a full bounded output
-        // basket (any policy) surfaces as Backpressure here, which the
-        // scheduler treats as a deferral — and because nothing has been
-        // consumed yet, the deferred step retries later without loss. The
-        // non-waiting append keeps the scheduler thread from wedging on a
-        // `Block` output whose consumer runs on this same thread.
-        let produced = outcome.chunk.len();
-        if let FactoryOutput::Basket(b) = &self.output {
-            b.try_append_chunk(&outcome.chunk)?;
-        }
-
-        // 4. Consumption (§2.6 side effect). Appends that slipped in since
-        // the snapshot sit past the snapshot positions and are untouched.
-        // An exclusive input counts as examined once a whole-basket
-        // snapshot had every qualifying tuple removed.
-        let mut consumed = 0usize;
-        for (((input, snapshot), cursor), examined) in self
-            .inputs
+    /// The exclusive-mode inputs: a firing deletes from them, and two
+    /// concurrent exclusive consumers would double-consume. A shared input
+    /// is read through a private cursor and locks nothing.
+    fn conflict_keys(&self) -> Vec<String> {
+        self.inputs
             .iter()
-            .zip(&snapshots)
-            .zip(cursors)
-            .zip(&self.examined)
-        {
-            match cursor {
-                Cursor::Exclusive(anchor) => {
-                    let (qualified, removed) =
-                        match consumed_positions(&outcome.consumed, input.basket.name()) {
-                            Some(gone) => {
-                                (gone.len(), input.basket.consume_exclusive(&anchor, &gone)?)
-                            }
-                            None => (0, 0),
-                        };
-                    consumed += removed;
-                    if let Some(appended) = anchor.whole_at().filter(|_| removed == qualified) {
-                        examined.store(appended, Ordering::Relaxed);
-                    }
-                }
-                Cursor::Shared(claim) => {
-                    claim.commit();
-                    consumed += snapshot.len();
-                }
+            .filter(|i| matches!(i.mode, InputMode::Exclusive))
+            .map(|i| i.basket.name().to_string())
+            .collect()
+    }
+
+    fn places(&self) -> Places {
+        Places {
+            inputs: self.inputs.iter().map(|i| Arc::clone(&i.basket)).collect(),
+            outputs: self.outbox.basket().into_iter().cloned().collect(),
+        }
+    }
+
+    /// Release every shared input's reader, so the inputs stop keeping
+    /// tuples for this factory. The scheduler calls it when the factory is
+    /// removed; dropping the factory does the same.
+    fn detach(&self) {
+        for input in &self.inputs {
+            if let InputMode::Shared(lease) = &input.mode {
+                lease.release();
             }
         }
-
-        Ok(StepOutcome {
-            tuples_in,
-            consumed,
-            produced,
-        })
     }
 }
 
@@ -564,11 +619,14 @@ mod tests {
         assert!(!f.ready(), "only an unmatched tuple is left");
         push(&input, &[(3, 7)]);
         assert!(f.ready(), "an append re-arms the input");
-        // A deferred firing (full output) examined nothing: still ready.
+        // A full output disables the firing. A forced one holds its
+        // result and examines nothing until the result is delivered.
         output.set_capacity(Some(1), OverflowPolicy::Reject);
-        assert!(f.step(Some(&cat.tables), usize::MAX).is_err());
-        assert!(f.ready(), "a deferred firing keeps the input ready");
+        assert!(!f.ready(), "a full output disables the firing");
+        let forced = f.step(Some(&cat.tables), usize::MAX).unwrap();
+        assert_eq!((forced.held, forced.consumed), (1, 0));
         output.set_capacity(None, OverflowPolicy::Reject);
+        assert!(f.ready(), "the held result fits");
         f.step(Some(&cat.tables), usize::MAX).unwrap();
         assert!(!f.ready());
         assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[1, 3]);
@@ -627,18 +685,29 @@ mod tests {
         output.set_capacity(Some(1), OverflowPolicy::Reject);
         output.append_rows(&[vec![Value::Int(0)]]).unwrap();
         push(&input, &[(1, 0), (2, 0), (3, 0)]);
-        // The full output rejects the batch: the step defers, and the
-        // reader keeps every tuple pending and resident.
-        let err = f.step(Some(&cat.tables), usize::MAX).unwrap_err();
-        assert!(matches!(err, DataCellError::Backpressure { .. }), "{err}");
-        assert_eq!(input.pending_for(r), 3);
-        assert_eq!(input.len(), 3, "a deferred firing trims nothing");
+        assert!(!f.ready(), "a full output disables the firing");
+        // A forced firing runs the plan once; the output refuses the
+        // batch, so the result is held with its claim in flight: nothing
+        // is consumed or trimmed.
+        let forced = f.step(Some(&cat.tables), usize::MAX).unwrap();
+        assert_eq!((forced.tuples_in, forced.held, forced.consumed), (3, 3, 0));
+        assert_eq!(input.len(), 3, "a held result trims nothing");
+        assert!(!f.ready(), "the held result waits for room");
+        // The output drains: the held rows go out before anything else,
+        // without a second execution (the new tuple stays pending).
+        output.clear();
+        push(&input, &[(4, 0)]);
         assert!(f.ready());
-        // The output drains: the retry delivers every tuple once.
+        let delivered = f.step(Some(&cat.tables), usize::MAX).unwrap();
+        assert_eq!(
+            (delivered.tuples_in, delivered.produced, delivered.consumed),
+            (0, 3, 3)
+        );
+        assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[1, 2, 3]);
+        assert_eq!(input.pending_for(r), 1);
         output.clear();
         f.step(Some(&cat.tables), usize::MAX).unwrap();
-        assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[1, 2, 3]);
-        assert_eq!(input.pending_for(r), 0);
+        assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[4]);
         assert!(input.is_empty(), "sole reader passed: trimmed");
     }
 

@@ -29,8 +29,9 @@
 //!   (Algorithm 1).
 //! * [`scheduler::Scheduler`] (§2.4) — the Petri-net engine: baskets are
 //!   token places, receptors/factories/emitters are transitions, and a
-//!   transition fires when all of its inputs hold tuples
-//!   ([`DataCell::petri_net`] draws the live net: writers, every
+//!   transition fires when all of its inputs hold tuples and its outputs
+//!   have room ([`outbox::Outbox`], the one output rule;
+//!   [`DataCell::petri_net`] draws the live net: writers, every
 //!   transition the scheduler runs, subscribers).
 //! * [`window`] (§3.1) — windowed processing *above* the kernel: a SQL
 //!   window clause (`FROM s [ROWS 100 SLIDE 10]`) re-evaluates the
@@ -64,6 +65,7 @@ pub mod error;
 pub mod events;
 pub mod factory;
 pub mod metrics;
+pub mod outbox;
 pub mod petri;
 pub(crate) mod planshare;
 pub mod scheduler;

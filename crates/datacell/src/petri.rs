@@ -16,17 +16,19 @@
 //! stream with disjoint predicate windows, which makes the order moot.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
+use crate::basket::Basket;
 use crate::scheduler::Transition;
 
 /// The places one scheduled transition touches, as
 /// [`Transition::places`] reports them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Places {
     /// Baskets the transition reads, exclusively or through a cursor.
-    pub inputs: Vec<String>,
+    pub inputs: Vec<Arc<Basket>>,
     /// Baskets the transition appends to.
-    pub outputs: Vec<String>,
+    pub outputs: Vec<Arc<Basket>>,
 }
 
 /// Kinds of Petri-net transitions.
@@ -89,12 +91,12 @@ impl PetriNet {
         self.transitions
             .push((name.clone(), TransitionKind::Factory));
         for b in places.inputs {
-            self.add_place(&b);
-            self.inputs.push((b, name.clone()));
+            self.add_place(b.name());
+            self.inputs.push((b.name().to_string(), name.clone()));
         }
         for b in places.outputs {
-            self.add_place(&b);
-            self.outputs.push((name.clone(), b));
+            self.add_place(b.name());
+            self.outputs.push((name.clone(), b.name().to_string()));
         }
     }
 

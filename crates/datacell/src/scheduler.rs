@@ -8,9 +8,10 @@
 //! Receptors and emitters fire on their callers' threads — a writer's
 //! flush appends, a subscription's poll claims — so the scheduler drives
 //! only the *factories* (and windowed queries): each pass it
-//! re-evaluates every factory's firing condition — all data inputs hold at
-//! least `min_tuples` tuples, and one of them holds something new — and
-//! fires the ready ones. When nothing is ready it blocks on an aggregated
+//! re-evaluates every factory's firing condition — its output has room
+//! ([`Outbox`](crate::outbox::Outbox), the one output rule), all data
+//! inputs hold at least `min_tuples` tuples, and one of them holds
+//! something new — and fires the ready ones. When nothing is ready it blocks on an aggregated
 //! basket signal instead of spinning.
 //!
 //! # Priority and fairness
@@ -108,7 +109,7 @@ use crate::catalog::StreamCatalog;
 use crate::clock::Clock;
 use crate::error::{DataCellError, Result};
 use crate::events::{EventKind, EventRing};
-use crate::factory::{Factory, FactoryOutput, StepOutcome};
+use crate::factory::{Factory, StepOutcome};
 use crate::metrics::{HistogramSnapshot, LatencyHistogram};
 use crate::petri::Places;
 
@@ -124,9 +125,6 @@ pub trait Transition: Send + Sync {
     /// budget otherwise. A transition that cannot slice its input may
     /// ignore the budget; the ring then charges the overrun as debt.
     fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome>;
-    /// Subscribe the transition's input baskets to the scheduler's wake-up
-    /// signal.
-    fn subscribe(&self, signal: Arc<Signal>);
     /// Basket names this transition consumes *exclusively* while firing.
     /// The scheduler holds these keys (together with the per-transition
     /// firing lock) for the duration of every firing, so two transitions
@@ -137,10 +135,12 @@ pub trait Transition: Send + Sync {
     fn conflict_keys(&self) -> Vec<String> {
         Vec::new()
     }
-    /// The baskets the transition reads and appends to, as
-    /// [`DataCell::petri_net`](crate::DataCell::petri_net) draws them (who
-    /// consumes a place exclusively; which places a firing locks is
-    /// [`Transition::conflict_keys`]). Default: none.
+    /// The baskets the transition reads and appends to: each wakes the
+    /// scheduler when it changes — an input with new tuples, an output
+    /// with freed room — and
+    /// [`DataCell::petri_net`](crate::DataCell::petri_net) draws them (which
+    /// places a firing locks is [`Transition::conflict_keys`]). Default:
+    /// none.
     fn places(&self) -> Places {
         Places::default()
     }
@@ -149,48 +149,6 @@ pub trait Transition: Send + Sync {
     /// [`Scheduler::remove_factory`] calls it once, after the transition's
     /// last firing. Default: nothing to release.
     fn detach(&self) {}
-}
-
-impl Transition for Factory {
-    fn name(&self) -> &str {
-        Factory::name(self)
-    }
-
-    fn ready(&self) -> bool {
-        Factory::ready(self)
-    }
-
-    fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
-        Factory::step(self, tables, max_tuples)
-    }
-
-    fn subscribe(&self, signal: Arc<Signal>) {
-        for input in self.inputs() {
-            input.basket.set_parent_signal(Arc::clone(&signal));
-        }
-    }
-
-    fn conflict_keys(&self) -> Vec<String> {
-        self.conflict_basket_names()
-    }
-
-    fn places(&self) -> Places {
-        Places {
-            inputs: self
-                .inputs()
-                .iter()
-                .map(|i| i.basket.name().to_string())
-                .collect(),
-            outputs: match self.output() {
-                FactoryOutput::Basket(b) => vec![b.name().to_string()],
-                FactoryOutput::Discard => Vec::new(),
-            },
-        }
-    }
-
-    fn detach(&self) {
-        Factory::detach(self)
-    }
 }
 
 /// Per-factory scheduling parameters.
@@ -284,7 +242,7 @@ struct Entry {
     /// Completed firings of this transition.
     firings: AtomicU64,
     /// Scheduler-clock time spent inside this transition's `step`, in µs —
-    /// every attempt, including deferred and failed ones (the metric of
+    /// every attempt, including failed ones (the metric of
     /// scheduler time this transition consumed).
     busy_micros: AtomicU64,
     /// Distribution of per-firing durations (completed firings only):
@@ -292,17 +250,15 @@ struct Entry {
     /// this says how it was shaped — many fast slices or few long stalls.
     firing_hist: LatencyHistogram,
     /// Exponentially weighted moving average of the per-tuple cost in
-    /// nanoseconds, fed by *successful* firings only (a deferred step runs
-    /// the whole plan and then fails at delivery, adding time but no
-    /// tuples; folding it in would collapse the query's budget after
-    /// backpressure). `0` = no history yet. An EWMA (α = 1/8) tracks cost
+    /// nanoseconds, fed by *successful* firings only (a failed step may
+    /// add time but no tuples). `0` = no history yet. An EWMA (α = 1/8) tracks cost
     /// drift — a join table growing, selectivity shifting — within a few
     /// firings, where the old lifetime average `busy / tuples` took the
     /// whole history to move.
     ewma_cost_nanos: AtomicU64,
     /// Input tuples processed across all firings (metrics).
     tuples_in: AtomicU64,
-    /// Steps deferred by output backpressure (retried on a later pass).
+    /// Firings whose result was held for want of output room.
     deferrals: AtomicU64,
     /// DRR deficit counter: unspent busy-time credit in µs. Carries
     /// forward while the transition stays backlogged; resets when its
@@ -333,9 +289,8 @@ impl Entry {
 
     /// Observed per-tuple cost in nanoseconds (floored; a conservative
     /// bootstrap assumption before any history exists). An EWMA over
-    /// recent firings, built from successful firings only, so backpressure
-    /// deferrals cannot inflate the estimate and collapse the query's
-    /// budget.
+    /// recent firings, built from successful firings only, so failures
+    /// cannot inflate the estimate and collapse the query's budget.
     fn cost_per_tuple_nanos(&self) -> u64 {
         match self.ewma_cost_nanos.load(Ordering::Relaxed) {
             0 => BOOTSTRAP_COST_NANOS,
@@ -440,8 +395,8 @@ pub struct SchedulerStats {
     /// Step errors (logged and skipped — a failing query must not take the
     /// engine down).
     pub errors: AtomicU64,
-    /// Steps deferred because a bounded output basket rejected the batch
-    /// (not an error: the step retries once space frees).
+    /// Firings whose result a bounded output had no room for: held, and
+    /// delivered first once room frees (not an error).
     pub deferrals: AtomicU64,
     /// Firings dispatched to the parallel worker pool (as opposed to run
     /// inline by the sequential pass loop or a manual drive).
@@ -463,7 +418,7 @@ pub struct SchedulerMetrics {
     pub busy_micros: u64,
     /// Input tuples processed across all firings.
     pub tuples_in: u64,
-    /// Steps deferred by output backpressure.
+    /// Firings whose result was held for want of output room.
     pub deferrals: u64,
     /// Configured DRR weight.
     pub weight: u32,
@@ -472,7 +427,7 @@ pub struct SchedulerMetrics {
     /// still-in-progress ready wait at snapshot time. A starved query
     /// shows this growing while `firings` stands still. (Because an
     /// in-progress wait is dropped when the query turns out idle, paused,
-    /// or deferred by backpressure, successive snapshots are not strictly
+    /// or failed, successive snapshots are not strictly
     /// monotone.)
     pub sched_delay_micros: u64,
     /// Current streak of passes in which the transition was ready but not
@@ -528,19 +483,6 @@ impl Shared {
             ring.record(kind, detail());
         }
     }
-}
-
-/// What happened when the scheduler tried to fire one entry.
-enum FireResult {
-    /// The step completed; `busy_micros` is its measured clock cost.
-    Fired {
-        /// Scheduler-clock µs the step consumed.
-        busy_micros: u64,
-    },
-    /// The step was turned away by output backpressure (retried later).
-    Deferred,
-    /// The step failed (logged; the query stays registered).
-    Errored,
 }
 
 /// The factory scheduler (see module docs).
@@ -648,10 +590,13 @@ impl Scheduler {
         factory
     }
 
-    /// Register any transition (factories, window evaluators). Its input
-    /// baskets are subscribed to the scheduler's wake-up signal.
+    /// Register any transition (factories, window evaluators). Every
+    /// basket of its [`Transition::places`] wakes the scheduler.
     pub fn add_transition(&self, transition: Arc<dyn Transition>, policy: SchedulePolicy) {
-        transition.subscribe(self.signal());
+        let places = transition.places();
+        for basket in places.inputs.iter().chain(&places.outputs) {
+            basket.set_parent_signal(self.signal());
+        }
         let mut entries = self.shared.entries.lock();
         let conflicts = transition.conflict_keys();
         entries.push(Arc::new(Entry {
@@ -826,7 +771,7 @@ impl Scheduler {
                 continue;
             }
             // The deficit settlement (charge actual busy time, or cap at
-            // one round's credit on deferral) happens inside the firing,
+            // one round's credit on failure) happens inside the firing,
             // inline here or on the worker that runs it.
             if Self::launch_firing(shared, pool, entry, budget, credit) {
                 fired += 1;
@@ -878,46 +823,33 @@ impl Scheduler {
         entry: &Entry,
         budget: usize,
         drr_credit: Option<i64>,
-    ) -> FireResult {
-        let result = Self::fire_entry(shared, entry, budget);
+    ) -> Option<u64> {
+        let fired = Self::fire_entry(shared, entry, budget);
         if let Some(credit) = drr_credit {
-            match result {
-                FireResult::Fired { busy_micros } => {
-                    // Charge what the firing actually consumed — possibly
-                    // more than the accrued credit (budget overrun): the
-                    // balance goes negative and must be paid back before
-                    // the next service. Unused credit carries forward
-                    // while the query stays backlogged.
-                    let spent = busy_micros.min(i64::MAX as u64) as i64;
-                    let _ = entry.deficit_micros.fetch_update(
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                        |d| Some(d.saturating_sub(spent)),
-                    );
-                }
-                // A deferral is downstream backpressure, not scheduler
-                // starvation: keep (at most) one round's credit for the
-                // retry. Banking more would make every deferred retry
-                // re-execute an ever-growing slice — thrown away at
-                // delivery — and explode into one unbudgeted mega-firing
-                // the moment downstream frees space.
-                FireResult::Deferred | FireResult::Errored => {
-                    let _ = entry.deficit_micros.fetch_update(
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                        |d| Some(d.min(credit)),
-                    );
-                }
-            }
+            // Charge what a firing actually consumed — possibly more than
+            // the accrued credit (budget overrun): the balance goes
+            // negative and must be paid back before the next service.
+            // Unused credit carries forward while the query stays
+            // backlogged. A failed firing keeps (at most) one round's
+            // credit for the retry: banking more would explode into one
+            // unbudgeted mega-firing once the failure clears.
+            let _ = entry
+                .deficit_micros
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+                    Some(match fired {
+                        Some(busy) => d.saturating_sub(busy.min(i64::MAX as u64) as i64),
+                        None => d.min(credit),
+                    })
+                });
         }
         Self::end_firing(shared, entry);
-        result
+        fired
     }
 
     /// Fire (inline) or dispatch (to the pool) one admitted entry whose
     /// firing lock the caller just acquired. Returns true iff an inline
-    /// firing completed as `Fired` — a dispatched firing always counts
-    /// toward the pass's admitted total instead.
+    /// firing completed — a dispatched firing always counts toward the
+    /// pass's admitted total instead.
     fn launch_firing(
         shared: &Arc<Shared>,
         pool: Option<&Arc<WorkerPool>>,
@@ -926,10 +858,7 @@ impl Scheduler {
         drr_credit: Option<i64>,
     ) -> bool {
         match pool {
-            None => matches!(
-                Self::execute_firing(shared, entry, budget, drr_credit),
-                FireResult::Fired { .. }
-            ),
+            None => Self::execute_firing(shared, entry, budget, drr_credit).is_some(),
             Some(pool) => {
                 shared
                     .stats
@@ -975,8 +904,9 @@ impl Scheduler {
     }
 
     /// Fire one entry with a tuple budget (`usize::MAX` outside the ring)
-    /// and do the book-keeping of every firing.
-    fn fire_entry(shared: &Shared, entry: &Entry, max_tuples: usize) -> FireResult {
+    /// and do the book-keeping of every firing. Returns the busy time of
+    /// a completed firing, `None` for a failed one.
+    fn fire_entry(shared: &Shared, entry: &Entry, max_tuples: usize) -> Option<u64> {
         let catalog = shared.catalog.read();
         let started = shared.clock.now_nanos();
         let result = entry.factory.step(Some(&catalog.tables), max_tuples);
@@ -987,6 +917,10 @@ impl Scheduler {
         entry.busy_micros.fetch_add(busy, Ordering::Relaxed);
         match result {
             Ok(out) => {
+                if out.held > 0 {
+                    entry.deferrals.fetch_add(1, Ordering::Relaxed);
+                    shared.stats.deferrals.fetch_add(1, Ordering::Relaxed);
+                }
                 entry.firings.fetch_add(1, Ordering::Relaxed);
                 shared.stats.firings.fetch_add(1, Ordering::Relaxed);
                 entry.record_cost(busy, out.tuples_in);
@@ -1002,18 +936,7 @@ impl Scheduler {
                         out.tuples_in
                     )
                 });
-                FireResult::Fired { busy_micros: busy }
-            }
-            // A bounded output basket turned the batch away: not an
-            // error, the step retries once downstream frees space. The
-            // stall is downstream backpressure, not scheduler starvation:
-            // drop any pending ready-wait so it is not booked as
-            // scheduling delay.
-            Err(DataCellError::Backpressure { .. }) => {
-                entry.deferrals.fetch_add(1, Ordering::Relaxed);
-                shared.stats.deferrals.fetch_add(1, Ordering::Relaxed);
-                entry.ready_since.store(UNSET, Ordering::Relaxed);
-                FireResult::Deferred
+                Some(busy)
             }
             Err(e) => {
                 shared.stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -1022,7 +945,7 @@ impl Scheduler {
                     format!("{} failed: {e}", entry.factory.name())
                 });
                 entry.ready_since.store(UNSET, Ordering::Relaxed);
-                FireResult::Errored
+                None
             }
         }
     }
@@ -1131,7 +1054,8 @@ impl Scheduler {
         )
     }
 
-    /// Steps deferred by output backpressure across all transitions.
+    /// Firings whose result was held for want of output room, across all
+    /// transitions.
     pub fn deferrals(&self) -> u64 {
         self.shared.stats.deferrals.load(Ordering::Relaxed)
     }
@@ -1358,21 +1282,22 @@ mod tests {
             let cat = catalog.read();
             (cat.basket("r").unwrap(), cat.basket("out").unwrap())
         };
-        // A resident tuple leaves no room for the 2-result batch in the
-        // 1-tuple Reject output basket.
+        // A resident tuple leaves room for one row, not for the 2-result
+        // batch, in the 2-tuple Reject output basket.
         out.append_rows(&[vec![Value::Int(0)]]).unwrap();
-        out.set_capacity(Some(1), OverflowPolicy::Reject);
+        out.set_capacity(Some(2), OverflowPolicy::Reject);
         input
             .append_rows(&[vec![Value::Int(20)], vec![Value::Int(30)]])
             .unwrap();
-        assert_eq!(sched.run_until_quiescent(5), 0, "step deferred");
-        assert!(sched.deferrals() >= 1);
+        assert_eq!(sched.run_until_quiescent(5), 1, "one firing, result held");
+        assert_eq!(sched.deferrals(), 1);
         let (_, _, errors) = sched.stats();
         assert_eq!(errors, 0, "backpressure is not an error");
         assert_eq!(input.len(), 2, "inputs were not consumed");
-        // Downstream drains the basket: the retry lands the whole batch
-        // (an empty basket admits an over-capacity batch — the bound caps
-        // the backlog, not one batch — so the deferral always resolves).
+        assert_eq!(out.len(), 1);
+        // Downstream drains the basket: the held batch lands whole (an
+        // empty basket admits an over-capacity batch — the bound caps the
+        // backlog, not one batch — so a held result always goes out).
         out.clear();
         assert_eq!(sched.run_until_quiescent(5), 1);
         assert_eq!(out.len(), 2);
@@ -1399,12 +1324,12 @@ mod tests {
         out.set_capacity(Some(1), OverflowPolicy::Reject);
         let rows: Vec<Vec<Value>> = (0..10_000).map(|i| vec![Value::Int(100 + i)]).collect();
         input.append_rows(&rows).unwrap();
-        // Many passes of pure deferral (bootstrap cost 1 µs/t → each
-        // attempted slice stays ~quantum-sized even while deferring).
+        // A full output disables the firing: many passes attempt nothing
+        // and bank nothing.
         for _ in 0..20 {
             assert_eq!(sched.pass(), 0);
         }
-        assert!(sched.deferrals() >= 20);
+        assert_eq!(sched.deferrals(), 0);
         // Downstream frees up: the next firing is budget-bounded. With
         // windup it would cover ~20 × quantum worth (1000+ tuples).
         out.clear();

@@ -451,9 +451,7 @@ impl DataCell {
                 let cat = self.catalog.read();
                 if let Ok(basket) = cat.basket(&table) {
                     // Bind against the *user* schema (no ts).
-                    let user_schema = Schema {
-                        columns: basket.schema().columns[..basket.user_width()].to_vec(),
-                    };
+                    let user_schema = basket.user_schema();
                     let bound = bind_insert_rows(&rows, columns.as_deref(), &user_schema)
                         .map_err(DataCellError::Sql)?;
                     basket.append_rows(&bound)?;
@@ -1212,9 +1210,7 @@ impl DataCell {
         source: &str,
     ) -> Result<Arc<Basket>> {
         let source_basket = self.catalog.read().basket(source)?;
-        let user_schema = Schema {
-            columns: source_basket.schema().columns[..source_basket.user_width()].to_vec(),
-        };
+        let user_schema = source_basket.user_schema();
         let (head_plan, head_schema) = datacell_sql::physical::plan(prefix.clone())?;
         // The shared intermediate gets the session-default
         // capacity/overflow/durability like any query plumbing basket; a

@@ -34,14 +34,14 @@ use std::sync::Arc;
 
 use datacell_bat::aggregate::{Accumulator, AggFunc};
 use datacell_bat::candidates::Candidates;
-use datacell_bat::types::Value;
-use datacell_engine::Catalog;
+use datacell_engine::{Catalog, Chunk};
 use datacell_sql::ast::WindowSpec;
 use parking_lot::Mutex;
 
-use crate::basket::{Basket, ReaderLease, Signal};
+use crate::basket::{Basket, ReaderLease};
 use crate::error::{DataCellError, Result};
-use crate::factory::StepOutcome;
+use crate::factory::{FactoryOutput, StepOutcome};
+use crate::outbox::Outbox;
 use crate::petri::Places;
 use crate::scheduler::Transition;
 
@@ -60,7 +60,6 @@ pub struct RangeFilter {
     pub hi: i64,
 }
 
-#[derive(Clone)]
 struct BasicState {
     /// Summary under construction for the current basic window.
     current: Accumulator,
@@ -82,7 +81,7 @@ pub struct BasicWindowAgg {
     filter: Option<RangeFilter>,
     size: usize,
     slide: usize,
-    output: Arc<Basket>,
+    outbox: Outbox,
     state: Mutex<BasicState>,
     windows_emitted: AtomicU64,
 }
@@ -132,7 +131,7 @@ impl BasicWindowAgg {
             filter,
             size,
             slide,
-            output,
+            outbox: Outbox::new(FactoryOutput::Basket(output)),
             state: Mutex::new(BasicState {
                 current: Accumulator::new(),
                 filled: 0,
@@ -142,14 +141,13 @@ impl BasicWindowAgg {
         })
     }
 
-    /// Windows emitted so far.
+    /// Windows computed so far, delivered or held.
     pub fn windows_emitted(&self) -> u64 {
         self.windows_emitted.load(Ordering::Relaxed)
     }
 
-    /// Pop every complete window off the ring into `out` (delivery happens
-    /// once per step so a rejected output defers the step losslessly).
-    fn collect_if_full(&self, state: &mut BasicState, out: &mut Vec<Vec<Value>>) -> Result<()> {
+    /// Pop every complete window off the ring into `out`.
+    fn collect_if_full(&self, state: &mut BasicState, out: &mut Chunk) -> Result<()> {
         let bw_per_window = self.size / self.slide;
         while state.ring.len() >= bw_per_window {
             // Merge the summaries — O(size/slide) instead of O(size).
@@ -158,7 +156,7 @@ impl BasicWindowAgg {
                 merged.merge(acc);
             }
             let in_ty = self.input.basket().schema().columns[self.column].ty;
-            out.push(vec![merged.finish(self.func, in_ty)?]);
+            out.columns[0].push(&merged.finish(self.func, in_ty)?)?;
             state.ring.pop_front();
         }
         Ok(())
@@ -171,22 +169,17 @@ impl Transition for BasicWindowAgg {
     }
 
     fn ready(&self) -> bool {
-        self.input.pending() > 0
+        Outbox::ready([&self.outbox], || self.input.pending() > 0)
     }
 
     /// Folds the whole pending input: a DRR ring member's budget is
     /// ignored, and the ring charges the overrun as debt.
     fn step(&self, _tables: Option<&Catalog>, _max_tuples: usize) -> Result<StepOutcome> {
-        // Claim the input; fold into a *working copy* of the summaries and
-        // deliver all completed windows in one non-waiting append — only
-        // on success do the state and the claim commit, so a full bounded
-        // output defers the step losslessly (the dropped claim gives the
-        // input back).
-        let (incoming, claim) = self.input.claim(usize::MAX);
+        // Fold the claimed input into the summaries in place; the claim
+        // commits the tuples folded, and the completed windows go out
+        // through the outbox, which holds what a full output refuses.
+        let (incoming, mut claim) = self.input.claim(usize::MAX);
         let tuples_in = incoming.len();
-        if tuples_in == 0 {
-            return Ok(StepOutcome::default());
-        }
         // Qualification mask from the ordinary selection kernel.
         let qualifies: Option<Candidates> = match self.filter {
             None => None,
@@ -204,47 +197,45 @@ impl Transition for BasicWindowAgg {
             }
         };
         let col = &incoming.columns[self.column];
+        let output = self.outbox.basket().expect("the output is a basket");
+        let mut out = Chunk::empty(output.user_schema());
         let mut state = self.state.lock();
-        let mut work = state.clone();
-        let mut out: Vec<Vec<Value>> = Vec::new();
-        for i in 0..tuples_in {
+        let mut folded = 0;
+        let folding = (0..tuples_in).try_for_each(|i| {
             let qualified = qualifies.as_ref().is_none_or(|c| c.contains(i));
             if qualified {
-                work.current.update(&col.get(i)?);
+                state.current.update(&col.get(i)?);
             } else {
                 // Non-qualifying tuples still advance the count window.
-                work.current.update(&datacell_bat::Value::Nil);
+                state.current.update(&datacell_bat::Value::Nil);
             }
-            work.filled += 1;
-            if work.filled == self.slide {
-                let acc = std::mem::take(&mut work.current);
-                work.ring.push_back(acc);
-                work.filled = 0;
-                self.collect_if_full(&mut work, &mut out)?;
+            state.filled += 1;
+            folded += 1;
+            if state.filled == self.slide {
+                let acc = std::mem::take(&mut state.current);
+                state.ring.push_back(acc);
+                state.filled = 0;
+                self.collect_if_full(&mut state, &mut out)?;
             }
-        }
-        let produced = out.len();
-        self.output.try_append_rows(&out)?;
-        *state = work;
+            Ok::<(), DataCellError>(())
+        });
         drop(state);
+        claim.delivered(folded);
         self.windows_emitted
-            .fetch_add(produced as u64, Ordering::Relaxed);
-        claim.commit();
+            .fetch_add(out.len() as u64, Ordering::Relaxed);
+        let delivered = self.outbox.deliver(&out)?;
+        folding?;
         Ok(StepOutcome {
             tuples_in,
-            consumed: tuples_in,
-            produced,
+            consumed: folded,
+            ..delivered
         })
-    }
-
-    fn subscribe(&self, signal: Arc<Signal>) {
-        self.input.basket().set_parent_signal(signal);
     }
 
     fn places(&self) -> Places {
         Places {
-            inputs: vec![self.input.basket().name().to_string()],
-            outputs: vec![self.output.name().to_string()],
+            inputs: vec![Arc::clone(self.input.basket())],
+            outputs: self.outbox.basket().into_iter().cloned().collect(),
         }
     }
 
@@ -257,8 +248,7 @@ impl Transition for BasicWindowAgg {
 mod tests {
     use super::*;
     use crate::DataCell;
-    use datacell_bat::types::DataType;
-    use datacell_engine::Chunk;
+    use datacell_bat::types::{DataType, Value};
     use datacell_sql::Schema;
 
     /// An input basket `w (v int)` and an output basket `wout (value int)`
@@ -453,14 +443,15 @@ mod tests {
         inc_out.append_rows(&[vec![Value::Int(0)]]).unwrap();
         inc_out.set_capacity(Some(1), OverflowPolicy::Reject);
         push(&inc_input, &[1, 2, 3, 4]);
-        assert!(
-            inc.step(None, usize::MAX).is_err(),
-            "full output defers the step"
-        );
-        assert!(inc.ready(), "input cursor did not move");
-        assert_eq!(inc.windows_emitted(), 0, "state untouched");
-        // Downstream drains: the retry reproduces the same windows.
+        assert!(!inc.ready(), "a full output disables the step");
+        // A forced step folds once and holds the windows it completed.
+        let step = inc.step(None, usize::MAX).unwrap();
+        assert_eq!((step.consumed, step.produced, step.held), (4, 0, 2));
+        assert_eq!(inc.windows_emitted(), 2);
+        assert!(!inc.ready(), "held windows wait for room");
+        // Downstream drains: the held windows go out, folded once.
         inc_out.clear();
+        assert!(inc.ready());
         inc.step(None, usize::MAX).unwrap();
         assert!(!inc.ready());
         assert_eq!(out_values(&inc_out), vec![3, 7]);

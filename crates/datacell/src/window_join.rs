@@ -43,11 +43,11 @@
 //! evaluates complete windows in order while their results fit the
 //! output's free room, delivers that prefix in one non-waiting append and
 //! evicts once. The first window that does not fit is evaluated but its
-//! result is *held*, to be delivered first by a later step; the join is not
-//! [`Transition::ready`] while a bounded output has no room for it, so a
-//! full output costs no work and nothing is ever computed twice.
+//! result is *held* in the join's [`Outbox`], to be delivered first by a
+//! later step — the one output rule of every transition — so a full output
+//! costs no work and nothing is ever computed twice.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use datacell_bat::candidates::Candidates;
@@ -56,10 +56,11 @@ use datacell_sql::ast::WindowSpec;
 use datacell_sql::physical::PhysicalPlan;
 use parking_lot::Mutex;
 
-use crate::basket::{AppendRoom, ReaderLease, Signal};
+use crate::basket::ReaderLease;
 use crate::catalog::StepSource;
 use crate::error::{DataCellError, Result};
 use crate::factory::{FactoryOutput, StepOutcome};
+use crate::outbox::Outbox;
 use crate::petri::Places;
 use crate::scheduler::Transition;
 
@@ -91,32 +92,15 @@ struct JoinState {
     /// Common `t0` for time windows: min first-ts across time-windowed
     /// sides, settled once every time side has seen a tuple.
     anchor: Option<i64>,
-    /// Results of evaluated windows the output had no room for, in window
-    /// order; delivered, whole, before anything else.
-    held: Option<Chunk>,
-}
-
-/// What the last step left for [`Transition::ready`] to read without
-/// taking the state lock. The flags publish no other data (a step re-reads
-/// everything under the lock), so they are `Relaxed`; the scheduler's
-/// signal mutex orders a step's stores before the pass it wakes.
-struct Readiness {
-    /// Per side: its next window is still open, so the side takes input.
-    open: Vec<AtomicBool>,
-    /// The next window is complete on every side.
-    window: AtomicBool,
-    /// Rows of held results (0 = none).
-    held: AtomicUsize,
 }
 
 /// Cross-stream windowed join transition (see module docs).
 pub struct WindowJoin {
     name: String,
     plan: PhysicalPlan,
-    output: FactoryOutput,
+    outbox: Outbox,
     sides: Vec<Side>,
     state: Mutex<JoinState>,
-    readiness: Readiness,
     windows_evaluated: AtomicU64,
 }
 
@@ -171,23 +155,16 @@ impl WindowJoin {
                 spec: *spec,
             });
         }
-        let readiness = Readiness {
-            open: sides.iter().map(|_| AtomicBool::new(true)).collect(),
-            window: AtomicBool::new(false),
-            held: AtomicUsize::new(0),
-        };
         Ok(WindowJoin {
             name: name.into(),
             plan,
-            output,
+            outbox: Outbox::new(output),
             sides,
             state: Mutex::new(JoinState {
                 sides: states,
                 next_eval: 0,
                 anchor: None,
-                held: None,
             }),
-            readiness,
             windows_evaluated: AtomicU64::new(0),
         })
     }
@@ -354,34 +331,6 @@ impl WindowJoin {
         Ok(n)
     }
 
-    /// The output's occupancy (`None`: it never refuses a batch).
-    fn output_room(&self) -> Option<AppendRoom> {
-        match &self.output {
-            FactoryOutput::Basket(b) => b.append_room(),
-            FactoryOutput::Discard => None,
-        }
-    }
-
-    /// Store what [`Transition::ready`] reads.
-    fn publish(&self, state: &JoinState) {
-        let k = state.next_eval;
-        let mut all = true;
-        for ((side, st), open) in self
-            .sides
-            .iter()
-            .zip(&state.sides)
-            .zip(&self.readiness.open)
-        {
-            let complete = Self::complete(side, st, state.anchor, k);
-            open.store(!complete, Ordering::Relaxed);
-            all &= complete;
-        }
-        self.readiness.window.store(all, Ordering::Relaxed);
-        self.readiness
-            .held
-            .store(state.held.as_ref().map_or(0, Chunk::len), Ordering::Relaxed);
-    }
-
     /// One step: ingest the sides whose next window is open (at most
     /// `budget` tuples each), evaluate complete windows in order, deliver
     /// the prefix whose results fit the output and hold the first one that
@@ -399,27 +348,12 @@ impl WindowJoin {
     ) -> Result<StepOutcome> {
         let mut guard = self.state.lock();
         let state = &mut *guard;
-        let room = self.output_room();
-        let admits = |taken: usize, rows: usize| room.is_none_or(|r| r.admits(taken, rows));
-
         // Held results go out first and whole; until they fit, nothing
         // else is evaluated (a flush still closes every window behind
         // them).
-        let held_rows = state.held.as_ref().map_or(0, Chunk::len);
-        let held_fits = admits(0, held_rows);
-        if !held_fits && !closing {
-            // Only a refusing output basket leaves results held.
-            let (Some(r), FactoryOutput::Basket(b)) = (room, &self.output) else {
-                unreachable!("held rows that do not fit imply a bounded output basket");
-            };
-            return Err(DataCellError::Backpressure {
-                basket: b.name().to_string(),
-                resident: r.resident,
-                capacity: r.capacity,
-            });
-        }
-        let mut blocked = !held_fits;
-        let mut taken = if held_fits { held_rows } else { 0 };
+        let held = self.outbox.held_rows();
+        let mut blocked = !self.outbox.fits(0, held);
+        let mut taken = if blocked { 0 } else { held };
 
         let mut tuples_in = 0;
         for (side, st) in self.sides.iter().zip(state.sides.iter_mut()) {
@@ -493,7 +427,7 @@ impl WindowJoin {
                 }
             };
             self.windows_evaluated.fetch_add(1, Ordering::Relaxed);
-            if !blocked && (result.is_empty() || admits(taken, result.len())) {
+            if !blocked && (result.is_empty() || self.outbox.fits(taken, result.len())) {
                 taken += result.len();
                 fresh.append(&result)?;
             } else {
@@ -509,15 +443,17 @@ impl WindowJoin {
             }
             state.next_eval = k;
         }
-        let delivered = self.deliver(state, held_fits, fresh, late);
-        self.publish(state);
-        let produced = delivered?;
+        let delivered = self.outbox.deliver(&fresh);
+        let late_rows = late.len();
+        self.outbox.hold(late)?;
+        let delivered = delivered?;
         match failure {
             Some(e) => Err(e),
             None => Ok(StepOutcome {
                 tuples_in,
                 consumed: tuples_in,
-                produced,
+                held: delivered.held + late_rows,
+                ..delivered
             }),
         }
     }
@@ -547,49 +483,6 @@ impl WindowJoin {
             state.anchor = time_firsts.into_iter().flatten().min();
         }
     }
-
-    /// Append the held results (when `held_fits`) and then `fresh` to the
-    /// output in one non-waiting append, and add `late` to the held
-    /// results. Returns the rows delivered.
-    fn deliver(
-        &self,
-        state: &mut JoinState,
-        held_fits: bool,
-        fresh: Chunk,
-        late: Chunk,
-    ) -> Result<usize> {
-        let mut deliver = match state.held.take() {
-            Some(mut held) if held_fits => {
-                held.append(&fresh)?;
-                held
-            }
-            other => {
-                state.held = other;
-                fresh
-            }
-        };
-        if !late.is_empty() {
-            state.held = Some(match state.held.take() {
-                Some(mut held) => {
-                    held.append(&late)?;
-                    held
-                }
-                None => late,
-            });
-        }
-        if let (false, FactoryOutput::Basket(b)) = (deliver.is_empty(), &self.output) {
-            // Another producer on the output can race the room check:
-            // then everything goes back in front of the held results.
-            if let Err(e) = b.try_append_chunk(&deliver) {
-                if let Some(held) = state.held.take() {
-                    deliver.append(&held)?;
-                }
-                state.held = Some(deliver);
-                return Err(e);
-            }
-        }
-        Ok(deliver.len())
-    }
 }
 
 impl Transition for WindowJoin {
@@ -597,41 +490,30 @@ impl Transition for WindowJoin {
         &self.name
     }
 
-    /// Not while a bounded output has no room for the next result (held
-    /// results: all of them); otherwise when a complete window is buffered
-    /// or a side whose next window is open has pending input.
+    /// After the output's rule ([`Outbox::ready`]): when a complete
+    /// window is buffered or a side whose next window is open has pending
+    /// input.
     fn ready(&self) -> bool {
-        let room = self.output_room();
-        if room.is_some_and(|r| !r.admits(0, 1)) {
-            return false;
-        }
-        let held = self.readiness.held.load(Ordering::Relaxed);
-        if held > 0 {
-            return room.is_none_or(|r| r.admits(0, held));
-        }
-        self.readiness.window.load(Ordering::Relaxed)
-            || self
-                .sides
-                .iter()
-                .zip(&self.readiness.open)
-                .any(|(s, open)| open.load(Ordering::Relaxed) && s.input.pending() > 0)
+        Outbox::ready([&self.outbox], || {
+            // A flush in flight holds the state: ask again next pass.
+            let Some(state) = self.state.try_lock() else {
+                return false;
+            };
+            let mut window = true;
+            let mut input = false;
+            for (side, st) in self.sides.iter().zip(&state.sides) {
+                let complete = Self::complete(side, st, state.anchor, state.next_eval);
+                window &= complete;
+                input |= !complete && side.input.pending() > 0;
+            }
+            window || input
+        })
     }
 
     /// Ingest at most `max_tuples` tuples per side: the join's firings are
     /// budgeted like any factory's.
     fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
         self.step_inner(tables, max_tuples.max(1), false)
-    }
-
-    /// The input baskets wake the scheduler with new tuples, the output
-    /// basket with freed room.
-    fn subscribe(&self, signal: Arc<Signal>) {
-        for side in &self.sides {
-            side.input.basket().set_parent_signal(Arc::clone(&signal));
-        }
-        if let FactoryOutput::Basket(b) = &self.output {
-            b.set_parent_signal(signal);
-        }
     }
 
     /// Both (all) input baskets: a parallel scheduler must not fire this
@@ -644,11 +526,12 @@ impl Transition for WindowJoin {
     /// consumed exclusively, even though a firing locks them all.
     fn places(&self) -> Places {
         Places {
-            inputs: self.input_names(),
-            outputs: match &self.output {
-                FactoryOutput::Basket(b) => vec![b.name().to_string()],
-                FactoryOutput::Discard => Vec::new(),
-            },
+            inputs: self
+                .sides
+                .iter()
+                .map(|s| Arc::clone(s.input.basket()))
+                .collect(),
+            outputs: self.outbox.basket().into_iter().cloned().collect(),
         }
     }
 
@@ -668,6 +551,7 @@ mod tests {
     use crate::catalog::StreamCatalog;
     use datacell_bat::types::{DataType, Value};
     use datacell_sql::Schema;
+    use std::sync::atomic::AtomicBool;
 
     fn setup() -> (StreamCatalog, Arc<Basket>, Arc<Basket>, Arc<Basket>) {
         let mut cat = StreamCatalog::new();
@@ -1006,7 +890,13 @@ mod tests {
         assert_eq!(wj.windows_evaluated(), 1);
         assert_eq!(wj.buffered(), vec![0, 0], "the window is committed");
         assert!(!wj.ready(), "held rows wait for room");
-        assert!(wj.step(None, usize::MAX).is_err(), "a forced step defers");
+        let forced = wj.step(None, usize::MAX).unwrap();
+        assert_eq!(
+            (forced.produced, forced.held),
+            (0, 0),
+            "a forced step holds on"
+        );
+        assert_eq!(wj.windows_evaluated(), 1);
         out.clear();
         assert!(wj.ready());
         wj.step(None, usize::MAX).unwrap();

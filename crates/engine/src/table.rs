@@ -52,19 +52,19 @@ impl Table {
                 right: self.schema().len(),
             });
         }
-        // Validate all values first so a failed append cannot leave columns
-        // with ragged lengths.
-        for (v, cd) in row.iter().zip(&self.data.schema.columns) {
-            if !v.is_nil() && v.coerce_to(cd.ty).is_none() {
+        // A value that does not coerce truncates every column back, so a
+        // failed append cannot leave columns with ragged lengths.
+        let rows = self.len();
+        let columns = &mut self.data.columns;
+        for (i, (v, c)) in row.iter().zip(columns.iter_mut()).enumerate() {
+            if c.push(v).is_err() {
+                columns[..i].iter_mut().for_each(|c| c.truncate(rows));
                 return Err(BatError::TypeMismatch {
                     op: "append_row",
-                    expected: cd.ty.name(),
+                    expected: self.data.schema.columns[i].ty.name(),
                     got: v.data_type().map(|t| t.name()).unwrap_or("nil"),
                 });
             }
-        }
-        for (v, c) in row.iter().zip(&mut self.data.columns) {
-            c.push(v)?;
         }
         Ok(())
     }
@@ -156,6 +156,35 @@ mod tests {
         // No ragged partial append.
         assert_eq!(t.len(), 0);
         assert_eq!(t.columns()[0].len(), t.columns()[1].len());
+        // A string pushed before the failing value is truncated away too.
+        let mut t = Table::new(
+            "s",
+            Schema::new(vec![
+                ("s".into(), DataType::Str),
+                ("a".into(), DataType::Int),
+            ]),
+        );
+        t.append_row(&[Value::Str("kept".into()), Value::Int(1)])
+            .unwrap();
+        let err = t
+            .append_row(&[Value::Str("gone".into()), Value::Str("x".into())])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BatError::TypeMismatch {
+                    op: "append_row",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.columns()[0].len(), t.columns()[1].len());
+        assert_eq!(
+            t.snapshot().columns[0].get(0).unwrap(),
+            Value::Str("kept".into())
+        );
     }
 
     #[test]

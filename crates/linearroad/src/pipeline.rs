@@ -32,13 +32,16 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use datacell::basket::{Basket, ReaderLease, Signal};
+use datacell::basket::{Basket, ReaderLease};
 use datacell::error::{DataCellError, Result};
-use datacell::factory::StepOutcome;
+use datacell::factory::{FactoryOutput, StepOutcome};
+use datacell::outbox::Outbox;
 use datacell::petri::Places;
 use datacell::scheduler::{SchedulePolicy, Transition};
+use datacell::text::ChunkBuilder;
 use datacell::DataCell;
 use datacell_bat::aggregate::{scalar_agg, AggFunc};
+use datacell_bat::column::Column;
 use datacell_bat::select::{theta_select, CmpOp};
 use datacell_bat::types::Value;
 use datacell_bat::Bat;
@@ -53,6 +56,15 @@ const LAV_MINUTES: i64 = 5;
 const STOPPED_REPORTS: usize = 4;
 /// Downstream segments suppressed by an accident.
 const ACCIDENT_RANGE: i64 = 4;
+
+/// The core's outputs, by index into [`LrCore::outputs`].
+const TOLL: usize = 0;
+const ACC: usize = 1;
+const BAL: usize = 2;
+const DAILY: usize = 3;
+
+/// One firing's rows for each output, in [`LrCore::outputs`] order.
+type Rows = [ChunkBuilder; 4];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SegKey {
@@ -107,16 +119,17 @@ pub struct LrCore {
     /// The core's reader on `lr_in`: consumption goes through the engine's
     /// one reader protocol.
     input: ReaderLease,
-    toll_out: Arc<Basket>,
-    acc_out: Arc<Basket>,
-    bal_out: Arc<Basket>,
-    daily_out: Arc<Basket>,
+    /// `toll_out`, `acc_out`, `bal_out` and `daily_out`.
+    outputs: [Outbox; 4],
     state: Mutex<CoreState>,
 }
 
 impl LrCore {
-    fn emit(basket: &Basket, row: Vec<Value>) -> Result<()> {
-        basket.append_rows(&[row])
+    /// Empty rows for every output.
+    fn rows(&self) -> Rows {
+        self.outputs.each_ref().map(|o| {
+            ChunkBuilder::new(o.basket().expect("lr_core writes to baskets").user_schema())
+        })
     }
 
     fn nov(state: &CoreState, key: SegKey, minute: i64) -> i64 {
@@ -151,8 +164,8 @@ impl LrCore {
 
     #[allow(clippy::too_many_arguments)]
     fn position_report(
-        &self,
         state: &mut CoreState,
+        out: &mut Rows,
         time: i64,
         vid: i64,
         speed: i64,
@@ -227,10 +240,7 @@ impl LrCore {
                 2 * (nov - 50) * (nov - 50)
             };
             if accident {
-                Self::emit(
-                    &self.acc_out,
-                    vec![Value::Int(vid), Value::Int(time), Value::Int(seg)],
-                )?;
+                out[ACC].push_row(&[Value::Int(vid), Value::Int(time), Value::Int(seg)])?;
             }
             let v = state.vehicles.entry(vid).or_default();
             // Charge the toll assessed at the previous segment entry.
@@ -238,16 +248,13 @@ impl LrCore {
             v.pending_toll = toll;
             v.last_toll_time = time;
             let lav_int = lav.unwrap_or(0.0).round() as i64;
-            Self::emit(
-                &self.toll_out,
-                vec![
-                    Value::Int(vid),
-                    Value::Int(time),
-                    Value::Int(lav_int),
-                    Value::Int(toll),
-                    Value::Timestamp(ts),
-                ],
-            )?;
+            out[TOLL].push_row(&[
+                Value::Int(vid),
+                Value::Int(time),
+                Value::Int(lav_int),
+                Value::Int(toll),
+                Value::Timestamp(ts),
+            ])?;
         }
         {
             let v = state.vehicles.entry(vid).or_default();
@@ -256,22 +263,25 @@ impl LrCore {
         Ok(())
     }
 
-    fn balance_query(&self, state: &CoreState, time: i64, vid: i64, qid: i64) -> Result<()> {
+    fn balance_query(
+        state: &CoreState,
+        out: &mut ChunkBuilder,
+        time: i64,
+        vid: i64,
+        qid: i64,
+    ) -> Result<()> {
         let balance = state.vehicles.get(&vid).map_or(0, |v| v.balance);
-        Self::emit(
-            &self.bal_out,
-            vec![
-                Value::Int(qid),
-                Value::Int(vid),
-                Value::Int(balance),
-                Value::Int(time),
-            ],
-        )
+        out.push_row(&[
+            Value::Int(qid),
+            Value::Int(vid),
+            Value::Int(balance),
+            Value::Int(time),
+        ])
     }
 
     fn daily_query(
-        &self,
         tables: Option<&Catalog>,
+        out: &mut ChunkBuilder,
         time: i64,
         vid: i64,
         qid: i64,
@@ -297,16 +307,13 @@ impl LrCore {
                 }
             }
         };
-        Self::emit(
-            &self.daily_out,
-            vec![
-                Value::Int(qid),
-                Value::Int(vid),
-                Value::Int(day),
-                Value::Int(total),
-                Value::Int(time),
-            ],
-        )
+        out.push_row(&[
+            Value::Int(qid),
+            Value::Int(vid),
+            Value::Int(day),
+            Value::Int(total),
+            Value::Int(time),
+        ])
     }
 }
 
@@ -316,82 +323,82 @@ impl Transition for LrCore {
     }
 
     fn ready(&self) -> bool {
-        self.input.pending() > 0
+        Outbox::ready(&self.outputs, || self.input.pending() > 0)
     }
 
     fn step(&self, tables: Option<&Catalog>, _max_tuples: usize) -> Result<StepOutcome> {
-        // Claim now, commit at the end of the step: an emit failure drops
-        // the claim, which gives the batch back to be retried (at-least-
-        // once) instead of silently dropping the unprocessed remainder.
-        let (chunk, claim) = self.input.claim(usize::MAX);
+        // The claim commits the records applied to the core state, and
+        // their rows go out through the outboxes, which hold what a full
+        // output refuses: a failing record ends the firing with the
+        // records before it applied, delivered and committed once.
+        let (chunk, mut claim) = self.input.claim(usize::MAX);
         let n = chunk.len();
-        if n == 0 {
-            return Ok(StepOutcome::default());
-        }
-        let col = |i: usize| chunk.columns[i].as_ints();
-        let (rtypes, times, vids, speeds, xways, lanes, dirs, segs, poss, qids, days) = (
-            col(0)?,
-            col(1)?,
-            col(2)?,
-            col(3)?,
-            col(4)?,
-            col(5)?,
-            col(6)?,
-            col(7)?,
-            col(8)?,
-            col(9)?,
-            col(10)?,
-        );
+        let ints = chunk.columns[..11]
+            .iter()
+            .map(Column::as_ints)
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let [rtypes, times, vids, speeds, xways, lanes, dirs, segs, poss, qids, days] = ints[..]
+        else {
+            unreachable!("lr_in has eleven integer columns")
+        };
         let ts = chunk.columns[11].as_timestamps()?;
+        let mut out = self.rows();
         let mut state = self.state.lock();
-        let mut produced = 0usize;
-        for i in 0..n {
-            match rtypes[i] {
-                0 => {
-                    self.position_report(
-                        &mut state, times[i], vids[i], speeds[i], xways[i], lanes[i], dirs[i],
-                        segs[i], poss[i], ts[i],
-                    )?;
-                    produced += 1;
-                }
-                2 => {
-                    self.balance_query(&state, times[i], vids[i], qids[i])?;
-                    produced += 1;
-                }
-                3 => {
-                    self.daily_query(tables, times[i], vids[i], qids[i], days[i], xways[i])?;
-                    produced += 1;
-                }
-                other => {
-                    return Err(DataCellError::Runtime(format!(
+        let mut applied = 0;
+        let mut failure = (0..n)
+            .try_for_each(|i| {
+                match rtypes[i] {
+                    0 => Self::position_report(
+                        &mut state, &mut out, times[i], vids[i], speeds[i], xways[i], lanes[i],
+                        dirs[i], segs[i], poss[i], ts[i],
+                    ),
+                    2 => Self::balance_query(&state, &mut out[BAL], times[i], vids[i], qids[i]),
+                    3 => Self::daily_query(
+                        tables,
+                        &mut out[DAILY],
+                        times[i],
+                        vids[i],
+                        qids[i],
+                        days[i],
+                        xways[i],
+                    ),
+                    other => Err(DataCellError::Runtime(format!(
                         "unknown Linear Road record type {other}"
-                    )))
+                    ))),
+                }?;
+                applied += 1;
+                Ok(())
+            })
+            .err();
+        drop(state);
+        claim.delivered(applied);
+        let mut outcome = StepOutcome {
+            tuples_in: n,
+            consumed: applied,
+            ..StepOutcome::default()
+        };
+        for (outbox, rows) in self.outputs.iter().zip(&out) {
+            match outbox.deliver(rows.chunk()) {
+                Ok(d) => {
+                    outcome.produced += d.produced;
+                    outcome.held += d.held;
+                }
+                Err(e) => {
+                    failure.get_or_insert(e);
                 }
             }
         }
-        claim.commit();
-        Ok(StepOutcome {
-            tuples_in: n,
-            consumed: n,
-            produced,
-        })
-    }
-
-    fn subscribe(&self, signal: Arc<Signal>) {
-        self.input.basket().set_parent_signal(signal);
+        failure.map_or(Ok(outcome), Err)
     }
 
     fn places(&self) -> Places {
         Places {
-            inputs: vec![self.input.basket().name().to_string()],
-            outputs: [
-                &self.toll_out,
-                &self.acc_out,
-                &self.bal_out,
-                &self.daily_out,
-            ]
-            .map(|b| b.name().to_string())
-            .to_vec(),
+            inputs: vec![Arc::clone(self.input.basket())],
+            outputs: self
+                .outputs
+                .iter()
+                .filter_map(|o| o.basket().cloned())
+                .collect(),
         }
     }
 
@@ -447,21 +454,27 @@ impl LinearRoadSystem {
             }
         }
         let input = cell.basket("lr_in")?;
-        let core = Arc::new(LrCore {
+        let outputs = [
+            cell.basket("toll_out")?,
+            cell.basket("acc_out")?,
+            cell.basket("bal_out")?,
+            cell.basket("daily_out")?,
+        ];
+        let core = LrCore {
             input: ReaderLease::register(Arc::clone(&input), true),
-            toll_out: cell.basket("toll_out")?,
-            acc_out: cell.basket("acc_out")?,
-            bal_out: cell.basket("bal_out")?,
-            daily_out: cell.basket("daily_out")?,
+            outputs: outputs
+                .each_ref()
+                .map(|b| Outbox::new(FactoryOutput::Basket(Arc::clone(b)))),
             state: Mutex::new(CoreState::default()),
-        });
-        cell.add_transition(Arc::clone(&core) as _, SchedulePolicy::default())?;
+        };
+        cell.add_transition(Arc::new(core), SchedulePolicy::default())?;
+        let [toll_out, acc_out, bal_out, daily_out] = outputs;
         Ok(LinearRoadSystem {
             input,
-            toll_out: Arc::clone(&core.toll_out),
-            acc_out: Arc::clone(&core.acc_out),
-            bal_out: Arc::clone(&core.bal_out),
-            daily_out: Arc::clone(&core.daily_out),
+            toll_out,
+            acc_out,
+            bal_out,
+            daily_out,
             cell,
         })
     }

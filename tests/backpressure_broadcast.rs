@@ -395,9 +395,9 @@ fn per_query_scheduler_accounts_in_metrics() {
 #[test]
 fn slow_subscriber_defers_the_factory_without_trimming() {
     // A broadcast subscription that does not poll holds its reader's
-    // watermark: the bounded Block output fills, the factory defers
-    // instead of dropping anything, and once the subscriber catches up it
-    // gets every row once, in order.
+    // watermark: the bounded Block output fills, which disables the
+    // factory instead of dropping anything, and once the subscriber
+    // catches up it gets every row once, in order.
     let cell = DataCell::builder()
         .basket_capacity(8)
         .overflow_policy(OverflowPolicy::Block)
@@ -413,7 +413,11 @@ fn slow_subscriber_defers_the_factory_without_trimming() {
     feed(&cell, 8..16);
     assert_eq!(out.len(), 8, "the output is full and nothing was trimmed");
     assert_eq!(cell.basket("b").unwrap().len(), 8, "the input waits");
-    assert!(cell.metrics().factory_deferrals > 0, "the factory deferred");
+    assert_eq!(
+        cell.metrics().factory_deferrals,
+        0,
+        "a full output disables the factory: nothing is computed or held"
+    );
 
     let mut rows = sub.drain().unwrap();
     assert!(out.is_empty(), "the claim released the output");

@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use datacell::basket::Signal;
 use datacell::catalog::StreamCatalog;
 use datacell::clock::Clock;
 use datacell::error::Result;
@@ -133,10 +132,9 @@ impl Transition for CostedQuery {
             tuples_in: n,
             consumed: n,
             produced: n,
+            held: 0,
         })
     }
-
-    fn subscribe(&self, _signal: Arc<Signal>) {}
 }
 
 /// A scheduler on a fresh manual clock, and that clock.
