@@ -1588,6 +1588,13 @@ impl Basket {
         (chunk, anchor)
     }
 
+    /// Whether positions relative to `anchor`'s snapshot still name its
+    /// tuples: no consume has left holes in the basket since, so
+    /// [`Basket::consume_exclusive`] can map them.
+    pub fn anchor_holds(&self, anchor: &ExclusiveAnchor) -> bool {
+        self.inner.lock().holes == anchor.holes
+    }
+
     /// Delete the tuples at `positions` *relative to a
     /// [`Basket::snapshot_exclusive`] snapshot*, serving the spilled part
     /// segment-by-segment instead of re-materializing the backlog: a

@@ -284,7 +284,7 @@ impl Factory {
             return delivered.map(|d| StepOutcome { tuples_in, ..d });
         }
         let delivered = delivered?;
-        let consumed = self.consume(owes)?;
+        let consumed = self.consume(owes, true)?;
         Ok(StepOutcome {
             tuples_in,
             consumed,
@@ -292,17 +292,19 @@ impl Factory {
         })
     }
 
-    /// Step 4, consumption (§2.6 side effect) for a delivered result.
-    /// Appends that slipped in since the snapshot sit past its positions
-    /// and are untouched. An exclusive input counts as examined once a
-    /// whole-basket snapshot had every qualifying tuple removed. Every
-    /// shared range is settled even if an exclusive input errs.
-    fn consume(&self, owes: Owed) -> Result<usize> {
+    /// Step 4, consumption (§2.6 side effect) for a `delivered` result;
+    /// otherwise the shared ranges go back. Appends that slipped in since
+    /// the snapshot sit past its positions and are untouched. An exclusive
+    /// input counts as examined once a whole-basket snapshot had every
+    /// qualifying tuple removed. Every shared range is settled even if an
+    /// exclusive input errs.
+    fn consume(&self, owes: Owed, delivered: bool) -> Result<usize> {
         let mut consumed = 0usize;
         let mut failure = None;
         for ((input, cursor), examined) in self.inputs.iter().zip(owes.cursors).zip(&self.examined)
         {
             match cursor {
+                Cursor::Exclusive(_) if !delivered => {}
                 Cursor::Exclusive(anchor) => {
                     let gone = consumed_positions(&owes.consumed, input.basket.name());
                     let qualified = gone.as_ref().map_or(0, |g| g.len());
@@ -320,10 +322,15 @@ impl Factory {
                     }
                 }
                 Cursor::Shared(range) => {
+                    let done = if delivered {
+                        range.end - range.start
+                    } else {
+                        0
+                    };
                     if let InputMode::Shared(lease) = &input.mode {
-                        lease.settle(range.start, range.end - range.start, range.end);
+                        lease.settle(range.start, done, range.end);
                     }
-                    consumed += (range.end - range.start) as usize;
+                    consumed += done as usize;
                 }
             }
         }
@@ -380,8 +387,19 @@ impl Transition for Factory {
     fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
         let mut owed = self.owed.lock();
         if let Some(owes) = owed.take() {
-            let nothing = Chunk::empty(self.out_schema.clone());
-            return self.settle(&mut owed, 0, owes, &nothing);
+            let anchored = self.inputs.iter().zip(&owes.cursors).all(|(i, c)| match c {
+                Cursor::Exclusive(anchor) => i.basket.anchor_holds(anchor),
+                Cursor::Shared(_) => true,
+            });
+            if anchored {
+                let nothing = Chunk::empty(self.out_schema.clone());
+                return self.settle(&mut owed, 0, owes, &nothing);
+            }
+            // Another exclusive consumer left holes in an input, so the
+            // held result's positions no longer name its tuples: drop the
+            // result, give its input back and compute it again.
+            self.outbox.discard();
+            self.consume(owes, false)?;
         }
         let budget = max_tuples.max(self.min_tuples);
 
@@ -709,6 +727,32 @@ mod tests {
         f.step(Some(&cat.tables), usize::MAX).unwrap();
         assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[4]);
         assert!(input.is_empty(), "sole reader passed: trimmed");
+    }
+
+    #[test]
+    fn a_sibling_consume_under_a_held_result_duplicates_nothing() {
+        // Two exclusive consumers split `r` by disjoint predicate windows
+        // (a §2.5 cascade); `a`'s bounded output has room for one row.
+        let (cat, input, output) = setup();
+        let window = |name: &str, pred: &str, output| {
+            let sql = format!("select s.a from [select * from r where {pred}] as s");
+            Factory::compile(name, &sql, &cat, output).unwrap()
+        };
+        let a = window("a", "r.b < 10", FactoryOutput::Basket(Arc::clone(&output)));
+        let b = window("b", "r.b >= 10", FactoryOutput::Discard);
+        output.append_rows(&[vec![Value::Int(0)]]).unwrap();
+        output.set_capacity(Some(2), OverflowPolicy::Reject);
+        push(&input, &[(1, 50), (2, 5), (3, 60), (4, 7)]);
+        assert_eq!(a.step(Some(&cat.tables), usize::MAX).unwrap().held, 2);
+        // `b` deletes the tuples between `a`'s, renumbering the rest.
+        b.step(Some(&cat.tables), usize::MAX).unwrap();
+        assert_eq!(input.len(), 2);
+        output.clear();
+        while a.ready() {
+            a.step(Some(&cat.tables), usize::MAX).unwrap();
+        }
+        assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[2, 4]);
+        assert!(input.is_empty());
     }
 
     #[test]

@@ -116,6 +116,12 @@ impl Outbox {
         }
     }
 
+    /// Drop the held rows: their transition will compute them again.
+    pub fn discard(&self) {
+        *self.held.lock() = None;
+        self.held_rows.store(0, Ordering::Relaxed);
+    }
+
     /// Hold `late` behind everything held: results computed for an output
     /// that had no room for them.
     pub fn hold(&self, late: Chunk) -> Result<()> {
