@@ -357,7 +357,7 @@ impl ReaderClaim<'_> {
 
     /// Keep the whole range in flight past this claim: the caller settles
     /// it later through [`ReaderLease::settle`].
-    pub fn keep(self) -> std::ops::Range<u64> {
+    pub(crate) fn keep(self) -> std::ops::Range<u64> {
         let range = self.start..self.end;
         std::mem::forget(self);
         range
@@ -1591,7 +1591,7 @@ impl Basket {
     /// Whether positions relative to `anchor`'s snapshot still name its
     /// tuples: no consume has left holes in the basket since, so
     /// [`Basket::consume_exclusive`] can map them.
-    pub fn anchor_holds(&self, anchor: &ExclusiveAnchor) -> bool {
+    pub(crate) fn anchor_holds(&self, anchor: &ExclusiveAnchor) -> bool {
         self.inner.lock().holes == anchor.holes
     }
 

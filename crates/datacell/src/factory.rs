@@ -234,11 +234,6 @@ impl Factory {
         &self.inputs
     }
 
-    /// The output and the result it holds.
-    pub fn outbox(&self) -> &Outbox {
-        &self.outbox
-    }
-
     /// Set the firing threshold.
     pub fn set_min_tuples(&mut self, n: usize) {
         self.min_tuples = n.max(1);

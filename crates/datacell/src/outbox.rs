@@ -58,27 +58,24 @@ impl Outbox {
 
     /// Whether one non-waiting append of `taken + rows` rows, `taken` of
     /// them already promised to it, would be admitted now.
-    pub fn fits(&self, taken: usize, rows: usize) -> bool {
+    pub(crate) fn fits(&self, taken: usize, rows: usize) -> bool {
         let room = self.basket().and_then(|b| b.append_room());
         room.is_none_or(|r| r.admits(taken, rows))
     }
 
     /// The firing rule of a transition with these outputs: no output is
     /// full, and either one holds rows (which then all fit) or `inputs`
-    /// says the transition's own condition holds.
-    pub fn ready<'a>(
-        outboxes: impl IntoIterator<Item = &'a Outbox>,
-        inputs: impl FnOnce() -> bool,
-    ) -> bool {
-        let mut held = false;
-        for outbox in outboxes {
-            let rows = outbox.held_rows();
-            if !outbox.fits(0, rows.max(1)) {
-                return false;
-            }
-            held |= rows > 0;
-        }
-        held || inputs()
+    /// says the transition's own condition holds. The inputs are asked
+    /// first, so an idle transition reads no output.
+    pub fn ready<'a, I>(outboxes: I, inputs: impl FnOnce() -> bool) -> bool
+    where
+        I: IntoIterator<Item = &'a Outbox> + Clone,
+    {
+        let held = outboxes.clone().into_iter().any(|o| o.held_rows() > 0);
+        (held || inputs())
+            && outboxes
+                .into_iter()
+                .all(|o| o.fits(0, o.held_rows().max(1)))
     }
 
     /// Append the held rows and then `fresh` in one non-waiting append. A
@@ -117,14 +114,14 @@ impl Outbox {
     }
 
     /// Drop the held rows: their transition will compute them again.
-    pub fn discard(&self) {
+    pub(crate) fn discard(&self) {
         *self.held.lock() = None;
         self.held_rows.store(0, Ordering::Relaxed);
     }
 
     /// Hold `late` behind everything held: results computed for an output
     /// that had no room for them.
-    pub fn hold(&self, late: Chunk) -> Result<()> {
+    pub(crate) fn hold(&self, late: Chunk) -> Result<()> {
         let mut held = self.held.lock();
         match held.as_mut() {
             _ if late.is_empty() => return Ok(()),
