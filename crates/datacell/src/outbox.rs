@@ -56,11 +56,12 @@ impl Outbox {
         self.held_rows.load(Ordering::Relaxed)
     }
 
-    /// Whether one non-waiting append of `taken + rows` rows, `taken` of
-    /// them already promised to it, would be admitted now.
-    pub(crate) fn fits(&self, taken: usize, rows: usize) -> bool {
+    /// The output's room as it is now: whether one non-waiting append of
+    /// `taken + rows` rows, `taken` of them already promised to it, would
+    /// be admitted.
+    pub(crate) fn room(&self) -> impl Fn(usize, usize) -> bool {
         let room = self.basket().and_then(|b| b.append_room());
-        room.is_none_or(|r| r.admits(taken, rows))
+        move |taken, rows| room.is_none_or(|r| r.admits(taken, rows))
     }
 
     /// The firing rule of a transition with these outputs: no output is
@@ -75,7 +76,7 @@ impl Outbox {
         (held || inputs())
             && outboxes
                 .into_iter()
-                .all(|o| o.fits(0, o.held_rows().max(1)))
+                .all(|o| o.room()(0, o.held_rows().max(1)))
     }
 
     /// Append the held rows and then `fresh` in one non-waiting append. A

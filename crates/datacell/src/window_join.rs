@@ -351,8 +351,9 @@ impl WindowJoin {
         // Held results go out first and whole; until they fit, nothing
         // else is evaluated (a flush still closes every window behind
         // them).
+        let fits = self.outbox.room();
         let held = self.outbox.held_rows();
-        let mut blocked = !self.outbox.fits(0, held);
+        let mut blocked = !fits(0, held);
         let mut taken = if blocked { 0 } else { held };
 
         let mut tuples_in = 0;
@@ -427,7 +428,7 @@ impl WindowJoin {
                 }
             };
             self.windows_evaluated.fetch_add(1, Ordering::Relaxed);
-            if !blocked && (result.is_empty() || self.outbox.fits(taken, result.len())) {
+            if !blocked && (result.is_empty() || fits(taken, result.len())) {
                 taken += result.len();
                 fresh.append(&result)?;
             } else {
