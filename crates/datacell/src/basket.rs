@@ -1588,11 +1588,13 @@ impl Basket {
         (chunk, anchor)
     }
 
-    /// Whether positions relative to `anchor`'s snapshot still name its
-    /// tuples: no consume has left holes in the basket since, so
-    /// [`Basket::consume_exclusive`] can map them.
+    /// Whether `anchor`'s snapshot is still the basket's head, tuple for
+    /// tuple: no consume, shed, trim or clear has changed the layout since
+    /// (appends and spill seals keep it). A result held across firings
+    /// consumes by its positions only then: once the head changed, another
+    /// consumer may already have taken some of its tuples.
     pub(crate) fn anchor_holds(&self, anchor: &ExclusiveAnchor) -> bool {
-        self.inner.lock().holes == anchor.holes
+        self.inner.lock().epoch == anchor.epoch
     }
 
     /// Delete the tuples at `positions` *relative to a

@@ -273,7 +273,7 @@ impl Factory {
         owes: Owed,
         fresh: &Chunk,
     ) -> Result<StepOutcome> {
-        let delivered = self.outbox.deliver(fresh);
+        let delivered = self.outbox.deliver(fresh, None);
         if self.outbox.held_rows() > 0 {
             *owed = Some(owes);
             return delivered.map(|d| StepOutcome { tuples_in, ..d });
@@ -287,12 +287,10 @@ impl Factory {
         })
     }
 
-    /// Step 4, consumption (§2.6 side effect) for a `delivered` result;
-    /// otherwise the shared ranges go back. Appends that slipped in since
-    /// the snapshot sit past its positions and are untouched. An exclusive
-    /// input counts as examined once a whole-basket snapshot had every
-    /// qualifying tuple removed. Every shared range is settled even if an
-    /// exclusive input errs.
+    /// Step 4 (§2.6 side effect) for a `delivered` result, which otherwise
+    /// gives its shared ranges back. An exclusive input counts as examined
+    /// once a whole-basket snapshot had every qualifying tuple removed.
+    /// Every shared range is settled even if an exclusive input errs.
     fn consume(&self, owes: Owed, delivered: bool) -> Result<usize> {
         let mut consumed = 0usize;
         let mut failure = None;
@@ -303,13 +301,13 @@ impl Factory {
                 Cursor::Exclusive(anchor) => {
                     let gone = consumed_positions(&owes.consumed, input.basket.name());
                     let qualified = gone.as_ref().map_or(0, |g| g.len());
-                    let removed = match gone.map(|g| input.basket.consume_exclusive(&anchor, &g)) {
-                        Some(Err(e)) => {
+                    let removed = gone.map(|g| input.basket.consume_exclusive(&anchor, &g));
+                    let removed = match removed.transpose() {
+                        Ok(removed) => removed.unwrap_or(0),
+                        Err(e) => {
                             failure.get_or_insert(e);
                             continue;
                         }
-                        Some(Ok(removed)) => removed,
-                        None => 0,
                     };
                     consumed += removed;
                     if let Some(appended) = anchor.whole_at().filter(|_| removed == qualified) {
@@ -317,11 +315,7 @@ impl Factory {
                     }
                 }
                 Cursor::Shared(range) => {
-                    let done = if delivered {
-                        range.end - range.start
-                    } else {
-                        0
-                    };
+                    let done = u64::from(delivered) * (range.end - range.start);
                     if let InputMode::Shared(lease) = &input.mode {
                         lease.settle(range.start, done, range.end);
                     }
@@ -340,12 +334,10 @@ impl Transition for Factory {
 
     /// Petri-net firing condition (§2.4), after the output's
     /// ([`Outbox::ready`]): every data input holds at least `min_tuples`
-    /// pending tuples, and a firing has something new to see: a shared
-    /// input's pending tuples are new by definition, while an exclusive
-    /// input is new only if tuples were appended since a delivered firing
-    /// last examined all of it. Tuples left outside a predicate window
-    /// therefore wait for the next append instead of keeping the query
-    /// firing.
+    /// pending tuples, and one holds something new: a shared input's
+    /// pending tuples, or tuples appended to an exclusive input since a
+    /// delivered firing last examined all of it (so tuples left outside a
+    /// predicate window wait for the next append).
     fn ready(&self) -> bool {
         Outbox::ready([&self.outbox], || {
             let mut fresh = false;
@@ -387,12 +379,11 @@ impl Transition for Factory {
                 Cursor::Shared(_) => true,
             });
             if anchored {
-                let nothing = Chunk::empty(self.out_schema.clone());
-                return self.settle(&mut owed, 0, owes, &nothing);
+                return self.settle(&mut owed, 0, owes, &Chunk::empty(self.out_schema.clone()));
             }
-            // Another exclusive consumer left holes in an input, so the
-            // held result's positions no longer name its tuples: drop the
-            // result, give its input back and compute it again.
+            // An exclusive input's head changed since the snapshot, and
+            // another consumer may have taken some of its tuples: drop the
+            // held result, give its input back and compute it again.
             self.outbox.discard();
             self.consume(owes, false)?;
         }
@@ -400,15 +391,9 @@ impl Transition for Factory {
 
         // 1. Snapshot inputs, at most `budget` tuples each. `snapshots` and
         // `cursors` stay aligned with `self.inputs`. A shared input's claim
-        // gives its range back if the plan errs.
-        //
-        // Exclusive snapshots are anchored to the basket's layout epoch: a
-        // concurrent `ShedOldest` eviction between snapshot and
-        // consumption shifts positions, and consuming by stale positions
-        // would delete newer tuples than the ones this step processed
-        // (at-most-once under shedding). The snapshot is budgeted and
-        // segment-aware: a spilled backlog is served from disk in
-        // budget-sized bites instead of being re-materialized whole.
+        // gives its range back if the plan errs. An exclusive snapshot is
+        // anchored (see the concurrency note above) and serves a spilled
+        // backlog from disk in budget-sized bites, never re-materialized.
         let mut snapshots: Vec<Chunk> = Vec::with_capacity(self.inputs.len());
         let mut cursors = Vec::with_capacity(self.inputs.len());
         for input in &self.inputs {
@@ -747,6 +732,36 @@ mod tests {
             a.step(Some(&cat.tables), usize::MAX).unwrap();
         }
         assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[2, 4]);
+        assert!(input.is_empty());
+    }
+
+    #[test]
+    fn a_whole_basket_consume_under_a_held_result_duplicates_nothing() {
+        // Two exclusive consumers of all of `r`; `a`'s bounded output has
+        // room for one row, so `a` holds its result.
+        let (mut cat, input, output) = setup();
+        let other = cat
+            .create_basket("other", Schema::new(vec![("a".into(), DataType::Int)]))
+            .unwrap();
+        let whole = |name: &str, output: &Arc<Basket>| {
+            let sql = "select s.a from [select * from r] as s";
+            let output = FactoryOutput::Basket(Arc::clone(output));
+            Factory::compile(name, sql, &cat, output).unwrap()
+        };
+        let (a, b) = (whole("a", &output), whole("b", &other));
+        output.append_rows(&[vec![Value::Int(0)]]).unwrap();
+        output.set_capacity(Some(2), OverflowPolicy::Reject);
+        push(&input, &[(1, 0), (2, 0)]);
+        assert_eq!(a.step(Some(&cat.tables), usize::MAX).unwrap().held, 2);
+        // `b` takes every tuple, a prefix: the head moves, no hole is left.
+        assert_eq!(b.step(Some(&cat.tables), usize::MAX).unwrap().consumed, 2);
+        push(&input, &[(3, 0)]);
+        output.clear();
+        while a.ready() {
+            a.step(Some(&cat.tables), usize::MAX).unwrap();
+        }
+        assert_eq!(output.snapshot().columns[0].as_ints().unwrap(), &[3]);
+        assert_eq!(other.snapshot().columns[0].as_ints().unwrap(), &[1, 2]);
         assert!(input.is_empty());
     }
 

@@ -8,8 +8,8 @@
 //!   row, and only then do its inputs decide ([`Outbox::ready`]).
 //! * **Deliver.** The held rows and then the new ones go out in one
 //!   non-waiting append. If the output refuses it, all of them are held,
-//!   in order, and go out first next time ([`Outbox::deliver`]). Nothing
-//!   is computed twice, and no firing waits.
+//!   in order, and go out first next time ([`Outbox::deliver`]). No
+//!   firing waits.
 //!
 //! This is the only place that reads a transition's output room.
 
@@ -56,9 +56,8 @@ impl Outbox {
         self.held_rows.load(Ordering::Relaxed)
     }
 
-    /// The output's room as it is now: whether one non-waiting append of
-    /// `taken + rows` rows, `taken` of them already promised to it, would
-    /// be admitted.
+    /// One reading of the output's room: whether a non-waiting append of
+    /// `taken + rows` rows, `taken` already promised to it, is admitted.
     pub(crate) fn room(&self) -> impl Fn(usize, usize) -> bool {
         let room = self.basket().and_then(|b| b.append_room());
         move |taken, rows| room.is_none_or(|r| r.admits(taken, rows))
@@ -79,38 +78,57 @@ impl Outbox {
                 .all(|o| o.room()(0, o.held_rows().max(1)))
     }
 
-    /// Append the held rows and then `fresh` in one non-waiting append. A
-    /// refused append holds them all, in order. Any other failure holds
-    /// them too and is returned. The outcome counts the rows delivered
-    /// (`produced`) and the new rows held.
-    pub fn deliver(&self, fresh: &Chunk) -> Result<StepOutcome> {
+    /// How many more rows every one of `outboxes` takes now, behind what
+    /// it holds (`usize::MAX` if none is bounded). A transition that emits
+    /// at most one row per output for each input tuple claims no more, so
+    /// what it holds stays within its outputs' capacity.
+    pub fn free<'a>(outboxes: impl IntoIterator<Item = &'a Outbox>) -> usize {
+        outboxes
+            .into_iter()
+            .filter_map(|o| {
+                let room = o.basket()?.append_room()?;
+                Some(room.capacity.saturating_sub(room.resident + o.held_rows()))
+            })
+            .min()
+            .unwrap_or(usize::MAX)
+    }
+
+    /// Append the held rows and then `fresh` in one non-waiting append,
+    /// and hold `late` (rows computed when no room was left for them)
+    /// behind whatever stays held. A refused append holds them all, in
+    /// order; any other failure holds them too and is returned. The
+    /// outcome counts the rows delivered (`produced`) and the new rows
+    /// held.
+    pub fn deliver(&self, fresh: &Chunk, late: Option<Chunk>) -> Result<StepOutcome> {
         let mut held = self.held.lock();
         if let Some(rows) = held.as_mut() {
             rows.append(fresh)?;
         }
         let rows = held.as_ref().unwrap_or(fresh);
-        let n = rows.len();
         let appended = match &self.output {
-            FactoryOutput::Basket(b) if n > 0 => b.try_append_chunk(rows),
+            FactoryOutput::Basket(b) if !rows.is_empty() => b.try_append_chunk(rows),
             _ => Ok(()),
         };
+        let mut outcome = StepOutcome::default();
         if appended.is_ok() {
+            outcome.produced = rows.len();
             *held = None;
         } else {
+            outcome.held = fresh.len();
             held.get_or_insert_with(|| fresh.clone());
+        }
+        if let Some(late) = late.filter(|l| !l.is_empty()) {
+            outcome.held += late.len();
+            match held.as_mut() {
+                Some(rows) => rows.append(&late)?,
+                None => *held = Some(late),
+            }
         }
         self.held_rows
             .store(held.as_ref().map_or(0, Chunk::len), Ordering::Relaxed);
         match appended {
-            Ok(()) => Ok(StepOutcome {
-                produced: n,
-                ..StepOutcome::default()
-            }),
-            Err(DataCellError::Backpressure { .. }) => Ok(StepOutcome {
-                held: fresh.len(),
-                ..StepOutcome::default()
-            }),
-            Err(e) => Err(e),
+            Err(e) if !matches!(e, DataCellError::Backpressure { .. }) => Err(e),
+            _ => Ok(outcome),
         }
     }
 
@@ -118,19 +136,5 @@ impl Outbox {
     pub(crate) fn discard(&self) {
         *self.held.lock() = None;
         self.held_rows.store(0, Ordering::Relaxed);
-    }
-
-    /// Hold `late` behind everything held: results computed for an output
-    /// that had no room for them.
-    pub(crate) fn hold(&self, late: Chunk) -> Result<()> {
-        let mut held = self.held.lock();
-        match held.as_mut() {
-            _ if late.is_empty() => return Ok(()),
-            Some(rows) => rows.append(&late)?,
-            None => *held = Some(late),
-        }
-        self.held_rows
-            .store(held.as_ref().map_or(0, Chunk::len), Ordering::Relaxed);
-        Ok(())
     }
 }

@@ -197,8 +197,7 @@ impl Transition for BasicWindowAgg {
             }
         };
         let col = &incoming.columns[self.column];
-        let output = self.outbox.basket().expect("the output is a basket");
-        let mut out = Chunk::empty(output.user_schema());
+        let mut out = Chunk::empty(self.outbox.basket().expect("a basket").user_schema());
         let mut state = self.state.lock();
         let mut folded = 0;
         let folding = (0..tuples_in).try_for_each(|i| {
@@ -223,7 +222,7 @@ impl Transition for BasicWindowAgg {
         claim.delivered(folded);
         self.windows_emitted
             .fetch_add(out.len() as u64, Ordering::Relaxed);
-        let delivered = self.outbox.deliver(&out)?;
+        let delivered = self.outbox.deliver(&out, None)?;
         folding?;
         Ok(StepOutcome {
             tuples_in,

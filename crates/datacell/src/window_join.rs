@@ -333,13 +333,11 @@ impl WindowJoin {
 
     /// One step: ingest the sides whose next window is open (at most
     /// `budget` tuples each), evaluate complete windows in order, deliver
-    /// the prefix whose results fit the output and hold the first one that
-    /// does not, evict once. `closing` (flush) ingests everything, waives
+    /// the prefix whose results fit the output, hold the first that does
+    /// not, evict once. `closing` (flush) ingests everything, waives
     /// completeness and evaluates every remaining window, holding whatever
-    /// does not fit. The state lock is held throughout: flush arrives from
-    /// the session thread outside the scheduler's conflict-key
-    /// serialization, and two racing ingests would buffer the same tuples
-    /// twice.
+    /// does not fit. The state lock is held throughout: a flush from the
+    /// session thread and a firing must not both ingest the same tuples.
     fn step_inner(
         &self,
         tables: Option<&Catalog>,
@@ -444,16 +442,12 @@ impl WindowJoin {
             }
             state.next_eval = k;
         }
-        let delivered = self.outbox.deliver(&fresh);
-        let late_rows = late.len();
-        self.outbox.hold(late)?;
-        let delivered = delivered?;
+        let delivered = self.outbox.deliver(&fresh, Some(late))?;
         match failure {
             Some(e) => Err(e),
             None => Ok(StepOutcome {
                 tuples_in,
                 consumed: tuples_in,
-                held: delivered.held + late_rows,
                 ..delivered
             }),
         }

@@ -125,13 +125,6 @@ pub struct LrCore {
 }
 
 impl LrCore {
-    /// Empty rows for every output.
-    fn rows(&self) -> Rows {
-        self.outputs.each_ref().map(|o| {
-            ChunkBuilder::new(o.basket().expect("lr_core writes to baskets").user_schema())
-        })
-    }
-
     fn nov(state: &CoreState, key: SegKey, minute: i64) -> i64 {
         state
             .stats
@@ -326,12 +319,15 @@ impl Transition for LrCore {
         Outbox::ready(&self.outputs, || self.input.pending() > 0)
     }
 
-    fn step(&self, tables: Option<&Catalog>, _max_tuples: usize) -> Result<StepOutcome> {
+    fn step(&self, tables: Option<&Catalog>, max_tuples: usize) -> Result<StepOutcome> {
         // The claim commits the records applied to the core state, and
         // their rows go out through the outboxes, which hold what a full
         // output refuses: a failing record ends the firing with the
-        // records before it applied, delivered and committed once.
-        let (chunk, mut claim) = self.input.claim(usize::MAX);
+        // records before it applied, delivered and committed once. A
+        // record emits at most one row per output, so claiming no more
+        // records than every output has room for keeps what is held small.
+        let budget = max_tuples.min(Outbox::free(&self.outputs));
+        let (chunk, mut claim) = self.input.claim(budget);
         let n = chunk.len();
         let ints = chunk.columns[..11]
             .iter()
@@ -342,7 +338,9 @@ impl Transition for LrCore {
             unreachable!("lr_in has eleven integer columns")
         };
         let ts = chunk.columns[11].as_timestamps()?;
-        let mut out = self.rows();
+        let mut out: Rows = self.outputs.each_ref().map(|o| {
+            ChunkBuilder::new(o.basket().expect("lr_core writes to baskets").user_schema())
+        });
         let mut state = self.state.lock();
         let mut applied = 0;
         let mut failure = (0..n)
@@ -378,7 +376,7 @@ impl Transition for LrCore {
             ..StepOutcome::default()
         };
         for (outbox, rows) in self.outputs.iter().zip(&out) {
-            match outbox.deliver(rows.chunk()) {
+            match outbox.deliver(rows.chunk(), None) {
                 Ok(d) => {
                     outcome.produced += d.produced;
                     outcome.held += d.held;
