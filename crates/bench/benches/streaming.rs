@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the DataCell streaming layer: basket
-//! traffic, factory steps at varying batch sizes (the statistical backing
+//! traffic and an empty subscription poll, factory steps at varying batch sizes (the statistical backing
 //! for `exp1_batch`), window evaluation (SQL against basic windows), the
 //! wire text format in columns against the row-at-a-time adapters, and the
 //! WAL's record framing and CRC.
@@ -41,6 +41,17 @@ fn bench_basket(c: &mut Criterion) {
             chunk
         })
     });
+    g.finish();
+
+    // An empty poll of an in-process subscriber: the claim lends the
+    // basket's one empty chunk, so nothing is allocated.
+    let cell = DataCell::new();
+    cell.execute("create basket e (v int)").unwrap();
+    cell.execute("create continuous query eq as select e.v from [select * from e] as e")
+        .unwrap();
+    let sub = cell.subscribe::<Vec<Value>>("eq").unwrap();
+    let mut g = c.benchmark_group("streaming/subscription");
+    g.bench_function("empty_try_next", |b| b.iter(|| sub.try_next().unwrap()));
     g.finish();
 }
 

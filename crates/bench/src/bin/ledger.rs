@@ -21,9 +21,11 @@
 //! and per workload and metric each side's runs (`null` for a failed run),
 //! median and quartiles, the change's pair wins, the median change/parent
 //! ratio over the pairs the parent ran first and over those the change ran
-//! first (apart, they show a run-order effect the alternation hides) and,
-//! for a gated metric, a verdict (see [`verdict`]). The markdown pair
-//! table of the gated metrics is printed to stdout.
+//! first (apart, they show a run-order effect the alternation hides), the
+//! paired effect (the median change/parent ratio over all pairs with a
+//! distribution-free interval, see [`paired_effect`]) and, for a gated
+//! metric, a verdict (see [`verdict`]). The markdown pair table of the
+//! gated metrics is printed to stdout.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -363,9 +365,38 @@ fn verdict(m: &Metric, parent: &[f64], change: &[f64], wins: usize, pairs: usize
     }
 }
 
+/// The paired effect over per-pair change/parent `ratios`: their median
+/// and an interval for it from their order statistics, the sign test's
+/// distribution-free interval. It runs from the `k`-th smallest to the
+/// `k`-th largest ratio, for the largest `k` whose coverage
+/// `1 - 2·P(B ≤ k - 1)`, `B ~ Binomial(n, ½)`, is still at least 95 %;
+/// with too few pairs for that it spans them all. Returns `[median, lo,
+/// hi, coverage]`, or `None` without a ratio.
+fn paired_effect(ratios: &[f64]) -> Option<[f64; 4]> {
+    let median = quartiles(ratios)?[1];
+    let mut r = ratios.to_vec();
+    r.sort_by(f64::total_cmp);
+    let n = r.len();
+    // P(B <= j), accumulated term by term: C(n, i) / 2^n.
+    let below = |j: usize| {
+        let (mut term, mut sum) = (0.5f64.powi(n as i32), 0.0);
+        for i in 0..=j {
+            sum += term;
+            term *= (n - i) as f64 / (i + 1) as f64;
+        }
+        sum
+    };
+    let coverage = |k: usize| 1.0 - 2.0 * below(k - 1);
+    let k = (1..=n.div_ceil(2))
+        .take_while(|&k| k == 1 || coverage(k) >= 0.95)
+        .last()
+        .expect("one ratio at least");
+    Some([median, r[k - 1], r[n - k], coverage(k)])
+}
+
 /// Metric `m` over `pairs`: each side's runs and quartiles, the change's
-/// pair wins, the median change/parent ratio by which side ran first and,
-/// for a gated metric, the verdict.
+/// pair wins, the median change/parent ratio by which side ran first, the
+/// paired effect and, for a gated metric, the verdict.
 fn summarize(m: &Metric, pairs: &[Pair]) -> Json {
     let parent: Vec<_> = pairs.iter().map(|p| p.0.value(&m.name)).collect();
     let change: Vec<_> = pairs.iter().map(|p| p.1.value(&m.name)).collect();
@@ -399,6 +430,13 @@ fn summarize(m: &Metric, pairs: &[Pair]) -> Json {
             .collect();
         quartiles(&ratios).map_or(Json::Null, |q| Json::Num(q[1]))
     };
+    let ratios: Vec<f64> = parent
+        .iter()
+        .zip(&change)
+        .filter_map(|(p, c)| Some(c.as_ref()? / p.as_ref()?))
+        .collect();
+    let [median, lo, hi, coverage] =
+        paired_effect(&ratios).map_or([(); 4].map(|()| Json::Null), |e| e.map(Json::Num));
     let verdict = m.bound.map(|_| verdict(m, &p, &c, wins, pairs.len()));
     let verdict = verdict.map_or(Json::Null, |v| Json::Str(v.into()));
     obj([
@@ -409,6 +447,10 @@ fn summarize(m: &Metric, pairs: &[Pair]) -> Json {
         ("pairs", Json::Num(pairs.len() as f64)),
         ("ratio_parent_first", ratio(0)),
         ("ratio_change_first", ratio(1)),
+        ("pair_ratio_median", median),
+        ("pair_ratio_lo", lo),
+        ("pair_ratio_hi", hi),
+        ("pair_ratio_coverage", coverage),
         ("verdict", verdict),
     ])
 }
@@ -455,8 +497,9 @@ fn sig(v: f64) -> String {
 /// The markdown pair table of the gated metrics in a ledger file.
 fn table(spec: &Spec, ledger: &Json) -> String {
     let mut out = String::from(
-        "| workload | metric | parent | change | change/parent | change better | verdict |\n\
-         |---|---|---|---|---|---|---|\n",
+        "| workload | metric | parent | change | change/parent | change better | verdict | \
+         pair ratio [interval] |\n\
+         |---|---|---|---|---|---|---|---|\n",
     );
     for w in &spec.workloads {
         for m in &spec.end_to_end {
@@ -473,7 +516,11 @@ fn table(spec: &Spec, ledger: &Json) -> String {
             let pairs = n(&["pairs"]).unwrap_or(0.0);
             let verdict = at(&["verdict"]).and_then(Json::str).unwrap_or("—");
             let (name, unit, ratio) = (&m.name, &m.unit, cm / pm);
-            let row = format!("| {p} | {c} | {ratio:.2} | {wins}/{pairs} | {verdict} |");
+            let paired = match ["median", "lo", "hi"].map(|k| n(&[&format!("pair_ratio_{k}")])) {
+                [Some(med), Some(lo), Some(hi)] => format!("{med:.2} [{lo:.2}–{hi:.2}]"),
+                _ => "—".into(),
+            };
+            let row = format!("| {p} | {c} | {ratio:.2} | {wins}/{pairs} | {verdict} | {paired} |");
             let _ = writeln!(out, "| `{w}` | {name} ({unit}) {row}");
         }
     }
@@ -763,6 +810,21 @@ mod tests {
         assert_eq!(e.num(&["ratio_change_first"]), Some(0.5));
         let none = summarize(&s.end_to_end[0], &pairs[..1]);
         assert_eq!(none.at(&["ratio_change_first"]), Some(&Json::Null));
+    }
+
+    #[test]
+    fn paired_effect_is_the_sign_test_interval() {
+        // Ten pairs: the 2nd smallest to the 2nd largest ratio covers
+        // 1 - 2·11/1024 of the time (the 3rd would cover only 89 %).
+        let ten = [1.3, 0.9, 1.1, 1.8, 1.0, 1.2, 1.5, 1.4, 1.6, 1.7];
+        let [median, lo, hi, coverage] = paired_effect(&ten).unwrap();
+        assert!((median - 1.35).abs() < 1e-12);
+        assert_eq!((lo, hi), (1.0, 1.7));
+        assert_eq!(coverage, 1.0 - 22.0 / 1024.0);
+        // Three traced pairs reach no 95 %: the interval spans them all.
+        assert_eq!(paired_effect(&[1.2, 0.8, 1.0]), Some([1.0, 0.8, 1.2, 0.75]));
+        assert_eq!(paired_effect(&[2.0]), Some([2.0, 2.0, 2.0, 0.0]));
+        assert_eq!(paired_effect(&[]), None);
     }
 
     #[test]

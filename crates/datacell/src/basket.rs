@@ -43,14 +43,21 @@
 //! otherwise gives the range back when dropped, and dropping (or
 //! [releasing](ReaderLease::release)) the lease deregisters the reader.
 //!
+//! **Lent rows.** The in-memory rows live in immutable, `Arc`-shared
+//! segments (`docs/storage.md`): a claim or exclusive snapshot of whole
+//! segments *is* the stored rows, so readers of one range share one copy,
+//! and trimming frees whole segments instead of moving the survivors.
+//!
 //! **Bounded capacity.** A basket may carry a tuple capacity with an
 //! [`OverflowPolicy`], and the basket alone applies it: every producer
 //! (writers, factories, the wire receptor's writer) only appends, so
 //! backpressure propagates end-to-end: a full basket blocks its writer,
 //! and a blocked writer stalls the source.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,6 +72,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::clock::now_micros;
 use crate::error::{DataCellError, Result};
 use crate::events::{EventKind, EventRing};
+use crate::segments::Segments;
 
 /// Name of the implicit arrival-timestamp column.
 pub const TS_COLUMN: &str = "ts";
@@ -254,121 +262,7 @@ impl Signal {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReaderId(u32);
 
-/// A reader registered on a basket for as long as the lease lives:
-/// dropping it deregisters the reader, releasing its hold on the trim
-/// watermark. Every owner of a shared reader holds one — a factory per
-/// shared input, a window evaluator, a subscriber (subscribers share one
-/// through an `Arc` when they share the reader: a competing-consumer
-/// pool) — and reads through [`ReaderLease::claim`].
-#[derive(Debug)]
-pub struct ReaderLease {
-    basket: Arc<Basket>,
-    id: ReaderId,
-}
-
-impl ReaderLease {
-    /// Register a reader on `basket` (see [`Basket::register_reader`]).
-    pub fn register(basket: Arc<Basket>, from_start: bool) -> Self {
-        let id = basket.register_reader(from_start);
-        ReaderLease { basket, id }
-    }
-
-    /// The basket read.
-    pub fn basket(&self) -> &Arc<Basket> {
-        &self.basket
-    }
-
-    /// The registered reader.
-    pub fn id(&self) -> ReaderId {
-        self.id
-    }
-
-    /// Tuples this reader has not yet claimed ([`Basket::pending_for`]).
-    pub fn pending(&self) -> usize {
-        self.basket.pending_for(self.id)
-    }
-
-    /// Claim up to `max` unread tuples ([`Basket::claim_for_reader`]): the
-    /// rows, and the guard that settles their range — committed by
-    /// [`ReaderClaim::commit`], given back if dropped first.
-    pub fn claim(&self, max: usize) -> (Chunk, ReaderClaim<'_>) {
-        let (rows, start, end) = self.basket.claim_for_reader(self.id, max);
-        let claim = ReaderClaim {
-            lease: self,
-            start,
-            end,
-            done: 0,
-        };
-        (rows, claim)
-    }
-
-    /// Settle a claim `[start, end)` of which the first `done` rows were
-    /// delivered: commit those, give the rest back to the reader. The one
-    /// give-back path of every claim.
-    pub fn settle(&self, start: u64, done: u64, end: u64) {
-        let mid = start + done.min(end - start);
-        if mid < end {
-            // Drops the whole in-flight range and steps the cursor back to
-            // `mid`: `[start, mid)` stays consumed.
-            self.basket.rewind_claim(self.id, mid, end);
-        } else if start < end {
-            self.basket.commit_claim(self.id, start, end);
-        }
-    }
-
-    /// Deregister the reader now, ahead of the lease's drop: a removed
-    /// transition whose `Arc` outlives its removal stops holding tuples.
-    /// Idempotent.
-    pub fn release(&self) {
-        self.basket.unregister_reader(self.id);
-    }
-}
-
-impl Drop for ReaderLease {
-    fn drop(&mut self) {
-        self.release();
-    }
-}
-
-/// A range claimed through [`ReaderLease::claim`]. Dropping it settles the
-/// range: rows marked [`delivered`](Self::delivered) commit, the rest go
-/// back to the reader — so a firing that errs or defers loses nothing.
-#[must_use = "dropping a claim gives its range back"]
-#[derive(Debug)]
-pub struct ReaderClaim<'a> {
-    lease: &'a ReaderLease,
-    start: u64,
-    end: u64,
-    /// Leading rows delivered so far.
-    done: u64,
-}
-
-impl ReaderClaim<'_> {
-    /// Mark the first `n` rows (a running total) delivered: they commit
-    /// when the claim is dropped.
-    pub fn delivered(&mut self, n: usize) {
-        self.done = self.done.max(n as u64);
-    }
-
-    /// Commit the whole range.
-    pub fn commit(mut self) {
-        self.done = self.end - self.start;
-    }
-
-    /// Keep the whole range in flight past this claim: the caller settles
-    /// it later through [`ReaderLease::settle`].
-    pub(crate) fn keep(self) -> std::ops::Range<u64> {
-        let range = self.start..self.end;
-        std::mem::forget(self);
-        range
-    }
-}
-
-impl Drop for ReaderClaim<'_> {
-    fn drop(&mut self) {
-        self.lease.settle(self.start, self.done, self.end);
-    }
-}
+pub use crate::lease::{ReaderClaim, ReaderLease};
 
 /// Per-reader cursor state. `cursor` is the next oid the reader will see;
 /// `inflight` holds claimed-but-unacknowledged ranges. The reader's
@@ -428,7 +322,7 @@ impl ExclusiveAnchor {
 /// spill segment that must be decoded (outside the lock) before retrying.
 enum CursorSlice {
     /// `(chunk, start_oid, end_oid)` — the slice, ready to serve.
-    Ready(Chunk, u64, u64),
+    Ready(Arc<Chunk>, u64, u64),
     /// The cursor sits in this spilled segment and the one-segment cache
     /// missed: decode it without holding the basket lock, install, retry.
     NeedSegment(SegmentMeta, BasketStore),
@@ -498,8 +392,8 @@ struct SpillJob {
     store: BasketStore,
     /// `Inner::base_oid` at snapshot time — the sealed segment's base.
     base: u64,
-    /// Rows `[0, n)` of the in-memory columns, copied out.
-    chunk: Chunk,
+    /// The oldest `n` in-memory rows, lent.
+    chunk: Arc<Chunk>,
     /// How many head rows to drop from memory on publication.
     n: usize,
     /// `Inner::epoch` at snapshot time; publication requires a match.
@@ -508,11 +402,10 @@ struct SpillJob {
 
 #[derive(Debug)]
 struct Inner {
-    /// User columns followed by the `ts` column.
-    columns: Vec<Column>,
-    /// Oid of the first *in-memory* tuple. Under [`OverflowPolicy::Spill`]
-    /// older tuples may live below it, on disk (`spill`).
-    base_oid: u64,
+    /// The in-memory rows, user columns followed by `ts`. Under
+    /// [`OverflowPolicy::Spill`] older tuples may live below their head,
+    /// on disk (`spill`).
+    mem: Segments,
     /// Registered readers' cursors (absolute oids).
     readers: HashMap<ReaderId, ReaderState>,
     next_reader: u32,
@@ -539,7 +432,12 @@ struct Inner {
 impl Inner {
     /// In-memory resident rows.
     fn mem_len(&self) -> usize {
-        self.columns[0].len()
+        self.mem.len()
+    }
+
+    /// Oid of the oldest *in-memory* tuple.
+    fn base_oid(&self) -> u64 {
+        self.mem.head()
     }
 
     /// Rows spilled to disk (below `base_oid`).
@@ -557,11 +455,11 @@ impl Inner {
         self.spill
             .as_ref()
             .and_then(SpillState::head_oid)
-            .unwrap_or(self.base_oid)
+            .unwrap_or(self.mem.head())
     }
 
     fn end_oid(&self) -> u64 {
-        self.base_oid + self.mem_len() as u64
+        self.mem.end()
     }
 
     /// Next oid reader `r` will see, clamped to the oldest live row (an
@@ -576,16 +474,12 @@ impl Inner {
     /// are mutually exclusive policies, so the shed head is always the
     /// memory head.)
     fn shed_head(&mut self, n: usize) {
-        let n = n.min(self.mem_len());
+        let n = self.mem.trim_to(self.mem.head() + n as u64);
         if n == 0 {
             return;
         }
-        for c in &mut self.columns {
-            c.drop_head(n);
-        }
-        self.base_oid += n as u64;
         self.epoch += 1;
-        let base = self.base_oid;
+        let base = self.mem.head();
         for rs in self.readers.values_mut() {
             rs.cursor = rs.cursor.max(base);
             rs.inflight.retain(|&(_, e)| e > base);
@@ -595,37 +489,71 @@ impl Inner {
         }
         self.stats.shed += n as u64;
         if let Some(wal) = self.wal.clone() {
-            if let Err(e) = wal.append_trim(self.base_oid) {
+            if let Err(e) = wal.append_trim(base) {
                 self.stats.storage_errors += 1;
                 eprintln!("wal trim record failed: {e}");
             }
         }
     }
+}
 
-    /// Slice rows `[from, to)` of the in-memory columns as a chunk.
-    fn mem_slice(&self, schema: &Schema, from: usize, to: usize) -> Chunk {
-        Chunk {
-            schema: schema.clone(),
-            columns: self
-                .columns
-                .iter()
-                .map(|c| c.slice(from, to).expect("slice within bounds"))
-                .collect(),
-        }
+/// The room a non-waiting append sees ([`Basket::append_room`]), published
+/// whenever the basket lock is released, so it is read without the lock.
+/// Relaxed: the figures publish no other data, and an append decides
+/// under the lock.
+#[derive(Debug, Default)]
+struct Room {
+    resident: AtomicUsize,
+    /// The capacity of a refusing bounded basket; `usize::MAX` when no
+    /// batch is ever refused for its size.
+    capacity: AtomicUsize,
+}
+
+impl Room {
+    fn publish(&self, inner: &Inner) {
+        let capacity = match inner.policy {
+            OverflowPolicy::ShedOldest | OverflowPolicy::Spill { .. } => None,
+            _ => inner.capacity,
+        };
+        self.capacity
+            .store(capacity.unwrap_or(usize::MAX), AtomicOrdering::Relaxed);
+        self.resident
+            .store(inner.mem_len(), AtomicOrdering::Relaxed);
+    }
+
+    fn read(&self) -> Option<AppendRoom> {
+        let capacity = self.capacity.load(AtomicOrdering::Relaxed);
+        (capacity != usize::MAX).then(|| AppendRoom {
+            resident: self.resident.load(AtomicOrdering::Relaxed),
+            capacity,
+        })
     }
 }
 
-/// Append rows `[from, to)` of each `src` column onto the matching `dst`
-/// column; a whole-column range skips the intermediate slice copy.
-fn append_range(dst: &mut [Column], src: &[Column], from: usize, to: usize) -> Result<()> {
-    for (d, s) in dst.iter_mut().zip(src) {
-        if from == 0 && to == s.len() {
-            d.append_column(s)?;
-        } else {
-            d.append_column(&s.slice(from, to)?)?;
-        }
+/// The held basket lock; releasing it publishes the basket's [`Room`].
+struct Locked<'a> {
+    inner: MutexGuard<'a, Inner>,
+    room: &'a Room,
+}
+
+impl Deref for Locked<'_> {
+    type Target = Inner;
+
+    fn deref(&self) -> &Inner {
+        &self.inner
     }
-    Ok(())
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut Inner {
+        &mut self.inner
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        self.room.publish(&self.inner);
+    }
 }
 
 /// How much of a pending batch the basket admits right now.
@@ -642,6 +570,8 @@ pub struct Basket {
     name: String,
     schema: Schema,
     inner: Mutex<Inner>,
+    /// Published under `inner`'s lock, read without it.
+    room: Room,
     signal: Arc<Signal>,
     /// Optional aggregated signal (the scheduler's): notified alongside the
     /// basket's own signal so one waiter can watch every basket.
@@ -682,29 +612,39 @@ impl Basket {
         schema
             .columns
             .push(ColumnDef::new(TS_COLUMN, DataType::Timestamp));
-        let columns = schema.columns.iter().map(|c| Column::empty(c.ty)).collect();
+        let inner = Inner {
+            mem: Segments::new(schema.clone()),
+            readers: HashMap::new(),
+            next_reader: 0,
+            capacity: capacity.map(|c| c.max(1)),
+            policy,
+            stats: BasketStats::default(),
+            spill: None,
+            wal: None,
+            epoch: 0,
+            holes: 0,
+        };
+        let room = Room::default();
+        room.publish(&inner);
         Ok(Basket {
             name,
             schema,
-            inner: Mutex::new(Inner {
-                columns,
-                base_oid: 0,
-                readers: HashMap::new(),
-                next_reader: 0,
-                capacity: capacity.map(|c| c.max(1)),
-                policy,
-                stats: BasketStats::default(),
-                spill: None,
-                wal: None,
-                epoch: 0,
-                holes: 0,
-            }),
+            inner: Mutex::new(inner),
+            room,
             signal: Arc::new(Signal::new()),
             parent_signal: Mutex::new(None),
             wal_checkpoint_bytes: AtomicU64::new(DEFAULT_WAL_CHECKPOINT_BYTES),
             events: Mutex::new(None),
             closed: AtomicBool::new(false),
         })
+    }
+
+    /// Take the basket lock.
+    fn lock(&self) -> Locked<'_> {
+        Locked {
+            inner: self.inner.lock(),
+            room: &self.room,
+        }
     }
 
     /// Mark the basket closed and wake its waiters: readers that see
@@ -739,7 +679,7 @@ impl Basket {
     /// by the session when it creates a basket under a configured
     /// `data_dir`.
     pub fn attach_storage(&self, store: BasketStore, wal: Option<Arc<Wal>>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.spill = Some(SpillState::new(store));
         inner.wal = wal;
     }
@@ -770,9 +710,8 @@ impl Basket {
             )));
         }
         {
-            let mut inner = self.inner.lock();
-            inner.columns = chunk.columns;
-            inner.base_oid = base_oid;
+            let mut inner = self.lock();
+            inner.mem.restore(chunk, base_oid);
             inner.epoch += 1;
             inner.stats.appended = appended;
             inner.stats.consumed = consumed;
@@ -845,7 +784,7 @@ impl Basket {
     /// full basket and fall back to shedding or rejecting.
     pub fn set_capacity(&self, capacity: Option<usize>, policy: OverflowPolicy) {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             inner.capacity = if matches!(policy, OverflowPolicy::Spill { .. }) {
                 None
             } else {
@@ -859,29 +798,23 @@ impl Basket {
 
     /// Configured tuple capacity (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        self.inner.lock().capacity
+        self.lock().capacity
     }
 
     /// Configured overflow policy.
     pub fn overflow_policy(&self) -> OverflowPolicy {
-        self.inner.lock().policy
+        self.lock().policy
     }
 
     /// Occupancy as a non-waiting append ([`Basket::try_append_chunk`])
     /// sees it: `None` when no batch is ever refused for its size (no
     /// capacity, or a `ShedOldest`/`Spill` policy).
+    ///
+    /// Read without the basket lock, from figures every release of the
+    /// lock publishes: a hint for the firing rule and for producers that
+    /// size their batches, while an append still decides under the lock.
     pub fn append_room(&self) -> Option<AppendRoom> {
-        let inner = self.inner.lock();
-        if matches!(
-            inner.policy,
-            OverflowPolicy::ShedOldest | OverflowPolicy::Spill { .. }
-        ) {
-            return None;
-        }
-        Some(AppendRoom {
-            resident: inner.mem_len(),
-            capacity: inner.capacity?,
-        })
+        self.room.read()
     }
 
     /// Decide how much of a `want`-tuple batch is admitted under the
@@ -1001,13 +934,11 @@ impl Basket {
         let Some(wal) = inner.wal.clone() else {
             return Ok(Durable::default());
         };
-        let len = inner.mem_len();
-        match wal.append_row_range(&inner.columns, len - take..len) {
+        let (columns, rows) = inner.mem.newest(take);
+        match wal.append_row_range(columns, rows) {
             Ok(seq) => Ok(Durable(Some((wal, seq)))),
             Err(e) => {
-                for c in &mut inner.columns {
-                    *c = c.slice(0, len - take).expect("truncate to prefix");
-                }
+                inner.mem.truncate_newest(take);
                 inner.stats.appended -= take as u64;
                 inner.stats.storage_errors += 1;
                 Err(DataCellError::Storage(format!(
@@ -1037,7 +968,7 @@ impl Basket {
             return Ok(());
         };
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             inner.stats.storage_errors += 1;
             // A concurrent waiter may have checkpointed already.
             if wal.sync_failed() {
@@ -1053,7 +984,7 @@ impl Basket {
     /// covered (`None` for an ephemeral basket): the log a power loss
     /// leaves behind, which every acknowledged append lies within.
     pub fn durable_wal_len(&self) -> Option<u64> {
-        let wal = self.inner.lock().wal.clone()?;
+        let wal = self.lock().wal.clone()?;
         Some(wal.durable_len())
     }
 
@@ -1133,9 +1064,10 @@ impl Basket {
             .as_ref()
             .map(|s| s.segments.iter().cloned().collect())
             .unwrap_or_default();
+        let head = inner.base_oid();
         if segments.is_empty() {
             let take = inner.mem_len().min(budget);
-            return (inner.mem_slice(&self.schema, 0, take), true);
+            return (inner.mem.copy(head, head + take as u64), true);
         }
         let mut out = Chunk::empty(self.schema.clone());
         let mut remaining = budget;
@@ -1147,14 +1079,19 @@ impl Basket {
                 return (out, false);
             };
             let take = (meta.rows as usize).min(remaining);
-            append_range(&mut out.columns, &seg.columns, 0, take).expect("segment matches schema");
+            for (d, s) in out.columns.iter_mut().zip(&seg.columns) {
+                let part = s.slice(0, take).expect("within the segment");
+                d.append_column(&part).expect("segment matches schema");
+            }
             remaining -= take;
             if take < meta.rows as usize {
                 inner.spill.as_mut().expect("has segments").cache = Some((meta.base_oid, seg));
             }
         }
         let take = inner.mem_len().min(remaining);
-        append_range(&mut out.columns, &inner.columns, 0, take).expect("same schema");
+        inner
+            .mem
+            .copy_into(&mut out.columns, head, head + take as u64);
         (out, true)
     }
 
@@ -1180,10 +1117,11 @@ impl Basket {
             return None;
         }
         let n = inner.mem_len() - mem_rows / 2;
+        let base = inner.base_oid();
         let job = SpillJob {
             store: inner.spill.as_ref().expect("checked above").store.clone(),
-            base: inner.base_oid,
-            chunk: inner.mem_slice(&self.schema, 0, n),
+            base,
+            chunk: inner.mem.lend(base, base + n as u64),
             n,
             epoch: inner.epoch,
         };
@@ -1205,18 +1143,15 @@ impl Basket {
         let sealed = job.store.seal_segment(job.base, &job.chunk);
         let mut orphan = None;
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             if let Some(spill) = inner.spill.as_mut() {
                 spill.sealing = false;
             }
             match sealed {
                 Ok(meta) => {
                     if inner.epoch == job.epoch && inner.spill.is_some() {
-                        debug_assert_eq!(inner.base_oid, job.base);
-                        for c in &mut inner.columns {
-                            c.drop_head(job.n);
-                        }
-                        inner.base_oid += job.n as u64;
+                        debug_assert_eq!(inner.base_oid(), job.base);
+                        inner.mem.trim_to(job.base + job.n as u64);
                         inner.stats.spilled += job.n as u64;
                         let spill = inner.spill.as_mut().expect("checked above");
                         spill.rows += meta.rows;
@@ -1254,7 +1189,7 @@ impl Basket {
     /// `mem_rows` is sealed straight back to disk.
     pub(crate) fn spill_excess(&self) {
         let job = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             self.spill_job(&mut inner)
         };
         if let Some(job) = job {
@@ -1274,8 +1209,7 @@ impl Basket {
         if !complete {
             return;
         }
-        inner.columns = chunk.columns;
-        inner.base_oid = head;
+        inner.mem.restore(chunk, head);
         inner.epoch += 1;
         let spill = inner.spill.as_mut().expect("has segments");
         while let Some(meta) = spill.segments.pop_front() {
@@ -1284,7 +1218,7 @@ impl Basket {
     }
 
     /// Wait for the basket to change, releasing the inner lock first.
-    fn wait_for_space(&self, inner: MutexGuard<'_, Inner>) {
+    fn wait_for_space(&self, inner: Locked<'_>) {
         let seen = self.signal.version();
         drop(inner);
         // The timeout bounds the wait so capacity changes and consumer
@@ -1301,7 +1235,7 @@ impl Basket {
     /// row fails before anything is appended and producers never contend
     /// on validation. On a bounded basket the [`OverflowPolicy`] applies.
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_durably(&self.transpose(rows)?, rows.len(), true)
+        self.append_durably(Cow::Owned(self.transpose(rows)?), rows.len(), true)
     }
 
     /// Non-waiting [`Basket::append_rows`]: a full `Block`-policy basket
@@ -1310,7 +1244,7 @@ impl Basket {
     /// than stall their thread. Like every `Ok` append, a persistent
     /// basket's rows are durable when it returns.
     pub fn try_append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
-        self.append_durably(&self.transpose(rows)?, rows.len(), false)
+        self.append_durably(Cow::Owned(self.transpose(rows)?), rows.len(), false)
     }
 
     /// Append a chunk of user columns. Arrival times follow the chunk's
@@ -1320,7 +1254,7 @@ impl Basket {
     /// end-to-end latency).
     pub fn append_chunk(&self, chunk: &Chunk) -> Result<()> {
         self.check_chunk(chunk)?;
-        self.append_durably(&chunk.columns, chunk.len(), true)
+        self.append_durably(Cow::Borrowed(&chunk.columns), chunk.len(), true)
     }
 
     /// Non-waiting [`Basket::append_chunk`]: a full `Block`-policy basket
@@ -1332,14 +1266,29 @@ impl Basket {
     /// firing consumes its input only once its output is durable.
     pub fn try_append_chunk(&self, chunk: &Chunk) -> Result<()> {
         self.check_chunk(chunk)?;
-        self.append_durably(&chunk.columns, chunk.len(), false)
+        self.append_durably(Cow::Borrowed(&chunk.columns), chunk.len(), false)
+    }
+
+    /// [`Basket::try_append_chunk`] of a batch the caller gives up: when it
+    /// lands whole on an ephemeral basket it becomes resident as it is,
+    /// without a copy, and `chunk` is left empty. On an error `chunk` is
+    /// left as it was.
+    pub(crate) fn try_append_owned(&self, chunk: &mut Chunk) -> Result<()> {
+        self.check_chunk(chunk)?;
+        let total = chunk.len();
+        let mut cols = Cow::Owned(std::mem::take(&mut chunk.columns));
+        let mut landing = Landing::default();
+        let result = self.splice(&mut cols, total, false, &mut landing);
+        chunk.columns = cols.into_owned();
+        let synced = self.await_durable(&landing.durable);
+        result.and(synced)
     }
 
     /// Splice, then wait until what landed is durable — on an error too,
     /// so a failed append leaves its landed prefix on disk.
-    fn append_durably(&self, cols: &[Column], total: usize, wait: bool) -> Result<()> {
+    fn append_durably(&self, mut cols: Cow<'_, [Column]>, total: usize, wait: bool) -> Result<()> {
         let mut landing = Landing::default();
-        let result = self.splice(cols, total, wait, &mut landing);
+        let result = self.splice(&mut cols, total, wait, &mut landing);
         let synced = self.await_durable(&landing.durable);
         result.and(synced)
     }
@@ -1353,9 +1302,10 @@ impl Basket {
     /// with a prefix landed.
     pub(crate) fn append_chunk_landing(&self, chunk: &Chunk, wait: bool) -> (Landing, Result<()>) {
         let mut landing = Landing::default();
-        let result = self
-            .check_chunk(chunk)
-            .and_then(|()| self.splice(&chunk.columns, chunk.len(), wait, &mut landing));
+        let result = self.check_chunk(chunk).and_then(|()| {
+            let mut cols = Cow::Borrowed(&chunk.columns[..]);
+            self.splice(&mut cols, chunk.len(), wait, &mut landing)
+        });
         (landing, result)
     }
 
@@ -1440,10 +1390,11 @@ impl Basket {
     /// appenders. `wait` selects blocking admission (see
     /// [`Basket::admit`]); `landing.rows` counts the rows that have left
     /// `cols` (appended or shed), so a caller can tell how much of a
-    /// failed append landed.
+    /// failed append landed. Owned columns that land whole on an
+    /// ephemeral basket become resident as they are, leaving `cols` empty.
     fn splice(
         &self,
-        cols: &[Column],
+        cols: &mut Cow<'_, [Column]>,
         total: usize,
         wait: bool,
         landing: &mut Landing,
@@ -1451,7 +1402,7 @@ impl Basket {
         let mut counted = false;
         let offset = &mut landing.rows;
         while *offset < total {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             let (shed, take) = match self.admit(&mut inner, total - *offset, wait, &mut counted)? {
                 Admission::Take { shed, take } => (shed, take),
                 Admission::Wait => {
@@ -1460,12 +1411,14 @@ impl Basket {
                 }
             };
             *offset += shed;
-            append_range(&mut inner.columns, cols, *offset, *offset + take)?;
-            if cols.len() < inner.columns.len() {
-                let Some(Column::Timestamp(ts)) = inner.columns.last_mut() else {
-                    unreachable!("the last column is `ts`");
-                };
-                ts.resize(ts.len() + take, now_micros());
+            if take == total && inner.wal.is_none() && matches!(cols, Cow::Owned(_)) {
+                // A WAL failure would roll the rows back out of the
+                // basket, so only an ephemeral basket takes them over.
+                inner
+                    .mem
+                    .push(std::mem::take(cols).into_owned(), now_micros);
+            } else {
+                inner.mem.append(cols, *offset..*offset + take, now_micros);
             }
             inner.stats.appended += take as u64;
             landing
@@ -1488,24 +1441,31 @@ impl Basket {
     /// Logical resident tuple count: the in-memory tail plus any head
     /// rows spilled to disk — the backlog as consumers see it.
     pub fn len(&self) -> usize {
-        self.inner.lock().total_len()
+        self.lock().total_len()
     }
 
     /// Tuples currently held in memory (the quantity
     /// [`OverflowPolicy::Spill`] bounds).
     pub fn resident_len(&self) -> usize {
-        self.inner.lock().mem_len()
+        self.lock().mem_len()
+    }
+
+    /// In-memory segments held, a segment the head has moved into
+    /// included: `0` once every reader has passed every row and dropped
+    /// its claims.
+    pub fn segment_count(&self) -> usize {
+        self.lock().mem.segment_count()
     }
 
     /// Tuples currently spilled to on-disk segments.
     pub fn spilled_len(&self) -> usize {
-        self.inner.lock().spilled_rows() as usize
+        self.lock().spilled_rows() as usize
     }
 
     /// [`Basket::len`] and [`BasketStats::appended`] under one lock: what
     /// an exclusive consumer's ready predicate reads.
     pub fn len_and_appended(&self) -> (usize, u64) {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         (inner.total_len(), inner.stats.appended)
     }
 
@@ -1518,7 +1478,7 @@ impl Basket {
     /// scheduler's ready predicates are built on. Counts disk and memory
     /// alike.
     pub fn pending_for(&self, r: ReaderId) -> usize {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let cursor = inner
             .readers
             .get(&r)
@@ -1530,7 +1490,7 @@ impl Basket {
 
     /// Traffic counters.
     pub fn stats(&self) -> BasketStats {
-        self.inner.lock().stats
+        self.lock().stats
     }
 
     /// Snapshot the full resident contents (all columns including `ts`):
@@ -1540,7 +1500,7 @@ impl Basket {
     /// disk tier into memory). A failed segment decode ends the snapshot
     /// at the last good segment, as in [`Basket::snapshot_exclusive`].
     pub fn snapshot(&self) -> Chunk {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         self.stitch(&mut inner, usize::MAX).0
     }
 
@@ -1548,12 +1508,7 @@ impl Basket {
     /// spilled segments count toward `bytes_on_disk` in the storage
     /// metrics instead.
     pub fn byte_size(&self) -> usize {
-        self.inner
-            .lock()
-            .columns
-            .iter()
-            .map(Column::byte_size)
-            .sum()
+        self.lock().mem.byte_size()
     }
 
     // ------------------- positional consumption (§2.6) -----------------
@@ -1572,10 +1527,15 @@ impl Basket {
     /// consumption can verify those ordinals still hold. A failed segment
     /// decode is counted and ends the snapshot at the last good segment
     /// (the unread rows stay pending, never skipped or served corrupt).
-    pub fn snapshot_exclusive(&self, budget: usize) -> (Chunk, ExclusiveAnchor) {
-        let mut inner = self.inner.lock();
+    pub fn snapshot_exclusive(&self, budget: usize) -> (Arc<Chunk>, ExclusiveAnchor) {
+        let mut inner = self.lock();
         let (base, epoch, holes) = (inner.head_oid(), inner.epoch, inner.holes);
-        let (chunk, _) = self.stitch(&mut inner, budget);
+        let chunk = if inner.spilled_rows() == 0 {
+            let end = base.saturating_add(budget as u64);
+            inner.mem.lend(base, end)
+        } else {
+            Arc::new(self.stitch(&mut inner, budget).0)
+        };
         let rows = chunk.len();
         let whole_at = (rows == inner.total_len()).then_some(inner.stats.appended);
         let anchor = ExclusiveAnchor {
@@ -1594,7 +1554,7 @@ impl Basket {
     /// consumes by its positions only then: once the head changed, another
     /// consumer may already have taken some of its tuples.
     pub(crate) fn anchor_holds(&self, anchor: &ExclusiveAnchor) -> bool {
-        self.inner.lock().epoch == anchor.epoch
+        self.lock().epoch == anchor.epoch
     }
 
     /// Delete the tuples at `positions` *relative to a
@@ -1623,7 +1583,7 @@ impl Basket {
         positions: &Candidates,
     ) -> Result<usize> {
         let removed = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             if inner.holes != anchor.holes {
                 0
             } else if inner.epoch != anchor.epoch {
@@ -1745,7 +1705,7 @@ impl Basket {
         self.unspill_all(inner);
         // base_oid only grows, so shift = how many snapshot rows left the
         // head since the snapshot.
-        let shift = (inner.base_oid.saturating_sub(base)) as usize;
+        let shift = (inner.base_oid().saturating_sub(base)) as usize;
         let translated: Vec<usize> = positions
             .to_positions()
             .into_iter()
@@ -1773,9 +1733,9 @@ impl Basket {
         mem_offset: usize,
         mut gone: Vec<usize>,
     ) -> Result<usize> {
-        let (len, on_disk) = (inner.mem_len(), gone.len());
-        gone.extend(mem_gone.iter().filter(|&p| p < len).map(|p| mem_offset + p));
-        let mem_removed = gone.len() - on_disk;
+        let len = inner.mem_len();
+        let mem_gone: Vec<usize> = mem_gone.iter().filter(|&p| p < len).collect();
+        gone.extend(mem_gone.iter().map(|p| mem_offset + p));
         let Some(&last) = gone.last() else {
             return Ok(0);
         };
@@ -1783,7 +1743,7 @@ impl Basket {
         let prefix = last == gone.len() - 1;
         // Segments tile the oids up to the memory tail, so the logical
         // head sits `mem_offset` rows below the memory base.
-        let head = inner.base_oid.saturating_sub(mem_offset as u64);
+        let head = inner.base_oid().saturating_sub(mem_offset as u64);
         if let Some(wal) = inner.wal.clone() {
             // Exact replay order is guaranteed by the held lock. Trim and
             // consume records are not fsynced: losing the tail of them only
@@ -1799,22 +1759,15 @@ impl Basket {
             }
         }
         if prefix {
-            for c in &mut inner.columns {
-                c.drop_head(mem_removed);
-            }
+            let base = inner.base_oid();
+            inner.mem.trim_to(base + mem_gone.len() as u64);
         } else {
             inner.holes += 1;
-            if mem_removed > 0 {
-                let keep = mem_gone.complement(len).to_positions();
-                for c in &mut inner.columns {
-                    c.retain_positions(&keep)?;
-                }
-            }
+            inner.mem.remove(&mem_gone);
         }
         // Deleting arbitrary positions invalidates oid-density; readers
         // and exclusive consumption are not meant to be mixed on one
         // basket, but keep cursors sane by clamping to the new end.
-        inner.base_oid += mem_removed as u64;
         inner.epoch += 1;
         let end = inner.end_oid();
         for rs in inner.readers.values_mut() {
@@ -1833,7 +1786,7 @@ impl Basket {
     pub fn clear(&self) -> usize {
         let removed;
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             removed = inner.total_len();
             let end = inner.end_oid();
             if let Some(spill) = inner.spill.as_mut() {
@@ -1841,10 +1794,7 @@ impl Basket {
                     spill.drop_segment(&meta, &self.name);
                 }
             }
-            for c in &mut inner.columns {
-                c.clear();
-            }
-            inner.base_oid = end;
+            inner.mem.clear();
             inner.epoch += 1;
             for rs in inner.readers.values_mut() {
                 rs.cursor = end;
@@ -1868,7 +1818,7 @@ impl Basket {
     /// only tuples arriving after registration) or at the start of resident
     /// data when `from_start`.
     pub fn register_reader(&self, from_start: bool) -> ReaderId {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let id = ReaderId(inner.next_reader);
         inner.next_reader += 1;
         let cursor = if from_start {
@@ -1889,7 +1839,7 @@ impl Basket {
 
     /// Remove a reader; its watermark no longer holds back trimming.
     pub fn unregister_reader(&self, r: ReaderId) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.readers.remove(&r);
         drop(inner);
         self.trim();
@@ -1897,7 +1847,7 @@ impl Basket {
 
     /// Number of registered readers.
     pub fn reader_count(&self) -> usize {
-        self.inner.lock().readers.len()
+        self.lock().readers.len()
     }
 
     /// Atomically claim up to `max` unread tuples for reader `r`: the
@@ -1906,7 +1856,19 @@ impl Basket {
     /// stays at the claim start until [`Basket::commit_claim`] — so the
     /// tuples survive until delivery is acknowledged. Returns the claimed
     /// chunk with its `[start, end)` oid range (empty chunk ⇒ nothing
-    /// pending, `start == end`).
+    /// pending, `start == end`), copied out of the lent rows
+    /// ([`Basket::lend_for_reader`]) when another reader shares them.
+    pub fn claim_for_reader(&self, r: ReaderId, max: usize) -> (Chunk, u64, u64) {
+        let (rows, start, end) = self.lend_for_reader(r, max);
+        (Arc::unwrap_or_clone(rows), start, end)
+    }
+
+    /// [`Basket::claim_for_reader`] without the copy: the claimed rows are
+    /// lent, shared with every other reader of the same range (one whole
+    /// in-memory segment is the stored rows themselves; a claim over
+    /// several is merged once, in place, for the next reader; only a claim
+    /// that cuts a segment is copied). An empty claim lends the basket's
+    /// one empty chunk.
     ///
     /// A cache-missed spill segment is decoded **outside the basket lock**
     /// (`slice_from_cursor` asks for it): the lock is released around the
@@ -1920,11 +1882,11 @@ impl Basket {
     /// the moved cursor. A rare adversarial race could keep evicting the
     /// cache between passes, so after a few attempts the decode falls back
     /// to running under the lock, guaranteeing termination.
-    pub fn claim_for_reader(&self, r: ReaderId, max: usize) -> (Chunk, u64, u64) {
+    pub fn lend_for_reader(&self, r: ReaderId, max: usize) -> (Arc<Chunk>, u64, u64) {
         let mut attempts = 0u32;
         loop {
             let need = {
-                let mut inner = self.inner.lock();
+                let mut inner = self.lock();
                 match self.slice_from_cursor(&mut inner, r, max, attempts >= 3) {
                     CursorSlice::Ready(chunk, start, end) => {
                         if end > start {
@@ -1941,7 +1903,7 @@ impl Basket {
             attempts += 1;
             let (meta, store) = need;
             let decoded = store.read_segment(&meta, &self.schema);
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             match decoded {
                 Ok(c) => {
                     if let Some(spill) = inner.spill.as_mut() {
@@ -1959,7 +1921,7 @@ impl Basket {
                     // Served as "nothing yet": the rows stay pending
                     // rather than being skipped or served corrupt.
                     let cursor = inner.cursor_of(r);
-                    return (Chunk::empty(self.schema.clone()), cursor, cursor);
+                    return (inner.mem.empty(), cursor, cursor);
                 }
             }
         }
@@ -1969,7 +1931,7 @@ impl Basket {
     /// fully-released tuples are trimmed.
     pub fn commit_claim(&self, r: ReaderId, start: u64, end: u64) {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             if let Some(rs) = inner.readers.get_mut(&r) {
                 rs.inflight.retain(|&(s, e)| e <= start || s >= end);
             }
@@ -1986,7 +1948,7 @@ impl Basket {
     /// it.
     pub fn rewind_claim(&self, r: ReaderId, start: u64, end: u64) {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             // A rewind may legitimately point back into the spilled head;
             // clamp to the oldest live row, wherever it resides.
             let base = inner.head_oid();
@@ -2021,19 +1983,13 @@ impl Basket {
         max: usize,
         decode_inline: bool,
     ) -> CursorSlice {
-        let base = inner.base_oid;
         let cursor = inner.cursor_of(r);
-        if cursor < base {
+        if cursor < inner.base_oid() {
             return self.slice_from_disk(inner, cursor, max, decode_inline);
         }
-        let len = inner.mem_len();
-        let from = ((cursor - base) as usize).min(len);
-        let to = from.saturating_add(max).min(len);
-        CursorSlice::Ready(
-            inner.mem_slice(&self.schema, from, to),
-            base + from as u64,
-            base + to as u64,
-        )
+        let start = cursor.min(inner.end_oid());
+        let end = start.saturating_add(max as u64).min(inner.end_oid());
+        CursorSlice::Ready(inner.mem.lend(start, end), start, end)
     }
 
     /// Serve `[cursor, cursor+max)` out of the spilled segment containing
@@ -2045,9 +2001,9 @@ impl Basket {
         max: usize,
         decode_inline: bool,
     ) -> CursorSlice {
-        let empty = || CursorSlice::Ready(Chunk::empty(self.schema.clone()), cursor, cursor);
+        let empty = |inner: &Inner| CursorSlice::Ready(inner.mem.empty(), cursor, cursor);
         let Some(spill) = inner.spill.as_ref() else {
-            return empty();
+            return empty(inner);
         };
         let Some(meta) = spill
             .segments
@@ -2055,14 +2011,14 @@ impl Basket {
             .find(|s| s.base_oid <= cursor && cursor < s.end_oid())
             .cloned()
         else {
-            return empty();
+            return empty(inner);
         };
         let chunk = match spill.cached(&meta) {
             Some(c) => c,
             None if !decode_inline => return CursorSlice::NeedSegment(meta, spill.store.clone()),
             None => {
                 let Some(c) = self.segment(inner, &meta) else {
-                    return empty();
+                    return empty(inner);
                 };
                 inner.spill.as_mut().expect("segment found in it").cache =
                     Some((meta.base_oid, Arc::clone(&c)));
@@ -2071,19 +2027,20 @@ impl Basket {
         };
         let from = (cursor - meta.base_oid) as usize;
         let to = from.saturating_add(max).min(meta.rows as usize);
-        let columns = chunk
-            .columns
-            .iter()
-            .map(|c| c.slice(from, to).expect("slice within segment"))
-            .collect();
-        CursorSlice::Ready(
-            Chunk {
+        let rows = if from == 0 && to == chunk.len() {
+            chunk
+        } else {
+            let columns = chunk
+                .columns
+                .iter()
+                .map(|c| c.slice(from, to).expect("slice within segment"))
+                .collect();
+            Arc::new(Chunk {
                 schema: self.schema.clone(),
                 columns,
-            },
-            cursor,
-            meta.base_oid + to as u64,
-        )
+            })
+        };
+        CursorSlice::Ready(rows, cursor, meta.base_oid + to as u64)
     }
 
     /// Drop the prefix below every reader's watermark. No-op when no
@@ -2094,7 +2051,7 @@ impl Basket {
     fn trim(&self) {
         let mut notified = false;
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             if inner.readers.is_empty() {
                 return;
             }
@@ -2117,13 +2074,8 @@ impl Basket {
                     spill.drop_segment(&meta, &self.name);
                 }
             }
-            let drop_n = watermark.saturating_sub(inner.base_oid) as usize;
-            let drop_n = drop_n.min(inner.mem_len());
+            let drop_n = inner.mem.trim_to(watermark);
             if drop_n > 0 {
-                for c in &mut inner.columns {
-                    c.drop_head(drop_n);
-                }
-                inner.base_oid += drop_n as u64;
                 inner.epoch += 1;
             }
             if disk_dropped > 0 || drop_n > 0 {
@@ -2705,5 +2657,28 @@ mod tests {
             replays_live();
         }
         assert_eq!(kinds(&wal), (7, 1));
+    }
+
+    #[test]
+    fn shared_readers_borrow_one_copy_that_never_changes() {
+        let b = bounded(100, OverflowPolicy::Block);
+        let (r1, r2) = (b.register_reader(true), b.register_reader(true));
+        b.append_rows(&(0..4).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>())
+            .unwrap();
+        let (c1, s1, e1) = b.lend_for_reader(r1, usize::MAX);
+        let (c2, s2, e2) = b.lend_for_reader(r2, usize::MAX);
+        assert!(Arc::ptr_eq(&c1, &c2), "one batch, one copy");
+        // A later append, a trim and an exclusive consume leave it be.
+        b.append_rows(&[vec![Value::Int(4)], vec![Value::Int(5)]])
+            .unwrap();
+        b.commit_claim(r1, s1, e1);
+        b.commit_claim(r2, s2, e2);
+        assert_eq!((b.len(), b.segment_count()), (2, 1), "trimmed whole");
+        let (_, anchor) = b.snapshot_exclusive(usize::MAX);
+        b.consume_exclusive(&anchor, &Candidates::from_sorted_unchecked(vec![1]))
+            .unwrap();
+        assert_eq!(ints(&b), [4]);
+        assert_eq!(c1.columns[0].as_ints().unwrap(), [0, 1, 2, 3]);
+        assert!(Arc::ptr_eq(&c1, &c2));
     }
 }

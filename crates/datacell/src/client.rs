@@ -796,7 +796,8 @@ pub struct Subscription<T = Vec<Value>> {
 
 /// The chunk a subscription claimed last and how much of it it handed out.
 struct Claim {
-    rows: Chunk,
+    /// Lent by the output basket.
+    rows: Arc<Chunk>,
     /// Oids `[start, end)` of `rows` in the output basket.
     start: u64,
     end: u64,
@@ -811,7 +812,7 @@ impl<T: FromRow> Subscription<T> {
         mode: SubscriptionMode,
         meter: DeliveryMeter,
     ) -> Self {
-        let rows = Chunk::empty(subscriber.lease.basket().schema().clone());
+        let rows = Arc::new(Chunk::empty(subscriber.lease.basket().schema().clone()));
         Subscription {
             query,
             subscriber,
@@ -874,7 +875,7 @@ impl<T: FromRow> Subscription<T> {
         if basket.is_closed() {
             return Err(DataCellError::Disconnected);
         }
-        let (rows, start, end) = basket.claim_for_reader(lease.id(), usize::MAX);
+        let (rows, start, end) = basket.lend_for_reader(lease.id(), usize::MAX);
         if rows.is_empty() {
             return Ok(false);
         }
@@ -921,7 +922,7 @@ impl<T: FromRow> Subscription<T> {
         let mut claim = self.claim.lock();
         let len = claim.rows.len();
         if claim.taken < len {
-            let rows = claim.rows.gather(&Candidates::Dense(claim.taken..len))?;
+            let rows = Arc::new(claim.rows.gather(&Candidates::Dense(claim.taken..len))?);
             if self.shared {
                 self.meter.record(&claim.rows, claim.taken..len);
                 let lease = &self.subscriber.lease;
@@ -1028,7 +1029,8 @@ impl<T> Drop for Subscription<T> {
 /// settles the claim: the rows reported [`delivered`](Self::delivered)
 /// commit, the rest go back to the subscription's reader.
 pub struct ChunkClaim<'a> {
-    rows: Chunk,
+    /// Lent by the output basket.
+    rows: Arc<Chunk>,
     delivered: usize,
     /// The reader's claim on the rows and the accounts they feed; `None`
     /// for rows already handed out.

@@ -39,6 +39,7 @@
 //! consumers of one basket are serialized even under the parallel worker
 //! pool — which is all a §2.5 cascade of disjoint predicate windows needs.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -271,7 +272,7 @@ impl Factory {
         owed: &mut Option<Owed>,
         tuples_in: usize,
         owes: Owed,
-        fresh: &Chunk,
+        fresh: Cow<'_, Chunk>,
     ) -> Result<StepOutcome> {
         let delivered = self.outbox.deliver(fresh, None);
         if self.outbox.held_rows() > 0 {
@@ -379,7 +380,8 @@ impl Transition for Factory {
                 Cursor::Shared(_) => true,
             });
             if anchored {
-                return self.settle(&mut owed, 0, owes, &Chunk::empty(self.out_schema.clone()));
+                let none = Cow::Owned(Chunk::empty(self.out_schema.clone()));
+                return self.settle(&mut owed, 0, owes, none);
             }
             // An exclusive input's head changed since the snapshot, and
             // another consumer may have taken some of its tuples: drop the
@@ -394,7 +396,7 @@ impl Transition for Factory {
         // gives its range back if the plan errs. An exclusive snapshot is
         // anchored (see the concurrency note above) and serves a spilled
         // backlog from disk in budget-sized bites, never re-materialized.
-        let mut snapshots: Vec<Chunk> = Vec::with_capacity(self.inputs.len());
+        let mut snapshots: Vec<Arc<Chunk>> = Vec::with_capacity(self.inputs.len());
         let mut cursors = Vec::with_capacity(self.inputs.len());
         for input in &self.inputs {
             let (chunk, cursor) = match &input.mode {
@@ -410,14 +412,14 @@ impl Transition for Factory {
             snapshots.push(chunk);
             cursors.push(cursor);
         }
-        let tuples_in: usize = snapshots.iter().map(Chunk::len).sum();
+        let tuples_in: usize = snapshots.iter().map(|c| c.len()).sum();
 
         // 2. Execute the plan over the snapshots, which it reads in place.
         let lent: Vec<(&str, &Chunk)> = self
             .inputs
             .iter()
             .zip(&snapshots)
-            .map(|(input, chunk)| (input.basket.name(), chunk))
+            .map(|(input, chunk)| (input.basket.name(), &**chunk))
             .collect();
         let src = StepSource {
             snapshots: &lent,
@@ -431,7 +433,7 @@ impl Transition for Factory {
                 Cursor::Shared(claim) => Cursor::Shared(claim.keep()),
             })
             .collect();
-        self.settle(&mut owed, tuples_in, Owed { cursors, consumed }, &chunk)
+        self.settle(&mut owed, tuples_in, Owed { cursors, consumed }, chunk)
     }
 
     /// The exclusive-mode inputs: a firing deletes from them, and two

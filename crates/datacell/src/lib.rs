@@ -64,11 +64,13 @@ pub mod clock;
 pub mod error;
 pub mod events;
 pub mod factory;
+pub(crate) mod lease;
 pub mod metrics;
 pub mod outbox;
 pub mod petri;
 pub(crate) mod planshare;
 pub mod scheduler;
+pub(crate) mod segments;
 pub mod session;
 pub mod text;
 pub mod window;

@@ -13,6 +13,7 @@
 //!
 //! This is the only place that reads a transition's output room.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -98,24 +99,28 @@ impl Outbox {
     /// behind whatever stays held. A refused append holds them all, in
     /// order; any other failure holds them too and is returned. The
     /// outcome counts the rows delivered (`produced`) and the new rows
-    /// held.
-    pub fn deliver(&self, fresh: &Chunk, late: Option<Chunk>) -> Result<StepOutcome> {
+    /// held. Owned rows that land whole become the output's resident rows
+    /// without a copy.
+    pub fn deliver(&self, fresh: Cow<'_, Chunk>, late: Option<Chunk>) -> Result<StepOutcome> {
         let mut held = self.held.lock();
         if let Some(rows) = held.as_mut() {
-            rows.append(fresh)?;
+            rows.append(&fresh)?;
         }
-        let rows = held.as_ref().unwrap_or(fresh);
-        let appended = match &self.output {
-            FactoryOutput::Basket(b) if !rows.is_empty() => b.try_append_chunk(rows),
-            _ => Ok(()),
+        let fresh_rows = fresh.len();
+        let mut rows = held.take().map_or(fresh, Cow::Owned);
+        let n = rows.len();
+        let appended = match (&self.output, &mut rows) {
+            (_, rows) if rows.is_empty() => Ok(()),
+            (FactoryOutput::Basket(b), Cow::Owned(rows)) => b.try_append_owned(rows),
+            (FactoryOutput::Basket(b), Cow::Borrowed(rows)) => b.try_append_chunk(rows),
+            (FactoryOutput::Discard, _) => Ok(()),
         };
         let mut outcome = StepOutcome::default();
         if appended.is_ok() {
-            outcome.produced = rows.len();
-            *held = None;
+            outcome.produced = n;
         } else {
-            outcome.held = fresh.len();
-            held.get_or_insert_with(|| fresh.clone());
+            outcome.held = fresh_rows;
+            *held = Some(rows.into_owned());
         }
         if let Some(late) = late.filter(|l| !l.is_empty()) {
             outcome.held += late.len();

@@ -80,7 +80,7 @@ pub enum CellResult {
 /// anchors (§2.6); any other basket is inspected through a plain snapshot.
 struct CatalogSource<'a> {
     cat: &'a StreamCatalog,
-    consumed: Vec<(Arc<Basket>, Chunk, ExclusiveAnchor)>,
+    consumed: Vec<(Arc<Basket>, Arc<Chunk>, ExclusiveAnchor)>,
 }
 
 impl<'a> CatalogSource<'a> {

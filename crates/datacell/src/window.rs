@@ -28,6 +28,7 @@
 //! the number of tuples in baskets; for time-based windows the scheduler
 //! needs to monitor the timestamp of incoming stream tuples."
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -222,7 +223,7 @@ impl Transition for BasicWindowAgg {
         claim.delivered(folded);
         self.windows_emitted
             .fetch_add(out.len() as u64, Ordering::Relaxed);
-        let delivered = self.outbox.deliver(&out, None)?;
+        let delivered = self.outbox.deliver(Cow::Owned(out), None)?;
         folding?;
         Ok(StepOutcome {
             tuples_in,

@@ -47,6 +47,7 @@
 //! later step — the one output rule of every transition — so a full output
 //! costs no work and nothing is ever computed twice.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -322,7 +323,7 @@ impl WindowJoin {
             st.first_ts.get_or_insert(ts[0]);
             st.arrived += n as u64;
             if st.buffer.is_empty() {
-                st.buffer = incoming;
+                st.buffer = Arc::unwrap_or_clone(incoming);
             } else {
                 st.buffer.append(&incoming)?;
             }
@@ -442,7 +443,7 @@ impl WindowJoin {
             }
             state.next_eval = k;
         }
-        let delivered = self.outbox.deliver(&fresh, Some(late))?;
+        let delivered = self.outbox.deliver(Cow::Owned(fresh), Some(late))?;
         match failure {
             Some(e) => Err(e),
             None => Ok(StepOutcome {

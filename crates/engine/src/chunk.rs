@@ -63,9 +63,13 @@ impl Chunk {
         self.len() == 0
     }
 
-    /// Read one row as values.
+    /// Read one row as values, into a row allocated once at its width.
     pub fn row(&self, i: usize) -> Result<Vec<Value>> {
-        self.columns.iter().map(|c| c.get(i)).collect()
+        let mut row = Vec::with_capacity(self.columns.len());
+        for c in &self.columns {
+            row.push(c.get(i)?);
+        }
+        Ok(row)
     }
 
     /// All rows (tests and small results only).

@@ -29,6 +29,7 @@
 //!   expenditure answered from the `history` table via kernel scan +
 //!   select + sum (relational reuse, not a bespoke lookup path).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -376,7 +377,7 @@ impl Transition for LrCore {
             ..StepOutcome::default()
         };
         for (outbox, rows) in self.outputs.iter().zip(&out) {
-            match outbox.deliver(rows.chunk(), None) {
+            match outbox.deliver(Cow::Borrowed(rows.chunk()), None) {
                 Ok(d) => {
                     outcome.produced += d.produced;
                     outcome.held += d.held;

@@ -36,6 +36,16 @@ impl ProptestConfig {
     pub fn with_cases(cases: u32) -> Self {
         ProptestConfig { cases }
     }
+
+    /// The cases to run: the `PROPTEST_CASES` environment variable when it
+    /// holds a number (a longer run of the same properties), else `cases`.
+    pub fn cases_to_run(&self) -> u32 {
+        cases_override(std::env::var("PROPTEST_CASES").ok().as_deref()).unwrap_or(self.cases)
+    }
+}
+
+fn cases_override(var: Option<&str>) -> Option<u32> {
+    var?.trim().parse().ok()
 }
 
 /// The random source threaded through strategies.
@@ -303,15 +313,15 @@ macro_rules! __proptest_impl {
         $(
             #[test]
             fn $name() {
-                let config = $config;
+                let cases = $config.cases_to_run();
                 let mut runner = $crate::TestRunner::new(stringify!($name));
-                for case in 0..config.cases {
+                for case in 0..cases {
                     $( let $arg = $crate::Strategy::generate(&$strategy, &mut runner); )+
                     let run = || { $body };
                     if let Err(panic) = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(run)) {
                         eprintln!(
                             "proptest shim: property {} failed on case {}/{}",
-                            stringify!($name), case + 1, config.cases
+                            stringify!($name), case + 1, cases
                         );
                         ::std::panic::resume_unwind(panic);
                     }
@@ -324,6 +334,13 @@ macro_rules! __proptest_impl {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    #[test]
+    fn a_numeric_cases_variable_overrides_the_config() {
+        assert_eq!(super::cases_override(Some("1024")), Some(1024));
+        assert_eq!(super::cases_override(Some("lots")), None);
+        assert_eq!(super::cases_override(None), None);
+    }
 
     #[test]
     fn ranges_and_just_generate() {

@@ -10,13 +10,22 @@
 //! * **trim never outruns a reader**: tuples a live reader has not yet
 //!   seen stay resident (the low-watermark rule of §2.5);
 //! * the traffic counters (`appended`/`consumed`/`shed`/
-//!   `overflow_events`) are **monotone** under any op interleaving.
+//!   `overflow_events`) are **monotone** under any op interleaving;
+//! * **every reader follows a reference model** of the claim/commit/rewind
+//!   protocol: each claim is exactly the range the model's cursor names;
+//! * **a lent claim never changes**: rows a claim lends read back the same
+//!   when it is released, whatever appends, commits, trims, rewinds,
+//!   exclusive consumes, sheds and clears happened meanwhile;
+//! * **nothing outlives its readers**: once every reader has passed every
+//!   row and the claims are dropped, the basket holds no row and no
+//!   segment.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Barrier};
 
 use datacell::basket::{Basket, OverflowPolicy, ReaderId};
 use datacell::DataCellError;
+use datacell_bat::candidates::Candidates;
 use datacell_bat::column::Column;
 use datacell_bat::types::{DataType, Value};
 use datacell_engine::Chunk;
@@ -160,11 +169,77 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Tracking state of one auxiliary reader.
+/// A claim held in flight: its range and the rows it lent.
+struct Held {
+    start: u64,
+    end: u64,
+    rows: Arc<Chunk>,
+}
+
+impl Held {
+    /// Release-time check: the lent rows are still the range's values
+    /// (oid `o` holds value `o` in a stream nothing consumes out of order).
+    fn unchanged(&self) -> bool {
+        values_of(&self.rows) == (self.start as i64..self.end as i64).collect::<Vec<_>>()
+    }
+}
+
+/// Rows lent by a reader's claim (`(reader, start, end)`) or an exclusive
+/// snapshot (`None`), with the values they held when lent.
+struct Lent {
+    claim: Option<(usize, u64, u64)>,
+    rows: Arc<Chunk>,
+    values: Vec<i64>,
+}
+
+/// Tracking state of one auxiliary reader, with its reference model: the
+/// cursor the claim/commit/rewind protocol leaves it at.
 struct Aux {
     id: ReaderId,
     live: bool,
-    inflight: Vec<(u64, u64)>,
+    inflight: Vec<Held>,
+    cursor: u64,
+}
+
+impl Aux {
+    /// Claim up to `n` rows and check them against the model: the claim
+    /// starts at the model's cursor, ends where `n` or the stream does, and
+    /// lends exactly those values. The model's cursor moves past it.
+    fn claim(&mut self, b: &Basket, n: usize, appended: u64) -> Held {
+        let (rows, start, end) = b.lend_for_reader(self.id, n);
+        let want_end = self.cursor.saturating_add(n as u64).min(appended);
+        assert_eq!((start, end), (self.cursor, want_end), "claim off the model");
+        let held = Held { start, end, rows };
+        assert!(held.unchanged(), "claim lent the wrong rows");
+        self.cursor = end;
+        held
+    }
+
+    /// Acknowledge `held`: every in-flight range it overlaps settles with
+    /// it, as the basket does.
+    fn commit(&mut self, b: &Basket, held: Held) {
+        b.commit_claim(self.id, held.start, held.end);
+        self.settle(&held);
+    }
+
+    /// Give `held` back: the model's cursor steps back to its start, and
+    /// every in-flight range it overlaps is dropped.
+    fn rewind(&mut self, b: &Basket, held: Held) {
+        b.rewind_claim(self.id, held.start, held.end);
+        self.cursor = self.cursor.min(held.start);
+        self.settle(&held);
+    }
+
+    /// Drop `held` and every in-flight range overlapping it, each checked
+    /// to read back as it was lent.
+    fn settle(&mut self, held: &Held) {
+        assert!(held.unchanged(), "a held claim changed");
+        self.inflight.retain(|h| {
+            let overlaps = h.end > held.start && h.start < held.end;
+            assert!(h.unchanged(), "a held claim changed");
+            !overlaps
+        });
+    }
 }
 
 proptest! {
@@ -185,6 +260,7 @@ proptest! {
                 id: b.register_reader(true),
                 live: true,
                 inflight: Vec::new(),
+                cursor: 0,
             })
             .collect();
         let mut next_value = 0i64;
@@ -221,37 +297,37 @@ proptest! {
                 Op::AuxClaim(r, n) => {
                     let aux = &mut auxes[r];
                     if aux.live {
-                        let (_chunk, s, e) = b.claim_for_reader(aux.id, n);
-                        if e > s {
-                            aux.inflight.push((s, e));
+                        let held = aux.claim(&b, n, next_value as u64);
+                        if held.end > held.start {
+                            aux.inflight.push(held);
                         }
                     }
                 }
                 Op::AuxCommitNewest(r) => {
                     let aux = &mut auxes[r];
-                    if let Some((s, e)) = aux.inflight.pop() {
-                        b.commit_claim(aux.id, s, e);
+                    if let Some(held) = aux.inflight.pop() {
+                        aux.commit(&b, held);
                     }
                 }
                 Op::AuxCommitOldest(r) => {
                     let aux = &mut auxes[r];
                     if !aux.inflight.is_empty() {
-                        let (s, e) = aux.inflight.remove(0);
-                        b.commit_claim(aux.id, s, e);
+                        let held = aux.inflight.remove(0);
+                        aux.commit(&b, held);
                     }
                 }
                 Op::AuxRewind(r) => {
                     let aux = &mut auxes[r];
                     if !aux.inflight.is_empty() {
-                        let (s, e) = aux.inflight.remove(0);
-                        b.rewind_claim(aux.id, s, e);
+                        let held = aux.inflight.remove(0);
+                        aux.rewind(&b, held);
                     }
                 }
                 Op::AuxClaimAll(r) => {
                     let aux = &mut auxes[r];
                     if aux.live && aux.inflight.is_empty() {
-                        let (_chunk, s, e) = b.claim_for_reader(aux.id, usize::MAX);
-                        b.commit_claim(aux.id, s, e);
+                        let held = aux.claim(&b, usize::MAX, next_value as u64);
+                        aux.commit(&b, held);
                     }
                 }
                 Op::AuxDrop(r) => {
@@ -259,6 +335,7 @@ proptest! {
                     if aux.live {
                         b.unregister_reader(aux.id);
                         aux.live = false;
+                        prop_assert!(aux.inflight.iter().all(Held::unchanged));
                         aux.inflight.clear();
                     }
                 }
@@ -295,6 +372,109 @@ proptest! {
         prop_assert_eq!(got, want, "tail lost or duplicated");
         b.commit_claim(observer, s, e);
         prop_assert_eq!(b.pending_for(observer), 0);
+
+        // Every live reader releases its claims and passes every row: the
+        // basket keeps nothing, not even a segment.
+        for aux in auxes.iter_mut().filter(|a| a.live) {
+            while let Some(held) = aux.inflight.pop() {
+                aux.commit(&b, held);
+            }
+            let held = aux.claim(&b, usize::MAX, next_value as u64);
+            aux.commit(&b, held);
+        }
+        prop_assert_eq!((b.len(), b.segment_count()), (0, 0));
+    }
+
+    // Claims held across every kind of head change read back unchanged:
+    // a shedding basket with two readers whose claims stay in flight while
+    // appends shed, exclusive consumers take prefixes and scattered rows,
+    // and the basket is cleared; exclusive snapshots are held the same
+    // way. Once everything is released and read, no row or segment is
+    // left.
+    #[test]
+    fn held_claims_survive_every_head_change(
+        ops in prop::collection::vec(0usize..64, 1..150),
+        cap in 4usize..40,
+    ) {
+        let b = Basket::bounded(
+            "b",
+            Schema::new(vec![("x".into(), DataType::Int)]),
+            Some(cap),
+            OverflowPolicy::ShedOldest,
+        )
+        .unwrap();
+        let readers = [b.register_reader(true), b.register_reader(true)];
+        let mut held: Vec<Lent> = Vec::new();
+        let mut next = 0i64;
+        for op in ops {
+            let arg = op / 8;
+            match op % 8 {
+                0 | 1 => {
+                    let rows: Vec<Vec<Value>> = (0..=arg)
+                        .map(|_| {
+                            next += 1;
+                            vec![Value::Int(next)]
+                        })
+                        .collect();
+                    b.append_rows(&rows).unwrap();
+                }
+                2 | 3 => {
+                    let r = arg % 2;
+                    let (rows, s, e) = b.lend_for_reader(readers[r], 1 + arg);
+                    let values = values_of(&rows);
+                    held.push(Lent { claim: Some((r, s, e)), rows, values });
+                }
+                4 => {
+                    if !held.is_empty() {
+                        let Lent { claim, rows, values } = held.remove(arg % held.len());
+                        prop_assert_eq!(values_of(&rows), values, "a held claim changed");
+                        if let Some((r, s, e)) = claim {
+                            if arg % 2 == 0 {
+                                b.commit_claim(readers[r], s, e);
+                            } else {
+                                b.rewind_claim(readers[r], s, e);
+                            }
+                        }
+                    }
+                }
+                5 => {
+                    // An exclusive consumer takes a prefix, or every other
+                    // row of its snapshot; the snapshot stays held.
+                    let (rows, anchor) = b.snapshot_exclusive(1 + arg);
+                    let gone = if arg % 2 == 0 {
+                        Candidates::all(rows.len())
+                    } else {
+                        Candidates::from_sorted_unchecked((0..rows.len()).step_by(2).collect())
+                    };
+                    b.consume_exclusive(&anchor, &gone).unwrap();
+                    let values = values_of(&rows);
+                    held.push(Lent { claim: None, rows, values });
+                }
+                6 => {
+                    if arg % 3 == 0 {
+                        b.clear();
+                    }
+                }
+                _ => {
+                    for r in readers {
+                        let (_, s, e) = b.claim_for_reader(r, 1 + arg);
+                        b.commit_claim(r, s, e);
+                    }
+                }
+            }
+            prop_assert!(b.len() <= cap.max(b.stats().appended as usize), "ShedOldest bound");
+        }
+        for Lent { claim, rows, values } in held.drain(..) {
+            prop_assert_eq!(values_of(&rows), values, "a held claim changed");
+            if let Some((r, s, e)) = claim {
+                b.commit_claim(readers[r], s, e);
+            }
+        }
+        for r in readers {
+            let (_, s, e) = b.claim_for_reader(r, usize::MAX);
+            b.commit_claim(r, s, e);
+        }
+        prop_assert_eq!((b.len(), b.segment_count()), (0, 0));
     }
 
     // Monotone shed/overflow counters and a strict residency bound under

@@ -145,7 +145,7 @@ fn lr_core_full_reject_output_applies_each_record_once() {
         for ((reader, got), take) in readers.iter().zip(&mut got).zip([usize::MAX, 1]) {
             let (rows, claim) = reader.claim(take);
             drained += rows.len();
-            got.push(rows);
+            got.push(Arc::unwrap_or_clone(rows));
             claim.commit();
         }
         if !fed && fired == 0 && drained == 0 {
