@@ -1856,10 +1856,10 @@ impl Basket {
     /// stays at the claim start until [`Basket::commit_claim`] — so the
     /// tuples survive until delivery is acknowledged. Returns the claimed
     /// chunk with its `[start, end)` oid range (empty chunk ⇒ nothing
-    /// pending, `start == end`), copied out of the lent rows
-    /// ([`Basket::lend_for_reader`]) when another reader shares them.
+    /// pending, `start == end`), copied out of the segments
+    /// [`Basket::lend_for_reader`] would lend.
     pub fn claim_for_reader(&self, r: ReaderId, max: usize) -> (Chunk, u64, u64) {
-        let (rows, start, end) = self.lend_for_reader(r, max);
+        let (rows, start, end) = self.claim_rows(r, max, true);
         (Arc::unwrap_or_clone(rows), start, end)
     }
 
@@ -1883,11 +1883,18 @@ impl Basket {
     /// cache between passes, so after a few attempts the decode falls back
     /// to running under the lock, guaranteeing termination.
     pub fn lend_for_reader(&self, r: ReaderId, max: usize) -> (Arc<Chunk>, u64, u64) {
+        self.claim_rows(r, max, false)
+    }
+
+    /// The claim of [`Basket::lend_for_reader`]; `copy` copies in-memory
+    /// rows straight out of the segments, leaving them as they are, for a
+    /// caller that wants them owned.
+    fn claim_rows(&self, r: ReaderId, max: usize, copy: bool) -> (Arc<Chunk>, u64, u64) {
         let mut attempts = 0u32;
         loop {
             let need = {
                 let mut inner = self.lock();
-                match self.slice_from_cursor(&mut inner, r, max, attempts >= 3) {
+                match self.slice_from_cursor(&mut inner, r, max, copy, attempts >= 3) {
                     CursorSlice::Ready(chunk, start, end) => {
                         if end > start {
                             if let Some(rs) = inner.readers.get_mut(&r) {
@@ -1975,12 +1982,13 @@ impl Basket {
     /// lock; `decode_inline` forces the decode here (the bounded-retry
     /// fallback). A failed inline segment read is counted and served as
     /// "nothing yet": the rows stay pending rather than being skipped or
-    /// served corrupt.
+    /// served corrupt. In memory the rows are lent, or copied if `copy`.
     fn slice_from_cursor(
         &self,
         inner: &mut Inner,
         r: ReaderId,
         max: usize,
+        copy: bool,
         decode_inline: bool,
     ) -> CursorSlice {
         let cursor = inner.cursor_of(r);
@@ -1989,7 +1997,12 @@ impl Basket {
         }
         let start = cursor.min(inner.end_oid());
         let end = start.saturating_add(max as u64).min(inner.end_oid());
-        CursorSlice::Ready(inner.mem.lend(start, end), start, end)
+        let rows = if copy && start < end {
+            Arc::new(inner.mem.copy(start, end))
+        } else {
+            inner.mem.lend(start, end)
+        };
+        CursorSlice::Ready(rows, start, end)
     }
 
     /// Serve `[cursor, cursor+max)` out of the spilled segment containing
