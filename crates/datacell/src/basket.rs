@@ -56,7 +56,6 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -262,7 +261,122 @@ impl Signal {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReaderId(u32);
 
-pub use crate::lease::{ReaderClaim, ReaderLease};
+/// A reader registered on a basket for as long as the lease lives:
+/// dropping it deregisters the reader, releasing its hold on the trim
+/// watermark. Every owner of a shared reader holds one — a factory per
+/// shared input, a window evaluator, a subscriber (subscribers share one
+/// through an `Arc` when they share the reader: a competing-consumer
+/// pool) — and reads through [`ReaderLease::claim`].
+#[derive(Debug)]
+pub struct ReaderLease {
+    basket: Arc<Basket>,
+    id: ReaderId,
+}
+
+impl ReaderLease {
+    /// Register a reader on `basket` (see [`Basket::register_reader`]).
+    pub fn register(basket: Arc<Basket>, from_start: bool) -> Self {
+        let id = basket.register_reader(from_start);
+        ReaderLease { basket, id }
+    }
+
+    /// The basket read.
+    pub fn basket(&self) -> &Arc<Basket> {
+        &self.basket
+    }
+
+    /// The registered reader.
+    pub fn id(&self) -> ReaderId {
+        self.id
+    }
+
+    /// Tuples this reader has not yet claimed ([`Basket::pending_for`]).
+    pub fn pending(&self) -> usize {
+        self.basket.pending_for(self.id)
+    }
+
+    /// Claim up to `max` unread tuples ([`Basket::claim_for_reader`]): the
+    /// rows, lent rather than copied (see [`Basket::lend_for_reader`]), and
+    /// the guard that settles their range — committed by
+    /// [`ReaderClaim::commit`], given back if dropped first.
+    pub fn claim(&self, max: usize) -> (Arc<Chunk>, ReaderClaim<'_>) {
+        let (rows, start, end) = self.basket.lend_for_reader(self.id, max);
+        let claim = ReaderClaim {
+            lease: self,
+            start,
+            end,
+            done: 0,
+        };
+        (rows, claim)
+    }
+
+    /// Settle a claim `[start, end)` of which the first `done` rows were
+    /// delivered: commit those, give the rest back to the reader. The one
+    /// give-back path of every claim.
+    pub fn settle(&self, start: u64, done: u64, end: u64) {
+        let mid = start + done.min(end - start);
+        if mid < end {
+            // Drops the whole in-flight range and steps the cursor back to
+            // `mid`: `[start, mid)` stays consumed.
+            self.basket.rewind_claim(self.id, mid, end);
+        } else if start < end {
+            self.basket.commit_claim(self.id, start, end);
+        }
+    }
+
+    /// Deregister the reader now, ahead of the lease's drop: a removed
+    /// transition whose `Arc` outlives its removal stops holding tuples.
+    /// Idempotent.
+    pub fn release(&self) {
+        self.basket.unregister_reader(self.id);
+    }
+}
+
+impl Drop for ReaderLease {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// A range claimed through [`ReaderLease::claim`]. Dropping it settles the
+/// range: rows marked [`delivered`](Self::delivered) commit, the rest go
+/// back to the reader — so a firing that errs or defers loses nothing.
+#[must_use = "dropping a claim gives its range back"]
+#[derive(Debug)]
+pub struct ReaderClaim<'a> {
+    lease: &'a ReaderLease,
+    start: u64,
+    end: u64,
+    /// Leading rows delivered so far.
+    done: u64,
+}
+
+impl ReaderClaim<'_> {
+    /// Mark the first `n` rows (a running total) delivered: they commit
+    /// when the claim is dropped.
+    pub fn delivered(&mut self, n: usize) {
+        self.done = self.done.max(n as u64);
+    }
+
+    /// Commit the whole range.
+    pub fn commit(mut self) {
+        self.done = self.end - self.start;
+    }
+
+    /// Keep the whole range in flight past this claim: the caller settles
+    /// it later through [`ReaderLease::settle`].
+    pub(crate) fn keep(self) -> std::ops::Range<u64> {
+        let range = self.start..self.end;
+        std::mem::forget(self);
+        range
+    }
+}
+
+impl Drop for ReaderClaim<'_> {
+    fn drop(&mut self) {
+        self.lease.settle(self.start, self.done, self.end);
+    }
+}
 
 /// Per-reader cursor state. `cursor` is the next oid the reader will see;
 /// `inflight` holds claimed-but-unacknowledged ranges. The reader's
@@ -497,28 +611,27 @@ impl Inner {
     }
 }
 
-/// The room a non-waiting append sees ([`Basket::append_room`]), published
-/// whenever the basket lock is released, so it is read without the lock.
-/// Relaxed: the figures publish no other data, and an append decides
-/// under the lock.
-#[derive(Debug, Default)]
+/// The room a non-waiting append sees ([`Basket::append_room`]), read
+/// without the basket lock: the segments publish their live count on every
+/// change, and the capacity is published where it is configured. Relaxed:
+/// the figures publish no other data, and an append decides under the
+/// lock.
+#[derive(Debug)]
 struct Room {
-    resident: AtomicUsize,
+    resident: Arc<AtomicUsize>,
     /// The capacity of a refusing bounded basket; `usize::MAX` when no
     /// batch is ever refused for its size.
     capacity: AtomicUsize,
 }
 
 impl Room {
-    fn publish(&self, inner: &Inner) {
+    fn set_capacity(&self, inner: &Inner) {
         let capacity = match inner.policy {
             OverflowPolicy::ShedOldest | OverflowPolicy::Spill { .. } => None,
             _ => inner.capacity,
         };
         self.capacity
             .store(capacity.unwrap_or(usize::MAX), AtomicOrdering::Relaxed);
-        self.resident
-            .store(inner.mem_len(), AtomicOrdering::Relaxed);
     }
 
     fn read(&self) -> Option<AppendRoom> {
@@ -527,32 +640,6 @@ impl Room {
             resident: self.resident.load(AtomicOrdering::Relaxed),
             capacity,
         })
-    }
-}
-
-/// The held basket lock; releasing it publishes the basket's [`Room`].
-struct Locked<'a> {
-    inner: MutexGuard<'a, Inner>,
-    room: &'a Room,
-}
-
-impl Deref for Locked<'_> {
-    type Target = Inner;
-
-    fn deref(&self) -> &Inner {
-        &self.inner
-    }
-}
-
-impl DerefMut for Locked<'_> {
-    fn deref_mut(&mut self) -> &mut Inner {
-        &mut self.inner
-    }
-}
-
-impl Drop for Locked<'_> {
-    fn drop(&mut self) {
-        self.room.publish(&self.inner);
     }
 }
 
@@ -624,8 +711,11 @@ impl Basket {
             epoch: 0,
             holes: 0,
         };
-        let room = Room::default();
-        room.publish(&inner);
+        let room = Room {
+            resident: inner.mem.live(),
+            capacity: AtomicUsize::new(0),
+        };
+        room.set_capacity(&inner);
         Ok(Basket {
             name,
             schema,
@@ -637,14 +727,6 @@ impl Basket {
             events: Mutex::new(None),
             closed: AtomicBool::new(false),
         })
-    }
-
-    /// Take the basket lock.
-    fn lock(&self) -> Locked<'_> {
-        Locked {
-            inner: self.inner.lock(),
-            room: &self.room,
-        }
     }
 
     /// Mark the basket closed and wake its waiters: readers that see
@@ -679,7 +761,7 @@ impl Basket {
     /// by the session when it creates a basket under a configured
     /// `data_dir`.
     pub fn attach_storage(&self, store: BasketStore, wal: Option<Arc<Wal>>) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.spill = Some(SpillState::new(store));
         inner.wal = wal;
     }
@@ -710,7 +792,7 @@ impl Basket {
             )));
         }
         {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             inner.mem.restore(chunk, base_oid);
             inner.epoch += 1;
             inner.stats.appended = appended;
@@ -784,13 +866,14 @@ impl Basket {
     /// full basket and fall back to shedding or rejecting.
     pub fn set_capacity(&self, capacity: Option<usize>, policy: OverflowPolicy) {
         {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             inner.capacity = if matches!(policy, OverflowPolicy::Spill { .. }) {
                 None
             } else {
                 capacity.map(|c| c.max(1))
             };
             inner.policy = policy;
+            self.room.set_capacity(&inner);
         }
         // Raising the cap may unblock waiting appenders.
         self.notify();
@@ -798,21 +881,21 @@ impl Basket {
 
     /// Configured tuple capacity (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        self.lock().capacity
+        self.inner.lock().capacity
     }
 
     /// Configured overflow policy.
     pub fn overflow_policy(&self) -> OverflowPolicy {
-        self.lock().policy
+        self.inner.lock().policy
     }
 
     /// Occupancy as a non-waiting append ([`Basket::try_append_chunk`])
     /// sees it: `None` when no batch is ever refused for its size (no
     /// capacity, or a `ShedOldest`/`Spill` policy).
     ///
-    /// Read without the basket lock, from figures every release of the
-    /// lock publishes: a hint for the firing rule and for producers that
-    /// size their batches, while an append still decides under the lock.
+    /// Read without the basket lock, from figures every change publishes:
+    /// a hint for the firing rule and for producers that size their
+    /// batches, while an append still decides under the lock.
     pub fn append_room(&self) -> Option<AppendRoom> {
         self.room.read()
     }
@@ -968,7 +1051,7 @@ impl Basket {
             return Ok(());
         };
         {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             inner.stats.storage_errors += 1;
             // A concurrent waiter may have checkpointed already.
             if wal.sync_failed() {
@@ -984,7 +1067,7 @@ impl Basket {
     /// covered (`None` for an ephemeral basket): the log a power loss
     /// leaves behind, which every acknowledged append lies within.
     pub fn durable_wal_len(&self) -> Option<u64> {
-        let wal = self.lock().wal.clone()?;
+        let wal = self.inner.lock().wal.clone()?;
         Some(wal.durable_len())
     }
 
@@ -1143,7 +1226,7 @@ impl Basket {
         let sealed = job.store.seal_segment(job.base, &job.chunk);
         let mut orphan = None;
         {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             if let Some(spill) = inner.spill.as_mut() {
                 spill.sealing = false;
             }
@@ -1189,7 +1272,7 @@ impl Basket {
     /// `mem_rows` is sealed straight back to disk.
     pub(crate) fn spill_excess(&self) {
         let job = {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             self.spill_job(&mut inner)
         };
         if let Some(job) = job {
@@ -1218,7 +1301,7 @@ impl Basket {
     }
 
     /// Wait for the basket to change, releasing the inner lock first.
-    fn wait_for_space(&self, inner: Locked<'_>) {
+    fn wait_for_space(&self, inner: MutexGuard<'_, Inner>) {
         let seen = self.signal.version();
         drop(inner);
         // The timeout bounds the wait so capacity changes and consumer
@@ -1402,7 +1485,7 @@ impl Basket {
         let mut counted = false;
         let offset = &mut landing.rows;
         while *offset < total {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             let (shed, take) = match self.admit(&mut inner, total - *offset, wait, &mut counted)? {
                 Admission::Take { shed, take } => (shed, take),
                 Admission::Wait => {
@@ -1441,31 +1524,31 @@ impl Basket {
     /// Logical resident tuple count: the in-memory tail plus any head
     /// rows spilled to disk — the backlog as consumers see it.
     pub fn len(&self) -> usize {
-        self.lock().total_len()
+        self.inner.lock().total_len()
     }
 
     /// Tuples currently held in memory (the quantity
     /// [`OverflowPolicy::Spill`] bounds).
     pub fn resident_len(&self) -> usize {
-        self.lock().mem_len()
+        self.inner.lock().mem_len()
     }
 
     /// In-memory segments held, a segment the head has moved into
     /// included: `0` once every reader has passed every row and dropped
     /// its claims.
     pub fn segment_count(&self) -> usize {
-        self.lock().mem.segment_count()
+        self.inner.lock().mem.segment_count()
     }
 
     /// Tuples currently spilled to on-disk segments.
     pub fn spilled_len(&self) -> usize {
-        self.lock().spilled_rows() as usize
+        self.inner.lock().spilled_rows() as usize
     }
 
     /// [`Basket::len`] and [`BasketStats::appended`] under one lock: what
     /// an exclusive consumer's ready predicate reads.
     pub fn len_and_appended(&self) -> (usize, u64) {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         (inner.total_len(), inner.stats.appended)
     }
 
@@ -1478,7 +1561,7 @@ impl Basket {
     /// scheduler's ready predicates are built on. Counts disk and memory
     /// alike.
     pub fn pending_for(&self, r: ReaderId) -> usize {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         let cursor = inner
             .readers
             .get(&r)
@@ -1490,7 +1573,7 @@ impl Basket {
 
     /// Traffic counters.
     pub fn stats(&self) -> BasketStats {
-        self.lock().stats
+        self.inner.lock().stats
     }
 
     /// Snapshot the full resident contents (all columns including `ts`):
@@ -1500,7 +1583,7 @@ impl Basket {
     /// disk tier into memory). A failed segment decode ends the snapshot
     /// at the last good segment, as in [`Basket::snapshot_exclusive`].
     pub fn snapshot(&self) -> Chunk {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         self.stitch(&mut inner, usize::MAX).0
     }
 
@@ -1508,7 +1591,7 @@ impl Basket {
     /// spilled segments count toward `bytes_on_disk` in the storage
     /// metrics instead.
     pub fn byte_size(&self) -> usize {
-        self.lock().mem.byte_size()
+        self.inner.lock().mem.byte_size()
     }
 
     // ------------------- positional consumption (§2.6) -----------------
@@ -1528,7 +1611,7 @@ impl Basket {
     /// decode is counted and ends the snapshot at the last good segment
     /// (the unread rows stay pending, never skipped or served corrupt).
     pub fn snapshot_exclusive(&self, budget: usize) -> (Arc<Chunk>, ExclusiveAnchor) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let (base, epoch, holes) = (inner.head_oid(), inner.epoch, inner.holes);
         let chunk = if inner.spilled_rows() == 0 {
             let end = base.saturating_add(budget as u64);
@@ -1554,7 +1637,7 @@ impl Basket {
     /// consumes by its positions only then: once the head changed, another
     /// consumer may already have taken some of its tuples.
     pub(crate) fn anchor_holds(&self, anchor: &ExclusiveAnchor) -> bool {
-        self.lock().epoch == anchor.epoch
+        self.inner.lock().epoch == anchor.epoch
     }
 
     /// Delete the tuples at `positions` *relative to a
@@ -1583,7 +1666,7 @@ impl Basket {
         positions: &Candidates,
     ) -> Result<usize> {
         let removed = {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             if inner.holes != anchor.holes {
                 0
             } else if inner.epoch != anchor.epoch {
@@ -1786,7 +1869,7 @@ impl Basket {
     pub fn clear(&self) -> usize {
         let removed;
         {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             removed = inner.total_len();
             let end = inner.end_oid();
             if let Some(spill) = inner.spill.as_mut() {
@@ -1818,7 +1901,7 @@ impl Basket {
     /// only tuples arriving after registration) or at the start of resident
     /// data when `from_start`.
     pub fn register_reader(&self, from_start: bool) -> ReaderId {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let id = ReaderId(inner.next_reader);
         inner.next_reader += 1;
         let cursor = if from_start {
@@ -1839,7 +1922,7 @@ impl Basket {
 
     /// Remove a reader; its watermark no longer holds back trimming.
     pub fn unregister_reader(&self, r: ReaderId) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.readers.remove(&r);
         drop(inner);
         self.trim();
@@ -1847,7 +1930,7 @@ impl Basket {
 
     /// Number of registered readers.
     pub fn reader_count(&self) -> usize {
-        self.lock().readers.len()
+        self.inner.lock().readers.len()
     }
 
     /// Atomically claim up to `max` unread tuples for reader `r`: the
@@ -1893,7 +1976,7 @@ impl Basket {
         let mut attempts = 0u32;
         loop {
             let need = {
-                let mut inner = self.lock();
+                let mut inner = self.inner.lock();
                 match self.slice_from_cursor(&mut inner, r, max, copy, attempts >= 3) {
                     CursorSlice::Ready(chunk, start, end) => {
                         if end > start {
@@ -1910,7 +1993,7 @@ impl Basket {
             attempts += 1;
             let (meta, store) = need;
             let decoded = store.read_segment(&meta, &self.schema);
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             match decoded {
                 Ok(c) => {
                     if let Some(spill) = inner.spill.as_mut() {
@@ -1938,7 +2021,7 @@ impl Basket {
     /// fully-released tuples are trimmed.
     pub fn commit_claim(&self, r: ReaderId, start: u64, end: u64) {
         {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             if let Some(rs) = inner.readers.get_mut(&r) {
                 rs.inflight.retain(|&(s, e)| e <= start || s >= end);
             }
@@ -1955,7 +2038,7 @@ impl Basket {
     /// it.
     pub fn rewind_claim(&self, r: ReaderId, start: u64, end: u64) {
         {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             // A rewind may legitimately point back into the spilled head;
             // clamp to the oldest live row, wherever it resides.
             let base = inner.head_oid();
@@ -2064,7 +2147,7 @@ impl Basket {
     fn trim(&self) {
         let mut notified = false;
         {
-            let mut inner = self.lock();
+            let mut inner = self.inner.lock();
             if inner.readers.is_empty() {
                 return;
             }

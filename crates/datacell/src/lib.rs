@@ -64,7 +64,6 @@ pub mod clock;
 pub mod error;
 pub mod events;
 pub mod factory;
-pub(crate) mod lease;
 pub mod metrics;
 pub mod outbox;
 pub mod petri;

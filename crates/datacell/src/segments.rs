@@ -5,14 +5,15 @@
 //!
 //! * **Reads lend.** [`Segments::lend`] hands out the stored rows: a range
 //!   that is exactly one segment is that segment (a refcount bump); a range
-//!   of several whole segments merges them once, in place, so the next
-//!   reader of those rows borrows the merged one; only a range that starts
-//!   or ends inside a segment copies. A lent chunk is immutable: nothing
-//!   the basket does later changes what a borrower reads.
+//!   of several whole segments that nobody borrows merges them once, in
+//!   place, so the next reader of those rows borrows the merged one; any
+//!   other range is copied, so a merge never leaves a second copy of rows
+//!   beside borrowed originals. A lent chunk is immutable: nothing the
+//!   basket does later changes what a borrower reads.
 //! * **Appends extend or move.** An append copies its rows onto the newest
 //!   segment while nothing borrows it ([`Arc::get_mut`]), else into a new
 //!   one; an owned batch ([`Segments::push`]) becomes a segment without a
-//!   copy.
+//!   copy only when the newest segment is borrowed.
 //! * **Rows leave by whole segments.** Trimming moves the head and frees
 //!   every segment it has passed; the memory goes when the last borrower
 //!   drops its chunk too. Only a positional (non-prefix) removal rewrites
@@ -20,16 +21,12 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use datacell_bat::column::Column;
 use datacell_engine::Chunk;
 use datacell_sql::Schema;
-
-/// An owned batch smaller than this is copied onto an unborrowed newest
-/// segment rather than kept as a segment of its own, so a stream of tiny
-/// appends does not become a deque of tiny segments.
-const OWN_SEGMENT_ROWS: usize = 64;
 
 /// One run of rows and the oid of its first row.
 #[derive(Debug)]
@@ -54,6 +51,9 @@ pub(crate) struct Segments {
     end: u64,
     /// The basket's empty chunk, lent by every empty read.
     empty: Arc<Chunk>,
+    /// [`Segments::len`], stored by every change so that it is read
+    /// without the basket lock ([`Segments::live`]).
+    live: Arc<AtomicUsize>,
 }
 
 impl Segments {
@@ -64,7 +64,19 @@ impl Segments {
             head: 0,
             end: 0,
             empty: Arc::new(Chunk::empty(schema)),
+            live: Arc::default(),
         }
+    }
+
+    /// The live row count as every change publishes it. Relaxed: it
+    /// publishes no other data, and whoever acts on it decides again under
+    /// the basket lock.
+    pub(crate) fn live(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.live)
+    }
+
+    fn publish(&self) {
+        self.live.store(self.len(), Ordering::Relaxed);
     }
 
     fn schema(&self) -> &Schema {
@@ -166,17 +178,18 @@ impl Segments {
             }
         }
         self.end += n as u64;
+        self.publish();
     }
 
-    /// Append an owned batch (user columns, with or without `ts`): it
-    /// becomes a segment of its own without a copy, unless it is small and
-    /// the newest segment can take it.
+    /// Append an owned batch (user columns, with or without `ts`): copied
+    /// onto the newest segment when an append may extend it, else taken
+    /// over as a segment of its own without a copy.
     pub(crate) fn push(&mut self, mut columns: Vec<Column>, stamp: impl FnOnce() -> i64) {
         let n = columns.first().map_or(0, Column::len);
         if n == 0 {
             return;
         }
-        if n < OWN_SEGMENT_ROWS && self.extendable().is_some() {
+        if self.extendable().is_some() {
             self.append(&columns, 0..n, stamp);
             return;
         }
@@ -204,6 +217,7 @@ impl Segments {
             base,
             rows: Arc::new(chunk),
         });
+        self.publish();
     }
 
     /// The newest `n` rows, as the newest segment's columns and the range
@@ -230,11 +244,13 @@ impl Segments {
         }
         self.end -= n as u64;
         self.head = self.head.min(self.end);
+        self.publish();
     }
 
     /// Lend rows `[from, to)`, clamped to the live rows (see the module
-    /// docs): one whole segment is shared as it is, a run of whole segments
-    /// is merged in place first, and a range that cuts a segment is copied.
+    /// docs): one whole segment is shared as it is, a run of whole,
+    /// unborrowed segments is merged in place first, and any other range
+    /// is copied.
     pub(crate) fn lend(&mut self, from: u64, to: u64) -> Arc<Chunk> {
         let from = from.clamp(self.head, self.end);
         let to = to.clamp(from, self.end);
@@ -243,7 +259,12 @@ impl Segments {
         }
         let i = self.segs.partition_point(|s| s.end() <= from);
         let j = self.segs.partition_point(|s| s.end() < to);
-        if self.segs[i].base != from || self.segs[j].end() != to {
+        let borrowed = || {
+            self.segs
+                .range(i..=j)
+                .any(|s| Arc::strong_count(&s.rows) > 1)
+        };
+        if self.segs[i].base != from || self.segs[j].end() != to || (i < j && borrowed()) {
             return Arc::new(self.copy(from, to));
         }
         if i < j {
@@ -298,6 +319,7 @@ impl Segments {
         while self.segs.front().is_some_and(|s| s.end() <= to) {
             self.segs.pop_front();
         }
+        self.publish();
         dropped
     }
 
@@ -305,6 +327,7 @@ impl Segments {
     pub(crate) fn clear(&mut self) {
         self.segs.clear();
         self.head = self.end;
+        self.publish();
     }
 
     /// Replace the contents with `chunk`, its first row at oid `base`.
@@ -315,6 +338,7 @@ impl Segments {
         self.push(chunk.columns, || {
             unreachable!("a restored chunk carries `ts`")
         });
+        self.publish();
     }
 
     /// Remove the live rows at the sorted, distinct positions `gone`
@@ -370,6 +394,7 @@ impl Segments {
         let live = self.len() - gone.len();
         self.head = self.end - live as u64;
         self.segs = kept;
+        self.publish();
     }
 }
 
@@ -394,7 +419,20 @@ mod tests {
     }
 
     fn big(lo: i64) -> Vec<i64> {
-        (lo..lo + OWN_SEGMENT_ROWS as i64).collect()
+        (lo..lo + 64).collect()
+    }
+
+    /// Segments of 64 rows from oid 0, each pushed while the one before
+    /// it was borrowed.
+    fn tiled(n: i64) -> Segments {
+        let mut s = segments();
+        for k in 0..n {
+            let held = (k > 0).then(|| s.lend(64 * (k as u64 - 1), 64 * k as u64));
+            push(&mut s, big(64 * k));
+            drop(held);
+        }
+        assert_eq!(s.segment_count(), n as usize);
+        s
     }
 
     #[test]
@@ -408,14 +446,31 @@ mod tests {
     }
 
     #[test]
-    fn a_run_of_segments_is_merged_once_in_place() {
+    fn an_owned_batch_is_its_own_segment_only_behind_a_borrowed_one() {
         let mut s = segments();
         push(&mut s, big(0));
         push(&mut s, big(64));
+        assert_eq!(s.segment_count(), 1, "copied onto the unborrowed newest");
+        let held = s.lend(0, 128);
+        push(&mut s, big(128));
         assert_eq!(s.segment_count(), 2);
+        assert_eq!(ints(&held), (0..128).collect::<Vec<_>>());
+        assert_eq!(s.live().load(Ordering::Relaxed), 192);
+    }
+
+    #[test]
+    fn a_run_of_unborrowed_segments_is_merged_once_in_place() {
+        let mut s = tiled(3);
+        // One of the run is borrowed: a copy, and the run stays as it is.
+        let first = s.lend(0, 64);
+        let copy = s.lend(0, 128);
+        assert_eq!(s.segment_count(), 3);
+        assert!(!Arc::ptr_eq(&copy, &s.lend(0, 128)));
+        drop(first);
         let a = s.lend(0, 128);
-        assert_eq!(s.segment_count(), 1);
+        assert_eq!(s.segment_count(), 2);
         assert!(Arc::ptr_eq(&a, &s.lend(0, 128)));
+        assert_eq!(ints(&a), ints(&copy));
         assert_eq!(ints(&a), (0..128).collect::<Vec<_>>());
     }
 
@@ -437,10 +492,7 @@ mod tests {
 
     #[test]
     fn trims_free_whole_segments_and_removals_rewrite_only_what_they_touch() {
-        let mut s = segments();
-        push(&mut s, big(0));
-        push(&mut s, big(64));
-        push(&mut s, big(128));
+        let mut s = tiled(3);
         let held = s.lend(64, 128);
         assert_eq!(s.trim_to(10), 10);
         assert_eq!(s.segment_count(), 3);
@@ -449,6 +501,7 @@ mod tests {
         // Remove rows 130 and 131 (positions 66, 67 from the head at 64).
         s.remove(&[66, 67]);
         assert_eq!((s.head(), s.end(), s.len()), (66, 192, 126));
+        assert_eq!(s.live().load(Ordering::Relaxed), 126);
         assert_eq!(
             s.lend(66, 130).as_ref().columns[0].as_ints().unwrap(),
             &big(64)[..]
@@ -459,6 +512,7 @@ mod tests {
         assert_eq!(tail[2], 132);
         s.clear();
         assert_eq!((s.len(), s.segment_count()), (0, 0));
+        assert_eq!(s.live().load(Ordering::Relaxed), 0);
         assert_eq!(ints(&held), big(64));
     }
 }
